@@ -176,11 +176,6 @@ def div(a, b):
     )
 
 
-def scale(a, c: float):
-    """Multiply by a plain scalar."""
-    return mul(a, float(c))
-
-
 def neg(a):
     if not isinstance(a, Var):
         return -np.asarray(a, float)
@@ -229,7 +224,8 @@ def matmul(a, b):
 matvec = matmul
 
 
-def _unary(a, fwd, dfd):
+def elementwise(a, fwd, dfd):
+    """One node for an elementwise map: fwd(x) forward, dfd(x, fwd(x)) its derivative."""
     if not isinstance(a, Var):
         return fwd(np.asarray(a, float))
     src = a
@@ -242,24 +238,24 @@ def _unary(a, fwd, dfd):
 
 
 def sigmoid(a):
-    return _unary(a, lambda x: expit(x), lambda x, s: s * (1.0 - s))
+    return elementwise(a, lambda x: expit(x), lambda x, s: s * (1.0 - s))
 
 
 def exp(a):
-    return _unary(a, np.exp, lambda x, e: e)
+    return elementwise(a, np.exp, lambda x, e: e)
 
 
 def softplus(a):
-    return _unary(a, lambda x: np.logaddexp(0.0, x), lambda x, v: expit(x))
+    return elementwise(a, lambda x: np.logaddexp(0.0, x), lambda x, v: expit(x))
 
 
 def absolute(a):
-    return _unary(a, np.abs, lambda x, v: np.sign(x))
+    return elementwise(a, np.abs, lambda x, v: np.sign(x))
 
 
 def clip_min(a, lo: float):
     """max(a, lo); gradient passes only where a > lo."""
-    return _unary(
+    return elementwise(
         a,
         lambda x: np.maximum(x, lo),
         lambda x, v: (x > lo).astype(float),

@@ -153,11 +153,6 @@ def _roi_samples(cube: HyperCube, roi: artifacts.RoiFile, with_truth: bool) -> l
     return samples
 
 
-def _all_cube_samples(cube: HyperCube) -> list[PixelSample]:
-    rows, cols = cube.rows, cube.cols
-    return [PixelSample(r, c, cube.pixel(r, c)) for r in range(rows) for c in range(cols)]
-
-
 # -- synth -------------------------------------------------------------------
 
 @main.command()
@@ -223,10 +218,10 @@ def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, thre
             share = max(1, round(n_pixels * c.rows * c.cols / total))
             samples.extend(sample_pixels(c, None, share, config.seed, with_truth=False))
 
-    norm_pixels: list[PixelSample] = []
-    for c in cubes:
-        norm_pixels.extend(_all_cube_samples(c))
-    norm = estimate_normalization(norm_pixels)
+    # Each cube's per-band minima and maxima give the same (C, m) as all its pixels.
+    norm = estimate_normalization(
+        np.stack([f(c.data, axis=(0, 1)) for c in cubes for f in (np.min, np.max)])
+    )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,7 +234,9 @@ def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, thre
         model = run.model(cube.n_bands)
         artifacts.write_model(out / f"model_{i:03d}.json", model, config.solver, cube.grid)
         t1 = ad.value_of(transmittance_values(model, model.params, config.solver))
-        rho, _ = correct_batch(model, norm, np.stack([s.l4.values for s in samples]), config.solver)
+        rho, _ = correct_batch(
+            model, norm, np.stack([s.l4.values for s in samples]), config.solver, transmittance=t1
+        )
         artifacts.write_run_record(
             out / f"run_{i:03d}.json", run, transmittance=t1, roi_reflectance=rho.mean(axis=0)
         )
@@ -275,13 +272,14 @@ def correct(cube_path, model_path, norm_path, out_dir):
     if norm_path:
         norm = artifacts.read_normalization(norm_path)
     else:
-        norm = estimate_normalization(_all_cube_samples(cube))
+        norm = estimate_normalization(cube.data)
 
+    t1 = ad.value_of(transmittance_values(model, model.params, solver))
     rows, cols, bands = cube.rows, cube.cols, cube.n_bands
     rho = np.empty((rows, cols, bands), dtype=np.float32)
     mask = np.empty((rows, cols, bands), dtype=np.uint16)
     for r in range(rows):  # row-chunked to bound the tape-free working set
-        rho_r, mask_r = correct_batch(model, norm, cube.data[r], solver)
+        rho_r, mask_r = correct_batch(model, norm, cube.data[r], solver, transmittance=t1)
         rho[r] = rho_r
         mask[r] = mask_r
     out = Path(out_dir)
@@ -342,7 +340,7 @@ def eval_cmd(model_path, cube_path, roi_path, library_path, norm_path, out_path)
     norm = (
         artifacts.read_normalization(norm_path)
         if norm_path
-        else estimate_normalization(_all_cube_samples(cube))
+        else estimate_normalization(cube.data)
     )
     roi = artifacts.read_roi(roi_path, cube.rows, cube.cols)
     library = None

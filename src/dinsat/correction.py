@@ -8,7 +8,6 @@ out-of-range bands and floored denominators are reported in a quality mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .transmission import (
     transmit_values,
     transmittance_values,
 )
-from .types import PixelSample, Spectrum, stack_l4
+from .types import Spectrum
 
 # Transmittance floor for the division in the correction formula.
 EPS_T = 1e-6
@@ -56,22 +55,33 @@ class SceneNormalization:
         return cls(np.zeros(n_bands), 1.0)
 
 
-def estimate_dark_offset(pixels: Sequence[PixelSample]) -> np.ndarray:
-    """Per-band minimum radiance over the pixel population."""
-    return stack_l4(pixels).min(axis=0)
+def _per_band(radiance, reduce) -> np.ndarray:
+    """``reduce`` over every leading axis of a (..., n_bands) radiance array."""
+    L = np.asarray(radiance, float)
+    if L.size == 0:
+        raise EmptyInputError("cannot normalize an empty radiance array")
+    return reduce(L, axis=tuple(range(L.ndim - 1)))
 
 
-def estimate_scale(pixels: Sequence[PixelSample], c: np.ndarray) -> float:
-    """Smallest m with (L4 - c)/m <= 1 everywhere; 1 for a degenerate flat scene."""
-    spread = float((stack_l4(pixels) - np.asarray(c, float)).max())
+def estimate_dark_offset(radiance) -> np.ndarray:
+    """Per-band minimum of a (..., n_bands) radiance array over every leading axis."""
+    return _per_band(radiance, np.min)
+
+
+def estimate_scale(radiance, c: np.ndarray) -> float:
+    """Smallest m with (L4 - c)/m <= 1 everywhere; 1 for a degenerate flat scene.
+
+    Computed as max(max(L4) - c) over bands, which equals max(L4 - c) exactly
+    (rounding is monotone) without an array-sized temporary.
+    """
+    spread = float((_per_band(radiance, np.max) - np.asarray(c, float)).max())
     return spread if spread > 0 else 1.0
 
 
-def estimate_normalization(pixels: Sequence[PixelSample]) -> SceneNormalization:
-    if len(pixels) == 0:
-        raise EmptyInputError("cannot normalize an empty pixel set")
-    c = estimate_dark_offset(pixels)
-    return SceneNormalization(c, estimate_scale(pixels, c))
+def estimate_normalization(radiance) -> SceneNormalization:
+    """(C, m) from a (..., n_bands) radiance array, e.g. a cube's (rows, cols, bands) data."""
+    c = estimate_dark_offset(radiance)
+    return SceneNormalization(c, estimate_scale(radiance, c))
 
 
 def corrected_reflectance(
@@ -80,11 +90,15 @@ def corrected_reflectance(
     norm: SceneNormalization,
     l4,
     solver: SolverConfig = SolverConfig(),
+    transmittance=None,
 ):
-    """Traced-or-plain correction of an (n_bands,) vector or (batch, n_bands) matrix."""
+    """Traced-or-plain correction of an (n_bands,) vector or (batch, n_bands) matrix.
+
+    ``transmittance`` is T(1) for these params, when the caller already has it.
+    """
     l4 = np.asarray(l4, float)
     z = np.maximum((l4 - norm.c) / norm.m, 0.0)
-    t1 = transmittance_values(model, params, solver)
+    t1 = transmittance_values(model, params, solver) if transmittance is None else transmittance
     l2 = invert_values(model, params, z, solver, transmittance=t1)
     return l2 / ad.clip_min(t1, EPS_T)
 
@@ -94,10 +108,19 @@ def correct_batch(
     norm: SceneNormalization,
     l4: np.ndarray,
     solver: SolverConfig = SolverConfig(),
+    transmittance=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reflectance plus a per-band quality mask for a (batch, n_bands) matrix."""
-    rho = ad.value_of(corrected_reflectance(model, model.params, norm, l4, solver))
-    t1 = ad.value_of(transmittance_values(model, model.params, solver))
+    """Reflectance plus a per-band quality mask for a (batch, n_bands) matrix.
+
+    ``transmittance`` is the model's T(1), for callers that correct many
+    batches with one model.
+    """
+    t1 = (
+        ad.value_of(transmittance_values(model, model.params, solver))
+        if transmittance is None
+        else np.asarray(transmittance, float)
+    )
+    rho = ad.value_of(corrected_reflectance(model, model.params, norm, l4, solver, t1))
     mask = np.zeros(rho.shape, dtype=np.uint8)
     mask |= np.where(t1 < EPS_T, MASK_DENOM_FLOORED, 0).astype(np.uint8)
     out_of_range = (rho < -RHO_RANGE_TOL) | (rho > 1.0 + RHO_RANGE_TOL)

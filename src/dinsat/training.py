@@ -112,8 +112,6 @@ def build_model(config: TrainConfig, n_bands: int, seed: int) -> Profile:
 
 
 def _fd_terms(rho_hat):
-    if isinstance(rho_hat, ad.Var):
-        return rho_hat[:, 1:] - rho_hat[:, :-1]
     return rho_hat[:, 1:] - rho_hat[:, :-1]
 
 
@@ -168,8 +166,8 @@ def unsupervised_loss_terms(
     l4 = stack_l4(samples)
     if params is None:
         params = model.params
-    rho_hat = corrected_reflectance(model, params, norm, l4, solver)
     t1 = transmittance_values(model, params, solver)
+    rho_hat = corrected_reflectance(model, params, norm, l4, solver, transmittance=t1)
     l_rho = ad.mean(rho_hat)
     l_t = ad.mean(t1)
     l_fd = ad.mean(ad.absolute(_fd_terms(rho_hat)))
@@ -381,9 +379,12 @@ def ensemble(
     roi_stack = []
     for run in completed:
         model = run.model(n_bands)
-        t_stack.append(ad.value_of(transmittance_values(model, model.params, config.solver)))
+        t1 = ad.value_of(transmittance_values(model, model.params, config.solver))
+        t_stack.append(t1)
         rho = ad.value_of(
-            corrected_reflectance(model, model.params, norm, stack_l4(samples), config.solver)
+            corrected_reflectance(
+                model, model.params, norm, stack_l4(samples), config.solver, transmittance=t1
+            )
         )
         roi_stack.append(rho.mean(axis=0))
     t_stack = np.stack(t_stack)

@@ -1,15 +1,21 @@
 """Transmission-profile models: the operator T, its inverse, and T(1_n).
 
-Two right-hand sides are provided. The linear profile realizes per-band
-exponential decay with nonnegative rates; the nonlinear profile runs the
-spectrum through a bottleneck encoder/decoder and multiplies by a decay
-factor forced into [-1, 0], so dissipation holds by construction.
+Each profile is one operator with ``forward`` (T), ``inverse`` (T^-1) and
+``t1`` (T(1_n)) methods, all traced-or-plain in the parameters. The linear
+profile realizes per-band exponential decay with nonnegative rates; the
+nonlinear profile runs the spectrum through a bottleneck encoder/decoder and
+multiplies by a decay factor forced into [-1, 0], so dissipation holds by
+construction.
 
-For the linear profile the discrete forward map is a per-band multiplication
-by a fixed polynomial of alpha (the method's stability polynomial raised to
-the step count), so the inverse transmission is computed as exact division by
-that factor. Round trips are then exact up to float rounding, which backward
-time-integration of an explicit scheme cannot achieve.
+For dL/dx = -alpha L a fixed-step explicit solver multiplies each band by
+P(z) per step, z = -alpha h, where P is the method's stability polynomial
+(Euler: 1 + z; RK4: 1 + z + z^2/2 + z^3/6 + z^4/24). The linear profile
+therefore computes the solver's discrete map in closed form, as the per-band
+factor P(z)^n, recorded as a single tape node with its analytic derivative:
+the same map and the same gradients as stepping the solver n times. T is a
+multiplication by that factor and T^-1 an exact division, so round trips are
+exact up to float rounding. The nonlinear profile integrates with the stepped
+solvers in ``ode``, forward and backward in x.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .mlp import MlpLayout, glorot_init, mlp_forward
 from .ode import SolverConfig, ode_solve, ode_solve_reverse
 from .types import Spectrum
@@ -35,6 +42,41 @@ def softplus_inverse(a: np.ndarray) -> np.ndarray:
     if np.any(a <= 0):
         raise ConfigError("softplus inverse requires positive rates")
     return a + np.log1p(-np.exp(-a))
+
+
+# Stability polynomial P(z) and its derivative P'(z) of each solver method:
+# one step of the method on dL/dx = lambda L multiplies L by P(lambda h).
+_STABILITY = {
+    "euler": (lambda z: 1.0 + z, lambda z: np.ones_like(z)),
+    "rk4": (
+        lambda z: 1.0 + z * (1.0 + z * (1.0 / 2.0 + z * (1.0 / 6.0 + z / 24.0))),
+        lambda z: 1.0 + z * (1.0 + z * (1.0 / 2.0 + z / 6.0)),
+    ),
+}
+
+
+def linear_factor(raw, solver: SolverConfig = SolverConfig()):
+    """P(-softplus(raw) h)^n: the solver's exact discrete map of dL/dx = -alpha L.
+
+    One tape node whose derivative is n P^(n-1) P' (-h) expit(raw). Raises
+    NumericError when the factor is not finite, as the stepped solver does.
+    """
+    n = solver.steps
+    h = (solver.x_end - solver.x0) / n
+    poly, dpoly = _STABILITY[solver.method]
+
+    def factor(r):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = poly(-np.logaddexp(0.0, r) * h) ** n
+        if not np.all(np.isfinite(out)):
+            raise NumericError("non-finite linear transmission factor")
+        return out
+
+    def derivative(r, _):
+        z = -np.logaddexp(0.0, r) * h
+        return n * poly(z) ** (n - 1) * dpoly(z) * (-h) * expit(r)
+
+    return ad.elementwise(raw, factor, derivative)
 
 
 @dataclass(frozen=True)
@@ -86,6 +128,20 @@ class LinearProfile:
             return -(alpha * L)
 
         return rhs
+
+    def t1(self, params, solver: SolverConfig):
+        """T(1_n): the per-band closed-form factor P(z)^n."""
+        return linear_factor(params, solver)
+
+    def forward(self, params, L, solver: SolverConfig):
+        """T(L) = L * T(1_n), per band."""
+        return ad.mul(L, self.t1(params, solver))
+
+    def inverse(self, params, L, solver: SolverConfig, transmittance=None):
+        """Exact division by T(1); pass ``transmittance`` to reuse one already computed."""
+        if transmittance is None:
+            transmittance = self.t1(params, solver)
+        return ad.div(L, transmittance)
 
 
 @dataclass(frozen=True)
@@ -145,20 +201,24 @@ class NonlinearProfile:
 
         return rhs
 
+    def t1(self, params, solver: SolverConfig):
+        """T applied to the all-ones spectrum."""
+        return self.forward(params, np.ones(self.n_bands), solver)
+
+    def forward(self, params, L, solver: SolverConfig):
+        """Forward integration in x with the stepped solver."""
+        return ode_solve(self.rhs_from(params), L, solver)
+
+    def inverse(self, params, L, solver: SolverConfig, transmittance=None):
+        """Backward integration in x; ``transmittance`` is accepted and not needed."""
+        return ode_solve_reverse(self.rhs_from(params), L, solver)
+
 
 Profile = Union[LinearProfile, NonlinearProfile]
 
 
-def rhs_linear(L: np.ndarray, profile: LinearProfile) -> np.ndarray:
-    """-alpha * L, elementwise."""
-    L = np.asarray(L, float)
-    if L.shape[-1] != profile.n_bands:
-        raise ShapeError(f"input has {L.shape[-1]} bands, profile {profile.n_bands}")
-    return ad.value_of(profile.rhs_from(profile.params)(L))
-
-
-def rhs_nonlinear(L: np.ndarray, profile: NonlinearProfile) -> np.ndarray:
-    """decay(L) * L with decay in [-1, 0], so the result is <= 0 for L >= 0."""
+def rhs_values(L: np.ndarray, profile: Profile) -> np.ndarray:
+    """The right-hand side f(L); <= 0 for L >= 0 for either profile."""
     L = np.asarray(L, float)
     if L.shape[-1] != profile.n_bands:
         raise ShapeError(f"input has {L.shape[-1]} bands, profile {profile.n_bands}")
@@ -167,12 +227,12 @@ def rhs_nonlinear(L: np.ndarray, profile: NonlinearProfile) -> np.ndarray:
 
 def transmit_values(model: Profile, params, L, solver: SolverConfig = SolverConfig()):
     """The operator T on raw vectors/matrices (traced or plain)."""
-    return ode_solve(model.rhs_from(params), L, solver)
+    return model.forward(params, L, solver)
 
 
 def transmittance_values(model: Profile, params, solver: SolverConfig = SolverConfig()):
     """T applied to the all-ones spectrum."""
-    return transmit_values(model, params, np.ones(model.n_bands), solver)
+    return model.t1(params, solver)
 
 
 def invert_values(
@@ -184,15 +244,10 @@ def invert_values(
 ):
     """The operator T^-1 on raw vectors/matrices.
 
-    Linear profiles invert by dividing out the discrete per-band transmission
-    factor (the exact inverse of the discrete forward map); nonlinear profiles
-    integrate the same dynamics backward in x.
+    ``transmittance`` is T(1) for these params when the caller already has it;
+    the linear profile divides by it instead of computing it again.
     """
-    if model.kind == "linear":
-        if transmittance is None:
-            transmittance = transmittance_values(model, params, solver)
-        return L / transmittance
-    return ode_solve_reverse(model.rhs_from(params), L, solver)
+    return model.inverse(params, L, solver, transmittance)
 
 
 def _spectrum_in(L: Spectrum | np.ndarray) -> np.ndarray:

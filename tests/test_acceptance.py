@@ -222,9 +222,7 @@ def test_criterion_6_unsupervised_synthetic_recovery(scene):
     cube, truth = scene
     samples = sample_pixels(cube, truth, 112, seed=6)
     # Normalization comes from the full scene, as whole-cube correction does.
-    norm = estimate_normalization(
-        [PixelSample(r, c, cube.pixel(r, c)) for r in range(cube.rows) for c in range(cube.cols)]
-    )
+    norm = estimate_normalization(cube.data)
 
     config = TrainConfig(
         mode="unsupervised",

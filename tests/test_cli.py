@@ -9,7 +9,7 @@ from dinsat.envi import read_envi
 from dinsat.ode import SolverConfig
 from dinsat.synth import SynthSpec, synth_scene
 from dinsat.transmission import LinearProfile
-from dinsat.types import PixelSample, Spectrum
+from dinsat.types import Spectrum
 
 SPEC_TEXT = """
 rows = 12
@@ -123,6 +123,23 @@ class TestTrainCommand:
             outputs.append((out / "model_000.json").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_two_cube_normalization_matches_stacked_pixels(self, tmp_path, runner):
+        scenes = [make_scene(tmp_path / name, runner, seed) for name, seed in (("a", 3), ("b", 4))]
+        config = tmp_path / "train.txt"
+        config.write_text("mode = unsupervised\nmax_epochs = 2\n")
+        out = tmp_path / "run"
+        result = runner.invoke(main, [
+            "train", "--cube", str(scenes[0] / "scene.hdr"), "--cube", str(scenes[1] / "scene.hdr"),
+            "--config", str(config), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        cubes = [read_envi(s / "scene.hdr") for s in scenes]
+        stacked = np.concatenate([c.data.reshape(-1, c.n_bands) for c in cubes])
+        c_ref = stacked.min(axis=0)
+        norm = read_normalization(out / "norm.json")
+        np.testing.assert_array_equal(norm.c, c_ref)
+        assert norm.m == float((stacked - c_ref).max())
+
     def test_supervised_without_roi_is_config_error(self, tmp_path, runner):
         scene = make_scene(tmp_path, runner)
         result = runner.invoke(main, [
@@ -156,11 +173,7 @@ class TestCorrectCommand:
         ])
         assert result.exit_code == 0, result.output
         corrected = read_envi(out / "corrected.hdr")
-        samples = [
-            PixelSample(r, c, cube.pixel(r, c))
-            for r in range(cube.rows) for c in range(cube.cols)
-        ]
-        norm = estimate_normalization(samples)
+        norm = estimate_normalization(cube.data)
         expected = (cube.data - norm.c) / norm.m
         np.testing.assert_allclose(corrected.data, expected, atol=1e-6)
         mask = read_envi(out / "quality_mask.hdr")

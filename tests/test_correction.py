@@ -13,14 +13,11 @@ from dinsat.correction import (
 )
 from dinsat.errors import ConfigError, EmptyInputError
 from dinsat.ode import SolverConfig
+from dinsat.synth import SynthSpec, synth_scene
 from dinsat.transmission import LinearProfile
-from dinsat.types import PixelSample, Spectrum
+from dinsat.types import Spectrum
 
 CFG = SolverConfig("rk4", 16)
-
-
-def pix(values):
-    return PixelSample(0, 0, Spectrum(values, "radiance"))
 
 
 def identity_model(n):
@@ -30,32 +27,32 @@ def identity_model(n):
 class TestNormalizationEstimates:
     def test_dark_offset_per_band_min(self):
         np.testing.assert_allclose(
-            estimate_dark_offset([pix([1.0, 2.0]), pix([3.0, 0.5])]), [1.0, 0.5]
+            estimate_dark_offset(np.array([[1.0, 2.0], [3.0, 0.5]])), [1.0, 0.5]
         )
 
     def test_dark_offset_single_pixel(self):
-        np.testing.assert_allclose(estimate_dark_offset([pix([0.4, 0.2])]), [0.4, 0.2])
+        np.testing.assert_allclose(estimate_dark_offset(np.array([[0.4, 0.2]])), [0.4, 0.2])
 
     def test_dark_offset_degenerate_scene(self):
-        pixels = [pix([0.7, 0.3])] * 4
+        pixels = np.array([[0.7, 0.3]] * 4)
         c = estimate_dark_offset(pixels)
         np.testing.assert_allclose(c, [0.7, 0.3])
         norm = estimate_normalization(pixels)
-        np.testing.assert_allclose((pixels[0].l4.values - norm.c) / norm.m, 0.0)
+        np.testing.assert_allclose((pixels[0] - norm.c) / norm.m, 0.0)
 
     def test_dark_offset_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            estimate_dark_offset([])
+            estimate_dark_offset(np.empty((0, 2)))
 
     def test_scale_direct(self):
-        assert estimate_scale([pix([1.0, 2.0]), pix([3.0, 0.5])], np.array([1.0, 0.5])) == 2.0
+        assert estimate_scale(np.array([[1.0, 2.0], [3.0, 0.5]]), np.array([1.0, 0.5])) == 2.0
 
     def test_scale_degenerate_is_one(self):
-        assert estimate_scale([pix([0.7, 0.3])], np.array([0.7, 0.3])) == 1.0
+        assert estimate_scale(np.array([[0.7, 0.3]]), np.array([0.7, 0.3])) == 1.0
 
     def test_scale_homogeneity(self):
-        pixels = [pix([1.0, 2.0]), pix([3.0, 0.5])]
-        scaled = [pix(p.l4.values * 10.0) for p in pixels]
+        pixels = np.array([[1.0, 2.0], [3.0, 0.5]])
+        scaled = pixels * 10.0
         c = estimate_dark_offset(pixels)
         assert estimate_scale(scaled, c * 10.0) == pytest.approx(
             10.0 * estimate_scale(pixels, c)
@@ -63,11 +60,21 @@ class TestNormalizationEstimates:
 
     def test_normalization_bounds_scene(self):
         rng = np.random.default_rng(0)
-        pixels = [pix(rng.uniform(0, 5, 6)) for _ in range(30)]
+        pixels = np.stack([rng.uniform(0, 5, 6) for _ in range(30)])
         norm = estimate_normalization(pixels)
-        z = np.stack([(p.l4.values - norm.c) / norm.m for p in pixels])
+        z = (pixels - norm.c) / norm.m
         assert z.min() >= 0.0
         assert z.max() <= 1.0 + 1e-9
+
+    def test_cube_matches_stacked_pixels_bit_for_bit(self):
+        cube, _ = synth_scene(SynthSpec(rows=9, cols=7, n_bands=16, noise_std=0.05), seed=11)
+        # The per-pixel reference: stack every pixel, then reduce as one matrix.
+        stacked = np.stack([cube.pixel(r, c).values for r in range(cube.rows) for c in range(cube.cols)])
+        c_ref = stacked.min(axis=0)
+        m_ref = float((stacked - c_ref).max())
+        norm = estimate_normalization(cube.data)
+        np.testing.assert_array_equal(norm.c, c_ref)
+        assert norm.m == m_ref
 
 
 class TestCorrectPixel:
@@ -152,14 +159,14 @@ class TestSceneProperties:
         rng = np.random.default_rng(3)
         n = 8
         model = LinearProfile.from_alpha(rng.uniform(0.2, 1.0, n))
-        pixels = [pix(rng.uniform(0.1, 2.0, n)) for _ in range(12)]
+        pixels = np.stack([rng.uniform(0.1, 2.0, n) for _ in range(12)])
         norm = estimate_normalization(pixels)
-        rho_base = correct_pixel(model, norm, pixels[0].l4, CFG).values
+        rho_base = correct_pixel(model, norm, Spectrum(pixels[0], "radiance"), CFG).values
 
         k = 7.5
-        scaled = [pix(p.l4.values * k) for p in pixels]
+        scaled = pixels * k
         norm_k = estimate_normalization(scaled)
-        rho_scaled = correct_pixel(model, norm_k, scaled[0].l4, CFG).values
+        rho_scaled = correct_pixel(model, norm_k, Spectrum(scaled[0], "radiance"), CFG).values
         np.testing.assert_allclose(rho_scaled, rho_base, rtol=1e-9, atol=1e-12)
 
     def test_monotonicity_in_radiance(self):

@@ -141,6 +141,18 @@ class TestLossGradients:
         denom = np.maximum(np.abs(fd), 1e-7)
         assert np.max(np.abs(pvar.grad - fd) / denom) < 1e-3
 
+    def test_linear_unsupervised_tape_is_small(self):
+        # The linear transmission factor is one closed-form node, so the tape
+        # does not grow with the solver's step count or stage count.
+        rng = np.random.default_rng(4)
+        n = 126
+        norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.3)
+        samples = [pix(norm.c + rng.uniform(0.1, 1.0, n)) for _ in range(8)]
+        model = LinearProfile.initialize(n, rng)
+        tape = ad.Tape()
+        ad.backward(unsupervised_loss(model, norm, samples, CFG, params=tape.leaf(model.params)))
+        assert len(tape.nodes) <= 32
+
 
 def tiny_scene():
     spec = SynthSpec(rows=12, cols=12, n_bands=16, noise_std=0.0,

@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dinsat.errors import ShapeError
-from dinsat.ode import SolverConfig
+from dinsat import autodiff as ad
+from dinsat.errors import NumericError, ShapeError
+from dinsat.ode import SolverConfig, ode_solve
 from dinsat.transmission import (
     LinearProfile,
     NonlinearProfile,
     invert_transmit,
-    rhs_linear,
-    rhs_nonlinear,
+    linear_factor,
+    rhs_values,
     softplus_inverse,
     transmit,
     transmittance_spectrum,
+    transmittance_values,
 )
 from dinsat.types import Spectrum
 
@@ -26,20 +28,20 @@ def linear(alpha):
 class TestLinearRhs:
     def test_zero_absorption_limit(self):
         profile = LinearProfile(np.full(3, -40.0))
-        out = rhs_linear(np.array([1.0, 2.0, 3.0]), profile)
+        out = rhs_values(np.array([1.0, 2.0, 3.0]), profile)
         assert np.max(np.abs(out)) < 1e-15
 
     def test_definition(self):
-        out = rhs_linear(np.array([1.0, 1.0]), linear([1.0, 2.0]))
+        out = rhs_values(np.array([1.0, 1.0]), linear([1.0, 2.0]))
         np.testing.assert_allclose(out, [-1.0, -2.0], rtol=1e-8)
 
     def test_origin_fixed_point(self):
-        out = rhs_linear(np.zeros(4), linear([0.3, 1.0, 2.0, 0.1]))
+        out = rhs_values(np.zeros(4), linear([0.3, 1.0, 2.0, 0.1]))
         np.testing.assert_allclose(out, np.zeros(4))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            rhs_linear(np.zeros(5), linear([1.0, 2.0]))
+            rhs_values(np.zeros(5), linear([1.0, 2.0]))
 
     def test_softplus_inverse_round_trip(self):
         alpha = np.array([1e-3, 0.5, 2.0, 8.0])
@@ -50,19 +52,19 @@ class TestNonlinearRhs:
     def test_zero_input_fixed_point(self):
         rng = np.random.default_rng(0)
         profile = NonlinearProfile.initialize(6, rng)
-        np.testing.assert_allclose(rhs_nonlinear(np.zeros(6), profile), np.zeros(6))
+        np.testing.assert_allclose(rhs_values(np.zeros(6), profile), np.zeros(6))
 
     def test_sign_construction(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             profile = NonlinearProfile.initialize(8, rng)
             L = rng.uniform(0, 2, 8)
-            assert np.all(rhs_nonlinear(L, profile) <= 0)
+            assert np.all(rhs_values(L, profile) <= 0)
 
     def test_zero_params_half_decay(self):
         profile = NonlinearProfile(np.zeros(NonlinearProfile.initialize(4, np.random.default_rng(0)).params.size), 4)
         L = np.array([0.2, 0.4, 0.8, 1.6])
-        np.testing.assert_allclose(rhs_nonlinear(L, profile), -0.5 * L, rtol=1e-12)
+        np.testing.assert_allclose(rhs_values(L, profile), -0.5 * L, rtol=1e-12)
 
 
 class TestTransmit:
@@ -159,3 +161,46 @@ class TestProperties:
             np.testing.assert_allclose(
                 transmit(model, c * L, CFG), c * transmit(model, L, CFG), rtol=1e-12, atol=1e-15
             )
+
+
+class TestLinearClosedForm:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        method=st.sampled_from(["euler", "rk4"]),
+        steps=st.integers(min_value=1, max_value=64),
+        alpha=st.floats(min_value=0.0, max_value=40.0),
+    )
+    def test_matches_stepped_solver(self, method, steps, alpha):
+        cfg = SolverConfig(method, steps)
+        model = linear([alpha])
+        rate = model.alpha
+        closed = transmittance_values(model, model.params, cfg)[0]
+        stepped = ode_solve(lambda L: -(rate * L), np.ones(1), cfg)[0]
+        gap = abs(closed - stepped)
+        if method == "euler" and abs(1.0 - rate[0] / steps) < 1e-2:
+            # Euler's factor 1 - alpha h cancels as alpha h nears 1, where both
+            # codes round the same tiny T differently: bound the gap relative
+            # to the largest state on the path (the initial 1).
+            assert gap <= 1e-12 * max(1.0, abs(stepped))
+        else:
+            assert gap <= 1e-12 * abs(stepped)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_gradient_matches_finite_differences(self, method):
+        rng = np.random.default_rng(8)
+        cfg = SolverConfig(method, 16)
+        raw = softplus_inverse(rng.uniform(0.1, 5.0, 7))
+        weights = rng.uniform(-1.0, 1.0, 7)
+
+        def objective(r):
+            return ad.sum(weights * linear_factor(r, cfg))
+
+        tape = ad.Tape()
+        leaf = tape.leaf(raw.copy())
+        ad.backward(objective(leaf))
+        fd = ad.finite_difference(lambda r: float(objective(r)), raw.copy())
+        np.testing.assert_allclose(leaf.grad, fd, rtol=1e-6, atol=1e-9)
+
+    def test_non_finite_factor_is_numeric_error(self):
+        with pytest.raises(NumericError):
+            linear_factor(np.full(3, 1e8), CFG)
