@@ -9,7 +9,7 @@ through one code path.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -89,9 +89,15 @@ class Var:
 
     def __getitem__(self, idx):
         src = self
+        if _is_basic_index(idx):
+            # A basic index selects each element at most once.
+            def vjp(g):
+                src.grad[idx] += g
 
-        def vjp(g):
-            np.add.at(src.grad, idx, g)
+        else:
+            # Array indices may repeat; np.add.at accumulates the repeats.
+            def vjp(g):
+                np.add.at(src.grad, idx, g)
 
         return Var(self.tape, self.value[idx], vjp)
 
@@ -110,6 +116,16 @@ class Var:
 
     def mean(self):
         return mean(self)
+
+
+def _is_basic_index(idx) -> bool:
+    """True for an int, a slice, None, Ellipsis, or a tuple of those."""
+    return all(
+        (isinstance(i, (int, np.integer, slice)) and not isinstance(i, bool))
+        or i is None
+        or i is Ellipsis
+        for i in (idx if isinstance(idx, tuple) else (idx,))
+    )
 
 
 def _tape_of(*xs) -> Optional[Tape]:
@@ -222,6 +238,33 @@ def matmul(a, b):
 
 
 matvec = matmul
+
+
+def node(value, inputs: Sequence, vjp: Callable):
+    """One tape node with forward ``value`` over ``inputs`` and a hand-written VJP.
+
+    ``vjp(g)`` returns one cotangent per input, each shaped like that input;
+    the node adds them into the .grad of the inputs that are Vars. With no Var
+    among ``inputs`` this returns ``value`` as a plain array. Traced inputs
+    must share one tape (ContractError), and a non-finite ``value`` raises
+    NumericError like every other node.
+    """
+    tape = _tape_of(*inputs)
+    if tape is None:
+        return value
+    traced = []
+    for i, x in enumerate(inputs):
+        if isinstance(x, Var):
+            if x.tape is not tape:
+                raise ContractError("operands belong to different tapes")
+            traced.append((i, x))
+
+    def backprop(g):
+        cotangents = vjp(g)
+        for i, x in traced:
+            x.grad += cotangents[i]
+
+    return Var(tape, value, backprop)
 
 
 def elementwise(a, fwd, dfd):

@@ -1,10 +1,18 @@
-"""Small MLPs over a flat parameter vector, usable traced or untraced."""
+"""Small MLPs over a flat parameter vector, usable traced or untraced.
+
+The layer math lives in three array helpers: ``unpack_params`` splits the flat
+vector into per-layer (W, b) views once, ``layers_forward`` applies the layers
+and keeps every activation, and ``layers_backward`` backprops a cotangent
+through them by hand. ``mlp_forward`` is built on them, as is the fused
+right-hand side of the nonlinear transmission profile.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError
@@ -56,10 +64,62 @@ def glorot_init(layout: MlpLayout, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts)
 
 
+Layer = tuple[np.ndarray, np.ndarray, str]
+
+
+def unpack_params(params: np.ndarray, layout: MlpLayout) -> list[Layer]:
+    """(W, b, activation) per layer; W and b are views into the flat vector."""
+    params = np.asarray(params, float)
+    if params.shape != (layout.n_params,):
+        raise ShapeError(
+            f"parameter vector has shape {params.shape}, layout needs ({layout.n_params},)"
+        )
+    layers = []
+    offset = 0
+    for (n_in, n_out), act in zip(layout.layer_pairs, layout.activations):
+        w = params[offset : offset + n_in * n_out].reshape(n_in, n_out)
+        offset += n_in * n_out
+        b = params[offset : offset + n_out]
+        offset += n_out
+        layers.append((w, b, act))
+    return layers
+
+
+def layers_forward(layers: list[Layer], x: np.ndarray) -> list[np.ndarray]:
+    """Every activation [x, a_1, ..., a_out]; the last is the network output."""
+    acts = [x]
+    for w, b, act in layers:
+        x = np.matmul(x, w) + b
+        if act == "sigmoid":
+            x = expit(x)
+        acts.append(x)
+    return acts
+
+
+def layers_backward(
+    layers: list[Layer], acts: list[np.ndarray], g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backprop the output cotangent g through ``layers_forward``'s activations.
+
+    Returns (gradient w.r.t. the input, flat parameter gradient in layout
+    order). Leading batch axes are summed out of the parameter gradient.
+    """
+    grads = []
+    for (w, _, act), x, out in zip(reversed(layers), reversed(acts[:-1]), reversed(acts[1:])):
+        if act == "sigmoid":
+            g = g * (out * (1.0 - out))
+        g2 = g.reshape(-1, w.shape[1])
+        grads.append(g2.sum(axis=0))
+        grads.append((x.reshape(-1, w.shape[0]).T @ g2).reshape(-1))
+        g = g @ w.T
+    return g, np.concatenate(grads[::-1])
+
+
 def mlp_forward(params, layout: MlpLayout, x):
     """Composed affine + activation layers; params is a flat vector (Var or ndarray).
 
-    x may be a single (n_in,) vector or a (batch, n_in) matrix.
+    x may be a single (n_in,) vector or a (batch, n_in) matrix. Traced, the
+    whole network is one tape node whose VJP is ``layers_backward``.
     """
     n_in_expected = layout.sizes[0]
     xv = ad.value_of(x)
@@ -67,18 +127,11 @@ def mlp_forward(params, layout: MlpLayout, x):
         raise ShapeError(
             f"input has {xv.shape[-1]} features, layout expects {n_in_expected}"
         )
-    pv = ad.value_of(params)
-    if pv.shape != (layout.n_params,):
-        raise ShapeError(
-            f"parameter vector has shape {pv.shape}, layout needs ({layout.n_params},)"
-        )
-    offset = 0
-    for (n_in, n_out), act in zip(layout.layer_pairs, layout.activations):
-        w = params[offset : offset + n_in * n_out].reshape(n_in, n_out)
-        offset += n_in * n_out
-        b = params[offset : offset + n_out]
-        offset += n_out
-        x = ad.matmul(x, w) + b
-        if act == "sigmoid":
-            x = ad.sigmoid(x)
-    return x
+    layers = unpack_params(ad.value_of(params), layout)
+    acts = layers_forward(layers, xv)
+
+    def vjp(g):
+        g_x, g_params = layers_backward(layers, acts, g)
+        return g_params, g_x
+
+    return ad.node(acts[-1], (params, x), vjp)

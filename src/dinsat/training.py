@@ -267,6 +267,9 @@ def train(
             raise NumericError(f"non-finite training loss at epoch {epoch}")
         ad.backward(loss)
         params = adam_step(adam, params, pvar.grad)
+        # Every Var holds its tape and the tape holds every Var: drop the
+        # nodes so the epoch's graph is freed now, not by the cyclic GC.
+        tape.nodes.clear()
 
         if monitor_samples is train_samples:
             monitor = train_loss

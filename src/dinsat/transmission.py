@@ -15,7 +15,11 @@ factor P(z)^n, recorded as a single tape node with its analytic derivative:
 the same map and the same gradients as stepping the solver n times. T is a
 multiplication by that factor and T^-1 an exact division, so round trips are
 exact up to float rounding. The nonlinear profile integrates with the stepped
-solvers in ``ode``, forward and backward in x.
+solvers in ``ode``, forward and backward in x. Its right-hand side unpacks the
+encoder and decoder weights once per solve; traced, each evaluation is one
+tape node with a hand-written VJP (product rule, then the decoder and encoder
+backprop of ``mlp``), so the tape holds one node per stage rather than one per
+slice, matmul, bias and sigmoid.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from scipy.special import expit
 
 from . import autodiff as ad
 from .errors import ConfigError, NumericError, ShapeError
-from .mlp import MlpLayout, glorot_init, mlp_forward
+from .mlp import MlpLayout, glorot_init, layers_backward, layers_forward, unpack_params
 from .ode import SolverConfig, ode_solve, ode_solve_reverse
 from .types import Spectrum
 
@@ -191,13 +195,33 @@ class NonlinearProfile:
         return cls(params, n_bands, hidden, latent)
 
     def rhs_from(self, params):
-        enc, dec = self.encoder_layout, self.decoder_layout
-        n_enc = enc.n_params
+        """f(L) = -sigmoid(dec(enc(L))) * L with the weights unpacked once per solve.
+
+        Plain inputs give a plain array. With params or L traced, each call is
+        one tape node whose VJP applies the product rule and backprops through
+        the decoder, then the encoder, by hand.
+        """
+        n_enc = self.encoder_layout.n_params
+        pv = ad.value_of(params)
+        enc = unpack_params(pv[:n_enc], self.encoder_layout)
+        dec = unpack_params(pv[n_enc:], self.decoder_layout)
+        n_bands = self.n_bands
 
         def rhs(L):
-            z = mlp_forward(params[:n_enc], enc, L)
-            decay = ad.sigmoid(mlp_forward(params[n_enc:], dec, z))
-            return -(decay * L)
+            Lv = ad.value_of(L)
+            if Lv.shape[-1] != n_bands:
+                raise ShapeError(f"input has {Lv.shape[-1]} bands, profile {n_bands}")
+            enc_acts = layers_forward(enc, Lv)
+            dec_acts = layers_forward(dec, enc_acts[-1])
+            decay = expit(dec_acts[-1])
+            value = -(decay * Lv)
+
+            def vjp(g):
+                g_z, g_dec = layers_backward(dec, dec_acts, -g * Lv * (decay * (1.0 - decay)))
+                g_L, g_enc = layers_backward(enc, enc_acts, g_z)
+                return g_L - g * decay, np.concatenate([g_enc, g_dec])
+
+            return ad.node(value, (L, params), vjp)
 
         return rhs
 

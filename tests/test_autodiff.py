@@ -72,6 +72,18 @@ class TestBackward:
         ad.backward(ad.sum(x * 3.0))
         assert y.grad[0] == 0.0
 
+    def test_repeated_array_index_accumulates(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.array([1.0, 2.0, 3.0]))
+        ad.backward(ad.sum(x[[0, 0, 2]]))
+        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+
+    def test_slice_gradient(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.arange(12.0).reshape(3, 4))
+        ad.backward(ad.sum(x[1:, :-1] * np.array([1.0, 2.0, 3.0])))
+        np.testing.assert_array_equal(x.grad, [[0, 0, 0, 0], [1, 2, 3, 0], [1, 2, 3, 0]])
+
     def test_fd_oracle_random_scalar_functions(self):
         # Every primitive participates; gradient must match central differences.
         rng = np.random.default_rng(7)

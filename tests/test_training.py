@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -153,6 +155,21 @@ class TestLossGradients:
         ad.backward(unsupervised_loss(model, norm, samples, CFG, params=tape.leaf(model.params)))
         assert len(tape.nodes) <= 32
 
+    def test_nonlinear_supervised_tape_is_small(self):
+        # Each right-hand-side evaluation is one fused node, so the tape holds
+        # one node per RK4 stage plus the stage arithmetic.
+        rng = np.random.default_rng(5)
+        n = 126
+        norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.3)
+        samples = [
+            pix(norm.c + rng.uniform(0.1, 1.0, n), truth=rng.uniform(0, 1, n))
+            for _ in range(8)
+        ]
+        model = NonlinearProfile.initialize(n, rng)
+        tape = ad.Tape()
+        ad.backward(supervised_loss(model, norm, samples, CFG, params=tape.leaf(model.params)))
+        assert len(tape.nodes) <= 1000
+
 
 def tiny_scene():
     spec = SynthSpec(rows=12, cols=12, n_bands=16, noise_std=0.0,
@@ -202,6 +219,29 @@ class TestTrain:
         rel = np.abs(alpha_hat - truth.alpha) / truth.alpha
         assert run.converged
         assert np.max(rel[visible]) < 0.05
+
+    def test_epoch_tapes_are_released(self):
+        # With the cyclic GC off, a tape still holding its nodes would stay
+        # alive; train must free each epoch's tape by reference counting.
+        cube, truth = tiny_scene()
+        samples = sample_pixels(cube, truth, 20, seed=5)
+        config = TrainConfig(
+            model_kind="nonlinear", max_epochs=5, solver=SolverConfig("rk4", 4), seed=0
+        )
+
+        def live_tapes():
+            return sum(isinstance(o, ad.Tape) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_tapes()
+            run = train(config, samples, truth.norm)
+            after = live_tapes()
+        finally:
+            gc.enable()
+        assert run.epochs == 5
+        assert after == before
 
     def test_unsupervised_loss_drops_ten_percent(self):
         cube, truth = tiny_scene()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 from dinsat import autodiff as ad
-from dinsat.errors import NumericError, ShapeError
+from dinsat.errors import ContractError, NumericError, ShapeError
+from dinsat.mlp import mlp_forward
 from dinsat.ode import SolverConfig, ode_solve
 from dinsat.transmission import (
     LinearProfile,
@@ -65,6 +67,52 @@ class TestNonlinearRhs:
         profile = NonlinearProfile(np.zeros(NonlinearProfile.initialize(4, np.random.default_rng(0)).params.size), 4)
         L = np.array([0.2, 0.4, 0.8, 1.6])
         np.testing.assert_allclose(rhs_values(L, profile), -0.5 * L, rtol=1e-12)
+
+
+class TestNonlinearFusedRhs:
+    """The fused right-hand side against mlp_forward and finite differences."""
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)])
+    def test_forward_bit_identical_to_mlp_composition(self, shape):
+        rng = np.random.default_rng(9)
+        profile = NonlinearProfile.initialize(5, rng)
+        L = rng.uniform(0, 2, shape)
+        n_enc = profile.encoder_layout.n_params
+        z = mlp_forward(profile.params[:n_enc], profile.encoder_layout, L)
+        d = mlp_forward(profile.params[n_enc:], profile.decoder_layout, z)
+        np.testing.assert_array_equal(rhs_values(L, profile), -(expit(d) * L))
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)])
+    def test_vjp_matches_finite_differences(self, shape):
+        rng = np.random.default_rng(10)
+        profile = NonlinearProfile.initialize(5, rng)
+        L0 = rng.uniform(0, 2, shape)
+        weights = rng.uniform(-1.0, 1.0, shape)
+
+        def objective(params, L):
+            return ad.sum(weights * profile.rhs_from(params)(L))
+
+        tape = ad.Tape()
+        p_leaf = tape.leaf(profile.params.copy())
+        L_leaf = tape.leaf(L0.copy())
+        ad.backward(objective(p_leaf, L_leaf))
+        # Two leaves, one rhs node, then the lifted weights, the product, the sum.
+        assert len(tape.nodes) == 6
+        fd_p = ad.finite_difference(lambda p: float(objective(p, L0)), profile.params.copy())
+        fd_L = ad.finite_difference(lambda L: float(objective(profile.params, L)), L0.copy())
+        np.testing.assert_allclose(p_leaf.grad, fd_p, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(L_leaf.grad, fd_L, rtol=1e-6, atol=1e-9)
+
+    def test_untraced_rhs_is_plain(self):
+        profile = NonlinearProfile.initialize(5, np.random.default_rng(11))
+        out = profile.rhs_from(profile.params)(np.ones((2, 5)))
+        assert type(out) is np.ndarray
+
+    def test_cross_tape_operands_rejected(self):
+        profile = NonlinearProfile.initialize(5, np.random.default_rng(12))
+        rhs = profile.rhs_from(ad.Tape().leaf(profile.params))
+        with pytest.raises(ContractError):
+            rhs(ad.Tape().leaf(np.ones(5)))
 
 
 class TestTransmit:
