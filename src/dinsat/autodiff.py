@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractError, NumericError, ShapeError
 
@@ -280,8 +279,24 @@ def elementwise(a, fwd, dfd):
     return Var(a.tape, val, vjp)
 
 
+def logistic(x, out=None) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-x)) of a plain array, in float64.
+
+    Computed in one temporary (or in ``out``, which may be ``x`` itself).
+    exp(-x) overflows to inf for x below about -709.78, which gives exactly
+    0 with no warning; NaN stays NaN.
+    """
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 def sigmoid(a):
-    return elementwise(a, lambda x: expit(x), lambda x, s: s * (1.0 - s))
+    return elementwise(a, logistic, lambda x, s: s * (1.0 - s))
 
 
 def exp(a):
@@ -289,7 +304,7 @@ def exp(a):
 
 
 def softplus(a):
-    return elementwise(a, lambda x: np.logaddexp(0.0, x), lambda x, v: expit(x))
+    return elementwise(a, lambda x: np.logaddexp(0.0, x), lambda x, v: logistic(x))
 
 
 def absolute(a):

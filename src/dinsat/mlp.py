@@ -4,7 +4,10 @@ The layer math lives in three array helpers: ``unpack_params`` splits the flat
 vector into per-layer (W, b) views once, ``layers_forward`` applies the layers
 and keeps every activation, and ``layers_backward`` backprops a cotangent
 through them by hand. ``mlp_forward`` is built on them, as is the fused
-right-hand side of the nonlinear transmission profile.
+right-hand side of the nonlinear transmission profile. ``layers_forward``
+allocates one array per layer: the bias is added to the matmul output in
+place, and the sigmoid (``autodiff.logistic``) overwrites it in place, since
+the backward pass reads only post-activation values.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError
@@ -89,9 +91,10 @@ def layers_forward(layers: list[Layer], x: np.ndarray) -> list[np.ndarray]:
     """Every activation [x, a_1, ..., a_out]; the last is the network output."""
     acts = [x]
     for w, b, act in layers:
-        x = np.matmul(x, w) + b
+        x = x @ w
+        x += b
         if act == "sigmoid":
-            x = expit(x)
+            ad.logistic(x, out=x)
         acts.append(x)
     return acts
 

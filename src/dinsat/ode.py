@@ -38,11 +38,28 @@ def _euler_step(rhs, y, h):
 
 
 def _rk4_step(rhs, y, h):
+    # Each stage input and the weighted sum start as a fresh product, so the
+    # augmented assignments below work in place on ndarrays without touching
+    # y or an rhs output; on Vars they rebind to new tape nodes. The sums keep
+    # the order of y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), so both give the
+    # same bits.
     k1 = rhs(y)
-    k2 = rhs(y + (h / 2.0) * k1)
-    k3 = rhs(y + (h / 2.0) * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    s = k1 * (h / 2.0)
+    s += y
+    k2 = rhs(s)
+    s = k2 * (h / 2.0)
+    s += y
+    k3 = rhs(s)
+    s = k3 * h
+    s += y
+    k4 = rhs(s)
+    acc = k2 * 2.0
+    acc += k1
+    acc += k3 * 2.0
+    acc += k4
+    acc *= h / 6.0
+    acc += y
+    return acc
 
 
 _STEPPERS = {"euler": _euler_step, "rk4": _rk4_step}

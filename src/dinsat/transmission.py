@@ -19,7 +19,8 @@ solvers in ``ode``, forward and backward in x. Its right-hand side unpacks the
 encoder and decoder weights once per solve; traced, each evaluation is one
 tape node with a hand-written VJP (product rule, then the decoder and encoder
 backprop of ``mlp``), so the tape holds one node per stage rather than one per
-slice, matmul, bias and sigmoid.
+slice, matmul, bias and sigmoid. Untraced, it is plain numpy: the sigmoids are
+``autodiff.logistic``, and the product and its sign are computed in one array.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
 from .errors import ConfigError, NumericError, ShapeError
@@ -62,7 +62,7 @@ _STABILITY = {
 def linear_factor(raw, solver: SolverConfig = SolverConfig()):
     """P(-softplus(raw) h)^n: the solver's exact discrete map of dL/dx = -alpha L.
 
-    One tape node whose derivative is n P^(n-1) P' (-h) expit(raw). Raises
+    One tape node whose derivative is n P^(n-1) P' (-h) logistic(raw). Raises
     NumericError when the factor is not finite, as the stepped solver does.
     """
     n = solver.steps
@@ -78,7 +78,7 @@ def linear_factor(raw, solver: SolverConfig = SolverConfig()):
 
     def derivative(r, _):
         z = -np.logaddexp(0.0, r) * h
-        return n * poly(z) ** (n - 1) * dpoly(z) * (-h) * expit(r)
+        return n * poly(z) ** (n - 1) * dpoly(z) * (-h) * ad.logistic(r)
 
     return ad.elementwise(raw, factor, derivative)
 
@@ -213,8 +213,9 @@ class NonlinearProfile:
                 raise ShapeError(f"input has {Lv.shape[-1]} bands, profile {n_bands}")
             enc_acts = layers_forward(enc, Lv)
             dec_acts = layers_forward(dec, enc_acts[-1])
-            decay = expit(dec_acts[-1])
-            value = -(decay * Lv)
+            decay = ad.logistic(dec_acts[-1])
+            value = decay * Lv
+            np.negative(value, out=value)
 
             def vjp(g):
                 g_z, g_dec = layers_backward(dec, dec_acts, -g * Lv * (decay * (1.0 - decay)))

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from dinsat import autodiff as ad
 from dinsat.errors import ContractError, NumericError, ShapeError
@@ -45,6 +48,39 @@ class TestPrimitiveOps:
         b = ad.Tape().leaf(np.zeros(2))
         with pytest.raises(ContractError):
             ad.add(a, b)
+
+
+def _logistic_warnings_as_errors(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return ad.logistic(x)
+
+
+class TestLogistic:
+    """The package's numpy logistic against scipy's expit as the oracle."""
+
+    X = np.concatenate([np.linspace(-1000.0, 1000.0, 200_001), [-745.0, -709.0, 709.0, 745.0]])
+
+    def test_matches_expit(self):
+        out = _logistic_warnings_as_errors(self.X)
+        ref = expit(self.X)
+        assert np.all(np.abs(out - ref) <= 1e-15 * np.abs(ref))
+
+    def test_saturates_exactly(self):
+        out = _logistic_warnings_as_errors(np.array([-1000.0, 1000.0]))
+        assert out[0] == 0.0
+        assert out[1] == 1.0
+
+    def test_nan_stays_nan(self):
+        out = _logistic_warnings_as_errors(np.array([np.nan, 0.0]))
+        assert np.isnan(out[0])
+        assert out[1] == 0.5
+
+    def test_in_place_equals_fresh(self):
+        x = self.X.copy()
+        out = ad.logistic(x, out=x)
+        assert out is x
+        np.testing.assert_array_equal(x, ad.logistic(self.X))
 
 
 class TestBackward:

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import dinsat
 from dinsat.artifacts import read_model, read_normalization, write_model, write_spectrum_csv
 from dinsat.cli import main
 from dinsat.correction import estimate_normalization
@@ -64,6 +70,17 @@ def make_roi(tmp_path, n_pixels=12, seed=3):
     roi = tmp_path / "roi.csv"
     roi.write_text("\n".join(lines) + "\n")
     return roi, truth
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only; importing it at runtime would also
+    # cost every CLI process a few hundred milliseconds of start-up.
+    src = str(Path(dinsat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, dinsat.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestSynthCommand:

@@ -87,6 +87,22 @@ class TestReverseSolve:
             assert abs(back[0] - 1.0) < 1e-6
 
 
+class TestInputsUntouched:
+    """The steppers work in place on their own temporaries, never on inputs."""
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("solve", [ode_solve, ode_solve_reverse])
+    @pytest.mark.parametrize("kind", ["fresh", "cached", "identity"])
+    def test_l_init_and_rhs_outputs_unmodified(self, method, solve, kind):
+        y0 = np.array([[0.3, 1.7, 0.0], [2.0, 0.5, 1.0]])
+        cached = np.array([[-0.2, -0.1, 0.0], [-0.4, -0.3, -0.1]])
+        rhs = {"fresh": decay(0.5), "cached": lambda L: cached, "identity": lambda L: L}[kind]
+        y_before, cached_before = y0.copy(), cached.copy()
+        solve(rhs, y0, SolverConfig(method, 4))
+        np.testing.assert_array_equal(y0, y_before)
+        np.testing.assert_array_equal(cached, cached_before)
+
+
 class TestConvergenceOrder:
     def _error(self, method, steps):
         out = ode_solve(decay(), np.array([1.0]), SolverConfig(method, steps))

@@ -103,6 +103,20 @@ class TestNonlinearFusedRhs:
         np.testing.assert_allclose(p_leaf.grad, fd_p, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(L_leaf.grad, fd_L, rtol=1e-6, atol=1e-9)
 
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_untraced_operators_equal_traced_values(self, method):
+        # Untraced, the solver and the rhs work in place on ndarrays; traced,
+        # they record tape nodes. Both must compute the same bits.
+        rng = np.random.default_rng(13)
+        profile = NonlinearProfile.initialize(6, rng)
+        L = rng.uniform(0, 2, (4, 6))
+        cfg = SolverConfig(method, 8)
+        leaf = ad.Tape().leaf(profile.params.copy())
+        for op in (profile.forward, profile.inverse):
+            traced = op(leaf, L, cfg)
+            assert isinstance(traced, ad.Var)
+            np.testing.assert_array_equal(op(profile.params, L, cfg), traced.value)
+
     def test_untraced_rhs_is_plain(self):
         profile = NonlinearProfile.initialize(5, np.random.default_rng(11))
         out = profile.rhs_from(profile.params)(np.ones((2, 5)))
