@@ -22,7 +22,7 @@ from .errors import ConfigError, DinsatError, InvalidDatasetError
 from .ode import SolverConfig
 from .synth import SynthSpec, sample_pixels, synth_scene
 from .training import TrainConfig, default_workers, ensemble, evaluate
-from .types import HyperCube, PixelSample, Spectrum, WavelengthGrid
+from .types import PixelSample, Spectrum
 
 
 def _fail_cleanly(fn):
@@ -127,15 +127,15 @@ def _train_config_from_file(path: str | None, **overrides) -> tuple[TrainConfig,
     return config, pixel_fraction
 
 
-def _load_cubes(cube_paths) -> list[HyperCube]:
-    cubes = [envi.read_envi(p) for p in cube_paths]
+def _open_cubes(cube_paths) -> list[envi.EnviCube]:
+    cubes = [envi.open_envi(p) for p in cube_paths]
     n_bands = cubes[0].n_bands
     if any(c.n_bands != n_bands for c in cubes):
         raise InvalidDatasetError("cubes have differing band counts")
     return cubes
 
 
-def _roi_samples(cube: HyperCube, roi: artifacts.RoiFile, with_truth: bool) -> list[PixelSample]:
+def _roi_samples(cube: envi.EnviCube, roi: artifacts.RoiFile, with_truth: bool) -> list[PixelSample]:
     samples = []
     for name, coords in roi.regions.items():
         truth = None
@@ -148,8 +148,8 @@ def _roi_samples(cube: HyperCube, roi: artifacts.RoiFile, with_truth: bool) -> l
                     f"reference spectrum for region {name!r} has {truth.n_bands} "
                     f"bands, cube has {cube.n_bands}"
                 )
-        for r, c in coords:
-            samples.append(PixelSample(r, c, cube.pixel(r, c), truth))
+        for (r, c), l4 in zip(coords, cube.pixels(coords)):
+            samples.append(PixelSample(r, c, Spectrum(l4, "radiance"), truth))
     return samples
 
 
@@ -198,8 +198,10 @@ def synth(spec_path, seed, out_dir):
 def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, threads, out_dir):
     """Train transmission models; writes norm.json, model_NNN.json, run_NNN.json."""
     config, pixel_fraction = _train_config_from_file(config_path, mode=mode, seed=seed)
-    cubes = _load_cubes(cube_paths)
+    cubes = _open_cubes(cube_paths)
     cube = cubes[0]
+    # Each cube's per-band minima and maxima give the same (C, m) as all its pixels.
+    norm = estimate_normalization(np.concatenate([c.band_extrema() for c in cubes]))
 
     if config.mode == "supervised":
         if not roi_path:
@@ -217,11 +219,6 @@ def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, thre
         for c in cubes:
             share = max(1, round(n_pixels * c.rows * c.cols / total))
             samples.extend(sample_pixels(c, None, share, config.seed, with_truth=False))
-
-    # Each cube's per-band minima and maxima give the same (C, m) as all its pixels.
-    norm = estimate_normalization(
-        np.stack([f(c.data, axis=(0, 1)) for c in cubes for f in (np.min, np.max)])
-    )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -263,7 +260,7 @@ def correct(cube_path, model_path, norm_path, out_dir):
     propagated) and quality_mask.hdr/.img (uint16; bit 1 = transmittance
     floored, bit 2 = reflectance outside [0, 1]).
     """
-    cube = envi.read_envi(cube_path)
+    cube = envi.open_envi(cube_path)
     model, solver, _ = artifacts.read_model(model_path)
     if model.n_bands != cube.n_bands:
         raise InvalidDatasetError(
@@ -272,28 +269,27 @@ def correct(cube_path, model_path, norm_path, out_dir):
     if norm_path:
         norm = artifacts.read_normalization(norm_path)
     else:
-        norm = estimate_normalization(cube.data)
+        norm = estimate_normalization(cube.band_extrema())
 
     t1 = ad.value_of(transmittance_values(model, model.params, solver))
-    rows, cols, bands = cube.rows, cube.cols, cube.n_bands
-    rho = np.empty((rows, cols, bands), dtype=np.float32)
-    mask = np.empty((rows, cols, bands), dtype=np.uint16)
-    for r in range(rows):  # row-chunked to bound the tape-free working set
-        rho_r, mask_r = correct_batch(model, norm, cube.data[r], solver, transmittance=t1)
-        rho[r] = rho_r
-        mask[r] = mask_r
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    envi.write_envi_array(
-        rho, out / "corrected.hdr", out / "corrected.img",
-        wavelengths_nm=cube.grid.wavelengths_nm, data_type=4,
-        description="dinsat corrected reflectance",
-    )
-    envi.write_envi_array(
-        mask, out / "quality_mask.hdr", out / "quality_mask.img",
-        wavelengths_nm=cube.grid.wavelengths_nm, data_type=12,
-        description="dinsat quality mask",
-    )
+    shape, wl = (cube.rows, cube.cols, cube.n_bands), cube.grid.wavelengths_nm
+    # The cube streams through in row blocks; a failure deletes both images.
+    with envi.EnviWriter(
+        out / "corrected.hdr", shape, out / "corrected.img", wavelengths_nm=wl,
+        data_type=4, description="dinsat corrected reflectance",
+    ) as rho_out, envi.EnviWriter(
+        out / "quality_mask.hdr", shape, out / "quality_mask.img", wavelengths_nm=wl,
+        data_type=12, description="dinsat quality mask",
+    ) as mask_out:
+        for r0, block in cube.blocks():
+            rho = np.empty(block.shape, dtype=np.float32)
+            mask = np.empty(block.shape, dtype=np.uint16)
+            for i, row in enumerate(block):  # one image row per batch bounds the working set
+                rho[i], mask[i] = correct_batch(model, norm, row, solver, transmittance=t1)
+            rho_out.write_rows(r0, rho)
+            mask_out.write_rows(r0, mask)
     click.echo(f"wrote {out / 'corrected.hdr'} and {out / 'quality_mask.hdr'}")
 
 
@@ -335,12 +331,12 @@ def simulate(spectrum_path, model_path, norm_path, out_path):
 @_fail_cleanly
 def eval_cmd(model_path, cube_path, roi_path, library_path, norm_path, out_path):
     """Percent-MSE metrics per ROI region; CSV columns: region,metric,value."""
-    cube = envi.read_envi(cube_path)
+    cube = envi.open_envi(cube_path)
     model, solver, _ = artifacts.read_model(model_path)
     norm = (
         artifacts.read_normalization(norm_path)
         if norm_path
-        else estimate_normalization(cube.data)
+        else estimate_normalization(cube.band_extrema())
     )
     roi = artifacts.read_roi(roi_path, cube.rows, cube.cols)
     library = None
@@ -353,7 +349,8 @@ def eval_cmd(model_path, cube_path, roi_path, library_path, norm_path, out_path)
         if name in roi.references:
             _, truth = artifacts.read_spectrum_csv(roi.references[name], "reflectance")
         samples = [
-            PixelSample(r, c, cube.pixel(r, c), truth) for r, c in coords
+            PixelSample(r, c, Spectrum(l4, "radiance"), truth)
+            for (r, c), l4 in zip(coords, cube.pixels(coords))
         ]
         metrics = evaluate(model, norm, samples, solver, library=library)
         for key in ("reflectance_percent_mse", "radiance_percent_mse"):

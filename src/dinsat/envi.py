@@ -1,4 +1,13 @@
-"""ENVI header/data pair reader and writer (BSQ, BIL, BIP)."""
+"""ENVI header/data pair reader and writer (BSQ, BIL, BIP).
+
+Cube data moves in blocks of whole image rows, in the file's own layout, so
+no command holds a whole cube in memory. `open_envi` returns an `EnviCube`:
+the header, the wavelength grid and a reader that yields row blocks or reads
+single pixels. Every read converts to float64, applies the uint16 gain and
+offset, rejects non-finite values and clamps negative radiance to 0.
+`EnviWriter` writes row blocks into a new pair. `read_envi` and
+`write_envi_array` are the whole-cube forms of the two.
+"""
 
 from __future__ import annotations
 
@@ -14,9 +23,10 @@ from .errors import (
     ConfigError,
     CorruptFileError,
     ParseError,
+    ShapeError,
     UnsupportedFormatError,
 )
-from .types import HyperCube, WavelengthGrid
+from .types import HyperCube, Spectrum, WavelengthGrid
 
 log = logging.getLogger(__name__)
 
@@ -28,6 +38,14 @@ DTYPE_TO_CODE = {np.dtype("float32"): 4, np.dtype("float64"): 5, np.dtype("uint1
 
 DEFAULT_WL_START = 450.0
 DEFAULT_WL_END = 2500.0
+
+# Bytes of float64 (rows, cols, bands) data per row block. A reader or writer
+# holds buffers of about this size, whatever the size of the cube.
+BLOCK_BYTES = 4 << 20
+
+# For each interleave, the canonical axis (0 row, 1 column, 2 band) at each
+# axis of the file, outermost first.
+_FILE_AXES = {"bsq": (2, 0, 1), "bil": (0, 2, 1), "bip": (0, 1, 2)}
 
 
 @dataclass
@@ -143,8 +161,170 @@ def guess_data_path(header_path: str | Path) -> Path:
     raise CorruptFileError(f"no data file found next to header {header_path}")
 
 
-def read_envi(header_path: str | Path, data_path: Optional[str | Path] = None) -> HyperCube:
-    """Load an ENVI pair into the canonical (rows, cols, bands) layout."""
+def _block_rows(cols: int, bands: int) -> int:
+    return max(1, BLOCK_BYTES // (cols * bands * 8))
+
+
+def _runs(interleave: str, shape, lo, hi) -> tuple[np.ndarray, int]:
+    """Contiguous runs of the file that hold the box lo <= (row, col, band) < hi.
+
+    Returns the element offset of each run and their common length. Taken in
+    order, the runs fill a C-ordered array of the box in file order.
+    """
+    axes = _FILE_AXES[interleave]
+    dims = [shape[a] for a in axes]
+    start = [lo[a] for a in axes]
+    span = [hi[a] - lo[a] for a in axes]
+    strides = [dims[1] * dims[2], dims[2], 1]
+    k, run = 2, span[2]
+    while k > 0 and span[k] == dims[k]:  # a whole axis joins the run of the next one out
+        k -= 1
+        run *= span[k]
+    offsets = np.array(sum(a * b for a, b in zip(start, strides)))
+    for j in range(k):
+        offsets = np.add.outer(offsets, np.arange(span[j]) * strides[j])
+    return offsets.ravel(), run
+
+
+def _read_exact(f, offset: int, buf: memoryview) -> None:
+    f.seek(offset)
+    while buf:
+        n = f.readinto(buf)
+        if not n:
+            raise CorruptFileError(f"{f.name}: file ended while reading")
+        buf = buf[n:]
+
+
+def _write_all(f, offset: int, buf: memoryview) -> None:
+    f.seek(offset)
+    while buf:
+        buf = buf[f.write(buf):]
+
+
+class EnviCube:
+    """An ENVI pair open for reading: header, wavelength grid and row-block reader.
+
+    Reads return float64 radiance in the canonical (rows, cols, bands) order,
+    as views of arrays laid out like the file. A non-finite value raises
+    ShapeError; negative values are clamped to 0, and the first read that
+    clamps any logs one warning with the count it clamped.
+    """
+
+    def __init__(self, header: EnviHeader, data_path: Path, grid: WavelengthGrid):
+        self.header, self.data_path, self.grid = header, data_path, grid
+        self._scale = None
+        if header.data_type == 12 and (header.data_gain is not None or header.data_offset is not None):
+            gain = header.data_gain if header.data_gain is not None else np.ones(header.bands)
+            offset = header.data_offset if header.data_offset is not None else np.zeros(header.bands)
+            if len(gain) != header.bands or len(offset) != header.bands:
+                raise ParseError("gain/offset lists must have one entry per band")
+            self._scale = (gain, offset)
+        self._raw = None  # reused read buffer, in the file's bytes
+        self._clamp_reported = False
+
+    @property
+    def rows(self) -> int:
+        return self.header.lines
+
+    @property
+    def cols(self) -> int:
+        return self.header.samples
+
+    @property
+    def n_bands(self) -> int:
+        return self.header.bands
+
+    @property
+    def block_rows(self) -> int:
+        return _block_rows(self.cols, self.n_bands)
+
+    def _empty(self, rows: int) -> np.ndarray:
+        """An uninitialised (rows, cols, bands) float64 array laid out like the file."""
+        axes = _FILE_AXES[self.header.interleave]
+        shape = (rows, self.cols, self.n_bands)
+        return np.empty([shape[a] for a in axes]).transpose(np.argsort(axes))
+
+    def blocks(self, out: Optional[np.ndarray] = None):
+        """Yield (first row, block) for each row block, top to bottom.
+
+        Blocks go into ``out[first row:]`` when it is given; otherwise every
+        block reuses one buffer, so a block is valid until the next is read.
+        """
+        step = self.block_rows
+        buf = self._empty(step) if out is None else None
+        clamped = 0
+        with open(self.data_path, "rb", buffering=0) as f:
+            for r0 in range(0, self.rows, step):
+                r1 = min(r0 + step, self.rows)
+                block = out[r0:r1] if out is not None else buf[: r1 - r0]
+                clamped += self._read_box(f, (r0, 0, 0), (r1, self.cols, self.n_bands), block)
+                yield r0, block
+        self._report_clamped(clamped)
+
+    def band_extrema(self) -> np.ndarray:
+        """(2, bands): each band's minimum and maximum, folded over the row blocks."""
+        lo = np.full(self.n_bands, np.inf)
+        hi = np.full(self.n_bands, -np.inf)
+        for _, block in self.blocks():
+            np.minimum(lo, block.min(axis=(0, 1)), out=lo)
+            np.maximum(hi, block.max(axis=(0, 1)), out=hi)
+        return np.stack([lo, hi])
+
+    def pixels(self, coords) -> np.ndarray:
+        """(n, bands) radiance at the (row, col) pairs ``coords``; reads only those pixels."""
+        out = np.empty((len(coords), self.n_bands))
+        clamped = 0
+        with open(self.data_path, "rb", buffering=0) as f:
+            for i, (r, c) in enumerate(coords):
+                if not (0 <= r < self.rows and 0 <= c < self.cols):
+                    raise ShapeError(f"pixel ({r}, {c}) is outside the {self.rows} x {self.cols} cube")
+                box = out[i].reshape(1, 1, -1)
+                clamped += self._read_box(f, (r, c, 0), (r + 1, c + 1, self.n_bands), box)
+        self._report_clamped(clamped)
+        return out
+
+    def pixel(self, row: int, col: int) -> Spectrum:
+        return Spectrum(self.pixels([(row, col)])[0], "radiance")
+
+    def _read_box(self, f, lo, hi, out: np.ndarray) -> int:
+        """Read, scale and check the box lo <= (row, col, band) < hi into ``out``.
+
+        Returns how many negative values it clamped to 0.
+        """
+        h = self.header
+        offsets, run = _runs(h.interleave, (self.rows, self.cols, self.n_bands), lo, hi)
+        run_bytes = run * h.dtype.itemsize
+        size = len(offsets) * run_bytes
+        if self._raw is None or self._raw.size < size:
+            self._raw = np.empty(size, np.uint8)
+        raw = memoryview(self._raw)
+        for i, offset in enumerate(offsets.tolist()):
+            _read_exact(f, h.header_offset + offset * h.dtype.itemsize,
+                        raw[i * run_bytes : (i + 1) * run_bytes])
+        axes = _FILE_AXES[h.interleave]
+        in_file_order = out.transpose(axes)
+        values = self._raw[:size].view(h.dtype)
+        np.copyto(in_file_order, values.reshape(in_file_order.shape))
+        if self._scale is not None:
+            out *= self._scale[0]
+            out += self._scale[1]
+        low, high = in_file_order.min(), in_file_order.max()  # NaN propagates
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ShapeError(f"{self.data_path}: non-finite radiance in rows {lo[0]}-{hi[0] - 1}")
+        if low >= 0:
+            return 0
+        negative = out < 0
+        out[negative] = 0.0
+        return int(np.count_nonzero(negative))
+
+    def _report_clamped(self, clamped: int) -> None:
+        if clamped and not self._clamp_reported:
+            self._clamp_reported = True
+            log.warning("%s: clamped %d negative radiance values to 0", self.data_path, clamped)
+
+
+def open_envi(header_path: str | Path, data_path: Optional[str | Path] = None) -> EnviCube:
+    """Open an ENVI pair for row-block reading; checks the header and the data size."""
     header = read_envi_header(header_path)
     data_path = Path(data_path) if data_path is not None else guess_data_path(header_path)
 
@@ -157,26 +337,6 @@ def read_envi(header_path: str | Path, data_path: Optional[str | Path] = None) -
             f"(offset {header.header_offset} + {n_values} x {header.dtype.itemsize}), found {actual}"
         )
 
-    raw = np.fromfile(data_path, dtype=header.dtype, count=n_values, offset=header.header_offset)
-    if header.interleave == "bsq":
-        data = raw.reshape(header.bands, header.lines, header.samples).transpose(1, 2, 0)
-    elif header.interleave == "bil":
-        data = raw.reshape(header.lines, header.bands, header.samples).transpose(0, 2, 1)
-    else:  # bip
-        data = raw.reshape(header.lines, header.samples, header.bands)
-    data = data.astype(float)
-
-    if header.data_type == 12 and (header.data_gain is not None or header.data_offset is not None):
-        gain = header.data_gain if header.data_gain is not None else np.ones(header.bands)
-        offset = header.data_offset if header.data_offset is not None else np.zeros(header.bands)
-        if len(gain) != header.bands or len(offset) != header.bands:
-            raise ParseError("gain/offset lists must have one entry per band")
-        data = data * gain + offset
-
-    if np.any(data < 0):
-        log.warning("%s: clamping negative radiance values to 0", data_path)
-        data = np.maximum(data, 0.0)
-
     if header.wavelengths_nm is not None:
         grid = WavelengthGrid(header.wavelengths_nm)
     else:
@@ -187,7 +347,109 @@ def read_envi(header_path: str | Path, data_path: Optional[str | Path] = None) -
             DEFAULT_WL_END,
         )
         grid = WavelengthGrid.linear(header.bands, DEFAULT_WL_START, DEFAULT_WL_END)
-    return HyperCube(grid, data)
+    return EnviCube(header, data_path, grid)
+
+
+def read_envi(header_path: str | Path, data_path: Optional[str | Path] = None) -> HyperCube:
+    """Load an ENVI pair into the canonical (rows, cols, bands) layout, block by block."""
+    cube = open_envi(header_path, data_path)
+    data = cube._empty(cube.rows)
+    for _ in cube.blocks(out=data):
+        pass
+    return HyperCube(cube.grid, data)
+
+
+class EnviWriter:
+    """A new ENVI pair, written in (rows, cols, bands) row blocks in file layout.
+
+    The header is written on `close`. As a context manager the writer closes
+    on success and deletes its data file if the body raises, so a failed
+    command leaves no partial image behind.
+    """
+
+    def __init__(
+        self,
+        header_path: str | Path,
+        shape: tuple[int, int, int],
+        data_path: Optional[str | Path] = None,
+        wavelengths_nm: Optional[np.ndarray] = None,
+        interleave: str = "bsq",
+        data_type: int = 4,
+        description: str = "dinsat output",
+    ):
+        if interleave not in INTERLEAVES:
+            raise ConfigError(f"unknown interleave: {interleave!r}")
+        if data_type not in DTYPE_CODES:
+            raise ConfigError(f"unsupported output data type code {data_type}")
+        if len(shape) != 3:
+            raise ConfigError("ENVI writer expects a rows x cols x bands array")
+        self.shape = tuple(int(n) for n in shape)
+        self.header_path = Path(header_path)
+        self.data_path = Path(data_path) if data_path is not None else self.header_path.with_suffix(".img")
+        self.wavelengths_nm = wavelengths_nm
+        self.interleave, self.data_type, self.description = interleave, data_type, description
+        self.dtype = np.dtype("<" + DTYPE_CODES[data_type])
+        self._buf = None  # reused write buffer, in the file's bytes
+        self._file = open(self.data_path, "wb", buffering=0)
+        self._file.truncate(int(np.prod(self.shape)) * self.dtype.itemsize)
+
+    @property
+    def block_rows(self) -> int:
+        return _block_rows(self.shape[1], self.shape[2])
+
+    def write_rows(self, first_row: int, block: np.ndarray) -> None:
+        """Write a (n, cols, bands) block as image rows first_row .. first_row + n - 1."""
+        block = np.asarray(block)
+        rows, cols, bands = self.shape
+        if block.ndim != 3 or block.shape[1:] != (cols, bands) or not 0 <= first_row <= rows - len(block):
+            raise ConfigError(
+                f"cannot write a {block.shape} block at row {first_row} of a {self.shape} cube"
+            )
+        last = first_row + len(block)
+        offsets, run = _runs(self.interleave, self.shape, (first_row, 0, 0), (last, cols, bands))
+        in_file_order = block.transpose(_FILE_AXES[self.interleave])
+        size = block.size * self.dtype.itemsize
+        if self._buf is None or self._buf.size < size:
+            self._buf = np.empty(size, np.uint8)
+        values = self._buf[:size].view(self.dtype).reshape(in_file_order.shape)
+        np.copyto(values, in_file_order, casting="unsafe")
+        raw = memoryview(self._buf)
+        run_bytes = run * self.dtype.itemsize
+        for i, offset in enumerate(offsets.tolist()):
+            _write_all(self._file, offset * self.dtype.itemsize, raw[i * run_bytes : (i + 1) * run_bytes])
+
+    def close(self) -> None:
+        """Close the data file and write the header."""
+        if self._file.closed:
+            return
+        self._file.close()
+        rows, cols, bands = self.shape
+        parts = [
+            "ENVI",
+            f"description = {{{self.description}}}",
+            f"samples = {cols}",
+            f"lines = {rows}",
+            f"bands = {bands}",
+            "header offset = 0",
+            "file type = ENVI Standard",
+            f"data type = {self.data_type}",
+            f"interleave = {self.interleave}",
+            "byte order = 0",
+        ]
+        if self.wavelengths_nm is not None:
+            wl = ", ".join(repr(float(w)) for w in self.wavelengths_nm)
+            parts.append(f"wavelength = {{{wl}}}")
+        self.header_path.write_text("\n".join(parts) + "\n")
+
+    def __enter__(self) -> "EnviWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._file.close()
+            self.data_path.unlink(missing_ok=True)
 
 
 def write_envi_array(
@@ -199,45 +461,13 @@ def write_envi_array(
     data_type: int = 4,
     description: str = "dinsat output",
 ) -> Path:
-    """Write a (rows, cols, bands) array as an ENVI pair; returns the data path."""
-    if interleave not in INTERLEAVES:
-        raise ConfigError(f"unknown interleave: {interleave!r}")
-    if data_type not in DTYPE_CODES:
-        raise ConfigError(f"unsupported output data type code {data_type}")
+    """Write a (rows, cols, bands) array as an ENVI pair, block by block; returns the data path."""
     data = np.asarray(data)
-    if data.ndim != 3:
-        raise ConfigError("ENVI writer expects a rows x cols x bands array")
-    rows, cols, bands = data.shape
-
-    header_path = Path(header_path)
-    data_path = Path(data_path) if data_path is not None else header_path.with_suffix(".img")
-
-    dtype = np.dtype("<" + DTYPE_CODES[data_type])
-    if interleave == "bsq":
-        ordered = data.transpose(2, 0, 1)
-    elif interleave == "bil":
-        ordered = data.transpose(0, 2, 1)
-    else:
-        ordered = data
-    np.ascontiguousarray(ordered, dtype=dtype).tofile(data_path)
-
-    parts = [
-        "ENVI",
-        f"description = {{{description}}}",
-        f"samples = {cols}",
-        f"lines = {rows}",
-        f"bands = {bands}",
-        "header offset = 0",
-        "file type = ENVI Standard",
-        f"data type = {data_type}",
-        f"interleave = {interleave}",
-        "byte order = 0",
-    ]
-    if wavelengths_nm is not None:
-        wl = ", ".join(repr(float(w)) for w in wavelengths_nm)
-        parts.append(f"wavelength = {{{wl}}}")
-    header_path.write_text("\n".join(parts) + "\n")
-    return data_path
+    with EnviWriter(header_path, data.shape, data_path, wavelengths_nm, interleave, data_type,
+                    description) as out:
+        for r0 in range(0, len(data), out.block_rows):
+            out.write_rows(r0, data[r0 : r0 + out.block_rows])
+    return out.data_path
 
 
 def write_envi(

@@ -8,10 +8,17 @@ import pytest
 from click.testing import CliRunner
 
 import dinsat
-from dinsat.artifacts import read_model, read_normalization, write_model, write_spectrum_csv
+from dinsat import envi
+from dinsat.artifacts import (
+    read_model,
+    read_normalization,
+    write_model,
+    write_normalization,
+    write_spectrum_csv,
+)
 from dinsat.cli import main
-from dinsat.correction import estimate_normalization
-from dinsat.envi import read_envi
+from dinsat.correction import SceneNormalization, estimate_normalization
+from dinsat.envi import read_envi, write_envi_array
 from dinsat.ode import SolverConfig
 from dinsat.synth import SynthSpec, synth_scene
 from dinsat.transmission import LinearProfile
@@ -217,6 +224,64 @@ class TestCorrectCommand:
         ])
         assert result.exit_code == 4
         assert result.output.startswith("numeric-error:")
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+    def test_non_finite_radiance_leaves_no_images(self, tmp_path, runner, monkeypatch, bad):
+        data = np.full((5, 4, 3), 0.5)
+        data[4, 2, 1] = bad  # met after the first four one-row blocks were written
+        write_envi_array(data, tmp_path / "c.hdr", wavelengths_nm=[500.0, 600.0, 700.0], data_type=5)
+        write_model(tmp_path / "m.json", LinearProfile(np.full(3, -2.0)))
+        write_normalization(tmp_path / "norm.json", SceneNormalization(np.zeros(3), 1.0))
+        monkeypatch.setattr(envi, "BLOCK_BYTES", 4 * 3 * 8)
+        written = []
+        write_rows = envi.EnviWriter.write_rows
+        monkeypatch.setattr(envi.EnviWriter, "write_rows",
+                            lambda self, r0, block: written.append(r0) or write_rows(self, r0, block))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "correct", "--cube", str(tmp_path / "c.hdr"), "--model", str(tmp_path / "m.json"),
+            "--norm", str(tmp_path / "norm.json"), "--out", str(out),
+        ])
+        assert result.exit_code == 3
+        assert result.output.startswith("shape-error:")
+        assert sorted(set(written)) == [0, 1, 2, 3]
+        assert not (out / "corrected.img").exists() and not (out / "quality_mask.img").exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    def test_peak_memory_is_a_fraction_of_the_cube(self, tmp_path):
+        rows, cols, bands = 256, 256, 126  # 66 MB of float64
+        data = np.random.default_rng(0).uniform(0.01, 1.0, (rows, cols, bands))
+        write_envi_array(data, tmp_path / "c.hdr", wavelengths_nm=np.linspace(450, 2500, bands),
+                         data_type=5)
+        cube_bytes = data.nbytes
+        del data
+        write_model(tmp_path / "m.json", LinearProfile(np.full(bands, -2.0)))
+        # A fresh interpreter per measurement: a forked child's ru_maxrss would
+        # start from this process's high-water mark.
+        code = (
+            "import sys, dinsat.cli\n"
+            "if sys.argv[1:]:\n"
+            "    try:\n"
+            "        dinsat.cli.main(sys.argv[1:], prog_name='dinsat')\n"
+            "    except SystemExit as e:\n"
+            "        assert not e.code, e.code\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+            "print(int(status.split()[0]) * 1024)\n"
+        )
+        src = str(Path(dinsat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+        def peak(*args):
+            proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout.split()[-1])
+
+        baseline = peak()
+        used = peak("correct", "--cube", str(tmp_path / "c.hdr"), "--model", str(tmp_path / "m.json"),
+                    "--out", str(tmp_path / "out"))
+        assert (tmp_path / "out" / "corrected.img").stat().st_size == cube_bytes // 2
+        assert used - baseline < cube_bytes / 2, (used - baseline) / 1e6
 
 
 class TestSimulateAndEval:

@@ -1,4 +1,5 @@
 import json
+import logging
 import struct
 
 import numpy as np
@@ -16,8 +17,9 @@ from dinsat.artifacts import (
     write_truth_sidecar,
 )
 from dinsat.correction import SceneNormalization
-from dinsat.envi import read_envi, read_envi_header, write_envi, write_envi_array
-from dinsat.errors import CorruptFileError, ParseError, UnsupportedFormatError
+from dinsat import envi
+from dinsat.envi import open_envi, read_envi, read_envi_header, write_envi, write_envi_array
+from dinsat.errors import CorruptFileError, ParseError, ShapeError, UnsupportedFormatError
 from dinsat.ode import SolverConfig
 from dinsat.transmission import LinearProfile, NonlinearProfile
 from dinsat.types import HyperCube, Spectrum, WavelengthGrid
@@ -138,6 +140,125 @@ class TestWriteEnvi:
         write_envi(cube, hdr, data_type=4)
         back = read_envi(hdr)
         np.testing.assert_array_equal(back.data, np.float32(0.1))
+
+
+# Canonical (row, col, band) axes in file order, as the ENVI format defines them.
+FILE_ORDER = {"bsq": (2, 0, 1), "bil": (0, 2, 1), "bip": (0, 1, 2)}
+CODES = {"f4": 4, "f8": 5, "u2": 12}
+
+
+def one_row_per_block(monkeypatch, cols, bands):
+    monkeypatch.setattr(envi, "BLOCK_BYTES", cols * bands * 8)
+
+
+class TestRowBlocks:
+    """Block reads and writes against whole-file numpy references."""
+
+    ROWS, COLS, BANDS = 7, 3, 4  # 3 rows per block below: blocks of 3, 3 and 1 rows
+    HEADER_OFFSET = 37
+
+    def write_raw(self, tmp_path, interleave, code, byte_order):
+        rng = np.random.default_rng(11)
+        shape = (self.ROWS, self.COLS, self.BANDS)
+        if code == "u2":
+            values = rng.integers(0, 65536, shape)
+        else:
+            values = rng.uniform(0.0, 2.0, shape)
+        dtype = np.dtype(("<" if byte_order == 0 else ">") + code)
+        hdr, img = tmp_path / "raw.hdr", tmp_path / "raw.img"
+        text = (
+            f"ENVI\nsamples = {self.COLS}\nlines = {self.ROWS}\nbands = {self.BANDS}\n"
+            f"header offset = {self.HEADER_OFFSET}\ndata type = {CODES[code]}\n"
+            f"interleave = {interleave}\nbyte order = {byte_order}\n"
+        )
+        if code == "u2":
+            text += "data gain values = {0.5, 0.25, 2.0, 1e-3}\ndata offset values = {1.0, 0.0, 0.5, 3.0}\n"
+        hdr.write_text(text)
+        in_file_order = np.ascontiguousarray(values.transpose(FILE_ORDER[interleave]), dtype=dtype)
+        img.write_bytes(b"\x7f" * self.HEADER_OFFSET + in_file_order.tobytes())
+        return hdr, img, dtype
+
+    def reference(self, img, interleave, dtype, code):
+        """The whole cube by np.fromfile, as the reader must return it."""
+        order = FILE_ORDER[interleave]
+        file_shape = [(self.ROWS, self.COLS, self.BANDS)[a] for a in order]
+        raw = np.fromfile(img, dtype=dtype, offset=self.HEADER_OFFSET).reshape(file_shape)
+        data = raw.transpose(np.argsort(order)).astype(float)
+        if code == "u2":
+            data = data * np.array([0.5, 0.25, 2.0, 1e-3]) + np.array([1.0, 0.0, 0.5, 3.0])
+        return data
+
+    @pytest.mark.parametrize("byte_order", [0, 1])
+    @pytest.mark.parametrize("code", ["f4", "f8", "u2"])
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_reader_matches_fromfile(self, tmp_path, monkeypatch, interleave, code, byte_order):
+        monkeypatch.setattr(envi, "BLOCK_BYTES", 3 * self.COLS * self.BANDS * 8)
+        hdr, img, dtype = self.write_raw(tmp_path, interleave, code, byte_order)
+        ref = self.reference(img, interleave, dtype, code)
+        cube = open_envi(hdr)
+        assert cube.block_rows == 3
+        blocks = [(r0, block.copy()) for r0, block in cube.blocks()]
+        assert [r0 for r0, _ in blocks] == [0, 3, 6]
+        np.testing.assert_array_equal(np.concatenate([b for _, b in blocks]), ref)
+        np.testing.assert_array_equal(read_envi(hdr).data, ref)
+        coords = [(0, 0), (6, 2), (3, 1), (6, 0)]
+        np.testing.assert_array_equal(cube.pixels(coords), ref[[r for r, _ in coords], [c for _, c in coords]])
+        np.testing.assert_array_equal(cube.band_extrema(), [ref.min(axis=(0, 1)), ref.max(axis=(0, 1))])
+
+    @pytest.mark.parametrize("data_type", [4, 5, 12])
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_writer_bytes_match_whole_array_write(self, tmp_path, monkeypatch, interleave, data_type):
+        monkeypatch.setattr(envi, "BLOCK_BYTES", 3 * self.COLS * self.BANDS * 8)
+        data = np.random.default_rng(12).uniform(0.0, 3000.0, (self.ROWS, self.COLS, self.BANDS))
+        path = write_envi_array(data, tmp_path / "out.hdr", interleave=interleave, data_type=data_type)
+        # The whole-array write: one transposed copy in the output dtype.
+        dtype = np.dtype("<" + envi.DTYPE_CODES[data_type])
+        expected = np.ascontiguousarray(data.transpose(FILE_ORDER[interleave]), dtype=dtype).tobytes()
+        assert path.read_bytes() == expected
+
+    def test_pixel_outside_cube_rejected(self, tmp_path):
+        hdr, _ = write_fixture_bsq(tmp_path)
+        with pytest.raises(ShapeError, match="outside"):
+            open_envi(hdr).pixels([(2, 0)])
+
+
+class TestRadianceChecks:
+    def write_cube(self, tmp_path, data):
+        hdr = tmp_path / "c.hdr"
+        write_envi_array(data, hdr, wavelengths_nm=[500.0, 600.0, 700.0], data_type=5)
+        return hdr
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+    def test_non_finite_rejected_before_clamping(self, tmp_path, monkeypatch, bad):
+        one_row_per_block(monkeypatch, 2, 3)
+        data = np.ones((4, 2, 3))
+        data[3, 1, 2] = bad  # in the last block
+        hdr = self.write_cube(tmp_path, data)
+        with pytest.raises(ShapeError, match="non-finite"):
+            read_envi(hdr)
+        with pytest.raises(ShapeError, match="non-finite"):
+            open_envi(hdr).pixels([(3, 1)])
+
+    def test_clamp_warns_once_per_cube_with_count(self, tmp_path, monkeypatch, caplog):
+        one_row_per_block(monkeypatch, 2, 3)
+        data = np.ones((4, 2, 3))
+        data[0, 0, 0] = data[2, 1, 1] = data[3, 0, 2] = -0.5  # in three blocks
+        hdr = self.write_cube(tmp_path, data)
+        with caplog.at_level(logging.WARNING, logger="dinsat.envi"):
+            cube = read_envi(hdr)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{tmp_path / 'c.img'}: clamped 3 negative radiance values to 0"
+        ]
+        expected = data.copy()
+        expected[expected < 0] = 0.0
+        np.testing.assert_array_equal(cube.data, expected)
+
+        caplog.clear()
+        opened = open_envi(hdr)
+        with caplog.at_level(logging.WARNING, logger="dinsat.envi"):
+            opened.band_extrema()
+            opened.pixels([(0, 0), (3, 0)])
+        assert len(caplog.records) == 1 and "clamped 3 negative" in caplog.records[0].getMessage()
 
 
 class TestSpectrumCsv:
