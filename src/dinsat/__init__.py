@@ -29,11 +29,9 @@ from .transmission import (
 from .types import (
     DatasetSplit,
     HyperCube,
-    PixelSample,
     Spectrum,
     WavelengthGrid,
     percent_mse,
-    roi_mean_spectrum,
     split_dataset,
 )
 
@@ -42,7 +40,6 @@ __all__ = [
     "HyperCube",
     "LinearProfile",
     "NonlinearProfile",
-    "PixelSample",
     "SceneNormalization",
     "SolverConfig",
     "Spectrum",
@@ -60,7 +57,6 @@ __all__ = [
     "ode_solve",
     "ode_solve_reverse",
     "percent_mse",
-    "roi_mean_spectrum",
     "sample_pixels",
     "simulate_at_sensor",
     "split_dataset",

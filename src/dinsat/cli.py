@@ -22,7 +22,6 @@ from .errors import ConfigError, DinsatError, InvalidDatasetError
 from .ode import SolverConfig
 from .synth import SynthSpec, sample_pixels, synth_scene
 from .training import TrainConfig, default_workers, ensemble, evaluate
-from .types import PixelSample, Spectrum
 
 
 def _fail_cleanly(fn):
@@ -135,22 +134,28 @@ def _open_cubes(cube_paths) -> list[envi.EnviCube]:
     return cubes
 
 
-def _roi_samples(cube: envi.EnviCube, roi: artifacts.RoiFile, with_truth: bool) -> list[PixelSample]:
-    samples = []
+def _reference_rows(cube: envi.EnviCube, roi: artifacts.RoiFile, name: str) -> np.ndarray | None:
+    """The region's reference reflectance, one row per region pixel; None without one."""
+    if name not in roi.references:
+        return None
+    _, truth = artifacts.read_spectrum_csv(roi.references[name], "reflectance")
+    if truth.n_bands != cube.n_bands:
+        raise InvalidDatasetError(
+            f"reference spectrum for region {name!r} has {truth.n_bands} "
+            f"bands, cube has {cube.n_bands}"
+        )
+    return np.tile(truth.values, (len(roi.regions[name]), 1))
+
+
+def _roi_samples(cube: envi.EnviCube, roi: artifacts.RoiFile) -> tuple[np.ndarray, np.ndarray]:
+    """(l4, rho): the (n, bands) radiance and reference of the ROI pixels whose region has one."""
+    l4, rho = [np.empty((0, cube.n_bands))], [np.empty((0, cube.n_bands))]
     for name, coords in roi.regions.items():
-        truth = None
-        if with_truth:
-            if name not in roi.references:
-                continue
-            _, truth = artifacts.read_spectrum_csv(roi.references[name], "reflectance")
-            if truth.n_bands != cube.n_bands:
-                raise InvalidDatasetError(
-                    f"reference spectrum for region {name!r} has {truth.n_bands} "
-                    f"bands, cube has {cube.n_bands}"
-                )
-        for (r, c), l4 in zip(coords, cube.pixels(coords)):
-            samples.append(PixelSample(r, c, Spectrum(l4, "radiance"), truth))
-    return samples
+        truth = _reference_rows(cube, roi, name)
+        if truth is not None:
+            l4.append(cube.pixels(coords))
+            rho.append(truth)
+    return np.concatenate(l4), np.concatenate(rho)
 
 
 # -- synth -------------------------------------------------------------------
@@ -206,36 +211,33 @@ def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, thre
     if config.mode == "supervised":
         if not roi_path:
             raise ConfigError("supervised training requires --roi with reference spectra")
-        samples: list[PixelSample] = []
-        for c in cubes:
-            roi = artifacts.read_roi(roi_path, c.rows, c.cols)
-            samples.extend(_roi_samples(c, roi, with_truth=True))
-        if not samples:
+        parts = [_roi_samples(c, artifacts.read_roi(roi_path, c.rows, c.cols)) for c in cubes]
+        l4, rho = (np.concatenate(arrays) for arrays in zip(*parts))
+        if not len(l4):
             raise InvalidDatasetError("no ROI pixels carry reference spectra")
     else:
         total = sum(c.rows * c.cols for c in cubes)
         n_pixels = max(3, round(pixel_fraction * total))
-        samples = []
-        for c in cubes:
-            share = max(1, round(n_pixels * c.rows * c.cols / total))
-            samples.extend(sample_pixels(c, None, share, config.seed, with_truth=False))
+        l4 = np.concatenate([
+            sample_pixels(c, None, max(1, round(n_pixels * c.rows * c.cols / total)), config.seed)[1]
+            for c in cubes
+        ])
+        rho = None
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_normalization(out / "norm.json", norm)
 
-    result = ensemble(config, samples, norm, n_runs, reshuffle=reshuffle, workers=threads)
+    result = ensemble(config, l4, norm, n_runs, rho=rho, reshuffle=reshuffle, workers=threads)
     for i, run in enumerate(result.runs):
         if run is None:
             continue
         model = run.model(cube.n_bands)
         artifacts.write_model(out / f"model_{i:03d}.json", model, config.solver, cube.grid)
         t1 = ad.value_of(transmittance_values(model, model.params, config.solver))
-        rho, _ = correct_batch(
-            model, norm, np.stack([s.l4.values for s in samples]), config.solver, transmittance=t1
-        )
+        rho_hat, _ = correct_batch(model, norm, l4, config.solver, transmittance=t1)
         artifacts.write_run_record(
-            out / f"run_{i:03d}.json", run, transmittance=t1, roi_reflectance=rho.mean(axis=0)
+            out / f"run_{i:03d}.json", run, transmittance=t1, roi_reflectance=rho_hat.mean(axis=0)
         )
     for i, message in result.failures:
         click.echo(f"run {i} failed: {message}", err=True)
@@ -345,14 +347,8 @@ def eval_cmd(model_path, cube_path, roi_path, library_path, norm_path, out_path)
 
     lines = ["region,metric,value"]
     for name, coords in roi.regions.items():
-        truth = None
-        if name in roi.references:
-            _, truth = artifacts.read_spectrum_csv(roi.references[name], "reflectance")
-        samples = [
-            PixelSample(r, c, Spectrum(l4, "radiance"), truth)
-            for (r, c), l4 in zip(coords, cube.pixels(coords))
-        ]
-        metrics = evaluate(model, norm, samples, solver, library=library)
+        rho = _reference_rows(cube, roi, name)
+        metrics = evaluate(model, norm, cube.pixels(coords), solver, rho=rho, library=library)
         for key in ("reflectance_percent_mse", "radiance_percent_mse"):
             if key in metrics:
                 lines.append(f"{name},{key},{metrics[key]!r}")

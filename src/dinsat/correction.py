@@ -14,12 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, EmptyInputError, ShapeError
 from .ode import SolverConfig
-from .transmission import (
-    Profile,
-    invert_values,
-    transmit_values,
-    transmittance_values,
-)
+from .transmission import Profile, invert_values, transmittance_values
 from .types import Spectrum
 
 # Transmittance floor for the division in the correction formula.
@@ -150,7 +145,7 @@ def simulate_values(
 ):
     """Traced-or-plain forward simulation of at-sensor radiance."""
     t1 = transmittance_values(model, params, solver)
-    l4 = norm.c + norm.m * transmit_values(model, params, rho * t1, solver)
+    l4 = norm.c + norm.m * model.forward(params, rho * t1, solver)
     return l4
 
 

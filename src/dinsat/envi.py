@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
     UnsupportedFormatError,
 )
-from .types import HyperCube, Spectrum, WavelengthGrid
+from .types import HyperCube, WavelengthGrid, check_coords
 
 log = logging.getLogger(__name__)
 
@@ -272,19 +272,15 @@ class EnviCube:
 
     def pixels(self, coords) -> np.ndarray:
         """(n, bands) radiance at the (row, col) pairs ``coords``; reads only those pixels."""
-        out = np.empty((len(coords), self.n_bands))
+        rc = check_coords(coords, self.rows, self.cols)
+        out = np.empty((len(rc), self.n_bands))
         clamped = 0
         with open(self.data_path, "rb", buffering=0) as f:
-            for i, (r, c) in enumerate(coords):
-                if not (0 <= r < self.rows and 0 <= c < self.cols):
-                    raise ShapeError(f"pixel ({r}, {c}) is outside the {self.rows} x {self.cols} cube")
+            for i, (r, c) in enumerate(rc.tolist()):
                 box = out[i].reshape(1, 1, -1)
                 clamped += self._read_box(f, (r, c, 0), (r + 1, c + 1, self.n_bands), box)
         self._report_clamped(clamped)
         return out
-
-    def pixel(self, row: int, col: int) -> Spectrum:
-        return Spectrum(self.pixels([(row, col)])[0], "radiance")
 
     def _read_box(self, f, lo, hi, out: np.ndarray) -> int:
         """Read, scale and check the box lo <= (row, col, band) < hi into ``out``.
@@ -292,18 +288,27 @@ class EnviCube:
         Returns how many negative values it clamped to 0.
         """
         h = self.header
+        itemsize = h.dtype.itemsize
         offsets, run = _runs(h.interleave, (self.rows, self.cols, self.n_bands), lo, hi)
-        run_bytes = run * h.dtype.itemsize
-        size = len(offsets) * run_bytes
+        first = int(offsets[0])
+        span = int(offsets[-1]) - first + run
+        # Several runs that lie close together (a BIL pixel) are one read of
+        # the span that covers them; the runs are gathered from it.
+        gather = len(offsets) > 1 and span * itemsize <= BLOCK_BYTES
+        size = (span if gather else len(offsets) * run) * itemsize
         if self._raw is None or self._raw.size < size:
             self._raw = np.empty(size, np.uint8)
         raw = memoryview(self._raw)
-        for i, offset in enumerate(offsets.tolist()):
-            _read_exact(f, h.header_offset + offset * h.dtype.itemsize,
-                        raw[i * run_bytes : (i + 1) * run_bytes])
-        axes = _FILE_AXES[h.interleave]
-        in_file_order = out.transpose(axes)
         values = self._raw[:size].view(h.dtype)
+        if gather:
+            _read_exact(f, h.header_offset + first * itemsize, raw[:size])
+            values = values[(offsets - first)[:, None] + np.arange(run)]
+        else:
+            run_bytes = run * itemsize
+            for i, offset in enumerate(offsets.tolist()):
+                _read_exact(f, h.header_offset + offset * itemsize,
+                            raw[i * run_bytes : (i + 1) * run_bytes])
+        in_file_order = out.transpose(_FILE_AXES[h.interleave])
         np.copyto(in_file_order, values.reshape(in_file_order.shape))
         if self._scale is not None:
             out *= self._scale[0]

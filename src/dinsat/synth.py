@@ -14,7 +14,7 @@ import numpy as np
 from .correction import SceneNormalization
 from .errors import ConfigError
 from .transmission import LinearProfile
-from .types import HyperCube, PixelSample, Spectrum, WavelengthGrid
+from .types import HyperCube, WavelengthGrid
 
 
 @dataclass(frozen=True)
@@ -127,18 +127,17 @@ def sample_pixels(
     n_pixels: int,
     seed: int,
     with_truth: bool = True,
-) -> list[PixelSample]:
-    """Draw distinct pixels uniformly at random, optionally pairing truth rho."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Distinct pixels drawn uniformly at random, as (coords, l4, rho).
+
+    ``coords`` holds (n, 2) (row, col) pairs, ``l4`` their (n, bands) radiance
+    from one ``cube.pixels`` call, ``rho`` their truth reflectance or None.
+    """
     rng = np.random.default_rng(seed)
     total = cube.rows * cube.cols
     if n_pixels > total:
         raise ConfigError(f"requested {n_pixels} pixels from a {total}-pixel scene")
     flat = rng.choice(total, size=n_pixels, replace=False)
-    samples = []
-    for idx in flat:
-        r, ccol = divmod(int(idx), cube.cols)
-        truth_rho = None
-        if with_truth and truth is not None:
-            truth_rho = Spectrum(truth.rho[r, ccol], "reflectance")
-        samples.append(PixelSample(r, ccol, cube.pixel(r, ccol), truth_rho))
-    return samples
+    coords = np.stack(np.divmod(flat, cube.cols), axis=1)
+    rho = truth.rho[coords[:, 0], coords[:, 1]] if with_truth and truth is not None else None
+    return coords, cube.pixels(coords), rho

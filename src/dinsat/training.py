@@ -6,13 +6,14 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .correction import (
     SceneNormalization,
+    correct_batch,
     corrected_reflectance,
     simulate_values,
 )
@@ -22,6 +23,7 @@ from .errors import (
     EmptyInputError,
     InvalidDatasetError,
     NumericError,
+    ShapeError,
 )
 from .ode import SolverConfig
 from .optim import AdamState, adam_step
@@ -31,16 +33,7 @@ from .transmission import (
     Profile,
     transmittance_values,
 )
-from .types import (
-    DatasetSplit,
-    PixelSample,
-    Spectrum,
-    percent_mse,
-    roi_mean_spectrum,
-    split_dataset,
-    stack_l4,
-    stack_truth,
-)
+from .types import DatasetSplit, Spectrum, percent_mse, split_dataset
 
 MODES = ("supervised", "unsupervised")
 MODEL_KINDS = ("linear", "nonlinear")
@@ -115,19 +108,37 @@ def _fd_terms(rho_hat):
     return rho_hat[:, 1:] - rho_hat[:, :-1]
 
 
+def _pixel_arrays(l4, rho=None):
+    """``l4`` and ``rho`` as float (n, bands) arrays.
+
+    Raises ShapeError when ``l4`` is not 2-D, when either holds a non-finite
+    value, or when ``rho`` (None allowed) does not have the shape of ``l4``.
+    """
+    l4 = np.asarray(l4, float)
+    if l4.ndim != 2:
+        raise ShapeError(f"radiance must be an (n, bands) array, got shape {l4.shape}")
+    if rho is not None:
+        rho = np.asarray(rho, float)
+        if rho.shape != l4.shape:
+            raise ShapeError(f"truth reflectance has shape {rho.shape}, radiance {l4.shape}")
+    for name, values in (("radiance", l4), ("truth reflectance", rho)):
+        if values is not None and not np.all(np.isfinite(values)):
+            raise ShapeError(f"{name} must be finite")
+    return l4, rho
+
+
 def supervised_loss_terms(
     model: Profile,
     norm: SceneNormalization,
-    samples: Sequence[PixelSample],
+    l4: np.ndarray,
+    rho: np.ndarray,
     solver: SolverConfig,
     fd_weight: float,
     params=None,
 ):
-    """(loss, components): L = L_MSE + lambda * L_FD over paired pixels."""
-    if len(samples) == 0:
+    """(loss, components): L = L_MSE + lambda * L_FD over paired (n, bands) pixels."""
+    if len(l4) == 0:
         raise EmptyInputError("supervised loss needs at least one pixel")
-    l4 = stack_l4(samples)
-    rho = stack_truth(samples)
     if params is None:
         params = model.params
     rho_hat = corrected_reflectance(model, params, norm, l4, solver)
@@ -142,18 +153,19 @@ def supervised_loss_terms(
 def supervised_loss(
     model: Profile,
     norm: SceneNormalization,
-    samples: Sequence[PixelSample],
+    l4: np.ndarray,
+    rho: np.ndarray,
     solver: SolverConfig = SolverConfig(),
     fd_weight: float = 1.0,
     params=None,
 ):
-    return supervised_loss_terms(model, norm, samples, solver, fd_weight, params)[0]
+    return supervised_loss_terms(model, norm, l4, rho, solver, fd_weight, params)[0]
 
 
 def unsupervised_loss_terms(
     model: Profile,
     norm: SceneNormalization,
-    samples: Sequence[PixelSample],
+    l4: np.ndarray,
     solver: SolverConfig,
     rho_weight: float,
     transmission_weight: float,
@@ -161,9 +173,8 @@ def unsupervised_loss_terms(
     params=None,
 ):
     """(loss, components): L = l1*mean(rho) + l2*mean(T(1)) + l3*mean(|d rho|)."""
-    if len(samples) == 0:
+    if len(l4) == 0:
         raise EmptyInputError("unsupervised loss needs at least one pixel")
-    l4 = stack_l4(samples)
     if params is None:
         params = model.params
     t1 = transmittance_values(model, params, solver)
@@ -182,7 +193,7 @@ def unsupervised_loss_terms(
 def unsupervised_loss(
     model: Profile,
     norm: SceneNormalization,
-    samples: Sequence[PixelSample],
+    l4: np.ndarray,
     solver: SolverConfig = SolverConfig(),
     rho_weight: float = 1e-2,
     transmission_weight: float = 1e-2,
@@ -190,19 +201,19 @@ def unsupervised_loss(
     params=None,
 ):
     return unsupervised_loss_terms(
-        model, norm, samples, solver, rho_weight, transmission_weight, slope_weight, params
+        model, norm, l4, solver, rho_weight, transmission_weight, slope_weight, params
     )[0]
 
 
-def _loss_terms(config: TrainConfig, model, norm, samples, params=None):
+def _loss_terms(config: TrainConfig, model, norm, l4, rho, params=None):
     if config.mode == "supervised":
         return supervised_loss_terms(
-            model, norm, samples, config.solver, config.fd_weight, params
+            model, norm, l4, rho, config.solver, config.fd_weight, params
         )
     return unsupervised_loss_terms(
         model,
         norm,
-        samples,
+        l4,
         config.solver,
         config.rho_weight,
         config.transmission_weight,
@@ -213,41 +224,44 @@ def _loss_terms(config: TrainConfig, model, norm, samples, params=None):
 
 def train(
     config: TrainConfig,
-    samples: Sequence[PixelSample],
+    l4: np.ndarray,
     norm: SceneNormalization,
+    rho: Optional[np.ndarray] = None,
     split: Optional[DatasetSplit] = None,
     split_seed: Optional[int] = None,
 ) -> TrainRun:
-    """Full-batch Adam until convergence; returns the best-monitored parameters."""
+    """Full-batch Adam until convergence; returns the best-monitored parameters.
+
+    ``l4`` holds (n, bands) radiance; supervised training needs the paired ``rho``.
+    """
     started = time.perf_counter()
-    samples = list(samples)
-    if not samples:
+    if np.size(l4) == 0:
         raise InvalidDatasetError("training needs at least one pixel sample")
+    l4, rho = _pixel_arrays(l4, rho)
+    if config.mode == "supervised" and rho is None:
+        raise InvalidDatasetError("supervised training needs truth reflectance")
     if split is None:
         split = split_dataset(
-            len(samples),
+            len(l4),
             config.fractions,
             config.seed if split_seed is None else split_seed,
         )
-    train_samples = [samples[i] for i in split.train]
-    val_samples = [samples[i] for i in split.val]
-    if len(train_samples) == 0:
+    train_idx = np.asarray(split.train, dtype=int)
+    val_idx = np.asarray(split.val, dtype=int)
+    if len(train_idx) == 0:
         raise InvalidDatasetError("training split is empty")
-    if config.mode == "supervised":
-        for s in train_samples + val_samples:
-            if s.truth_rho is None:
-                raise InvalidDatasetError("supervised training needs truth reflectance")
-    elif len(train_samples) < 2:
+    if config.mode == "unsupervised" and len(train_idx) < 2:
         raise InvalidDatasetError("unsupervised training needs at least 2 pixels")
+    train_data = (l4[train_idx], None if rho is None else rho[train_idx])
+    val_data = (l4[val_idx], None if rho is None else rho[val_idx])
 
-    n_bands = train_samples[0].l4.n_bands
-    model = build_model(config, n_bands, config.seed)
+    model = build_model(config, l4.shape[1], config.seed)
     params = model.params.copy()
     adam = AdamState(lr=config.lr)
 
     # Early stopping monitors validation loss when a validation split exists,
     # the training loss otherwise (the unsupervised mode has no val split).
-    monitor_samples = val_samples if val_samples else train_samples
+    monitor_train = len(val_idx) == 0
 
     best = np.inf
     best_params = params.copy()
@@ -259,7 +273,7 @@ def train(
         tape = ad.Tape()
         pvar = tape.leaf(params)
         try:
-            loss, components = _loss_terms(config, model, norm, train_samples, pvar)
+            loss, components = _loss_terms(config, model, norm, *train_data, pvar)
         except NumericError as e:
             raise NumericError(f"epoch {epoch}: {e}") from e
         train_loss = float(ad.value_of(loss))
@@ -271,12 +285,12 @@ def train(
         # nodes so the epoch's graph is freed now, not by the cyclic GC.
         tape.nodes.clear()
 
-        if monitor_samples is train_samples:
+        if monitor_train:
             monitor = train_loss
             record = {"epoch": epoch, "train_loss": train_loss, **components}
         else:
             val_loss = float(
-                ad.value_of(_loss_terms(config, model, norm, monitor_samples, params)[0])
+                ad.value_of(_loss_terms(config, model, norm, *val_data, params)[0])
             )
             monitor = val_loss
             record = {
@@ -327,11 +341,11 @@ def _member_config(config: TrainConfig, i: int) -> TrainConfig:
 
 
 def _run_member(args) -> TrainRun:
-    config, samples, norm, reshuffle, i = args
+    config, l4, rho, norm, reshuffle, i = args
     member = _member_config(config, i)
     # With reshuffle off, every member shares the base seed's split.
     split_seed = member.seed if reshuffle else config.seed
-    return train(member, samples, norm, split_seed=split_seed)
+    return train(member, l4, norm, rho, split_seed=split_seed)
 
 
 def default_workers() -> int:
@@ -343,18 +357,19 @@ def default_workers() -> int:
 
 def ensemble(
     config: TrainConfig,
-    samples: Sequence[PixelSample],
+    l4: np.ndarray,
     norm: SceneNormalization,
     n_runs: int,
+    rho: Optional[np.ndarray] = None,
     reshuffle: bool = True,
     workers: Optional[int] = None,
 ) -> EnsembleResult:
-    """Independent seeded runs plus per-band aggregate statistics."""
+    """Independent seeded runs plus per-band aggregate statistics over all of ``l4``."""
     if n_runs < 1:
         raise ConfigError("ensemble needs at least one run")
-    samples = list(samples)
+    l4, rho = _pixel_arrays(l4, rho)
     workers = default_workers() if workers is None else max(1, workers)
-    jobs = [(config, samples, norm, reshuffle, i) for i in range(n_runs)]
+    jobs = [(config, l4, rho, norm, reshuffle, i) for i in range(n_runs)]
 
     runs: list[Optional[TrainRun]] = [None] * n_runs
     failures: list[tuple[int, str]] = []
@@ -377,19 +392,16 @@ def ensemble(
     if not completed:
         raise NumericError("all ensemble members failed")
 
-    n_bands = samples[0].l4.n_bands
     t_stack = []
     roi_stack = []
     for run in completed:
-        model = run.model(n_bands)
+        model = run.model(l4.shape[1])
         t1 = ad.value_of(transmittance_values(model, model.params, config.solver))
         t_stack.append(t1)
-        rho = ad.value_of(
-            corrected_reflectance(
-                model, model.params, norm, stack_l4(samples), config.solver, transmittance=t1
-            )
+        rho_hat = ad.value_of(
+            corrected_reflectance(model, model.params, norm, l4, config.solver, transmittance=t1)
         )
-        roi_stack.append(rho.mean(axis=0))
+        roi_stack.append(rho_hat.mean(axis=0))
     t_stack = np.stack(t_stack)
     roi_stack = np.stack(roi_stack)
     return EnsembleResult(
@@ -405,23 +417,24 @@ def ensemble(
 def evaluate(
     model: Profile,
     norm: SceneNormalization,
-    samples: Sequence[PixelSample],
+    l4: np.ndarray,
     solver: SolverConfig = SolverConfig(),
+    rho: Optional[np.ndarray] = None,
     library: Optional[Spectrum] = None,
 ) -> dict:
-    """Percent-MSE metrics in both directions; missing inputs omit a metric."""
-    from .correction import correct_batch
+    """Percent-MSE metrics in both directions over an ROI's (n, bands) pixels ``l4``.
 
+    ``rho`` is their truth reflectance; a missing input omits its metric.
+    """
     metrics: dict = {"warnings": []}
-    if len(samples) == 0:
+    if np.size(l4) == 0:
         metrics["warnings"].append("no samples provided; no metrics computed")
         return metrics
 
-    rho_hat, _ = correct_batch(model, norm, stack_l4(samples), solver)
-    roi_hat = rho_hat.mean(axis=0)
-    if all(s.truth_rho is not None for s in samples):
-        truth_mean = roi_mean_spectrum(samples, "truth_rho").values
-        metrics["reflectance_percent_mse"] = percent_mse(roi_hat, truth_mean)
+    l4, rho = _pixel_arrays(l4, rho)
+    rho_hat, _ = correct_batch(model, norm, l4, solver)
+    if rho is not None:
+        metrics["reflectance_percent_mse"] = percent_mse(rho_hat.mean(axis=0), rho.mean(axis=0))
     else:
         metrics["warnings"].append(
             "samples lack truth reflectance; reflectance metric omitted"
@@ -431,7 +444,7 @@ def evaluate(
         simulated = ad.value_of(
             simulate_values(model, model.params, norm, library.values, solver)
         )
-        observed = roi_mean_spectrum(samples, "l4").values
+        observed = l4.mean(axis=0)
         # Both sides normalized by m before comparing, keeping the metric
         # dimensionless regardless of the scene's radiometric scale.
         metrics["radiance_percent_mse"] = percent_mse(simulated / norm.m, observed / norm.m)

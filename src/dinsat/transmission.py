@@ -250,9 +250,8 @@ def rhs_values(L: np.ndarray, profile: Profile) -> np.ndarray:
     return ad.value_of(profile.rhs_from(profile.params)(L))
 
 
-def transmit_values(model: Profile, params, L, solver: SolverConfig = SolverConfig()):
-    """The operator T on raw vectors/matrices (traced or plain)."""
-    return model.forward(params, L, solver)
+# These two forwards stay only because bench/traced_cli.py times T(1) and T^-1
+# by wrapping them under these names in the cli, training and correction modules.
 
 
 def transmittance_values(model: Profile, params, solver: SolverConfig = SolverConfig()):
@@ -281,7 +280,7 @@ def _spectrum_in(L: Spectrum | np.ndarray) -> np.ndarray:
 
 def transmit(model: Profile, L: Spectrum | np.ndarray, solver: SolverConfig = SolverConfig()):
     """T on a Spectrum (unit preserved) or plain vector."""
-    out = ad.value_of(transmit_values(model, model.params, _spectrum_in(L), solver))
+    out = ad.value_of(model.forward(model.params, _spectrum_in(L), solver))
     if isinstance(L, Spectrum):
         return L.with_values(out)
     return out
@@ -289,7 +288,7 @@ def transmit(model: Profile, L: Spectrum | np.ndarray, solver: SolverConfig = So
 
 def invert_transmit(model: Profile, L: Spectrum | np.ndarray, solver: SolverConfig = SolverConfig()):
     """T^-1 on a Spectrum (unit preserved) or plain vector."""
-    out = ad.value_of(invert_values(model, model.params, _spectrum_in(L), solver))
+    out = ad.value_of(model.inverse(model.params, _spectrum_in(L), solver))
     if isinstance(L, Spectrum):
         return L.with_values(out)
     return out
@@ -297,6 +296,4 @@ def invert_transmit(model: Profile, L: Spectrum | np.ndarray, solver: SolverConf
 
 def transmittance_spectrum(model: Profile, solver: SolverConfig = SolverConfig()) -> Spectrum:
     """T(1_n) as a transmittance-tagged Spectrum."""
-    return Spectrum(
-        ad.value_of(transmittance_values(model, model.params, solver)), "transmittance"
-    )
+    return Spectrum(ad.value_of(model.t1(model.params, solver)), "transmittance")

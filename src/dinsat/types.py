@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal, Optional, Sequence
+from dataclasses import dataclass
+from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, ShapeError
+from .errors import ConfigError, ShapeError
 
 Unit = Literal["radiance", "reflectance", "transmittance", "unitless"]
 
@@ -100,19 +100,20 @@ class HyperCube:
     def pixel(self, row: int, col: int) -> Spectrum:
         return Spectrum(self.data[row, col], "radiance")
 
+    def pixels(self, coords) -> np.ndarray:
+        """(n, bands) radiance at the (row, col) pairs ``coords``."""
+        rc = check_coords(coords, self.rows, self.cols)
+        return self.data[rc[:, 0], rc[:, 1]]
 
-@dataclass(frozen=True)
-class PixelSample:
-    """At-sensor radiance at one pixel, optionally paired with truth reflectance."""
 
-    row: int
-    col: int
-    l4: Spectrum
-    truth_rho: Optional[Spectrum] = None
-
-    def __post_init__(self):
-        if self.truth_rho is not None and self.truth_rho.n_bands != self.l4.n_bands:
-            raise ShapeError("truth reflectance length must match radiance length")
+def check_coords(coords, rows: int, cols: int) -> np.ndarray:
+    """``coords`` as an (n, 2) int array; ShapeError names the first pixel outside the image."""
+    rc = np.asarray(coords, dtype=int).reshape(-1, 2)
+    outside = (rc < 0).any(axis=1) | (rc[:, 0] >= rows) | (rc[:, 1] >= cols)
+    if outside.any():
+        r, c = rc[np.argmax(outside)]
+        raise ShapeError(f"pixel ({r}, {c}) is outside the {rows} x {cols} cube")
+    return rc
 
 
 @dataclass(frozen=True)
@@ -164,25 +165,6 @@ def split_dataset(
     return DatasetSplit(tuple(train), tuple(val), tuple(test))
 
 
-def roi_mean_spectrum(samples: Sequence[PixelSample], which: str = "l4") -> Spectrum:
-    """Per-band arithmetic mean of the chosen field over an ROI."""
-    if len(samples) == 0:
-        raise EmptyInputError("cannot average an empty ROI")
-    if which == "l4":
-        spectra = [s.l4 for s in samples]
-    elif which == "truth_rho":
-        if any(s.truth_rho is None for s in samples):
-            raise EmptyInputError("some samples have no truth reflectance")
-        spectra = [s.truth_rho for s in samples]
-    else:
-        raise ConfigError(f"unknown sample field: {which!r}")
-    n = spectra[0].n_bands
-    if any(s.n_bands != n for s in spectra):
-        raise ShapeError("ROI spectra have inconsistent lengths")
-    mean = np.mean([s.values for s in spectra], axis=0)
-    return Spectrum(mean, spectra[0].unit)
-
-
 def percent_mse(predicted: Spectrum | np.ndarray, reference: Spectrum | np.ndarray) -> float:
     """100 x mean squared difference of dimensionless per-band values."""
     p = predicted.values if isinstance(predicted, Spectrum) else np.asarray(predicted, float)
@@ -190,21 +172,3 @@ def percent_mse(predicted: Spectrum | np.ndarray, reference: Spectrum | np.ndarr
     if p.shape != r.shape:
         raise ShapeError(f"length mismatch: {p.shape} vs {r.shape}")
     return float(100.0 * np.mean((p - r) ** 2))
-
-
-def stack_l4(samples: Sequence[PixelSample]) -> np.ndarray:
-    """(n_pixels, n_bands) radiance matrix."""
-    if len(samples) == 0:
-        raise EmptyInputError("no samples")
-    return np.stack([s.l4.values for s in samples])
-
-
-def stack_truth(samples: Sequence[PixelSample]) -> np.ndarray:
-    """(n_pixels, n_bands) truth reflectance matrix; all samples must carry truth."""
-    if len(samples) == 0:
-        raise EmptyInputError("no samples")
-    if any(s.truth_rho is None for s in samples):
-        from .errors import InvalidDatasetError
-
-        raise InvalidDatasetError("sample without truth reflectance")
-    return np.stack([s.truth_rho.values for s in samples])

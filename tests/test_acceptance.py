@@ -43,7 +43,6 @@ from dinsat.transmission import (
 )
 from dinsat.types import (
     HyperCube,
-    PixelSample,
     Spectrum,
     WavelengthGrid,
     percent_mse,
@@ -127,14 +126,9 @@ def test_criterion_4_loss_gradients_match_finite_differences():
     h = 1e-5
     for trial in range(20):
         norm = SceneNormalization(rng.uniform(0, 0.05, n), rng.uniform(0.8, 1.5))
-        samples = [
-            PixelSample(
-                0, 0,
-                Spectrum(norm.c + rng.uniform(0.1, 1.0, n), "radiance"),
-                Spectrum(rng.uniform(0, 1, n), "reflectance"),
-            )
-            for _ in range(2)
-        ]
+        pairs = [(norm.c + rng.uniform(0.1, 1.0, n), rng.uniform(0, 1, n)) for _ in range(2)]
+        l4 = np.stack([p[0] for p in pairs])
+        rho = np.stack([p[1] for p in pairs])
         kind = "linear" if trial % 2 == 0 else "nonlinear"
         if kind == "linear":
             model = LinearProfile.initialize(n, rng)
@@ -143,8 +137,8 @@ def test_criterion_4_loss_gradients_match_finite_differences():
         for mode in ("supervised", "unsupervised"):
             def loss_fn(params):
                 if mode == "supervised":
-                    return supervised_loss(model, norm, samples, cfg, 1.0, params)
-                return unsupervised_loss(model, norm, samples, cfg, params=params)
+                    return supervised_loss(model, norm, l4, rho, cfg, 1.0, params)
+                return unsupervised_loss(model, norm, l4, cfg, params=params)
 
             def loss_at(values):
                 return float(ad.value_of(loss_fn(ad.Tape().leaf(values))))
@@ -174,20 +168,18 @@ def scene():
 
 def test_criterion_5_supervised_synthetic_recovery(scene):
     cube, truth = scene
-    samples = sample_pixels(cube, truth, 145, seed=5)
+    _, l4, rho = sample_pixels(cube, truth, 145, seed=5)
     split = split_dataset(145, SUPERVISED_FRACTIONS, seed=5)
     assert (len(split.train), len(split.val), len(split.test)) == (35, 9, 101)
 
     config = TrainConfig(mode="supervised", model_kind="linear", seed=1, solver=RK4_16)
-    run = train(config, samples, truth.norm, split=split)
+    run = train(config, l4, truth.norm, rho, split=split)
     model = run.model(cube.n_bands)
 
     # (a) held-out reflectance percent MSE < 1.0
-    held_out = [samples[i] for i in split.test]
-    rho_hat, _ = correct_batch(
-        model, truth.norm, np.stack([s.l4.values for s in held_out]), RK4_16
-    )
-    truth_rho = np.stack([s.truth_rho.values for s in held_out])
+    held_out = list(split.test)
+    rho_hat, _ = correct_batch(model, truth.norm, l4[held_out], RK4_16)
+    truth_rho = rho[held_out]
     refl_pmse = float(
         np.mean([percent_mse(rho_hat[i], truth_rho[i]) for i in range(len(held_out))])
     )
@@ -201,8 +193,8 @@ def test_criterion_5_supervised_synthetic_recovery(scene):
     # (c) simulated radiance percent MSE < 1.0 against noise-free truth
     clean = truth.norm.c + truth.norm.m * np.exp(-2.0 * truth.alpha) * truth_rho
     sim_pmse = []
-    for i, s in enumerate(held_out):
-        sim = simulate_at_sensor(model, truth.norm, s.truth_rho, RK4_16)
+    for i in range(len(held_out)):
+        sim = simulate_at_sensor(model, truth.norm, Spectrum(truth_rho[i], "reflectance"), RK4_16)
         sim_pmse.append(percent_mse(sim.values / truth.norm.m, clean[i] / truth.norm.m))
     sim_pmse = float(np.mean(sim_pmse))
     assert sim_pmse < 1.0, f"radiance percent MSE {sim_pmse:.3f}"
@@ -220,7 +212,7 @@ def _local_minima_deepest(t, k):
 def test_criterion_6_unsupervised_synthetic_recovery(scene):
     started = time.perf_counter()
     cube, truth = scene
-    samples = sample_pixels(cube, truth, 112, seed=6)
+    _, l4, rho = sample_pixels(cube, truth, 112, seed=6)
     # Normalization comes from the full scene, as whole-cube correction does.
     norm = estimate_normalization(cube.data)
 
@@ -233,7 +225,7 @@ def test_criterion_6_unsupervised_synthetic_recovery(scene):
         max_epochs=1200,
         split_fractions=UNSUPERVISED_FRACTIONS,
     )
-    result = ensemble(config, samples, norm, n_runs=5, reshuffle=True, workers=1)
+    result = ensemble(config, l4, norm, n_runs=5, rho=rho, reshuffle=True, workers=1)
     assert len(result.completed) == 5
 
     # 3 deepest local transmittance minima within +-2 bands of the true centers
@@ -257,11 +249,9 @@ def test_criterion_6_unsupervised_synthetic_recovery(scene):
     errors = []
     for run in result.completed:
         model = run.model(cube.n_bands)
-        held_out = [samples[i] for i in run.split.test]
-        rho_hat, _ = correct_batch(
-            model, norm, np.stack([s.l4.values for s in held_out]), RK4_16
-        )
-        truth_rho = np.stack([s.truth_rho.values for s in held_out])
+        held_out = list(run.split.test)
+        rho_hat, _ = correct_batch(model, norm, l4[held_out], RK4_16)
+        truth_rho = rho[held_out]
         errors.append(
             float(np.mean([percent_mse(rho_hat[i], truth_rho[i]) for i in range(len(held_out))]))
         )
@@ -289,19 +279,19 @@ def test_criterion_7_end_to_end_round_trip():
 def test_criterion_8_determinism_and_persistence(tmp_path):
     spec = SynthSpec(rows=10, cols=10, n_bands=12, noise_std=0.0)
     cube, truth = synth_scene(spec, seed=8)
-    samples = sample_pixels(cube, truth, 20, seed=8)
+    _, l4, rho = sample_pixels(cube, truth, 20, seed=8)
     config = TrainConfig(max_epochs=40, solver=SolverConfig("rk4", 8), seed=3)
 
     payloads = []
     for name in ("a", "b"):
-        run = train(config, samples, truth.norm)
+        run = train(config, l4, truth.norm, rho)
         path = tmp_path / f"model_{name}.json"
         write_model(path, run.model(cube.n_bands), config.solver, truth.grid)
         payloads.append(path.read_bytes())
     assert payloads[0] == payloads[1]
 
     model, solver, grid = read_model(tmp_path / "model_a.json")
-    run = train(config, samples, truth.norm)
+    run = train(config, l4, truth.norm, rho)
     np.testing.assert_array_equal(model.params, run.params)
 
     rng = np.random.default_rng(0)
@@ -323,11 +313,9 @@ def test_criterion_9_loss_unit_values():
     # rho_hat equal to l4 exactly.
     identity = LinearProfile(np.full(2, -40.0))
     norm = SceneNormalization.identity(2)
-    sample = PixelSample(
-        0, 0, Spectrum(np.array([1.0, 0.0]), "radiance"),
-        Spectrum(np.array([0.0, 1.0]), "reflectance"),
-    )
-    sup = float(ad.value_of(supervised_loss(identity, norm, [sample], RK4_16)))
+    l4 = np.array([[1.0, 0.0]])
+    rho = np.array([[0.0, 1.0]])
+    sup = float(ad.value_of(supervised_loss(identity, norm, l4, rho, RK4_16)))
     assert abs(sup - 5.0) < 1e-12, f"supervised loss {sup!r}"
 
     # Unsupervised: rho_hat = 0.5 flat, T(1) = 0.7, default weights:
@@ -339,6 +327,6 @@ def test_criterion_9_loss_unit_values():
     alpha = brentq(gap, 1e-6, 10.0, xtol=1e-15, rtol=8.9e-16)
     model = LinearProfile(softplus_inverse(np.full(2, alpha)))
     f = transmittance_spectrum(model, RK4_16).values
-    unsup_sample = PixelSample(0, 0, Spectrum(0.5 * f * f, "radiance"))
-    unsup = float(ad.value_of(unsupervised_loss(model, norm, [unsup_sample], RK4_16)))
+    unsup_l4 = (0.5 * f * f)[None, :]
+    unsup = float(ad.value_of(unsupervised_loss(model, norm, unsup_l4, RK4_16)))
     assert abs(unsup - 0.012) < 1e-12, f"unsupervised loss {unsup!r}"

@@ -22,7 +22,7 @@ from dinsat.envi import read_envi, write_envi_array
 from dinsat.ode import SolverConfig
 from dinsat.synth import SynthSpec, synth_scene
 from dinsat.transmission import LinearProfile
-from dinsat.types import Spectrum
+from dinsat.types import Spectrum, WavelengthGrid
 
 SPEC_TEXT = """
 rows = 12
@@ -163,6 +163,17 @@ class TestTrainCommand:
         norm = read_normalization(out / "norm.json")
         np.testing.assert_array_equal(norm.c, c_ref)
         assert norm.m == float((stacked - c_ref).max())
+
+    def test_roi_without_references_is_invalid_dataset(self, tmp_path, runner):
+        scene = make_scene(tmp_path, runner)
+        roi = tmp_path / "roi.csv"
+        roi.write_text("region_name,row,col\nfield,0,0\nfield,1,1\nwater,5,7\n")
+        result = runner.invoke(main, [
+            "train", "--cube", str(scene / "scene.hdr"), "--mode", "supervised",
+            "--roi", str(roi), "--out", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 3
+        assert result.output == "invalid-dataset-error: no ROI pixels carry reference spectra\n"
 
     def test_supervised_without_roi_is_config_error(self, tmp_path, runner):
         scene = make_scene(tmp_path, runner)
@@ -332,6 +343,23 @@ class TestSimulateAndEval:
         assert values and all(np.isfinite(v) for v in values)
         # Trained on noise-free truth spectra the per-pixel fit must be good.
         assert float(np.median(values)) < 1.0
+
+
+    def test_eval_reference_band_mismatch_is_data_error(self, tmp_path, runner):
+        scene = make_scene(tmp_path, runner)
+        model = tmp_path / "model.json"
+        write_model(model, LinearProfile(np.zeros(16)), SolverConfig("rk4", 8), None)
+        ref = tmp_path / "ref.csv"
+        write_spectrum_csv(ref, WavelengthGrid.linear(8), Spectrum(np.full(8, 0.5), "reflectance"))
+        roi = tmp_path / "roi.csv"
+        roi.write_text(f"field,0,0,{ref}\nfield,1,1,{ref}\n")
+        result = runner.invoke(main, [
+            "eval", "--model", str(model), "--cube", str(scene / "scene.hdr"),
+            "--roi", str(roi), "--out", str(tmp_path / "metrics.csv"),
+        ])
+        assert result.exit_code == 3
+        assert result.output.startswith("invalid-dataset-error: reference spectrum for region 'field' has 8")
+        assert not (tmp_path / "metrics.csv").exists()
 
 
 class TestReportCommand:

@@ -221,6 +221,30 @@ class TestRowBlocks:
         with pytest.raises(ShapeError, match="outside"):
             open_envi(hdr).pixels([(2, 0)])
 
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_pixel_is_one_read_that_checks_only_its_values(self, tmp_path, monkeypatch, caplog, interleave):
+        hdr, img, dtype = self.write_raw(tmp_path, interleave, "f8", 0)
+        order = FILE_ORDER[interleave]
+        raw = np.fromfile(img, dtype=dtype, offset=self.HEADER_OFFSET)
+        canonical = raw.reshape([(self.ROWS, self.COLS, self.BANDS)[a] for a in order]).transpose(np.argsort(order))
+        # Both lie in the file span that covers pixel (3, 1) in BSQ and BIL,
+        # outside the pixel itself (in BIP the pixel is its own span).
+        canonical[3, 2, 0] = np.nan
+        canonical[3, 0, 1] = -1.0
+        img.write_bytes(b"\x7f" * self.HEADER_OFFSET + raw.tobytes())
+        ref = self.reference(img, interleave, dtype, "f8")
+
+        reads = []
+        read_exact = envi._read_exact
+        monkeypatch.setattr(envi, "_read_exact", lambda f, offset, buf: (reads.append(offset), read_exact(f, offset, buf)))
+        cube = open_envi(hdr)
+        caplog.clear()  # open_envi warns that the header has no wavelengths
+        with caplog.at_level(logging.WARNING, logger="dinsat.envi"):
+            out = cube.pixels([(3, 1), (6, 2)])
+        np.testing.assert_array_equal(out, ref[[3, 6], [1, 2]])
+        assert len(reads) == 2  # one read per pixel
+        assert not caplog.records  # nothing clamped
+
 
 class TestRadianceChecks:
     def write_cube(self, tmp_path, data):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dinsat.correction import correct_pixel
+from dinsat.envi import open_envi, write_envi
 from dinsat.errors import ConfigError
 from dinsat.ode import SolverConfig
 from dinsat.synth import SynthSpec, sample_pixels, synth_scene
@@ -80,18 +81,30 @@ class TestSynthScene:
 class TestSamplePixels:
     def test_distinct_and_in_bounds(self):
         cube, truth = synth_scene(SynthSpec(**SMALL), seed=5)
-        samples = sample_pixels(cube, truth, 20, seed=3)
-        coords = {(s.row, s.col) for s in samples}
+        coords, _, _ = sample_pixels(cube, truth, 20, seed=3)
+        assert coords.shape == (20, 2)
+        coords = {(r, c) for r, c in coords.tolist()}
         assert len(coords) == 20
         assert all(0 <= r < 8 and 0 <= c < 8 for r, c in coords)
 
     def test_truth_pairing(self):
         cube, truth = synth_scene(SynthSpec(**SMALL), seed=5)
-        for s in sample_pixels(cube, truth, 5, seed=0):
-            np.testing.assert_array_equal(s.truth_rho.values, truth.rho[s.row, s.col])
-            np.testing.assert_array_equal(s.l4.values, cube.data[s.row, s.col])
+        coords, l4, rho = sample_pixels(cube, truth, 5, seed=0)
+        for (r, c), l4_row, rho_row in zip(coords, l4, rho):
+            np.testing.assert_array_equal(rho_row, truth.rho[r, c])
+            np.testing.assert_array_equal(l4_row, cube.data[r, c])
 
     def test_oversampling_rejected(self):
         cube, truth = synth_scene(SynthSpec(**SMALL), seed=5)
         with pytest.raises(ConfigError):
             sample_pixels(cube, truth, 65, seed=0)
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_envi_cube_matches_in_memory_cube(self, tmp_path, interleave):
+        cube, _ = synth_scene(SynthSpec(**SMALL), seed=5)
+        write_envi(cube, tmp_path / "scene.hdr", interleave=interleave, data_type=5)
+        coords, l4, rho = sample_pixels(cube, None, 20, seed=3)
+        envi_coords, envi_l4, _ = sample_pixels(open_envi(tmp_path / "scene.hdr"), None, 20, seed=3)
+        assert rho is None
+        np.testing.assert_array_equal(envi_coords, coords)
+        np.testing.assert_array_equal(envi_l4, l4)

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from dinsat import autodiff as ad
 from dinsat.correction import SceneNormalization
-from dinsat.errors import ConfigError, InvalidDatasetError
+from dinsat.errors import ConfigError, InvalidDatasetError, ShapeError
 from dinsat.ode import SolverConfig, ode_solve
 from dinsat.synth import SynthSpec, sample_pixels, synth_scene
 from dinsat.training import (
@@ -20,7 +20,7 @@ from dinsat.training import (
     unsupervised_loss_terms,
 )
 from dinsat.transmission import LinearProfile, NonlinearProfile, softplus_inverse
-from dinsat.types import PixelSample, Spectrum
+from dinsat.types import Spectrum
 
 CFG = SolverConfig("rk4", 16)
 
@@ -29,9 +29,9 @@ def identity_model(n):
     return LinearProfile(np.full(n, -40.0))
 
 
-def pix(values, truth=None):
-    truth_s = Spectrum(np.asarray(truth, float), "reflectance") if truth is not None else None
-    return PixelSample(0, 0, Spectrum(np.asarray(values, float), "radiance"), truth_s)
+def rows(*pixels):
+    """An (n, bands) array with one row per pixel."""
+    return np.array(pixels, dtype=float)
 
 
 def discrete_transmittance_alpha(target, cfg):
@@ -46,17 +46,16 @@ class TestSupervisedLoss:
     def test_perfect_fit_is_zero(self):
         # Identity model + identity norm: rho_hat equals l4 exactly.
         n = 4
-        samples = [pix([0.1, 0.4, 0.9, 0.2], truth=[0.1, 0.4, 0.9, 0.2])]
-        loss = supervised_loss(identity_model(n), SceneNormalization.identity(n), samples, CFG)
+        l4 = rho = rows([0.1, 0.4, 0.9, 0.2])
+        loss = supervised_loss(identity_model(n), SceneNormalization.identity(n), l4, rho, CFG)
         assert float(ad.value_of(loss)) == 0.0
 
     def test_constant_offset_unit_value(self):
         # rho_hat = rho + 0.1 everywhere: L_MSE = 0.01 and the FD term, which
         # only sees band-to-band differences, annihilates the constant offset.
-        rho = np.array([0.1, 0.5, 0.3, 0.8])
-        samples = [pix(rho + 0.1, truth=rho)]
+        rho = rows([0.1, 0.5, 0.3, 0.8])
         loss, parts = supervised_loss_terms(
-            identity_model(4), SceneNormalization.identity(4), samples, CFG, fd_weight=1.0
+            identity_model(4), SceneNormalization.identity(4), rho + 0.1, rho, CFG, fd_weight=1.0
         )
         assert parts["mse"] == pytest.approx(0.01, abs=1e-12)
         assert parts["fd"] == pytest.approx(0.0, abs=1e-12)
@@ -65,22 +64,21 @@ class TestSupervisedLoss:
     def test_swapped_bands_unit_value(self):
         # One pixel, two bands, rho=[0,1], rho_hat=[1,0]:
         # L_MSE = (1+1)/2 = 1, L_FD = ((-1)-(1))^2 = 4, total 5.
-        samples = [pix([1.0, 0.0], truth=[0.0, 1.0])]
-        loss = supervised_loss(identity_model(2), SceneNormalization.identity(2), samples, CFG)
+        loss = supervised_loss(
+            identity_model(2), SceneNormalization.identity(2), rows([1.0, 0.0]), rows([0.0, 1.0]), CFG
+        )
         assert float(ad.value_of(loss)) == pytest.approx(5.0, abs=1e-12)
 
     def test_fd_invariant_to_per_pixel_constants(self):
         rng = np.random.default_rng(0)
         # Keep l4 positive so the negative-radiance clamp never engages.
         rho = rng.uniform(0.3, 0.9, (3, 6))
-        shifts = rng.uniform(-0.2, 0.2, 3)
-        base = [pix(rho[i], truth=rho[i] * 0.9) for i in range(3)]
-        shifted = [
-            pix(rho[i] + shifts[i], truth=rho[i] * 0.9 + shifts[i]) for i in range(3)
-        ]
+        shifts = rng.uniform(-0.2, 0.2, 3)[:, None]
         norm = SceneNormalization.identity(6)
-        _, parts_a = supervised_loss_terms(identity_model(6), norm, base, CFG, 1.0)
-        _, parts_b = supervised_loss_terms(identity_model(6), norm, shifted, CFG, 1.0)
+        _, parts_a = supervised_loss_terms(identity_model(6), norm, rho, rho * 0.9, CFG, 1.0)
+        _, parts_b = supervised_loss_terms(
+            identity_model(6), norm, rho + shifts, rho * 0.9 + shifts, CFG, 1.0
+        )
         assert parts_b["fd"] == pytest.approx(parts_a["fd"], abs=1e-12)
 
 
@@ -91,21 +89,19 @@ class TestUnsupervisedLoss:
         alpha = discrete_transmittance_alpha(0.7, CFG)
         model = LinearProfile(softplus_inverse(np.full(2, alpha)))
         f = ode_solve(lambda L: -(model.alpha * L), np.ones(2), CFG)
-        samples = [pix(0.5 * f * f)]
-        loss = unsupervised_loss(model, SceneNormalization.identity(2), samples, CFG)
+        loss = unsupervised_loss(model, SceneNormalization.identity(2), rows(0.5 * f * f), CFG)
         assert float(ad.value_of(loss)) == pytest.approx(0.012, abs=1e-12)
 
     def test_flat_spectrum_has_zero_fd(self):
-        samples = [pix([0.3, 0.3, 0.3])]
         _, parts = unsupervised_loss_terms(
-            identity_model(3), SceneNormalization.identity(3), samples, CFG, 1e-2, 1e-2, 1.0
+            identity_model(3), SceneNormalization.identity(3), rows([0.3, 0.3, 0.3]), CFG,
+            1e-2, 1e-2, 1.0,
         )
         assert parts["fd"] == 0.0
 
     def test_all_zero_weights(self):
-        samples = [pix([0.2, 0.9])]
         loss = unsupervised_loss(
-            identity_model(2), SceneNormalization.identity(2), samples, CFG,
+            identity_model(2), SceneNormalization.identity(2), rows([0.2, 0.9]), CFG,
             rho_weight=0.0, transmission_weight=0.0, slope_weight=0.0,
         )
         assert float(ad.value_of(loss)) == 0.0
@@ -119,10 +115,8 @@ class TestLossGradients:
         n = 4
         cfg = SolverConfig("rk4", 8)
         norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.3)
-        samples = [
-            pix(norm.c + rng.uniform(0.1, 1.0, n), truth=rng.uniform(0, 1, n))
-            for _ in range(2)
-        ]
+        pairs = [(norm.c + rng.uniform(0.1, 1.0, n), rng.uniform(0, 1, n)) for _ in range(2)]
+        l4, rho = rows(*(p[0] for p in pairs)), rows(*(p[1] for p in pairs))
         if kind == "linear":
             model = LinearProfile.initialize(n, rng)
         else:
@@ -130,8 +124,8 @@ class TestLossGradients:
 
         def loss_fn(params):
             if mode == "supervised":
-                return supervised_loss(model, norm, samples, cfg, 1.0, params)
-            return unsupervised_loss(model, norm, samples, cfg, params=params)
+                return supervised_loss(model, norm, l4, rho, cfg, 1.0, params)
+            return unsupervised_loss(model, norm, l4, cfg, params=params)
 
         p0 = model.params.copy()
         tape = ad.Tape()
@@ -149,10 +143,10 @@ class TestLossGradients:
         rng = np.random.default_rng(4)
         n = 126
         norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.3)
-        samples = [pix(norm.c + rng.uniform(0.1, 1.0, n)) for _ in range(8)]
+        l4 = rows(*(norm.c + rng.uniform(0.1, 1.0, n) for _ in range(8)))
         model = LinearProfile.initialize(n, rng)
         tape = ad.Tape()
-        ad.backward(unsupervised_loss(model, norm, samples, CFG, params=tape.leaf(model.params)))
+        ad.backward(unsupervised_loss(model, norm, l4, CFG, params=tape.leaf(model.params)))
         assert len(tape.nodes) <= 32
 
     def test_nonlinear_supervised_tape_is_small(self):
@@ -161,13 +155,11 @@ class TestLossGradients:
         rng = np.random.default_rng(5)
         n = 126
         norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.3)
-        samples = [
-            pix(norm.c + rng.uniform(0.1, 1.0, n), truth=rng.uniform(0, 1, n))
-            for _ in range(8)
-        ]
+        pairs = [(norm.c + rng.uniform(0.1, 1.0, n), rng.uniform(0, 1, n)) for _ in range(8)]
+        l4, rho = rows(*(p[0] for p in pairs)), rows(*(p[1] for p in pairs))
         model = NonlinearProfile.initialize(n, rng)
         tape = ad.Tape()
-        ad.backward(supervised_loss(model, norm, samples, CFG, params=tape.leaf(model.params)))
+        ad.backward(supervised_loss(model, norm, l4, rho, CFG, params=tape.leaf(model.params)))
         assert len(tape.nodes) <= 1000
 
 
@@ -183,26 +175,27 @@ class TestTrain:
             train(TrainConfig(mode="unsupervised", max_epochs=1), [], SceneNormalization.identity(2))
 
     def test_supervised_requires_truth(self):
-        samples = [pix([0.2, 0.4]) for _ in range(20)]
+        l4 = np.tile([0.2, 0.4], (20, 1))
         with pytest.raises(InvalidDatasetError):
-            train(TrainConfig(max_epochs=1), samples, SceneNormalization.identity(2))
+            train(TrainConfig(max_epochs=1), l4, SceneNormalization.identity(2))
 
     def test_identical_seeds_identical_histories(self):
         cube, truth = tiny_scene()
-        samples = sample_pixels(cube, truth, 30, seed=1)
+        _, l4, rho = sample_pixels(cube, truth, 30, seed=1)
         config = TrainConfig(max_epochs=12, solver=SolverConfig("rk4", 8), seed=5)
-        a = train(config, samples, truth.norm)
-        b = train(config, samples, truth.norm)
+        a = train(config, l4, truth.norm, rho)
+        b = train(config, l4, truth.norm, rho)
         assert a.history == b.history
         np.testing.assert_array_equal(a.params, b.params)
 
     def test_best_so_far_train_loss_monotone(self):
         cube, truth = tiny_scene()
-        samples = sample_pixels(cube, truth, 30, seed=2)
+        _, l4, rho = sample_pixels(cube, truth, 30, seed=2)
         run = train(
             TrainConfig(max_epochs=60, solver=SolverConfig("rk4", 8), seed=0),
-            samples,
+            l4,
             truth.norm,
+            rho,
         )
         best = np.minimum.accumulate([h["train_loss"] for h in run.history])
         assert np.all(np.diff(best) <= 0)
@@ -211,9 +204,9 @@ class TestTrain:
         # Known linear scene, truth norm: alpha per band within 5% wherever
         # the true transmittance exceeds 0.05.
         cube, truth = tiny_scene()
-        samples = sample_pixels(cube, truth, 40, seed=3)
+        _, l4, rho = sample_pixels(cube, truth, 40, seed=3)
         config = TrainConfig(max_epochs=3000, solver=SolverConfig("rk4", 8), seed=1)
-        run = train(config, samples, truth.norm)
+        run = train(config, l4, truth.norm, rho)
         alpha_hat = run.model(cube.n_bands).alpha
         visible = np.exp(-truth.alpha) > 0.05
         rel = np.abs(alpha_hat - truth.alpha) / truth.alpha
@@ -224,7 +217,7 @@ class TestTrain:
         # With the cyclic GC off, a tape still holding its nodes would stay
         # alive; train must free each epoch's tape by reference counting.
         cube, truth = tiny_scene()
-        samples = sample_pixels(cube, truth, 20, seed=5)
+        _, l4, rho = sample_pixels(cube, truth, 20, seed=5)
         config = TrainConfig(
             model_kind="nonlinear", max_epochs=5, solver=SolverConfig("rk4", 4), seed=0
         )
@@ -236,7 +229,7 @@ class TestTrain:
         gc.disable()
         try:
             before = live_tapes()
-            run = train(config, samples, truth.norm)
+            run = train(config, l4, truth.norm, rho)
             after = live_tapes()
         finally:
             gc.enable()
@@ -245,11 +238,11 @@ class TestTrain:
 
     def test_unsupervised_loss_drops_ten_percent(self):
         cube, truth = tiny_scene()
-        samples = sample_pixels(cube, truth, 40, seed=4, with_truth=False)
+        _, l4, _ = sample_pixels(cube, truth, 40, seed=4, with_truth=False)
         config = TrainConfig(
             mode="unsupervised", max_epochs=50, solver=SolverConfig("rk4", 8), seed=0
         )
-        run = train(config, samples, truth.norm)
+        run = train(config, l4, truth.norm)
         losses = [h["train_loss"] for h in run.history]
         assert min(losses) <= 0.9 * losses[0]
 
@@ -257,28 +250,28 @@ class TestTrain:
 class TestEnsemble:
     def test_single_run_aggregates_match(self):
         cube, truth = tiny_scene()
-        samples = sample_pixels(cube, truth, 30, seed=5)
+        _, l4, rho = sample_pixels(cube, truth, 30, seed=5)
         config = TrainConfig(max_epochs=20, solver=SolverConfig("rk4", 8), seed=2)
-        result = ensemble(config, samples, truth.norm, n_runs=1)
+        result = ensemble(config, l4, truth.norm, n_runs=1, rho=rho)
         assert len(result.completed) == 1
         np.testing.assert_array_equal(result.transmittance_std, 0.0)
         np.testing.assert_array_equal(result.roi_reflectance_std, 0.0)
 
     def test_deterministic_aggregates(self):
         cube, truth = tiny_scene()
-        samples = sample_pixels(cube, truth, 30, seed=5)
+        _, l4, rho = sample_pixels(cube, truth, 30, seed=5)
         config = TrainConfig(max_epochs=10, solver=SolverConfig("rk4", 8), seed=2)
-        a = ensemble(config, samples, truth.norm, n_runs=2)
-        b = ensemble(config, samples, truth.norm, n_runs=2)
+        a = ensemble(config, l4, truth.norm, n_runs=2, rho=rho)
+        b = ensemble(config, l4, truth.norm, n_runs=2, rho=rho)
         np.testing.assert_array_equal(a.transmittance_mean, b.transmittance_mean)
         np.testing.assert_array_equal(a.roi_reflectance_mean, b.roi_reflectance_mean)
 
     def test_process_parallel_matches_serial(self):
         cube, truth = tiny_scene()
-        samples = sample_pixels(cube, truth, 30, seed=5)
+        _, l4, rho = sample_pixels(cube, truth, 30, seed=5)
         config = TrainConfig(max_epochs=8, solver=SolverConfig("rk4", 8), seed=2)
-        serial = ensemble(config, samples, truth.norm, n_runs=2, workers=1)
-        parallel = ensemble(config, samples, truth.norm, n_runs=2, workers=2)
+        serial = ensemble(config, l4, truth.norm, n_runs=2, rho=rho, workers=1)
+        parallel = ensemble(config, l4, truth.norm, n_runs=2, rho=rho, workers=2)
         np.testing.assert_array_equal(
             serial.transmittance_mean, parallel.transmittance_mean
         )
@@ -291,22 +284,22 @@ class TestEnsemble:
 class TestEvaluate:
     def test_truth_model_near_zero_error(self):
         cube, truth = tiny_scene()
-        samples = sample_pixels(cube, truth, 25, seed=6)
-        metrics = evaluate(truth.profile, truth.norm, samples, SolverConfig("rk4", 64))
+        _, l4, rho = sample_pixels(cube, truth, 25, seed=6)
+        metrics = evaluate(truth.profile, truth.norm, l4, SolverConfig("rk4", 64), rho=rho)
         assert metrics["reflectance_percent_mse"] < 0.01
 
     def test_identity_model_strictly_worse(self):
         cube, truth = tiny_scene()
-        samples = sample_pixels(cube, truth, 25, seed=6)
+        _, l4, rho = sample_pixels(cube, truth, 25, seed=6)
         cfg = SolverConfig("rk4", 16)
-        good = evaluate(truth.profile, truth.norm, samples, cfg)
-        bad = evaluate(identity_model(cube.n_bands), truth.norm, samples, cfg)
+        good = evaluate(truth.profile, truth.norm, l4, cfg, rho=rho)
+        bad = evaluate(identity_model(cube.n_bands), truth.norm, l4, cfg, rho=rho)
         assert bad["reflectance_percent_mse"] > good["reflectance_percent_mse"]
 
     def test_missing_inputs_warn(self):
         cube, truth = tiny_scene()
-        samples = sample_pixels(cube, truth, 5, seed=0, with_truth=False)
-        metrics = evaluate(truth.profile, truth.norm, samples, SolverConfig("rk4", 8))
+        _, l4, rho = sample_pixels(cube, truth, 5, seed=0, with_truth=False)
+        metrics = evaluate(truth.profile, truth.norm, l4, SolverConfig("rk4", 8), rho=rho)
         assert "reflectance_percent_mse" not in metrics
         assert metrics["warnings"]
 
@@ -314,9 +307,43 @@ class TestEvaluate:
         cube, truth = tiny_scene()
         # A homogeneous ROI: every sample is the same pixel, the library
         # spectrum is its true reflectance, so simulation must match closely.
-        samples = [PixelSample(4, 4, cube.pixel(4, 4), None)] * 3
+        l4 = cube.pixels([(4, 4)] * 3)
         library = Spectrum(truth.rho[4, 4], "reflectance")
         metrics = evaluate(
-            truth.profile, truth.norm, samples, SolverConfig("rk4", 64), library=library
+            truth.profile, truth.norm, l4, SolverConfig("rk4", 64), library=library
         )
         assert metrics["radiance_percent_mse"] < 0.01
+
+
+class TestPixelArrayChecks:
+    """train and evaluate reject malformed (n, bands) pixel arrays up front."""
+
+    @staticmethod
+    def bad_inputs(case):
+        l4 = np.full((6, 3), 0.5)
+        rho = np.full((6, 3), 0.4)
+        if case == "nan-l4":
+            l4[2, 1] = np.nan
+        elif case == "inf-rho":
+            rho[0, 0] = np.inf
+        elif case == "neg-inf-rho":
+            rho[5, 2] = -np.inf
+        elif case == "shape-mismatch":
+            rho = rho[:, :2]
+        elif case == "1d-l4":
+            l4, rho = l4[0], None
+        return l4, rho
+
+    CASES = ["nan-l4", "inf-rho", "neg-inf-rho", "shape-mismatch", "1d-l4"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_train_rejects(self, case):
+        l4, rho = self.bad_inputs(case)
+        with pytest.raises(ShapeError):
+            train(TrainConfig(max_epochs=1), l4, SceneNormalization.identity(3), rho)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_evaluate_rejects(self, case):
+        l4, rho = self.bad_inputs(case)
+        with pytest.raises(ShapeError):
+            evaluate(identity_model(3), SceneNormalization.identity(3), l4, CFG, rho=rho)

@@ -2,21 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dinsat.errors import ConfigError, EmptyInputError, ShapeError
+from dinsat.errors import ConfigError, ShapeError
 from dinsat.types import (
     DatasetSplit,
-    PixelSample,
+    HyperCube,
     Spectrum,
     WavelengthGrid,
     percent_mse,
-    roi_mean_spectrum,
     split_dataset,
 )
-
-
-def _sample(values, truth=None):
-    truth_s = Spectrum(truth, "reflectance") if truth is not None else None
-    return PixelSample(0, 0, Spectrum(values, "radiance"), truth_s)
 
 
 class TestWavelengthGrid:
@@ -74,38 +68,6 @@ class TestSplitDataset:
             DatasetSplit((0, 1), (1, 2), (3,))
 
 
-class TestRoiMeanSpectrum:
-    def test_two_pixel_mean(self):
-        out = roi_mean_spectrum([_sample([0.2, 0.4]), _sample([0.4, 0.6])])
-        np.testing.assert_allclose(out.values, [0.3, 0.5])
-
-    def test_single_pixel_identity(self):
-        out = roi_mean_spectrum([_sample([0.1, 0.9, 0.5])])
-        np.testing.assert_allclose(out.values, [0.1, 0.9, 0.5])
-
-    def test_constant_input(self):
-        out = roi_mean_spectrum([_sample([0.3, 0.7])] * 3)
-        np.testing.assert_allclose(out.values, [0.3, 0.7])
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            roi_mean_spectrum([])
-
-    def test_truth_field(self):
-        out = roi_mean_spectrum(
-            [_sample([1.0, 1.0], truth=[0.2, 0.6]), _sample([1.0, 1.0], truth=[0.4, 0.8])],
-            "truth_rho",
-        )
-        np.testing.assert_allclose(out.values, [0.3, 0.7])
-
-    @given(scale=st.floats(min_value=0.1, max_value=50.0))
-    def test_commutes_with_scalar_multiplication(self, scale):
-        pixels = [[0.2, 0.4], [0.4, 0.6], [0.1, 0.8]]
-        base = roi_mean_spectrum([_sample(p) for p in pixels]).values
-        scaled = roi_mean_spectrum([_sample(np.array(p) * scale) for p in pixels]).values
-        np.testing.assert_allclose(scaled, base * scale, rtol=1e-12)
-
-
 class TestPercentMse:
     def test_identity_is_zero(self):
         s = Spectrum(np.array([0.1, 0.5, 0.9]), "reflectance")
@@ -142,6 +104,17 @@ class TestSpectrumInvariants:
         with pytest.raises(ShapeError):
             Spectrum(np.array([1.0, np.nan]))
 
-    def test_truth_length_checked(self):
-        with pytest.raises(ShapeError):
-            PixelSample(0, 0, Spectrum(np.zeros(3), "radiance"), Spectrum(np.zeros(4), "reflectance"))
+
+class TestHyperCubePixels:
+    def test_rows_in_coordinate_order(self):
+        data = np.random.default_rng(1).uniform(0, 1, (3, 4, 2))
+        cube = HyperCube(WavelengthGrid.linear(2), data)
+        out = cube.pixels([(2, 3), (0, 0), (2, 3)])
+        np.testing.assert_array_equal(out, data[[2, 0, 2], [3, 0, 3]])
+        np.testing.assert_array_equal(out[1], cube.pixel(0, 0).values)
+
+    @pytest.mark.parametrize("coords", [[(3, 0)], [(0, 4)], [(0, 0), (-1, 2)]])
+    def test_outside_pixel_rejected(self, coords):
+        cube = HyperCube(WavelengthGrid.linear(2), np.zeros((3, 4, 2)))
+        with pytest.raises(ShapeError, match="outside the 3 x 4 cube"):
+            cube.pixels(coords)
