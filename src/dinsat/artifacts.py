@@ -12,9 +12,9 @@ import numpy as np
 from .correction import SceneNormalization
 from .errors import ConfigError, ParseError
 from .ode import SolverConfig
-from .training import TrainConfig, TrainRun
+from .training import TrainRun
 from .transmission import LinearProfile, NonlinearProfile, Profile
-from .types import DatasetSplit, Spectrum, Unit, WavelengthGrid
+from .types import Spectrum, Unit, WavelengthGrid
 
 MODEL_FORMAT = "dinsat-model"
 MODEL_VERSION = 1

@@ -21,7 +21,7 @@ from .transmission import transmittance_values
 from .errors import ConfigError, DinsatError, InvalidDatasetError
 from .ode import SolverConfig
 from .synth import SynthSpec, sample_pixels, synth_scene
-from .training import TrainConfig, default_workers, ensemble, evaluate
+from .training import TrainConfig, ensemble, evaluate
 
 
 def _fail_cleanly(fn):

@@ -1,4 +1,13 @@
-"""Differentiable fixed-step IVP solvers, forward and reverse in x."""
+"""Differentiable fixed-step IVP solvers, forward and reverse in x.
+
+A right-hand side is either a plain callable, stepped on whatever it returns
+(traced, every stage operation is then its own tape node), or a ``FusedRhs``:
+plain-array primitives for f(L) and for f(L) with its VJP. A fused solve runs
+the same in-place stepper as inference on plain arrays. Untraced, it builds no
+VJP closures. Traced, it keeps each stage's VJP and records the whole solve as
+one tape node whose VJP sweeps the steps in reverse (the discrete adjoint of
+the stepper, so its gradients are those of the unrolled steps).
+"""
 
 from __future__ import annotations
 
@@ -33,6 +42,30 @@ class SolverConfig:
             raise ConfigError("integration interval is empty")
 
 
+@dataclass(frozen=True)
+class FusedRhs:
+    """f(L; params) given as plain-array primitives.
+
+    ``value(L)`` returns f(L). ``value_and_vjp(L)`` returns f(L) and
+    ``vjp(g) -> (g_L, g_params)``, whose cotangents are shaped like L and like
+    the parameter values. Called on a traced L, or with traced ``params``, the
+    rhs is one tape node over (L, params); otherwise it returns a plain array.
+    """
+
+    params: object
+    value: Callable
+    value_and_vjp: Callable
+
+    def traced(self, L) -> bool:
+        return isinstance(L, ad.Var) or isinstance(self.params, ad.Var)
+
+    def __call__(self, L):
+        if not self.traced(L):
+            return self.value(np.asarray(L, float))
+        value, vjp = self.value_and_vjp(ad.value_of(L))
+        return ad.node(value, (L, self.params), vjp)
+
+
 def _euler_step(rhs, y, h):
     return y + h * rhs(y)
 
@@ -62,28 +95,77 @@ def _rk4_step(rhs, y, h):
     return acc
 
 
-_STEPPERS = {"euler": _euler_step, "rk4": _rk4_step}
+def _euler_step_vjp(vjps, h, g):
+    """(g_y, g_params) of one ``_euler_step`` from the cotangent g of its output."""
+    (vjp,) = vjps
+    g_s, g_p = vjp(g * h)
+    return g + g_s, g_p
+
+
+def _rk4_step_vjp(vjps, h, g):
+    """(g_y, g_params) of one ``_rk4_step`` from the cotangent g of its output.
+
+    ``vjps`` are the stages' rhs VJPs in forward order. Sweeping back from k4,
+    each stage input s_j = y + c_j k_(j-1) passes its cotangent to y and, times
+    c_j, to k_(j-1), on top of k_(j-1)'s weight in the output.
+    """
+    vjp1, vjp2, vjp3, vjp4 = vjps
+    g_s, g_p = vjp4(g * (h / 6.0))
+    g_y = g + g_s
+    for vjp, weight, c in ((vjp3, h / 3.0, h), (vjp2, h / 3.0, h / 2.0), (vjp1, h / 6.0, h / 2.0)):
+        g_s, g_stage = vjp(g * weight + g_s * c)
+        g_y += g_s
+        g_p = g_p + g_stage
+    return g_y, g_p
+
+
+# (stepper, stage count, step VJP) of each method.
+_STEPPERS = {"euler": (_euler_step, 1, _euler_step_vjp), "rk4": (_rk4_step, 4, _rk4_step_vjp)}
 
 
 def _integrate(rhs, y0, x_start, x_stop, config: SolverConfig, guard: float | None):
-    step = _STEPPERS[config.method]
+    step, n_stages, step_vjp = _STEPPERS[config.method]
     h = (x_stop - x_start) / config.steps
-    y = y0
+    stage_vjps = None
+    if not isinstance(rhs, FusedRhs):
+        f, y = rhs, y0
+    elif not rhs.traced(y0):
+        f, y = rhs.value, np.asarray(y0, float)
+    else:
+        stage_vjps = []
+
+        def f(L):
+            value, vjp = rhs.value_and_vjp(L)
+            stage_vjps.append(vjp)
+            return value
+
+        y = ad.value_of(y0)
     for i in range(config.steps):
-        y = step(rhs, y, h)
+        y = step(f, y, h)
         vals = ad.value_of(y)
         if not np.all(np.isfinite(vals)):
             raise NumericError(f"non-finite state at integration step {i}")
         if guard is not None and np.max(np.abs(vals)) > guard:
             raise NumericError(f"state diverged (>{guard:g}) at integration step {i}")
-    return y
+    if stage_vjps is None:
+        return y
+
+    def vjp(g):
+        g_p = 0.0
+        for i in reversed(range(config.steps)):
+            g, g_step = step_vjp(stage_vjps[i * n_stages : (i + 1) * n_stages], h, g)
+            g_p = g_p + g_step
+        return g, g_p
+
+    return ad.node(y, (y0, rhs.params), vjp)
 
 
 def ode_solve(rhs: Callable, l_init, config: SolverConfig = SolverConfig()):
     """Integrate dL/dx = rhs(L) from x0 to x_end with uniform steps.
 
     l_init may be a (n_bands,) vector or a (batch, n_bands) matrix, traced or
-    plain; gradients flow through to the rhs parameters and to l_init.
+    plain; gradients flow through to the rhs parameters and to l_init. With a
+    traced ``FusedRhs`` the whole solve is one tape node.
     """
     return _integrate(rhs, l_init, config.x0, config.x_end, config, guard=None)
 

@@ -349,10 +349,15 @@ def _run_member(args) -> TrainRun:
 
 
 def default_workers() -> int:
+    """Process count from ``DINSAT_THREADS`` (at least 1; 1 when unset).
+
+    Raises ConfigError when the variable is set to something not an integer.
+    """
+    value = os.environ.get("DINSAT_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("DINSAT_THREADS", "1")))
+        return max(1, int(value))
     except ValueError:
-        return 1
+        raise ConfigError(f"DINSAT_THREADS must be an integer, got {value!r}") from None
 
 
 def ensemble(

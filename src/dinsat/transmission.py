@@ -15,12 +15,15 @@ factor P(z)^n, recorded as a single tape node with its analytic derivative:
 the same map and the same gradients as stepping the solver n times. T is a
 multiplication by that factor and T^-1 an exact division, so round trips are
 exact up to float rounding. The nonlinear profile integrates with the stepped
-solvers in ``ode``, forward and backward in x. Its right-hand side unpacks the
-encoder and decoder weights once per solve; traced, each evaluation is one
-tape node with a hand-written VJP (product rule, then the decoder and encoder
-backprop of ``mlp``), so the tape holds one node per stage rather than one per
-slice, matmul, bias and sigmoid. Untraced, it is plain numpy: the sigmoids are
+solvers in ``ode``, forward and backward in x. Its right-hand side is an
+``ode.FusedRhs`` that unpacks the encoder and decoder weights once per solve:
+plain-numpy primitives for f(L) and for f(L) with a hand-written VJP (product
+rule, then the decoder and encoder backprop of ``mlp``). The sigmoids are
 ``autodiff.logistic``, and the product and its sign are computed in one array.
+Untraced, a solve steps f(L) alone. Traced, the whole solve, forward or
+inverse, is one tape node whose VJP sweeps the stored stage VJPs in reverse:
+the exact gradients of the unrolled steps, with no node per stage, slice,
+matmul, bias or sigmoid.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, NumericError, ShapeError
 from .mlp import MlpLayout, glorot_init, layers_backward, layers_forward, unpack_params
-from .ode import SolverConfig, ode_solve, ode_solve_reverse
+from .ode import FusedRhs, SolverConfig, ode_solve, ode_solve_reverse
 from .types import Spectrum
 
 DEFAULT_HIDDEN = 12
@@ -194,12 +197,13 @@ class NonlinearProfile:
         params = np.concatenate([glorot_init(enc, rng), glorot_init(dec, rng)])
         return cls(params, n_bands, hidden, latent)
 
-    def rhs_from(self, params):
+    def rhs_from(self, params) -> FusedRhs:
         """f(L) = -sigmoid(dec(enc(L))) * L with the weights unpacked once per solve.
 
         Plain inputs give a plain array. With params or L traced, each call is
         one tape node whose VJP applies the product rule and backprops through
-        the decoder, then the encoder, by hand.
+        the decoder, then the encoder, by hand; ``ode`` steps the same
+        primitives to record a whole solve as one node.
         """
         n_enc = self.encoder_layout.n_params
         pv = ad.value_of(params)
@@ -207,8 +211,7 @@ class NonlinearProfile:
         dec = unpack_params(pv[n_enc:], self.decoder_layout)
         n_bands = self.n_bands
 
-        def rhs(L):
-            Lv = ad.value_of(L)
+        def forward(Lv):
             if Lv.shape[-1] != n_bands:
                 raise ShapeError(f"input has {Lv.shape[-1]} bands, profile {n_bands}")
             enc_acts = layers_forward(enc, Lv)
@@ -216,15 +219,19 @@ class NonlinearProfile:
             decay = ad.logistic(dec_acts[-1])
             value = decay * Lv
             np.negative(value, out=value)
+            return value, enc_acts, dec_acts, decay
+
+        def value_and_vjp(Lv):
+            value, enc_acts, dec_acts, decay = forward(Lv)
 
             def vjp(g):
                 g_z, g_dec = layers_backward(dec, dec_acts, -g * Lv * (decay * (1.0 - decay)))
                 g_L, g_enc = layers_backward(enc, enc_acts, g_z)
                 return g_L - g * decay, np.concatenate([g_enc, g_dec])
 
-            return ad.node(value, (L, params), vjp)
+            return value, vjp
 
-        return rhs
+        return FusedRhs(params, lambda Lv: forward(Lv)[0], value_and_vjp)
 
     def t1(self, params, solver: SolverConfig):
         """T applied to the all-ones spectrum."""

@@ -11,6 +11,7 @@ from dinsat.ode import SolverConfig, ode_solve
 from dinsat.synth import SynthSpec, sample_pixels, synth_scene
 from dinsat.training import (
     TrainConfig,
+    default_workers,
     ensemble,
     evaluate,
     supervised_loss,
@@ -279,6 +280,20 @@ class TestEnsemble:
     def test_zero_runs_rejected(self):
         with pytest.raises(ConfigError):
             ensemble(TrainConfig(), [], SceneNormalization.identity(2), n_runs=0)
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", ""])
+    def test_non_integer_thread_count_is_config_error(self, monkeypatch, value):
+        monkeypatch.setenv("DINSAT_THREADS", value)
+        with pytest.raises(ConfigError, match="DINSAT_THREADS"):
+            default_workers()
+
+    @pytest.mark.parametrize("value,expected", [(None, 1), ("3", 3), ("0", 1), (" 2 ", 2)])
+    def test_thread_count_from_environment(self, monkeypatch, value, expected):
+        if value is None:
+            monkeypatch.delenv("DINSAT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("DINSAT_THREADS", value)
+        assert default_workers() == expected
 
 
 class TestEvaluate:

@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from dinsat import autodiff as ad
+from dinsat.correction import SceneNormalization
 from dinsat.errors import ContractError, NumericError, ShapeError
 from dinsat.mlp import mlp_forward
 from dinsat.ode import SolverConfig, ode_solve
+from dinsat.training import supervised_loss
 from dinsat.transmission import (
     LinearProfile,
     NonlinearProfile,
@@ -127,6 +129,76 @@ class TestNonlinearFusedRhs:
         rhs = profile.rhs_from(ad.Tape().leaf(profile.params))
         with pytest.raises(ContractError):
             rhs(ad.Tape().leaf(np.ones(5)))
+
+
+class TestNonlinearFusedSolve:
+    """A traced nonlinear solve is one tape node with the discrete adjoint as its VJP."""
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)])
+    def test_gradients_match_finite_differences(self, method, direction, shape):
+        # L = rho * T(1), as in simulate_values: a traced state built from the
+        # params, plus a second leaf of its own.
+        rng = np.random.default_rng(14)
+        profile = NonlinearProfile.initialize(5, rng)
+        cfg = SolverConfig(method, 4)
+        rho0 = rng.uniform(0.1, 1.0, shape)
+        weights = rng.uniform(-1.0, 1.0, shape)
+        op = getattr(profile, direction)
+
+        def objective(params, rho):
+            return ad.sum(weights * op(params, rho * profile.t1(params, cfg), cfg))
+
+        tape = ad.Tape()
+        p_leaf = tape.leaf(profile.params.copy())
+        rho_leaf = tape.leaf(rho0.copy())
+        ad.backward(objective(p_leaf, rho_leaf))
+        fd_p = ad.finite_difference(lambda p: float(objective(p, rho0)), profile.params.copy())
+        fd_rho = ad.finite_difference(lambda r: float(objective(profile.params, r)), rho0.copy())
+        np.testing.assert_allclose(p_leaf.grad, fd_p, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(rho_leaf.grad, fd_rho, rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_solve_is_one_node(self, method):
+        profile = NonlinearProfile.initialize(5, np.random.default_rng(15))
+        tape = ad.Tape()
+        leaf = tape.leaf(profile.params.copy())
+        out = profile.forward(leaf, np.ones((2, 5)), SolverConfig(method, 16))
+        assert tape.nodes == [leaf, out]
+
+    @pytest.mark.parametrize("direction,L,match", [
+        ("forward", np.array([[0.5, np.nan, 0.5, 0.5]]), "non-finite state at integration step 0"),
+        # Zero weights give a decay of exactly 1/2: backward in x the state grows
+        # by e^(x/2) and crosses the overflow guard part-way through.
+        ("inverse", np.full(4, 9e11), r"state diverged \(>1e\+12\) at integration step [1-9]"),
+    ])
+    def test_traced_errors_equal_untraced(self, direction, L, match):
+        n_params = NonlinearProfile.initialize(4, np.random.default_rng(0)).params.size
+        profile = NonlinearProfile(np.zeros(n_params), 4)
+        op = getattr(profile, direction)
+        with pytest.raises(NumericError, match=match) as untraced:
+            op(profile.params, L, CFG)
+        with pytest.raises(NumericError) as traced:
+            op(ad.Tape().leaf(profile.params.copy()), L, CFG)
+        assert str(traced.value) == str(untraced.value)
+
+    def test_supervised_tape_size_independent_of_steps(self):
+        rng = np.random.default_rng(16)
+        n = 126
+        norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.3)
+        l4 = norm.c + rng.uniform(0.1, 1.0, (8, n))
+        rho = rng.uniform(0, 1, (8, n))
+        model = NonlinearProfile.initialize(n, rng)
+        counts = []
+        for steps in (4, 16):
+            tape = ad.Tape()
+            loss = supervised_loss(
+                model, norm, l4, rho, SolverConfig("rk4", steps), params=tape.leaf(model.params)
+            )
+            ad.backward(loss)
+            counts.append(len(tape.nodes))
+        assert counts[0] == counts[1] <= 40
 
 
 class TestTransmit:
