@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -18,6 +19,50 @@ from .types import Spectrum, Unit, WavelengthGrid
 
 MODEL_FORMAT = "dinsat-model"
 MODEL_VERSION = 1
+
+
+# -- reading files -----------------------------------------------------------
+
+def _read_text(path: Path, what: str, error=ParseError) -> str:
+    try:
+        return path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise error(f"cannot read {what} {path}: {e}") from e
+
+
+def _read_json(path: str | Path, what: str, build):
+    """``build(doc)`` for the JSON object ``doc`` in ``path``.
+
+    Raises ParseError naming the file when it is unreadable or not a JSON
+    object, or when ``build`` meets a missing key (KeyError) or an ill-typed
+    value (TypeError, ValueError).
+    """
+    path = Path(path)
+    try:
+        doc = json.loads(_read_text(path, what))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"cannot read {what} {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path} is not a {what}: expected a JSON object")
+    try:
+        return build(doc)
+    except KeyError as e:
+        raise ParseError(f"{path} is not a {what}: no {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{path}: bad {what}: {e}") from e
+
+
+def _number(value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _floats(value) -> np.ndarray:
+    """A JSON list of numbers as a float vector."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return np.array([_number(v) for v in value])
 
 
 # -- model artifacts ---------------------------------------------------------
@@ -45,27 +90,23 @@ def write_model(
 
 
 def read_model(path: str | Path) -> tuple[Profile, SolverConfig, Optional[WavelengthGrid]]:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ParseError(f"cannot read model artifact {path}: {e}") from e
-    if doc.get("format") != MODEL_FORMAT:
-        raise ParseError(f"{path} is not a model artifact")
-    params = np.array(doc["params"], dtype=float)
-    kind = doc.get("kind")
-    if kind == "linear":
-        model: Profile = LinearProfile(params)
-    elif kind == "nonlinear":
-        model = NonlinearProfile(
-            params, int(doc["n_bands"]), int(doc.get("hidden", 12)), int(doc.get("latent", 3))
-        )
-    else:
-        raise ParseError(f"{path}: unknown model kind {kind!r}")
-    solver = SolverConfig(**doc["solver"])
-    wl = doc.get("wavelengths_nm")
-    grid = WavelengthGrid(np.array(wl, float)) if wl else None
-    return model, solver, grid
+    def build(doc: dict):
+        if doc.get("format") != MODEL_FORMAT:
+            raise ParseError(f"{path} is not a model artifact")
+        n_bands, params = operator.index(doc["n_bands"]), _floats(doc["params"])
+        if doc.get("kind") == "linear":
+            model: Profile = LinearProfile(params)
+        elif doc.get("kind") == "nonlinear":
+            hidden, latent = operator.index(doc.get("hidden", 12)), operator.index(doc.get("latent", 3))
+            model = NonlinearProfile(params, n_bands, hidden, latent)
+        else:
+            raise ParseError(f"{path}: unknown model kind {doc.get('kind')!r}")
+        if model.n_bands != n_bands:
+            raise ParseError(f"{path}: n_bands is {n_bands}, the parameters give {model.n_bands}")
+        wl = doc.get("wavelengths_nm")
+        return model, SolverConfig(**doc["solver"]), WavelengthGrid(_floats(wl)) if wl else None
+
+    return _read_json(path, "model artifact", build)
 
 
 # -- CSV spectra -------------------------------------------------------------
@@ -82,10 +123,7 @@ def write_spectrum_csv(path: str | Path, grid: WavelengthGrid, spectrum: Spectru
 def read_spectrum_csv(path: str | Path, unit: Unit = "unitless") -> tuple[WavelengthGrid, Spectrum]:
     """Two-column CSV (wavelength_nm, value) with one header line."""
     path = Path(path)
-    try:
-        raw_lines = path.read_text().splitlines()
-    except OSError as e:
-        raise ParseError(f"cannot read spectrum {path}: {e}") from e
+    raw_lines = _read_text(path, "spectrum").splitlines()
     if not raw_lines:
         raise ParseError(f"{path}: empty spectrum file")
     wavelengths, values = [], []
@@ -122,10 +160,7 @@ def read_roi(
 ) -> RoiFile:
     """CSV rows: region_name,row,col[,reference_csv_path]."""
     path = Path(path)
-    try:
-        raw_lines = path.read_text().splitlines()
-    except OSError as e:
-        raise ParseError(f"cannot read ROI file {path}: {e}") from e
+    raw_lines = _read_text(path, "ROI file").splitlines()
     regions: dict[str, list[tuple[int, int]]] = {}
     references: dict[str, Path] = {}
     for lineno, line in enumerate(raw_lines, start=1):
@@ -162,10 +197,7 @@ def read_roi(
 
 def read_kv_config(path: str | Path) -> dict[str, str]:
     path = Path(path)
-    try:
-        raw_lines = path.read_text().splitlines()
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+    raw_lines = _read_text(path, "config", ConfigError).splitlines()
     out: dict[str, str] = {}
     for lineno, line in enumerate(raw_lines, start=1):
         line = line.strip()
@@ -186,11 +218,9 @@ def write_normalization(path: str | Path, norm: SceneNormalization) -> None:
 
 
 def read_normalization(path: str | Path) -> SceneNormalization:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ParseError(f"cannot read normalization {path}: {e}") from e
-    return SceneNormalization(np.array(doc["c"], float), float(doc["m"]))
+    return _read_json(
+        path, "normalization", lambda doc: SceneNormalization(_floats(doc["c"]), _number(doc["m"]))
+    )
 
 
 def write_run_record(
@@ -215,10 +245,16 @@ def write_run_record(
 
 
 def read_run_record(path: str | Path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ParseError(f"cannot read run record {path}: {e}") from e
+    """The record as a dict; ``transmittance`` and ``roi_reflectance`` are float vectors or None."""
+
+    def build(doc: dict) -> dict:
+        if not all(isinstance(e, dict) and {"epoch", "train_loss"} <= e.keys() for e in doc["history"]):
+            raise TypeError("history entries must be objects with epoch and train_loss")
+        for key in ("transmittance", "roi_reflectance"):
+            doc[key] = None if doc.get(key) is None else _floats(doc[key])
+        return doc
+
+    return _read_json(path, "run record", build)
 
 
 # -- synthetic truth sidecar -------------------------------------------------
@@ -245,7 +281,7 @@ def write_truth_sidecar(
 
 def read_truth_sidecar(path: str | Path) -> dict:
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    lines = [ln for ln in _read_text(path, "truth sidecar").splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ParseError(f"{path}: truth sidecar is empty")
     header = lines[0].split(",")

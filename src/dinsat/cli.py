@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration errors, 3 data/file errors,
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -43,95 +44,82 @@ def main():
 
 # -- helpers -----------------------------------------------------------------
 
-def _parse_absorption(raw: str):
-    bands = []
-    for part in raw.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split(":")
-        if len(pieces) != 3:
-            raise ConfigError(
-                f"absorption entry {part!r} must be center_nm:width_nm:depth"
-            )
-        bands.append(tuple(float(p) for p in pieces))
-    return tuple(bands)
+def _parse_absorption(raw: str) -> tuple:
+    entries = [part.split(":") for part in raw.split(";") if part.strip()]
+    if any(len(e) != 3 for e in entries):
+        raise ValueError("each entry must be center_nm:width_nm:depth")
+    return tuple(tuple(float(v) for v in e) for e in entries)
+
+
+def _split_fractions(raw: str) -> tuple[float, float, float]:
+    train, val, test = (float(v) for v in raw.split("/"))
+    return train, val, test
+
+
+def _convert(key: str, raw: str, parse):
+    try:
+        return parse(raw)
+    except ValueError as e:
+        raise ConfigError(f"{key} = {raw}: {e}") from None
+
+
+def _from_kv(cls, kv: dict[str, str], aliases: dict[str, str], parsers: dict):
+    """``cls`` from ``read_kv_config`` output: each key is a field, or its alias.
+
+    A value goes through its field's parser, or converts to the type of the
+    field's default. Raises ConfigError on any other key or a bad value.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, raw in kv.items():
+        name = aliases.get(key, None if key in aliases.values() else key)
+        parse = parsers.get(name)
+        if parse is None and name in fields and type(fields[name].default) in (int, float, str):
+            parse = type(fields[name].default)
+        if parse is None:
+            raise ConfigError(f"unknown {cls.__name__} key: {key!r}")
+        kwargs[name] = _convert(key, raw, parse)
+    return cls(**kwargs)
 
 
 def _synth_spec_from_file(path: str) -> SynthSpec:
-    kv = artifacts.read_kv_config(path)
-    kwargs = {}
-    int_keys = {"rows": "rows", "cols": "cols", "bands": "n_bands", "materials": "n_materials"}
-    float_keys = {
-        "wl_start_nm": "wl_start_nm",
-        "wl_end_nm": "wl_end_nm",
-        "baseline_alpha": "baseline_alpha",
-        "dark_level": "dark_level",
-        "illumination": "illumination",
-        "noise_std": "noise_std",
-    }
-    for key, value in kv.items():
-        if key in int_keys:
-            kwargs[int_keys[key]] = int(value)
-        elif key in float_keys:
-            kwargs[float_keys[key]] = float(value)
-        elif key == "absorption":
-            kwargs["absorption_bands"] = _parse_absorption(value)
-        else:
-            raise ConfigError(f"unknown synth spec key: {key!r}")
-    try:
-        return SynthSpec(**kwargs)
-    except TypeError as e:
-        raise ConfigError(str(e)) from e
+    aliases = {"bands": "n_bands", "materials": "n_materials", "absorption": "absorption_bands"}
+    return _from_kv(SynthSpec, artifacts.read_kv_config(path), aliases, {"absorption_bands": _parse_absorption})
 
 
-_TRAIN_INT_KEYS = ("max_epochs", "patience", "seed", "hidden", "latent")
-_TRAIN_FLOAT_KEYS = (
-    "lr",
-    "fd_weight",
-    "rho_weight",
-    "transmission_weight",
-    "slope_weight",
-    "rel_tol",
-)
+_SOLVER_ALIASES = {"solver_method": "method", "solver_steps": "steps"}
 
 
 def _train_config_from_file(path: str | None, **overrides) -> tuple[TrainConfig, float]:
-    """Returns (config, pixel_fraction) parsed from a flat key = value file."""
-    kwargs: dict = {}
-    solver_kwargs: dict = {}
-    pixel_fraction = 0.0005
-    if path:
-        for key, value in artifacts.read_kv_config(path).items():
-            if key in _TRAIN_INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _TRAIN_FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key in ("mode", "model_kind"):
-                kwargs[key] = value
-            elif key == "solver_method":
-                solver_kwargs["method"] = value
-            elif key == "solver_steps":
-                solver_kwargs["steps"] = int(value)
-            elif key == "split_fractions":
-                kwargs["split_fractions"] = tuple(float(v) for v in value.split("/"))
-            elif key == "pixel_fraction":
-                pixel_fraction = float(value)
-            else:
-                raise ConfigError(f"unknown training config key: {key!r}")
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    if solver_kwargs:
-        kwargs["solver"] = SolverConfig(**solver_kwargs)
-    config = TrainConfig(**kwargs)
-    return config, pixel_fraction
+    """Returns (config, pixel_fraction) from a key = value file and the non-None ``overrides``."""
+    kv = artifacts.read_kv_config(path) if path else {}
+    kv.update((k, str(v)) for k, v in overrides.items() if v is not None)
+    pixel_fraction = _convert("pixel_fraction", kv.pop("pixel_fraction", "0.0005"), float)
+    solver_kv = {k: kv.pop(k) for k in _SOLVER_ALIASES if k in kv}
+    config = _from_kv(TrainConfig, kv, {}, {"split_fractions": _split_fractions})
+    solver = _from_kv(SolverConfig, solver_kv, _SOLVER_ALIASES, {})
+    return dataclasses.replace(config, solver=solver), pixel_fraction
+
+
+def _check_bands(name: str, n: int, what: str, n_bands: int) -> None:
+    if n != n_bands:
+        raise InvalidDatasetError(f"{name} has {n} bands, {what} has {n_bands}")
 
 
 def _open_cubes(cube_paths) -> list[envi.EnviCube]:
     cubes = [envi.open_envi(p) for p in cube_paths]
-    n_bands = cubes[0].n_bands
-    if any(c.n_bands != n_bands for c in cubes):
-        raise InvalidDatasetError("cubes have differing band counts")
+    for path, cube in zip(cube_paths, cubes):
+        _check_bands(f"cube {path}", cube.n_bands, f"cube {cube_paths[0]}", cubes[0].n_bands)
     return cubes
+
+
+def _model_and_norm(model_path, norm_path, n_bands: int, what: str, default_norm):
+    """(model, solver, norm) checked against ``n_bands``; the norm is ``default_norm()`` without a path."""
+    model, solver, _ = artifacts.read_model(model_path)
+    _check_bands("model", model.n_bands, what, n_bands)
+    norm = artifacts.read_normalization(norm_path) if norm_path else default_norm()
+    _check_bands("norm", norm.c.size, what, n_bands)
+    return model, solver, norm
 
 
 def _reference_rows(cube: envi.EnviCube, roi: artifacts.RoiFile, name: str) -> np.ndarray | None:
@@ -139,11 +127,7 @@ def _reference_rows(cube: envi.EnviCube, roi: artifacts.RoiFile, name: str) -> n
     if name not in roi.references:
         return None
     _, truth = artifacts.read_spectrum_csv(roi.references[name], "reflectance")
-    if truth.n_bands != cube.n_bands:
-        raise InvalidDatasetError(
-            f"reference spectrum for region {name!r} has {truth.n_bands} "
-            f"bands, cube has {cube.n_bands}"
-        )
+    _check_bands(f"reference spectrum for region {name!r}", truth.n_bands, "cube", cube.n_bands)
     return np.tile(truth.values, (len(roi.regions[name]), 1))
 
 
@@ -263,15 +247,8 @@ def correct(cube_path, model_path, norm_path, out_dir):
     floored, bit 2 = reflectance outside [0, 1]).
     """
     cube = envi.open_envi(cube_path)
-    model, solver, _ = artifacts.read_model(model_path)
-    if model.n_bands != cube.n_bands:
-        raise InvalidDatasetError(
-            f"model has {model.n_bands} bands, cube has {cube.n_bands}"
-        )
-    if norm_path:
-        norm = artifacts.read_normalization(norm_path)
-    else:
-        norm = estimate_normalization(cube.band_extrema())
+    model, solver, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube",
+                                          lambda: estimate_normalization(cube.band_extrema()))
 
     t1 = ad.value_of(transmittance_values(model, model.params, solver))
     out = Path(out_dir)
@@ -306,16 +283,8 @@ def correct(cube_path, model_path, norm_path, out_dir):
 def simulate(spectrum_path, model_path, norm_path, out_path):
     """Predict at-sensor radiance from a library reflectance spectrum (CSV out)."""
     grid, rho = artifacts.read_spectrum_csv(spectrum_path, "reflectance")
-    model, solver, model_grid = artifacts.read_model(model_path)
-    if model.n_bands != rho.n_bands:
-        raise InvalidDatasetError(
-            f"model has {model.n_bands} bands, spectrum has {rho.n_bands}"
-        )
-    norm = (
-        artifacts.read_normalization(norm_path)
-        if norm_path
-        else SceneNormalization.identity(model.n_bands)
-    )
+    model, solver, norm = _model_and_norm(model_path, norm_path, rho.n_bands, "spectrum",
+                                          lambda: SceneNormalization.identity(rho.n_bands))
     l4 = simulate_at_sensor(model, norm, rho, solver)
     artifacts.write_spectrum_csv(out_path, grid, l4)
     click.echo(f"wrote {out_path}")
@@ -334,12 +303,8 @@ def simulate(spectrum_path, model_path, norm_path, out_path):
 def eval_cmd(model_path, cube_path, roi_path, library_path, norm_path, out_path):
     """Percent-MSE metrics per ROI region; CSV columns: region,metric,value."""
     cube = envi.open_envi(cube_path)
-    model, solver, _ = artifacts.read_model(model_path)
-    norm = (
-        artifacts.read_normalization(norm_path)
-        if norm_path
-        else estimate_normalization(cube.band_extrema())
-    )
+    model, solver, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube",
+                                          lambda: estimate_normalization(cube.band_extrema()))
     roi = artifacts.read_roi(roi_path, cube.rows, cube.cols)
     library = None
     if library_path:
@@ -387,7 +352,7 @@ def report(runs_dir, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    t_stack = np.array([rec["transmittance"] for rec in records if rec.get("transmittance")])
+    t_stack = np.array([rec["transmittance"] for rec in records if rec["transmittance"] is not None])
     if t_stack.size:
         mean, std = t_stack.mean(axis=0), t_stack.std(axis=0)
         lines = ["band,wavelength_nm,mean,std"]
@@ -405,8 +370,8 @@ def report(runs_dir, out_dir):
 
     lines = ["run,band,wavelength_nm,reflectance"]
     for i, rec in enumerate(records):
-        roi_rho = rec.get("roi_reflectance")
-        if not roi_rho:
+        roi_rho = rec["roi_reflectance"]
+        if roi_rho is None:
             continue
         for b, value in enumerate(roi_rho):
             wl = float(wavelengths[b]) if wavelengths is not None else float("nan")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -60,7 +60,6 @@ class EnviHeader:
     wavelengths_nm: Optional[np.ndarray] = None
     data_gain: Optional[np.ndarray] = None
     data_offset: Optional[np.ndarray] = None
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if min(self.samples, self.lines, self.bands) < 1:
@@ -73,11 +72,10 @@ class EnviHeader:
             )
         if self.byte_order not in (0, 1):
             raise ParseError(f"byte order must be 0 or 1, got {self.byte_order}")
-        if self.wavelengths_nm is not None and len(self.wavelengths_nm) != self.bands:
-            raise ParseError(
-                f"wavelength list has {len(self.wavelengths_nm)} entries for "
-                f"{self.bands} bands"
-            )
+        for name, values in (("wavelength", self.wavelengths_nm), ("data gain values", self.data_gain),
+                             ("data offset values", self.data_offset)):
+            if values is not None and len(values) != self.bands:
+                raise ParseError(f"{name} list has {len(values)} entries for {self.bands} bands")
 
     @property
     def dtype(self) -> np.dtype:
@@ -111,44 +109,40 @@ def _parse_header_text(text: str) -> dict:
     return entries
 
 
-def _float_list(raw: str, key: str) -> np.ndarray:
-    try:
-        return np.array([float(v) for v in raw.split(",") if v.strip()])
-    except ValueError as e:
-        raise ParseError(f"bad numeric list for header key {key!r}: {e}") from e
-
-
 def read_envi_header(path: str | Path) -> EnviHeader:
     path = Path(path)
     try:
         entries = _parse_header_text(path.read_text())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CorruptFileError(f"cannot read header {path}: {e}") from e
 
-    def need_int(key: str) -> int:
-        if key not in entries:
+    def need_int(key: str, default: Optional[int] = None) -> int:
+        if key not in entries and default is None:
             raise ParseError(f"header {path} missing required key {key!r}")
         try:
-            return int(entries[key])
+            return int(entries.get(key, default))
         except ValueError as e:
-            raise ParseError(f"header key {key!r} is not an integer") from e
+            raise ParseError(f"header {path} key {key!r} is not an integer") from e
 
-    wl = None
-    if "wavelength" in entries:
-        wl = _float_list(entries["wavelength"], "wavelength")
-    gain = _float_list(entries["data gain values"], "data gain values") if "data gain values" in entries else None
-    offs = _float_list(entries["data offset values"], "data offset values") if "data offset values" in entries else None
+    def floats(key: str) -> Optional[np.ndarray]:
+        if key not in entries:
+            return None
+        try:
+            return np.array([float(v) for v in entries[key].split(",") if v.strip()])
+        except ValueError as e:
+            raise ParseError(f"header {path} key {key!r} is not a list of numbers: {e}") from e
+
     return EnviHeader(
         samples=need_int("samples"),
         lines=need_int("lines"),
         bands=need_int("bands"),
         interleave=entries.get("interleave", "bsq").strip().lower(),
         data_type=need_int("data type"),
-        byte_order=int(entries.get("byte order", "0")),
-        header_offset=int(entries.get("header offset", "0")),
-        wavelengths_nm=wl,
-        data_gain=gain,
-        data_offset=offs,
+        byte_order=need_int("byte order", 0),
+        header_offset=need_int("header offset", 0),
+        wavelengths_nm=floats("wavelength"),
+        data_gain=floats("data gain values"),
+        data_offset=floats("data offset values"),
     )
 
 
@@ -216,8 +210,6 @@ class EnviCube:
         if header.data_type == 12 and (header.data_gain is not None or header.data_offset is not None):
             gain = header.data_gain if header.data_gain is not None else np.ones(header.bands)
             offset = header.data_offset if header.data_offset is not None else np.zeros(header.bands)
-            if len(gain) != header.bands or len(offset) != header.bands:
-                raise ParseError("gain/offset lists must have one entry per band")
             self._scale = (gain, offset)
         self._raw = None  # reused read buffer, in the file's bytes
         self._clamp_reported = False

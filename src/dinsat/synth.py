@@ -86,6 +86,8 @@ def _endmembers(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
 
 def synth_scene(spec: SynthSpec, seed: int) -> tuple[HyperCube, SynthTruth]:
     """Generate a radiance cube plus the exact truth used to build it."""
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     grid = WavelengthGrid.linear(spec.n_bands, spec.wl_start_nm, spec.wl_end_nm)
     wl = grid.wavelengths_nm

@@ -75,6 +75,8 @@ class TrainConfig:
             raise ConfigError("patience must be at least 1")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def fractions(self) -> tuple[float, float, float]:
@@ -325,7 +327,7 @@ def train(
 @dataclass
 class EnsembleResult:
     runs: list[Optional[TrainRun]]
-    failures: list[tuple[int, str]]
+    failures: list[tuple[int, DinsatError]]
     transmittance_mean: np.ndarray
     transmittance_std: np.ndarray
     roi_reflectance_mean: np.ndarray
@@ -377,7 +379,7 @@ def ensemble(
     jobs = [(config, l4, rho, norm, reshuffle, i) for i in range(n_runs)]
 
     runs: list[Optional[TrainRun]] = [None] * n_runs
-    failures: list[tuple[int, str]] = []
+    failures: list[tuple[int, DinsatError]] = []
     if workers > 1 and n_runs > 1:
         with ProcessPoolExecutor(max_workers=min(workers, n_runs)) as pool:
             futures = [pool.submit(_run_member, job) for job in jobs]
@@ -385,17 +387,18 @@ def ensemble(
                 try:
                     runs[i] = fut.result()
                 except DinsatError as e:
-                    failures.append((i, str(e)))
+                    failures.append((i, e))
     else:
         for i, job in enumerate(jobs):
             try:
                 runs[i] = _run_member(job)
             except DinsatError as e:
-                failures.append((i, str(e)))
+                failures.append((i, e))
 
     completed = [r for r in runs if r is not None]
     if not completed:
-        raise NumericError("all ensemble members failed")
+        reasons = "; ".join(f"run {i}: {e}" for i, e in failures)
+        raise type(failures[0][1])(f"all ensemble members failed: {reasons}")
 
     t_stack = []
     roi_stack = []

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -16,9 +17,10 @@ from dinsat.artifacts import (
     write_normalization,
     write_spectrum_csv,
 )
-from dinsat.cli import main
+from dinsat.cli import _synth_spec_from_file, _train_config_from_file, main
 from dinsat.correction import SceneNormalization, estimate_normalization
 from dinsat.envi import read_envi, write_envi_array
+from dinsat.errors import ConfigError
 from dinsat.ode import SolverConfig
 from dinsat.synth import SynthSpec, synth_scene
 from dinsat.transmission import LinearProfile
@@ -401,3 +403,154 @@ class TestReportCommand:
             "report", "--runs", str(tmp_path / "empty"), "--out", str(tmp_path / "o"),
         ])
         assert result.exit_code == 3
+
+
+# -- malformed inputs: one "<category>: <detail>" line, never a traceback ------
+
+def _linear_model_doc(n_bands):
+    return {
+        "format": "dinsat-model", "version": 1, "kind": "linear", "n_bands": n_bands,
+        "solver": {"method": "rk4", "steps": 4, "x0": 0.0, "x_end": 1.0},
+        "wavelengths_nm": None, "params": [-2.0] * n_bands,
+    }
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """A valid 4x4x8 scene, model, norm, spectrum and ROI, plus one broken file per case."""
+    d = tmp_path_factory.mktemp("bad_inputs")
+    cube, _ = synth_scene(SynthSpec(rows=4, cols=4, n_bands=8), seed=0)
+    envi.write_envi(cube, d / "scene.hdr", data_type=5)
+    header = (d / "scene.hdr").read_text()
+    for name, old, new in (("byte_order", "byte order = 0", "byte order = x"),
+                           ("offset", "header offset = 0", "header offset = z")):
+        (d / f"{name}.hdr").write_text(header.replace(old, new))
+        (d / f"{name}.img").write_bytes((d / "scene.img").read_bytes())
+    write_spectrum_csv(d / "spectrum.csv", cube.grid, Spectrum(np.full(8, 0.5), "reflectance"))
+    (d / "roi.csv").write_text("field,0,0\nfield,1,1\n")
+    write_normalization(d / "norm5.json", SceneNormalization(np.zeros(5), 1.0))
+    (d / "norm_no_m.json").write_text(json.dumps({"c": [0.0] * 8}))
+    valid = _linear_model_doc(8)
+    models = {
+        "model8": valid, "model5": _linear_model_doc(5),
+        "no_solver": {k: v for k, v in valid.items() if k != "solver"},
+        "no_params": {k: v for k, v in valid.items() if k != "params"},
+        "solver_key": {**valid, "solver": {"method": "rk4", "steps": 4, "speed": 1}},
+        "string_params": {**valid, "params": ["a"] * 8}, "n_bands_5": {**valid, "n_bands": 5},
+    }
+    for name, doc in models.items():
+        (d / f"{name}.json").write_text(json.dumps(doc))
+    (d / "runs").mkdir()
+    (d / "runs" / "run_000.json").write_text(json.dumps({"transmittance": None}))
+    for name, text in (("epochs_abc", "max_epochs = abc\n"), ("split_abc", "split_fractions = a/b/c\n"),
+                       ("rows_x", "rows = x\n"),
+                       ("split_small", "mode = unsupervised\nmax_epochs = 2\nsplit_fractions = 0.5/0.1/0.4\n")):
+        (d / f"{name}.txt").write_text(text)
+    return d
+
+
+BAD_INPUT_CASES = [
+    ("train-max-epochs-abc", "train --cube {d}/scene.hdr --mode unsupervised --config {d}/epochs_abc.txt --out {o}",
+     2, "config-error"),
+    ("train-split-fractions-abc", "train --cube {d}/scene.hdr --mode unsupervised --config {d}/split_abc.txt --out {o}",
+     2, "config-error"),
+    ("synth-rows-x", "synth --spec {d}/rows_x.txt --out {o}", 2, "config-error"),
+    ("train-negative-seed", "train --cube {d}/scene.hdr --mode unsupervised --seed -1 --out {o}", 2, "config-error"),
+    ("synth-negative-seed", "synth --seed -1 --out {o}", 2, "config-error"),
+    ("train-every-member-fails", "train --cube {d}/scene.hdr --config {d}/split_small.txt --out {o}",
+     2, "config-error"),
+    ("correct-norm-bands", "correct --cube {d}/scene.hdr --model {d}/model8.json --norm {d}/norm5.json --out {o}",
+     3, "invalid-dataset-error"),
+    ("eval-norm-bands", "eval --model {d}/model8.json --cube {d}/scene.hdr --roi {d}/roi.csv "
+     "--norm {d}/norm5.json --out {o}.csv", 3, "invalid-dataset-error"),
+    ("simulate-norm-bands", "simulate --spectrum {d}/spectrum.csv --model {d}/model8.json "
+     "--norm {d}/norm5.json --out {o}.csv", 3, "invalid-dataset-error"),
+    ("eval-model-bands", "eval --model {d}/model5.json --cube {d}/scene.hdr --roi {d}/roi.csv --out {o}.csv",
+     3, "invalid-dataset-error"),
+    ("model-without-solver", "correct --cube {d}/scene.hdr --model {d}/no_solver.json --out {o}", 3, "parse-error"),
+    ("model-without-params", "correct --cube {d}/scene.hdr --model {d}/no_params.json --out {o}", 3, "parse-error"),
+    ("model-unknown-solver-key", "correct --cube {d}/scene.hdr --model {d}/solver_key.json --out {o}",
+     3, "parse-error"),
+    ("model-string-params", "correct --cube {d}/scene.hdr --model {d}/string_params.json --out {o}",
+     3, "parse-error"),
+    ("model-n-bands-disagrees", "correct --cube {d}/scene.hdr --model {d}/n_bands_5.json --out {o}",
+     3, "parse-error"),
+    ("norm-without-m", "correct --cube {d}/scene.hdr --model {d}/model8.json --norm {d}/norm_no_m.json --out {o}",
+     3, "parse-error"),
+    ("report-without-history", "report --runs {d}/runs --out {o}", 3, "parse-error"),
+    ("header-byte-order-x", "correct --cube {d}/byte_order.hdr --model {d}/model8.json --out {o}", 3, "parse-error"),
+    ("header-offset-z", "correct --cube {d}/offset.hdr --model {d}/model8.json --out {o}", 3, "parse-error"),
+]
+
+
+@pytest.mark.parametrize("argv,code,category", [c[1:] for c in BAD_INPUT_CASES],
+                         ids=[c[0] for c in BAD_INPUT_CASES])
+def test_malformed_input_exits_with_one_error_line(bad_inputs, tmp_path, argv, code, category):
+    # A real process, so that an uncaught exception would show its traceback.
+    src = str(Path(dinsat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    args = argv.format(d=bad_inputs, o=tmp_path / "out").split()
+    proc = subprocess.run([sys.executable, "-m", "dinsat.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{category}: "), proc.stderr
+    assert proc.returncode == code, proc.stderr
+
+
+def test_ensemble_config_error_names_every_member(bad_inputs, runner, tmp_path):
+    result = runner.invoke(main, [
+        "train", "--cube", str(bad_inputs / "scene.hdr"), "--config", str(bad_inputs / "split_small.txt"),
+        "--ensemble", "2", "--out", str(tmp_path / "o"),
+    ])
+    assert result.exit_code == 2
+    assert result.stderr == (
+        "config-error: all ensemble members failed: "
+        "run 0: val fraction is positive but rounds to zero samples; "
+        "run 1: val fraction is positive but rounds to zero samples\n"
+    )
+
+
+README_TRAIN_KEYS = {
+    "mode": "unsupervised", "model_kind": "nonlinear", "lr": "0.02", "fd_weight": "0.5",
+    "rho_weight": "0.2", "transmission_weight": "0.3", "slope_weight": "0.4", "max_epochs": "7",
+    "patience": "3", "rel_tol": "0.001", "seed": "4", "hidden": "5", "latent": "2",
+    "solver_method": "euler", "solver_steps": "6", "split_fractions": "0.5/0.2/0.3",
+    "pixel_fraction": "0.01",
+}
+README_SYNTH_KEYS = {
+    "rows": "3", "cols": "5", "bands": "9", "wl_start_nm": "500", "wl_end_nm": "2000",
+    "baseline_alpha": "0.2", "absorption": "940:40:1.2;1380:60:2", "materials": "4",
+    "dark_level": "0.01", "illumination": "1.5", "noise_std": "0.02",
+}
+
+
+def test_every_readme_config_key_is_accepted(tmp_path):
+    path = tmp_path / "train.txt"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in README_TRAIN_KEYS.items()))
+    config, pixel_fraction = _train_config_from_file(str(path))
+    assert (config.mode, config.model_kind, config.lr, config.fd_weight) == ("unsupervised", "nonlinear", 0.02, 0.5)
+    assert (config.rho_weight, config.transmission_weight, config.slope_weight) == (0.2, 0.3, 0.4)
+    assert (config.max_epochs, config.patience, config.rel_tol, config.seed) == (7, 3, 0.001, 4)
+    assert (config.hidden, config.latent, config.split_fractions) == (5, 2, (0.5, 0.2, 0.3))
+    assert config.solver == SolverConfig("euler", 6) and pixel_fraction == 0.01
+
+    path = tmp_path / "spec.txt"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in README_SYNTH_KEYS.items()))
+    assert _synth_spec_from_file(str(path)) == SynthSpec(
+        rows=3, cols=5, n_bands=9, wl_start_nm=500.0, wl_end_nm=2000.0, baseline_alpha=0.2,
+        absorption_bands=((940.0, 40.0, 1.2), (1380.0, 60.0, 2.0)), n_materials=4,
+        dark_level=0.01, illumination=1.5, noise_std=0.02,
+    )
+
+
+@pytest.mark.parametrize("command,line", [
+    ("synth", "n_bands = 8"), ("synth", "n_materials = 3"), ("synth", "absorption_bands = 940:40:1"),
+    ("train", "solver = rk4"),
+])
+def test_field_names_behind_an_alias_are_rejected(tmp_path, command, line):
+    path = tmp_path / "config.txt"
+    path.write_text(line + "\n")
+    read = _synth_spec_from_file if command == "synth" else _train_config_from_file
+    with pytest.raises(ConfigError, match="unknown .* key: '" + line.split()[0]):
+        read(str(path))

@@ -25,6 +25,10 @@ class TestSpecValidation:
 
 
 class TestSynthScene:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            synth_scene(SynthSpec(**SMALL), seed=-1)
+
     def test_transparent_atmosphere_is_identity(self):
         spec = SynthSpec(
             **SMALL,

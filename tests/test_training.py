@@ -175,6 +175,10 @@ class TestTrain:
         with pytest.raises(InvalidDatasetError):
             train(TrainConfig(mode="unsupervised", max_epochs=1), [], SceneNormalization.identity(2))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            TrainConfig(seed=-1)
+
     def test_supervised_requires_truth(self):
         l4 = np.tile([0.2, 0.4], (20, 1))
         with pytest.raises(InvalidDatasetError):
@@ -280,6 +284,19 @@ class TestEnsemble:
     def test_zero_runs_rejected(self):
         with pytest.raises(ConfigError):
             ensemble(TrainConfig(), [], SceneNormalization.identity(2), n_runs=0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_all_members_failing_raise_the_first_category_with_every_reason(self, workers):
+        # Three pixels: the val fraction 0.1 rounds to zero samples in every member.
+        config = TrainConfig(mode="unsupervised", max_epochs=2, split_fractions=(0.5, 0.1, 0.4))
+        l4 = np.random.default_rng(0).uniform(0.1, 0.9, (3, 4))
+        with pytest.raises(ConfigError) as info:
+            ensemble(config, l4, SceneNormalization.identity(4), n_runs=2, workers=workers)
+        assert str(info.value) == (
+            "all ensemble members failed: "
+            "run 0: val fraction is positive but rounds to zero samples; "
+            "run 1: val fraction is positive but rounds to zero samples"
+        )
 
     @pytest.mark.parametrize("value", ["abc", "2.5", ""])
     def test_non_integer_thread_count_is_config_error(self, monkeypatch, value):
