@@ -34,8 +34,9 @@ def _read_json(path: str | Path, what: str, build):
     """``build(doc)`` for the JSON object ``doc`` in ``path``.
 
     Raises ParseError naming the file when it is unreadable or not a JSON
-    object, or when ``build`` meets a missing key (KeyError) or an ill-typed
-    value (TypeError, ValueError).
+    object, or when ``build`` meets a missing key (KeyError), an ill-typed
+    value (TypeError, ValueError) or a value that the object it builds
+    rejects (ConfigError, as from SolverConfig or SceneNormalization).
     """
     path = Path(path)
     try:
@@ -48,7 +49,7 @@ def _read_json(path: str | Path, what: str, build):
         return build(doc)
     except KeyError as e:
         raise ParseError(f"{path} is not a {what}: no {e}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, ConfigError) as e:
         raise ParseError(f"{path}: bad {what}: {e}") from e
 
 

@@ -77,15 +77,6 @@ class Var:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
     def __getitem__(self, idx):
         src = self
         if _is_basic_index(idx):
@@ -99,16 +90,6 @@ class Var:
                 np.add.at(src.grad, idx, g)
 
         return Var(self.tape, self.value[idx], vjp)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        src = self
-
-        def vjp(g):
-            src.grad += g.reshape(src.value.shape)
-
-        return Var(self.tape, self.value.reshape(shape), vjp)
 
     def sum(self):
         return sum(self)
@@ -191,54 +172,6 @@ def div(a, b):
     )
 
 
-def neg(a):
-    if not isinstance(a, Var):
-        return -np.asarray(a, float)
-    src = a
-
-    def vjp(g):
-        src.grad -= g
-
-    return Var(a.tape, -a.value, vjp)
-
-
-def matmul(a, b):
-    """Matrix/vector product for the 1-D / 2-D combinations the models need."""
-    tape = _tape_of(a, b)
-    if tape is None:
-        try:
-            return np.matmul(np.asarray(a, float), np.asarray(b, float))
-        except ValueError as e:
-            raise ShapeError(str(e)) from e
-    av, bv = _lift(tape, a), _lift(tape, b)
-    x, y = av.value, bv.value
-    if x.ndim > 2 or y.ndim > 2:
-        raise ShapeError("matmul supports only 1-D and 2-D operands")
-    try:
-        val = np.matmul(x, y)
-    except ValueError as e:
-        raise ShapeError(str(e)) from e
-
-    def vjp(g):
-        if x.ndim == 1 and y.ndim == 1:  # dot product
-            av.grad += g * y
-            bv.grad += g * x
-        elif x.ndim == 1:  # (n,) @ (n,m) -> (m,)
-            av.grad += g @ y.T
-            bv.grad += np.outer(x, g)
-        elif y.ndim == 1:  # (p,n) @ (n,) -> (p,)
-            av.grad += np.outer(g, y)
-            bv.grad += g @ x
-        else:  # (p,n) @ (n,m) -> (p,m)
-            av.grad += g @ y.T
-            bv.grad += x.T @ g
-
-    return Var(tape, val, vjp)
-
-
-matvec = matmul
-
-
 def node(value, inputs: Sequence, vjp: Callable):
     """One tape node with forward ``value`` over ``inputs`` and a hand-written VJP.
 
@@ -293,14 +226,6 @@ def logistic(x, out=None) -> np.ndarray:
         np.exp(out, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
-
-
-def sigmoid(a):
-    return elementwise(a, logistic, lambda x, s: s * (1.0 - s))
-
-
-def exp(a):
-    return elementwise(a, np.exp, lambda x, e: e)
 
 
 def softplus(a):

@@ -349,6 +349,19 @@ def report(runs_dir, out_dir):
         if grid is not None:
             wavelengths = grid.wavelengths_nm
 
+    # Every per-band vector, and the model's wavelengths, must have one length.
+    lengths = {}
+    for path, rec in zip(record_paths, records):
+        for key in ("transmittance", "roi_reflectance"):
+            if rec[key] is not None:
+                lengths.setdefault(len(rec[key]), f"{path.name} {key}")
+    if wavelengths is not None and lengths:
+        lengths.setdefault(len(wavelengths), f"{model_paths[0].name} wavelengths_nm")
+    if len(lengths) > 1:
+        raise InvalidDatasetError(
+            "band counts disagree: " + ", ".join(f"{where} has {n}" for n, where in lengths.items())
+        )
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

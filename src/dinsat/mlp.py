@@ -1,13 +1,14 @@
-"""Small MLPs over a flat parameter vector, usable traced or untraced.
+"""Small MLPs over a flat parameter vector, on plain arrays.
 
 The layer math lives in three array helpers: ``unpack_params`` splits the flat
 vector into per-layer (W, b) views once, ``layers_forward`` applies the layers
 and keeps every activation, and ``layers_backward`` backprops a cotangent
-through them by hand. ``mlp_forward`` is built on them, as is the fused
-right-hand side of the nonlinear transmission profile. ``layers_forward``
-allocates one array per layer: the bias is added to the matmul output in
-place, and the sigmoid (``autodiff.logistic``) overwrites it in place, since
-the backward pass reads only post-activation values.
+through them by hand. The fused right-hand side of the nonlinear transmission
+profile is built on them; ``mlp_forward`` is the plain composed network it is
+tested against. ``layers_forward`` allocates one array per layer: the bias is
+added to the matmul output in place, and the sigmoid (``autodiff.logistic``)
+overwrites it in place, since the backward pass reads only post-activation
+values.
 """
 
 from __future__ import annotations
@@ -118,23 +119,12 @@ def layers_backward(
     return g, np.concatenate(grads[::-1])
 
 
-def mlp_forward(params, layout: MlpLayout, x):
-    """Composed affine + activation layers; params is a flat vector (Var or ndarray).
+def mlp_forward(params: np.ndarray, layout: MlpLayout, x: np.ndarray) -> np.ndarray:
+    """Composed affine + activation layers over a flat parameter vector.
 
-    x may be a single (n_in,) vector or a (batch, n_in) matrix. Traced, the
-    whole network is one tape node whose VJP is ``layers_backward``.
+    x may be a single (n_in,) vector or a (batch, n_in) matrix.
     """
-    n_in_expected = layout.sizes[0]
-    xv = ad.value_of(x)
-    if xv.shape[-1] != n_in_expected:
-        raise ShapeError(
-            f"input has {xv.shape[-1]} features, layout expects {n_in_expected}"
-        )
-    layers = unpack_params(ad.value_of(params), layout)
-    acts = layers_forward(layers, xv)
-
-    def vjp(g):
-        g_x, g_params = layers_backward(layers, acts, g)
-        return g_params, g_x
-
-    return ad.node(acts[-1], (params, x), vjp)
+    x = np.asarray(x, float)
+    if x.shape[-1] != layout.sizes[0]:
+        raise ShapeError(f"input has {x.shape[-1]} features, layout expects {layout.sizes[0]}")
+    return layers_forward(unpack_params(params, layout), x)[-1]

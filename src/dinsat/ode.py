@@ -1,12 +1,13 @@
 """Differentiable fixed-step IVP solvers, forward and reverse in x.
 
-A right-hand side is either a plain callable, stepped on whatever it returns
-(traced, every stage operation is then its own tape node), or a ``FusedRhs``:
-plain-array primitives for f(L) and for f(L) with its VJP. A fused solve runs
-the same in-place stepper as inference on plain arrays. Untraced, it builds no
-VJP closures. Traced, it keeps each stage's VJP and records the whole solve as
-one tape node whose VJP sweeps the steps in reverse (the discrete adjoint of
-the stepper, so its gradients are those of the unrolled steps).
+A right-hand side is either a plain callable on plain arrays, stepped
+untraced, or a ``FusedRhs``: plain-array primitives for f(L) and for f(L) with
+its VJP. Both step through the same in-place stepper as inference. A fused
+solve with a traced state or traced parameters keeps each stage's VJP and is
+recorded as one tape node whose VJP sweeps the steps in reverse (the discrete
+adjoint of the stepper, so its gradients are those of the unrolled steps).
+Nothing else is traced: a traced state with a plain callable, or a plain
+callable that returns a traced value, raises ContractError.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, ContractError, NumericError
 
 METHODS = ("euler", "rk4")
 
@@ -48,8 +49,8 @@ class FusedRhs:
 
     ``value(L)`` returns f(L). ``value_and_vjp(L)`` returns f(L) and
     ``vjp(g) -> (g_L, g_params)``, whose cotangents are shaped like L and like
-    the parameter values. Called on a traced L, or with traced ``params``, the
-    rhs is one tape node over (L, params); otherwise it returns a plain array.
+    the parameter values. Calling the rhs evaluates ``value`` on a plain L; a
+    traced L or traced ``params`` is differentiated only through a whole solve.
     """
 
     params: object
@@ -60,10 +61,9 @@ class FusedRhs:
         return isinstance(L, ad.Var) or isinstance(self.params, ad.Var)
 
     def __call__(self, L):
-        if not self.traced(L):
-            return self.value(np.asarray(L, float))
-        value, vjp = self.value_and_vjp(ad.value_of(L))
-        return ad.node(value, (L, self.params), vjp)
+        if self.traced(L):
+            raise ContractError("a traced FusedRhs is differentiated only through ode_solve")
+        return self.value(np.asarray(L, float))
 
 
 def _euler_step(rhs, y, h):
@@ -72,10 +72,8 @@ def _euler_step(rhs, y, h):
 
 def _rk4_step(rhs, y, h):
     # Each stage input and the weighted sum start as a fresh product, so the
-    # augmented assignments below work in place on ndarrays without touching
-    # y or an rhs output; on Vars they rebind to new tape nodes. The sums keep
-    # the order of y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4), so both give the
-    # same bits.
+    # augmented assignments below work in place without touching y or an rhs
+    # output. The sums keep the order of y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4).
     k1 = rhs(y)
     s = k1 * (h / 2.0)
     s += y
@@ -128,9 +126,11 @@ def _integrate(rhs, y0, x_start, x_stop, config: SolverConfig, guard: float | No
     h = (x_stop - x_start) / config.steps
     stage_vjps = None
     if not isinstance(rhs, FusedRhs):
-        f, y = rhs, y0
+        if isinstance(y0, ad.Var):
+            raise ContractError("a traced state needs an ode.FusedRhs right-hand side")
+        f = rhs
     elif not rhs.traced(y0):
-        f, y = rhs.value, np.asarray(y0, float)
+        f = rhs.value
     else:
         stage_vjps = []
 
@@ -139,13 +139,14 @@ def _integrate(rhs, y0, x_start, x_stop, config: SolverConfig, guard: float | No
             stage_vjps.append(vjp)
             return value
 
-        y = ad.value_of(y0)
+    y = ad.value_of(y0)
     for i in range(config.steps):
         y = step(f, y, h)
-        vals = ad.value_of(y)
-        if not np.all(np.isfinite(vals)):
+        if isinstance(y, ad.Var):
+            raise ContractError("a plain rhs must return plain arrays; trace through an ode.FusedRhs")
+        if not np.all(np.isfinite(y)):
             raise NumericError(f"non-finite state at integration step {i}")
-        if guard is not None and np.max(np.abs(vals)) > guard:
+        if guard is not None and np.max(np.abs(y)) > guard:
             raise NumericError(f"state diverged (>{guard:g}) at integration step {i}")
     if stage_vjps is None:
         return y
@@ -163,9 +164,9 @@ def _integrate(rhs, y0, x_start, x_stop, config: SolverConfig, guard: float | No
 def ode_solve(rhs: Callable, l_init, config: SolverConfig = SolverConfig()):
     """Integrate dL/dx = rhs(L) from x0 to x_end with uniform steps.
 
-    l_init may be a (n_bands,) vector or a (batch, n_bands) matrix, traced or
-    plain; gradients flow through to the rhs parameters and to l_init. With a
-    traced ``FusedRhs`` the whole solve is one tape node.
+    l_init may be a (n_bands,) vector or a (batch, n_bands) matrix. A plain
+    callable steps untraced. With a ``FusedRhs`` whose parameters or l_init
+    are traced, the whole solve is one tape node, and gradients flow to both.
     """
     return _integrate(rhs, l_init, config.x0, config.x_end, config, guard=None)
 

@@ -129,12 +129,9 @@ class LinearProfile:
         return cls(softplus_inverse(alpha))
 
     def rhs_from(self, params):
-        alpha = ad.softplus(params)
-
-        def rhs(L):
-            return -(alpha * L)
-
-        return rhs
+        """f(L) = -alpha L on plain arrays; training uses the closed form instead."""
+        alpha = np.logaddexp(0.0, params)
+        return lambda L: -(alpha * L)
 
     def t1(self, params, solver: SolverConfig):
         """T(1_n): the per-band closed-form factor P(z)^n."""
@@ -200,10 +197,9 @@ class NonlinearProfile:
     def rhs_from(self, params) -> FusedRhs:
         """f(L) = -sigmoid(dec(enc(L))) * L with the weights unpacked once per solve.
 
-        Plain inputs give a plain array. With params or L traced, each call is
-        one tape node whose VJP applies the product rule and backprops through
-        the decoder, then the encoder, by hand; ``ode`` steps the same
-        primitives to record a whole solve as one node.
+        Called on a plain L it gives a plain array. Its VJP applies the product
+        rule and backprops through the decoder, then the encoder, by hand;
+        ``ode`` steps it to record a traced solve as one node.
         """
         n_enc = self.encoder_layout.n_params
         pv = ad.value_of(params)
@@ -254,7 +250,7 @@ def rhs_values(L: np.ndarray, profile: Profile) -> np.ndarray:
     L = np.asarray(L, float)
     if L.shape[-1] != profile.n_bands:
         raise ShapeError(f"input has {L.shape[-1]} bands, profile {profile.n_bands}")
-    return ad.value_of(profile.rhs_from(profile.params)(L))
+    return profile.rhs_from(profile.params)(L)
 
 
 # These two forwards stay only because bench/traced_cli.py times T(1) and T^-1

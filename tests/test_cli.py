@@ -430,6 +430,8 @@ def bad_inputs(tmp_path_factory):
     (d / "roi.csv").write_text("field,0,0\nfield,1,1\n")
     write_normalization(d / "norm5.json", SceneNormalization(np.zeros(5), 1.0))
     (d / "norm_no_m.json").write_text(json.dumps({"c": [0.0] * 8}))
+    (d / "norm_m_0.json").write_text(json.dumps({"c": [0.0] * 8, "m": 0.0}))
+    (d / "norm_neg_c.json").write_text(json.dumps({"c": [-0.1] + [0.0] * 7, "m": 1.0}))
     valid = _linear_model_doc(8)
     models = {
         "model8": valid, "model5": _linear_model_doc(5),
@@ -437,11 +439,22 @@ def bad_inputs(tmp_path_factory):
         "no_params": {k: v for k, v in valid.items() if k != "params"},
         "solver_key": {**valid, "solver": {"method": "rk4", "steps": 4, "speed": 1}},
         "string_params": {**valid, "params": ["a"] * 8}, "n_bands_5": {**valid, "n_bands": 5},
+        "solver_foo": {**valid, "solver": {**valid["solver"], "method": "foo"}},
+        "steps_0": {**valid, "solver": {**valid["solver"], "steps": 0}},
     }
     for name, doc in models.items():
         (d / f"{name}.json").write_text(json.dumps(doc))
     (d / "runs").mkdir()
     (d / "runs" / "run_000.json").write_text(json.dumps({"transmittance": None}))
+    # Per-band vectors of 8 and 5 values: across two records, and against 8 model wavelengths.
+    for name, sizes in (("runs_lengths", (8, 5)), ("runs_wavelengths", (5,))):
+        (d / name).mkdir()
+        for i, n in enumerate(sizes):
+            record = {"history": [], "transmittance": [0.5] * n, "roi_reflectance": [0.2] * n}
+            (d / name / f"run_{i:03d}.json").write_text(json.dumps(record))
+    (d / "runs_wavelengths" / "model_000.json").write_text(
+        json.dumps({**valid, "wavelengths_nm": [float(w) for w in cube.grid.wavelengths_nm]})
+    )
     for name, text in (("epochs_abc", "max_epochs = abc\n"), ("split_abc", "split_fractions = a/b/c\n"),
                        ("rows_x", "rows = x\n"),
                        ("split_small", "mode = unsupervised\nmax_epochs = 2\nsplit_fractions = 0.5/0.1/0.4\n")):
@@ -477,7 +490,17 @@ BAD_INPUT_CASES = [
      3, "parse-error"),
     ("norm-without-m", "correct --cube {d}/scene.hdr --model {d}/model8.json --norm {d}/norm_no_m.json --out {o}",
      3, "parse-error"),
+    ("model-solver-method-foo", "correct --cube {d}/scene.hdr --model {d}/solver_foo.json --out {o}",
+     3, "parse-error"),
+    ("model-solver-steps-0", "correct --cube {d}/scene.hdr --model {d}/steps_0.json --out {o}", 3, "parse-error"),
+    ("norm-m-0", "correct --cube {d}/scene.hdr --model {d}/model8.json --norm {d}/norm_m_0.json --out {o}",
+     3, "parse-error"),
+    ("norm-negative-c", "correct --cube {d}/scene.hdr --model {d}/model8.json --norm {d}/norm_neg_c.json --out {o}",
+     3, "parse-error"),
     ("report-without-history", "report --runs {d}/runs --out {o}", 3, "parse-error"),
+    ("report-record-lengths-differ", "report --runs {d}/runs_lengths --out {o}", 3, "invalid-dataset-error"),
+    ("report-record-vs-model-wavelengths", "report --runs {d}/runs_wavelengths --out {o}",
+     3, "invalid-dataset-error"),
     ("header-byte-order-x", "correct --cube {d}/byte_order.hdr --model {d}/model8.json --out {o}", 3, "parse-error"),
     ("header-offset-z", "correct --cube {d}/offset.hdr --model {d}/model8.json --out {o}", 3, "parse-error"),
 ]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dinsat import autodiff as ad
-from dinsat.errors import ConfigError, NumericError
-from dinsat.ode import SolverConfig, ode_solve, ode_solve_reverse
+from dinsat.errors import ConfigError, ContractError, NumericError
+from dinsat.ode import FusedRhs, SolverConfig, ode_solve, ode_solve_reverse
 
 
 def decay(rate=1.0):
@@ -65,7 +65,7 @@ class TestReverseSolve:
         cfg = SolverConfig("rk4", 16)
 
         def rhs(L):
-            return -(ad.sigmoid(L) * L)
+            return -(ad.logistic(L) * L)
 
         for _ in range(10):
             y0 = rng.uniform(0, 1, 16)
@@ -117,6 +117,19 @@ class TestConvergenceOrder:
         assert ratio == pytest.approx(16.0, rel=0.3)
 
 
+def linear_decay_rhs(theta):
+    """-(theta * L) as a FusedRhs, with its VJP written out by hand."""
+    theta_v = ad.value_of(theta)
+
+    def value(L):
+        return -(theta_v * L)
+
+    def value_and_vjp(L):
+        return value(L), lambda g: (-(theta_v * g), -(g * L))
+
+    return FusedRhs(theta, value, value_and_vjp)
+
+
 class TestGradients:
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_gradient_wrt_rate_and_state(self, method):
@@ -128,7 +141,7 @@ class TestGradients:
 
             def run(theta_and_y):
                 theta, y = theta_and_y[:4], theta_and_y[4:]
-                out = ode_solve(lambda L: -(theta * L), y, cfg)
+                out = ode_solve(linear_decay_rhs(theta), y, cfg)
                 return ad.mean(out * out)
 
             packed = np.concatenate([theta0, y0])
@@ -139,3 +152,24 @@ class TestGradients:
                 lambda v: float(ad.value_of(run(ad.Tape().leaf(v)))), packed.copy()
             )
             assert np.max(np.abs(x.grad - fd) / np.maximum(np.abs(fd), 1e-8)) < 1e-3
+
+
+class TestTracingContract:
+    """Only a FusedRhs is traced; a plain callable never meets a Var."""
+
+    @pytest.mark.parametrize("solve", [ode_solve, ode_solve_reverse])
+    def test_traced_state_with_plain_rhs_rejected(self, solve):
+        y0 = ad.Tape().leaf(np.array([1.0, 0.5]))
+        with pytest.raises(ContractError, match="FusedRhs"):
+            solve(decay(), y0, SolverConfig("rk4", 4))
+
+    @pytest.mark.parametrize("solve", [ode_solve, ode_solve_reverse])
+    def test_plain_rhs_over_traced_params_rejected(self, solve):
+        theta = ad.Tape().leaf(np.array([0.3, 0.7]))
+        with pytest.raises(ContractError, match="FusedRhs"):
+            solve(lambda L: theta * -L, np.array([1.0, 0.5]), SolverConfig("euler", 4))
+
+    def test_fused_rhs_called_traced_rejected(self):
+        rhs = linear_decay_rhs(ad.Tape().leaf(np.array([0.3, 0.7])))
+        with pytest.raises(ContractError):
+            rhs(np.ones(2))
