@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .correction import SceneNormalization
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, ShapeError
 from .ode import SolverConfig
 from .training import TrainRun
 from .transmission import LinearProfile, NonlinearProfile, Profile
@@ -36,7 +36,8 @@ def _read_json(path: str | Path, what: str, build):
     Raises ParseError naming the file when it is unreadable or not a JSON
     object, or when ``build`` meets a missing key (KeyError), an ill-typed
     value (TypeError, ValueError) or a value that the object it builds
-    rejects (ConfigError, as from SolverConfig or SceneNormalization).
+    rejects (ConfigError, as from SolverConfig or SceneNormalization;
+    ShapeError, as from a profile given a non-finite parameter).
     """
     path = Path(path)
     try:
@@ -49,7 +50,7 @@ def _read_json(path: str | Path, what: str, build):
         return build(doc)
     except KeyError as e:
         raise ParseError(f"{path} is not a {what}: no {e}") from e
-    except (TypeError, ValueError, ConfigError) as e:
+    except (TypeError, ValueError, ConfigError, ShapeError) as e:
         raise ParseError(f"{path}: bad {what}: {e}") from e
 
 

@@ -21,8 +21,9 @@ from .correction import SceneNormalization, correct_batch, estimate_normalizatio
 from .transmission import transmittance_values
 from .errors import ConfigError, DinsatError, InvalidDatasetError
 from .ode import SolverConfig
-from .synth import SynthSpec, sample_pixels, synth_scene
+from .synth import SynthSpec, synth_scene
 from .training import TrainConfig, ensemble, evaluate
+from .types import sample_coords
 
 
 def _fail_cleanly(fn):
@@ -131,15 +132,15 @@ def _reference_rows(cube: envi.EnviCube, roi: artifacts.RoiFile, name: str) -> n
     return np.tile(truth.values, (len(roi.regions[name]), 1))
 
 
-def _roi_samples(cube: envi.EnviCube, roi: artifacts.RoiFile) -> tuple[np.ndarray, np.ndarray]:
-    """(l4, rho): the (n, bands) radiance and reference of the ROI pixels whose region has one."""
-    l4, rho = [np.empty((0, cube.n_bands))], [np.empty((0, cube.n_bands))]
-    for name, coords in roi.regions.items():
+def _roi_references(cube: envi.EnviCube, roi: artifacts.RoiFile) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, rho): the (n, 2) ROI pixels whose region has a reference, and that reference per pixel."""
+    coords, rho = [np.empty((0, 2), int)], [np.empty((0, cube.n_bands))]
+    for name, region in roi.regions.items():
         truth = _reference_rows(cube, roi, name)
         if truth is not None:
-            l4.append(cube.pixels(coords))
+            coords.append(np.asarray(region, int).reshape(-1, 2))
             rho.append(truth)
-    return np.concatenate(l4), np.concatenate(rho)
+    return np.concatenate(coords), np.concatenate(rho)
 
 
 # -- synth -------------------------------------------------------------------
@@ -189,24 +190,27 @@ def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, thre
     config, pixel_fraction = _train_config_from_file(config_path, mode=mode, seed=seed)
     cubes = _open_cubes(cube_paths)
     cube = cubes[0]
-    # Each cube's per-band minima and maxima give the same (C, m) as all its pixels.
-    norm = estimate_normalization(np.concatenate([c.band_extrema() for c in cubes]))
-
     if config.mode == "supervised":
         if not roi_path:
             raise ConfigError("supervised training requires --roi with reference spectra")
-        parts = [_roi_samples(c, artifacts.read_roi(roi_path, c.rows, c.cols)) for c in cubes]
-        l4, rho = (np.concatenate(arrays) for arrays in zip(*parts))
-        if not len(l4):
-            raise InvalidDatasetError("no ROI pixels carry reference spectra")
+        parts = [_roi_references(c, artifacts.read_roi(roi_path, c.rows, c.cols)) for c in cubes]
+        coords = [rc for rc, _ in parts]
+        rho = np.concatenate([truth for _, truth in parts])
     else:
         total = sum(c.rows * c.cols for c in cubes)
         n_pixels = max(3, round(pixel_fraction * total))
-        l4 = np.concatenate([
-            sample_pixels(c, None, max(1, round(n_pixels * c.rows * c.cols / total)), config.seed)[1]
+        coords = [
+            sample_coords(c.rows, c.cols, max(1, round(n_pixels * c.rows * c.cols / total)), config.seed)
             for c in cubes
-        ])
+        ]
         rho = None
+    # One pass over each cube gives its training pixels and its per-band
+    # minima and maxima, which give the same (C, m) as all its pixels.
+    scans = [c.extrema_and_pixels(rc) for c, rc in zip(cubes, coords)]
+    norm = estimate_normalization(np.concatenate([extrema for extrema, _ in scans]))
+    l4 = np.concatenate([pixels for _, pixels in scans])
+    if not len(l4):
+        raise InvalidDatasetError("no ROI pixels carry reference spectra")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -216,13 +220,9 @@ def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, thre
     for i, run in enumerate(result.runs):
         if run is None:
             continue
-        model = run.model(cube.n_bands)
-        artifacts.write_model(out / f"model_{i:03d}.json", model, config.solver, cube.grid)
-        t1 = ad.value_of(transmittance_values(model, model.params, config.solver))
-        rho_hat, _ = correct_batch(model, norm, l4, config.solver, transmittance=t1)
-        artifacts.write_run_record(
-            out / f"run_{i:03d}.json", run, transmittance=t1, roi_reflectance=rho_hat.mean(axis=0)
-        )
+        artifacts.write_model(out / f"model_{i:03d}.json", run.model(cube.n_bands), config.solver, cube.grid)
+        artifacts.write_run_record(out / f"run_{i:03d}.json", run, transmittance=result.transmittances[i],
+                                   roi_reflectance=result.roi_reflectances[i])
     for i, message in result.failures:
         click.echo(f"run {i} failed: {message}", err=True)
     click.echo(

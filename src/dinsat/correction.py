@@ -79,23 +79,29 @@ def estimate_normalization(radiance) -> SceneNormalization:
     return SceneNormalization(c, estimate_scale(radiance, c))
 
 
+def normalized_radiance(norm: SceneNormalization, l4) -> np.ndarray:
+    """z = max((L4 - C)/m, 0) of (..., n_bands) radiance: what T^-1 inverts."""
+    return np.maximum((np.asarray(l4, float) - norm.c) / norm.m, 0.0)
+
+
 def corrected_reflectance(
     model: Profile,
-    params,
     norm: SceneNormalization,
     l4,
     solver: SolverConfig = SolverConfig(),
     transmittance=None,
-):
-    """Traced-or-plain correction of an (n_bands,) vector or (batch, n_bands) matrix.
+) -> np.ndarray:
+    """T^-1(z) / max(T(1), EPS_T) of an (n_bands,) vector or (batch, n_bands) matrix.
 
-    ``transmittance`` is T(1) for these params, when the caller already has it.
+    ``transmittance`` is the model's T(1), when the caller already has it.
     """
-    l4 = np.asarray(l4, float)
-    z = np.maximum((l4 - norm.c) / norm.m, 0.0)
-    t1 = transmittance_values(model, params, solver) if transmittance is None else transmittance
-    l2 = invert_values(model, params, z, solver, transmittance=t1)
-    return l2 / ad.clip_min(t1, EPS_T)
+    t1 = (
+        ad.value_of(transmittance_values(model, model.params, solver))
+        if transmittance is None
+        else np.asarray(transmittance, float)
+    )
+    l2 = invert_values(model, model.params, normalized_radiance(norm, l4), solver, transmittance=t1)
+    return l2 / np.maximum(t1, EPS_T)
 
 
 def correct_batch(
@@ -115,7 +121,7 @@ def correct_batch(
         if transmittance is None
         else np.asarray(transmittance, float)
     )
-    rho = ad.value_of(corrected_reflectance(model, model.params, norm, l4, solver, t1))
+    rho = corrected_reflectance(model, norm, l4, solver, t1)
     mask = np.zeros(rho.shape, dtype=np.uint8)
     mask |= np.where(t1 < EPS_T, MASK_DENOM_FLOORED, 0).astype(np.uint8)
     out_of_range = (rho < -RHO_RANGE_TOL) | (rho > 1.0 + RHO_RANGE_TOL)

@@ -255,12 +255,20 @@ class EnviCube:
 
     def band_extrema(self) -> np.ndarray:
         """(2, bands): each band's minimum and maximum, folded over the row blocks."""
+        return self.extrema_and_pixels(())[0]
+
+    def extrema_and_pixels(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """One pass over the row blocks: ``band_extrema()`` and ``pixels(coords)``."""
+        rc = check_coords(coords, self.rows, self.cols)
         lo = np.full(self.n_bands, np.inf)
         hi = np.full(self.n_bands, -np.inf)
-        for _, block in self.blocks():
+        out = np.empty((len(rc), self.n_bands))
+        for r0, block in self.blocks():
             np.minimum(lo, block.min(axis=(0, 1)), out=lo)
             np.maximum(hi, block.max(axis=(0, 1)), out=hi)
-        return np.stack([lo, hi])
+            inside = (rc[:, 0] >= r0) & (rc[:, 0] < r0 + len(block))
+            out[inside] = block[rc[inside, 0] - r0, rc[inside, 1]]
+        return np.stack([lo, hi]), out
 
     def pixels(self, coords) -> np.ndarray:
         """(n, bands) radiance at the (row, col) pairs ``coords``; reads only those pixels."""

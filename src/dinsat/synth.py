@@ -14,7 +14,7 @@ import numpy as np
 from .correction import SceneNormalization
 from .errors import ConfigError
 from .transmission import LinearProfile
-from .types import HyperCube, WavelengthGrid
+from .types import HyperCube, WavelengthGrid, sample_coords
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,6 @@ def sample_pixels(
     ``coords`` holds (n, 2) (row, col) pairs, ``l4`` their (n, bands) radiance
     from one ``cube.pixels`` call, ``rho`` their truth reflectance or None.
     """
-    rng = np.random.default_rng(seed)
-    total = cube.rows * cube.cols
-    if n_pixels > total:
-        raise ConfigError(f"requested {n_pixels} pixels from a {total}-pixel scene")
-    flat = rng.choice(total, size=n_pixels, replace=False)
-    coords = np.stack(np.divmod(flat, cube.cols), axis=1)
+    coords = sample_coords(cube.rows, cube.cols, n_pixels, seed)
     rho = truth.rho[coords[:, 0], coords[:, 1]] if with_truth and truth is not None else None
     return coords, cube.pixels(coords), rho

@@ -12,9 +12,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .correction import (
+    EPS_T,
     SceneNormalization,
     correct_batch,
     corrected_reflectance,
+    normalized_radiance,
     simulate_values,
 )
 from .errors import (
@@ -31,6 +33,7 @@ from .transmission import (
     LinearProfile,
     NonlinearProfile,
     Profile,
+    invert_values,
     transmittance_values,
 )
 from .types import DatasetSplit, Spectrum, percent_mse, split_dataset
@@ -106,10 +109,6 @@ def build_model(config: TrainConfig, n_bands: int, seed: int) -> Profile:
     return NonlinearProfile.initialize(n_bands, rng, config.hidden, config.latent)
 
 
-def _fd_terms(rho_hat):
-    return rho_hat[:, 1:] - rho_hat[:, :-1]
-
-
 def _pixel_arrays(l4, rho=None):
     """``l4`` and ``rho`` as float (n, bands) arrays.
 
@@ -129,6 +128,71 @@ def _pixel_arrays(l4, rho=None):
     return l4, rho
 
 
+# The loss heads. Each is one tape node over (T^-1(z), T(1)) of (n, bands)
+# pixels: it forms rho_hat = T^-1(z) / max(T(1), EPS_T), the loss and its
+# components in numpy, and its VJP returns both cotangents in numpy.
+
+
+def _reflectance(l2, t1):
+    """(rho_hat, max(T(1), EPS_T), T(1)) as plain arrays."""
+    tv = ad.value_of(t1)
+    denom = np.maximum(tv, EPS_T)
+    return ad.value_of(l2) / denom, denom, tv
+
+
+def _reflectance_vjp(g_rho, rho_hat, denom, tv, g_t):
+    """Cotangents of (T^-1(z), T(1)) from rho_hat's, plus ``g_t`` from T(1)'s direct use."""
+    g_l2 = g_rho / denom
+    # The floor passes no gradient to a band whose T(1) is at or below EPS_T.
+    return g_l2, g_t - (g_l2 * rho_hat).sum(axis=0) * (tv > EPS_T)
+
+
+def _slope_vjp(g_rho, g_slope):
+    """Add the cotangent of rho_hat[:, 1:] - rho_hat[:, :-1] into ``g_rho``."""
+    g_rho[:, 1:] += g_slope
+    g_rho[:, :-1] -= g_slope
+    return g_rho
+
+
+def _supervised_head(l2, t1, rho, fd_weight):
+    """(loss, components): L_MSE + fd_weight * L_FD of rho_hat against ``rho``."""
+    rho_hat, denom, tv = _reflectance(l2, t1)
+    err = rho_hat - rho
+    diff_err = (rho_hat[:, 1:] - rho_hat[:, :-1]) - (rho[:, 1:] - rho[:, :-1])
+    l_mse = (err * err).mean()
+    l_fd = (diff_err * diff_err).mean()
+    loss = l_mse + fd_weight * l_fd
+
+    def vjp(g):
+        g_rho = _slope_vjp(err * (2.0 * g / err.size), diff_err * (2.0 * g * fd_weight / diff_err.size))
+        return _reflectance_vjp(g_rho, rho_hat, denom, tv, 0.0)
+
+    return ad.node(np.asarray(loss), (l2, t1), vjp), {"mse": float(l_mse), "fd": float(l_fd)}
+
+
+def _unsupervised_head(l2, t1, rho_weight, transmission_weight, slope_weight):
+    """(loss, components): l1 * mean(rho_hat) + l2 * mean(T(1)) + l3 * mean(|d rho_hat|)."""
+    rho_hat, denom, tv = _reflectance(l2, t1)
+    slope = rho_hat[:, 1:] - rho_hat[:, :-1]
+    l_rho, l_t, l_fd = rho_hat.mean(), tv.mean(), np.abs(slope).mean()
+    loss = rho_weight * l_rho + transmission_weight * l_t + slope_weight * l_fd
+
+    def vjp(g):
+        g_rho = np.full(rho_hat.shape, g * rho_weight / rho_hat.size)
+        _slope_vjp(g_rho, np.sign(slope) * (g * slope_weight / slope.size))
+        g_t = np.full(tv.shape, g * transmission_weight / tv.size)
+        return _reflectance_vjp(g_rho, rho_hat, denom, tv, g_t)
+
+    components = {"rho": float(l_rho), "transmission": float(l_t), "fd": float(l_fd)}
+    return ad.node(np.asarray(loss), (l2, t1), vjp), components
+
+
+def _transmit_terms(model: Profile, params, z, solver: SolverConfig):
+    """(T(1), T^-1(z)) for ``params``, traced when they are."""
+    t1 = transmittance_values(model, params, solver)
+    return t1, invert_values(model, params, z, solver, transmittance=t1)
+
+
 def supervised_loss_terms(
     model: Profile,
     norm: SceneNormalization,
@@ -141,15 +205,9 @@ def supervised_loss_terms(
     """(loss, components): L = L_MSE + lambda * L_FD over paired (n, bands) pixels."""
     if len(l4) == 0:
         raise EmptyInputError("supervised loss needs at least one pixel")
-    if params is None:
-        params = model.params
-    rho_hat = corrected_reflectance(model, params, norm, l4, solver)
-    err = rho_hat - rho
-    l_mse = ad.mean(err * err)
-    diff_err = _fd_terms(rho_hat) - (rho[:, 1:] - rho[:, :-1])
-    l_fd = ad.mean(diff_err * diff_err)
-    loss = l_mse + fd_weight * l_fd
-    return loss, {"mse": float(ad.value_of(l_mse)), "fd": float(ad.value_of(l_fd))}
+    params = model.params if params is None else params
+    t1, l2 = _transmit_terms(model, params, normalized_radiance(norm, l4), solver)
+    return _supervised_head(l2, t1, np.asarray(rho, float), fd_weight)
 
 
 def supervised_loss(
@@ -177,19 +235,9 @@ def unsupervised_loss_terms(
     """(loss, components): L = l1*mean(rho) + l2*mean(T(1)) + l3*mean(|d rho|)."""
     if len(l4) == 0:
         raise EmptyInputError("unsupervised loss needs at least one pixel")
-    if params is None:
-        params = model.params
-    t1 = transmittance_values(model, params, solver)
-    rho_hat = corrected_reflectance(model, params, norm, l4, solver, transmittance=t1)
-    l_rho = ad.mean(rho_hat)
-    l_t = ad.mean(t1)
-    l_fd = ad.mean(ad.absolute(_fd_terms(rho_hat)))
-    loss = rho_weight * l_rho + transmission_weight * l_t + slope_weight * l_fd
-    return loss, {
-        "rho": float(ad.value_of(l_rho)),
-        "transmission": float(ad.value_of(l_t)),
-        "fd": float(ad.value_of(l_fd)),
-    }
+    params = model.params if params is None else params
+    t1, l2 = _transmit_terms(model, params, normalized_radiance(norm, l4), solver)
+    return _unsupervised_head(l2, t1, rho_weight, transmission_weight, slope_weight)
 
 
 def unsupervised_loss(
@@ -207,20 +255,13 @@ def unsupervised_loss(
     )[0]
 
 
-def _loss_terms(config: TrainConfig, model, norm, l4, rho, params=None):
+def _loss_terms(config: TrainConfig, model, z, rho, params):
+    """(loss, components) of ``config``'s mode over normalized (n, bands) radiance ``z``."""
+    t1, l2 = _transmit_terms(model, params, z, config.solver)
     if config.mode == "supervised":
-        return supervised_loss_terms(
-            model, norm, l4, rho, config.solver, config.fd_weight, params
-        )
-    return unsupervised_loss_terms(
-        model,
-        norm,
-        l4,
-        config.solver,
-        config.rho_weight,
-        config.transmission_weight,
-        config.slope_weight,
-        params,
+        return _supervised_head(l2, t1, rho, config.fd_weight)
+    return _unsupervised_head(
+        l2, t1, config.rho_weight, config.transmission_weight, config.slope_weight
     )
 
 
@@ -254,8 +295,10 @@ def train(
         raise InvalidDatasetError("training split is empty")
     if config.mode == "unsupervised" and len(train_idx) < 2:
         raise InvalidDatasetError("unsupervised training needs at least 2 pixels")
-    train_data = (l4[train_idx], None if rho is None else rho[train_idx])
-    val_data = (l4[val_idx], None if rho is None else rho[val_idx])
+    # z does not depend on the parameters, so it is computed once, not per epoch.
+    z = normalized_radiance(norm, l4)
+    train_data = (z[train_idx], None if rho is None else rho[train_idx])
+    val_data = (z[val_idx], None if rho is None else rho[val_idx])
 
     model = build_model(config, l4.shape[1], config.seed)
     params = model.params.copy()
@@ -275,7 +318,7 @@ def train(
         tape = ad.Tape()
         pvar = tape.leaf(params)
         try:
-            loss, components = _loss_terms(config, model, norm, *train_data, pvar)
+            loss, components = _loss_terms(config, model, *train_data, pvar)
         except NumericError as e:
             raise NumericError(f"epoch {epoch}: {e}") from e
         train_loss = float(ad.value_of(loss))
@@ -292,7 +335,7 @@ def train(
             record = {"epoch": epoch, "train_loss": train_loss, **components}
         else:
             val_loss = float(
-                ad.value_of(_loss_terms(config, model, norm, *val_data, params)[0])
+                ad.value_of(_loss_terms(config, model, *val_data, params)[0])
             )
             monitor = val_loss
             record = {
@@ -326,8 +369,12 @@ def train(
 
 @dataclass
 class EnsembleResult:
+    """Each member's run, T(1) and ROI-mean reflectance (None where it failed), and their statistics."""
+
     runs: list[Optional[TrainRun]]
     failures: list[tuple[int, DinsatError]]
+    transmittances: list[Optional[np.ndarray]]
+    roi_reflectances: list[Optional[np.ndarray]]
     transmittance_mean: np.ndarray
     transmittance_std: np.ndarray
     roi_reflectance_mean: np.ndarray
@@ -400,21 +447,22 @@ def ensemble(
         reasons = "; ".join(f"run {i}: {e}" for i, e in failures)
         raise type(failures[0][1])(f"all ensemble members failed: {reasons}")
 
-    t_stack = []
-    roi_stack = []
-    for run in completed:
+    transmittances: list[Optional[np.ndarray]] = [None] * n_runs
+    roi_reflectances: list[Optional[np.ndarray]] = [None] * n_runs
+    for i, run in enumerate(runs):
+        if run is None:
+            continue
         model = run.model(l4.shape[1])
         t1 = ad.value_of(transmittance_values(model, model.params, config.solver))
-        t_stack.append(t1)
-        rho_hat = ad.value_of(
-            corrected_reflectance(model, model.params, norm, l4, config.solver, transmittance=t1)
-        )
-        roi_stack.append(rho_hat.mean(axis=0))
-    t_stack = np.stack(t_stack)
-    roi_stack = np.stack(roi_stack)
+        transmittances[i] = t1
+        roi_reflectances[i] = corrected_reflectance(model, norm, l4, config.solver, t1).mean(axis=0)
+    t_stack = np.stack([t for t in transmittances if t is not None])
+    roi_stack = np.stack([r for r in roi_reflectances if r is not None])
     return EnsembleResult(
         runs=runs,
         failures=failures,
+        transmittances=transmittances,
+        roi_reflectances=roi_reflectances,
         transmittance_mean=t_stack.mean(axis=0),
         transmittance_std=t_stack.std(axis=0),
         roi_reflectance_mean=roi_stack.mean(axis=0),

@@ -142,10 +142,19 @@ class LinearProfile:
         return ad.mul(L, self.t1(params, solver))
 
     def inverse(self, params, L, solver: SolverConfig, transmittance=None):
-        """Exact division by T(1); pass ``transmittance`` to reuse one already computed."""
-        if transmittance is None:
-            transmittance = self.t1(params, solver)
-        return ad.div(L, transmittance)
+        """Exact division of (..., n_bands) L by T(1): one node over (L, T(1)).
+
+        Pass ``transmittance`` to reuse a T(1) already computed.
+        """
+        t = self.t1(params, solver) if transmittance is None else transmittance
+        tv = ad.value_of(t)
+        out = ad.value_of(L) / tv
+
+        def vjp(g):
+            g_L = g / tv
+            return g_L, -(g_L * out).reshape(-1, tv.size).sum(axis=0)
+
+        return ad.node(out, (L, t), vjp)
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,15 @@ def check_coords(coords, rows: int, cols: int) -> np.ndarray:
     return rc
 
 
+def sample_coords(rows: int, cols: int, n_pixels: int, seed: int) -> np.ndarray:
+    """(n, 2) distinct (row, col) pairs of a rows x cols image, drawn uniformly by ``seed``."""
+    total = rows * cols
+    if n_pixels > total:
+        raise ConfigError(f"requested {n_pixels} pixels from a {total}-pixel scene")
+    flat = np.random.default_rng(seed).choice(total, size=n_pixels, replace=False)
+    return np.stack(np.divmod(flat, cols), axis=1)
+
+
 @dataclass(frozen=True)
 class DatasetSplit:
     """Disjoint train/val/test index lists into a sample collection."""

@@ -441,6 +441,7 @@ def bad_inputs(tmp_path_factory):
         "string_params": {**valid, "params": ["a"] * 8}, "n_bands_5": {**valid, "n_bands": 5},
         "solver_foo": {**valid, "solver": {**valid["solver"], "method": "foo"}},
         "steps_0": {**valid, "solver": {**valid["solver"], "steps": 0}},
+        "nan_params": {**valid, "params": [float("nan")] + [-2.0] * 7},
     }
     for name, doc in models.items():
         (d / f"{name}.json").write_text(json.dumps(doc))
@@ -493,6 +494,7 @@ BAD_INPUT_CASES = [
     ("model-solver-method-foo", "correct --cube {d}/scene.hdr --model {d}/solver_foo.json --out {o}",
      3, "parse-error"),
     ("model-solver-steps-0", "correct --cube {d}/scene.hdr --model {d}/steps_0.json --out {o}", 3, "parse-error"),
+    ("model-nan-params", "correct --cube {d}/scene.hdr --model {d}/nan_params.json --out {o}", 3, "parse-error"),
     ("norm-m-0", "correct --cube {d}/scene.hdr --model {d}/model8.json --norm {d}/norm_m_0.json --out {o}",
      3, "parse-error"),
     ("norm-negative-c", "correct --cube {d}/scene.hdr --model {d}/model8.json --norm {d}/norm_neg_c.json --out {o}",

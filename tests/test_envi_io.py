@@ -205,6 +205,26 @@ class TestRowBlocks:
         np.testing.assert_array_equal(cube.pixels(coords), ref[[r for r, _ in coords], [c for _, c in coords]])
         np.testing.assert_array_equal(cube.band_extrema(), [ref.min(axis=(0, 1)), ref.max(axis=(0, 1))])
 
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_one_pass_gives_band_extrema_and_pixels(self, tmp_path, monkeypatch, interleave):
+        monkeypatch.setattr(envi, "BLOCK_BYTES", 3 * self.COLS * self.BANDS * 8)
+        hdr, img, dtype = self.write_raw(tmp_path, interleave, "u2", 1)
+        # A negative offset on band 0 clamps about half of its values to 0.
+        hdr.write_text(hdr.read_text().replace("{1.0, 0.0, 0.5, 3.0}", "{-16000.0, 0.0, 0.5, 3.0}"))
+        ref = self.reference(img, interleave, dtype, "u2") - np.array([16001.0, 0.0, 0.0, 0.0])
+        assert (ref < 0).any()
+        ref[ref < 0] = 0.0
+        # Rows 0 and 6 are the first and last rows, in the first and last of three blocks.
+        coords = [(6, 2), (0, 0), (3, 1), (6, 0), (0, 2), (3, 1)]
+        cube = open_envi(hdr)
+        extrema, pixels = cube.extrema_and_pixels(coords)
+        np.testing.assert_array_equal(extrema, open_envi(hdr).band_extrema())
+        np.testing.assert_array_equal(pixels, open_envi(hdr).pixels(coords))
+        np.testing.assert_array_equal(extrema, [ref.min(axis=(0, 1)), ref.max(axis=(0, 1))])
+        np.testing.assert_array_equal(pixels, ref[[r for r, _ in coords], [c for _, c in coords]])
+        with pytest.raises(ShapeError, match="outside"):
+            cube.extrema_and_pixels([(7, 0)])
+
     @pytest.mark.parametrize("data_type", [4, 5, 12])
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
     def test_writer_bytes_match_whole_array_write(self, tmp_path, monkeypatch, interleave, data_type):

@@ -6,6 +6,7 @@ from dinsat.envi import open_envi, write_envi
 from dinsat.errors import ConfigError
 from dinsat.ode import SolverConfig
 from dinsat.synth import SynthSpec, sample_pixels, synth_scene
+from dinsat.types import sample_coords
 
 SMALL = dict(rows=8, cols=8, n_bands=30)
 
@@ -90,6 +91,12 @@ class TestSamplePixels:
         coords = {(r, c) for r, c in coords.tolist()}
         assert len(coords) == 20
         assert all(0 <= r < 8 and 0 <= c < 8 for r, c in coords)
+
+    def test_coords_are_the_shared_draw(self):
+        # `dinsat train` draws its unsupervised pixels with the same rule.
+        cube, truth = synth_scene(SynthSpec(**SMALL), seed=5)
+        coords, _, _ = sample_pixels(cube, truth, 20, seed=3)
+        np.testing.assert_array_equal(coords, sample_coords(8, 8, 20, seed=3))
 
     def test_truth_pairing(self):
         cube, truth = synth_scene(SynthSpec(**SMALL), seed=5)

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from dinsat import autodiff as ad
-from dinsat.correction import SceneNormalization
+from dinsat.correction import EPS_T, SceneNormalization, correct_batch
 from dinsat.errors import ConfigError, InvalidDatasetError, ShapeError
 from dinsat.ode import SolverConfig, ode_solve
 from dinsat.synth import SynthSpec, sample_pixels, synth_scene
@@ -20,7 +20,7 @@ from dinsat.training import (
     unsupervised_loss,
     unsupervised_loss_terms,
 )
-from dinsat.transmission import LinearProfile, NonlinearProfile, softplus_inverse
+from dinsat.transmission import LinearProfile, NonlinearProfile, softplus_inverse, transmittance_spectrum
 from dinsat.types import Spectrum
 
 CFG = SolverConfig("rk4", 16)
@@ -148,11 +148,11 @@ class TestLossGradients:
         model = LinearProfile.initialize(n, rng)
         tape = ad.Tape()
         ad.backward(unsupervised_loss(model, norm, l4, CFG, params=tape.leaf(model.params)))
-        assert len(tape.nodes) <= 32
+        assert len(tape.nodes) == 4  # leaf, T(1), T^-1, loss head
 
     def test_nonlinear_supervised_tape_is_small(self):
-        # Each right-hand-side evaluation is one fused node, so the tape holds
-        # one node per RK4 stage plus the stage arithmetic.
+        # Each traced solve is one node whose VJP sweeps its stages, so the
+        # tape does not grow with the step or stage count.
         rng = np.random.default_rng(5)
         n = 126
         norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.3)
@@ -161,7 +161,86 @@ class TestLossGradients:
         model = NonlinearProfile.initialize(n, rng)
         tape = ad.Tape()
         ad.backward(supervised_loss(model, norm, l4, rho, CFG, params=tape.leaf(model.params)))
-        assert len(tape.nodes) <= 1000
+        assert len(tape.nodes) == 4  # leaf, T(1) solve, T^-1 solve, loss head
+
+
+class TestLossHeads:
+    """The one-node loss heads against the loss composed from generic tape ops."""
+
+    WEIGHTS = {"fd_weight": 0.7, "rho_weight": 0.03, "transmission_weight": 0.05, "slope_weight": 0.9}
+    FLOORED = 2  # the linear model's band with T(1) < EPS_T
+
+    def problem(self, kind):
+        rng = np.random.default_rng(21)
+        n = 6
+        norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.3)
+        l4 = norm.c + rng.uniform(0.1, 1.0, (3, n))
+        rho = rng.uniform(0, 1, (3, n))
+        if kind == "linear":
+            raw = LinearProfile.initialize(n, rng).raw
+            # alpha = 16 at RK4_16 gives T(1) = 0.375^16 = 1.5e-7, under the
+            # floor; a z of about 1e-13 keeps that band's rho_hat near 1.
+            raw[self.FLOORED] = softplus_inverse(np.array(16.0))
+            l4[:, self.FLOORED] = norm.c[self.FLOORED] + norm.m * rng.uniform(0.5, 1.5, 3) * 1e-13
+            model = LinearProfile(raw)
+            assert ad.value_of(model.t1(model.params, CFG))[self.FLOORED] < EPS_T
+        else:
+            model = NonlinearProfile.initialize(n, rng)
+        return model, norm, l4, rho
+
+    def head(self, mode, model, norm, l4, rho, params, solver=CFG):
+        w = self.WEIGHTS
+        if mode == "supervised":
+            return supervised_loss(model, norm, l4, rho, solver, w["fd_weight"], params)
+        return unsupervised_loss(model, norm, l4, solver, w["rho_weight"], w["transmission_weight"],
+                                 w["slope_weight"], params)
+
+    def reference(self, mode, model, norm, l4, rho, params, solver=CFG):
+        """The loss as one generic ad op per node, with the linear T^-1 as ad.div."""
+        w = self.WEIGHTS
+        t1 = model.t1(params, solver)
+        z = np.maximum((l4 - norm.c) / norm.m, 0.0)
+        l2 = ad.div(z, t1) if model.kind == "linear" else model.inverse(params, z, solver)
+        rho_hat = l2 / ad.clip_min(t1, EPS_T)
+        slope = rho_hat[:, 1:] - rho_hat[:, :-1]
+        if mode == "supervised":
+            err = rho_hat - rho
+            diff_err = slope - (rho[:, 1:] - rho[:, :-1])
+            return ad.mean(err * err) + w["fd_weight"] * ad.mean(diff_err * diff_err)
+        return (w["rho_weight"] * ad.mean(rho_hat) + w["transmission_weight"] * ad.mean(t1)
+                + w["slope_weight"] * ad.mean(ad.absolute(slope)))
+
+    def value_and_grad(self, loss_fn, params):
+        tape = ad.Tape()
+        pvar = tape.leaf(params)
+        loss = loss_fn(pvar)
+        ad.backward(loss)
+        return float(ad.value_of(loss)), pvar.grad
+
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+    def test_loss_is_bit_identical_and_gradient_matches(self, mode, kind):
+        model, norm, l4, rho = self.problem(kind)
+        args = (mode, model, norm, l4, rho)
+        loss, grad = self.value_and_grad(lambda p: self.head(*args, p), model.params)
+        ref_loss, ref_grad = self.value_and_grad(lambda p: self.reference(*args, p), model.params)
+        assert loss == ref_loss
+        assert float(ad.value_of(self.head(*args, model.params))) == ref_loss  # untraced too
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-13, atol=0)
+        if kind == "linear":
+            assert grad[self.FLOORED] != 0.0
+
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+    def test_gradient_matches_finite_differences(self, mode, kind):
+        model, norm, l4, rho = self.problem(kind)
+        cfg = CFG if kind == "linear" else SolverConfig("rk4", 8)
+        _, grad = self.value_and_grad(lambda p: self.head(mode, model, norm, l4, rho, p, cfg), model.params)
+        fd = ad.finite_difference(
+            lambda v: float(ad.value_of(self.head(mode, model, norm, l4, rho, v, cfg))), model.params.copy()
+        )
+        denom = np.maximum(np.abs(fd), 1e-7)
+        assert np.max(np.abs(grad - fd) / denom) < 1e-3
 
 
 def tiny_scene():
@@ -280,6 +359,20 @@ class TestEnsemble:
         np.testing.assert_array_equal(
             serial.transmittance_mean, parallel.transmittance_mean
         )
+
+    def test_members_keep_their_transmittance_and_roi_reflectance(self):
+        # What `dinsat train` writes to each run record, as it computed it before.
+        cube, truth = tiny_scene()
+        _, l4, _ = sample_pixels(cube, truth, 30, seed=5, with_truth=False)
+        config = TrainConfig(mode="unsupervised", max_epochs=6, solver=SolverConfig("rk4", 8), seed=2)
+        result = ensemble(config, l4, truth.norm, n_runs=2)
+        for run, t1, roi in zip(result.runs, result.transmittances, result.roi_reflectances):
+            model = run.model(cube.n_bands)
+            np.testing.assert_array_equal(t1, transmittance_spectrum(model, config.solver).values)
+            rho_hat, _ = correct_batch(model, truth.norm, l4, config.solver)
+            np.testing.assert_array_equal(roi, rho_hat.mean(axis=0))
+        np.testing.assert_array_equal(result.transmittance_mean, np.mean(result.transmittances, axis=0))
+        np.testing.assert_array_equal(result.roi_reflectance_std, np.std(result.roi_reflectances, axis=0))
 
     def test_zero_runs_rejected(self):
         with pytest.raises(ConfigError):
