@@ -16,7 +16,6 @@ import click
 import numpy as np
 
 from . import artifacts, envi
-from . import autodiff as ad
 from .correction import SceneNormalization, correct_batch, estimate_normalization, simulate_at_sensor
 from .transmission import transmittance_values
 from .errors import ConfigError, DinsatError, InvalidDatasetError
@@ -182,7 +181,7 @@ def synth(spec_path, seed, out_dir):
 @click.option("--ensemble", "n_runs", default=1, show_default=True)
 @click.option("--reshuffle/--no-reshuffle", default=True, show_default=True, help="redraw data splits per ensemble member")
 @click.option("--seed", default=None, type=int)
-@click.option("--threads", default=None, type=int, help="parallel ensemble members (default: DINSAT_THREADS or 1)")
+@click.option("--threads", default=1, show_default=True, help="parallel ensemble members")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @_fail_cleanly
 def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, threads, out_dir):
@@ -250,7 +249,7 @@ def correct(cube_path, model_path, norm_path, out_dir):
     model, solver, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube",
                                           lambda: estimate_normalization(cube.band_extrema()))
 
-    t1 = ad.value_of(transmittance_values(model, model.params, solver))
+    t1 = transmittance_values(model, model.params, solver)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     shape, wl = (cube.rows, cube.cols, cube.n_bands), cube.grid.wavelengths_nm

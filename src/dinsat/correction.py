@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ConfigError, EmptyInputError, ShapeError
 from .ode import SolverConfig
 from .transmission import Profile, invert_values, transmittance_values
@@ -96,7 +95,7 @@ def corrected_reflectance(
     ``transmittance`` is the model's T(1), when the caller already has it.
     """
     t1 = (
-        ad.value_of(transmittance_values(model, model.params, solver))
+        transmittance_values(model, model.params, solver)
         if transmittance is None
         else np.asarray(transmittance, float)
     )
@@ -117,7 +116,7 @@ def correct_batch(
     batches with one model.
     """
     t1 = (
-        ad.value_of(transmittance_values(model, model.params, solver))
+        transmittance_values(model, model.params, solver)
         if transmittance is None
         else np.asarray(transmittance, float)
     )
@@ -144,15 +143,13 @@ def correct_pixel(
 
 def simulate_values(
     model: Profile,
-    params,
     norm: SceneNormalization,
-    rho,
+    rho: np.ndarray,
     solver: SolverConfig = SolverConfig(),
-):
-    """Traced-or-plain forward simulation of at-sensor radiance."""
-    t1 = transmittance_values(model, params, solver)
-    l4 = norm.c + norm.m * model.forward(params, rho * t1, solver)
-    return l4
+) -> np.ndarray:
+    """At-sensor radiance L4 = C + m * T(rho * T(1_n)) of (..., n_bands) reflectance ``rho``."""
+    t1 = transmittance_values(model, model.params, solver)
+    return norm.c + norm.m * model.forward(model.params, rho * t1, solver)
 
 
 def simulate_at_sensor(
@@ -164,5 +161,4 @@ def simulate_at_sensor(
     """At-sensor radiance from a surface reflectance spectrum."""
     if np.any(rho.values < -RHO_RANGE_TOL):
         raise ConfigError("reflectance must be nonnegative")
-    out = ad.value_of(simulate_values(model, model.params, norm, rho.values, solver))
-    return Spectrum(out, "radiance")
+    return Spectrum(simulate_values(model, norm, rho.values, solver), "radiance")

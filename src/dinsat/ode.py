@@ -128,7 +128,13 @@ def _integrate(rhs, y0, x_start, x_stop, config: SolverConfig, guard: float | No
     if not isinstance(rhs, FusedRhs):
         if isinstance(y0, ad.Var):
             raise ContractError("a traced state needs an ode.FusedRhs right-hand side")
-        f = rhs
+
+        def f(L):
+            value = rhs(L)
+            if isinstance(value, ad.Var):
+                raise ContractError("a plain rhs must return plain arrays; trace through an ode.FusedRhs")
+            return value
+
     elif not rhs.traced(y0):
         f = rhs.value
     else:
@@ -142,8 +148,6 @@ def _integrate(rhs, y0, x_start, x_stop, config: SolverConfig, guard: float | No
     y = ad.value_of(y0)
     for i in range(config.steps):
         y = step(f, y, h)
-        if isinstance(y, ad.Var):
-            raise ContractError("a plain rhs must return plain arrays; trace through an ode.FusedRhs")
         if not np.all(np.isfinite(y)):
             raise NumericError(f"non-finite state at integration step {i}")
         if guard is not None and np.max(np.abs(y)) > guard:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -334,9 +333,7 @@ def train(
             monitor = train_loss
             record = {"epoch": epoch, "train_loss": train_loss, **components}
         else:
-            val_loss = float(
-                ad.value_of(_loss_terms(config, model, *val_data, params)[0])
-            )
+            val_loss = float(_loss_terms(config, model, *val_data, params)[0])
             monitor = val_loss
             record = {
                 "epoch": epoch,
@@ -397,18 +394,6 @@ def _run_member(args) -> TrainRun:
     return train(member, l4, norm, rho, split_seed=split_seed)
 
 
-def default_workers() -> int:
-    """Process count from ``DINSAT_THREADS`` (at least 1; 1 when unset).
-
-    Raises ConfigError when the variable is set to something not an integer.
-    """
-    value = os.environ.get("DINSAT_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise ConfigError(f"DINSAT_THREADS must be an integer, got {value!r}") from None
-
-
 def ensemble(
     config: TrainConfig,
     l4: np.ndarray,
@@ -416,13 +401,15 @@ def ensemble(
     n_runs: int,
     rho: Optional[np.ndarray] = None,
     reshuffle: bool = True,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> EnsembleResult:
-    """Independent seeded runs plus per-band aggregate statistics over all of ``l4``."""
+    """Independent seeded runs plus per-band aggregate statistics over all of ``l4``.
+
+    With ``workers`` above 1 the members run in that many processes.
+    """
     if n_runs < 1:
         raise ConfigError("ensemble needs at least one run")
     l4, rho = _pixel_arrays(l4, rho)
-    workers = default_workers() if workers is None else max(1, workers)
     jobs = [(config, l4, rho, norm, reshuffle, i) for i in range(n_runs)]
 
     runs: list[Optional[TrainRun]] = [None] * n_runs
@@ -453,7 +440,7 @@ def ensemble(
         if run is None:
             continue
         model = run.model(l4.shape[1])
-        t1 = ad.value_of(transmittance_values(model, model.params, config.solver))
+        t1 = transmittance_values(model, model.params, config.solver)
         transmittances[i] = t1
         roi_reflectances[i] = corrected_reflectance(model, norm, l4, config.solver, t1).mean(axis=0)
     t_stack = np.stack([t for t in transmittances if t is not None])
@@ -497,9 +484,7 @@ def evaluate(
         )
 
     if library is not None:
-        simulated = ad.value_of(
-            simulate_values(model, model.params, norm, library.values, solver)
-        )
+        simulated = simulate_values(model, norm, library.values, solver)
         observed = l4.mean(axis=0)
         # Both sides normalized by m before comparing, keeping the metric
         # dimensionless regardless of the scene's radiometric scale.

@@ -13,8 +13,8 @@ P(z) per step, z = -alpha h, where P is the method's stability polynomial
 therefore computes the solver's discrete map in closed form, as the per-band
 factor P(z)^n, recorded as a single tape node with its analytic derivative:
 the same map and the same gradients as stepping the solver n times. T is a
-multiplication by that factor and T^-1 an exact division, so round trips are
-exact up to float rounding. The nonlinear profile integrates with the stepped
+multiplication by that factor and T^-1 an exact division, each one node over
+(L, T(1)), so round trips are exact up to float rounding. The nonlinear profile integrates with the stepped
 solvers in ``ode``, forward and backward in x. Its right-hand side is an
 ``ode.FusedRhs`` that unpacks the encoder and decoder weights once per solve:
 plain-numpy primitives for f(L) and for f(L) with a hand-written VJP (product
@@ -138,8 +138,15 @@ class LinearProfile:
         return linear_factor(params, solver)
 
     def forward(self, params, L, solver: SolverConfig):
-        """T(L) = L * T(1_n), per band."""
-        return ad.mul(L, self.t1(params, solver))
+        """Multiplication of (..., n_bands) L by T(1): one node over (L, T(1))."""
+        t = self.t1(params, solver)
+        tv = ad.value_of(t)
+        Lv = ad.value_of(L)
+
+        def vjp(g):
+            return g * tv, (g * Lv).reshape(-1, tv.size).sum(axis=0)
+
+        return ad.node(Lv * tv, (L, t), vjp)
 
     def inverse(self, params, L, solver: SolverConfig, transmittance=None):
         """Exact division of (..., n_bands) L by T(1): one node over (L, T(1)).
@@ -292,7 +299,7 @@ def _spectrum_in(L: Spectrum | np.ndarray) -> np.ndarray:
 
 def transmit(model: Profile, L: Spectrum | np.ndarray, solver: SolverConfig = SolverConfig()):
     """T on a Spectrum (unit preserved) or plain vector."""
-    out = ad.value_of(model.forward(model.params, _spectrum_in(L), solver))
+    out = model.forward(model.params, _spectrum_in(L), solver)
     if isinstance(L, Spectrum):
         return L.with_values(out)
     return out
@@ -300,7 +307,7 @@ def transmit(model: Profile, L: Spectrum | np.ndarray, solver: SolverConfig = So
 
 def invert_transmit(model: Profile, L: Spectrum | np.ndarray, solver: SolverConfig = SolverConfig()):
     """T^-1 on a Spectrum (unit preserved) or plain vector."""
-    out = ad.value_of(model.inverse(model.params, _spectrum_in(L), solver))
+    out = model.inverse(model.params, _spectrum_in(L), solver)
     if isinstance(L, Spectrum):
         return L.with_values(out)
     return out
@@ -308,4 +315,4 @@ def invert_transmit(model: Profile, L: Spectrum | np.ndarray, solver: SolverConf
 
 def transmittance_spectrum(model: Profile, solver: SolverConfig = SolverConfig()) -> Spectrum:
     """T(1_n) as a transmittance-tagged Spectrum."""
-    return Spectrum(ad.value_of(model.t1(model.params, solver)), "transmittance")
+    return Spectrum(model.t1(model.params, solver), "transmittance")

@@ -10,6 +10,27 @@ from dinsat.mlp import MlpLayout, glorot_init, mlp_forward
 from dinsat.optim import AdamState, adam_step
 
 
+# Traced arithmetic in these tests is ad.node or ad.elementwise with the VJP
+# written out, as in the package.
+
+
+def square(x):
+    return ad.elementwise(x, lambda v: v * v, lambda v, _: 2.0 * v)
+
+
+def scale(x, c):
+    return ad.elementwise(x, lambda v: c * v, lambda v, _: c)
+
+
+def product(a, b):
+    av, bv = ad.value_of(a), ad.value_of(b)
+    return ad.node(av * bv, (a, b), lambda g: (g * bv, g * av))
+
+
+def total(x):
+    return ad.node(ad.value_of(x).sum(), (x,), lambda g: (np.full(np.shape(ad.value_of(x)), g),))
+
+
 def _grad_of(build, x0):
     tape = ad.Tape()
     x = tape.leaf(x0)
@@ -19,23 +40,32 @@ def _grad_of(build, x0):
 
 
 class TestPrimitiveOps:
-    def test_shape_mismatch(self):
-        tape = ad.Tape()
-        a = tape.leaf(np.zeros(3))
-        with pytest.raises(ShapeError):
-            ad.add(a, np.zeros(4))
-
     def test_nonfinite_forward_rejected(self):
         tape = ad.Tape()
         x = tape.leaf(np.array([1e200]))
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            x * x
+            square(x)
 
     def test_cross_tape_operands_rejected(self):
         a = ad.Tape().leaf(np.zeros(2))
         b = ad.Tape().leaf(np.zeros(2))
         with pytest.raises(ContractError):
-            ad.add(a, b)
+            product(a, b)
+
+    @pytest.mark.parametrize("op", [
+        lambda x, v: x * v, lambda x, v: v * x, lambda x, v: x + v, lambda x, v: v - x,
+        lambda x, v: x / 2.0, lambda x, v: np.float64(2.0) * x, lambda x, v: x[0],
+    ])
+    def test_var_has_no_arithmetic(self, op):
+        # With no operators on Var and __array_ufunc__ = None, numpy neither
+        # builds an object array nor loops over the Var: the expression fails.
+        x = ad.Tape().leaf(np.ones(3))
+        with pytest.raises(TypeError):
+            op(x, np.ones(3))
+
+    def test_untraced_node_returns_value(self):
+        value = np.arange(3.0)
+        assert ad.node(value, (np.ones(3),), lambda g: (g,)) is value
 
 
 def _logistic_warnings_as_errors(x):
@@ -73,66 +103,57 @@ class TestLogistic:
 
 class TestBackward:
     def test_square(self):
-        _, grad = _grad_of(lambda x: ad.sum(x * x), np.array([3.0]))
+        _, grad = _grad_of(lambda x: total(square(x)), np.array([3.0]))
         assert grad[0] == pytest.approx(6.0)
 
     def test_product_rule(self):
         tape = ad.Tape()
         x = tape.leaf(np.array([2.0]))
         y = tape.leaf(np.array([5.0]))
-        ad.backward(ad.sum(x * y))
+        ad.backward(total(product(x, y)))
         assert (x.grad[0], y.grad[0]) == (5.0, 2.0)
 
     def test_nonscalar_output_rejected(self):
         tape = ad.Tape()
         x = tape.leaf(np.zeros(3))
         with pytest.raises(ContractError):
-            ad.backward(x * 2.0)
+            ad.backward(scale(x, 2.0))
 
     def test_unreached_leaf_gets_zero(self):
         tape = ad.Tape()
         x = tape.leaf(np.array([1.0]))
         y = tape.leaf(np.array([4.0]))
-        ad.backward(ad.sum(x * 3.0))
+        ad.backward(total(scale(x, 3.0)))
         assert y.grad[0] == 0.0
 
-    def test_repeated_array_index_accumulates(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.array([1.0, 2.0, 3.0]))
-        ad.backward(ad.sum(x[[0, 0, 2]]))
-        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
-
-    def test_slice_gradient(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.arange(12.0).reshape(3, 4))
-        ad.backward(ad.sum(x[1:, :-1] * np.array([1.0, 2.0, 3.0])))
-        np.testing.assert_array_equal(x.grad, [[0, 0, 0, 0], [1, 2, 3, 0], [1, 2, 3, 0]])
-
     def test_fd_oracle_random_scalar_functions(self):
-        # Every primitive participates; gradient must match central differences.
+        # Elementwise nodes, a many-input node and a shared input feeding
+        # several nodes: the gradient must match central differences.
         rng = np.random.default_rng(7)
-        mat = rng.uniform(-1.0, 1.0, (3, 3))
+        mat = rng.uniform(-1.0, 1.0, (3, 9))
 
         def build(x):
-            a = ad.elementwise(x[0:3], ad.logistic, lambda x, s: s * (1.0 - s))
-            b = ad.softplus(x[3:6])
-            c = ad.elementwise(x[6:9] * 0.3, np.exp, lambda x, e: e)
-            d = ad.absolute(x[0:3] - x[6:9])
-            v = x[[0, 4, 8]]
-            m = ad.node(mat @ v.value, (v,), lambda g: (mat.T @ g,))
-            mix = a * b + c / (1.5 + ad.softplus(d)) + m
-            return ad.mean(mix) + ad.sum(ad.clip_min(x, 0.1)) * 0.01
+            a = ad.elementwise(x, ad.logistic, lambda v, s: s * (1.0 - s))
+            b = ad.elementwise(x, lambda v: np.logaddexp(0.0, v), lambda v, _: ad.logistic(v))
+            c = ad.elementwise(scale(x, 0.3), np.exp, lambda v, e: e)
+            av, bv, cv = (ad.value_of(t) for t in (a, b, c))
+            mix = ad.node(
+                av * bv + cv / (1.5 + mat.T @ (mat @ bv)),
+                (a, b, c),
+                lambda g: (
+                    g * bv,
+                    g * av - mat.T @ (mat @ (g * cv / (1.5 + mat.T @ (mat @ bv)) ** 2)),
+                    g / (1.5 + mat.T @ (mat @ bv)),
+                ),
+            )
+            return ad.node(ad.value_of(mix).mean(), (mix,), lambda g: (np.full(9, g / 9),))
 
         for _ in range(100):
             x0 = rng.uniform(-2.0, 2.0, 9)
-            # keep away from the clip kink where the derivative jumps
-            x0[np.abs(x0 - 0.1) < 1e-3] += 0.01
             tape = ad.Tape()
             x = tape.leaf(x0)
             ad.backward(build(x))
-            fd = ad.finite_difference(
-                lambda v: float(ad.value_of(build(ad.Tape().leaf(v)))), x0.copy()
-            )
+            fd = ad.finite_difference(lambda v: float(build(v)), x0.copy())
             denom = np.maximum(np.abs(fd), 1e-6)
             assert np.max(np.abs(x.grad - fd) / denom) < 1e-4
 
@@ -143,7 +164,8 @@ class TestBackward:
         def run():
             tape = ad.Tape()
             x = tape.leaf(x0)
-            return ad.value_of(ad.mean(ad.softplus(x * x) / (1.0 + ad.absolute(x))))
+            y = ad.elementwise(square(x), lambda v: np.logaddexp(0.0, v), lambda v, _: ad.logistic(v))
+            return ad.value_of(total(product(y, 1.0 / (1.0 + np.abs(x0)))))
 
         assert run() == run()
 

@@ -185,16 +185,6 @@ class TestTrainCommand:
         ])
         assert result.exit_code == 2
 
-    def test_non_integer_thread_count_is_config_error(self, tmp_path, runner, monkeypatch):
-        scene = make_scene(tmp_path, runner)
-        monkeypatch.setenv("DINSAT_THREADS", "abc")
-        result = runner.invoke(main, [
-            "train", "--cube", str(scene / "scene.hdr"), "--mode", "unsupervised",
-            "--out", str(tmp_path / "o"),
-        ])
-        assert result.exit_code == 2
-        assert result.output == "config-error: DINSAT_THREADS must be an integer, got 'abc'\n"
-
     def test_corrupt_cube_is_data_error(self, tmp_path, runner):
         scene = make_scene(tmp_path, runner)
         img = scene / "scene.img"

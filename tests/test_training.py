@@ -5,13 +5,14 @@ import pytest
 from scipy.optimize import brentq
 
 from dinsat import autodiff as ad
-from dinsat.correction import EPS_T, SceneNormalization, correct_batch
+from dinsat.correction import EPS_T, SceneNormalization, correct_batch, normalized_radiance
 from dinsat.errors import ConfigError, InvalidDatasetError, ShapeError
 from dinsat.ode import SolverConfig, ode_solve
 from dinsat.synth import SynthSpec, sample_pixels, synth_scene
 from dinsat.training import (
     TrainConfig,
-    default_workers,
+    _supervised_head,
+    _unsupervised_head,
     ensemble,
     evaluate,
     supervised_loss,
@@ -33,6 +34,23 @@ def identity_model(n):
 def rows(*pixels):
     """An (n, bands) array with one row per pixel."""
     return np.array(pixels, dtype=float)
+
+
+H_CS = 1e-30
+
+
+def complex_step(f, x):
+    """Gradient of a real-analytic scalar f at real x: Im f(x + ih e_k) / h per k.
+
+    No difference is taken, so there is no cancellation: exact to rounding.
+    """
+    x = np.asarray(x, float)
+    grad = np.empty_like(x)
+    for k in range(x.size):
+        xc = x.astype(complex)
+        xc.flat[k] += 1j * H_CS
+        grad.flat[k] = f(xc).imag / H_CS
+    return grad
 
 
 def discrete_transmittance_alpha(target, cfg):
@@ -165,7 +183,7 @@ class TestLossGradients:
 
 
 class TestLossHeads:
-    """The one-node loss heads against the loss composed from generic tape ops."""
+    """The one-node loss heads against a plain-numpy reference and complex step."""
 
     WEIGHTS = {"fd_weight": 0.7, "rho_weight": 0.03, "transmission_weight": 0.05, "slope_weight": 0.9}
     FLOORED = 2  # the linear model's band with T(1) < EPS_T
@@ -183,7 +201,7 @@ class TestLossHeads:
             raw[self.FLOORED] = softplus_inverse(np.array(16.0))
             l4[:, self.FLOORED] = norm.c[self.FLOORED] + norm.m * rng.uniform(0.5, 1.5, 3) * 1e-13
             model = LinearProfile(raw)
-            assert ad.value_of(model.t1(model.params, CFG))[self.FLOORED] < EPS_T
+            assert model.t1(model.params, CFG)[self.FLOORED] < EPS_T
         else:
             model = NonlinearProfile.initialize(n, rng)
         return model, norm, l4, rho
@@ -195,20 +213,21 @@ class TestLossHeads:
         return unsupervised_loss(model, norm, l4, solver, w["rho_weight"], w["transmission_weight"],
                                  w["slope_weight"], params)
 
-    def reference(self, mode, model, norm, l4, rho, params, solver=CFG):
-        """The loss as one generic ad op per node, with the linear T^-1 as ad.div."""
+    def reference(self, mode, l2, t1, rho):
+        """The loss of (T^-1(z), T(1)) in numpy, complex-safe for complex step.
+
+        The floor is np.where on the real part and |s| is s * sign(Re s): on
+        real input they compute what np.maximum and np.abs do.
+        """
         w = self.WEIGHTS
-        t1 = model.t1(params, solver)
-        z = np.maximum((l4 - norm.c) / norm.m, 0.0)
-        l2 = ad.div(z, t1) if model.kind == "linear" else model.inverse(params, z, solver)
-        rho_hat = l2 / ad.clip_min(t1, EPS_T)
+        rho_hat = l2 / np.where(t1.real > EPS_T, t1, EPS_T)
         slope = rho_hat[:, 1:] - rho_hat[:, :-1]
         if mode == "supervised":
             err = rho_hat - rho
             diff_err = slope - (rho[:, 1:] - rho[:, :-1])
-            return ad.mean(err * err) + w["fd_weight"] * ad.mean(diff_err * diff_err)
-        return (w["rho_weight"] * ad.mean(rho_hat) + w["transmission_weight"] * ad.mean(t1)
-                + w["slope_weight"] * ad.mean(ad.absolute(slope)))
+            return (err * err).mean() + w["fd_weight"] * (diff_err * diff_err).mean()
+        return (w["rho_weight"] * rho_hat.mean() + w["transmission_weight"] * t1.mean()
+                + w["slope_weight"] * (slope * np.sign(slope.real)).mean())
 
     def value_and_grad(self, loss_fn, params):
         tape = ad.Tape()
@@ -217,18 +236,63 @@ class TestLossHeads:
         ad.backward(loss)
         return float(ad.value_of(loss)), pvar.grad
 
+    def head_cotangents(self, mode, l2, t1, rho):
+        """The head's cotangents of (T^-1(z), T(1)), fed to it as two leaves."""
+        w = self.WEIGHTS
+        tape = ad.Tape()
+        l2_leaf, t1_leaf = tape.leaf(l2), tape.leaf(t1)
+        if mode == "supervised":
+            loss, _ = _supervised_head(l2_leaf, t1_leaf, rho, w["fd_weight"])
+        else:
+            loss, _ = _unsupervised_head(l2_leaf, t1_leaf, w["rho_weight"], w["transmission_weight"],
+                                         w["slope_weight"])
+        ad.backward(loss)
+        return l2_leaf.grad, t1_leaf.grad
+
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
     def test_loss_is_bit_identical_and_gradient_matches(self, mode, kind):
         model, norm, l4, rho = self.problem(kind)
         args = (mode, model, norm, l4, rho)
+        t1 = model.t1(model.params, CFG)
+        l2 = model.inverse(model.params, normalized_radiance(norm, l4), CFG, transmittance=t1)
+        ref_loss = self.reference(mode, l2, t1, rho)
         loss, grad = self.value_and_grad(lambda p: self.head(*args, p), model.params)
-        ref_loss, ref_grad = self.value_and_grad(lambda p: self.reference(*args, p), model.params)
         assert loss == ref_loss
-        assert float(ad.value_of(self.head(*args, model.params))) == ref_loss  # untraced too
-        np.testing.assert_allclose(grad, ref_grad, rtol=1e-13, atol=0)
+        assert float(self.head(*args, model.params)) == ref_loss  # untraced too
+
+        g_l2, g_t1 = self.head_cotangents(mode, l2, t1, rho)
+        cs_l2 = complex_step(lambda x: self.reference(mode, x, t1, rho), l2)
+        cs_t1 = complex_step(lambda x: self.reference(mode, l2, x, rho), t1)
+        np.testing.assert_allclose(g_l2, cs_l2, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(g_t1, cs_t1, rtol=1e-12, atol=0)
         if kind == "linear":
+            # The floor passes no gradient to its band's T(1), but T^-1 does.
             assert grad[self.FLOORED] != 0.0
+
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    def test_linear_loss_matches_complex_step(self, mode):
+        # The whole linear loss w.r.t. raw, against the test's own complex
+        # T(1) = P(-log1p(exp(raw)) h)^n, with one band past RK4_16's monotone
+        # limit (alpha = 40, T(1) = 9.8e-4).
+        rng = np.random.default_rng(3)
+        n = 10
+        norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.3)
+        l4 = norm.c + rng.uniform(0.1, 1.0, (7, n))
+        rho = rng.uniform(0, 1, (7, n))
+        raw = LinearProfile.initialize(n, rng).raw
+        raw[4] = softplus_inverse(np.array(40.0))
+        model = LinearProfile(raw)
+        z = normalized_radiance(norm, l4)
+        h = (CFG.x_end - CFG.x0) / CFG.steps
+
+        def reference(r):
+            s = -np.log1p(np.exp(r)) * h
+            t1 = (1 + s + s**2 / 2 + s**3 / 6 + s**4 / 24) ** CFG.steps
+            return self.reference(mode, z / t1, t1, rho)
+
+        _, grad = self.value_and_grad(lambda p: self.head(mode, model, norm, l4, rho, p), raw)
+        np.testing.assert_allclose(grad, complex_step(reference, raw), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
@@ -391,19 +455,6 @@ class TestEnsemble:
             "run 1: val fraction is positive but rounds to zero samples"
         )
 
-    @pytest.mark.parametrize("value", ["abc", "2.5", ""])
-    def test_non_integer_thread_count_is_config_error(self, monkeypatch, value):
-        monkeypatch.setenv("DINSAT_THREADS", value)
-        with pytest.raises(ConfigError, match="DINSAT_THREADS"):
-            default_workers()
-
-    @pytest.mark.parametrize("value,expected", [(None, 1), ("3", 3), ("0", 1), (" 2 ", 2)])
-    def test_thread_count_from_environment(self, monkeypatch, value, expected):
-        if value is None:
-            monkeypatch.delenv("DINSAT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("DINSAT_THREADS", value)
-        assert default_workers() == expected
 
 
 class TestEvaluate:

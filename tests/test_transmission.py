@@ -29,6 +29,41 @@ def linear(alpha):
     return LinearProfile.from_alpha(np.asarray(alpha, float))
 
 
+def product(a, b):
+    """a * b as one node, for (..., n) a and (n,) b."""
+    av, bv = ad.value_of(a), ad.value_of(b)
+    return ad.node(av * bv, (a, b), lambda g: (g * bv, (g * av).reshape(-1, bv.size).sum(axis=0)))
+
+
+def weighted_sum(weights, x):
+    """sum(weights * x) as one node."""
+    return ad.node(np.sum(weights * ad.value_of(x)), (x,), lambda g: (g * weights,))
+
+
+H_CS = 1e-30
+
+
+def complex_step(f, x):
+    """Gradient of a real-analytic scalar f at real x: Im f(x + ih e_k) / h per k.
+
+    No difference is taken, so there is no cancellation: exact to rounding.
+    """
+    x = np.asarray(x, float)
+    grad = np.empty_like(x)
+    for k in range(x.size):
+        xc = x.astype(complex)
+        xc.flat[k] += 1j * H_CS
+        grad.flat[k] = f(xc).imag / H_CS
+    return grad
+
+
+def complex_linear_factor(raw, cfg):
+    """P(-log1p(exp(raw)) h)^n in complex arithmetic: the test's own closed form."""
+    poly = {"euler": lambda z: 1 + z, "rk4": lambda z: 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24}
+    h = (cfg.x_end - cfg.x0) / cfg.steps
+    return poly[cfg.method](-np.log1p(np.exp(raw)) * h) ** cfg.steps
+
+
 class TestLinearRhs:
     def test_zero_absorption_limit(self):
         profile = LinearProfile(np.full(3, -40.0))
@@ -145,7 +180,7 @@ class TestNonlinearFusedSolve:
         op = getattr(profile, direction)
 
         def objective(params, rho):
-            return ad.sum(weights * op(params, rho * profile.t1(params, cfg), cfg))
+            return weighted_sum(weights, op(params, product(rho, profile.t1(params, cfg)), cfg))
 
         tape = ad.Tape()
         p_leaf = tape.leaf(profile.params.copy())
@@ -324,7 +359,7 @@ class TestLinearClosedForm:
         weights = rng.uniform(-1.0, 1.0, 7)
 
         def objective(r):
-            return ad.sum(weights * linear_factor(r, cfg))
+            return weighted_sum(weights, linear_factor(r, cfg))
 
         tape = ad.Tape()
         leaf = tape.leaf(raw.copy())
@@ -335,3 +370,48 @@ class TestLinearClosedForm:
     def test_non_finite_factor_is_numeric_error(self):
         with pytest.raises(NumericError):
             linear_factor(np.full(3, 1e8), CFG)
+
+
+class TestLinearComplexStep:
+    """The linear nodes' hand-written derivatives against complex step."""
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_factor_derivative(self, method):
+        cfg = SolverConfig(method, 16)
+        raw = softplus_inverse(np.linspace(0.1, 30.0, 13))
+        leaf = ad.Tape().leaf(raw.copy())
+        ad.backward(weighted_sum(np.ones(raw.size), linear_factor(leaf, cfg)))
+        # The factor is elementwise, so one perturbation of every band at once
+        # gives each band's derivative.
+        expected = complex_linear_factor(raw + 1j * H_CS, cfg).imag / H_CS
+        np.testing.assert_allclose(leaf.grad, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_node_cotangents(self, direction):
+        rng = np.random.default_rng(17)
+        profile = linear(rng.uniform(0.1, 5.0, 6))
+        L0 = rng.uniform(0.1, 1.0, (3, 6))
+        weights = rng.uniform(-1.0, 1.0, (3, 6))
+        t0 = linear_factor(profile.params, CFG)
+        tape = ad.Tape()
+        if direction == "forward":
+            p_leaf, L_leaf = tape.leaf(profile.params.copy()), tape.leaf(L0.copy())
+            out = profile.forward(p_leaf, L_leaf, CFG)
+            t_node = tape.nodes[2]  # T(1), between the two leaves and T(L)
+            np.testing.assert_array_equal(t_node.value, t0)
+            np.testing.assert_array_equal(profile.forward(profile.params, L0, CFG), L0 * t0)
+
+            def reference(L, t):
+                return np.sum(weights * L * t)
+        else:
+            L_leaf, t_node = tape.leaf(L0.copy()), tape.leaf(t0.copy())
+            out = profile.inverse(None, L_leaf, CFG, transmittance=t_node)
+
+            def reference(L, t):
+                return np.sum(weights * L / t)
+
+        ad.backward(weighted_sum(weights, out))
+        np.testing.assert_allclose(L_leaf.grad, complex_step(lambda L: reference(L, t0), L0),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(t_node.grad, complex_step(lambda t: reference(L0, t), t0),
+                                   rtol=1e-12, atol=0)
