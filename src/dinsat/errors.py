@@ -13,12 +13,6 @@ class ConfigError(DinsatError):
     exit_code = 2
 
 
-class ContractError(ConfigError):
-    """API misuse (e.g. backward on a non-scalar)."""
-
-    category = "contract-error"
-
-
 class DataError(DinsatError):
     category = "data-error"
     exit_code = 3

@@ -3,12 +3,13 @@
 The layer math lives in three array helpers: ``unpack_params`` splits the flat
 vector into per-layer (W, b) views once, ``layers_forward`` applies the layers
 and keeps every activation, and ``layers_backward`` backprops a cotangent
-through them by hand. The fused right-hand side of the nonlinear transmission
-profile is built on them; ``mlp_forward`` is the plain composed network it is
-tested against. ``layers_forward`` allocates one array per layer: the bias is
-added to the matmul output in place, and the sigmoid (``autodiff.logistic``)
-overwrites it in place, since the backward pass reads only post-activation
-values.
+through them by hand. The right-hand side of the nonlinear transmission
+profile and its VJP are built on them; ``mlp_forward`` is the plain composed
+network it is tested against. ``layers_forward`` allocates one array per
+layer: the bias is added to the matmul output in place, and the sigmoid
+(``logistic``) overwrites it in place, since the backward pass reads only
+post-activation values. The forward helpers keep a complex dtype, so a
+complex-step check can run through them; float64 stays float64.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ConfigError, ShapeError
 
 ACTIVATIONS = ("sigmoid", "linear")
@@ -67,12 +67,29 @@ def glorot_init(layout: MlpLayout, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def logistic(x, out=None) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-x)) of a plain array, in float64 or complex.
+
+    Computed in one temporary (or in ``out``, which may be ``x`` itself).
+    exp(-x) overflows to inf for x below about -709.78, which gives exactly
+    0 with no warning; NaN stays NaN.
+    """
+    if out is None:
+        out = np.empty(np.shape(x), np.result_type(x, float))
+    np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
 Layer = tuple[np.ndarray, np.ndarray, str]
 
 
 def unpack_params(params: np.ndarray, layout: MlpLayout) -> list[Layer]:
     """(W, b, activation) per layer; W and b are views into the flat vector."""
-    params = np.asarray(params, float)
+    params = np.asarray(params)
+    params = params.astype(np.result_type(params, float), copy=False)
     if params.shape != (layout.n_params,):
         raise ShapeError(
             f"parameter vector has shape {params.shape}, layout needs ({layout.n_params},)"
@@ -95,7 +112,7 @@ def layers_forward(layers: list[Layer], x: np.ndarray) -> list[np.ndarray]:
         x = x @ w
         x += b
         if act == "sigmoid":
-            ad.logistic(x, out=x)
+            logistic(x, out=x)
         acts.append(x)
     return acts
 

@@ -1,24 +1,23 @@
-"""Differentiable fixed-step IVP solvers, forward and reverse in x.
+"""Fixed-step IVP solvers in x, forward and reverse, and their discrete adjoint.
 
-A right-hand side is either a plain callable on plain arrays, stepped
-untraced, or a ``FusedRhs``: plain-array primitives for f(L) and for f(L) with
-its VJP. Both step through the same in-place stepper as inference. A fused
-solve with a traced state or traced parameters keeps each stage's VJP and is
-recorded as one tape node whose VJP sweeps the steps in reverse (the discrete
-adjoint of the stepper, so its gradients are those of the unrolled steps).
-Nothing else is traced: a traced state with a plain callable, or a plain
-callable that returns a traced value, raises ContractError.
+``ode_solve`` and ``ode_solve_reverse`` step a plain right-hand side f(L).
+``solve_vjp`` steps the same solver over an rhs that also returns the VJP of
+each evaluation, keeps those VJPs, and returns the solution with its pullback,
+which sweeps the steps in reverse: the discrete adjoint of the stepper, so its
+gradients are exactly those of the unrolled steps. The state keeps its dtype
+(float64, or complex128 for a complex-step check).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import autodiff as ad
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, NumericError
 
 METHODS = ("euler", "rk4")
 
@@ -37,33 +36,16 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown solver method: {self.method!r}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ConfigError(f"solver steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ConfigError("solver needs at least one step")
-        if self.x0 == self.x_end:
-            raise ConfigError("integration interval is empty")
-
-
-@dataclass(frozen=True)
-class FusedRhs:
-    """f(L; params) given as plain-array primitives.
-
-    ``value(L)`` returns f(L). ``value_and_vjp(L)`` returns f(L) and
-    ``vjp(g) -> (g_L, g_params)``, whose cotangents are shaped like L and like
-    the parameter values. Calling the rhs evaluates ``value`` on a plain L; a
-    traced L or traced ``params`` is differentiated only through a whole solve.
-    """
-
-    params: object
-    value: Callable
-    value_and_vjp: Callable
-
-    def traced(self, L) -> bool:
-        return isinstance(L, ad.Var) or isinstance(self.params, ad.Var)
-
-    def __call__(self, L):
-        if self.traced(L):
-            raise ContractError("a traced FusedRhs is differentiated only through ode_solve")
-        return self.value(np.asarray(L, float))
+        for name in ("x0", "x_end"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+                raise ConfigError(f"solver {name} must be a finite number, got {x!r}")
+        if not self.x0 < self.x_end:
+            raise ConfigError(f"integration interval must increase, got x0 = {self.x0!r}, x_end = {self.x_end!r}")
 
 
 def _euler_step(rhs, y, h):
@@ -121,62 +103,63 @@ def _rk4_step_vjp(vjps, h, g):
 _STEPPERS = {"euler": (_euler_step, 1, _euler_step_vjp), "rk4": (_rk4_step, 4, _rk4_step_vjp)}
 
 
-def _integrate(rhs, y0, x_start, x_stop, config: SolverConfig, guard: float | None):
-    step, n_stages, step_vjp = _STEPPERS[config.method]
-    h = (x_stop - x_start) / config.steps
-    stage_vjps = None
-    if not isinstance(rhs, FusedRhs):
-        if isinstance(y0, ad.Var):
-            raise ContractError("a traced state needs an ode.FusedRhs right-hand side")
+def _step_size(config: SolverConfig, reverse: bool) -> float:
+    return ((config.x0 - config.x_end) if reverse else (config.x_end - config.x0)) / config.steps
 
-        def f(L):
-            value = rhs(L)
-            if isinstance(value, ad.Var):
-                raise ContractError("a plain rhs must return plain arrays; trace through an ode.FusedRhs")
-            return value
 
-    elif not rhs.traced(y0):
-        f = rhs.value
-    else:
-        stage_vjps = []
-
-        def f(L):
-            value, vjp = rhs.value_and_vjp(L)
-            stage_vjps.append(vjp)
-            return value
-
-    y = ad.value_of(y0)
+def _integrate(rhs, y0, config: SolverConfig, reverse: bool):
+    step = _STEPPERS[config.method][0]
+    h = _step_size(config, reverse)
+    y = np.asarray(y0)
+    y = y.astype(np.result_type(y, float), copy=False)
     for i in range(config.steps):
-        y = step(f, y, h)
+        y = step(rhs, y, h)
         if not np.all(np.isfinite(y)):
             raise NumericError(f"non-finite state at integration step {i}")
-        if guard is not None and np.max(np.abs(y)) > guard:
-            raise NumericError(f"state diverged (>{guard:g}) at integration step {i}")
-    if stage_vjps is None:
-        return y
-
-    def vjp(g):
-        g_p = 0.0
-        for i in reversed(range(config.steps)):
-            g, g_step = step_vjp(stage_vjps[i * n_stages : (i + 1) * n_stages], h, g)
-            g_p = g_p + g_step
-        return g, g_p
-
-    return ad.node(y, (y0, rhs.params), vjp)
+        if reverse and np.max(np.abs(y)) > OVERFLOW_GUARD:
+            raise NumericError(f"state diverged (>{OVERFLOW_GUARD:g}) at integration step {i}")
+    return y
 
 
 def ode_solve(rhs: Callable, l_init, config: SolverConfig = SolverConfig()):
     """Integrate dL/dx = rhs(L) from x0 to x_end with uniform steps.
 
-    l_init may be a (n_bands,) vector or a (batch, n_bands) matrix. A plain
-    callable steps untraced. With a ``FusedRhs`` whose parameters or l_init
-    are traced, the whole solve is one tape node, and gradients flow to both.
+    l_init may be a (n_bands,) vector or a (batch, n_bands) matrix.
     """
-    return _integrate(rhs, l_init, config.x0, config.x_end, config, guard=None)
+    return _integrate(rhs, l_init, config, reverse=False)
 
 
 def ode_solve_reverse(rhs: Callable, l_final, config: SolverConfig = SolverConfig()):
-    """Integrate the same dynamics backward, from x_end to x0."""
-    return _integrate(
-        rhs, l_final, config.x_end, config.x0, config, guard=OVERFLOW_GUARD
-    )
+    """Integrate the same dynamics backward, from x_end to x0.
+
+    Raises NumericError when the state grows past OVERFLOW_GUARD.
+    """
+    return _integrate(rhs, l_final, config, reverse=True)
+
+
+def solve_vjp(rhs_vjp: Callable, y0, solver: SolverConfig, reverse: bool = False):
+    """(y, vjp): ``ode_solve`` (or, with ``reverse``, ``ode_solve_reverse``) and its pullback.
+
+    ``rhs_vjp(L)`` returns f(L) and that evaluation's VJP, g -> (g_L, g_params).
+    ``vjp(g)`` returns (g_y0, g_params) for the cotangent g of y: the stored
+    stage VJPs swept from the last step to the first.
+    """
+    _, n_stages, step_vjp = _STEPPERS[solver.method]
+    h = _step_size(solver, reverse)
+    stage_vjps = []
+
+    def rhs(L):
+        value, vjp = rhs_vjp(L)
+        stage_vjps.append(vjp)
+        return value
+
+    y = _integrate(rhs, y0, solver, reverse)
+
+    def vjp(g):
+        g_p = 0.0
+        for i in reversed(range(solver.steps)):
+            g, g_step = step_vjp(stage_vjps[i * n_stages : (i + 1) * n_stages], h, g)
+            g_p = g_p + g_step
+        return g, g_p
+
+    return y, vjp

@@ -9,7 +9,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff as ad
 from .correction import (
     EPS_T,
     SceneNormalization,
@@ -127,23 +126,22 @@ def _pixel_arrays(l4, rho=None):
     return l4, rho
 
 
-# The loss heads. Each is one tape node over (T^-1(z), T(1)) of (n, bands)
-# pixels: it forms rho_hat = T^-1(z) / max(T(1), EPS_T), the loss and its
-# components in numpy, and its VJP returns both cotangents in numpy.
+# The loss heads. Each takes (T^-1(z), T(1)) of (n, bands) pixels, forms
+# rho_hat = T^-1(z) / max(T(1), EPS_T), and returns the loss, its components
+# and a vjp() that gives the loss's cotangents of (T^-1(z), T(1)), all in numpy.
 
 
 def _reflectance(l2, t1):
-    """(rho_hat, max(T(1), EPS_T), T(1)) as plain arrays."""
-    tv = ad.value_of(t1)
-    denom = np.maximum(tv, EPS_T)
-    return ad.value_of(l2) / denom, denom, tv
+    """(rho_hat, max(T(1), EPS_T))."""
+    denom = np.maximum(t1, EPS_T)
+    return l2 / denom, denom
 
 
-def _reflectance_vjp(g_rho, rho_hat, denom, tv, g_t):
+def _reflectance_vjp(g_rho, rho_hat, denom, t1, g_t):
     """Cotangents of (T^-1(z), T(1)) from rho_hat's, plus ``g_t`` from T(1)'s direct use."""
     g_l2 = g_rho / denom
     # The floor passes no gradient to a band whose T(1) is at or below EPS_T.
-    return g_l2, g_t - (g_l2 * rho_hat).sum(axis=0) * (tv > EPS_T)
+    return g_l2, g_t - (g_l2 * rho_hat).sum(axis=0) * (t1 > EPS_T)
 
 
 def _slope_vjp(g_rho, g_slope):
@@ -154,59 +152,47 @@ def _slope_vjp(g_rho, g_slope):
 
 
 def _supervised_head(l2, t1, rho, fd_weight):
-    """(loss, components): L_MSE + fd_weight * L_FD of rho_hat against ``rho``."""
-    rho_hat, denom, tv = _reflectance(l2, t1)
+    """(loss, components, vjp): L_MSE + fd_weight * L_FD of rho_hat against ``rho``."""
+    rho_hat, denom = _reflectance(l2, t1)
     err = rho_hat - rho
     diff_err = (rho_hat[:, 1:] - rho_hat[:, :-1]) - (rho[:, 1:] - rho[:, :-1])
     l_mse = (err * err).mean()
     l_fd = (diff_err * diff_err).mean()
-    loss = l_mse + fd_weight * l_fd
 
-    def vjp(g):
-        g_rho = _slope_vjp(err * (2.0 * g / err.size), diff_err * (2.0 * g * fd_weight / diff_err.size))
-        return _reflectance_vjp(g_rho, rho_hat, denom, tv, 0.0)
+    def vjp():
+        g_rho = _slope_vjp(err * (2.0 / err.size), diff_err * (2.0 * fd_weight / diff_err.size))
+        return _reflectance_vjp(g_rho, rho_hat, denom, t1, 0.0)
 
-    return ad.node(np.asarray(loss), (l2, t1), vjp), {"mse": float(l_mse), "fd": float(l_fd)}
+    return float(l_mse + fd_weight * l_fd), {"mse": float(l_mse), "fd": float(l_fd)}, vjp
 
 
 def _unsupervised_head(l2, t1, rho_weight, transmission_weight, slope_weight):
-    """(loss, components): l1 * mean(rho_hat) + l2 * mean(T(1)) + l3 * mean(|d rho_hat|)."""
-    rho_hat, denom, tv = _reflectance(l2, t1)
+    """(loss, components, vjp): l1 * mean(rho_hat) + l2 * mean(T(1)) + l3 * mean(|d rho_hat|)."""
+    rho_hat, denom = _reflectance(l2, t1)
     slope = rho_hat[:, 1:] - rho_hat[:, :-1]
-    l_rho, l_t, l_fd = rho_hat.mean(), tv.mean(), np.abs(slope).mean()
+    l_rho, l_t, l_fd = rho_hat.mean(), t1.mean(), np.abs(slope).mean()
     loss = rho_weight * l_rho + transmission_weight * l_t + slope_weight * l_fd
 
-    def vjp(g):
-        g_rho = np.full(rho_hat.shape, g * rho_weight / rho_hat.size)
-        _slope_vjp(g_rho, np.sign(slope) * (g * slope_weight / slope.size))
-        g_t = np.full(tv.shape, g * transmission_weight / tv.size)
-        return _reflectance_vjp(g_rho, rho_hat, denom, tv, g_t)
+    def vjp():
+        g_rho = np.full(rho_hat.shape, rho_weight / rho_hat.size)
+        _slope_vjp(g_rho, np.sign(slope) * (slope_weight / slope.size))
+        g_t = np.full(t1.shape, transmission_weight / t1.size)
+        return _reflectance_vjp(g_rho, rho_hat, denom, t1, g_t)
 
     components = {"rho": float(l_rho), "transmission": float(l_t), "fd": float(l_fd)}
-    return ad.node(np.asarray(loss), (l2, t1), vjp), components
+    return float(loss), components, vjp
 
 
-def _transmit_terms(model: Profile, params, z, solver: SolverConfig):
-    """(T(1), T^-1(z)) for ``params``, traced when they are."""
+def _head(config: TrainConfig, l2, t1, rho):
+    if config.mode == "supervised":
+        return _supervised_head(l2, t1, rho, config.fd_weight)
+    return _unsupervised_head(l2, t1, config.rho_weight, config.transmission_weight, config.slope_weight)
+
+
+def _transmit(model: Profile, params, z, solver: SolverConfig):
+    """(T(1), T^-1(z)) for ``params``."""
     t1 = transmittance_values(model, params, solver)
     return t1, invert_values(model, params, z, solver, transmittance=t1)
-
-
-def supervised_loss_terms(
-    model: Profile,
-    norm: SceneNormalization,
-    l4: np.ndarray,
-    rho: np.ndarray,
-    solver: SolverConfig,
-    fd_weight: float,
-    params=None,
-):
-    """(loss, components): L = L_MSE + lambda * L_FD over paired (n, bands) pixels."""
-    if len(l4) == 0:
-        raise EmptyInputError("supervised loss needs at least one pixel")
-    params = model.params if params is None else params
-    t1, l2 = _transmit_terms(model, params, normalized_radiance(norm, l4), solver)
-    return _supervised_head(l2, t1, np.asarray(rho, float), fd_weight)
 
 
 def supervised_loss(
@@ -217,26 +203,13 @@ def supervised_loss(
     solver: SolverConfig = SolverConfig(),
     fd_weight: float = 1.0,
     params=None,
-):
-    return supervised_loss_terms(model, norm, l4, rho, solver, fd_weight, params)[0]
-
-
-def unsupervised_loss_terms(
-    model: Profile,
-    norm: SceneNormalization,
-    l4: np.ndarray,
-    solver: SolverConfig,
-    rho_weight: float,
-    transmission_weight: float,
-    slope_weight: float,
-    params=None,
-):
-    """(loss, components): L = l1*mean(rho) + l2*mean(T(1)) + l3*mean(|d rho|)."""
+) -> float:
+    """L = L_MSE + lambda * L_FD over paired (n, bands) pixels, at ``params`` (default the model's)."""
     if len(l4) == 0:
-        raise EmptyInputError("unsupervised loss needs at least one pixel")
+        raise EmptyInputError("supervised loss needs at least one pixel")
     params = model.params if params is None else params
-    t1, l2 = _transmit_terms(model, params, normalized_radiance(norm, l4), solver)
-    return _unsupervised_head(l2, t1, rho_weight, transmission_weight, slope_weight)
+    t1, l2 = _transmit(model, params, normalized_radiance(norm, l4), solver)
+    return _supervised_head(l2, t1, np.asarray(rho, float), fd_weight)[0]
 
 
 def unsupervised_loss(
@@ -248,20 +221,27 @@ def unsupervised_loss(
     transmission_weight: float = 1e-2,
     slope_weight: float = 1.0,
     params=None,
-):
-    return unsupervised_loss_terms(
-        model, norm, l4, solver, rho_weight, transmission_weight, slope_weight, params
-    )[0]
+) -> float:
+    """L = l1*mean(rho) + l2*mean(T(1)) + l3*mean(|d rho|), at ``params`` (default the model's)."""
+    if len(l4) == 0:
+        raise EmptyInputError("unsupervised loss needs at least one pixel")
+    params = model.params if params is None else params
+    t1, l2 = _transmit(model, params, normalized_radiance(norm, l4), solver)
+    return _unsupervised_head(l2, t1, rho_weight, transmission_weight, slope_weight)[0]
 
 
-def _loss_terms(config: TrainConfig, model, z, rho, params):
-    """(loss, components) of ``config``'s mode over normalized (n, bands) radiance ``z``."""
-    t1, l2 = _transmit_terms(model, params, z, config.solver)
-    if config.mode == "supervised":
-        return _supervised_head(l2, t1, rho, config.fd_weight)
-    return _unsupervised_head(
-        l2, t1, config.rho_weight, config.transmission_weight, config.slope_weight
-    )
+def _loss_terms(config: TrainConfig, model: Profile, z, rho, params):
+    """(loss, components, gradient in ``params``) of ``config``'s mode over normalized radiance ``z``.
+
+    T(1) and T^-1(z) forward, the head, then the head's cotangents pulled back
+    through the profile. A non-finite loss raises NumericError before the pullback.
+    """
+    t1, l2, pullback = model.inverse_vjp(params, z, config.solver)
+    loss, components, vjp = _head(config, l2, t1, rho)
+    if not np.isfinite(loss):
+        raise NumericError("non-finite training loss")
+    g_l2, g_t1 = vjp()
+    return loss, components, pullback(g_t1, g_l2)
 
 
 def train(
@@ -314,26 +294,18 @@ def train(
     history: list[dict] = []
 
     for epoch in range(config.max_epochs):
-        tape = ad.Tape()
-        pvar = tape.leaf(params)
         try:
-            loss, components = _loss_terms(config, model, *train_data, pvar)
+            train_loss, components, grad = _loss_terms(config, model, *train_data, params)
         except NumericError as e:
             raise NumericError(f"epoch {epoch}: {e}") from e
-        train_loss = float(ad.value_of(loss))
-        if not np.isfinite(train_loss):
-            raise NumericError(f"non-finite training loss at epoch {epoch}")
-        ad.backward(loss)
-        params = adam_step(adam, params, pvar.grad)
-        # Every Var holds its tape and the tape holds every Var: drop the
-        # nodes so the epoch's graph is freed now, not by the cyclic GC.
-        tape.nodes.clear()
+        params = adam_step(adam, params, grad)
 
         if monitor_train:
             monitor = train_loss
             record = {"epoch": epoch, "train_loss": train_loss, **components}
         else:
-            val_loss = float(_loss_terms(config, model, *val_data, params)[0])
+            t1, l2 = _transmit(model, params, val_data[0], config.solver)
+            val_loss = _head(config, l2, t1, val_data[1])[0]
             monitor = val_loss
             record = {
                 "epoch": epoch,

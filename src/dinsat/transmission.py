@@ -1,29 +1,29 @@
 """Transmission-profile models: the operator T, its inverse, and T(1_n).
 
 Each profile is one operator with ``forward`` (T), ``inverse`` (T^-1) and
-``t1`` (T(1_n)) methods, all traced-or-plain in the parameters. The linear
-profile realizes per-band exponential decay with nonnegative rates; the
-nonlinear profile runs the spectrum through a bottleneck encoder/decoder and
-multiplies by a decay factor forced into [-1, 0], so dissipation holds by
-construction.
+``t1`` (T(1_n)) methods on plain arrays, and one gradient method,
+``inverse_vjp(params, z, solver) -> (t1, l2, pullback)``: T(1) and
+l2 = T^-1(z), with ``pullback(g_t1, g_l2)`` returning the gradient in the
+parameters. The linear profile realizes per-band exponential decay with
+nonnegative rates; the nonlinear profile runs the spectrum through a
+bottleneck encoder/decoder and multiplies by a decay factor forced into
+[-1, 0], so dissipation holds by construction.
 
 For dL/dx = -alpha L a fixed-step explicit solver multiplies each band by
 P(z) per step, z = -alpha h, where P is the method's stability polynomial
 (Euler: 1 + z; RK4: 1 + z + z^2/2 + z^3/6 + z^4/24). The linear profile
 therefore computes the solver's discrete map in closed form, as the per-band
-factor P(z)^n, recorded as a single tape node with its analytic derivative:
-the same map and the same gradients as stepping the solver n times. T is a
-multiplication by that factor and T^-1 an exact division, each one node over
-(L, T(1)), so round trips are exact up to float rounding. The nonlinear profile integrates with the stepped
-solvers in ``ode``, forward and backward in x. Its right-hand side is an
-``ode.FusedRhs`` that unpacks the encoder and decoder weights once per solve:
-plain-numpy primitives for f(L) and for f(L) with a hand-written VJP (product
-rule, then the decoder and encoder backprop of ``mlp``). The sigmoids are
-``autodiff.logistic``, and the product and its sign are computed in one array.
-Untraced, a solve steps f(L) alone. Traced, the whole solve, forward or
-inverse, is one tape node whose VJP sweeps the stored stage VJPs in reverse:
-the exact gradients of the unrolled steps, with no node per stage, slice,
-matmul, bias or sigmoid.
+factor P(z)^n, and differentiates it analytically: the same map and the same
+gradients as stepping the solver n times. T is a multiplication by that
+factor and T^-1 an exact division, so round trips are exact up to float
+rounding. The nonlinear profile integrates with the stepped solvers in
+``ode``, forward and backward in x. Its right-hand side unpacks the encoder
+and decoder weights once per solve, and comes as plain f(L) or as f(L) with a
+hand-written VJP (product rule, then the decoder and encoder backprop of
+``mlp``); the sigmoids are ``mlp.logistic``. Its pullback is two discrete
+adjoints, ``ode.solve_vjp`` of T(1) and of T^-1(z): the exact gradients of
+the unrolled steps. Its untraced path keeps a complex dtype in the state and
+the parameters, so it can be checked by complex step.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from typing import Union
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ConfigError, NumericError, ShapeError
-from .mlp import MlpLayout, glorot_init, layers_backward, layers_forward, unpack_params
-from .ode import FusedRhs, SolverConfig, ode_solve, ode_solve_reverse
+from .mlp import MlpLayout, glorot_init, layers_backward, layers_forward, logistic, unpack_params
+from .ode import SolverConfig, ode_solve, ode_solve_reverse, solve_vjp
 from .types import Spectrum
 
 DEFAULT_HIDDEN = 12
@@ -62,28 +61,30 @@ _STABILITY = {
 }
 
 
-def linear_factor(raw, solver: SolverConfig = SolverConfig()):
+def _linear_terms(solver: SolverConfig):
+    """(n, h, P, P') of ``solver``'s discrete map of dL/dx = -alpha L."""
+    n = solver.steps
+    return (n, (solver.x_end - solver.x0) / n, *_STABILITY[solver.method])
+
+
+def linear_factor(raw, solver: SolverConfig = SolverConfig()) -> np.ndarray:
     """P(-softplus(raw) h)^n: the solver's exact discrete map of dL/dx = -alpha L.
 
-    One tape node whose derivative is n P^(n-1) P' (-h) logistic(raw). Raises
-    NumericError when the factor is not finite, as the stepped solver does.
+    Raises NumericError when the factor is not finite, as the stepped solver does.
     """
-    n = solver.steps
-    h = (solver.x_end - solver.x0) / n
-    poly, dpoly = _STABILITY[solver.method]
+    n, h, poly, _ = _linear_terms(solver)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = poly(-np.logaddexp(0.0, np.asarray(raw, float)) * h) ** n
+    if not np.all(np.isfinite(out)):
+        raise NumericError("non-finite linear transmission factor")
+    return out
 
-    def factor(r):
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = poly(-np.logaddexp(0.0, r) * h) ** n
-        if not np.all(np.isfinite(out)):
-            raise NumericError("non-finite linear transmission factor")
-        return out
 
-    def derivative(r, _):
-        z = -np.logaddexp(0.0, r) * h
-        return n * poly(z) ** (n - 1) * dpoly(z) * (-h) * ad.logistic(r)
-
-    return ad.elementwise(raw, factor, derivative)
+def _linear_factor_derivative(raw, solver: SolverConfig) -> np.ndarray:
+    """d linear_factor / d raw per band: n P(z)^(n-1) P'(z) (-h) logistic(raw)."""
+    n, h, poly, dpoly = _linear_terms(solver)
+    z = -np.logaddexp(0.0, raw) * h
+    return n * poly(z) ** (n - 1) * dpoly(z) * (-h) * logistic(raw)
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ class LinearProfile:
         return cls(softplus_inverse(alpha))
 
     def rhs_from(self, params):
-        """f(L) = -alpha L on plain arrays; training uses the closed form instead."""
+        """f(L) = -alpha L on plain arrays; the operators use the closed form instead."""
         alpha = np.logaddexp(0.0, params)
         return lambda L: -(alpha * L)
 
@@ -138,30 +139,27 @@ class LinearProfile:
         return linear_factor(params, solver)
 
     def forward(self, params, L, solver: SolverConfig):
-        """Multiplication of (..., n_bands) L by T(1): one node over (L, T(1))."""
-        t = self.t1(params, solver)
-        tv = ad.value_of(t)
-        Lv = ad.value_of(L)
-
-        def vjp(g):
-            return g * tv, (g * Lv).reshape(-1, tv.size).sum(axis=0)
-
-        return ad.node(Lv * tv, (L, t), vjp)
+        """Multiplication of (..., n_bands) L by T(1)."""
+        return np.asarray(L, float) * self.t1(params, solver)
 
     def inverse(self, params, L, solver: SolverConfig, transmittance=None):
-        """Exact division of (..., n_bands) L by T(1): one node over (L, T(1)).
+        """Exact division of (..., n_bands) L by T(1).
 
         Pass ``transmittance`` to reuse a T(1) already computed.
         """
-        t = self.t1(params, solver) if transmittance is None else transmittance
-        tv = ad.value_of(t)
-        out = ad.value_of(L) / tv
+        t = self.t1(params, solver) if transmittance is None else np.asarray(transmittance, float)
+        return np.asarray(L, float) / t
 
-        def vjp(g):
-            g_L = g / tv
-            return g_L, -(g_L * out).reshape(-1, tv.size).sum(axis=0)
+    def inverse_vjp(self, params, z, solver: SolverConfig):
+        """(T(1), T^-1(z), pullback): T(1)'s cotangent is g_t1 plus the division's."""
+        t1 = self.t1(params, solver)
+        l2 = self.inverse(params, z, solver, t1)
 
-        return ad.node(out, (L, t), vjp)
+        def pullback(g_t1, g_l2):
+            g_t = g_t1 - (g_l2 / t1 * l2).reshape(-1, t1.size).sum(axis=0)
+            return g_t * _linear_factor_derivative(params, solver)
+
+        return t1, l2, pullback
 
 
 @dataclass(frozen=True)
@@ -210,17 +208,16 @@ class NonlinearProfile:
         params = np.concatenate([glorot_init(enc, rng), glorot_init(dec, rng)])
         return cls(params, n_bands, hidden, latent)
 
-    def rhs_from(self, params) -> FusedRhs:
-        """f(L) = -sigmoid(dec(enc(L))) * L with the weights unpacked once per solve.
+    def _rhs(self, params):
+        """(f, f_vjp) for f(L) = -sigmoid(dec(enc(L))) * L, the weights unpacked once.
 
-        Called on a plain L it gives a plain array. Its VJP applies the product
-        rule and backprops through the decoder, then the encoder, by hand;
-        ``ode`` steps it to record a traced solve as one node.
+        ``f_vjp(L)`` returns f(L) and its VJP, g -> (g_L, g_params): the
+        product rule, then the decoder and the encoder backprop by hand.
         """
         n_enc = self.encoder_layout.n_params
-        pv = ad.value_of(params)
-        enc = unpack_params(pv[:n_enc], self.encoder_layout)
-        dec = unpack_params(pv[n_enc:], self.decoder_layout)
+        params = np.asarray(params)
+        enc = unpack_params(params[:n_enc], self.encoder_layout)
+        dec = unpack_params(params[n_enc:], self.decoder_layout)
         n_bands = self.n_bands
 
         def forward(Lv):
@@ -228,12 +225,12 @@ class NonlinearProfile:
                 raise ShapeError(f"input has {Lv.shape[-1]} bands, profile {n_bands}")
             enc_acts = layers_forward(enc, Lv)
             dec_acts = layers_forward(dec, enc_acts[-1])
-            decay = ad.logistic(dec_acts[-1])
+            decay = logistic(dec_acts[-1])
             value = decay * Lv
             np.negative(value, out=value)
             return value, enc_acts, dec_acts, decay
 
-        def value_and_vjp(Lv):
+        def f_vjp(Lv):
             value, enc_acts, dec_acts, decay = forward(Lv)
 
             def vjp(g):
@@ -243,7 +240,15 @@ class NonlinearProfile:
 
             return value, vjp
 
-        return FusedRhs(params, lambda Lv: forward(Lv)[0], value_and_vjp)
+        return (lambda Lv: forward(Lv)[0]), f_vjp
+
+    def rhs_from(self, params):
+        """f(L) on plain arrays."""
+        return self._rhs(params)[0]
+
+    def rhs_vjp_from(self, params):
+        """L -> (f(L), vjp), vjp(g) -> (g_L, g_params), as ``ode.solve_vjp`` steps it."""
+        return self._rhs(params)[1]
 
     def t1(self, params, solver: SolverConfig):
         """T applied to the all-ones spectrum."""
@@ -256,6 +261,17 @@ class NonlinearProfile:
     def inverse(self, params, L, solver: SolverConfig, transmittance=None):
         """Backward integration in x; ``transmittance`` is accepted and not needed."""
         return ode_solve_reverse(self.rhs_from(params), L, solver)
+
+    def inverse_vjp(self, params, z, solver: SolverConfig):
+        """(T(1), T^-1(z), pullback): the T^-1 solve's adjoint plus the T(1) solve's."""
+        rhs_vjp = self.rhs_vjp_from(params)
+        t1, t1_vjp = solve_vjp(rhs_vjp, np.ones(self.n_bands), solver)
+        l2, l2_vjp = solve_vjp(rhs_vjp, z, solver, reverse=True)
+
+        def pullback(g_t1, g_l2):
+            return l2_vjp(g_l2)[1] + t1_vjp(g_t1)[1]
+
+        return t1, l2, pullback
 
 
 Profile = Union[LinearProfile, NonlinearProfile]

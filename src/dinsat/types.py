@@ -166,6 +166,11 @@ def split_dataset(
         raise ConfigError("val fraction is positive but rounds to zero samples")
     if f_test > 0 and n_test <= 0:
         raise ConfigError("test fraction is positive but rounds to zero samples")
+    if n_train + n_val + n_test > n_samples:
+        raise ConfigError(
+            f"split fractions round to {n_train}/{n_val}/{n_test} samples, "
+            f"more than the {n_samples} there are"
+        )
 
     perm = np.random.default_rng(seed).permutation(n_samples)
     train = perm[:n_train]

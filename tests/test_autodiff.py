@@ -1,77 +1,62 @@
+"""The package's hand-written reverse mode, piece by piece.
+
+The training gradient is one explicit pullback chain: each profile's
+``inverse_vjp`` gives T(1), T^-1(z) and a pullback to the parameters, and
+``training._loss_terms`` feeds it the loss head's cotangents. These tests
+check that chain's primitives, the oracles the other tests check it with
+(central differences and complex step), the numpy logistic, the MLP layers
+and Adam.
+"""
+
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from dinsat import autodiff as ad
-from dinsat.errors import ContractError, NumericError, ShapeError
-from dinsat.mlp import MlpLayout, glorot_init, mlp_forward
+from dinsat.correction import SceneNormalization
+from dinsat.errors import NumericError, ShapeError
+from dinsat.mlp import MlpLayout, glorot_init, logistic, mlp_forward
+from dinsat.ode import SolverConfig
 from dinsat.optim import AdamState, adam_step
+from dinsat.training import TrainConfig, _loss_terms, train
+from dinsat.transmission import LinearProfile, NonlinearProfile
+
+from oracles import H_CS, complex_step, finite_difference
+
+CFG = SolverConfig("rk4", 8)
 
 
-# Traced arithmetic in these tests is ad.node or ad.elementwise with the VJP
-# written out, as in the package.
-
-
-def square(x):
-    return ad.elementwise(x, lambda v: v * v, lambda v, _: 2.0 * v)
-
-
-def scale(x, c):
-    return ad.elementwise(x, lambda v: c * v, lambda v, _: c)
-
-
-def product(a, b):
-    av, bv = ad.value_of(a), ad.value_of(b)
-    return ad.node(av * bv, (a, b), lambda g: (g * bv, g * av))
-
-
-def total(x):
-    return ad.node(ad.value_of(x).sum(), (x,), lambda g: (np.full(np.shape(ad.value_of(x)), g),))
-
-
-def _grad_of(build, x0):
-    tape = ad.Tape()
-    x = tape.leaf(x0)
-    out = build(x)
-    ad.backward(out)
-    return ad.value_of(out), x.grad
+def profiles(n):
+    rng = np.random.default_rng(30)
+    return [LinearProfile.initialize(n, rng), NonlinearProfile.initialize(n, rng)]
 
 
 class TestPrimitiveOps:
+    """The chain's primitives: each profile's inverse_vjp, and the epoch around it."""
+
     def test_nonfinite_forward_rejected(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.array([1e200]))
-        with np.errstate(over="ignore"), pytest.raises(NumericError):
-            square(x)
-
-    def test_cross_tape_operands_rejected(self):
-        a = ad.Tape().leaf(np.zeros(2))
-        b = ad.Tape().leaf(np.zeros(2))
-        with pytest.raises(ContractError):
-            product(a, b)
-
-    @pytest.mark.parametrize("op", [
-        lambda x, v: x * v, lambda x, v: v * x, lambda x, v: x + v, lambda x, v: v - x,
-        lambda x, v: x / 2.0, lambda x, v: np.float64(2.0) * x, lambda x, v: x[0],
-    ])
-    def test_var_has_no_arithmetic(self, op):
-        # With no operators on Var and __array_ufunc__ = None, numpy neither
-        # builds an object array nor loops over the Var: the expression fails.
-        x = ad.Tape().leaf(np.ones(3))
-        with pytest.raises(TypeError):
-            op(x, np.ones(3))
+        # z / T(1) overflows to inf, so the epoch's loss is not finite: the
+        # epoch fails with NumericError (CLI exit 4) before any backward work.
+        config = TrainConfig(mode="unsupervised", max_epochs=1)
+        l4 = np.full((4, 3), 1.5e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="^epoch 0: non-finite training loss$"):
+                train(config, l4, SceneNormalization.identity(3))
 
     def test_untraced_node_returns_value(self):
-        value = np.arange(3.0)
-        assert ad.node(value, (np.ones(3),), lambda g: (g,)) is value
+        # The values inverse_vjp returns are the plain operators' values, bit for bit.
+        z = np.random.default_rng(31).uniform(0, 1, (3, 5))
+        for model in profiles(5):
+            t1, l2, _ = model.inverse_vjp(model.params, z, CFG)
+            np.testing.assert_array_equal(t1, model.t1(model.params, CFG))
+            np.testing.assert_array_equal(l2, model.inverse(model.params, z, CFG))
 
 
 def _logistic_warnings_as_errors(x):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return ad.logistic(x)
+        return logistic(x)
 
 
 class TestLogistic:
@@ -96,76 +81,80 @@ class TestLogistic:
 
     def test_in_place_equals_fresh(self):
         x = self.X.copy()
-        out = ad.logistic(x, out=x)
+        out = logistic(x, out=x)
         assert out is x
-        np.testing.assert_array_equal(x, ad.logistic(self.X))
+        np.testing.assert_array_equal(x, logistic(self.X))
+
+    def test_complex_step_gives_the_derivative(self):
+        # Complex input stays complex, so Im s(x + ih) / h is s'(x) = s(x) s(-x).
+        x = np.linspace(-30.0, 30.0, 61)
+        expected = logistic(x) * logistic(-x)
+        np.testing.assert_allclose(logistic(x + 1j * H_CS).imag / H_CS, expected, rtol=1e-12, atol=0)
 
 
 class TestBackward:
+    """The oracles on closed forms, and the pullback chain of a training epoch."""
+
+    ORACLES = (finite_difference, complex_step)
+
     def test_square(self):
-        _, grad = _grad_of(lambda x: total(square(x)), np.array([3.0]))
-        assert grad[0] == pytest.approx(6.0)
+        for oracle in self.ORACLES:
+            grad = oracle(lambda x: np.sum(x * x), np.array([3.0]))
+            assert grad[0] == pytest.approx(6.0, rel=1e-9)
 
     def test_product_rule(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.array([2.0]))
-        y = tape.leaf(np.array([5.0]))
-        ad.backward(total(product(x, y)))
-        assert (x.grad[0], y.grad[0]) == (5.0, 2.0)
+        for oracle in self.ORACLES:
+            grad = oracle(lambda v: v[0] * v[1], np.array([2.0, 5.0]))
+            np.testing.assert_allclose(grad, [5.0, 2.0], rtol=1e-9)
 
     def test_nonscalar_output_rejected(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.zeros(3))
-        with pytest.raises(ContractError):
-            ad.backward(scale(x, 2.0))
+        for oracle in self.ORACLES:
+            with pytest.raises(TypeError):
+                oracle(lambda x: 2.0 * x, np.zeros(3))
 
     def test_unreached_leaf_gets_zero(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.array([1.0]))
-        y = tape.leaf(np.array([4.0]))
-        ad.backward(total(scale(x, 3.0)))
-        assert y.grad[0] == 0.0
+        # With every unsupervised weight zero the loss reaches no parameter,
+        # and the pullback adds nothing: the gradient is exactly zero.
+        z = np.random.default_rng(32).uniform(0.1, 1, (3, 4))
+        config = TrainConfig(mode="unsupervised", rho_weight=0.0, transmission_weight=0.0,
+                             slope_weight=0.0, solver=CFG)
+        for model in profiles(4):
+            loss, _, grad = _loss_terms(config, model, z, None, model.params)
+            assert loss == 0.0
+            np.testing.assert_array_equal(grad, np.zeros_like(model.params))
 
     def test_fd_oracle_random_scalar_functions(self):
-        # Elementwise nodes, a many-input node and a shared input feeding
-        # several nodes: the gradient must match central differences.
+        # A chain with elementwise maps, a many-input step and an input shared
+        # by three maps, pulled back by hand as the package does: the gradient
+        # must match central differences.
         rng = np.random.default_rng(7)
         mat = rng.uniform(-1.0, 1.0, (3, 9))
 
-        def build(x):
-            a = ad.elementwise(x, ad.logistic, lambda v, s: s * (1.0 - s))
-            b = ad.elementwise(x, lambda v: np.logaddexp(0.0, v), lambda v, _: ad.logistic(v))
-            c = ad.elementwise(scale(x, 0.3), np.exp, lambda v, e: e)
-            av, bv, cv = (ad.value_of(t) for t in (a, b, c))
-            mix = ad.node(
-                av * bv + cv / (1.5 + mat.T @ (mat @ bv)),
-                (a, b, c),
-                lambda g: (
-                    g * bv,
-                    g * av - mat.T @ (mat @ (g * cv / (1.5 + mat.T @ (mat @ bv)) ** 2)),
-                    g / (1.5 + mat.T @ (mat @ bv)),
-                ),
-            )
-            return ad.node(ad.value_of(mix).mean(), (mix,), lambda g: (np.full(9, g / 9),))
+        def forward(x):
+            a, b, c = logistic(x), np.logaddexp(0.0, x), np.exp(0.3 * x)
+            d = 1.5 + mat.T @ (mat @ b)
+            return (a * b + c / d).mean(), (a, b, c, d)
+
+        def pullback(x, a, b, c, d):
+            g = np.full(9, 1.0 / 9)
+            g_a, g_b, g_c = g * b, g * a - mat.T @ (mat @ (g * c / d**2)), g / d
+            return g_a * a * (1.0 - a) + g_b * logistic(x) + g_c * 0.3 * c
 
         for _ in range(100):
             x0 = rng.uniform(-2.0, 2.0, 9)
-            tape = ad.Tape()
-            x = tape.leaf(x0)
-            ad.backward(build(x))
-            fd = ad.finite_difference(lambda v: float(build(v)), x0.copy())
+            grad = pullback(x0, *forward(x0)[1])
+            fd = finite_difference(lambda v: forward(v)[0], x0.copy())
             denom = np.maximum(np.abs(fd), 1e-6)
-            assert np.max(np.abs(x.grad - fd) / denom) < 1e-4
+            assert np.max(np.abs(grad - fd) / denom) < 1e-4
 
     def test_deterministic_forward(self):
         rng = np.random.default_rng(0)
-        x0 = rng.uniform(-1, 1, 5)
+        model = NonlinearProfile.initialize(5, rng)
+        z, rho = rng.uniform(0.1, 1, (4, 5)), rng.uniform(0, 1, (4, 5))
 
         def run():
-            tape = ad.Tape()
-            x = tape.leaf(x0)
-            y = ad.elementwise(square(x), lambda v: np.logaddexp(0.0, v), lambda v, _: ad.logistic(v))
-            return ad.value_of(total(product(y, 1.0 / (1.0 + np.abs(x0)))))
+            loss, _, grad = _loss_terms(TrainConfig(solver=CFG), model, z, rho, model.params)
+            return loss, grad.tobytes()
 
         assert run() == run()
 

@@ -431,6 +431,10 @@ def bad_inputs(tmp_path_factory):
         "string_params": {**valid, "params": ["a"] * 8}, "n_bands_5": {**valid, "n_bands": 5},
         "solver_foo": {**valid, "solver": {**valid["solver"], "method": "foo"}},
         "steps_0": {**valid, "solver": {**valid["solver"], "steps": 0}},
+        "steps_2_5": {**valid, "solver": {**valid["solver"], "steps": 2.5}},
+        "steps_true": {**valid, "solver": {**valid["solver"], "steps": True}},
+        "x_end_string": {**valid, "solver": {**valid["solver"], "x_end": "1"}},
+        "x0_after_x_end": {**valid, "solver": {**valid["solver"], "x0": 1, "x_end": 0}},
         "nan_params": {**valid, "params": [float("nan")] + [-2.0] * 7},
     }
     for name, doc in models.items():
@@ -484,6 +488,14 @@ BAD_INPUT_CASES = [
     ("model-solver-method-foo", "correct --cube {d}/scene.hdr --model {d}/solver_foo.json --out {o}",
      3, "parse-error"),
     ("model-solver-steps-0", "correct --cube {d}/scene.hdr --model {d}/steps_0.json --out {o}", 3, "parse-error"),
+    ("model-solver-steps-2.5", "correct --cube {d}/scene.hdr --model {d}/steps_2_5.json --out {o}",
+     3, "parse-error"),
+    ("model-solver-steps-true", "correct --cube {d}/scene.hdr --model {d}/steps_true.json --out {o}",
+     3, "parse-error"),
+    ("model-solver-x-end-string", "correct --cube {d}/scene.hdr --model {d}/x_end_string.json --out {o}",
+     3, "parse-error"),
+    ("model-solver-x0-after-x-end", "correct --cube {d}/scene.hdr --model {d}/x0_after_x_end.json --out {o}",
+     3, "parse-error"),
     ("model-nan-params", "correct --cube {d}/scene.hdr --model {d}/nan_params.json --out {o}", 3, "parse-error"),
     ("norm-m-0", "correct --cube {d}/scene.hdr --model {d}/model8.json --norm {d}/norm_m_0.json --out {o}",
      3, "parse-error"),

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from dinsat import autodiff as ad
-from dinsat.errors import ConfigError, ContractError, NumericError
-from dinsat.ode import FusedRhs, SolverConfig, ode_solve, ode_solve_reverse
+from dinsat.errors import ConfigError, NumericError
+from dinsat.mlp import logistic
+from dinsat.ode import SolverConfig, ode_solve, ode_solve_reverse, solve_vjp
+
+from oracles import finite_difference
 
 
 def decay(rate=1.0):
@@ -18,6 +20,23 @@ class TestSolverConfig:
     def test_rejects_empty_interval(self):
         with pytest.raises(ConfigError):
             SolverConfig(x0=1.0, x_end=1.0)
+
+    @pytest.mark.parametrize("fields,match", [
+        ({"steps": 2.5}, "steps must be an integer"),
+        ({"steps": True}, "steps must be an integer"),
+        ({"x_end": "1"}, "x_end must be a finite number"),
+        ({"x0": float("nan")}, "x0 must be a finite number"),
+        ({"x_end": float("inf")}, "x_end must be a finite number"),
+        ({"x0": 1.0, "x_end": 0.0}, "interval must increase"),
+    ])
+    def test_rejects_ill_typed_or_decreasing(self, fields, match):
+        with pytest.raises(ConfigError, match=match):
+            SolverConfig(**fields)
+
+    def test_accepts_integer_bounds(self):
+        # A model JSON may hold "x0": 0 and "x_end": 2.
+        cfg = SolverConfig("euler", 3, 0, 2)
+        assert (cfg.steps, cfg.x0, cfg.x_end) == (3, 0, 2)
 
 
 class TestForwardSolve:
@@ -66,7 +85,7 @@ class TestReverseSolve:
         cfg = SolverConfig("rk4", 16)
 
         def rhs(L):
-            return -(ad.logistic(L) * L)
+            return -(logistic(L) * L)
 
         for _ in range(10):
             y0 = rng.uniform(0, 1, 16)
@@ -118,17 +137,13 @@ class TestConvergenceOrder:
         assert ratio == pytest.approx(16.0, rel=0.3)
 
 
-def linear_decay_rhs(theta):
-    """-(theta * L) as a FusedRhs, with its VJP written out by hand."""
-    theta_v = ad.value_of(theta)
+def linear_decay_rhs_vjp(theta):
+    """L -> (-(theta * L), vjp), with the VJP written out by hand."""
 
-    def value(L):
-        return -(theta_v * L)
+    def rhs_vjp(L):
+        return -(theta * L), lambda g: (-(theta * g), -(g * L))
 
-    def value_and_vjp(L):
-        return value(L), lambda g: (-(theta_v * g), -(g * L))
-
-    return FusedRhs(theta, value, value_and_vjp)
+    return rhs_vjp
 
 
 class TestGradients:
@@ -139,43 +154,23 @@ class TestGradients:
         for _ in range(5):
             theta0 = rng.uniform(0.1, 2.0, 4)
             y0 = rng.uniform(0.2, 1.0, 4)
+            out, vjp = solve_vjp(linear_decay_rhs_vjp(theta0), y0, cfg)
+            # mean(out^2), pulled back through the solve
+            g_y0, g_theta = vjp(2.0 * out / out.size)
+            grad = np.concatenate([g_theta, g_y0])
 
-            def run(theta, y):
-                out = ode_solve(linear_decay_rhs(theta), y, cfg)
-                v = ad.value_of(out)
-                # mean(out^2) as one node
-                return ad.node(np.mean(v * v), (out,), lambda g: (g * 2.0 * v / v.size,))
+            def objective(v):
+                out = ode_solve(lambda L: -(v[:4] * L), v[4:], cfg)
+                return np.mean(out * out)
 
-            tape = ad.Tape()
-            theta, y = tape.leaf(theta0), tape.leaf(y0)
-            ad.backward(run(theta, y))
-            grad = np.concatenate([theta.grad, y.grad])
-            fd = ad.finite_difference(
-                lambda v: float(run(v[:4], v[4:])), np.concatenate([theta0, y0])
-            )
+            fd = finite_difference(objective, np.concatenate([theta0, y0]))
             assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)) < 1e-3
 
-
-class TestTracingContract:
-    """Only a FusedRhs is traced; a plain callable never meets a Var."""
-
-    @pytest.mark.parametrize("solve", [ode_solve, ode_solve_reverse])
-    def test_traced_state_with_plain_rhs_rejected(self, solve):
-        y0 = ad.Tape().leaf(np.array([1.0, 0.5]))
-        with pytest.raises(ContractError, match="FusedRhs"):
-            solve(decay(), y0, SolverConfig("rk4", 4))
-
-    @pytest.mark.parametrize("solve", [ode_solve, ode_solve_reverse])
-    def test_plain_rhs_over_traced_params_rejected(self, solve):
-        theta = ad.Tape().leaf(np.array([0.3, 0.7]))
-
-        def rhs(L):
-            return ad.elementwise(theta, lambda t: t * -L, lambda t, _: -L)
-
-        with pytest.raises(ContractError, match="FusedRhs"):
-            solve(rhs, np.array([1.0, 0.5]), SolverConfig("euler", 4))
-
-    def test_fused_rhs_called_traced_rejected(self):
-        rhs = linear_decay_rhs(ad.Tape().leaf(np.array([0.3, 0.7])))
-        with pytest.raises(ContractError):
-            rhs(np.ones(2))
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_values_equal_the_plain_solve(self, method, reverse):
+        cfg = SolverConfig(method, 8)
+        theta, y0 = np.array([0.3, 1.1, 2.0]), np.array([[0.5, 1.0, 0.2], [0.1, 0.9, 0.4]])
+        out, _ = solve_vjp(linear_decay_rhs_vjp(theta), y0, cfg, reverse)
+        solve = ode_solve_reverse if reverse else ode_solve
+        np.testing.assert_array_equal(out, solve(lambda L: -(theta * L), y0, cfg))

@@ -4,25 +4,25 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from dinsat import autodiff as ad
 from dinsat.correction import EPS_T, SceneNormalization, correct_batch, normalized_radiance
 from dinsat.errors import ConfigError, InvalidDatasetError, ShapeError
 from dinsat.ode import SolverConfig, ode_solve
 from dinsat.synth import SynthSpec, sample_pixels, synth_scene
 from dinsat.training import (
     TrainConfig,
+    _loss_terms,
     _supervised_head,
     _unsupervised_head,
     ensemble,
     evaluate,
     supervised_loss,
-    supervised_loss_terms,
     train,
     unsupervised_loss,
-    unsupervised_loss_terms,
 )
 from dinsat.transmission import LinearProfile, NonlinearProfile, softplus_inverse, transmittance_spectrum
 from dinsat.types import Spectrum
+
+from oracles import complex_step, finite_difference
 
 CFG = SolverConfig("rk4", 16)
 
@@ -36,21 +36,10 @@ def rows(*pixels):
     return np.array(pixels, dtype=float)
 
 
-H_CS = 1e-30
-
-
-def complex_step(f, x):
-    """Gradient of a real-analytic scalar f at real x: Im f(x + ih e_k) / h per k.
-
-    No difference is taken, so there is no cancellation: exact to rounding.
-    """
-    x = np.asarray(x, float)
-    grad = np.empty_like(x)
-    for k in range(x.size):
-        xc = x.astype(complex)
-        xc.flat[k] += 1j * H_CS
-        grad.flat[k] = f(xc).imag / H_CS
-    return grad
+def loss_components(model, norm, l4, rho=None, **config):
+    """The components of the training loss of ``config``'s mode at the model's parameters."""
+    config = TrainConfig(solver=CFG, **config)
+    return _loss_terms(config, model, normalized_radiance(norm, l4), rho, model.params)[1]
 
 
 def discrete_transmittance_alpha(target, cfg):
@@ -67,18 +56,18 @@ class TestSupervisedLoss:
         n = 4
         l4 = rho = rows([0.1, 0.4, 0.9, 0.2])
         loss = supervised_loss(identity_model(n), SceneNormalization.identity(n), l4, rho, CFG)
-        assert float(ad.value_of(loss)) == 0.0
+        assert loss == 0.0
 
     def test_constant_offset_unit_value(self):
         # rho_hat = rho + 0.1 everywhere: L_MSE = 0.01 and the FD term, which
         # only sees band-to-band differences, annihilates the constant offset.
         rho = rows([0.1, 0.5, 0.3, 0.8])
-        loss, parts = supervised_loss_terms(
-            identity_model(4), SceneNormalization.identity(4), rho + 0.1, rho, CFG, fd_weight=1.0
-        )
+        norm = SceneNormalization.identity(4)
+        loss = supervised_loss(identity_model(4), norm, rho + 0.1, rho, CFG, fd_weight=1.0)
+        parts = loss_components(identity_model(4), norm, rho + 0.1, rho, fd_weight=1.0)
         assert parts["mse"] == pytest.approx(0.01, abs=1e-12)
         assert parts["fd"] == pytest.approx(0.0, abs=1e-12)
-        assert float(ad.value_of(loss)) == pytest.approx(0.01, abs=1e-12)
+        assert loss == pytest.approx(0.01, abs=1e-12)
 
     def test_swapped_bands_unit_value(self):
         # One pixel, two bands, rho=[0,1], rho_hat=[1,0]:
@@ -86,7 +75,7 @@ class TestSupervisedLoss:
         loss = supervised_loss(
             identity_model(2), SceneNormalization.identity(2), rows([1.0, 0.0]), rows([0.0, 1.0]), CFG
         )
-        assert float(ad.value_of(loss)) == pytest.approx(5.0, abs=1e-12)
+        assert loss == pytest.approx(5.0, abs=1e-12)
 
     def test_fd_invariant_to_per_pixel_constants(self):
         rng = np.random.default_rng(0)
@@ -94,10 +83,8 @@ class TestSupervisedLoss:
         rho = rng.uniform(0.3, 0.9, (3, 6))
         shifts = rng.uniform(-0.2, 0.2, 3)[:, None]
         norm = SceneNormalization.identity(6)
-        _, parts_a = supervised_loss_terms(identity_model(6), norm, rho, rho * 0.9, CFG, 1.0)
-        _, parts_b = supervised_loss_terms(
-            identity_model(6), norm, rho + shifts, rho * 0.9 + shifts, CFG, 1.0
-        )
+        parts_a = loss_components(identity_model(6), norm, rho, rho * 0.9, fd_weight=1.0)
+        parts_b = loss_components(identity_model(6), norm, rho + shifts, rho * 0.9 + shifts, fd_weight=1.0)
         assert parts_b["fd"] == pytest.approx(parts_a["fd"], abs=1e-12)
 
 
@@ -109,12 +96,12 @@ class TestUnsupervisedLoss:
         model = LinearProfile(softplus_inverse(np.full(2, alpha)))
         f = ode_solve(lambda L: -(model.alpha * L), np.ones(2), CFG)
         loss = unsupervised_loss(model, SceneNormalization.identity(2), rows(0.5 * f * f), CFG)
-        assert float(ad.value_of(loss)) == pytest.approx(0.012, abs=1e-12)
+        assert loss == pytest.approx(0.012, abs=1e-12)
 
     def test_flat_spectrum_has_zero_fd(self):
-        _, parts = unsupervised_loss_terms(
-            identity_model(3), SceneNormalization.identity(3), rows([0.3, 0.3, 0.3]), CFG,
-            1e-2, 1e-2, 1.0,
+        parts = loss_components(
+            identity_model(3), SceneNormalization.identity(3), rows([0.3, 0.3, 0.3]), mode="unsupervised",
+            rho_weight=1e-2, transmission_weight=1e-2, slope_weight=1.0,
         )
         assert parts["fd"] == 0.0
 
@@ -123,7 +110,7 @@ class TestUnsupervisedLoss:
             identity_model(2), SceneNormalization.identity(2), rows([0.2, 0.9]), CFG,
             rho_weight=0.0, transmission_weight=0.0, slope_weight=0.0,
         )
-        assert float(ad.value_of(loss)) == 0.0
+        assert loss == 0.0
 
 
 class TestLossGradients:
@@ -147,39 +134,11 @@ class TestLossGradients:
             return unsupervised_loss(model, norm, l4, cfg, params=params)
 
         p0 = model.params.copy()
-        tape = ad.Tape()
-        pvar = tape.leaf(p0)
-        ad.backward(loss_fn(pvar))
-        fd = ad.finite_difference(
-            lambda v: float(ad.value_of(loss_fn(ad.Tape().leaf(v)))), p0.copy()
-        )
+        config = TrainConfig(mode=mode, fd_weight=1.0, solver=cfg)
+        _, _, grad = _loss_terms(config, model, normalized_radiance(norm, l4), rho, p0)
+        fd = finite_difference(loss_fn, p0.copy())
         denom = np.maximum(np.abs(fd), 1e-7)
-        assert np.max(np.abs(pvar.grad - fd) / denom) < 1e-3
-
-    def test_linear_unsupervised_tape_is_small(self):
-        # The linear transmission factor is one closed-form node, so the tape
-        # does not grow with the solver's step count or stage count.
-        rng = np.random.default_rng(4)
-        n = 126
-        norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.3)
-        l4 = rows(*(norm.c + rng.uniform(0.1, 1.0, n) for _ in range(8)))
-        model = LinearProfile.initialize(n, rng)
-        tape = ad.Tape()
-        ad.backward(unsupervised_loss(model, norm, l4, CFG, params=tape.leaf(model.params)))
-        assert len(tape.nodes) == 4  # leaf, T(1), T^-1, loss head
-
-    def test_nonlinear_supervised_tape_is_small(self):
-        # Each traced solve is one node whose VJP sweeps its stages, so the
-        # tape does not grow with the step or stage count.
-        rng = np.random.default_rng(5)
-        n = 126
-        norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.3)
-        pairs = [(norm.c + rng.uniform(0.1, 1.0, n), rng.uniform(0, 1, n)) for _ in range(8)]
-        l4, rho = rows(*(p[0] for p in pairs)), rows(*(p[1] for p in pairs))
-        model = NonlinearProfile.initialize(n, rng)
-        tape = ad.Tape()
-        ad.backward(supervised_loss(model, norm, l4, rho, CFG, params=tape.leaf(model.params)))
-        assert len(tape.nodes) == 4  # leaf, T(1) solve, T^-1 solve, loss head
+        assert np.max(np.abs(grad - fd) / denom) < 1e-3
 
 
 class TestLossHeads:
@@ -229,25 +188,21 @@ class TestLossHeads:
         return (w["rho_weight"] * rho_hat.mean() + w["transmission_weight"] * t1.mean()
                 + w["slope_weight"] * (slope * np.sign(slope.real)).mean())
 
-    def value_and_grad(self, loss_fn, params):
-        tape = ad.Tape()
-        pvar = tape.leaf(params)
-        loss = loss_fn(pvar)
-        ad.backward(loss)
-        return float(ad.value_of(loss)), pvar.grad
+    def value_and_grad(self, mode, model, norm, l4, rho, params, solver=CFG):
+        """The training loss and its gradient, as ``train`` computes them."""
+        config = TrainConfig(mode=mode, solver=solver, **self.WEIGHTS)
+        loss, _, grad = _loss_terms(config, model, normalized_radiance(norm, l4), rho, params)
+        return loss, grad
 
     def head_cotangents(self, mode, l2, t1, rho):
-        """The head's cotangents of (T^-1(z), T(1)), fed to it as two leaves."""
+        """The head's cotangents of (T^-1(z), T(1))."""
         w = self.WEIGHTS
-        tape = ad.Tape()
-        l2_leaf, t1_leaf = tape.leaf(l2), tape.leaf(t1)
         if mode == "supervised":
-            loss, _ = _supervised_head(l2_leaf, t1_leaf, rho, w["fd_weight"])
+            _, _, vjp = _supervised_head(l2, t1, rho, w["fd_weight"])
         else:
-            loss, _ = _unsupervised_head(l2_leaf, t1_leaf, w["rho_weight"], w["transmission_weight"],
-                                         w["slope_weight"])
-        ad.backward(loss)
-        return l2_leaf.grad, t1_leaf.grad
+            _, _, vjp = _unsupervised_head(l2, t1, w["rho_weight"], w["transmission_weight"],
+                                           w["slope_weight"])
+        return vjp()
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
@@ -257,9 +212,9 @@ class TestLossHeads:
         t1 = model.t1(model.params, CFG)
         l2 = model.inverse(model.params, normalized_radiance(norm, l4), CFG, transmittance=t1)
         ref_loss = self.reference(mode, l2, t1, rho)
-        loss, grad = self.value_and_grad(lambda p: self.head(*args, p), model.params)
+        loss, grad = self.value_and_grad(*args, model.params)
         assert loss == ref_loss
-        assert float(self.head(*args, model.params)) == ref_loss  # untraced too
+        assert self.head(*args, model.params) == ref_loss  # the exported loss too
 
         g_l2, g_t1 = self.head_cotangents(mode, l2, t1, rho)
         cs_l2 = complex_step(lambda x: self.reference(mode, x, t1, rho), l2)
@@ -291,7 +246,7 @@ class TestLossHeads:
             t1 = (1 + s + s**2 / 2 + s**3 / 6 + s**4 / 24) ** CFG.steps
             return self.reference(mode, z / t1, t1, rho)
 
-        _, grad = self.value_and_grad(lambda p: self.head(mode, model, norm, l4, rho, p), raw)
+        _, grad = self.value_and_grad(mode, model, norm, l4, rho, raw)
         np.testing.assert_allclose(grad, complex_step(reference, raw), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
@@ -299,10 +254,8 @@ class TestLossHeads:
     def test_gradient_matches_finite_differences(self, mode, kind):
         model, norm, l4, rho = self.problem(kind)
         cfg = CFG if kind == "linear" else SolverConfig("rk4", 8)
-        _, grad = self.value_and_grad(lambda p: self.head(mode, model, norm, l4, rho, p, cfg), model.params)
-        fd = ad.finite_difference(
-            lambda v: float(ad.value_of(self.head(mode, model, norm, l4, rho, v, cfg))), model.params.copy()
-        )
+        _, grad = self.value_and_grad(mode, model, norm, l4, rho, model.params, cfg)
+        fd = finite_difference(lambda v: self.head(mode, model, norm, l4, rho, v, cfg), model.params.copy())
         denom = np.maximum(np.abs(fd), 1e-7)
         assert np.max(np.abs(grad - fd) / denom) < 1e-3
 
@@ -362,27 +315,22 @@ class TestTrain:
         assert np.max(rel[visible]) < 0.05
 
     def test_epoch_tapes_are_released(self):
-        # With the cyclic GC off, a tape still holding its nodes would stay
-        # alive; train must free each epoch's tape by reference counting.
+        # Each epoch's pullback closures form no reference cycle: with the
+        # cyclic GC off, training leaves nothing for it to collect.
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, truth, 20, seed=5)
         config = TrainConfig(
             model_kind="nonlinear", max_epochs=5, solver=SolverConfig("rk4", 4), seed=0
         )
-
-        def live_tapes():
-            return sum(isinstance(o, ad.Tape) for o in gc.get_objects())
-
         gc.collect()
         gc.disable()
         try:
-            before = live_tapes()
             run = train(config, l4, truth.norm, rho)
-            after = live_tapes()
+            garbage = gc.collect()
         finally:
             gc.enable()
         assert run.epochs == 5
-        assert after == before
+        assert garbage == 0
 
     def test_unsupervised_loss_drops_ten_percent(self):
         cube, truth = tiny_scene()

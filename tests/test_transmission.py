@@ -3,12 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from dinsat import autodiff as ad
-from dinsat.correction import SceneNormalization
-from dinsat.errors import ContractError, NumericError, ShapeError
+from dinsat.errors import NumericError, ShapeError
 from dinsat.mlp import mlp_forward
-from dinsat.ode import SolverConfig, ode_solve
-from dinsat.training import supervised_loss
+from dinsat.ode import SolverConfig, ode_solve, solve_vjp
 from dinsat.transmission import (
     LinearProfile,
     NonlinearProfile,
@@ -22,39 +19,13 @@ from dinsat.transmission import (
 )
 from dinsat.types import Spectrum
 
+from oracles import H_CS, complex_step, finite_difference
+
 CFG = SolverConfig("rk4", 16)
 
 
 def linear(alpha):
     return LinearProfile.from_alpha(np.asarray(alpha, float))
-
-
-def product(a, b):
-    """a * b as one node, for (..., n) a and (n,) b."""
-    av, bv = ad.value_of(a), ad.value_of(b)
-    return ad.node(av * bv, (a, b), lambda g: (g * bv, (g * av).reshape(-1, bv.size).sum(axis=0)))
-
-
-def weighted_sum(weights, x):
-    """sum(weights * x) as one node."""
-    return ad.node(np.sum(weights * ad.value_of(x)), (x,), lambda g: (g * weights,))
-
-
-H_CS = 1e-30
-
-
-def complex_step(f, x):
-    """Gradient of a real-analytic scalar f at real x: Im f(x + ih e_k) / h per k.
-
-    No difference is taken, so there is no cancellation: exact to rounding.
-    """
-    x = np.asarray(x, float)
-    grad = np.empty_like(x)
-    for k in range(x.size):
-        xc = x.astype(complex)
-        xc.flat[k] += 1j * H_CS
-        grad.flat[k] = f(xc).imag / H_CS
-    return grad
 
 
 def complex_linear_factor(raw, cfg):
@@ -107,7 +78,7 @@ class TestNonlinearRhs:
 
 
 class TestNonlinearFusedRhs:
-    """The fused right-hand side against mlp_forward and finite differences."""
+    """The right-hand side and its VJP against mlp_forward and finite differences."""
 
     @pytest.mark.parametrize("shape", [(5,), (3, 5)])
     def test_forward_bit_identical_to_mlp_composition(self, shape):
@@ -127,51 +98,44 @@ class TestNonlinearFusedRhs:
         weights = rng.uniform(-1.0, 1.0, shape)
 
         def objective(params, L):
-            return float(np.sum(weights * profile.rhs_from(params)(L)))
+            return np.sum(weights * profile.rhs_from(params)(L))
 
-        value, vjp = profile.rhs_from(profile.params).value_and_vjp(L0.copy())
+        value, vjp = profile.rhs_vjp_from(profile.params)(L0.copy())
         np.testing.assert_array_equal(value, rhs_values(L0, profile))
         g_L, g_p = vjp(weights)
-        fd_p = ad.finite_difference(lambda p: objective(p, L0), profile.params.copy())
-        fd_L = ad.finite_difference(lambda L: objective(profile.params, L), L0.copy())
+        fd_p = finite_difference(lambda p: objective(p, L0), profile.params.copy())
+        fd_L = finite_difference(lambda L: objective(profile.params, L), L0.copy())
         np.testing.assert_allclose(g_p, fd_p, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(g_L, fd_L, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_untraced_operators_equal_traced_values(self, method):
-        # Untraced, the solver and the rhs work in place on ndarrays; traced,
-        # they record tape nodes. Both must compute the same bits.
+        # solve_vjp steps the rhs that also returns VJPs; the plain operators
+        # step f(L) alone, in place. Both must compute the same bits.
         rng = np.random.default_rng(13)
         profile = NonlinearProfile.initialize(6, rng)
         L = rng.uniform(0, 2, (4, 6))
         cfg = SolverConfig(method, 8)
-        leaf = ad.Tape().leaf(profile.params.copy())
-        for op in (profile.forward, profile.inverse):
-            traced = op(leaf, L, cfg)
-            assert isinstance(traced, ad.Var)
-            np.testing.assert_array_equal(op(profile.params, L, cfg), traced.value)
+        rhs_vjp = profile.rhs_vjp_from(profile.params)
+        for op, reverse in ((profile.forward, False), (profile.inverse, True)):
+            traced, _ = solve_vjp(rhs_vjp, L, cfg, reverse)
+            np.testing.assert_array_equal(op(profile.params, L, cfg), traced)
 
     def test_untraced_rhs_is_plain(self):
         profile = NonlinearProfile.initialize(5, np.random.default_rng(11))
         out = profile.rhs_from(profile.params)(np.ones((2, 5)))
         assert type(out) is np.ndarray
 
-    def test_cross_tape_operands_rejected(self):
-        profile = NonlinearProfile.initialize(5, np.random.default_rng(12))
-        params = ad.Tape().leaf(profile.params)
-        with pytest.raises(ContractError):
-            ode_solve(profile.rhs_from(params), ad.Tape().leaf(np.ones(5)), CFG)
-
 
 class TestNonlinearFusedSolve:
-    """A traced nonlinear solve is one tape node with the discrete adjoint as its VJP."""
+    """A solve's pullback is the discrete adjoint of its steps."""
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
     @pytest.mark.parametrize("shape", [(5,), (3, 5)])
     def test_gradients_match_finite_differences(self, method, direction, shape):
-        # L = rho * T(1), as in simulate_values: a traced state built from the
-        # params, plus a second leaf of its own.
+        # L = rho * T(1), as in simulate_values: a state built from the params,
+        # plus rho of its own, pulled back through both solves by hand.
         rng = np.random.default_rng(14)
         profile = NonlinearProfile.initialize(5, rng)
         cfg = SolverConfig(method, 4)
@@ -180,24 +144,17 @@ class TestNonlinearFusedSolve:
         op = getattr(profile, direction)
 
         def objective(params, rho):
-            return weighted_sum(weights, op(params, product(rho, profile.t1(params, cfg)), cfg))
+            return np.sum(weights * op(params, rho * profile.t1(params, cfg), cfg))
 
-        tape = ad.Tape()
-        p_leaf = tape.leaf(profile.params.copy())
-        rho_leaf = tape.leaf(rho0.copy())
-        ad.backward(objective(p_leaf, rho_leaf))
-        fd_p = ad.finite_difference(lambda p: float(objective(p, rho0)), profile.params.copy())
-        fd_rho = ad.finite_difference(lambda r: float(objective(profile.params, r)), rho0.copy())
-        np.testing.assert_allclose(p_leaf.grad, fd_p, rtol=1e-6, atol=1e-9)
-        np.testing.assert_allclose(rho_leaf.grad, fd_rho, rtol=1e-6, atol=1e-9)
-
-    @pytest.mark.parametrize("method", ["euler", "rk4"])
-    def test_solve_is_one_node(self, method):
-        profile = NonlinearProfile.initialize(5, np.random.default_rng(15))
-        tape = ad.Tape()
-        leaf = tape.leaf(profile.params.copy())
-        out = profile.forward(leaf, np.ones((2, 5)), SolverConfig(method, 16))
-        assert tape.nodes == [leaf, out]
+        rhs_vjp = profile.rhs_vjp_from(profile.params)
+        t1, t1_vjp = solve_vjp(rhs_vjp, np.ones(5), cfg)
+        _, out_vjp = solve_vjp(rhs_vjp, rho0 * t1, cfg, reverse=direction == "inverse")
+        g_L, g_p = out_vjp(weights)
+        g_p = g_p + t1_vjp((g_L * rho0).reshape(-1, 5).sum(axis=0))[1]
+        fd_p = finite_difference(lambda p: objective(p, rho0), profile.params.copy())
+        fd_rho = finite_difference(lambda r: objective(profile.params, r), rho0.copy())
+        np.testing.assert_allclose(g_p, fd_p, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(g_L * t1, fd_rho, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("direction,L,match", [
         ("forward", np.array([[0.5, np.nan, 0.5, 0.5]]), "non-finite state at integration step 0"),
@@ -212,25 +169,38 @@ class TestNonlinearFusedSolve:
         with pytest.raises(NumericError, match=match) as untraced:
             op(profile.params, L, CFG)
         with pytest.raises(NumericError) as traced:
-            op(ad.Tape().leaf(profile.params.copy()), L, CFG)
+            solve_vjp(profile.rhs_vjp_from(profile.params), L, CFG, reverse=direction == "inverse")
         assert str(traced.value) == str(untraced.value)
 
-    def test_supervised_tape_size_independent_of_steps(self):
-        rng = np.random.default_rng(16)
-        n = 126
-        norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.3)
-        l4 = norm.c + rng.uniform(0.1, 1.0, (8, n))
-        rho = rng.uniform(0, 1, (8, n))
-        model = NonlinearProfile.initialize(n, rng)
-        counts = []
-        for steps in (4, 16):
-            tape = ad.Tape()
-            loss = supervised_loss(
-                model, norm, l4, rho, SolverConfig("rk4", steps), params=tape.leaf(model.params)
-            )
-            ad.backward(loss)
-            counts.append(len(tape.nodes))
-        assert counts[0] == counts[1] <= 40
+
+class TestNonlinearComplexStep:
+    """The nonlinear pullbacks against complex step, over every parameter."""
+
+    def problem(self, method):
+        rng = np.random.default_rng(18)
+        profile = NonlinearProfile.initialize(6, rng)
+        z = rng.uniform(0.1, 1.0, (3, 6))
+        w_t, w_l = rng.uniform(-1.0, 1.0, 6), rng.uniform(-1.0, 1.0, (3, 6))
+        return profile, z, w_t, w_l, SolverConfig(method, 16)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_pullback_in_the_parameters(self, method):
+        profile, z, w_t, w_l, cfg = self.problem(method)
+        _, _, pullback = profile.inverse_vjp(profile.params, z, cfg)
+        cs_t1 = complex_step(lambda p: np.sum(w_t * profile.t1(p, cfg)), profile.params)
+        cs_l2 = complex_step(lambda p: np.sum(w_l * profile.inverse(p, z, cfg)), profile.params)
+        assert profile.params.size == 249
+        np.testing.assert_allclose(pullback(w_t, np.zeros_like(z)), cs_t1, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(pullback(np.zeros(6), w_l), cs_l2, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_solve_vjp_state_cotangent(self, method):
+        profile, z, _, w_l, cfg = self.problem(method)
+        rhs_vjp = profile.rhs_vjp_from(profile.params)
+        for op, reverse in ((profile.forward, False), (profile.inverse, True)):
+            _, vjp = solve_vjp(rhs_vjp, z, cfg, reverse)
+            expected = complex_step(lambda L: np.sum(w_l * op(profile.params, L, cfg)), z)
+            np.testing.assert_allclose(vjp(w_l)[0], expected, rtol=1e-12, atol=0)
 
 
 class TestTransmit:
@@ -358,14 +328,11 @@ class TestLinearClosedForm:
         raw = softplus_inverse(rng.uniform(0.1, 5.0, 7))
         weights = rng.uniform(-1.0, 1.0, 7)
 
-        def objective(r):
-            return weighted_sum(weights, linear_factor(r, cfg))
-
-        tape = ad.Tape()
-        leaf = tape.leaf(raw.copy())
-        ad.backward(objective(leaf))
-        fd = ad.finite_difference(lambda r: float(objective(r)), raw.copy())
-        np.testing.assert_allclose(leaf.grad, fd, rtol=1e-6, atol=1e-9)
+        # The pullback of T(1)'s cotangent alone is weights * d factor / d raw.
+        _, l2, pullback = LinearProfile(raw).inverse_vjp(raw, np.ones(7), cfg)
+        grad = pullback(weights, np.zeros_like(l2))
+        fd = finite_difference(lambda r: np.sum(weights * linear_factor(r, cfg)), raw.copy())
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
     def test_non_finite_factor_is_numeric_error(self):
         with pytest.raises(NumericError):
@@ -373,45 +340,43 @@ class TestLinearClosedForm:
 
 
 class TestLinearComplexStep:
-    """The linear nodes' hand-written derivatives against complex step."""
+    """The linear pullback's hand-written derivatives against complex step."""
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_factor_derivative(self, method):
         cfg = SolverConfig(method, 16)
         raw = softplus_inverse(np.linspace(0.1, 30.0, 13))
-        leaf = ad.Tape().leaf(raw.copy())
-        ad.backward(weighted_sum(np.ones(raw.size), linear_factor(leaf, cfg)))
+        _, l2, pullback = LinearProfile(raw).inverse_vjp(raw, np.ones(raw.size), cfg)
         # The factor is elementwise, so one perturbation of every band at once
         # gives each band's derivative.
         expected = complex_linear_factor(raw + 1j * H_CS, cfg).imag / H_CS
-        np.testing.assert_allclose(leaf.grad, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(pullback(np.ones(raw.size), np.zeros_like(l2)), expected,
+                                   rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
     def test_node_cotangents(self, direction):
+        # The pullback of T(1)'s cotangent ("forward": T applied to 1_n) and of
+        # T^-1(z)'s, each alone, in raw, against complex step of the test's own
+        # closed form, with the values bit for bit.
         rng = np.random.default_rng(17)
         profile = linear(rng.uniform(0.1, 5.0, 6))
-        L0 = rng.uniform(0.1, 1.0, (3, 6))
-        weights = rng.uniform(-1.0, 1.0, (3, 6))
+        z = rng.uniform(0.1, 1.0, (3, 6))
         t0 = linear_factor(profile.params, CFG)
-        tape = ad.Tape()
+        t1, l2, pullback = profile.inverse_vjp(profile.params, z, CFG)
+        np.testing.assert_array_equal(t1, t0)
+        np.testing.assert_array_equal(l2, z / t0)
+        np.testing.assert_array_equal(profile.forward(profile.params, z, CFG), z * t0)
         if direction == "forward":
-            p_leaf, L_leaf = tape.leaf(profile.params.copy()), tape.leaf(L0.copy())
-            out = profile.forward(p_leaf, L_leaf, CFG)
-            t_node = tape.nodes[2]  # T(1), between the two leaves and T(L)
-            np.testing.assert_array_equal(t_node.value, t0)
-            np.testing.assert_array_equal(profile.forward(profile.params, L0, CFG), L0 * t0)
+            weights = rng.uniform(-1.0, 1.0, 6)
+            grad = pullback(weights, np.zeros_like(z))
 
-            def reference(L, t):
-                return np.sum(weights * L * t)
+            def reference(r):
+                return np.sum(weights * complex_linear_factor(r, CFG))
         else:
-            L_leaf, t_node = tape.leaf(L0.copy()), tape.leaf(t0.copy())
-            out = profile.inverse(None, L_leaf, CFG, transmittance=t_node)
+            weights = rng.uniform(-1.0, 1.0, (3, 6))
+            grad = pullback(np.zeros(6), weights)
 
-            def reference(L, t):
-                return np.sum(weights * L / t)
+            def reference(r):
+                return np.sum(weights * z / complex_linear_factor(r, CFG))
 
-        ad.backward(weighted_sum(weights, out))
-        np.testing.assert_allclose(L_leaf.grad, complex_step(lambda L: reference(L, t0), L0),
-                                   rtol=1e-12, atol=0)
-        np.testing.assert_allclose(t_node.grad, complex_step(lambda t: reference(L0, t), t0),
-                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grad, complex_step(reference, profile.params), rtol=1e-12, atol=0)

@@ -48,6 +48,12 @@ class TestSplitDataset:
         with pytest.raises(ConfigError):
             split_dataset(100, (0.99, 0.001, 0.0), seed=0)
 
+    @pytest.mark.parametrize("n,fractions,seed", [(7, (0.5, 0.4, 0.09), 0), (3, (0.5, 0.5, 0.0), 1)])
+    def test_rounding_past_the_sample_count_rejected(self, n, fractions, seed):
+        # 4 + 3 + 1 of 7 and 2 + 2 of 3: a split would come back short.
+        with pytest.raises(ConfigError, match="more than the"):
+            split_dataset(n, fractions, seed)
+
     def test_fraction_sum_checked(self):
         with pytest.raises(ConfigError):
             split_dataset(10, (0.8, 0.3, 0.3), seed=0)
