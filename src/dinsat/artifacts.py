@@ -60,6 +60,13 @@ def _number(value) -> float:
     return float(value)
 
 
+def _integer(value) -> int:
+    """A JSON integer; ``true`` and ``false`` are not sizes."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _floats(value) -> np.ndarray:
     """A JSON list of numbers as a float vector."""
     if not isinstance(value, list):
@@ -95,11 +102,11 @@ def read_model(path: str | Path) -> tuple[Profile, SolverConfig, Optional[Wavele
     def build(doc: dict):
         if doc.get("format") != MODEL_FORMAT:
             raise ParseError(f"{path} is not a model artifact")
-        n_bands, params = operator.index(doc["n_bands"]), _floats(doc["params"])
+        n_bands, params = _integer(doc["n_bands"]), _floats(doc["params"])
         if doc.get("kind") == "linear":
             model: Profile = LinearProfile(params)
         elif doc.get("kind") == "nonlinear":
-            hidden, latent = operator.index(doc.get("hidden", 12)), operator.index(doc.get("latent", 3))
+            hidden, latent = _integer(doc.get("hidden", 12)), _integer(doc.get("latent", 3))
             model = NonlinearProfile(params, n_bands, hidden, latent)
         else:
             raise ParseError(f"{path}: unknown model kind {doc.get('kind')!r}")

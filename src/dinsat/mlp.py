@@ -1,14 +1,20 @@
 """Small MLPs over a flat parameter vector, on plain arrays.
 
 The layer math lives in three array helpers: ``unpack_params`` splits the flat
-vector into per-layer (W, b) views once, ``layers_forward`` applies the layers
-and keeps every activation, and ``layers_backward`` backprops a cotangent
-through them by hand. The right-hand side of the nonlinear transmission
-profile and its VJP are built on them; ``mlp_forward`` is the plain composed
-network it is tested against. ``layers_forward`` allocates one array per
-layer: the bias is added to the matmul output in place, and the sigmoid
-(``logistic``) overwrites it in place, since the backward pass reads only
-post-activation values. The forward helpers keep a complex dtype, so a
+vector into per-layer views once, ``layers_forward`` applies the layers and
+keeps every activation, and ``layers_backward`` backprops a cotangent through
+them by hand. The right-hand side of the nonlinear transmission profile and
+its VJP are built on them; ``mlp_forward`` is the plain composed network it is
+tested against.
+
+``layers_forward`` allocates one array per layer and works in it: the bias is
+added to the matmul output in place, and a sigmoid layer is computed as
+1 / (1 + exp(x @ (-W) + (-b))) with exp, +1 and the reciprocal in that same
+buffer. ``unpack_params`` negates each sigmoid layer's weights once for this,
+so the forward pass has no negation pass; negation is exact and rounding to
+nearest is symmetric in sign, so the result is bit-identical to
+1 / (1 + exp(-(x @ W + b))). The backward pass reads only post-activation
+values and the unnegated W. The forward helpers keep a complex dtype, so a
 complex-step check can run through them; float64 stays float64.
 """
 
@@ -67,27 +73,40 @@ def glorot_init(layout: MlpLayout, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _logistic_of_negated(u: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(u)), the logistic of -u, computed in u's own buffer.
+
+    exp(u) overflows to inf for u above about 709.78, which gives exactly 0
+    with no warning; NaN stays NaN.
+    """
+    with np.errstate(over="ignore"):
+        np.exp(u, out=u)
+    u += 1.0
+    return np.reciprocal(u, out=u)
+
+
 def logistic(x, out=None) -> np.ndarray:
     """The logistic 1 / (1 + exp(-x)) of a plain array, in float64 or complex.
 
     Computed in one temporary (or in ``out``, which may be ``x`` itself).
-    exp(-x) overflows to inf for x below about -709.78, which gives exactly
-    0 with no warning; NaN stays NaN.
     """
     if out is None:
         out = np.empty(np.shape(x), np.result_type(x, float))
-    np.negative(x, out=out)
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    return np.reciprocal(out, out=out)
+    return _logistic_of_negated(np.negative(x, out=out))
 
 
-Layer = tuple[np.ndarray, np.ndarray, str]
+# (W, activation, forward W, forward b): the forward pair is (-W, -b) for a
+# sigmoid layer and (W, b) itself for a linear one.
+Layer = tuple[np.ndarray, str, np.ndarray, np.ndarray]
 
 
 def unpack_params(params: np.ndarray, layout: MlpLayout) -> list[Layer]:
-    """(W, b, activation) per layer; W and b are views into the flat vector."""
+    """(W, activation, forward W, forward b) per layer.
+
+    W is a view into the flat vector, and so is a linear layer's forward pair;
+    a sigmoid layer's forward pair (-W, -b) is made here, once for every
+    ``layers_forward`` call over these layers.
+    """
     params = np.asarray(params)
     params = params.astype(np.result_type(params, float), copy=False)
     if params.shape != (layout.n_params,):
@@ -101,18 +120,21 @@ def unpack_params(params: np.ndarray, layout: MlpLayout) -> list[Layer]:
         offset += n_in * n_out
         b = params[offset : offset + n_out]
         offset += n_out
-        layers.append((w, b, act))
+        if act == "sigmoid":
+            layers.append((w, act, -w, -b))
+        else:
+            layers.append((w, act, w, b))
     return layers
 
 
 def layers_forward(layers: list[Layer], x: np.ndarray) -> list[np.ndarray]:
     """Every activation [x, a_1, ..., a_out]; the last is the network output."""
     acts = [x]
-    for w, b, act in layers:
-        x = x @ w
-        x += b
+    for _, act, w_fwd, b_fwd in layers:
+        x = x @ w_fwd
+        x += b_fwd
         if act == "sigmoid":
-            logistic(x, out=x)
+            _logistic_of_negated(x)
         acts.append(x)
     return acts
 
@@ -126,7 +148,7 @@ def layers_backward(
     order). Leading batch axes are summed out of the parameter gradient.
     """
     grads = []
-    for (w, _, act), x, out in zip(reversed(layers), reversed(acts[:-1]), reversed(acts[1:])):
+    for (w, act, _, _), x, out in zip(reversed(layers), reversed(acts[:-1]), reversed(acts[1:])):
         if act == "sigmoid":
             g = g * (out * (1.0 - out))
         g2 = g.reshape(-1, w.shape[1])

@@ -5,7 +5,9 @@
 each evaluation, keeps those VJPs, and returns the solution with its pullback,
 which sweeps the steps in reverse: the discrete adjoint of the stepper, so its
 gradients are exactly those of the unrolled steps. The state keeps its dtype
-(float64, or complex128 for a complex-step check).
+(float64, or complex128 for a complex-step check). After each step one pass,
+the peak |y|, checks the state: a non-finite peak is an error in either
+direction, and in reverse so is a peak above ``OVERFLOW_GUARD``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ class SolverConfig:
                 raise ConfigError(f"solver {name} must be a finite number, got {x!r}")
         if not self.x0 < self.x_end:
             raise ConfigError(f"integration interval must increase, got x0 = {self.x0!r}, x_end = {self.x_end!r}")
+        # Plain Python numbers, so a model artifact can write them as JSON.
+        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "x0", float(self.x0))
+        object.__setattr__(self, "x_end", float(self.x_end))
 
 
 def _euler_step(rhs, y, h):
@@ -114,9 +120,11 @@ def _integrate(rhs, y0, config: SolverConfig, reverse: bool):
     y = y.astype(np.result_type(y, float), copy=False)
     for i in range(config.steps):
         y = step(rhs, y, h)
-        if not np.all(np.isfinite(y)):
+        # One pass checks both: a NaN or inf anywhere makes the peak non-finite.
+        peak = np.abs(y).max(initial=0.0)
+        if not math.isfinite(peak):
             raise NumericError(f"non-finite state at integration step {i}")
-        if reverse and np.max(np.abs(y)) > OVERFLOW_GUARD:
+        if reverse and peak > OVERFLOW_GUARD:
             raise NumericError(f"state diverged (>{OVERFLOW_GUARD:g}) at integration step {i}")
     return y
 

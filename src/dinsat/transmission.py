@@ -18,12 +18,15 @@ gradients as stepping the solver n times. T is a multiplication by that
 factor and T^-1 an exact division, so round trips are exact up to float
 rounding. The nonlinear profile integrates with the stepped solvers in
 ``ode``, forward and backward in x. Its right-hand side unpacks the encoder
-and decoder weights once per solve, and comes as plain f(L) or as f(L) with a
+and decoder weights once per solve, the decoder with a sigmoid output layer,
+so the decay is the decoder's last activation from ``mlp.layers_forward``,
+computed in place like every sigmoid layer there. It comes as plain f(L),
+which multiplies and negates in the decay's buffer, or as f(L) with a
 hand-written VJP (product rule, then the decoder and encoder backprop of
-``mlp``); the sigmoids are ``mlp.logistic``. Its pullback is two discrete
-adjoints, ``ode.solve_vjp`` of T(1) and of T^-1(z): the exact gradients of
-the unrolled steps. Its untraced path keeps a complex dtype in the state and
-the parameters, so it can be checked by complex step.
+``mlp``), which keeps only the activations that VJP reads. Its pullback is
+two discrete adjoints, ``ode.solve_vjp`` of T(1) and of T^-1(z): the exact
+gradients of the unrolled steps. Its untraced path keeps a complex dtype in
+the state and the parameters, so it can be checked by complex step.
 """
 
 from __future__ import annotations
@@ -211,36 +214,42 @@ class NonlinearProfile:
     def _rhs(self, params):
         """(f, f_vjp) for f(L) = -sigmoid(dec(enc(L))) * L, the weights unpacked once.
 
+        The decoder is unpacked with a sigmoid output layer (the same
+        parameters in the same layout), so its last activation is the decay.
         ``f_vjp(L)`` returns f(L) and its VJP, g -> (g_L, g_params): the
         product rule, then the decoder and the encoder backprop by hand.
         """
         n_enc = self.encoder_layout.n_params
         params = np.asarray(params)
         enc = unpack_params(params[:n_enc], self.encoder_layout)
-        dec = unpack_params(params[n_enc:], self.decoder_layout)
+        dec = unpack_params(params[n_enc:], MlpLayout(self.decoder_layout.sizes, ("sigmoid", "sigmoid")))
         n_bands = self.n_bands
 
-        def forward(Lv):
+        def activations(Lv):
             if Lv.shape[-1] != n_bands:
                 raise ShapeError(f"input has {Lv.shape[-1]} bands, profile {n_bands}")
             enc_acts = layers_forward(enc, Lv)
-            dec_acts = layers_forward(dec, enc_acts[-1])
-            decay = logistic(dec_acts[-1])
-            value = decay * Lv
-            np.negative(value, out=value)
-            return value, enc_acts, dec_acts, decay
+            return enc_acts, layers_forward(dec, enc_acts[-1])
+
+        def f(Lv):
+            value = activations(Lv)[1][-1]
+            value *= Lv
+            return np.negative(value, out=value)
 
         def f_vjp(Lv):
-            value, enc_acts, dec_acts, decay = forward(Lv)
+            enc_acts, dec_acts = activations(Lv)
+            decay = dec_acts[-1]
+            value = decay * Lv
+            np.negative(value, out=value)
 
             def vjp(g):
-                g_z, g_dec = layers_backward(dec, dec_acts, -g * Lv * (decay * (1.0 - decay)))
+                g_z, g_dec = layers_backward(dec, dec_acts, -g * Lv)
                 g_L, g_enc = layers_backward(enc, enc_acts, g_z)
                 return g_L - g * decay, np.concatenate([g_enc, g_dec])
 
             return value, vjp
 
-        return (lambda Lv: forward(Lv)[0]), f_vjp
+        return f, f_vjp
 
     def rhs_from(self, params):
         """f(L) on plain arrays."""

@@ -436,6 +436,11 @@ def bad_inputs(tmp_path_factory):
         "x_end_string": {**valid, "solver": {**valid["solver"], "x_end": "1"}},
         "x0_after_x_end": {**valid, "solver": {**valid["solver"], "x0": 1, "x_end": 0}},
         "nan_params": {**valid, "params": [float("nan")] + [-2.0] * 7},
+        # JSON true is not a size, although Python reads it as 1: as 1-unit
+        # layers these 29 parameters would make a valid nonlinear model.
+        "hidden_latent_true": {**valid, "kind": "nonlinear", "hidden": True, "latent": True,
+                               "params": [0.0] * 29},
+        "n_bands_true": {**valid, "n_bands": True, "params": [-2.0]},
     }
     for name, doc in models.items():
         (d / f"{name}.json").write_text(json.dumps(doc))
@@ -497,6 +502,10 @@ BAD_INPUT_CASES = [
     ("model-solver-x0-after-x-end", "correct --cube {d}/scene.hdr --model {d}/x0_after_x_end.json --out {o}",
      3, "parse-error"),
     ("model-nan-params", "correct --cube {d}/scene.hdr --model {d}/nan_params.json --out {o}", 3, "parse-error"),
+    ("model-hidden-latent-true", "correct --cube {d}/scene.hdr --model {d}/hidden_latent_true.json --out {o}",
+     3, "parse-error"),
+    ("model-n-bands-true", "correct --cube {d}/scene.hdr --model {d}/n_bands_true.json --out {o}",
+     3, "parse-error"),
     ("norm-m-0", "correct --cube {d}/scene.hdr --model {d}/model8.json --norm {d}/norm_m_0.json --out {o}",
      3, "parse-error"),
     ("norm-negative-c", "correct --cube {d}/scene.hdr --model {d}/model8.json --norm {d}/norm_neg_c.json --out {o}",

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dinsat.artifacts import read_model, write_model
 from dinsat.errors import ConfigError, NumericError
 from dinsat.mlp import logistic
 from dinsat.ode import SolverConfig, ode_solve, ode_solve_reverse, solve_vjp
+from dinsat.transmission import LinearProfile
 
 from oracles import finite_difference
 
@@ -38,6 +40,13 @@ class TestSolverConfig:
         cfg = SolverConfig("euler", 3, 0, 2)
         assert (cfg.steps, cfg.x0, cfg.x_end) == (3, 0, 2)
 
+    def test_numpy_scalars_round_trip_through_a_model_file(self, tmp_path):
+        cfg = SolverConfig("rk4", np.int64(4), np.float32(0.0), np.float32(1.0))
+        assert [type(v) for v in (cfg.steps, cfg.x0, cfg.x_end)] == [int, float, float]
+        write_model(tmp_path / "m.json", LinearProfile(np.zeros(3)), cfg)
+        _, solver, _ = read_model(tmp_path / "m.json")
+        assert solver == SolverConfig("rk4", 4, 0.0, 1.0) == cfg
+
 
 class TestForwardSolve:
     @pytest.mark.parametrize("method,steps", [("euler", 1), ("euler", 7), ("rk4", 16)])
@@ -64,6 +73,12 @@ class TestForwardSolve:
         # The rhs overflows on purpose; the solver must name the step.
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="step 0"):
             ode_solve(lambda L: L * 1e200, np.array([1e200]), SolverConfig("euler", 4))
+
+    def test_no_overflow_guard_forward(self):
+        # The guard is for backward integration only; a growing forward state
+        # past it is still finite and is returned.
+        out = ode_solve(lambda L: L, np.array([1e12]), SolverConfig("rk4", 16))
+        assert out[0] == pytest.approx(np.e * 1e12, rel=1e-6)
 
 
 class TestReverseSolve:

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +124,22 @@ class TestNonlinearFusedRhs:
             traced, _ = solve_vjp(rhs_vjp, L, cfg, reverse)
             np.testing.assert_array_equal(op(profile.params, L, cfg), traced)
 
+    @pytest.mark.parametrize("scale", [1e3, -1e3])
+    def test_saturated_decay_is_exact_and_silent(self, scale):
+        # Scaled weights push every sigmoid far past exp's overflow point. The
+        # decay is then exactly 0 or exactly 1, f(L) = -0 or -L, with no warning.
+        profile = NonlinearProfile.initialize(126, np.random.default_rng(12))
+        params = profile.params * scale
+        L = np.random.default_rng(13).uniform(0.1, 2.0, (64, 126))
+        L_before = L.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plain = profile.rhs_from(params)(L)
+            value, _ = profile.rhs_vjp_from(params)(L)
+        np.testing.assert_array_equal(L, L_before)
+        assert plain.tobytes() == value.tobytes()
+        assert np.any(plain == 0.0) and np.any(plain == -L)
+
     def test_untraced_rhs_is_plain(self):
         profile = NonlinearProfile.initialize(5, np.random.default_rng(11))
         out = profile.rhs_from(profile.params)(np.ones((2, 5)))
@@ -158,19 +177,45 @@ class TestNonlinearFusedSolve:
 
     @pytest.mark.parametrize("direction,L,match", [
         ("forward", np.array([[0.5, np.nan, 0.5, 0.5]]), "non-finite state at integration step 0"),
-        # Zero weights give a decay of exactly 1/2: backward in x the state grows
-        # by e^(x/2) and crosses the overflow guard part-way through.
+        # The decay is exactly 1/2: backward in x the state grows by e^(x/2)
+        # and crosses the overflow guard part-way through.
         ("inverse", np.full(4, 9e11), r"state diverged \(>1e\+12\) at integration step [1-9]"),
+        # A NaN or inf state is non-finite, not diverged, though inf is above the guard.
+        ("inverse", np.array([[0.5, np.nan, 0.5, 0.5]]), "non-finite state at integration step 0"),
+        ("inverse", np.array([[0.5, np.inf, 0.5, 0.5]]), "non-finite state at integration step 0"),
     ])
     def test_traced_errors_equal_untraced(self, direction, L, match):
-        n_params = NonlinearProfile.initialize(4, np.random.default_rng(0)).params.size
-        profile = NonlinearProfile(np.zeros(n_params), 4)
+        # Zero weights after the encoder's first matrix: the latent code is 0,
+        # so the decay is exactly 1/2 for any L. That matrix is nonzero, so an
+        # infinite band meets no 0 * inf (an invalid value) in the matmul.
+        profile = NonlinearProfile.initialize(4, np.random.default_rng(0))
+        params = np.zeros_like(profile.params)
+        params[: 4 * profile.hidden] = 1.0
+        profile = profile.with_params(params)
         op = getattr(profile, direction)
         with pytest.raises(NumericError, match=match) as untraced:
             op(profile.params, L, CFG)
         with pytest.raises(NumericError) as traced:
             solve_vjp(profile.rhs_vjp_from(profile.params), L, CFG, reverse=direction == "inverse")
         assert str(traced.value) == str(untraced.value)
+
+
+class TestNonlinearAdjointMemory:
+    def test_held_bytes_per_pixel_per_stage(self):
+        # solve_vjp keeps, per stage, what that stage's VJP reads: its input,
+        # the hidden and latent activations and the decay, 279 floats (2.23 KB)
+        # per pixel at 126 bands. A kept decoder pre-activation would add 1 KB.
+        profile = NonlinearProfile.initialize(126, np.random.default_rng(15))
+        z = np.random.default_rng(16).uniform(0.1, 1.0, (2000, 126))
+        rhs_vjp = profile.rhs_vjp_from(profile.params)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, vjp = solve_vjp(rhs_vjp, z, CFG, reverse=True)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / (z.shape[0] * 4 * CFG.steps) < 2400
 
 
 class TestNonlinearComplexStep:
