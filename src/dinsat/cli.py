@@ -262,10 +262,12 @@ def correct(cube_path, model_path, norm_path, out_dir):
         data_type=12, description="dinsat quality mask",
     ) as mask_out:
         for r0, block in cube.blocks():
-            rho = np.empty(block.shape, dtype=np.float32)
-            mask = np.empty(block.shape, dtype=np.uint16)
+            # Laid out like the reader's block: a BSQ cube's block is already
+            # in the writers' file order, so they write it without a transpose.
+            rho = np.empty_like(block, dtype=np.float32)
+            mask = np.empty_like(block, dtype=np.uint16)
             for i, row in enumerate(block):  # one image row per batch bounds the working set
-                rho[i], mask[i] = correct_batch(model, norm, row, solver, transmittance=t1)
+                correct_batch(model, norm, row, solver, transmittance=t1, out=(rho[i], mask[i]))
             rho_out.write_rows(r0, rho)
             mask_out.write_rows(r0, mask)
     click.echo(f"wrote {out / 'corrected.hdr'} and {out / 'quality_mask.hdr'}")

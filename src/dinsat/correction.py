@@ -3,11 +3,17 @@
 Reflectance is recovered as rho = T^-1((L4 - C)/m) / T(1_n); radiance is
 simulated as L4 = C + m * T(rho * T(1_n)). rho is not clamped on output;
 out-of-range bands and floored denominators are reported in a quality mask.
+`correct_batch` is the one correction kernel. It allocates the float64 array
+z is made in, the array T^-1 returns (where the division by T(1) happens)
+and two boolean range masks. With ``out=(rho, mask)`` it casts the result
+into caller-owned arrays, so `dinsat correct` writes each image row straight
+into its output blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -79,28 +85,13 @@ def estimate_normalization(radiance) -> SceneNormalization:
 
 
 def normalized_radiance(norm: SceneNormalization, l4) -> np.ndarray:
-    """z = max((L4 - C)/m, 0) of (..., n_bands) radiance: what T^-1 inverts."""
-    return np.maximum((np.asarray(l4, float) - norm.c) / norm.m, 0.0)
+    """z = max((L4 - C)/m, 0) of (..., n_bands) radiance: what T^-1 inverts.
 
-
-def corrected_reflectance(
-    model: Profile,
-    norm: SceneNormalization,
-    l4,
-    solver: SolverConfig = SolverConfig(),
-    transmittance=None,
-) -> np.ndarray:
-    """T^-1(z) / max(T(1), EPS_T) of an (n_bands,) vector or (batch, n_bands) matrix.
-
-    ``transmittance`` is the model's T(1), when the caller already has it.
+    One new array, laid out like ``l4``; the division and the floor work in it.
     """
-    t1 = (
-        transmittance_values(model, model.params, solver)
-        if transmittance is None
-        else np.asarray(transmittance, float)
-    )
-    l2 = invert_values(model, model.params, normalized_radiance(norm, l4), solver, transmittance=t1)
-    return l2 / np.maximum(t1, EPS_T)
+    z = np.subtract(np.asarray(l4, float), norm.c)
+    z /= norm.m
+    return np.maximum(z, 0.0, out=z)
 
 
 def correct_batch(
@@ -109,23 +100,37 @@ def correct_batch(
     l4: np.ndarray,
     solver: SolverConfig = SolverConfig(),
     transmittance=None,
+    out: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reflectance plus a per-band quality mask for a (batch, n_bands) matrix.
+    """Reflectance T^-1(z) / max(T(1), EPS_T) and a per-band quality mask of (..., n_bands) radiance.
 
     ``transmittance`` is the model's T(1), for callers that correct many
-    batches with one model.
+    batches with one model. Without ``out`` the reflectance is float64 and the
+    mask uint8. ``out=(rho, mask)`` writes them into caller-owned arrays of
+    ``l4``'s shape instead (rho cast to its dtype, e.g. float32; the mask an
+    unsigned integer array) and returns those. Either way the range bit is
+    set from the float64 reflectance, and ``l4`` is left as it is.
     """
     t1 = (
         transmittance_values(model, model.params, solver)
         if transmittance is None
         else np.asarray(transmittance, float)
     )
-    rho = corrected_reflectance(model, norm, l4, solver, t1)
-    mask = np.zeros(rho.shape, dtype=np.uint8)
-    mask |= np.where(t1 < EPS_T, MASK_DENOM_FLOORED, 0).astype(np.uint8)
-    out_of_range = (rho < -RHO_RANGE_TOL) | (rho > 1.0 + RHO_RANGE_TOL)
-    mask |= np.where(out_of_range, MASK_RHO_OUT_OF_RANGE, 0).astype(np.uint8)
-    return rho, mask
+    # T^-1 returns a new array, so the rest of the kernel works in it.
+    rho = invert_values(model, model.params, normalized_radiance(norm, l4), solver, transmittance=t1)
+    rho /= np.maximum(t1, EPS_T)
+    out_of_range = np.less(rho, -RHO_RANGE_TOL)
+    out_of_range |= np.greater(rho, 1.0 + RHO_RANGE_TOL)
+    if out is None:
+        rho_out, mask = rho, np.empty(rho.shape, np.uint8)
+    else:
+        rho_out, mask = out
+        np.copyto(rho_out, rho, casting="same_kind")
+    np.multiply(out_of_range, mask.dtype.type(MASK_RHO_OUT_OF_RANGE), out=mask)
+    floored = t1 < EPS_T
+    if floored.any():
+        mask |= (floored * MASK_DENOM_FLOORED).astype(mask.dtype)
+    return rho_out, mask
 
 
 def correct_pixel(

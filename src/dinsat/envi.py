@@ -6,7 +6,11 @@ the header, the wavelength grid and a reader that yields row blocks or reads
 single pixels. Every read converts to float64, applies the uint16 gain and
 offset, rejects non-finite values and clamps negative radiance to 0.
 `EnviWriter` writes row blocks into a new pair. `read_envi` and
-`write_envi_array` are the whole-cube forms of the two.
+`write_envi_array` are the whole-cube forms of the two. Where the values
+already have their destination's type and order, nothing is copied: native
+float64 runs are read straight into a block laid out like the file, and a
+block that is already the file's type in file order is written from its own
+memory. Everything else passes through one reused buffer.
 """
 
 from __future__ import annotations
@@ -295,21 +299,22 @@ class EnviCube:
         # Several runs that lie close together (a BIL pixel) are one read of
         # the span that covers them; the runs are gathered from it.
         gather = len(offsets) > 1 and span * itemsize <= BLOCK_BYTES
-        size = (span if gather else len(offsets) * run) * itemsize
-        if self._raw is None or self._raw.size < size:
-            self._raw = np.empty(size, np.uint8)
-        raw = memoryview(self._raw)
-        values = self._raw[:size].view(h.dtype)
-        if gather:
-            _read_exact(f, h.header_offset + first * itemsize, raw[:size])
-            values = values[(offsets - first)[:, None] + np.arange(run)]
-        else:
-            run_bytes = run * itemsize
-            for i, offset in enumerate(offsets.tolist()):
-                _read_exact(f, h.header_offset + offset * itemsize,
-                            raw[i * run_bytes : (i + 1) * run_bytes])
         in_file_order = out.transpose(_FILE_AXES[h.interleave])
-        np.copyto(in_file_order, values.reshape(in_file_order.shape))
+        if not gather and h.dtype == out.dtype and in_file_order.flags.c_contiguous:
+            # Native float64 runs, taken in order, fill a C-ordered destination:
+            # they are read straight into it, with no buffer and no copy.
+            self._read_runs(f, offsets, run, memoryview(in_file_order.reshape(-1)).cast("B"))
+        else:
+            size = (span if gather else len(offsets) * run) * itemsize
+            if self._raw is None or self._raw.size < size:
+                self._raw = np.empty(size, np.uint8)
+            values = self._raw[:size].view(h.dtype)
+            if gather:
+                _read_exact(f, h.header_offset + first * itemsize, memoryview(self._raw)[:size])
+                values = values[(offsets - first)[:, None] + np.arange(run)]
+            else:
+                self._read_runs(f, offsets, run, memoryview(self._raw))
+            np.copyto(in_file_order, values.reshape(in_file_order.shape))
         if self._scale is not None:
             out *= self._scale[0]
             out += self._scale[1]
@@ -321,6 +326,14 @@ class EnviCube:
         negative = out < 0
         out[negative] = 0.0
         return int(np.count_nonzero(negative))
+
+    def _read_runs(self, f, offsets: np.ndarray, run: int, buf: memoryview) -> None:
+        """Read the runs of ``run`` values at ``offsets`` one after another into ``buf``."""
+        itemsize = self.header.dtype.itemsize
+        run_bytes = run * itemsize
+        for i, offset in enumerate(offsets.tolist()):
+            _read_exact(f, self.header.header_offset + offset * itemsize,
+                        buf[i * run_bytes : (i + 1) * run_bytes])
 
     def _report_clamped(self, clamped: int) -> None:
         if clamped and not self._clamp_reported:
@@ -413,12 +426,16 @@ class EnviWriter:
         last = first_row + len(block)
         offsets, run = _runs(self.interleave, self.shape, (first_row, 0, 0), (last, cols, bands))
         in_file_order = block.transpose(_FILE_AXES[self.interleave])
-        size = block.size * self.dtype.itemsize
-        if self._buf is None or self._buf.size < size:
-            self._buf = np.empty(size, np.uint8)
-        values = self._buf[:size].view(self.dtype).reshape(in_file_order.shape)
-        np.copyto(values, in_file_order, casting="unsafe")
-        raw = memoryview(self._buf)
+        if block.dtype == self.dtype and in_file_order.flags.c_contiguous:
+            # Already the file's values in file order: written from the block's own memory.
+            raw = memoryview(in_file_order.reshape(-1)).cast("B")
+        else:
+            size = block.size * self.dtype.itemsize
+            if self._buf is None or self._buf.size < size:
+                self._buf = np.empty(size, np.uint8)
+            values = self._buf[:size].view(self.dtype).reshape(in_file_order.shape)
+            np.copyto(values, in_file_order, casting="unsafe")
+            raw = memoryview(self._buf)
         run_bytes = run * self.dtype.itemsize
         for i, offset in enumerate(offsets.tolist()):
             _write_all(self._file, offset * self.dtype.itemsize, raw[i * run_bytes : (i + 1) * run_bytes])

@@ -13,7 +13,6 @@ from .correction import (
     EPS_T,
     SceneNormalization,
     correct_batch,
-    corrected_reflectance,
     normalized_radiance,
     simulate_values,
 )
@@ -414,7 +413,7 @@ def ensemble(
         model = run.model(l4.shape[1])
         t1 = transmittance_values(model, model.params, config.solver)
         transmittances[i] = t1
-        roi_reflectances[i] = corrected_reflectance(model, norm, l4, config.solver, t1).mean(axis=0)
+        roi_reflectances[i] = correct_batch(model, norm, l4, config.solver, t1)[0].mean(axis=0)
     t_stack = np.stack([t for t in transmittances if t is not None])
     roi_stack = np.stack([r for r in roi_reflectances if r is not None])
     return EnsembleResult(

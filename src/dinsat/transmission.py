@@ -148,9 +148,14 @@ class LinearProfile:
     def inverse(self, params, L, solver: SolverConfig, transmittance=None):
         """Exact division of (..., n_bands) L by T(1).
 
-        Pass ``transmittance`` to reuse a T(1) already computed.
+        Pass ``transmittance`` to reuse a T(1) already computed. A band whose
+        T(1) is exactly 0 (Euler with alpha h = 1) has no inverse: NumericError
+        names it before anything is divided.
         """
         t = self.t1(params, solver) if transmittance is None else np.asarray(transmittance, float)
+        if not t.all():
+            bands = ", ".join(str(b) for b in np.flatnonzero(t == 0))
+            raise NumericError(f"linear T(1) is 0 in band(s) {bands}; T^-1 would divide by 0")
         return np.asarray(L, float) / t
 
     def inverse_vjp(self, params, z, solver: SolverConfig):

@@ -18,7 +18,7 @@ from dinsat.artifacts import (
     write_spectrum_csv,
 )
 from dinsat.cli import _synth_spec_from_file, _train_config_from_file, main
-from dinsat.correction import SceneNormalization, estimate_normalization
+from dinsat.correction import SceneNormalization, correct_batch, estimate_normalization
 from dinsat.envi import read_envi, write_envi_array
 from dinsat.errors import ConfigError
 from dinsat.ode import SolverConfig
@@ -238,6 +238,26 @@ class TestCorrectCommand:
         assert result.exit_code == 4
         assert result.output.startswith("numeric-error:")
 
+    def test_zero_transmittance_band_is_numeric_error_and_leaves_no_images(self, tmp_path, runner):
+        scene = make_scene(tmp_path, runner)
+        model_path = tmp_path / "euler.json"
+        # Euler with alpha h = 1: T(1) is exactly 0 in bands 2 and 5.
+        alpha = np.full(16, 0.5)
+        alpha[[2, 5]] = 16.0
+        write_model(model_path, LinearProfile.from_alpha(alpha), SolverConfig("euler", 16))
+        out = tmp_path / "o"
+        # A real process, so that a numpy warning would show on stderr.
+        src = str(Path(dinsat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "dinsat.cli", "correct", "--cube", str(scene / "scene.hdr"),
+                               "--model", str(model_path), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric-error: "), proc.stderr
+        assert "band(s) 2, 5;" in lines[0]
+        assert not [p.name for p in out.iterdir()]
+
     @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
     def test_non_finite_radiance_leaves_no_images(self, tmp_path, runner, monkeypatch, bad):
         data = np.full((5, 4, 3), 0.5)
@@ -295,6 +315,54 @@ class TestCorrectCommand:
                     "--out", str(tmp_path / "out"))
         assert (tmp_path / "out" / "corrected.img").stat().st_size == cube_bytes // 2
         assert used - baseline < cube_bytes / 2, (used - baseline) / 1e6
+
+
+# Canonical (row, col, band) axes in file order, as the ENVI format defines them.
+FILE_ORDER = {"bsq": (2, 0, 1), "bil": (0, 2, 1), "bip": (0, 1, 2)}
+
+
+class TestCorrectLayouts:
+    """`correct` over every input layout against a whole-cube reference."""
+
+    ROWS, COLS, BANDS = 7, 3, 4  # 3 rows per block below: blocks of 3, 3 and 1 rows
+
+    @pytest.mark.parametrize("byte_order", [0, 1])
+    @pytest.mark.parametrize("data_type", [4, 5, 12])
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_images_match_whole_cube_reference(self, tmp_path, runner, monkeypatch, interleave, data_type,
+                                               byte_order):
+        rng = np.random.default_rng(data_type + byte_order)
+        shape = (self.ROWS, self.COLS, self.BANDS)
+        dtype = np.dtype(("<" if byte_order == 0 else ">") + envi.DTYPE_CODES[data_type])
+        values = rng.integers(0, 3000, shape) if data_type == 12 else rng.uniform(0.0, 2.0, shape)
+        hdr = tmp_path / "c.hdr"
+        hdr.write_text(
+            f"ENVI\nsamples = {self.COLS}\nlines = {self.ROWS}\nbands = {self.BANDS}\n"
+            f"data type = {data_type}\ninterleave = {interleave}\nbyte order = {byte_order}\n"
+            "wavelength = {500, 600, 700, 800}\n"
+            + ("data gain values = {1e-3, 5e-4, 1e-3, 2e-3}\n" if data_type == 12 else "")
+        )
+        np.ascontiguousarray(values.transpose(FILE_ORDER[interleave]), dtype=dtype).tofile(tmp_path / "c.img")
+        # Band 2's T(1) is floored; reflectances fall on both sides of 1.
+        model = LinearProfile.from_alpha([0.3, 1.0, 20.0, 2.0])
+        write_model(tmp_path / "m.json", model, SolverConfig("rk4", 16))
+        norm = SceneNormalization(np.full(self.BANDS, 0.1), 1.0)
+        write_normalization(tmp_path / "norm.json", norm)
+
+        data = read_envi(hdr).data  # the whole cube, before the block size shrinks
+        rho, mask = correct_batch(model, norm, data.reshape(-1, self.BANDS), SolverConfig("rk4", 16))
+        assert (mask & 1).any() and (mask & 2).any() and not (mask & 2).all()
+        for name, image, out_dtype in (("rho", rho, "<f4"), ("mask", mask, "<u2")):
+            bsq = image.reshape(shape).transpose(FILE_ORDER["bsq"])
+            np.ascontiguousarray(bsq, dtype=out_dtype).tofile(tmp_path / f"{name}.ref")
+
+        monkeypatch.setattr(envi, "BLOCK_BYTES", 3 * self.COLS * self.BANDS * 8)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["correct", "--cube", str(hdr), "--model", str(tmp_path / "m.json"),
+                                      "--norm", str(tmp_path / "norm.json"), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "corrected.img").read_bytes() == (tmp_path / "rho.ref").read_bytes()
+        assert (out / "quality_mask.img").read_bytes() == (tmp_path / "mask.ref").read_bytes()
 
 
 class TestSimulateAndEval:

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from dinsat.correction import (
+    EPS_T,
+    MASK_DENOM_FLOORED,
     MASK_RHO_OUT_OF_RANGE,
+    RHO_RANGE_TOL,
     SceneNormalization,
     correct_batch,
     correct_pixel,
@@ -14,7 +17,7 @@ from dinsat.correction import (
 from dinsat.errors import ConfigError, EmptyInputError
 from dinsat.ode import SolverConfig
 from dinsat.synth import SynthSpec, synth_scene
-from dinsat.transmission import LinearProfile
+from dinsat.transmission import LinearProfile, NonlinearProfile
 from dinsat.types import Spectrum
 
 CFG = SolverConfig("rk4", 16)
@@ -115,6 +118,65 @@ class TestCorrectPixel:
                 Spectrum(np.array([-0.1, 0.2]), "radiance").with_values(np.array([-0.1, 0.2])),
                 CFG,
             )
+
+
+def bsq_rows(values):
+    """The (rows, cols, bands) ``values`` laid out band-sequentially: each row is not C-ordered."""
+    return np.ascontiguousarray(np.transpose(values, (2, 0, 1))).transpose(1, 2, 0)
+
+
+class TestCorrectBatchOut:
+    """``out=(rho, mask)`` writes what the allocating call returns, cast to the out dtypes."""
+
+    # One Euler step multiplies by 1 - alpha: T(1) is 1 in band 0, 1e-7
+    # (floored) in band 1, and -0.5 in band 2, whose reflectance is negative.
+    EULER_1 = SolverConfig("euler", 1)
+
+    def linear_case(self):
+        model = LinearProfile(np.concatenate([[-40.0], LinearProfile.from_alpha([1.0 - 1e-7, 1.5]).raw]))
+        t1 = model.t1(model.params, self.EULER_1)
+        assert t1[0] == 1.0 and 0 < t1[1] < EPS_T and t1[2] == -0.5
+        # rho is z in band 0 and -z / 0.5 / EPS_T in band 2: values on both
+        # sides of 1 + RHO_RANGE_TOL and of -RHO_RANGE_TOL.
+        hi = 1.0 + RHO_RANGE_TOL
+        band0 = [0.5, hi, np.nextafter(hi, 2.0), np.nextafter(hi, 0.0), 2.0, 0.0]
+        band2 = np.array([0.5, 1 + 1e-9, 1 - 1e-9, 2.0, 0.0, 1.5]) * (0.5 * EPS_T * RHO_RANGE_TOL)
+        rows = np.stack([band0, np.linspace(0.0, 1.0, 6), band2], axis=-1)  # (6 px, 3 bands)
+        return model, self.EULER_1, np.stack([rows, rows[::-1]])  # (2 rows, 6 cols, 3 bands)
+
+    def nonlinear_case(self):
+        rng = np.random.default_rng(4)
+        model = NonlinearProfile.initialize(5, rng)
+        return model, CFG, rng.uniform(0.0, 1.0, (2, 6, 5))
+
+    @pytest.mark.parametrize("layout", ["C", "bsq"])
+    @pytest.mark.parametrize("case", ["linear", "nonlinear"])
+    def test_out_equals_the_allocating_call_cast(self, case, layout):
+        model, solver, cube = getattr(self, f"{case}_case")()
+        norm = SceneNormalization(np.zeros(cube.shape[-1]), 1.0)
+        cube = cube if layout == "C" else bsq_rows(cube)
+        for row in cube:
+            assert row.flags.c_contiguous == (layout == "C")
+            before = row.copy()
+            rho_ref, mask_ref = correct_batch(model, norm, row, solver)
+            assert (rho_ref.dtype, mask_ref.dtype) == (np.float64, np.uint8)
+            rho, mask = np.empty_like(row, dtype=np.float32), np.empty_like(row, dtype=np.uint16)
+            returned = correct_batch(model, norm, row, solver, out=(rho, mask))
+            assert returned[0] is rho and returned[1] is mask
+            np.testing.assert_array_equal(rho.view(np.uint32), rho_ref.astype(np.float32).view(np.uint32))
+            np.testing.assert_array_equal(mask, mask_ref.astype(np.uint16))
+            np.testing.assert_array_equal(row, before)
+
+    def test_linear_case_sets_each_bit_where_expected(self):
+        model, solver, cube = self.linear_case()
+        rho, mask = correct_batch(model, SceneNormalization(np.zeros(3), 1.0), cube[0], solver)
+        floored, out = MASK_DENOM_FLOORED, MASK_RHO_OUT_OF_RANGE
+        np.testing.assert_array_equal(mask[:, 0], [0, 0, out, 0, out, 0])
+        np.testing.assert_array_equal(mask[:, 1], floored | np.where(rho[:, 1] > 1.0 + RHO_RANGE_TOL, out, 0))
+        np.testing.assert_array_equal(mask[:, 2], floored | np.array([0, out, 0, out, 0, out]))
+        # The range bit comes from the float64 reflectance: in float32 the two
+        # values beside -RHO_RANGE_TOL are one value.
+        assert np.float32(rho[1, 2]) == np.float32(rho[2, 2])
 
 
 class TestSimulate:

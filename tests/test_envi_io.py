@@ -236,6 +236,26 @@ class TestRowBlocks:
         expected = np.ascontiguousarray(data.transpose(FILE_ORDER[interleave]), dtype=dtype).tobytes()
         assert path.read_bytes() == expected
 
+    @pytest.mark.parametrize("data_type", [4, 12])
+    def test_block_in_file_layout_writes_from_its_own_memory(self, tmp_path, data_type):
+        dtype = np.dtype(envi.DTYPE_CODES[data_type])
+        data = np.random.default_rng(13).uniform(0.0, 3000.0, (self.ROWS, self.COLS, self.BANDS)).astype(dtype)
+        shape = data.shape
+        with envi.EnviWriter(tmp_path / "c.hdr", shape, data_type=data_type) as out:
+            for r0 in range(0, self.ROWS, 3):
+                out.write_rows(r0, data[r0 : r0 + 3])
+        blocks = [np.ascontiguousarray(data[r0 : r0 + 3].transpose(FILE_ORDER["bsq"])).transpose(1, 2, 0)
+                  for r0 in range(0, self.ROWS, 3)]
+        before = [b.copy() for b in blocks]
+        with envi.EnviWriter(tmp_path / "bsq.hdr", shape, data_type=data_type) as out:
+            for r0, block in zip(range(0, self.ROWS, 3), blocks):
+                assert not block.flags.c_contiguous
+                out.write_rows(r0, block)
+            assert out._buf is None  # nothing was copied into a write buffer
+        assert (tmp_path / "bsq.img").read_bytes() == (tmp_path / "c.img").read_bytes()
+        for block, copy in zip(blocks, before):
+            np.testing.assert_array_equal(block, copy)
+
     def test_pixel_outside_cube_rejected(self, tmp_path):
         hdr, _ = write_fixture_bsq(tmp_path)
         with pytest.raises(ShapeError, match="outside"):

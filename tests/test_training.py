@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from dinsat import training
 from dinsat.correction import EPS_T, SceneNormalization, correct_batch, normalized_radiance
-from dinsat.errors import ConfigError, InvalidDatasetError, ShapeError
+from dinsat.errors import ConfigError, InvalidDatasetError, NumericError, ShapeError
 from dinsat.ode import SolverConfig, ode_solve
 from dinsat.synth import SynthSpec, sample_pixels, synth_scene
 from dinsat.training import (
@@ -279,6 +280,14 @@ class TestTrain:
         l4 = np.tile([0.2, 0.4], (20, 1))
         with pytest.raises(InvalidDatasetError):
             train(TrainConfig(max_epochs=1), l4, SceneNormalization.identity(2))
+
+    def test_zero_transmittance_band_names_its_epoch(self, monkeypatch):
+        # Euler with alpha h = 1 gives T(1) = 0 in band 1 of the starting model.
+        monkeypatch.setattr(training, "build_model",
+                            lambda config, n_bands, seed: LinearProfile.from_alpha([0.5, 16.0]))
+        config = TrainConfig(mode="unsupervised", max_epochs=3, solver=SolverConfig("euler", 16))
+        with pytest.raises(NumericError, match=r"^epoch 0: linear T\(1\) is 0 in band\(s\) 1;"):
+            train(config, np.tile([0.2, 0.4], (20, 1)), SceneNormalization.identity(2))
 
     def test_identical_seeds_identical_histories(self):
         cube, truth = tiny_scene()

@@ -379,6 +379,21 @@ class TestLinearClosedForm:
         fd = finite_difference(lambda r: np.sum(weights * linear_factor(r, cfg)), raw.copy())
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
+    def test_zero_transmittance_band_is_numeric_error(self):
+        # Euler with alpha h = 1 gives T(1) = 0 exactly in bands 1 and 3.
+        cfg = SolverConfig("euler", 16)
+        model = linear([0.5, 16.0, 0.7, 16.0])
+        t1 = model.t1(model.params, cfg)
+        assert t1[1] == 0.0 and t1[3] == 0.0 and t1[0] > 0 and t1[2] > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"band\(s\) 1, 3;"):
+                model.inverse(model.params, np.ones((2, 4)), cfg)
+            with pytest.raises(NumericError, match=r"band\(s\) 1, 3;"):
+                model.inverse(model.params, np.ones(4), cfg, transmittance=t1)
+            with pytest.raises(NumericError, match=r"band\(s\) 1, 3;"):
+                model.inverse_vjp(model.params, np.ones((2, 4)), cfg)
+
     def test_non_finite_factor_is_numeric_error(self):
         with pytest.raises(NumericError):
             linear_factor(np.full(3, 1e8), CFG)
