@@ -56,6 +56,13 @@ def _split_fractions(raw: str) -> tuple[float, float, float]:
     return train, val, test
 
 
+def _fraction(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 <= value <= 1.0:  # also false for nan
+        raise ValueError("must be a number in [0, 1]")
+    return value
+
+
 def _convert(key: str, raw: str, parse):
     try:
         return parse(raw)
@@ -94,7 +101,7 @@ def _train_config_from_file(path: str | None, **overrides) -> tuple[TrainConfig,
     """Returns (config, pixel_fraction) from a key = value file and the non-None ``overrides``."""
     kv = artifacts.read_kv_config(path) if path else {}
     kv.update((k, str(v)) for k, v in overrides.items() if v is not None)
-    pixel_fraction = _convert("pixel_fraction", kv.pop("pixel_fraction", "0.0005"), float)
+    pixel_fraction = _convert("pixel_fraction", kv.pop("pixel_fraction", "0.0005"), _fraction)
     solver_kv = {k: kv.pop(k) for k in _SOLVER_ALIASES if k in kv}
     config = _from_kv(TrainConfig, kv, {}, {"split_fractions": _split_fractions})
     solver = _from_kv(SolverConfig, solver_kv, _SOLVER_ALIASES, {})
@@ -181,10 +188,12 @@ def synth(spec_path, seed, out_dir):
 @click.option("--ensemble", "n_runs", default=1, show_default=True)
 @click.option("--reshuffle/--no-reshuffle", default=True, show_default=True, help="redraw data splits per ensemble member")
 @click.option("--seed", default=None, type=int)
-@click.option("--threads", default=1, show_default=True, help="parallel ensemble members")
+# Accepted and ignored, so that existing command lines still run: members
+# train one after another in this process.
+@click.option("--threads", default=1, hidden=True, expose_value=False)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @_fail_cleanly
-def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, threads, out_dir):
+def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, out_dir):
     """Train transmission models; writes norm.json, model_NNN.json, run_NNN.json."""
     config, pixel_fraction = _train_config_from_file(config_path, mode=mode, seed=seed)
     cubes = _open_cubes(cube_paths)
@@ -215,7 +224,7 @@ def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, thre
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_normalization(out / "norm.json", norm)
 
-    result = ensemble(config, l4, norm, n_runs, rho=rho, reshuffle=reshuffle, workers=threads)
+    result = ensemble(config, l4, norm, n_runs, rho=rho, reshuffle=reshuffle)
     for i, run in enumerate(result.runs):
         if run is None:
             continue

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, ShapeError
+from .errors import ConfigError, EmptyInputError, NumericError, ShapeError
 from .ode import SolverConfig
 from .transmission import Profile, invert_values, transmittance_values
 from .types import Spectrum
@@ -108,8 +108,9 @@ def correct_batch(
     batches with one model. Without ``out`` the reflectance is float64 and the
     mask uint8. ``out=(rho, mask)`` writes them into caller-owned arrays of
     ``l4``'s shape instead (rho cast to its dtype, e.g. float32; the mask an
-    unsigned integer array) and returns those. Either way the range bit is
-    set from the float64 reflectance, and ``l4`` is left as it is.
+    unsigned integer array) and returns those; a finite reflectance beyond
+    rho's dtype's range raises NumericError naming its bands. Either way the
+    range bit is set from the float64 reflectance, and ``l4`` is left as it is.
     """
     t1 = (
         transmittance_values(model, model.params, solver)
@@ -125,7 +126,13 @@ def correct_batch(
         rho_out, mask = rho, np.empty(rho.shape, np.uint8)
     else:
         rho_out, mask = out
-        np.copyto(rho_out, rho, casting="same_kind")
+        try:
+            with np.errstate(over="raise"):
+                np.copyto(rho_out, rho, casting="same_kind")
+        except FloatingPointError:
+            too_large = np.abs(rho) > np.finfo(rho_out.dtype).max
+            bands = ", ".join(str(b) for b in np.flatnonzero(too_large.reshape(-1, rho.shape[-1]).any(axis=0)))
+            raise NumericError(f"reflectance exceeds {rho_out.dtype}'s range in band(s) {bands}") from None
     np.multiply(out_of_range, mask.dtype.type(MASK_RHO_OUT_OF_RANGE), out=mask)
     floored = t1 < EPS_T
     if floored.any():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -353,18 +352,6 @@ class EnsembleResult:
         return [r for r in self.runs if r is not None]
 
 
-def _member_config(config: TrainConfig, i: int) -> TrainConfig:
-    return replace(config, seed=config.seed + i)
-
-
-def _run_member(args) -> TrainRun:
-    config, l4, rho, norm, reshuffle, i = args
-    member = _member_config(config, i)
-    # With reshuffle off, every member shares the base seed's split.
-    split_seed = member.seed if reshuffle else config.seed
-    return train(member, l4, norm, rho, split_seed=split_seed)
-
-
 def ensemble(
     config: TrainConfig,
     l4: np.ndarray,
@@ -372,48 +359,39 @@ def ensemble(
     n_runs: int,
     rho: Optional[np.ndarray] = None,
     reshuffle: bool = True,
-    workers: int = 1,
 ) -> EnsembleResult:
-    """Independent seeded runs plus per-band aggregate statistics over all of ``l4``.
+    """Independent seeded runs, one after another, plus per-band aggregate statistics over all of ``l4``.
 
-    With ``workers`` above 1 the members run in that many processes.
+    Member i trains with seed ``config.seed + i``. A member whose training
+    raises a DinsatError is recorded as a failure; an error computing a
+    trained member's T(1) or ROI reflectance propagates.
     """
     if n_runs < 1:
         raise ConfigError("ensemble needs at least one run")
     l4, rho = _pixel_arrays(l4, rho)
-    jobs = [(config, l4, rho, norm, reshuffle, i) for i in range(n_runs)]
 
     runs: list[Optional[TrainRun]] = [None] * n_runs
     failures: list[tuple[int, DinsatError]] = []
-    if workers > 1 and n_runs > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, n_runs)) as pool:
-            futures = [pool.submit(_run_member, job) for job in jobs]
-            for i, fut in enumerate(futures):
-                try:
-                    runs[i] = fut.result()
-                except DinsatError as e:
-                    failures.append((i, e))
-    else:
-        for i, job in enumerate(jobs):
-            try:
-                runs[i] = _run_member(job)
-            except DinsatError as e:
-                failures.append((i, e))
-
-    completed = [r for r in runs if r is not None]
-    if not completed:
-        reasons = "; ".join(f"run {i}: {e}" for i, e in failures)
-        raise type(failures[0][1])(f"all ensemble members failed: {reasons}")
-
     transmittances: list[Optional[np.ndarray]] = [None] * n_runs
     roi_reflectances: list[Optional[np.ndarray]] = [None] * n_runs
-    for i, run in enumerate(runs):
-        if run is None:
+    for i in range(n_runs):
+        member = replace(config, seed=config.seed + i)
+        # With reshuffle off, every member shares the base seed's split.
+        split_seed = member.seed if reshuffle else config.seed
+        try:
+            runs[i] = run = train(member, l4, norm, rho, split_seed=split_seed)
+        except DinsatError as e:
+            failures.append((i, e))
             continue
         model = run.model(l4.shape[1])
         t1 = transmittance_values(model, model.params, config.solver)
         transmittances[i] = t1
         roi_reflectances[i] = correct_batch(model, norm, l4, config.solver, t1)[0].mean(axis=0)
+
+    if len(failures) == n_runs:
+        reasons = "; ".join(f"run {i}: {e}" for i, e in failures)
+        raise type(failures[0][1])(f"all ensemble members failed: {reasons}")
+
     t_stack = np.stack([t for t in transmittances if t is not None])
     roi_stack = np.stack([r for r in roi_reflectances if r is not None])
     return EnsembleResult(

@@ -222,7 +222,7 @@ def test_criterion_6_unsupervised_synthetic_recovery(scene):
         max_epochs=1200,
         split_fractions=UNSUPERVISED_FRACTIONS,
     )
-    result = ensemble(config, l4, norm, n_runs=5, rho=rho, reshuffle=True, workers=1)
+    result = ensemble(config, l4, norm, n_runs=5, rho=rho, reshuffle=True)
     assert len(result.completed) == 5
 
     # 3 deepest local transmittance minima within +-2 bands of the true centers

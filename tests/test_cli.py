@@ -258,6 +258,27 @@ class TestCorrectCommand:
         assert "band(s) 2, 5;" in lines[0]
         assert not [p.name for p in out.iterdir()]
 
+    def test_reflectance_beyond_float32_is_numeric_error_and_leaves_no_images(self, tmp_path, runner):
+        scene = make_scene(tmp_path, runner)
+        model_path = tmp_path / "euler.json"
+        # Euler with alpha one ulp from 16: T(1) is about 1e-255 in bands 3 and
+        # 7, and the float64 reflectance there is beyond float32's range.
+        alpha = np.full(16, 0.5)
+        alpha[[3, 7]] = np.nextafter(16.0, 17.0), np.nextafter(16.0, 0.0)
+        write_model(model_path, LinearProfile.from_alpha(alpha), SolverConfig("euler", 16))
+        out = tmp_path / "o"
+        # A real process, so that a numpy warning would show on stderr.
+        src = str(Path(dinsat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "dinsat.cli", "correct", "--cube", str(scene / "scene.hdr"),
+                               "--model", str(model_path), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric-error: "), proc.stderr
+        assert lines[0].endswith("band(s) 3, 7")
+        assert not [p.name for p in out.iterdir()]
+
     @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
     def test_non_finite_radiance_leaves_no_images(self, tmp_path, runner, monkeypatch, bad):
         data = np.full((5, 4, 3), 0.5)
@@ -525,6 +546,7 @@ def bad_inputs(tmp_path_factory):
     )
     for name, text in (("epochs_abc", "max_epochs = abc\n"), ("split_abc", "split_fractions = a/b/c\n"),
                        ("rows_x", "rows = x\n"),
+                       *((f"fraction_{v}", f"pixel_fraction = {v}\n") for v in ("nan", "inf", "-1")),
                        ("split_small", "mode = unsupervised\nmax_epochs = 2\nsplit_fractions = 0.5/0.1/0.4\n")):
         (d / f"{name}.txt").write_text(text)
     return d
@@ -536,6 +558,8 @@ BAD_INPUT_CASES = [
     ("train-split-fractions-abc", "train --cube {d}/scene.hdr --mode unsupervised --config {d}/split_abc.txt --out {o}",
      2, "config-error"),
     ("synth-rows-x", "synth --spec {d}/rows_x.txt --out {o}", 2, "config-error"),
+    *((f"train-pixel-fraction-{name}", f"train --cube {{d}}/scene.hdr --mode unsupervised "
+       f"--config {{d}}/fraction_{name}.txt --out {{o}}", 2, "config-error") for name in ("nan", "inf", "-1")),
     ("train-negative-seed", "train --cube {d}/scene.hdr --mode unsupervised --seed -1 --out {o}", 2, "config-error"),
     ("synth-negative-seed", "synth --seed -1 --out {o}", 2, "config-error"),
     ("train-every-member-fails", "train --cube {d}/scene.hdr --config {d}/split_small.txt --out {o}",
@@ -627,6 +651,14 @@ README_SYNTH_KEYS = {
     "baseline_alpha": "0.2", "absorption": "940:40:1.2;1380:60:2", "materials": "4",
     "dark_level": "0.01", "illumination": "1.5", "noise_std": "0.02",
 }
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "1.5"])
+def test_pixel_fraction_outside_zero_one_is_a_config_error_naming_the_key(tmp_path, value):
+    path = tmp_path / "train.txt"
+    path.write_text(f"pixel_fraction = {value}\n")
+    with pytest.raises(ConfigError, match=f"^pixel_fraction = {value}: "):
+        _train_config_from_file(str(path))
 
 
 def test_every_readme_config_key_is_accepted(tmp_path):

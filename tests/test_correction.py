@@ -14,7 +14,7 @@ from dinsat.correction import (
     estimate_scale,
     simulate_at_sensor,
 )
-from dinsat.errors import ConfigError, EmptyInputError
+from dinsat.errors import ConfigError, EmptyInputError, NumericError
 from dinsat.ode import SolverConfig
 from dinsat.synth import SynthSpec, synth_scene
 from dinsat.transmission import LinearProfile, NonlinearProfile
@@ -177,6 +177,18 @@ class TestCorrectBatchOut:
         # The range bit comes from the float64 reflectance: in float32 the two
         # values beside -RHO_RANGE_TOL are one value.
         assert np.float32(rho[1, 2]) == np.float32(rho[2, 2])
+
+    def test_reflectance_beyond_float32_is_numeric_error_naming_the_bands(self):
+        # Euler with alpha one ulp from 16: T(1) is tiny but not 0, so the
+        # reflectance is finite in float64 and beyond float32's range.
+        model = LinearProfile.from_alpha([0.5, np.nextafter(16.0, 17.0), np.nextafter(16.0, 0.0)])
+        solver, norm = SolverConfig("euler", 16), SceneNormalization.identity(3)
+        row = np.full((4, 3), 0.5)
+        rho_ref, _ = correct_batch(model, norm, row, solver)
+        assert np.isfinite(rho_ref).all() and (np.abs(rho_ref[:, 1:]) > np.finfo(np.float32).max).all()
+        rho, mask = np.empty_like(row, dtype=np.float32), np.empty_like(row, dtype=np.uint16)
+        with pytest.raises(NumericError, match=r"float32's range in band\(s\) 1, 2$"):
+            correct_batch(model, norm, row, solver, out=(rho, mask))
 
 
 class TestSimulate:

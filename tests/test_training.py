@@ -21,7 +21,7 @@ from dinsat.training import (
     unsupervised_loss,
 )
 from dinsat.transmission import LinearProfile, NonlinearProfile, softplus_inverse, transmittance_spectrum
-from dinsat.types import Spectrum
+from dinsat.types import Spectrum, split_dataset
 
 from oracles import complex_step, finite_difference
 
@@ -371,15 +371,19 @@ class TestEnsemble:
         np.testing.assert_array_equal(a.transmittance_mean, b.transmittance_mean)
         np.testing.assert_array_equal(a.roi_reflectance_mean, b.roi_reflectance_mean)
 
-    def test_process_parallel_matches_serial(self):
+    @pytest.mark.parametrize("reshuffle", [False, True])
+    def test_reshuffle_redraws_each_members_split(self, reshuffle):
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, truth, 30, seed=5)
-        config = TrainConfig(max_epochs=8, solver=SolverConfig("rk4", 8), seed=2)
-        serial = ensemble(config, l4, truth.norm, n_runs=2, rho=rho, workers=1)
-        parallel = ensemble(config, l4, truth.norm, n_runs=2, rho=rho, workers=2)
-        np.testing.assert_array_equal(
-            serial.transmittance_mean, parallel.transmittance_mean
-        )
+        config = TrainConfig(max_epochs=2, solver=SolverConfig("rk4", 8), seed=2)
+        result = ensemble(config, l4, truth.norm, n_runs=3, rho=rho, reshuffle=reshuffle)
+        base = split_dataset(len(l4), config.fractions, config.seed)
+        assert [run.config.seed for run in result.runs] == [2, 3, 4]
+        assert result.runs[0].split == base
+        if reshuffle:
+            assert result.runs[1].split != result.runs[0].split
+        else:
+            assert all(run.split == base for run in result.runs)
 
     def test_members_keep_their_transmittance_and_roi_reflectance(self):
         # What `dinsat train` writes to each run record, as it computed it before.
@@ -399,13 +403,12 @@ class TestEnsemble:
         with pytest.raises(ConfigError):
             ensemble(TrainConfig(), [], SceneNormalization.identity(2), n_runs=0)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_all_members_failing_raise_the_first_category_with_every_reason(self, workers):
+    def test_all_members_failing_raise_the_first_category_with_every_reason(self):
         # Three pixels: the val fraction 0.1 rounds to zero samples in every member.
         config = TrainConfig(mode="unsupervised", max_epochs=2, split_fractions=(0.5, 0.1, 0.4))
         l4 = np.random.default_rng(0).uniform(0.1, 0.9, (3, 4))
         with pytest.raises(ConfigError) as info:
-            ensemble(config, l4, SceneNormalization.identity(4), n_runs=2, workers=workers)
+            ensemble(config, l4, SceneNormalization.identity(4), n_runs=2)
         assert str(info.value) == (
             "all ensemble members failed: "
             "run 0: val fraction is positive but rounds to zero samples; "
