@@ -2,11 +2,11 @@
 
 from .correction import (
     SceneNormalization,
-    correct_pixel,
+    correct_batch,
     estimate_dark_offset,
     estimate_normalization,
     estimate_scale,
-    simulate_at_sensor,
+    simulate_values,
 )
 from .ode import SolverConfig, ode_solve, ode_solve_reverse
 from .synth import SynthSpec, sample_pixels, synth_scene
@@ -19,13 +19,7 @@ from .training import (
     train,
     unsupervised_loss,
 )
-from .transmission import (
-    LinearProfile,
-    NonlinearProfile,
-    invert_transmit,
-    transmit,
-    transmittance_spectrum,
-)
+from .transmission import LinearProfile, NonlinearProfile
 from .types import (
     DatasetSplit,
     HyperCube,
@@ -47,24 +41,21 @@ __all__ = [
     "TrainConfig",
     "TrainRun",
     "WavelengthGrid",
-    "correct_pixel",
+    "correct_batch",
     "ensemble",
     "estimate_dark_offset",
     "estimate_normalization",
     "estimate_scale",
     "evaluate",
-    "invert_transmit",
     "ode_solve",
     "ode_solve_reverse",
     "percent_mse",
     "sample_pixels",
-    "simulate_at_sensor",
+    "simulate_values",
     "split_dataset",
     "supervised_loss",
     "synth_scene",
     "train",
-    "transmit",
-    "transmittance_spectrum",
     "unsupervised_loss",
 ]
 

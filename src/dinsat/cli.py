@@ -16,13 +16,13 @@ import click
 import numpy as np
 
 from . import artifacts, envi
-from .correction import SceneNormalization, correct_batch, estimate_normalization, simulate_at_sensor
+from .correction import SceneNormalization, correct_batch, estimate_normalization, simulate_values
 from .transmission import transmittance_values
 from .errors import ConfigError, DinsatError, InvalidDatasetError
 from .ode import SolverConfig
 from .synth import SynthSpec, synth_scene
 from .training import TrainConfig, ensemble, evaluate
-from .types import sample_coords
+from .types import Spectrum, sample_coords
 
 
 def _fail_cleanly(fn):
@@ -228,7 +228,7 @@ def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, out_
     for i, run in enumerate(result.runs):
         if run is None:
             continue
-        artifacts.write_model(out / f"model_{i:03d}.json", run.model(cube.n_bands), config.solver, cube.grid)
+        artifacts.write_model(out / f"model_{i:03d}.json", run.model, config.solver, cube.grid)
         artifacts.write_run_record(out / f"run_{i:03d}.json", run, transmittance=result.transmittances[i],
                                    roi_reflectance=result.roi_reflectances[i])
     for i, message in result.failures:
@@ -295,8 +295,8 @@ def simulate(spectrum_path, model_path, norm_path, out_path):
     grid, rho = artifacts.read_spectrum_csv(spectrum_path, "reflectance")
     model, solver, norm = _model_and_norm(model_path, norm_path, rho.n_bands, "spectrum",
                                           lambda: SceneNormalization.identity(rho.n_bands))
-    l4 = simulate_at_sensor(model, norm, rho, solver)
-    artifacts.write_spectrum_csv(out_path, grid, l4)
+    l4 = simulate_values(model, norm, rho.values, solver)
+    artifacts.write_spectrum_csv(out_path, grid, Spectrum(l4, "radiance"))
     click.echo(f"wrote {out_path}")
 
 
@@ -318,7 +318,8 @@ def eval_cmd(model_path, cube_path, roi_path, library_path, norm_path, out_path)
     roi = artifacts.read_roi(roi_path, cube.rows, cube.cols)
     library = None
     if library_path:
-        _, library = artifacts.read_spectrum_csv(library_path, "reflectance")
+        library = artifacts.read_spectrum_csv(library_path, "reflectance")[1].values
+        _check_bands("library spectrum", library.size, "cube", cube.n_bands)
 
     lines = ["region,metric,value"]
     for name, coords in roi.regions.items():

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigError, EmptyInputError, NumericError, ShapeError
 from .ode import SolverConfig
 from .transmission import Profile, invert_values, transmittance_values
-from .types import Spectrum
 
 # Transmittance floor for the division in the correction formula.
 EPS_T = 1e-6
@@ -140,37 +139,19 @@ def correct_batch(
     return rho_out, mask
 
 
-def correct_pixel(
-    model: Profile,
-    norm: SceneNormalization,
-    l4: Spectrum,
-    solver: SolverConfig = SolverConfig(),
-) -> Spectrum:
-    """Surface reflectance for one at-sensor radiance spectrum."""
-    if np.any(l4.values < 0):
-        raise ConfigError("at-sensor radiance must be nonnegative")
-    rho, _ = correct_batch(model, norm, l4.values[None, :], solver)
-    return Spectrum(rho[0], "reflectance")
-
-
 def simulate_values(
     model: Profile,
     norm: SceneNormalization,
     rho: np.ndarray,
     solver: SolverConfig = SolverConfig(),
 ) -> np.ndarray:
-    """At-sensor radiance L4 = C + m * T(rho * T(1_n)) of (..., n_bands) reflectance ``rho``."""
+    """At-sensor radiance L4 = C + m * T(rho * T(1_n)) of (..., n_bands) reflectance ``rho``.
+
+    Raises ConfigError when a reflectance is below -RHO_RANGE_TOL.
+    """
+    rho = np.asarray(rho, float)
+    if np.any(rho < -RHO_RANGE_TOL):
+        raise ConfigError("reflectance must be nonnegative")
     t1 = transmittance_values(model, model.params, solver)
     return norm.c + norm.m * model.forward(model.params, rho * t1, solver)
 
-
-def simulate_at_sensor(
-    model: Profile,
-    norm: SceneNormalization,
-    rho: Spectrum,
-    solver: SolverConfig = SolverConfig(),
-) -> Spectrum:
-    """At-sensor radiance from a surface reflectance spectrum."""
-    if np.any(rho.values < -RHO_RANGE_TOL):
-        raise ConfigError("reflectance must be nonnegative")
-    return Spectrum(simulate_values(model, norm, rho.values, solver), "radiance")

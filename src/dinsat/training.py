@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -32,7 +33,7 @@ from .transmission import (
     invert_values,
     transmittance_values,
 )
-from .types import DatasetSplit, Spectrum, percent_mse, split_dataset
+from .types import DatasetSplit, percent_mse, split_dataset
 
 MODES = ("supervised", "unsupervised")
 MODEL_KINDS = ("linear", "nonlinear")
@@ -65,11 +66,17 @@ class TrainConfig:
             raise ConfigError(f"unknown training mode: {self.mode!r}")
         if self.model_kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind: {self.model_kind!r}")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        # Each comparison below is also false for nan.
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         for name in ("fd_weight", "rho_weight", "transmission_weight", "slope_weight"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be nonnegative and finite, got {value}")
+        if not 0 <= self.rel_tol < 1:
+            raise ConfigError(f"rel_tol must be in [0, 1), got {self.rel_tol}")
+        if self.split_fractions is not None and not all(map(math.isfinite, self.split_fractions)):
+            raise ConfigError(f"split_fractions must be finite, got {self.split_fractions}")
         if self.patience < 1:
             raise ConfigError("patience must be at least 1")
         if self.max_epochs < 1:
@@ -89,13 +96,10 @@ class TrainRun:
     config: TrainConfig
     split: DatasetSplit
     history: list[dict]
-    params: np.ndarray
+    model: Profile  # at the best-monitored parameters
     converged: bool
     wall_time: float
     epochs: int
-
-    def model(self, n_bands: int) -> Profile:
-        return build_model(self.config, n_bands, self.config.seed).with_params(self.params)
 
 
 def build_model(config: TrainConfig, n_bands: int, seed: int) -> Profile:
@@ -327,7 +331,7 @@ def train(
         config=config,
         split=split,
         history=history,
-        params=best_params,
+        model=model.with_params(best_params),
         converged=converged,
         wall_time=time.perf_counter() - started,
         epochs=len(history),
@@ -383,7 +387,7 @@ def ensemble(
         except DinsatError as e:
             failures.append((i, e))
             continue
-        model = run.model(l4.shape[1])
+        model = run.model
         t1 = transmittance_values(model, model.params, config.solver)
         transmittances[i] = t1
         roi_reflectances[i] = correct_batch(model, norm, l4, config.solver, t1)[0].mean(axis=0)
@@ -412,11 +416,12 @@ def evaluate(
     l4: np.ndarray,
     solver: SolverConfig = SolverConfig(),
     rho: Optional[np.ndarray] = None,
-    library: Optional[Spectrum] = None,
+    library: Optional[np.ndarray] = None,
 ) -> dict:
     """Percent-MSE metrics in both directions over an ROI's (n, bands) pixels ``l4``.
 
-    ``rho`` is their truth reflectance; a missing input omits its metric.
+    ``rho`` is their truth reflectance and ``library`` an (n_bands,) reference
+    reflectance to simulate; a missing input omits its metric.
     """
     metrics: dict = {"warnings": []}
     if np.size(l4) == 0:
@@ -433,7 +438,7 @@ def evaluate(
         )
 
     if library is not None:
-        simulated = simulate_values(model, norm, library.values, solver)
+        simulated = simulate_values(model, norm, library, solver)
         observed = l4.mean(axis=0)
         # Both sides normalized by m before comparing, keeping the metric
         # dimensionless regardless of the scene's radiometric scale.

@@ -39,7 +39,6 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 from .mlp import MlpLayout, glorot_init, layers_backward, layers_forward, logistic, unpack_params
 from .ode import SolverConfig, ode_solve, ode_solve_reverse, solve_vjp
-from .types import Spectrum
 
 DEFAULT_HIDDEN = 12
 DEFAULT_LATENT = 3
@@ -291,14 +290,6 @@ class NonlinearProfile:
 Profile = Union[LinearProfile, NonlinearProfile]
 
 
-def rhs_values(L: np.ndarray, profile: Profile) -> np.ndarray:
-    """The right-hand side f(L); <= 0 for L >= 0 for either profile."""
-    L = np.asarray(L, float)
-    if L.shape[-1] != profile.n_bands:
-        raise ShapeError(f"input has {L.shape[-1]} bands, profile {profile.n_bands}")
-    return profile.rhs_from(profile.params)(L)
-
-
 # These two forwards stay only because bench/traced_cli.py times T(1) and T^-1
 # by wrapping them under these names in the cli, training and correction modules.
 
@@ -322,27 +313,3 @@ def invert_values(
     """
     return model.inverse(params, L, solver, transmittance)
 
-
-def _spectrum_in(L: Spectrum | np.ndarray) -> np.ndarray:
-    return L.values if isinstance(L, Spectrum) else np.asarray(L, float)
-
-
-def transmit(model: Profile, L: Spectrum | np.ndarray, solver: SolverConfig = SolverConfig()):
-    """T on a Spectrum (unit preserved) or plain vector."""
-    out = model.forward(model.params, _spectrum_in(L), solver)
-    if isinstance(L, Spectrum):
-        return L.with_values(out)
-    return out
-
-
-def invert_transmit(model: Profile, L: Spectrum | np.ndarray, solver: SolverConfig = SolverConfig()):
-    """T^-1 on a Spectrum (unit preserved) or plain vector."""
-    out = model.inverse(model.params, _spectrum_in(L), solver)
-    if isinstance(L, Spectrum):
-        return L.with_values(out)
-    return out
-
-
-def transmittance_spectrum(model: Profile, solver: SolverConfig = SolverConfig()) -> Spectrum:
-    """T(1_n) as a transmittance-tagged Spectrum."""
-    return Spectrum(model.t1(model.params, solver), "transmittance")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class WavelengthGrid:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Immutable per-band vector tagged with its physical unit."""
+    """Immutable per-band vector tagged with its physical unit: what the spectrum CSVs hold."""
 
     values: np.ndarray
     unit: Unit = "unitless"
@@ -59,9 +59,6 @@ class Spectrum:
     @property
     def n_bands(self) -> int:
         return int(self.values.size)
-
-    def with_values(self, values: np.ndarray, unit: Optional[Unit] = None) -> "Spectrum":
-        return Spectrum(values, self.unit if unit is None else unit)
 
 
 @dataclass(frozen=True)
@@ -96,9 +93,6 @@ class HyperCube:
     @property
     def n_bands(self) -> int:
         return self.data.shape[2]
-
-    def pixel(self, row: int, col: int) -> Spectrum:
-        return Spectrum(self.data[row, col], "radiance")
 
     def pixels(self, coords) -> np.ndarray:
         """(n, bands) radiance at the (row, col) pairs ``coords``."""
@@ -148,6 +142,8 @@ def split_dataset(
 ) -> DatasetSplit:
     """Random disjoint split; rounding remainder is absorbed by the test split."""
     f_train, f_val, f_test = (float(f) for f in fractions)
+    if not np.isfinite([f_train, f_val, f_test]).all():
+        raise ConfigError(f"split fractions must be finite, got {f_train}/{f_val}/{f_test}")
     if min(f_train, f_val, f_test) < 0:
         raise ConfigError("split fractions must be nonnegative")
     if f_train + f_val + f_test > 1.0 + 1e-9:
@@ -179,10 +175,9 @@ def split_dataset(
     return DatasetSplit(tuple(train), tuple(val), tuple(test))
 
 
-def percent_mse(predicted: Spectrum | np.ndarray, reference: Spectrum | np.ndarray) -> float:
+def percent_mse(predicted: np.ndarray, reference: np.ndarray) -> float:
     """100 x mean squared difference of dimensionless per-band values."""
-    p = predicted.values if isinstance(predicted, Spectrum) else np.asarray(predicted, float)
-    r = reference.values if isinstance(reference, Spectrum) else np.asarray(reference, float)
+    p, r = np.asarray(predicted, float), np.asarray(reference, float)
     if p.shape != r.shape:
         raise ShapeError(f"length mismatch: {p.shape} vs {r.shape}")
     return float(100.0 * np.mean((p - r) ** 2))

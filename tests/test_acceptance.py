@@ -16,9 +16,8 @@ from dinsat.correction import (
     SceneNormalization,
     normalized_radiance,
     correct_batch,
-    correct_pixel,
     estimate_normalization,
-    simulate_at_sensor,
+    simulate_values,
 )
 from dinsat.envi import read_envi, write_envi
 from dinsat.artifacts import read_model, write_model
@@ -37,14 +36,10 @@ from dinsat.training import (
 from dinsat.transmission import (
     LinearProfile,
     NonlinearProfile,
-    invert_transmit,
     softplus_inverse,
-    transmit,
-    transmittance_spectrum,
 )
 from dinsat.types import (
     HyperCube,
-    Spectrum,
     WavelengthGrid,
     percent_mse,
     split_dataset,
@@ -83,14 +78,14 @@ def test_criterion_2_invertibility():
 
     model = LinearProfile.from_alpha(rng.uniform(0.0, 5.0, 126))
     L = rng.uniform(0.0, 1.0, 126)
-    back = invert_transmit(model, transmit(model, L, RK4_16), RK4_16)
+    back = model.inverse(model.params, model.forward(model.params, L, RK4_16), RK4_16)
     assert np.max(np.abs(back - L)) < 1e-9
 
     worst = 0.0
     for _ in range(100):
         model = NonlinearProfile.initialize(126, rng)
         L = rng.uniform(0.0, 1.0, 126)
-        back = invert_transmit(model, transmit(model, L, RK4_16), RK4_16)
+        back = model.inverse(model.params, model.forward(model.params, L, RK4_16), RK4_16)
         worst = max(worst, float(np.max(np.abs(back - L))))
     assert worst < 1e-4
     assert time.perf_counter() - started < 10.0
@@ -107,7 +102,7 @@ def test_criterion_3_dissipativity():
             LinearProfile.from_alpha(rng.uniform(0.0, 5.0, 126)),
             NonlinearProfile.initialize(126, rng),
         ):
-            out = transmit(model, L, RK4_16)
+            out = model.forward(model.params, L, RK4_16)
             assert np.all(out >= -1e-12)
             assert np.all(out <= L + 1e-12)
     assert time.perf_counter() - started < 10.0
@@ -171,7 +166,7 @@ def test_criterion_5_supervised_synthetic_recovery(scene):
 
     config = TrainConfig(mode="supervised", model_kind="linear", seed=1, solver=RK4_16)
     run = train(config, l4, truth.norm, rho, split=split)
-    model = run.model(cube.n_bands)
+    model = run.model
 
     # (a) held-out reflectance percent MSE < 1.0
     held_out = list(split.test)
@@ -191,8 +186,8 @@ def test_criterion_5_supervised_synthetic_recovery(scene):
     clean = truth.norm.c + truth.norm.m * np.exp(-2.0 * truth.alpha) * truth_rho
     sim_pmse = []
     for i in range(len(held_out)):
-        sim = simulate_at_sensor(model, truth.norm, Spectrum(truth_rho[i], "reflectance"), RK4_16)
-        sim_pmse.append(percent_mse(sim.values / truth.norm.m, clean[i] / truth.norm.m))
+        sim = simulate_values(model, truth.norm, truth_rho[i], RK4_16)
+        sim_pmse.append(percent_mse(sim / truth.norm.m, clean[i] / truth.norm.m))
     sim_pmse = float(np.mean(sim_pmse))
     assert sim_pmse < 1.0, f"radiance percent MSE {sim_pmse:.3f}"
 
@@ -245,7 +240,7 @@ def test_criterion_6_unsupervised_synthetic_recovery(scene):
     # held-out reflectance percent MSE < 20 per member, on each member's split
     errors = []
     for run in result.completed:
-        model = run.model(cube.n_bands)
+        model = run.model
         held_out = list(run.split.test)
         rho_hat, _ = correct_batch(model, norm, l4[held_out], RK4_16)
         truth_rho = rho[held_out]
@@ -264,10 +259,10 @@ def test_criterion_7_end_to_end_round_trip():
     norm = SceneNormalization(rng.uniform(0, 0.1, 126), 1.4)
     worst = 0.0
     for _ in range(100):
-        rho = Spectrum(rng.uniform(0.0, 1.0, 126), "reflectance")
-        l4 = simulate_at_sensor(model, norm, rho, RK4_16)
-        back = correct_pixel(model, norm, l4, RK4_16)
-        worst = max(worst, float(np.max(np.abs(back.values - rho.values))))
+        rho = rng.uniform(0.0, 1.0, 126)
+        l4 = simulate_values(model, norm, rho, RK4_16)
+        back, _ = correct_batch(model, norm, l4, RK4_16)
+        worst = max(worst, float(np.max(np.abs(back - rho))))
     assert worst < 1e-6, f"round-trip error {worst:.2e}"
 
 
@@ -283,13 +278,13 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     for name in ("a", "b"):
         run = train(config, l4, truth.norm, rho)
         path = tmp_path / f"model_{name}.json"
-        write_model(path, run.model(cube.n_bands), config.solver, truth.grid)
+        write_model(path, run.model, config.solver, truth.grid)
         payloads.append(path.read_bytes())
     assert payloads[0] == payloads[1]
 
     model, solver, grid = read_model(tmp_path / "model_a.json")
     run = train(config, l4, truth.norm, rho)
-    np.testing.assert_array_equal(model.params, run.params)
+    np.testing.assert_array_equal(model.params, run.model.params)
 
     rng = np.random.default_rng(0)
     grid12 = WavelengthGrid.linear(12)
@@ -323,7 +318,7 @@ def test_criterion_9_loss_unit_values():
 
     alpha = brentq(gap, 1e-6, 10.0, xtol=1e-15, rtol=8.9e-16)
     model = LinearProfile(softplus_inverse(np.full(2, alpha)))
-    f = transmittance_spectrum(model, RK4_16).values
+    f = model.t1(model.params, RK4_16)
     unsup_l4 = (0.5 * f * f)[None, :]
     unsup = unsupervised_loss(model, norm, unsup_l4, RK4_16)
     assert abs(unsup - 0.012) < 1e-12, f"unsupervised loss {unsup!r}"

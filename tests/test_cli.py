@@ -506,6 +506,8 @@ def bad_inputs(tmp_path_factory):
         (d / f"{name}.hdr").write_text(header.replace(old, new))
         (d / f"{name}.img").write_bytes((d / "scene.img").read_bytes())
     write_spectrum_csv(d / "spectrum.csv", cube.grid, Spectrum(np.full(8, 0.5), "reflectance"))
+    write_spectrum_csv(d / "negative_library.csv", cube.grid, Spectrum(np.r_[-0.5, np.full(7, 0.5)], "reflectance"))
+    write_spectrum_csv(d / "library5.csv", WavelengthGrid.linear(5), Spectrum(np.full(5, 0.5), "reflectance"))
     (d / "roi.csv").write_text("field,0,0\nfield,1,1\n")
     write_normalization(d / "norm5.json", SceneNormalization(np.zeros(5), 1.0))
     (d / "norm_no_m.json").write_text(json.dumps({"c": [0.0] * 8}))
@@ -547,6 +549,8 @@ def bad_inputs(tmp_path_factory):
     for name, text in (("epochs_abc", "max_epochs = abc\n"), ("split_abc", "split_fractions = a/b/c\n"),
                        ("rows_x", "rows = x\n"),
                        *((f"fraction_{v}", f"pixel_fraction = {v}\n") for v in ("nan", "inf", "-1")),
+                       *((f"rel_tol_{v}", f"rel_tol = {v}\n") for v in ("nan", "1")),
+                       ("split_nan", "split_fractions = nan/0.1/0.1\n"), ("lr_nan", "lr = nan\n"),
                        ("split_small", "mode = unsupervised\nmax_epochs = 2\nsplit_fractions = 0.5/0.1/0.4\n")):
         (d / f"{name}.txt").write_text(text)
     return d
@@ -560,6 +564,18 @@ BAD_INPUT_CASES = [
     ("synth-rows-x", "synth --spec {d}/rows_x.txt --out {o}", 2, "config-error"),
     *((f"train-pixel-fraction-{name}", f"train --cube {{d}}/scene.hdr --mode unsupervised "
        f"--config {{d}}/fraction_{name}.txt --out {{o}}", 2, "config-error") for name in ("nan", "inf", "-1")),
+    *((f"train-rel-tol-{name}", f"train --cube {{d}}/scene.hdr --mode unsupervised "
+       f"--config {{d}}/rel_tol_{name}.txt --out {{o}}", 2, "config-error") for name in ("nan", "1")),
+    ("train-split-fractions-nan", "train --cube {d}/scene.hdr --mode unsupervised --config {d}/split_nan.txt "
+     "--out {o}", 2, "config-error"),
+    ("train-lr-nan", "train --cube {d}/scene.hdr --mode unsupervised --config {d}/lr_nan.txt --out {o}",
+     2, "config-error"),
+    ("eval-negative-library", "eval --model {d}/model8.json --cube {d}/scene.hdr --roi {d}/roi.csv "
+     "--library {d}/negative_library.csv --out {o}.csv", 2, "config-error"),
+    ("eval-library-bands", "eval --model {d}/model8.json --cube {d}/scene.hdr --roi {d}/roi.csv "
+     "--library {d}/library5.csv --out {o}.csv", 3, "invalid-dataset-error"),
+    ("simulate-negative-reflectance", "simulate --spectrum {d}/negative_library.csv --model {d}/model8.json "
+     "--out {o}.csv", 2, "config-error"),
     ("train-negative-seed", "train --cube {d}/scene.hdr --mode unsupervised --seed -1 --out {o}", 2, "config-error"),
     ("synth-negative-seed", "synth --seed -1 --out {o}", 2, "config-error"),
     ("train-every-member-fails", "train --cube {d}/scene.hdr --config {d}/split_small.txt --out {o}",

@@ -8,17 +8,15 @@ from dinsat.correction import (
     RHO_RANGE_TOL,
     SceneNormalization,
     correct_batch,
-    correct_pixel,
     estimate_dark_offset,
     estimate_normalization,
     estimate_scale,
-    simulate_at_sensor,
+    simulate_values,
 )
 from dinsat.errors import ConfigError, EmptyInputError, NumericError
 from dinsat.ode import SolverConfig
 from dinsat.synth import SynthSpec, synth_scene
 from dinsat.transmission import LinearProfile, NonlinearProfile
-from dinsat.types import Spectrum
 
 CFG = SolverConfig("rk4", 16)
 
@@ -72,7 +70,7 @@ class TestNormalizationEstimates:
     def test_cube_matches_stacked_pixels_bit_for_bit(self):
         cube, _ = synth_scene(SynthSpec(rows=9, cols=7, n_bands=16, noise_std=0.05), seed=11)
         # The per-pixel reference: stack every pixel, then reduce as one matrix.
-        stacked = np.stack([cube.pixel(r, c).values for r in range(cube.rows) for c in range(cube.cols)])
+        stacked = np.stack([cube.data[r, c] for r in range(cube.rows) for c in range(cube.cols)])
         c_ref = stacked.min(axis=0)
         m_ref = float((stacked - c_ref).max())
         norm = estimate_normalization(cube.data)
@@ -84,23 +82,22 @@ class TestCorrectPixel:
     def test_identity_model(self):
         n = 4
         norm = SceneNormalization.identity(n)
-        l4 = Spectrum(np.array([0.1, 0.4, 0.9, 0.0]), "radiance")
-        out = correct_pixel(identity_model(n), norm, l4, CFG)
-        assert out.unit == "reflectance"
-        np.testing.assert_allclose(out.values, l4.values, atol=1e-12)
+        l4 = np.array([0.1, 0.4, 0.9, 0.0])
+        out, _ = correct_batch(identity_model(n), norm, l4, CFG)
+        np.testing.assert_allclose(out, l4, atol=1e-12)
 
     def test_linear_ln2_analytic(self):
         n = 5
         model = LinearProfile.from_alpha(np.full(n, np.log(2.0)))
         norm = SceneNormalization.identity(n)
-        out = correct_pixel(model, norm, Spectrum(np.full(n, 0.1), "radiance"), CFG)
-        np.testing.assert_allclose(out.values, 0.4, rtol=1e-6)
+        out, _ = correct_batch(model, norm, np.full(n, 0.1), CFG)
+        np.testing.assert_allclose(out, 0.4, rtol=1e-6)
 
     def test_dark_pixel_zero(self):
         c = np.array([0.3, 0.1])
         norm = SceneNormalization(c, 2.0)
-        out = correct_pixel(identity_model(2), norm, Spectrum(c, "radiance"), CFG)
-        np.testing.assert_allclose(out.values, 0.0)
+        out, _ = correct_batch(identity_model(2), norm, c, CFG)
+        np.testing.assert_allclose(out, 0.0)
 
     def test_quality_mask_marks_out_of_range(self):
         model = LinearProfile.from_alpha(np.array([2.0, 0.01]))
@@ -109,15 +106,6 @@ class TestCorrectPixel:
         assert rho[0, 0] > 1.0  # strong absorption inflates the estimate
         assert mask[0, 0] & MASK_RHO_OUT_OF_RANGE
         assert mask[0, 1] == 0
-
-    def test_negative_radiance_rejected(self):
-        with pytest.raises(ConfigError):
-            correct_pixel(
-                identity_model(2),
-                SceneNormalization.identity(2),
-                Spectrum(np.array([-0.1, 0.2]), "radiance").with_values(np.array([-0.1, 0.2])),
-                CFG,
-            )
 
 
 def bsq_rows(values):
@@ -194,17 +182,21 @@ class TestCorrectBatchOut:
 class TestSimulate:
     def test_identity_model(self):
         n = 3
-        rho = Spectrum(np.array([0.2, 0.5, 0.8]), "reflectance")
-        out = simulate_at_sensor(identity_model(n), SceneNormalization.identity(n), rho, CFG)
-        assert out.unit == "radiance"
-        np.testing.assert_allclose(out.values, rho.values, atol=1e-12)
+        rho = np.array([0.2, 0.5, 0.8])
+        out = simulate_values(identity_model(n), SceneNormalization.identity(n), rho, CFG)
+        np.testing.assert_allclose(out, rho, atol=1e-12)
 
     def test_dark_target_gives_offset(self):
         c = np.array([0.12, 0.05])
         norm = SceneNormalization(c, 3.0)
         model = LinearProfile.from_alpha(np.array([0.5, 1.5]))
-        out = simulate_at_sensor(model, norm, Spectrum(np.zeros(2), "reflectance"), CFG)
-        np.testing.assert_allclose(out.values, c)
+        out = simulate_values(model, norm, np.zeros(2), CFG)
+        np.testing.assert_allclose(out, c)
+
+    def test_negative_reflectance_rejected(self):
+        rho = np.array([[0.2, 0.3], [0.1, -0.5]])
+        with pytest.raises(ConfigError, match="reflectance must be nonnegative"):
+            simulate_values(identity_model(2), SceneNormalization.identity(2), rho, CFG)
 
     def test_round_trip_linear(self):
         rng = np.random.default_rng(1)
@@ -212,20 +204,20 @@ class TestSimulate:
         model = LinearProfile.from_alpha(rng.uniform(0.05, 2.5, n))
         norm = SceneNormalization(rng.uniform(0, 0.1, n), 1.7)
         for _ in range(5):
-            rho = Spectrum(rng.uniform(0, 1, n), "reflectance")
-            l4 = simulate_at_sensor(model, norm, rho, CFG)
-            back = correct_pixel(model, norm, l4, CFG)
-            assert np.max(np.abs(back.values - rho.values)) < 1e-6
+            rho = rng.uniform(0, 1, n)
+            l4 = simulate_values(model, norm, rho, CFG)
+            back, _ = correct_batch(model, norm, l4, CFG)
+            assert np.max(np.abs(back - rho)) < 1e-6
 
     def test_round_trip_other_direction(self):
         rng = np.random.default_rng(2)
         n = 20
         model = LinearProfile.from_alpha(rng.uniform(0.1, 1.5, n))
         norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.0)
-        l4 = Spectrum(norm.c + rng.uniform(0, 0.5, n), "radiance")
-        rho = correct_pixel(model, norm, l4, CFG)
-        again = simulate_at_sensor(model, norm, rho, CFG)
-        assert np.max(np.abs(again.values - l4.values)) < 1e-6
+        l4 = norm.c + rng.uniform(0, 0.5, n)
+        rho, _ = correct_batch(model, norm, l4, CFG)
+        again = simulate_values(model, norm, rho, CFG)
+        assert np.max(np.abs(again - l4)) < 1e-6
 
 
 class TestSceneProperties:
@@ -235,12 +227,12 @@ class TestSceneProperties:
         model = LinearProfile.from_alpha(rng.uniform(0.2, 1.0, n))
         pixels = np.stack([rng.uniform(0.1, 2.0, n) for _ in range(12)])
         norm = estimate_normalization(pixels)
-        rho_base = correct_pixel(model, norm, Spectrum(pixels[0], "radiance"), CFG).values
+        rho_base, _ = correct_batch(model, norm, pixels[0], CFG)
 
         k = 7.5
         scaled = pixels * k
         norm_k = estimate_normalization(scaled)
-        rho_scaled = correct_pixel(model, norm_k, Spectrum(scaled[0], "radiance"), CFG).values
+        rho_scaled, _ = correct_batch(model, norm_k, scaled[0], CFG)
         np.testing.assert_allclose(rho_scaled, rho_base, rtol=1e-9, atol=1e-12)
 
     def test_monotonicity_in_radiance(self):
@@ -248,9 +240,9 @@ class TestSceneProperties:
         model = LinearProfile.from_alpha(np.full(n, 0.8))
         norm = SceneNormalization(np.zeros(n), 2.0)
         base = np.array([0.5, 0.5, 0.5, 0.5])
-        lo = correct_pixel(model, norm, Spectrum(base, "radiance"), CFG).values
+        lo, _ = correct_batch(model, norm, base, CFG)
         bumped = base.copy()
         bumped[2] += 0.3
-        hi = correct_pixel(model, norm, Spectrum(bumped, "radiance"), CFG).values
+        hi, _ = correct_batch(model, norm, bumped, CFG)
         assert hi[2] > lo[2]
         np.testing.assert_allclose(np.delete(hi, 2), np.delete(lo, 2))

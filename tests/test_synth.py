@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dinsat.correction import correct_pixel
+from dinsat.correction import correct_batch
 from dinsat.envi import open_envi, write_envi
 from dinsat.errors import ConfigError
 from dinsat.ode import SolverConfig
@@ -57,8 +57,8 @@ class TestSynthScene:
         cube, truth = synth_scene(spec, seed=2)
         cfg = SolverConfig("rk4", 64)
         for r, c in [(0, 1), (3, 3), (7, 5)]:
-            rho = correct_pixel(truth.profile, truth.norm, cube.pixel(r, c), cfg)
-            assert np.max(np.abs(rho.values - truth.rho[r, c])) < 1e-6
+            rho, _ = correct_batch(truth.profile, truth.norm, cube.data[r, c], cfg)
+            assert np.max(np.abs(rho - truth.rho[r, c])) < 1e-6
 
     def test_radiance_dominates_dark_offset_at_zero_noise(self):
         spec = SynthSpec(**SMALL)

@@ -20,8 +20,8 @@ from dinsat.training import (
     train,
     unsupervised_loss,
 )
-from dinsat.transmission import LinearProfile, NonlinearProfile, softplus_inverse, transmittance_spectrum
-from dinsat.types import Spectrum, split_dataset
+from dinsat.transmission import LinearProfile, NonlinearProfile, softplus_inverse
+from dinsat.types import split_dataset
 
 from oracles import complex_step, finite_difference
 
@@ -276,6 +276,16 @@ class TestTrain:
         with pytest.raises(ConfigError, match="seed must be nonnegative"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("lr", np.nan), ("lr", np.inf), ("lr", 0.0),
+        ("fd_weight", np.nan), ("rho_weight", np.inf), ("transmission_weight", np.nan), ("slope_weight", -1.0),
+        ("rel_tol", np.nan), ("rel_tol", 1.0), ("rel_tol", 2.0), ("rel_tol", -1e-3),
+        ("split_fractions", (np.nan, 0.1, 0.1)),
+    ])
+    def test_non_finite_or_out_of_range_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must"):
+            TrainConfig(**{field: value})
+
     def test_supervised_requires_truth(self):
         l4 = np.tile([0.2, 0.4], (20, 1))
         with pytest.raises(InvalidDatasetError):
@@ -296,7 +306,7 @@ class TestTrain:
         a = train(config, l4, truth.norm, rho)
         b = train(config, l4, truth.norm, rho)
         assert a.history == b.history
-        np.testing.assert_array_equal(a.params, b.params)
+        np.testing.assert_array_equal(a.model.params, b.model.params)
 
     def test_best_so_far_train_loss_monotone(self):
         cube, truth = tiny_scene()
@@ -317,7 +327,7 @@ class TestTrain:
         _, l4, rho = sample_pixels(cube, truth, 40, seed=3)
         config = TrainConfig(max_epochs=3000, solver=SolverConfig("rk4", 8), seed=1)
         run = train(config, l4, truth.norm, rho)
-        alpha_hat = run.model(cube.n_bands).alpha
+        alpha_hat = run.model.alpha
         visible = np.exp(-truth.alpha) > 0.05
         rel = np.abs(alpha_hat - truth.alpha) / truth.alpha
         assert run.converged
@@ -392,8 +402,8 @@ class TestEnsemble:
         config = TrainConfig(mode="unsupervised", max_epochs=6, solver=SolverConfig("rk4", 8), seed=2)
         result = ensemble(config, l4, truth.norm, n_runs=2)
         for run, t1, roi in zip(result.runs, result.transmittances, result.roi_reflectances):
-            model = run.model(cube.n_bands)
-            np.testing.assert_array_equal(t1, transmittance_spectrum(model, config.solver).values)
+            model = run.model
+            np.testing.assert_array_equal(t1, model.t1(model.params, config.solver))
             rho_hat, _ = correct_batch(model, truth.norm, l4, config.solver)
             np.testing.assert_array_equal(roi, rho_hat.mean(axis=0))
         np.testing.assert_array_equal(result.transmittance_mean, np.mean(result.transmittances, axis=0))
@@ -444,7 +454,7 @@ class TestEvaluate:
         # A homogeneous ROI: every sample is the same pixel, the library
         # spectrum is its true reflectance, so simulation must match closely.
         l4 = cube.pixels([(4, 4)] * 3)
-        library = Spectrum(truth.rho[4, 4], "reflectance")
+        library = truth.rho[4, 4]
         metrics = evaluate(
             truth.profile, truth.norm, l4, SolverConfig("rk4", 64), library=library
         )

@@ -6,21 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from dinsat.errors import NumericError, ShapeError
+from dinsat.errors import NumericError
 from dinsat.mlp import mlp_forward
 from dinsat.ode import SolverConfig, ode_solve, solve_vjp
 from dinsat.transmission import (
     LinearProfile,
     NonlinearProfile,
-    invert_transmit,
     linear_factor,
-    rhs_values,
     softplus_inverse,
-    transmit,
-    transmittance_spectrum,
     transmittance_values,
 )
-from dinsat.types import Spectrum
 
 from oracles import H_CS, complex_step, finite_difference
 
@@ -41,20 +36,18 @@ def complex_linear_factor(raw, cfg):
 class TestLinearRhs:
     def test_zero_absorption_limit(self):
         profile = LinearProfile(np.full(3, -40.0))
-        out = rhs_values(np.array([1.0, 2.0, 3.0]), profile)
+        out = profile.rhs_from(profile.params)(np.array([1.0, 2.0, 3.0]))
         assert np.max(np.abs(out)) < 1e-15
 
     def test_definition(self):
-        out = rhs_values(np.array([1.0, 1.0]), linear([1.0, 2.0]))
+        profile = linear([1.0, 2.0])
+        out = profile.rhs_from(profile.params)(np.array([1.0, 1.0]))
         np.testing.assert_allclose(out, [-1.0, -2.0], rtol=1e-8)
 
     def test_origin_fixed_point(self):
-        out = rhs_values(np.zeros(4), linear([0.3, 1.0, 2.0, 0.1]))
+        profile = linear([0.3, 1.0, 2.0, 0.1])
+        out = profile.rhs_from(profile.params)(np.zeros(4))
         np.testing.assert_allclose(out, np.zeros(4))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            rhs_values(np.zeros(5), linear([1.0, 2.0]))
 
     def test_softplus_inverse_round_trip(self):
         alpha = np.array([1e-3, 0.5, 2.0, 8.0])
@@ -65,19 +58,19 @@ class TestNonlinearRhs:
     def test_zero_input_fixed_point(self):
         rng = np.random.default_rng(0)
         profile = NonlinearProfile.initialize(6, rng)
-        np.testing.assert_allclose(rhs_values(np.zeros(6), profile), np.zeros(6))
+        np.testing.assert_allclose(profile.rhs_from(profile.params)(np.zeros(6)), np.zeros(6))
 
     def test_sign_construction(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             profile = NonlinearProfile.initialize(8, rng)
             L = rng.uniform(0, 2, 8)
-            assert np.all(rhs_values(L, profile) <= 0)
+            assert np.all(profile.rhs_from(profile.params)(L) <= 0)
 
     def test_zero_params_half_decay(self):
         profile = NonlinearProfile(np.zeros(NonlinearProfile.initialize(4, np.random.default_rng(0)).params.size), 4)
         L = np.array([0.2, 0.4, 0.8, 1.6])
-        np.testing.assert_allclose(rhs_values(L, profile), -0.5 * L, rtol=1e-12)
+        np.testing.assert_allclose(profile.rhs_from(profile.params)(L), -0.5 * L, rtol=1e-12)
 
 
 class TestNonlinearFusedRhs:
@@ -91,7 +84,7 @@ class TestNonlinearFusedRhs:
         n_enc = profile.encoder_layout.n_params
         z = mlp_forward(profile.params[:n_enc], profile.encoder_layout, L)
         d = mlp_forward(profile.params[n_enc:], profile.decoder_layout, z)
-        np.testing.assert_array_equal(rhs_values(L, profile), -(expit(d) * L))
+        np.testing.assert_array_equal(profile.rhs_from(profile.params)(L), -(expit(d) * L))
 
     @pytest.mark.parametrize("shape", [(5,), (3, 5)])
     def test_vjp_matches_finite_differences(self, shape):
@@ -104,7 +97,7 @@ class TestNonlinearFusedRhs:
             return np.sum(weights * profile.rhs_from(params)(L))
 
         value, vjp = profile.rhs_vjp_from(profile.params)(L0.copy())
-        np.testing.assert_array_equal(value, rhs_values(L0, profile))
+        np.testing.assert_array_equal(value, profile.rhs_from(profile.params)(L0))
         g_L, g_p = vjp(weights)
         fd_p = finite_difference(lambda p: objective(p, L0), profile.params.copy())
         fd_L = finite_difference(lambda L: objective(profile.params, L), L0.copy())
@@ -250,35 +243,32 @@ class TestNonlinearComplexStep:
 
 class TestTransmit:
     def test_linear_half(self):
-        out = transmit(linear(np.full(5, np.log(2.0))), np.ones(5), CFG)
+        model = linear(np.full(5, np.log(2.0)))
+        out = model.forward(model.params, np.ones(5), CFG)
         np.testing.assert_allclose(out, 0.5, atol=1e-8)
 
     def test_zero_fixed_point(self):
         rng = np.random.default_rng(2)
         for model in (linear(rng.uniform(0, 3, 4)), NonlinearProfile.initialize(4, rng)):
-            np.testing.assert_allclose(transmit(model, np.zeros(4), CFG), np.zeros(4))
+            np.testing.assert_allclose(model.forward(model.params, np.zeros(4), CFG), np.zeros(4))
 
     def test_zero_absorption_identity(self):
         profile = LinearProfile(np.full(3, -40.0))
         L = np.array([0.1, 0.5, 0.9])
-        np.testing.assert_allclose(transmit(profile, L, CFG), L, atol=1e-12)
-
-    def test_spectrum_wrapper_preserves_unit(self):
-        out = transmit(linear([1.0, 1.0]), Spectrum(np.array([1.0, 2.0]), "radiance"), CFG)
-        assert isinstance(out, Spectrum)
-        assert out.unit == "radiance"
+        np.testing.assert_allclose(profile.forward(profile.params, L, CFG), L, atol=1e-12)
 
 
 class TestInvertTransmit:
     def test_linear_doubling(self):
-        out = invert_transmit(linear(np.full(4, np.log(2.0))), 0.5 * np.ones(4), CFG)
+        model = linear(np.full(4, np.log(2.0)))
+        out = model.inverse(model.params, 0.5 * np.ones(4), CFG)
         np.testing.assert_allclose(out, 1.0, atol=1e-6)
 
     def test_linear_round_trip_tight(self):
         rng = np.random.default_rng(3)
         model = linear(rng.uniform(0, 5, 126))
         L = rng.uniform(0, 1, 126)
-        back = invert_transmit(model, transmit(model, L, CFG), CFG)
+        back = model.inverse(model.params, model.forward(model.params, L, CFG), CFG)
         assert np.max(np.abs(back - L)) < 1e-9
 
     def test_nonlinear_round_trip(self):
@@ -286,32 +276,32 @@ class TestInvertTransmit:
         for _ in range(5):
             model = NonlinearProfile.initialize(126, rng)
             L = rng.uniform(0, 1, 126)
-            back = invert_transmit(model, transmit(model, L, CFG), CFG)
+            back = model.inverse(model.params, model.forward(model.params, L, CFG), CFG)
             assert np.max(np.abs(back - L)) < 1e-4
 
     def test_output_dominates_input(self):
         rng = np.random.default_rng(5)
         model = linear(rng.uniform(0, 2, 8))
         L = rng.uniform(0, 1, 8)
-        assert np.all(invert_transmit(model, L, CFG) >= L)
+        assert np.all(model.inverse(model.params, L, CFG) >= L)
 
 
 class TestTransmittanceSpectrum:
     def test_zero_absorption(self):
         profile = LinearProfile(np.full(3, -40.0))
-        np.testing.assert_allclose(transmittance_spectrum(profile, CFG).values, 1.0, atol=1e-12)
+        np.testing.assert_allclose(profile.t1(profile.params, CFG), 1.0, atol=1e-12)
 
     def test_unit_rate(self):
-        out = transmittance_spectrum(linear(np.ones(6)), CFG)
-        assert out.unit == "transmittance"
-        np.testing.assert_allclose(out.values, np.exp(-1.0), atol=1e-7)
+        profile = linear(np.ones(6))
+        out = profile.t1(profile.params, CFG)
+        np.testing.assert_allclose(out, np.exp(-1.0), atol=1e-7)
 
     def test_nonlinear_zero_init(self):
         n_params = NonlinearProfile.initialize(5, np.random.default_rng(0)).params.size
         profile = NonlinearProfile(np.zeros(n_params), 5)
-        out = transmittance_spectrum(profile, CFG)
-        np.testing.assert_allclose(out.values, np.exp(-0.5), atol=1e-2)
-        assert np.all((out.values > 0) & (out.values <= 1))
+        out = profile.t1(profile.params, CFG)
+        np.testing.assert_allclose(out, np.exp(-0.5), atol=1e-2)
+        assert np.all((out > 0) & (out <= 1))
 
 
 class TestProperties:
@@ -323,7 +313,7 @@ class TestProperties:
         lin = linear(rng.uniform(0.01, 5, 12))
         non = NonlinearProfile.initialize(12, rng)
         for model in (lin, non):
-            out = transmit(model, L, CFG)
+            out = model.forward(model.params, L, CFG)
             assert np.all(out >= -1e-12)
             assert np.all(out <= L + 1e-12)
 
@@ -332,7 +322,8 @@ class TestProperties:
         alpha = rng.uniform(0.1, 3, 10)
         bigger = alpha + rng.uniform(0, 2, 10)
         L = rng.uniform(0, 1, 10)
-        assert np.all(transmit(linear(bigger), L, CFG) <= transmit(linear(alpha), L, CFG) + 1e-12)
+        fast, slow = linear(bigger), linear(alpha)
+        assert np.all(fast.forward(fast.params, L, CFG) <= slow.forward(slow.params, L, CFG) + 1e-12)
 
     def test_linear_homogeneity(self):
         rng = np.random.default_rng(7)
@@ -340,7 +331,8 @@ class TestProperties:
         L = rng.uniform(0, 1, 9)
         for c in (0.0, 0.5, 3.0):
             np.testing.assert_allclose(
-                transmit(model, c * L, CFG), c * transmit(model, L, CFG), rtol=1e-12, atol=1e-15
+                model.forward(model.params, c * L, CFG), c * model.forward(model.params, L, CFG),
+                rtol=1e-12, atol=1e-15,
             )
 
 
