@@ -79,16 +79,15 @@ def _floats(value) -> np.ndarray:
 def write_model(
     path: str | Path,
     model: Profile,
-    solver: SolverConfig = SolverConfig(),
     grid: Optional[WavelengthGrid] = None,
 ) -> None:
-    """JSON artifact: header plus the flat parameter vector, exact round trip."""
+    """JSON artifact: header, the model's solver and its flat parameter vector, exact round trip."""
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "kind": model.kind,
         "n_bands": model.n_bands,
-        "solver": asdict(solver),
+        "solver": asdict(model.solver),
         "wavelengths_nm": None if grid is None else [float(w) for w in grid.wavelengths_nm],
         "params": [float(p) for p in model.params],
     }
@@ -99,21 +98,24 @@ def write_model(
 
 
 def read_model(path: str | Path) -> tuple[Profile, SolverConfig, Optional[WavelengthGrid]]:
+    """(model, the model's solver, wavelength grid or None) from a model artifact."""
+
     def build(doc: dict):
         if doc.get("format") != MODEL_FORMAT:
             raise ParseError(f"{path} is not a model artifact")
         n_bands, params = _integer(doc["n_bands"]), _floats(doc["params"])
+        solver = SolverConfig(**doc["solver"])
         if doc.get("kind") == "linear":
-            model: Profile = LinearProfile(params)
+            model: Profile = LinearProfile(params, solver)
         elif doc.get("kind") == "nonlinear":
             hidden, latent = _integer(doc.get("hidden", 12)), _integer(doc.get("latent", 3))
-            model = NonlinearProfile(params, n_bands, hidden, latent)
+            model = NonlinearProfile(params, n_bands, hidden, latent, solver)
         else:
             raise ParseError(f"{path}: unknown model kind {doc.get('kind')!r}")
         if model.n_bands != n_bands:
             raise ParseError(f"{path}: n_bands is {n_bands}, the parameters give {model.n_bands}")
         wl = doc.get("wavelengths_nm")
-        return model, SolverConfig(**doc["solver"]), WavelengthGrid(_floats(wl)) if wl else None
+        return model, model.solver, WavelengthGrid(_floats(wl)) if wl else None
 
     return _read_json(path, "model artifact", build)
 

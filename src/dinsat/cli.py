@@ -17,7 +17,6 @@ import numpy as np
 
 from . import artifacts, envi
 from .correction import SceneNormalization, correct_batch, estimate_normalization, simulate_values
-from .transmission import transmittance_values
 from .errors import ConfigError, DinsatError, InvalidDatasetError
 from .ode import SolverConfig
 from .synth import SynthSpec, synth_scene
@@ -121,12 +120,12 @@ def _open_cubes(cube_paths) -> list[envi.EnviCube]:
 
 
 def _model_and_norm(model_path, norm_path, n_bands: int, what: str, default_norm):
-    """(model, solver, norm) checked against ``n_bands``; the norm is ``default_norm()`` without a path."""
-    model, solver, _ = artifacts.read_model(model_path)
+    """(model, norm) checked against ``n_bands``; the norm is ``default_norm()`` without a path."""
+    model, _, _ = artifacts.read_model(model_path)
     _check_bands("model", model.n_bands, what, n_bands)
     norm = artifacts.read_normalization(norm_path) if norm_path else default_norm()
     _check_bands("norm", norm.c.size, what, n_bands)
-    return model, solver, norm
+    return model, norm
 
 
 def _reference_rows(cube: envi.EnviCube, roi: artifacts.RoiFile, name: str) -> np.ndarray | None:
@@ -228,7 +227,7 @@ def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, out_
     for i, run in enumerate(result.runs):
         if run is None:
             continue
-        artifacts.write_model(out / f"model_{i:03d}.json", run.model, config.solver, cube.grid)
+        artifacts.write_model(out / f"model_{i:03d}.json", run.model, cube.grid)
         artifacts.write_run_record(out / f"run_{i:03d}.json", run, transmittance=result.transmittances[i],
                                    roi_reflectance=result.roi_reflectances[i])
     for i, message in result.failures:
@@ -255,10 +254,9 @@ def correct(cube_path, model_path, norm_path, out_dir):
     floored, bit 2 = reflectance outside [0, 1]).
     """
     cube = envi.open_envi(cube_path)
-    model, solver, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube",
-                                          lambda: estimate_normalization(cube.band_extrema()))
+    model, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube",
+                                  lambda: estimate_normalization(cube.band_extrema()))
 
-    t1 = transmittance_values(model, model.params, solver)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     shape, wl = (cube.rows, cube.cols, cube.n_bands), cube.grid.wavelengths_nm
@@ -276,7 +274,7 @@ def correct(cube_path, model_path, norm_path, out_dir):
             rho = np.empty_like(block, dtype=np.float32)
             mask = np.empty_like(block, dtype=np.uint16)
             for i, row in enumerate(block):  # one image row per batch bounds the working set
-                correct_batch(model, norm, row, solver, transmittance=t1, out=(rho[i], mask[i]))
+                correct_batch(model, norm, row, out=(rho[i], mask[i]))
             rho_out.write_rows(r0, rho)
             mask_out.write_rows(r0, mask)
     click.echo(f"wrote {out / 'corrected.hdr'} and {out / 'quality_mask.hdr'}")
@@ -293,9 +291,9 @@ def correct(cube_path, model_path, norm_path, out_dir):
 def simulate(spectrum_path, model_path, norm_path, out_path):
     """Predict at-sensor radiance from a library reflectance spectrum (CSV out)."""
     grid, rho = artifacts.read_spectrum_csv(spectrum_path, "reflectance")
-    model, solver, norm = _model_and_norm(model_path, norm_path, rho.n_bands, "spectrum",
-                                          lambda: SceneNormalization.identity(rho.n_bands))
-    l4 = simulate_values(model, norm, rho.values, solver)
+    model, norm = _model_and_norm(model_path, norm_path, rho.n_bands, "spectrum",
+                                  lambda: SceneNormalization.identity(rho.n_bands))
+    l4 = simulate_values(model, norm, rho.values)
     artifacts.write_spectrum_csv(out_path, grid, Spectrum(l4, "radiance"))
     click.echo(f"wrote {out_path}")
 
@@ -313,8 +311,8 @@ def simulate(spectrum_path, model_path, norm_path, out_path):
 def eval_cmd(model_path, cube_path, roi_path, library_path, norm_path, out_path):
     """Percent-MSE metrics per ROI region; CSV columns: region,metric,value."""
     cube = envi.open_envi(cube_path)
-    model, solver, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube",
-                                          lambda: estimate_normalization(cube.band_extrema()))
+    model, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube",
+                                  lambda: estimate_normalization(cube.band_extrema()))
     roi = artifacts.read_roi(roi_path, cube.rows, cube.cols)
     library = None
     if library_path:
@@ -324,7 +322,7 @@ def eval_cmd(model_path, cube_path, roi_path, library_path, norm_path, out_path)
     lines = ["region,metric,value"]
     for name, coords in roi.regions.items():
         rho = _reference_rows(cube, roi, name)
-        metrics = evaluate(model, norm, cube.pixels(coords), solver, rho=rho, library=library)
+        metrics = evaluate(model, norm, cube.pixels(coords), rho=rho, library=library)
         for key in ("reflectance_percent_mse", "radiance_percent_mse"):
             if key in metrics:
                 lines.append(f"{name},{key},{metrics[key]!r}")

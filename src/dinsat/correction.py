@@ -3,6 +3,8 @@
 Reflectance is recovered as rho = T^-1((L4 - C)/m) / T(1_n); radiance is
 simulated as L4 = C + m * T(rho * T(1_n)). rho is not clamped on output;
 out-of-range bands and floored denominators are reported in a quality mask.
+Both take the model alone: it carries its solver, and its T(1) is computed
+once per model, so correcting a cube row by row solves for T(1) once.
 `correct_batch` is the one correction kernel. It allocates the float64 array
 z is made in, the array T^-1 returns (where the division by T(1) happens)
 and two boolean range masks. With ``out=(rho, mask)`` it casts the result
@@ -18,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, NumericError, ShapeError
-from .ode import SolverConfig
 from .transmission import Profile, invert_values, transmittance_values
 
 # Transmittance floor for the division in the correction formula.
@@ -97,27 +98,20 @@ def correct_batch(
     model: Profile,
     norm: SceneNormalization,
     l4: np.ndarray,
-    solver: SolverConfig = SolverConfig(),
-    transmittance=None,
     out: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reflectance T^-1(z) / max(T(1), EPS_T) and a per-band quality mask of (..., n_bands) radiance.
 
-    ``transmittance`` is the model's T(1), for callers that correct many
-    batches with one model. Without ``out`` the reflectance is float64 and the
-    mask uint8. ``out=(rho, mask)`` writes them into caller-owned arrays of
-    ``l4``'s shape instead (rho cast to its dtype, e.g. float32; the mask an
-    unsigned integer array) and returns those; a finite reflectance beyond
-    rho's dtype's range raises NumericError naming its bands. Either way the
+    Without ``out`` the reflectance is float64 and the mask uint8.
+    ``out=(rho, mask)`` writes them into caller-owned arrays of ``l4``'s
+    shape instead (rho cast to its dtype, e.g. float32; the mask an unsigned
+    integer array) and returns those; a finite reflectance beyond rho's
+    dtype's range raises NumericError naming its bands. Either way the
     range bit is set from the float64 reflectance, and ``l4`` is left as it is.
     """
-    t1 = (
-        transmittance_values(model, model.params, solver)
-        if transmittance is None
-        else np.asarray(transmittance, float)
-    )
+    t1 = transmittance_values(model)
     # T^-1 returns a new array, so the rest of the kernel works in it.
-    rho = invert_values(model, model.params, normalized_radiance(norm, l4), solver, transmittance=t1)
+    rho = invert_values(model, normalized_radiance(norm, l4))
     rho /= np.maximum(t1, EPS_T)
     out_of_range = np.less(rho, -RHO_RANGE_TOL)
     out_of_range |= np.greater(rho, 1.0 + RHO_RANGE_TOL)
@@ -139,12 +133,7 @@ def correct_batch(
     return rho_out, mask
 
 
-def simulate_values(
-    model: Profile,
-    norm: SceneNormalization,
-    rho: np.ndarray,
-    solver: SolverConfig = SolverConfig(),
-) -> np.ndarray:
+def simulate_values(model: Profile, norm: SceneNormalization, rho: np.ndarray) -> np.ndarray:
     """At-sensor radiance L4 = C + m * T(rho * T(1_n)) of (..., n_bands) reflectance ``rho``.
 
     Raises ConfigError when a reflectance is below -RHO_RANGE_TOL.
@@ -152,6 +141,5 @@ def simulate_values(
     rho = np.asarray(rho, float)
     if np.any(rho < -RHO_RANGE_TOL):
         raise ConfigError("reflectance must be nonnegative")
-    t1 = transmittance_values(model, model.params, solver)
-    return norm.c + norm.m * model.forward(model.params, rho * t1, solver)
+    return norm.c + norm.m * model.forward(rho * transmittance_values(model))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,8 +22,8 @@ class AdamState:
     v: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
         if self.t < 0:
             raise ConfigError("step count must be nonnegative")
 

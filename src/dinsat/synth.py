@@ -37,6 +37,7 @@ class SynthSpec:
     noise_std: float = 0.0
 
     def __post_init__(self):
+        # Each check below is written so that nan fails it.
         if self.rows < 1 or self.cols < 1 or self.n_bands < 2:
             raise ConfigError("scene dimensions must be positive (>= 2 bands)")
         if not self.wl_end_nm > self.wl_start_nm > 0:
@@ -44,19 +45,19 @@ class SynthSpec:
         for center, width, depth in self.absorption_bands:
             if not self.wl_start_nm <= center <= self.wl_end_nm:
                 raise ConfigError(f"absorption center {center} nm outside grid range")
-            if width <= 0:
+            if not width > 0:
                 raise ConfigError("absorption width must be positive")
-            if depth < 0:
+            if not depth >= 0:
                 raise ConfigError("absorption depth must be nonnegative")
-        if self.baseline_alpha < 0:
+        if not self.baseline_alpha >= 0:
             raise ConfigError("baseline absorption must be nonnegative")
         if self.n_materials < 2:
             raise ConfigError("need at least 2 materials")
-        if self.dark_level < 0:
+        if not self.dark_level >= 0:
             raise ConfigError("dark level must be nonnegative")
-        if self.illumination <= 0:
+        if not self.illumination > 0:
             raise ConfigError("illumination must be positive")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ConfigError("noise level must be nonnegative")
 
 

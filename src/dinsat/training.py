@@ -26,13 +26,7 @@ from .errors import (
 )
 from .ode import SolverConfig
 from .optim import AdamState, adam_step
-from .transmission import (
-    LinearProfile,
-    NonlinearProfile,
-    Profile,
-    invert_values,
-    transmittance_values,
-)
+from .transmission import LinearProfile, NonlinearProfile, Profile, transmittance_values
 from .types import DatasetSplit, percent_mse, split_dataset
 
 MODES = ("supervised", "unsupervised")
@@ -103,10 +97,13 @@ class TrainRun:
 
 
 def build_model(config: TrainConfig, n_bands: int, seed: int) -> Profile:
+    """An initial profile of ``config``'s kind that integrates with ``config.solver``."""
     rng = np.random.default_rng(seed)
     if config.model_kind == "linear":
-        return LinearProfile.initialize(n_bands, rng)
-    return NonlinearProfile.initialize(n_bands, rng, config.hidden, config.latent)
+        model = LinearProfile.initialize(n_bands, rng)
+    else:
+        model = NonlinearProfile.initialize(n_bands, rng, config.hidden, config.latent)
+    return replace(model, solver=config.solver)
 
 
 def _pixel_arrays(l4, rho=None):
@@ -191,26 +188,18 @@ def _head(config: TrainConfig, l2, t1, rho):
     return _unsupervised_head(l2, t1, config.rho_weight, config.transmission_weight, config.slope_weight)
 
 
-def _transmit(model: Profile, params, z, solver: SolverConfig):
-    """(T(1), T^-1(z)) for ``params``."""
-    t1 = transmittance_values(model, params, solver)
-    return t1, invert_values(model, params, z, solver, transmittance=t1)
-
-
 def supervised_loss(
     model: Profile,
     norm: SceneNormalization,
     l4: np.ndarray,
     rho: np.ndarray,
-    solver: SolverConfig = SolverConfig(),
     fd_weight: float = 1.0,
-    params=None,
 ) -> float:
-    """L = L_MSE + lambda * L_FD over paired (n, bands) pixels, at ``params`` (default the model's)."""
+    """L = L_MSE + lambda * L_FD over paired (n, bands) pixels."""
     if len(l4) == 0:
         raise EmptyInputError("supervised loss needs at least one pixel")
-    params = model.params if params is None else params
-    t1, l2 = _transmit(model, params, normalized_radiance(norm, l4), solver)
+    t1 = transmittance_values(model)
+    l2 = model.inverse(normalized_radiance(norm, l4))
     return _supervised_head(l2, t1, np.asarray(rho, float), fd_weight)[0]
 
 
@@ -218,27 +207,25 @@ def unsupervised_loss(
     model: Profile,
     norm: SceneNormalization,
     l4: np.ndarray,
-    solver: SolverConfig = SolverConfig(),
     rho_weight: float = 1e-2,
     transmission_weight: float = 1e-2,
     slope_weight: float = 1.0,
-    params=None,
 ) -> float:
-    """L = l1*mean(rho) + l2*mean(T(1)) + l3*mean(|d rho|), at ``params`` (default the model's)."""
+    """L = l1*mean(rho) + l2*mean(T(1)) + l3*mean(|d rho|)."""
     if len(l4) == 0:
         raise EmptyInputError("unsupervised loss needs at least one pixel")
-    params = model.params if params is None else params
-    t1, l2 = _transmit(model, params, normalized_radiance(norm, l4), solver)
+    t1 = transmittance_values(model)
+    l2 = model.inverse(normalized_radiance(norm, l4))
     return _unsupervised_head(l2, t1, rho_weight, transmission_weight, slope_weight)[0]
 
 
-def _loss_terms(config: TrainConfig, model: Profile, z, rho, params):
-    """(loss, components, gradient in ``params``) of ``config``'s mode over normalized radiance ``z``.
+def _loss_terms(config: TrainConfig, model: Profile, z, rho):
+    """(loss, components, gradient in ``model.params``) of ``config``'s mode over normalized radiance ``z``.
 
     T(1) and T^-1(z) forward, the head, then the head's cotangents pulled back
     through the profile. A non-finite loss raises NumericError before the pullback.
     """
-    t1, l2, pullback = model.inverse_vjp(params, z, config.solver)
+    t1, l2, pullback = model.inverse_vjp(z)
     loss, components, vjp = _head(config, l2, t1, rho)
     if not np.isfinite(loss):
         raise NumericError("non-finite training loss")
@@ -282,7 +269,6 @@ def train(
     val_data = (z[val_idx], None if rho is None else rho[val_idx])
 
     model = build_model(config, l4.shape[1], config.seed)
-    params = model.params.copy()
     adam = AdamState(lr=config.lr)
 
     # Early stopping monitors validation loss when a validation split exists,
@@ -290,24 +276,25 @@ def train(
     monitor_train = len(val_idx) == 0
 
     best = np.inf
-    best_params = params.copy()
+    best_model = model
     stale = 0
     converged = False
     history: list[dict] = []
 
     for epoch in range(config.max_epochs):
         try:
-            train_loss, components, grad = _loss_terms(config, model, *train_data, params)
+            train_loss, components, grad = _loss_terms(config, model, *train_data)
         except NumericError as e:
             raise NumericError(f"epoch {epoch}: {e}") from e
-        params = adam_step(adam, params, grad)
+        # The stepped profile is validated now and trained on next epoch.
+        model = model.with_params(adam_step(adam, model.params, grad))
 
         if monitor_train:
             monitor = train_loss
             record = {"epoch": epoch, "train_loss": train_loss, **components}
         else:
-            t1, l2 = _transmit(model, params, val_data[0], config.solver)
-            val_loss = _head(config, l2, t1, val_data[1])[0]
+            t1 = transmittance_values(model)
+            val_loss = _head(config, model.inverse(val_data[0]), t1, val_data[1])[0]
             monitor = val_loss
             record = {
                 "epoch": epoch,
@@ -319,7 +306,7 @@ def train(
 
         if monitor < best * (1.0 - config.rel_tol):
             best = monitor
-            best_params = params.copy()
+            best_model = model
             stale = 0
         else:
             stale += 1
@@ -331,7 +318,7 @@ def train(
         config=config,
         split=split,
         history=history,
-        model=model.with_params(best_params),
+        model=best_model,
         converged=converged,
         wall_time=time.perf_counter() - started,
         epochs=len(history),
@@ -387,10 +374,8 @@ def ensemble(
         except DinsatError as e:
             failures.append((i, e))
             continue
-        model = run.model
-        t1 = transmittance_values(model, model.params, config.solver)
-        transmittances[i] = t1
-        roi_reflectances[i] = correct_batch(model, norm, l4, config.solver, t1)[0].mean(axis=0)
+        transmittances[i] = transmittance_values(run.model)
+        roi_reflectances[i] = correct_batch(run.model, norm, l4)[0].mean(axis=0)
 
     if len(failures) == n_runs:
         reasons = "; ".join(f"run {i}: {e}" for i, e in failures)
@@ -414,7 +399,6 @@ def evaluate(
     model: Profile,
     norm: SceneNormalization,
     l4: np.ndarray,
-    solver: SolverConfig = SolverConfig(),
     rho: Optional[np.ndarray] = None,
     library: Optional[np.ndarray] = None,
 ) -> dict:
@@ -429,7 +413,7 @@ def evaluate(
         return metrics
 
     l4, rho = _pixel_arrays(l4, rho)
-    rho_hat, _ = correct_batch(model, norm, l4, solver)
+    rho_hat, _ = correct_batch(model, norm, l4)
     if rho is not None:
         metrics["reflectance_percent_mse"] = percent_mse(rho_hat.mean(axis=0), rho.mean(axis=0))
     else:
@@ -438,7 +422,7 @@ def evaluate(
         )
 
     if library is not None:
-        simulated = simulate_values(model, norm, library, solver)
+        simulated = simulate_values(model, norm, library)
         observed = l4.mean(axis=0)
         # Both sides normalized by m before comparing, keeping the metric
         # dimensionless regardless of the scene's radiometric scale.

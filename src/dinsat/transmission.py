@@ -1,10 +1,13 @@
 """Transmission-profile models: the operator T, its inverse, and T(1_n).
 
-Each profile is one operator with ``forward`` (T), ``inverse`` (T^-1) and
-``t1`` (T(1_n)) methods on plain arrays, and one gradient method,
-``inverse_vjp(params, z, solver) -> (t1, l2, pullback)``: T(1) and
-l2 = T^-1(z), with ``pullback(g_t1, g_l2)`` returning the gradient in the
-parameters. The linear profile realizes per-band exponential decay with
+Each profile is one operator: it holds its parameters (a private, read-only
+copy) and the solver it integrates with, and has ``forward`` (T) and
+``inverse`` (T^-1) on plain arrays, ``t1`` (T(1_n), computed once per
+profile and read-only) and one gradient method,
+``inverse_vjp(z) -> (t1, l2, pullback)``: T(1) and l2 = T^-1(z), with
+``pullback(g_t1, g_l2)`` returning the gradient in the parameters.
+``with_params`` gives the same operator at other parameters, with its own
+T(1). The linear profile realizes per-band exponential decay with
 nonnegative rates; the nonlinear profile runs the spectrum through a
 bottleneck encoder/decoder and multiplies by a decay factor forced into
 [-1, 0], so dissipation holds by construction.
@@ -32,6 +35,7 @@ the state and the parameters, so it can be checked by complex step.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -89,21 +93,35 @@ def _linear_factor_derivative(raw, solver: SolverConfig) -> np.ndarray:
     return n * poly(z) ** (n - 1) * dpoly(z) * (-h) * logistic(raw)
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _own_params(params, what: str) -> np.ndarray:
+    """A read-only float copy of ``params`` (complex stays complex, for complex step).
+
+    Raises ShapeError when a parameter is not finite.
+    """
+    params = np.array(params, dtype=complex if np.iscomplexobj(params) else float)
+    if not np.all(np.isfinite(params)):
+        raise ShapeError(f"{what} profile parameters must be finite")
+    return _frozen(params)
+
+
 @dataclass(frozen=True)
 class LinearProfile:
     """Per-band exponential decay; alpha = softplus(raw) keeps rates >= 0."""
 
     raw: np.ndarray
+    solver: SolverConfig = SolverConfig()
 
     kind = "linear"
 
     def __post_init__(self):
-        raw = np.asarray(self.raw, dtype=float)
-        object.__setattr__(self, "raw", raw)
-        if raw.ndim != 1 or raw.size < 1:
+        if np.ndim(self.raw) != 1 or np.size(self.raw) < 1:
             raise ShapeError("linear profile needs a 1-D raw parameter vector")
-        if not np.all(np.isfinite(raw)):
-            raise ShapeError("linear profile parameters must be finite")
+        object.__setattr__(self, "raw", _own_params(self.raw, "linear"))
 
     @property
     def n_bands(self) -> int:
@@ -118,7 +136,7 @@ class LinearProfile:
         return np.logaddexp(0.0, self.raw)
 
     def with_params(self, params: np.ndarray) -> "LinearProfile":
-        return LinearProfile(np.asarray(params, float))
+        return replace(self, raw=params)
 
     @classmethod
     def initialize(cls, n_bands: int, rng: np.random.Generator) -> "LinearProfile":
@@ -131,40 +149,39 @@ class LinearProfile:
         alpha = np.maximum(np.asarray(alpha, float), 1e-9)
         return cls(softplus_inverse(alpha))
 
-    def rhs_from(self, params):
+    def rhs_from(self):
         """f(L) = -alpha L on plain arrays; the operators use the closed form instead."""
-        alpha = np.logaddexp(0.0, params)
+        alpha = self.alpha
         return lambda L: -(alpha * L)
 
-    def t1(self, params, solver: SolverConfig):
+    @cached_property
+    def t1(self) -> np.ndarray:
         """T(1_n): the per-band closed-form factor P(z)^n."""
-        return linear_factor(params, solver)
+        return _frozen(linear_factor(self.raw, self.solver))
 
-    def forward(self, params, L, solver: SolverConfig):
+    def forward(self, L):
         """Multiplication of (..., n_bands) L by T(1)."""
-        return np.asarray(L, float) * self.t1(params, solver)
+        return np.asarray(L, float) * self.t1
 
-    def inverse(self, params, L, solver: SolverConfig, transmittance=None):
+    def inverse(self, L):
         """Exact division of (..., n_bands) L by T(1).
 
-        Pass ``transmittance`` to reuse a T(1) already computed. A band whose
-        T(1) is exactly 0 (Euler with alpha h = 1) has no inverse: NumericError
-        names it before anything is divided.
+        A band whose T(1) is exactly 0 (Euler with alpha h = 1) has no
+        inverse: NumericError names it before anything is divided.
         """
-        t = self.t1(params, solver) if transmittance is None else np.asarray(transmittance, float)
+        t = self.t1
         if not t.all():
             bands = ", ".join(str(b) for b in np.flatnonzero(t == 0))
             raise NumericError(f"linear T(1) is 0 in band(s) {bands}; T^-1 would divide by 0")
         return np.asarray(L, float) / t
 
-    def inverse_vjp(self, params, z, solver: SolverConfig):
+    def inverse_vjp(self, z):
         """(T(1), T^-1(z), pullback): T(1)'s cotangent is g_t1 plus the division's."""
-        t1 = self.t1(params, solver)
-        l2 = self.inverse(params, z, solver, t1)
+        t1, l2 = self.t1, self.inverse(z)
 
         def pullback(g_t1, g_l2):
             g_t = g_t1 - (g_l2 / t1 * l2).reshape(-1, t1.size).sum(axis=0)
-            return g_t * _linear_factor_derivative(params, solver)
+            return g_t * _linear_factor_derivative(self.raw, self.solver)
 
         return t1, l2, pullback
 
@@ -177,19 +194,17 @@ class NonlinearProfile:
     n_bands: int
     hidden: int = DEFAULT_HIDDEN
     latent: int = DEFAULT_LATENT
+    solver: SolverConfig = SolverConfig()
 
     kind = "nonlinear"
 
     def __post_init__(self):
-        params = np.asarray(self.params, dtype=float)
-        object.__setattr__(self, "params", params)
         expected = self.encoder_layout.n_params + self.decoder_layout.n_params
-        if params.shape != (expected,):
+        if np.shape(self.params) != (expected,):
             raise ShapeError(
-                f"nonlinear profile needs {expected} parameters, got {params.shape}"
+                f"nonlinear profile needs {expected} parameters, got {np.shape(self.params)}"
             )
-        if not np.all(np.isfinite(params)):
-            raise ShapeError("nonlinear profile parameters must be finite")
+        object.__setattr__(self, "params", _own_params(self.params, "nonlinear"))
 
     @property
     def encoder_layout(self) -> MlpLayout:
@@ -200,7 +215,7 @@ class NonlinearProfile:
         return MlpLayout.one_hidden(self.latent, self.hidden, self.n_bands)
 
     def with_params(self, params: np.ndarray) -> "NonlinearProfile":
-        return replace(self, params=np.asarray(params, float))
+        return replace(self, params=params)
 
     @classmethod
     def initialize(
@@ -215,7 +230,7 @@ class NonlinearProfile:
         params = np.concatenate([glorot_init(enc, rng), glorot_init(dec, rng)])
         return cls(params, n_bands, hidden, latent)
 
-    def _rhs(self, params):
+    def _rhs(self):
         """(f, f_vjp) for f(L) = -sigmoid(dec(enc(L))) * L, the weights unpacked once.
 
         The decoder is unpacked with a sigmoid output layer (the same
@@ -223,8 +238,7 @@ class NonlinearProfile:
         ``f_vjp(L)`` returns f(L) and its VJP, g -> (g_L, g_params): the
         product rule, then the decoder and the encoder backprop by hand.
         """
-        n_enc = self.encoder_layout.n_params
-        params = np.asarray(params)
+        n_enc, params = self.encoder_layout.n_params, self.params
         enc = unpack_params(params[:n_enc], self.encoder_layout)
         dec = unpack_params(params[n_enc:], MlpLayout(self.decoder_layout.sizes, ("sigmoid", "sigmoid")))
         n_bands = self.n_bands
@@ -255,31 +269,32 @@ class NonlinearProfile:
 
         return f, f_vjp
 
-    def rhs_from(self, params):
+    def rhs_from(self):
         """f(L) on plain arrays."""
-        return self._rhs(params)[0]
+        return self._rhs()[0]
 
-    def rhs_vjp_from(self, params):
+    def rhs_vjp_from(self):
         """L -> (f(L), vjp), vjp(g) -> (g_L, g_params), as ``ode.solve_vjp`` steps it."""
-        return self._rhs(params)[1]
+        return self._rhs()[1]
 
-    def t1(self, params, solver: SolverConfig):
+    @cached_property
+    def t1(self) -> np.ndarray:
         """T applied to the all-ones spectrum."""
-        return self.forward(params, np.ones(self.n_bands), solver)
+        return _frozen(self.forward(np.ones(self.n_bands)))
 
-    def forward(self, params, L, solver: SolverConfig):
+    def forward(self, L):
         """Forward integration in x with the stepped solver."""
-        return ode_solve(self.rhs_from(params), L, solver)
+        return ode_solve(self.rhs_from(), L, self.solver)
 
-    def inverse(self, params, L, solver: SolverConfig, transmittance=None):
-        """Backward integration in x; ``transmittance`` is accepted and not needed."""
-        return ode_solve_reverse(self.rhs_from(params), L, solver)
+    def inverse(self, L):
+        """Backward integration in x."""
+        return ode_solve_reverse(self.rhs_from(), L, self.solver)
 
-    def inverse_vjp(self, params, z, solver: SolverConfig):
+    def inverse_vjp(self, z):
         """(T(1), T^-1(z), pullback): the T^-1 solve's adjoint plus the T(1) solve's."""
-        rhs_vjp = self.rhs_vjp_from(params)
-        t1, t1_vjp = solve_vjp(rhs_vjp, np.ones(self.n_bands), solver)
-        l2, l2_vjp = solve_vjp(rhs_vjp, z, solver, reverse=True)
+        rhs_vjp = self.rhs_vjp_from()
+        t1, t1_vjp = solve_vjp(rhs_vjp, np.ones(self.n_bands), self.solver)
+        l2, l2_vjp = solve_vjp(rhs_vjp, z, self.solver, reverse=True)
 
         def pullback(g_t1, g_l2):
             return l2_vjp(g_l2)[1] + t1_vjp(g_t1)[1]
@@ -291,25 +306,15 @@ Profile = Union[LinearProfile, NonlinearProfile]
 
 
 # These two forwards stay only because bench/traced_cli.py times T(1) and T^-1
-# by wrapping them under these names in the cli, training and correction modules.
+# by wrapping them under these names in the training and correction modules.
 
 
-def transmittance_values(model: Profile, params, solver: SolverConfig = SolverConfig()):
-    """T applied to the all-ones spectrum."""
-    return model.t1(params, solver)
+def transmittance_values(model: Profile) -> np.ndarray:
+    """The model's T(1_n)."""
+    return model.t1
 
 
-def invert_values(
-    model: Profile,
-    params,
-    L,
-    solver: SolverConfig = SolverConfig(),
-    transmittance=None,
-):
-    """The operator T^-1 on raw vectors/matrices.
-
-    ``transmittance`` is T(1) for these params when the caller already has it;
-    the linear profile divides by it instead of computing it again.
-    """
-    return model.inverse(params, L, solver, transmittance)
+def invert_values(model: Profile, L) -> np.ndarray:
+    """The model's T^-1 of (..., n_bands) L."""
+    return model.inverse(L)
 

@@ -7,6 +7,7 @@ is expected to fail and is left failing rather than weakened.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,14 +79,14 @@ def test_criterion_2_invertibility():
 
     model = LinearProfile.from_alpha(rng.uniform(0.0, 5.0, 126))
     L = rng.uniform(0.0, 1.0, 126)
-    back = model.inverse(model.params, model.forward(model.params, L, RK4_16), RK4_16)
+    back = model.inverse(model.forward(L))
     assert np.max(np.abs(back - L)) < 1e-9
 
     worst = 0.0
     for _ in range(100):
         model = NonlinearProfile.initialize(126, rng)
         L = rng.uniform(0.0, 1.0, 126)
-        back = model.inverse(model.params, model.forward(model.params, L, RK4_16), RK4_16)
+        back = model.inverse(model.forward(L))
         worst = max(worst, float(np.max(np.abs(back - L))))
     assert worst < 1e-4
     assert time.perf_counter() - started < 10.0
@@ -102,7 +103,7 @@ def test_criterion_3_dissipativity():
             LinearProfile.from_alpha(rng.uniform(0.0, 5.0, 126)),
             NonlinearProfile.initialize(126, rng),
         ):
-            out = model.forward(model.params, L, RK4_16)
+            out = model.forward(L)
             assert np.all(out >= -1e-12)
             assert np.all(out <= L + 1e-12)
     assert time.perf_counter() - started < 10.0
@@ -130,15 +131,16 @@ def test_criterion_4_loss_gradients_match_finite_differences():
             model = LinearProfile.initialize(n, rng)
         else:
             model = NonlinearProfile.initialize(n, rng)
+        model = replace(model, solver=cfg)
         for mode in ("supervised", "unsupervised"):
             def loss_fn(params):
                 if mode == "supervised":
-                    return supervised_loss(model, norm, l4, rho, cfg, 1.0, params)
-                return unsupervised_loss(model, norm, l4, cfg, params=params)
+                    return supervised_loss(model.with_params(params), norm, l4, rho, 1.0)
+                return unsupervised_loss(model.with_params(params), norm, l4)
 
             p0 = model.params.copy()
             config = TrainConfig(mode=mode, fd_weight=1.0, solver=cfg)
-            _, _, grad = _loss_terms(config, model, normalized_radiance(norm, l4), rho, p0)
+            _, _, grad = _loss_terms(config, model, normalized_radiance(norm, l4), rho)
             for _ in range(5):
                 v = rng.standard_normal(p0.size)
                 v /= np.linalg.norm(v)
@@ -170,7 +172,7 @@ def test_criterion_5_supervised_synthetic_recovery(scene):
 
     # (a) held-out reflectance percent MSE < 1.0
     held_out = list(split.test)
-    rho_hat, _ = correct_batch(model, truth.norm, l4[held_out], RK4_16)
+    rho_hat, _ = correct_batch(model, truth.norm, l4[held_out])
     truth_rho = rho[held_out]
     refl_pmse = float(
         np.mean([percent_mse(rho_hat[i], truth_rho[i]) for i in range(len(held_out))])
@@ -186,7 +188,7 @@ def test_criterion_5_supervised_synthetic_recovery(scene):
     clean = truth.norm.c + truth.norm.m * np.exp(-2.0 * truth.alpha) * truth_rho
     sim_pmse = []
     for i in range(len(held_out)):
-        sim = simulate_values(model, truth.norm, truth_rho[i], RK4_16)
+        sim = simulate_values(model, truth.norm, truth_rho[i])
         sim_pmse.append(percent_mse(sim / truth.norm.m, clean[i] / truth.norm.m))
     sim_pmse = float(np.mean(sim_pmse))
     assert sim_pmse < 1.0, f"radiance percent MSE {sim_pmse:.3f}"
@@ -242,7 +244,7 @@ def test_criterion_6_unsupervised_synthetic_recovery(scene):
     for run in result.completed:
         model = run.model
         held_out = list(run.split.test)
-        rho_hat, _ = correct_batch(model, norm, l4[held_out], RK4_16)
+        rho_hat, _ = correct_batch(model, norm, l4[held_out])
         truth_rho = rho[held_out]
         errors.append(
             float(np.mean([percent_mse(rho_hat[i], truth_rho[i]) for i in range(len(held_out))]))
@@ -260,8 +262,8 @@ def test_criterion_7_end_to_end_round_trip():
     worst = 0.0
     for _ in range(100):
         rho = rng.uniform(0.0, 1.0, 126)
-        l4 = simulate_values(model, norm, rho, RK4_16)
-        back, _ = correct_batch(model, norm, l4, RK4_16)
+        l4 = simulate_values(model, norm, rho)
+        back, _ = correct_batch(model, norm, l4)
         worst = max(worst, float(np.max(np.abs(back - rho))))
     assert worst < 1e-6, f"round-trip error {worst:.2e}"
 
@@ -278,7 +280,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     for name in ("a", "b"):
         run = train(config, l4, truth.norm, rho)
         path = tmp_path / f"model_{name}.json"
-        write_model(path, run.model, config.solver, truth.grid)
+        write_model(path, run.model, truth.grid)
         payloads.append(path.read_bytes())
     assert payloads[0] == payloads[1]
 
@@ -303,11 +305,11 @@ def test_criterion_9_loss_unit_values():
     # Supervised: one pixel, two bands, rho=[0,1], rho_hat=[1,0], lambda=1:
     # L_MSE = 1, L_FD = 4, total 5. The identity model and identity norm make
     # rho_hat equal to l4 exactly.
-    identity = LinearProfile(np.full(2, -40.0))
+    identity = LinearProfile(np.full(2, -40.0), RK4_16)
     norm = SceneNormalization.identity(2)
     l4 = np.array([[1.0, 0.0]])
     rho = np.array([[0.0, 1.0]])
-    sup = supervised_loss(identity, norm, l4, rho, RK4_16)
+    sup = supervised_loss(identity, norm, l4, rho)
     assert abs(sup - 5.0) < 1e-12, f"supervised loss {sup!r}"
 
     # Unsupervised: rho_hat = 0.5 flat, T(1) = 0.7, default weights:
@@ -317,8 +319,8 @@ def test_criterion_9_loss_unit_values():
         return ode_solve(lambda L: -(a * L), np.array([1.0]), RK4_16)[0] - 0.7
 
     alpha = brentq(gap, 1e-6, 10.0, xtol=1e-15, rtol=8.9e-16)
-    model = LinearProfile(softplus_inverse(np.full(2, alpha)))
-    f = model.t1(model.params, RK4_16)
+    model = LinearProfile(softplus_inverse(np.full(2, alpha)), RK4_16)
+    f = model.t1
     unsup_l4 = (0.5 * f * f)[None, :]
-    unsup = unsupervised_loss(model, norm, unsup_l4, RK4_16)
+    unsup = unsupervised_loss(model, norm, unsup_l4)
     assert abs(unsup - 0.012) < 1e-12, f"unsupervised loss {unsup!r}"

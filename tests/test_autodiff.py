@@ -9,13 +9,14 @@ and Adam.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from dinsat.correction import SceneNormalization
-from dinsat.errors import NumericError, ShapeError
+from dinsat.errors import ConfigError, NumericError, ShapeError
 from dinsat.mlp import MlpLayout, glorot_init, logistic, mlp_forward
 from dinsat.ode import SolverConfig
 from dinsat.optim import AdamState, adam_step
@@ -29,7 +30,8 @@ CFG = SolverConfig("rk4", 8)
 
 def profiles(n):
     rng = np.random.default_rng(30)
-    return [LinearProfile.initialize(n, rng), NonlinearProfile.initialize(n, rng)]
+    return [replace(LinearProfile.initialize(n, rng), solver=CFG),
+            replace(NonlinearProfile.initialize(n, rng), solver=CFG)]
 
 
 class TestPrimitiveOps:
@@ -48,9 +50,9 @@ class TestPrimitiveOps:
         # The values inverse_vjp returns are the plain operators' values, bit for bit.
         z = np.random.default_rng(31).uniform(0, 1, (3, 5))
         for model in profiles(5):
-            t1, l2, _ = model.inverse_vjp(model.params, z, CFG)
-            np.testing.assert_array_equal(t1, model.t1(model.params, CFG))
-            np.testing.assert_array_equal(l2, model.inverse(model.params, z, CFG))
+            t1, l2, _ = model.inverse_vjp(z)
+            np.testing.assert_array_equal(t1, model.t1)
+            np.testing.assert_array_equal(l2, model.inverse(z))
 
 
 def _logistic_warnings_as_errors(x):
@@ -119,7 +121,7 @@ class TestBackward:
         config = TrainConfig(mode="unsupervised", rho_weight=0.0, transmission_weight=0.0,
                              slope_weight=0.0, solver=CFG)
         for model in profiles(4):
-            loss, _, grad = _loss_terms(config, model, z, None, model.params)
+            loss, _, grad = _loss_terms(config, model, z, None)
             assert loss == 0.0
             np.testing.assert_array_equal(grad, np.zeros_like(model.params))
 
@@ -149,11 +151,11 @@ class TestBackward:
 
     def test_deterministic_forward(self):
         rng = np.random.default_rng(0)
-        model = NonlinearProfile.initialize(5, rng)
+        model = replace(NonlinearProfile.initialize(5, rng), solver=CFG)
         z, rho = rng.uniform(0.1, 1, (4, 5)), rng.uniform(0, 1, (4, 5))
 
         def run():
-            loss, _, grad = _loss_terms(TrainConfig(solver=CFG), model, z, rho, model.params)
+            loss, _, grad = _loss_terms(TrainConfig(solver=CFG), model, z, rho)
             return loss, grad.tobytes()
 
         assert run() == run()
@@ -242,3 +244,8 @@ class TestAdam:
         with pytest.raises(NumericError):
             adam_step(state, np.zeros(2), np.array([1.0, np.inf]))
         assert state.t == 0
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -0.01])
+    def test_non_finite_or_non_positive_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="^learning rate must be positive and finite"):
+            AdamState(lr=lr)

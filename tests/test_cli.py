@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import dinsat
-from dinsat import envi
+from dinsat import envi, transmission
 from dinsat.artifacts import (
     read_model,
     read_normalization,
@@ -23,7 +24,7 @@ from dinsat.envi import read_envi, write_envi_array
 from dinsat.errors import ConfigError
 from dinsat.ode import SolverConfig
 from dinsat.synth import SynthSpec, synth_scene
-from dinsat.transmission import LinearProfile
+from dinsat.transmission import LinearProfile, NonlinearProfile
 from dinsat.types import Spectrum, WavelengthGrid
 
 SPEC_TEXT = """
@@ -202,7 +203,7 @@ class TestCorrectCommand:
         scene = make_scene(tmp_path, runner)
         cube = read_envi(scene / "scene.hdr")
         model_path = tmp_path / "identity.json"
-        write_model(model_path, LinearProfile(np.full(16, -40.0)), SolverConfig("rk4", 8))
+        write_model(model_path, LinearProfile(np.full(16, -40.0), SolverConfig("rk4", 8)))
         out = tmp_path / "corr"
         result = runner.invoke(main, [
             "correct", "--cube", str(scene / "scene.hdr"),
@@ -230,7 +231,7 @@ class TestCorrectCommand:
         scene = make_scene(tmp_path, runner)
         model_path = tmp_path / "bad.json"
         # Forward integration of this rate overflows to inf mid-solve.
-        write_model(model_path, LinearProfile(np.full(16, 1e8)), SolverConfig("rk4", 16))
+        write_model(model_path, LinearProfile(np.full(16, 1e8), SolverConfig("rk4", 16)))
         result = runner.invoke(main, [
             "correct", "--cube", str(scene / "scene.hdr"),
             "--model", str(model_path), "--out", str(tmp_path / "o"),
@@ -244,7 +245,7 @@ class TestCorrectCommand:
         # Euler with alpha h = 1: T(1) is exactly 0 in bands 2 and 5.
         alpha = np.full(16, 0.5)
         alpha[[2, 5]] = 16.0
-        write_model(model_path, LinearProfile.from_alpha(alpha), SolverConfig("euler", 16))
+        write_model(model_path, replace(LinearProfile.from_alpha(alpha), solver=SolverConfig("euler", 16)))
         out = tmp_path / "o"
         # A real process, so that a numpy warning would show on stderr.
         src = str(Path(dinsat.__file__).resolve().parents[1])
@@ -265,7 +266,7 @@ class TestCorrectCommand:
         # 7, and the float64 reflectance there is beyond float32's range.
         alpha = np.full(16, 0.5)
         alpha[[3, 7]] = np.nextafter(16.0, 17.0), np.nextafter(16.0, 0.0)
-        write_model(model_path, LinearProfile.from_alpha(alpha), SolverConfig("euler", 16))
+        write_model(model_path, replace(LinearProfile.from_alpha(alpha), solver=SolverConfig("euler", 16)))
         out = tmp_path / "o"
         # A real process, so that a numpy warning would show on stderr.
         src = str(Path(dinsat.__file__).resolve().parents[1])
@@ -300,6 +301,25 @@ class TestCorrectCommand:
         assert result.output.startswith("shape-error:")
         assert sorted(set(written)) == [0, 1, 2, 3]
         assert not (out / "corrected.img").exists() and not (out / "quality_mask.img").exists()
+
+    def test_nonlinear_t1_is_solved_once_per_command(self, tmp_path, runner, monkeypatch):
+        # T(1) is one forward solve per model however many rows the cube has;
+        # each image row is one reverse solve.
+        rows = 6
+        data = np.random.default_rng(5).uniform(0.1, 1.0, (rows, 4, 3))
+        write_envi_array(data, tmp_path / "c.hdr", wavelengths_nm=[500.0, 600.0, 700.0], data_type=5)
+        write_model(tmp_path / "m.json", NonlinearProfile.initialize(3, np.random.default_rng(6)))
+        calls = {"ode_solve": 0, "ode_solve_reverse": 0}
+        for name in calls:
+            def counted(*args, _name=name, _solve=getattr(transmission, name)):
+                calls[_name] += 1
+                return _solve(*args)
+
+            monkeypatch.setattr(transmission, name, counted)
+        result = runner.invoke(main, ["correct", "--cube", str(tmp_path / "c.hdr"), "--model",
+                                      str(tmp_path / "m.json"), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert calls == {"ode_solve": 1, "ode_solve_reverse": rows}
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
     def test_peak_memory_is_a_fraction_of_the_cube(self, tmp_path):
@@ -365,13 +385,13 @@ class TestCorrectLayouts:
         )
         np.ascontiguousarray(values.transpose(FILE_ORDER[interleave]), dtype=dtype).tofile(tmp_path / "c.img")
         # Band 2's T(1) is floored; reflectances fall on both sides of 1.
-        model = LinearProfile.from_alpha([0.3, 1.0, 20.0, 2.0])
-        write_model(tmp_path / "m.json", model, SolverConfig("rk4", 16))
+        model = replace(LinearProfile.from_alpha([0.3, 1.0, 20.0, 2.0]), solver=SolverConfig("rk4", 16))
+        write_model(tmp_path / "m.json", model)
         norm = SceneNormalization(np.full(self.BANDS, 0.1), 1.0)
         write_normalization(tmp_path / "norm.json", norm)
 
         data = read_envi(hdr).data  # the whole cube, before the block size shrinks
-        rho, mask = correct_batch(model, norm, data.reshape(-1, self.BANDS), SolverConfig("rk4", 16))
+        rho, mask = correct_batch(model, norm, data.reshape(-1, self.BANDS))
         assert (mask & 1).any() and (mask & 2).any() and not (mask & 2).all()
         for name, image, out_dtype in (("rho", rho, "<f4"), ("mask", mask, "<u2")):
             bsq = image.reshape(shape).transpose(FILE_ORDER["bsq"])
@@ -394,7 +414,7 @@ class TestSimulateAndEval:
         rho = Spectrum(truth.rho[2, 2], "reflectance")
         write_spectrum_csv(grid_path, truth.grid, rho)
         model_path = tmp_path / "identity.json"
-        write_model(model_path, LinearProfile(np.full(16, -40.0)), SolverConfig("rk4", 8))
+        write_model(model_path, LinearProfile(np.full(16, -40.0), SolverConfig("rk4", 8)))
         out = tmp_path / "l4.csv"
         result = runner.invoke(main, [
             "simulate", "--spectrum", str(grid_path),
@@ -439,7 +459,7 @@ class TestSimulateAndEval:
     def test_eval_reference_band_mismatch_is_data_error(self, tmp_path, runner):
         scene = make_scene(tmp_path, runner)
         model = tmp_path / "model.json"
-        write_model(model, LinearProfile(np.zeros(16)), SolverConfig("rk4", 8), None)
+        write_model(model, LinearProfile(np.zeros(16), SolverConfig("rk4", 8)), None)
         ref = tmp_path / "ref.csv"
         write_spectrum_csv(ref, WavelengthGrid.linear(8), Spectrum(np.full(8, 0.5), "reflectance"))
         roi = tmp_path / "roi.csv"
@@ -492,6 +512,14 @@ def _linear_model_doc(n_bands):
         "solver": {"method": "rk4", "steps": 4, "x0": 0.0, "x_end": 1.0},
         "wavelengths_nm": None, "params": [-2.0] * n_bands,
     }
+
+
+# One synth spec line per value that a nan must not pass.
+SPEC_NAN_LINES = {
+    "noise_std": "noise_std = nan", "illumination": "illumination = nan", "dark_level": "dark_level = nan",
+    "baseline_alpha": "baseline_alpha = nan", "absorption_width": "absorption = 940:nan:1.2",
+    "absorption_depth": "absorption = 940:40:nan",
+}
 
 
 @pytest.fixture(scope="module")
@@ -551,12 +579,16 @@ def bad_inputs(tmp_path_factory):
                        *((f"fraction_{v}", f"pixel_fraction = {v}\n") for v in ("nan", "inf", "-1")),
                        *((f"rel_tol_{v}", f"rel_tol = {v}\n") for v in ("nan", "1")),
                        ("split_nan", "split_fractions = nan/0.1/0.1\n"), ("lr_nan", "lr = nan\n"),
+                       *((f"spec_{name}_nan", f"rows = 4\ncols = 4\nbands = 8\n{line}\n")
+                         for name, line in SPEC_NAN_LINES.items()),
                        ("split_small", "mode = unsupervised\nmax_epochs = 2\nsplit_fractions = 0.5/0.1/0.4\n")):
         (d / f"{name}.txt").write_text(text)
     return d
 
 
 BAD_INPUT_CASES = [
+    *((f"synth-{name.replace('_', '-')}-nan", f"synth --spec {{d}}/spec_{name}_nan.txt --out {{o}}", 2,
+       "config-error") for name in SPEC_NAN_LINES),
     ("train-max-epochs-abc", "train --cube {d}/scene.hdr --mode unsupervised --config {d}/epochs_abc.txt --out {o}",
      2, "config-error"),
     ("train-split-fractions-abc", "train --cube {d}/scene.hdr --mode unsupervised --config {d}/split_abc.txt --out {o}",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ CFG = SolverConfig("rk4", 16)
 
 
 def identity_model(n):
-    return LinearProfile(np.full(n, -40.0))
+    return LinearProfile(np.full(n, -40.0), CFG)
 
 
 class TestNormalizationEstimates:
@@ -83,26 +85,26 @@ class TestCorrectPixel:
         n = 4
         norm = SceneNormalization.identity(n)
         l4 = np.array([0.1, 0.4, 0.9, 0.0])
-        out, _ = correct_batch(identity_model(n), norm, l4, CFG)
+        out, _ = correct_batch(identity_model(n), norm, l4)
         np.testing.assert_allclose(out, l4, atol=1e-12)
 
     def test_linear_ln2_analytic(self):
         n = 5
         model = LinearProfile.from_alpha(np.full(n, np.log(2.0)))
         norm = SceneNormalization.identity(n)
-        out, _ = correct_batch(model, norm, np.full(n, 0.1), CFG)
+        out, _ = correct_batch(model, norm, np.full(n, 0.1))
         np.testing.assert_allclose(out, 0.4, rtol=1e-6)
 
     def test_dark_pixel_zero(self):
         c = np.array([0.3, 0.1])
         norm = SceneNormalization(c, 2.0)
-        out, _ = correct_batch(identity_model(2), norm, c, CFG)
+        out, _ = correct_batch(identity_model(2), norm, c)
         np.testing.assert_allclose(out, 0.0)
 
     def test_quality_mask_marks_out_of_range(self):
         model = LinearProfile.from_alpha(np.array([2.0, 0.01]))
         norm = SceneNormalization.identity(2)
-        rho, mask = correct_batch(model, norm, np.array([[1.0, 0.2]]), CFG)
+        rho, mask = correct_batch(model, norm, np.array([[1.0, 0.2]]))
         assert rho[0, 0] > 1.0  # strong absorption inflates the estimate
         assert mask[0, 0] & MASK_RHO_OUT_OF_RANGE
         assert mask[0, 1] == 0
@@ -121,8 +123,9 @@ class TestCorrectBatchOut:
     EULER_1 = SolverConfig("euler", 1)
 
     def linear_case(self):
-        model = LinearProfile(np.concatenate([[-40.0], LinearProfile.from_alpha([1.0 - 1e-7, 1.5]).raw]))
-        t1 = model.t1(model.params, self.EULER_1)
+        model = LinearProfile(np.concatenate([[-40.0], LinearProfile.from_alpha([1.0 - 1e-7, 1.5]).raw]),
+                              self.EULER_1)
+        t1 = model.t1
         assert t1[0] == 1.0 and 0 < t1[1] < EPS_T and t1[2] == -0.5
         # rho is z in band 0 and -z / 0.5 / EPS_T in band 2: values on both
         # sides of 1 + RHO_RANGE_TOL and of -RHO_RANGE_TOL.
@@ -130,34 +133,34 @@ class TestCorrectBatchOut:
         band0 = [0.5, hi, np.nextafter(hi, 2.0), np.nextafter(hi, 0.0), 2.0, 0.0]
         band2 = np.array([0.5, 1 + 1e-9, 1 - 1e-9, 2.0, 0.0, 1.5]) * (0.5 * EPS_T * RHO_RANGE_TOL)
         rows = np.stack([band0, np.linspace(0.0, 1.0, 6), band2], axis=-1)  # (6 px, 3 bands)
-        return model, self.EULER_1, np.stack([rows, rows[::-1]])  # (2 rows, 6 cols, 3 bands)
+        return model, np.stack([rows, rows[::-1]])  # (2 rows, 6 cols, 3 bands)
 
     def nonlinear_case(self):
         rng = np.random.default_rng(4)
         model = NonlinearProfile.initialize(5, rng)
-        return model, CFG, rng.uniform(0.0, 1.0, (2, 6, 5))
+        return model, rng.uniform(0.0, 1.0, (2, 6, 5))
 
     @pytest.mark.parametrize("layout", ["C", "bsq"])
     @pytest.mark.parametrize("case", ["linear", "nonlinear"])
     def test_out_equals_the_allocating_call_cast(self, case, layout):
-        model, solver, cube = getattr(self, f"{case}_case")()
+        model, cube = getattr(self, f"{case}_case")()
         norm = SceneNormalization(np.zeros(cube.shape[-1]), 1.0)
         cube = cube if layout == "C" else bsq_rows(cube)
         for row in cube:
             assert row.flags.c_contiguous == (layout == "C")
             before = row.copy()
-            rho_ref, mask_ref = correct_batch(model, norm, row, solver)
+            rho_ref, mask_ref = correct_batch(model, norm, row)
             assert (rho_ref.dtype, mask_ref.dtype) == (np.float64, np.uint8)
             rho, mask = np.empty_like(row, dtype=np.float32), np.empty_like(row, dtype=np.uint16)
-            returned = correct_batch(model, norm, row, solver, out=(rho, mask))
+            returned = correct_batch(model, norm, row, out=(rho, mask))
             assert returned[0] is rho and returned[1] is mask
             np.testing.assert_array_equal(rho.view(np.uint32), rho_ref.astype(np.float32).view(np.uint32))
             np.testing.assert_array_equal(mask, mask_ref.astype(np.uint16))
             np.testing.assert_array_equal(row, before)
 
     def test_linear_case_sets_each_bit_where_expected(self):
-        model, solver, cube = self.linear_case()
-        rho, mask = correct_batch(model, SceneNormalization(np.zeros(3), 1.0), cube[0], solver)
+        model, cube = self.linear_case()
+        rho, mask = correct_batch(model, SceneNormalization(np.zeros(3), 1.0), cube[0])
         floored, out = MASK_DENOM_FLOORED, MASK_RHO_OUT_OF_RANGE
         np.testing.assert_array_equal(mask[:, 0], [0, 0, out, 0, out, 0])
         np.testing.assert_array_equal(mask[:, 1], floored | np.where(rho[:, 1] > 1.0 + RHO_RANGE_TOL, out, 0))
@@ -169,34 +172,35 @@ class TestCorrectBatchOut:
     def test_reflectance_beyond_float32_is_numeric_error_naming_the_bands(self):
         # Euler with alpha one ulp from 16: T(1) is tiny but not 0, so the
         # reflectance is finite in float64 and beyond float32's range.
-        model = LinearProfile.from_alpha([0.5, np.nextafter(16.0, 17.0), np.nextafter(16.0, 0.0)])
-        solver, norm = SolverConfig("euler", 16), SceneNormalization.identity(3)
+        model = replace(LinearProfile.from_alpha([0.5, np.nextafter(16.0, 17.0), np.nextafter(16.0, 0.0)]),
+                        solver=SolverConfig("euler", 16))
+        norm = SceneNormalization.identity(3)
         row = np.full((4, 3), 0.5)
-        rho_ref, _ = correct_batch(model, norm, row, solver)
+        rho_ref, _ = correct_batch(model, norm, row)
         assert np.isfinite(rho_ref).all() and (np.abs(rho_ref[:, 1:]) > np.finfo(np.float32).max).all()
         rho, mask = np.empty_like(row, dtype=np.float32), np.empty_like(row, dtype=np.uint16)
         with pytest.raises(NumericError, match=r"float32's range in band\(s\) 1, 2$"):
-            correct_batch(model, norm, row, solver, out=(rho, mask))
+            correct_batch(model, norm, row, out=(rho, mask))
 
 
 class TestSimulate:
     def test_identity_model(self):
         n = 3
         rho = np.array([0.2, 0.5, 0.8])
-        out = simulate_values(identity_model(n), SceneNormalization.identity(n), rho, CFG)
+        out = simulate_values(identity_model(n), SceneNormalization.identity(n), rho)
         np.testing.assert_allclose(out, rho, atol=1e-12)
 
     def test_dark_target_gives_offset(self):
         c = np.array([0.12, 0.05])
         norm = SceneNormalization(c, 3.0)
         model = LinearProfile.from_alpha(np.array([0.5, 1.5]))
-        out = simulate_values(model, norm, np.zeros(2), CFG)
+        out = simulate_values(model, norm, np.zeros(2))
         np.testing.assert_allclose(out, c)
 
     def test_negative_reflectance_rejected(self):
         rho = np.array([[0.2, 0.3], [0.1, -0.5]])
         with pytest.raises(ConfigError, match="reflectance must be nonnegative"):
-            simulate_values(identity_model(2), SceneNormalization.identity(2), rho, CFG)
+            simulate_values(identity_model(2), SceneNormalization.identity(2), rho)
 
     def test_round_trip_linear(self):
         rng = np.random.default_rng(1)
@@ -205,8 +209,8 @@ class TestSimulate:
         norm = SceneNormalization(rng.uniform(0, 0.1, n), 1.7)
         for _ in range(5):
             rho = rng.uniform(0, 1, n)
-            l4 = simulate_values(model, norm, rho, CFG)
-            back, _ = correct_batch(model, norm, l4, CFG)
+            l4 = simulate_values(model, norm, rho)
+            back, _ = correct_batch(model, norm, l4)
             assert np.max(np.abs(back - rho)) < 1e-6
 
     def test_round_trip_other_direction(self):
@@ -215,8 +219,8 @@ class TestSimulate:
         model = LinearProfile.from_alpha(rng.uniform(0.1, 1.5, n))
         norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.0)
         l4 = norm.c + rng.uniform(0, 0.5, n)
-        rho, _ = correct_batch(model, norm, l4, CFG)
-        again = simulate_values(model, norm, rho, CFG)
+        rho, _ = correct_batch(model, norm, l4)
+        again = simulate_values(model, norm, rho)
         assert np.max(np.abs(again - l4)) < 1e-6
 
 
@@ -227,12 +231,12 @@ class TestSceneProperties:
         model = LinearProfile.from_alpha(rng.uniform(0.2, 1.0, n))
         pixels = np.stack([rng.uniform(0.1, 2.0, n) for _ in range(12)])
         norm = estimate_normalization(pixels)
-        rho_base, _ = correct_batch(model, norm, pixels[0], CFG)
+        rho_base, _ = correct_batch(model, norm, pixels[0])
 
         k = 7.5
         scaled = pixels * k
         norm_k = estimate_normalization(scaled)
-        rho_scaled, _ = correct_batch(model, norm_k, scaled[0], CFG)
+        rho_scaled, _ = correct_batch(model, norm_k, scaled[0])
         np.testing.assert_allclose(rho_scaled, rho_base, rtol=1e-9, atol=1e-12)
 
     def test_monotonicity_in_radiance(self):
@@ -240,9 +244,9 @@ class TestSceneProperties:
         model = LinearProfile.from_alpha(np.full(n, 0.8))
         norm = SceneNormalization(np.zeros(n), 2.0)
         base = np.array([0.5, 0.5, 0.5, 0.5])
-        lo, _ = correct_batch(model, norm, base, CFG)
+        lo, _ = correct_batch(model, norm, base)
         bumped = base.copy()
         bumped[2] += 0.3
-        hi, _ = correct_batch(model, norm, bumped, CFG)
+        hi, _ = correct_batch(model, norm, bumped)
         assert hi[2] > lo[2]
         np.testing.assert_allclose(np.delete(hi, 2), np.delete(lo, 2))

@@ -359,13 +359,13 @@ class TestSpectrumCsv:
 class TestModelArtifacts:
     def test_linear_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        model = LinearProfile(rng.standard_normal(126))
+        model = LinearProfile(rng.standard_normal(126), SolverConfig("euler", 4))
         path = tmp_path / "m.json"
-        write_model(path, model, SolverConfig("euler", 4), WavelengthGrid.linear(126))
+        write_model(path, model, WavelengthGrid.linear(126))
         back, solver, grid = read_model(path)
         assert isinstance(back, LinearProfile)
         np.testing.assert_array_equal(back.params, model.params)
-        assert (solver.method, solver.steps) == ("euler", 4)
+        assert (solver.method, solver.steps) == ("euler", 4) and back.solver is solver
         np.testing.assert_array_equal(grid.wavelengths_nm, WavelengthGrid.linear(126).wavelengths_nm)
 
     def test_nonlinear_exact_round_trip(self, tmp_path):

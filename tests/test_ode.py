@@ -43,7 +43,7 @@ class TestSolverConfig:
     def test_numpy_scalars_round_trip_through_a_model_file(self, tmp_path):
         cfg = SolverConfig("rk4", np.int64(4), np.float32(0.0), np.float32(1.0))
         assert [type(v) for v in (cfg.steps, cfg.x0, cfg.x_end)] == [int, float, float]
-        write_model(tmp_path / "m.json", LinearProfile(np.zeros(3)), cfg)
+        write_model(tmp_path / "m.json", LinearProfile(np.zeros(3), cfg))
         _, solver, _ = read_model(tmp_path / "m.json")
         assert solver == SolverConfig("rk4", 4, 0.0, 1.0) == cfg
 

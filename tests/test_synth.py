@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,7 @@ class TestSynthScene:
         cube, truth = synth_scene(spec, seed=2)
         cfg = SolverConfig("rk4", 64)
         for r, c in [(0, 1), (3, 3), (7, 5)]:
-            rho, _ = correct_batch(truth.profile, truth.norm, cube.data[r, c], cfg)
+            rho, _ = correct_batch(replace(truth.profile, solver=cfg), truth.norm, cube.data[r, c])
             assert np.max(np.abs(rho - truth.rho[r, c])) < 1e-6
 
     def test_radiance_dominates_dark_offset_at_zero_noise(self):

@@ -1,4 +1,5 @@
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ CFG = SolverConfig("rk4", 16)
 
 
 def identity_model(n):
-    return LinearProfile(np.full(n, -40.0))
+    return LinearProfile(np.full(n, -40.0), CFG)
 
 
 def rows(*pixels):
@@ -40,7 +41,7 @@ def rows(*pixels):
 def loss_components(model, norm, l4, rho=None, **config):
     """The components of the training loss of ``config``'s mode at the model's parameters."""
     config = TrainConfig(solver=CFG, **config)
-    return _loss_terms(config, model, normalized_radiance(norm, l4), rho, model.params)[1]
+    return _loss_terms(config, model, normalized_radiance(norm, l4), rho)[1]
 
 
 def discrete_transmittance_alpha(target, cfg):
@@ -56,7 +57,7 @@ class TestSupervisedLoss:
         # Identity model + identity norm: rho_hat equals l4 exactly.
         n = 4
         l4 = rho = rows([0.1, 0.4, 0.9, 0.2])
-        loss = supervised_loss(identity_model(n), SceneNormalization.identity(n), l4, rho, CFG)
+        loss = supervised_loss(identity_model(n), SceneNormalization.identity(n), l4, rho)
         assert loss == 0.0
 
     def test_constant_offset_unit_value(self):
@@ -64,7 +65,7 @@ class TestSupervisedLoss:
         # only sees band-to-band differences, annihilates the constant offset.
         rho = rows([0.1, 0.5, 0.3, 0.8])
         norm = SceneNormalization.identity(4)
-        loss = supervised_loss(identity_model(4), norm, rho + 0.1, rho, CFG, fd_weight=1.0)
+        loss = supervised_loss(identity_model(4), norm, rho + 0.1, rho, fd_weight=1.0)
         parts = loss_components(identity_model(4), norm, rho + 0.1, rho, fd_weight=1.0)
         assert parts["mse"] == pytest.approx(0.01, abs=1e-12)
         assert parts["fd"] == pytest.approx(0.0, abs=1e-12)
@@ -74,7 +75,7 @@ class TestSupervisedLoss:
         # One pixel, two bands, rho=[0,1], rho_hat=[1,0]:
         # L_MSE = (1+1)/2 = 1, L_FD = ((-1)-(1))^2 = 4, total 5.
         loss = supervised_loss(
-            identity_model(2), SceneNormalization.identity(2), rows([1.0, 0.0]), rows([0.0, 1.0]), CFG
+            identity_model(2), SceneNormalization.identity(2), rows([1.0, 0.0]), rows([0.0, 1.0])
         )
         assert loss == pytest.approx(5.0, abs=1e-12)
 
@@ -94,9 +95,9 @@ class TestUnsupervisedLoss:
         # rho_hat = 0.5 flat and T(1) = 0.7: 0.01*0.5 + 0.01*0.7 + 0 = 0.012.
         # The rate is solved so the *discrete* transmittance is exactly 0.7.
         alpha = discrete_transmittance_alpha(0.7, CFG)
-        model = LinearProfile(softplus_inverse(np.full(2, alpha)))
+        model = LinearProfile(softplus_inverse(np.full(2, alpha)), CFG)
         f = ode_solve(lambda L: -(model.alpha * L), np.ones(2), CFG)
-        loss = unsupervised_loss(model, SceneNormalization.identity(2), rows(0.5 * f * f), CFG)
+        loss = unsupervised_loss(model, SceneNormalization.identity(2), rows(0.5 * f * f))
         assert loss == pytest.approx(0.012, abs=1e-12)
 
     def test_flat_spectrum_has_zero_fd(self):
@@ -108,7 +109,7 @@ class TestUnsupervisedLoss:
 
     def test_all_zero_weights(self):
         loss = unsupervised_loss(
-            identity_model(2), SceneNormalization.identity(2), rows([0.2, 0.9]), CFG,
+            identity_model(2), SceneNormalization.identity(2), rows([0.2, 0.9]),
             rho_weight=0.0, transmission_weight=0.0, slope_weight=0.0,
         )
         assert loss == 0.0
@@ -128,15 +129,16 @@ class TestLossGradients:
             model = LinearProfile.initialize(n, rng)
         else:
             model = NonlinearProfile.initialize(n, rng)
+        model = replace(model, solver=cfg)
 
         def loss_fn(params):
             if mode == "supervised":
-                return supervised_loss(model, norm, l4, rho, cfg, 1.0, params)
-            return unsupervised_loss(model, norm, l4, cfg, params=params)
+                return supervised_loss(model.with_params(params), norm, l4, rho, 1.0)
+            return unsupervised_loss(model.with_params(params), norm, l4)
 
         p0 = model.params.copy()
         config = TrainConfig(mode=mode, fd_weight=1.0, solver=cfg)
-        _, _, grad = _loss_terms(config, model, normalized_radiance(norm, l4), rho, p0)
+        _, _, grad = _loss_terms(config, model, normalized_radiance(norm, l4), rho)
         fd = finite_difference(loss_fn, p0.copy())
         denom = np.maximum(np.abs(fd), 1e-7)
         assert np.max(np.abs(grad - fd) / denom) < 1e-3
@@ -155,23 +157,23 @@ class TestLossHeads:
         l4 = norm.c + rng.uniform(0.1, 1.0, (3, n))
         rho = rng.uniform(0, 1, (3, n))
         if kind == "linear":
-            raw = LinearProfile.initialize(n, rng).raw
+            raw = LinearProfile.initialize(n, rng).raw.copy()
             # alpha = 16 at RK4_16 gives T(1) = 0.375^16 = 1.5e-7, under the
             # floor; a z of about 1e-13 keeps that band's rho_hat near 1.
             raw[self.FLOORED] = softplus_inverse(np.array(16.0))
             l4[:, self.FLOORED] = norm.c[self.FLOORED] + norm.m * rng.uniform(0.5, 1.5, 3) * 1e-13
             model = LinearProfile(raw)
-            assert model.t1(model.params, CFG)[self.FLOORED] < EPS_T
+            assert model.t1[self.FLOORED] < EPS_T
         else:
             model = NonlinearProfile.initialize(n, rng)
         return model, norm, l4, rho
 
-    def head(self, mode, model, norm, l4, rho, params, solver=CFG):
+    def head(self, mode, model, norm, l4, rho):
         w = self.WEIGHTS
         if mode == "supervised":
-            return supervised_loss(model, norm, l4, rho, solver, w["fd_weight"], params)
-        return unsupervised_loss(model, norm, l4, solver, w["rho_weight"], w["transmission_weight"],
-                                 w["slope_weight"], params)
+            return supervised_loss(model, norm, l4, rho, w["fd_weight"])
+        return unsupervised_loss(model, norm, l4, w["rho_weight"], w["transmission_weight"],
+                                 w["slope_weight"])
 
     def reference(self, mode, l2, t1, rho):
         """The loss of (T^-1(z), T(1)) in numpy, complex-safe for complex step.
@@ -189,10 +191,10 @@ class TestLossHeads:
         return (w["rho_weight"] * rho_hat.mean() + w["transmission_weight"] * t1.mean()
                 + w["slope_weight"] * (slope * np.sign(slope.real)).mean())
 
-    def value_and_grad(self, mode, model, norm, l4, rho, params, solver=CFG):
+    def value_and_grad(self, mode, model, norm, l4, rho):
         """The training loss and its gradient, as ``train`` computes them."""
-        config = TrainConfig(mode=mode, solver=solver, **self.WEIGHTS)
-        loss, _, grad = _loss_terms(config, model, normalized_radiance(norm, l4), rho, params)
+        config = TrainConfig(mode=mode, solver=model.solver, **self.WEIGHTS)
+        loss, _, grad = _loss_terms(config, model, normalized_radiance(norm, l4), rho)
         return loss, grad
 
     def head_cotangents(self, mode, l2, t1, rho):
@@ -210,12 +212,12 @@ class TestLossHeads:
     def test_loss_is_bit_identical_and_gradient_matches(self, mode, kind):
         model, norm, l4, rho = self.problem(kind)
         args = (mode, model, norm, l4, rho)
-        t1 = model.t1(model.params, CFG)
-        l2 = model.inverse(model.params, normalized_radiance(norm, l4), CFG, transmittance=t1)
+        t1 = model.t1
+        l2 = model.inverse(normalized_radiance(norm, l4))
         ref_loss = self.reference(mode, l2, t1, rho)
-        loss, grad = self.value_and_grad(*args, model.params)
+        loss, grad = self.value_and_grad(*args)
         assert loss == ref_loss
-        assert self.head(*args, model.params) == ref_loss  # the exported loss too
+        assert self.head(*args) == ref_loss  # the exported loss too
 
         g_l2, g_t1 = self.head_cotangents(mode, l2, t1, rho)
         cs_l2 = complex_step(lambda x: self.reference(mode, x, t1, rho), l2)
@@ -236,7 +238,7 @@ class TestLossHeads:
         norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.3)
         l4 = norm.c + rng.uniform(0.1, 1.0, (7, n))
         rho = rng.uniform(0, 1, (7, n))
-        raw = LinearProfile.initialize(n, rng).raw
+        raw = LinearProfile.initialize(n, rng).raw.copy()
         raw[4] = softplus_inverse(np.array(40.0))
         model = LinearProfile(raw)
         z = normalized_radiance(norm, l4)
@@ -247,16 +249,16 @@ class TestLossHeads:
             t1 = (1 + s + s**2 / 2 + s**3 / 6 + s**4 / 24) ** CFG.steps
             return self.reference(mode, z / t1, t1, rho)
 
-        _, grad = self.value_and_grad(mode, model, norm, l4, rho, raw)
+        _, grad = self.value_and_grad(mode, model, norm, l4, rho)
         np.testing.assert_allclose(grad, complex_step(reference, raw), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
     def test_gradient_matches_finite_differences(self, mode, kind):
         model, norm, l4, rho = self.problem(kind)
-        cfg = CFG if kind == "linear" else SolverConfig("rk4", 8)
-        _, grad = self.value_and_grad(mode, model, norm, l4, rho, model.params, cfg)
-        fd = finite_difference(lambda v: self.head(mode, model, norm, l4, rho, v, cfg), model.params.copy())
+        model = replace(model, solver=CFG if kind == "linear" else SolverConfig("rk4", 8))
+        _, grad = self.value_and_grad(mode, model, norm, l4, rho)
+        fd = finite_difference(lambda v: self.head(mode, model.with_params(v), norm, l4, rho), model.params.copy())
         denom = np.maximum(np.abs(fd), 1e-7)
         assert np.max(np.abs(grad - fd) / denom) < 1e-3
 
@@ -294,7 +296,8 @@ class TestTrain:
     def test_zero_transmittance_band_names_its_epoch(self, monkeypatch):
         # Euler with alpha h = 1 gives T(1) = 0 in band 1 of the starting model.
         monkeypatch.setattr(training, "build_model",
-                            lambda config, n_bands, seed: LinearProfile.from_alpha([0.5, 16.0]))
+                            lambda config, n_bands, seed: replace(LinearProfile.from_alpha([0.5, 16.0]),
+                                                                  solver=config.solver))
         config = TrainConfig(mode="unsupervised", max_epochs=3, solver=SolverConfig("euler", 16))
         with pytest.raises(NumericError, match=r"^epoch 0: linear T\(1\) is 0 in band\(s\) 1;"):
             train(config, np.tile([0.2, 0.4], (20, 1)), SceneNormalization.identity(2))
@@ -403,8 +406,9 @@ class TestEnsemble:
         result = ensemble(config, l4, truth.norm, n_runs=2)
         for run, t1, roi in zip(result.runs, result.transmittances, result.roi_reflectances):
             model = run.model
-            np.testing.assert_array_equal(t1, model.t1(model.params, config.solver))
-            rho_hat, _ = correct_batch(model, truth.norm, l4, config.solver)
+            assert model.solver == config.solver
+            np.testing.assert_array_equal(t1, model.t1)
+            rho_hat, _ = correct_batch(model, truth.norm, l4)
             np.testing.assert_array_equal(roi, rho_hat.mean(axis=0))
         np.testing.assert_array_equal(result.transmittance_mean, np.mean(result.transmittances, axis=0))
         np.testing.assert_array_equal(result.roi_reflectance_std, np.std(result.roi_reflectances, axis=0))
@@ -431,21 +435,21 @@ class TestEvaluate:
     def test_truth_model_near_zero_error(self):
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, truth, 25, seed=6)
-        metrics = evaluate(truth.profile, truth.norm, l4, SolverConfig("rk4", 64), rho=rho)
+        metrics = evaluate(replace(truth.profile, solver=SolverConfig("rk4", 64)), truth.norm, l4, rho=rho)
         assert metrics["reflectance_percent_mse"] < 0.01
 
     def test_identity_model_strictly_worse(self):
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, truth, 25, seed=6)
         cfg = SolverConfig("rk4", 16)
-        good = evaluate(truth.profile, truth.norm, l4, cfg, rho=rho)
-        bad = evaluate(identity_model(cube.n_bands), truth.norm, l4, cfg, rho=rho)
+        good = evaluate(replace(truth.profile, solver=cfg), truth.norm, l4, rho=rho)
+        bad = evaluate(replace(identity_model(cube.n_bands), solver=cfg), truth.norm, l4, rho=rho)
         assert bad["reflectance_percent_mse"] > good["reflectance_percent_mse"]
 
     def test_missing_inputs_warn(self):
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, truth, 5, seed=0, with_truth=False)
-        metrics = evaluate(truth.profile, truth.norm, l4, SolverConfig("rk4", 8), rho=rho)
+        metrics = evaluate(replace(truth.profile, solver=SolverConfig("rk4", 8)), truth.norm, l4, rho=rho)
         assert "reflectance_percent_mse" not in metrics
         assert metrics["warnings"]
 
@@ -456,7 +460,7 @@ class TestEvaluate:
         l4 = cube.pixels([(4, 4)] * 3)
         library = truth.rho[4, 4]
         metrics = evaluate(
-            truth.profile, truth.norm, l4, SolverConfig("rk4", 64), library=library
+            replace(truth.profile, solver=SolverConfig("rk4", 64)), truth.norm, l4, library=library
         )
         assert metrics["radiance_percent_mse"] < 0.01
 
@@ -492,4 +496,4 @@ class TestPixelArrayChecks:
     def test_evaluate_rejects(self, case):
         l4, rho = self.bad_inputs(case)
         with pytest.raises(ShapeError):
-            evaluate(identity_model(3), SceneNormalization.identity(3), l4, CFG, rho=rho)
+            evaluate(identity_model(3), SceneNormalization.identity(3), l4, rho=rho)

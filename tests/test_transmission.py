@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dinsat.ode import SolverConfig, ode_solve, solve_vjp
 from dinsat.transmission import (
     LinearProfile,
     NonlinearProfile,
+    invert_values,
     linear_factor,
     softplus_inverse,
     transmittance_values,
@@ -36,17 +38,17 @@ def complex_linear_factor(raw, cfg):
 class TestLinearRhs:
     def test_zero_absorption_limit(self):
         profile = LinearProfile(np.full(3, -40.0))
-        out = profile.rhs_from(profile.params)(np.array([1.0, 2.0, 3.0]))
+        out = profile.rhs_from()(np.array([1.0, 2.0, 3.0]))
         assert np.max(np.abs(out)) < 1e-15
 
     def test_definition(self):
         profile = linear([1.0, 2.0])
-        out = profile.rhs_from(profile.params)(np.array([1.0, 1.0]))
+        out = profile.rhs_from()(np.array([1.0, 1.0]))
         np.testing.assert_allclose(out, [-1.0, -2.0], rtol=1e-8)
 
     def test_origin_fixed_point(self):
         profile = linear([0.3, 1.0, 2.0, 0.1])
-        out = profile.rhs_from(profile.params)(np.zeros(4))
+        out = profile.rhs_from()(np.zeros(4))
         np.testing.assert_allclose(out, np.zeros(4))
 
     def test_softplus_inverse_round_trip(self):
@@ -58,19 +60,19 @@ class TestNonlinearRhs:
     def test_zero_input_fixed_point(self):
         rng = np.random.default_rng(0)
         profile = NonlinearProfile.initialize(6, rng)
-        np.testing.assert_allclose(profile.rhs_from(profile.params)(np.zeros(6)), np.zeros(6))
+        np.testing.assert_allclose(profile.rhs_from()(np.zeros(6)), np.zeros(6))
 
     def test_sign_construction(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             profile = NonlinearProfile.initialize(8, rng)
             L = rng.uniform(0, 2, 8)
-            assert np.all(profile.rhs_from(profile.params)(L) <= 0)
+            assert np.all(profile.rhs_from()(L) <= 0)
 
     def test_zero_params_half_decay(self):
         profile = NonlinearProfile(np.zeros(NonlinearProfile.initialize(4, np.random.default_rng(0)).params.size), 4)
         L = np.array([0.2, 0.4, 0.8, 1.6])
-        np.testing.assert_allclose(profile.rhs_from(profile.params)(L), -0.5 * L, rtol=1e-12)
+        np.testing.assert_allclose(profile.rhs_from()(L), -0.5 * L, rtol=1e-12)
 
 
 class TestNonlinearFusedRhs:
@@ -84,7 +86,7 @@ class TestNonlinearFusedRhs:
         n_enc = profile.encoder_layout.n_params
         z = mlp_forward(profile.params[:n_enc], profile.encoder_layout, L)
         d = mlp_forward(profile.params[n_enc:], profile.decoder_layout, z)
-        np.testing.assert_array_equal(profile.rhs_from(profile.params)(L), -(expit(d) * L))
+        np.testing.assert_array_equal(profile.rhs_from()(L), -(expit(d) * L))
 
     @pytest.mark.parametrize("shape", [(5,), (3, 5)])
     def test_vjp_matches_finite_differences(self, shape):
@@ -94,10 +96,10 @@ class TestNonlinearFusedRhs:
         weights = rng.uniform(-1.0, 1.0, shape)
 
         def objective(params, L):
-            return np.sum(weights * profile.rhs_from(params)(L))
+            return np.sum(weights * profile.with_params(params).rhs_from()(L))
 
-        value, vjp = profile.rhs_vjp_from(profile.params)(L0.copy())
-        np.testing.assert_array_equal(value, profile.rhs_from(profile.params)(L0))
+        value, vjp = profile.rhs_vjp_from()(L0.copy())
+        np.testing.assert_array_equal(value, profile.rhs_from()(L0))
         g_L, g_p = vjp(weights)
         fd_p = finite_difference(lambda p: objective(p, L0), profile.params.copy())
         fd_L = finite_difference(lambda L: objective(profile.params, L), L0.copy())
@@ -112,30 +114,31 @@ class TestNonlinearFusedRhs:
         profile = NonlinearProfile.initialize(6, rng)
         L = rng.uniform(0, 2, (4, 6))
         cfg = SolverConfig(method, 8)
-        rhs_vjp = profile.rhs_vjp_from(profile.params)
+        profile = replace(profile, solver=cfg)
+        rhs_vjp = profile.rhs_vjp_from()
         for op, reverse in ((profile.forward, False), (profile.inverse, True)):
             traced, _ = solve_vjp(rhs_vjp, L, cfg, reverse)
-            np.testing.assert_array_equal(op(profile.params, L, cfg), traced)
+            np.testing.assert_array_equal(op(L), traced)
 
     @pytest.mark.parametrize("scale", [1e3, -1e3])
     def test_saturated_decay_is_exact_and_silent(self, scale):
         # Scaled weights push every sigmoid far past exp's overflow point. The
         # decay is then exactly 0 or exactly 1, f(L) = -0 or -L, with no warning.
         profile = NonlinearProfile.initialize(126, np.random.default_rng(12))
-        params = profile.params * scale
+        saturated = profile.with_params(profile.params * scale)
         L = np.random.default_rng(13).uniform(0.1, 2.0, (64, 126))
         L_before = L.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            plain = profile.rhs_from(params)(L)
-            value, _ = profile.rhs_vjp_from(params)(L)
+            plain = saturated.rhs_from()(L)
+            value, _ = saturated.rhs_vjp_from()(L)
         np.testing.assert_array_equal(L, L_before)
         assert plain.tobytes() == value.tobytes()
         assert np.any(plain == 0.0) and np.any(plain == -L)
 
     def test_untraced_rhs_is_plain(self):
         profile = NonlinearProfile.initialize(5, np.random.default_rng(11))
-        out = profile.rhs_from(profile.params)(np.ones((2, 5)))
+        out = profile.rhs_from()(np.ones((2, 5)))
         assert type(out) is np.ndarray
 
 
@@ -149,16 +152,16 @@ class TestNonlinearFusedSolve:
         # L = rho * T(1), as in simulate_values: a state built from the params,
         # plus rho of its own, pulled back through both solves by hand.
         rng = np.random.default_rng(14)
-        profile = NonlinearProfile.initialize(5, rng)
         cfg = SolverConfig(method, 4)
+        profile = replace(NonlinearProfile.initialize(5, rng), solver=cfg)
         rho0 = rng.uniform(0.1, 1.0, shape)
         weights = rng.uniform(-1.0, 1.0, shape)
-        op = getattr(profile, direction)
 
         def objective(params, rho):
-            return np.sum(weights * op(params, rho * profile.t1(params, cfg), cfg))
+            trial = profile.with_params(params)
+            return np.sum(weights * getattr(trial, direction)(rho * trial.t1))
 
-        rhs_vjp = profile.rhs_vjp_from(profile.params)
+        rhs_vjp = profile.rhs_vjp_from()
         t1, t1_vjp = solve_vjp(rhs_vjp, np.ones(5), cfg)
         _, out_vjp = solve_vjp(rhs_vjp, rho0 * t1, cfg, reverse=direction == "inverse")
         g_L, g_p = out_vjp(weights)
@@ -187,9 +190,9 @@ class TestNonlinearFusedSolve:
         profile = profile.with_params(params)
         op = getattr(profile, direction)
         with pytest.raises(NumericError, match=match) as untraced:
-            op(profile.params, L, CFG)
+            op(L)
         with pytest.raises(NumericError) as traced:
-            solve_vjp(profile.rhs_vjp_from(profile.params), L, CFG, reverse=direction == "inverse")
+            solve_vjp(profile.rhs_vjp_from(), L, CFG, reverse=direction == "inverse")
         assert str(traced.value) == str(untraced.value)
 
 
@@ -200,7 +203,7 @@ class TestNonlinearAdjointMemory:
         # per pixel at 126 bands. A kept decoder pre-activation would add 1 KB.
         profile = NonlinearProfile.initialize(126, np.random.default_rng(15))
         z = np.random.default_rng(16).uniform(0.1, 1.0, (2000, 126))
-        rhs_vjp = profile.rhs_vjp_from(profile.params)
+        rhs_vjp = profile.rhs_vjp_from()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -219,14 +222,15 @@ class TestNonlinearComplexStep:
         profile = NonlinearProfile.initialize(6, rng)
         z = rng.uniform(0.1, 1.0, (3, 6))
         w_t, w_l = rng.uniform(-1.0, 1.0, 6), rng.uniform(-1.0, 1.0, (3, 6))
-        return profile, z, w_t, w_l, SolverConfig(method, 16)
+        cfg = SolverConfig(method, 16)
+        return replace(profile, solver=cfg), z, w_t, w_l, cfg
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_pullback_in_the_parameters(self, method):
-        profile, z, w_t, w_l, cfg = self.problem(method)
-        _, _, pullback = profile.inverse_vjp(profile.params, z, cfg)
-        cs_t1 = complex_step(lambda p: np.sum(w_t * profile.t1(p, cfg)), profile.params)
-        cs_l2 = complex_step(lambda p: np.sum(w_l * profile.inverse(p, z, cfg)), profile.params)
+        profile, z, w_t, w_l, _ = self.problem(method)
+        _, _, pullback = profile.inverse_vjp(z)
+        cs_t1 = complex_step(lambda p: np.sum(w_t * profile.with_params(p).t1), profile.params)
+        cs_l2 = complex_step(lambda p: np.sum(w_l * profile.with_params(p).inverse(z)), profile.params)
         assert profile.params.size == 249
         np.testing.assert_allclose(pullback(w_t, np.zeros_like(z)), cs_t1, rtol=1e-12, atol=0)
         np.testing.assert_allclose(pullback(np.zeros(6), w_l), cs_l2, rtol=1e-12, atol=0)
@@ -234,41 +238,41 @@ class TestNonlinearComplexStep:
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_solve_vjp_state_cotangent(self, method):
         profile, z, _, w_l, cfg = self.problem(method)
-        rhs_vjp = profile.rhs_vjp_from(profile.params)
+        rhs_vjp = profile.rhs_vjp_from()
         for op, reverse in ((profile.forward, False), (profile.inverse, True)):
             _, vjp = solve_vjp(rhs_vjp, z, cfg, reverse)
-            expected = complex_step(lambda L: np.sum(w_l * op(profile.params, L, cfg)), z)
+            expected = complex_step(lambda L: np.sum(w_l * op(L)), z)
             np.testing.assert_allclose(vjp(w_l)[0], expected, rtol=1e-12, atol=0)
 
 
 class TestTransmit:
     def test_linear_half(self):
         model = linear(np.full(5, np.log(2.0)))
-        out = model.forward(model.params, np.ones(5), CFG)
+        out = model.forward(np.ones(5))
         np.testing.assert_allclose(out, 0.5, atol=1e-8)
 
     def test_zero_fixed_point(self):
         rng = np.random.default_rng(2)
         for model in (linear(rng.uniform(0, 3, 4)), NonlinearProfile.initialize(4, rng)):
-            np.testing.assert_allclose(model.forward(model.params, np.zeros(4), CFG), np.zeros(4))
+            np.testing.assert_allclose(model.forward(np.zeros(4)), np.zeros(4))
 
     def test_zero_absorption_identity(self):
         profile = LinearProfile(np.full(3, -40.0))
         L = np.array([0.1, 0.5, 0.9])
-        np.testing.assert_allclose(profile.forward(profile.params, L, CFG), L, atol=1e-12)
+        np.testing.assert_allclose(profile.forward(L), L, atol=1e-12)
 
 
 class TestInvertTransmit:
     def test_linear_doubling(self):
         model = linear(np.full(4, np.log(2.0)))
-        out = model.inverse(model.params, 0.5 * np.ones(4), CFG)
+        out = model.inverse(0.5 * np.ones(4))
         np.testing.assert_allclose(out, 1.0, atol=1e-6)
 
     def test_linear_round_trip_tight(self):
         rng = np.random.default_rng(3)
         model = linear(rng.uniform(0, 5, 126))
         L = rng.uniform(0, 1, 126)
-        back = model.inverse(model.params, model.forward(model.params, L, CFG), CFG)
+        back = model.inverse(model.forward(L))
         assert np.max(np.abs(back - L)) < 1e-9
 
     def test_nonlinear_round_trip(self):
@@ -276,30 +280,30 @@ class TestInvertTransmit:
         for _ in range(5):
             model = NonlinearProfile.initialize(126, rng)
             L = rng.uniform(0, 1, 126)
-            back = model.inverse(model.params, model.forward(model.params, L, CFG), CFG)
+            back = model.inverse(model.forward(L))
             assert np.max(np.abs(back - L)) < 1e-4
 
     def test_output_dominates_input(self):
         rng = np.random.default_rng(5)
         model = linear(rng.uniform(0, 2, 8))
         L = rng.uniform(0, 1, 8)
-        assert np.all(model.inverse(model.params, L, CFG) >= L)
+        assert np.all(model.inverse(L) >= L)
 
 
 class TestTransmittanceSpectrum:
     def test_zero_absorption(self):
         profile = LinearProfile(np.full(3, -40.0))
-        np.testing.assert_allclose(profile.t1(profile.params, CFG), 1.0, atol=1e-12)
+        np.testing.assert_allclose(profile.t1, 1.0, atol=1e-12)
 
     def test_unit_rate(self):
         profile = linear(np.ones(6))
-        out = profile.t1(profile.params, CFG)
+        out = profile.t1
         np.testing.assert_allclose(out, np.exp(-1.0), atol=1e-7)
 
     def test_nonlinear_zero_init(self):
         n_params = NonlinearProfile.initialize(5, np.random.default_rng(0)).params.size
         profile = NonlinearProfile(np.zeros(n_params), 5)
-        out = profile.t1(profile.params, CFG)
+        out = profile.t1
         np.testing.assert_allclose(out, np.exp(-0.5), atol=1e-2)
         assert np.all((out > 0) & (out <= 1))
 
@@ -313,7 +317,7 @@ class TestProperties:
         lin = linear(rng.uniform(0.01, 5, 12))
         non = NonlinearProfile.initialize(12, rng)
         for model in (lin, non):
-            out = model.forward(model.params, L, CFG)
+            out = model.forward(L)
             assert np.all(out >= -1e-12)
             assert np.all(out <= L + 1e-12)
 
@@ -323,7 +327,7 @@ class TestProperties:
         bigger = alpha + rng.uniform(0, 2, 10)
         L = rng.uniform(0, 1, 10)
         fast, slow = linear(bigger), linear(alpha)
-        assert np.all(fast.forward(fast.params, L, CFG) <= slow.forward(slow.params, L, CFG) + 1e-12)
+        assert np.all(fast.forward(L) <= slow.forward(L) + 1e-12)
 
     def test_linear_homogeneity(self):
         rng = np.random.default_rng(7)
@@ -331,7 +335,7 @@ class TestProperties:
         L = rng.uniform(0, 1, 9)
         for c in (0.0, 0.5, 3.0):
             np.testing.assert_allclose(
-                model.forward(model.params, c * L, CFG), c * model.forward(model.params, L, CFG),
+                model.forward(c * L), c * model.forward(L),
                 rtol=1e-12, atol=1e-15,
             )
 
@@ -345,9 +349,9 @@ class TestLinearClosedForm:
     )
     def test_matches_stepped_solver(self, method, steps, alpha):
         cfg = SolverConfig(method, steps)
-        model = linear([alpha])
+        model = replace(linear([alpha]), solver=cfg)
         rate = model.alpha
-        closed = transmittance_values(model, model.params, cfg)[0]
+        closed = transmittance_values(model)[0]
         stepped = ode_solve(lambda L: -(rate * L), np.ones(1), cfg)[0]
         gap = abs(closed - stepped)
         if method == "euler" and abs(1.0 - rate[0] / steps) < 1e-2:
@@ -366,7 +370,7 @@ class TestLinearClosedForm:
         weights = rng.uniform(-1.0, 1.0, 7)
 
         # The pullback of T(1)'s cotangent alone is weights * d factor / d raw.
-        _, l2, pullback = LinearProfile(raw).inverse_vjp(raw, np.ones(7), cfg)
+        _, l2, pullback = LinearProfile(raw, cfg).inverse_vjp(np.ones(7))
         grad = pullback(weights, np.zeros_like(l2))
         fd = finite_difference(lambda r: np.sum(weights * linear_factor(r, cfg)), raw.copy())
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
@@ -374,17 +378,17 @@ class TestLinearClosedForm:
     def test_zero_transmittance_band_is_numeric_error(self):
         # Euler with alpha h = 1 gives T(1) = 0 exactly in bands 1 and 3.
         cfg = SolverConfig("euler", 16)
-        model = linear([0.5, 16.0, 0.7, 16.0])
-        t1 = model.t1(model.params, cfg)
+        model = replace(linear([0.5, 16.0, 0.7, 16.0]), solver=cfg)
+        t1 = model.t1
         assert t1[1] == 0.0 and t1[3] == 0.0 and t1[0] > 0 and t1[2] > 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=r"band\(s\) 1, 3;"):
-                model.inverse(model.params, np.ones((2, 4)), cfg)
+                model.inverse(np.ones((2, 4)))
             with pytest.raises(NumericError, match=r"band\(s\) 1, 3;"):
-                model.inverse(model.params, np.ones(4), cfg, transmittance=t1)
+                invert_values(model, np.ones(4))
             with pytest.raises(NumericError, match=r"band\(s\) 1, 3;"):
-                model.inverse_vjp(model.params, np.ones((2, 4)), cfg)
+                model.inverse_vjp(np.ones((2, 4)))
 
     def test_non_finite_factor_is_numeric_error(self):
         with pytest.raises(NumericError):
@@ -398,7 +402,7 @@ class TestLinearComplexStep:
     def test_factor_derivative(self, method):
         cfg = SolverConfig(method, 16)
         raw = softplus_inverse(np.linspace(0.1, 30.0, 13))
-        _, l2, pullback = LinearProfile(raw).inverse_vjp(raw, np.ones(raw.size), cfg)
+        _, l2, pullback = LinearProfile(raw, cfg).inverse_vjp(np.ones(raw.size))
         # The factor is elementwise, so one perturbation of every band at once
         # gives each band's derivative.
         expected = complex_linear_factor(raw + 1j * H_CS, cfg).imag / H_CS
@@ -414,10 +418,10 @@ class TestLinearComplexStep:
         profile = linear(rng.uniform(0.1, 5.0, 6))
         z = rng.uniform(0.1, 1.0, (3, 6))
         t0 = linear_factor(profile.params, CFG)
-        t1, l2, pullback = profile.inverse_vjp(profile.params, z, CFG)
+        t1, l2, pullback = profile.inverse_vjp(z)
         np.testing.assert_array_equal(t1, t0)
         np.testing.assert_array_equal(l2, z / t0)
-        np.testing.assert_array_equal(profile.forward(profile.params, z, CFG), z * t0)
+        np.testing.assert_array_equal(profile.forward(z), z * t0)
         if direction == "forward":
             weights = rng.uniform(-1.0, 1.0, 6)
             grad = pullback(weights, np.zeros_like(z))
@@ -432,3 +436,41 @@ class TestLinearComplexStep:
                 return np.sum(weights * z / complex_linear_factor(r, CFG))
 
         np.testing.assert_allclose(grad, complex_step(reference, profile.params), rtol=1e-12, atol=0)
+
+
+class TestProfileOwnsItsState:
+    """A profile's parameters are a private read-only copy and its T(1) is computed once."""
+
+    def profiles(self):
+        rng = np.random.default_rng(19)
+        return (
+            replace(linear(rng.uniform(0.1, 3.0, 5)), solver=SolverConfig("euler", 8)),
+            replace(NonlinearProfile.initialize(5, rng), solver=SolverConfig("euler", 8)),
+        )
+
+    def test_parameters_and_t1_are_read_only(self):
+        for model in self.profiles():
+            with pytest.raises(ValueError):
+                model.params[0] = 0.0
+            with pytest.raises(ValueError):
+                model.t1[0] = 0.0
+
+    def test_parameters_are_a_copy(self):
+        raw = np.array([0.1, 0.2, 0.3])
+        model = LinearProfile(raw)
+        raw[0] = 5.0
+        assert model.params[0] == 0.1 and model.params is not raw
+
+    def test_t1_is_computed_once(self):
+        for model in self.profiles():
+            assert model.t1 is model.t1
+            assert transmittance_values(model) is model.t1
+
+    def test_with_params_gives_a_new_profile_with_its_own_t1(self):
+        for model in self.profiles():
+            t1 = model.t1.copy()
+            moved = model.with_params(model.params + 0.5)
+            assert moved.solver == model.solver and moved.params is not model.params
+            np.testing.assert_array_equal(moved.params, model.params + 0.5)
+            assert not np.any(moved.t1 == t1)
+            np.testing.assert_array_equal(model.t1, t1)
