@@ -15,9 +15,8 @@ from .training import (
     TrainRun,
     ensemble,
     evaluate,
-    supervised_loss,
+    loss,
     train,
-    unsupervised_loss,
 )
 from .transmission import LinearProfile, NonlinearProfile
 from .types import (
@@ -47,16 +46,15 @@ __all__ = [
     "estimate_normalization",
     "estimate_scale",
     "evaluate",
+    "loss",
     "ode_solve",
     "ode_solve_reverse",
     "percent_mse",
     "sample_pixels",
     "simulate_values",
     "split_dataset",
-    "supervised_loss",
     "synth_scene",
     "train",
-    "unsupervised_loss",
 ]
 
 __version__ = "0.1.0"

@@ -237,9 +237,9 @@ def read_normalization(path: str | Path) -> SceneNormalization:
 def write_run_record(
     path: str | Path,
     run: TrainRun,
-    transmittance: Optional[np.ndarray] = None,
     roi_reflectance: Optional[np.ndarray] = None,
 ) -> None:
+    """The run's config, split, history and outcome, its model's T(1) and ``roi_reflectance`` as JSON."""
     config = asdict(run.config)
     config["solver"] = asdict(run.config.solver)
     doc = {
@@ -249,7 +249,7 @@ def write_run_record(
         "converged": run.converged,
         "epochs": run.epochs,
         "wall_time_s": run.wall_time,
-        "transmittance": None if transmittance is None else [float(v) for v in transmittance],
+        "transmittance": [float(v) for v in run.model.t1],
         "roi_reflectance": None if roi_reflectance is None else [float(v) for v in roi_reflectance],
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")

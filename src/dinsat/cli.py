@@ -228,8 +228,7 @@ def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, out_
         if run is None:
             continue
         artifacts.write_model(out / f"model_{i:03d}.json", run.model, cube.grid)
-        artifacts.write_run_record(out / f"run_{i:03d}.json", run, transmittance=result.transmittances[i],
-                                   roi_reflectance=result.roi_reflectances[i])
+        artifacts.write_run_record(out / f"run_{i:03d}.json", run, roi_reflectance=result.roi_reflectances[i])
     for i, message in result.failures:
         click.echo(f"run {i} failed: {message}", err=True)
     click.echo(

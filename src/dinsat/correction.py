@@ -47,8 +47,8 @@ class SceneNormalization:
             raise ShapeError("dark offset must be a per-band vector")
         if np.any(c < 0) or not np.all(np.isfinite(c)):
             raise ConfigError("dark offset must be finite and nonnegative")
-        if not self.m > 0:
-            raise ConfigError("illumination magnitude must be positive")
+        if not (self.m > 0 and np.isfinite(self.m)):
+            raise ConfigError(f"illumination magnitude must be positive and finite, got {self.m}")
 
     @classmethod
     def identity(cls, n_bands: int) -> "SceneNormalization":

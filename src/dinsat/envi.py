@@ -76,6 +76,8 @@ class EnviHeader:
             )
         if self.byte_order not in (0, 1):
             raise ParseError(f"byte order must be 0 or 1, got {self.byte_order}")
+        if self.header_offset < 0:
+            raise ParseError(f"header offset must be nonnegative, got {self.header_offset}")
         for name, values in (("wavelength", self.wavelengths_nm), ("data gain values", self.data_gain),
                              ("data offset values", self.data_offset)):
             if values is not None and len(values) != self.bands:

@@ -7,6 +7,7 @@ bugs cannot cancel out in round-trip tests against this truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,12 @@ class SynthSpec:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        # Each check below is written so that nan fails it.
+        for name in ("wl_start_nm", "wl_end_nm", "baseline_alpha", "dark_level", "illumination", "noise_std"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not all(math.isfinite(v) for band in self.absorption_bands for v in band):
+            raise ConfigError(f"absorption bands must be finite, got {self.absorption_bands}")
         if self.rows < 1 or self.cols < 1 or self.n_bands < 2:
             raise ConfigError("scene dimensions must be positive (>= 2 bands)")
         if not self.wl_end_nm > self.wl_start_nm > 0:

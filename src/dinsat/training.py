@@ -1,4 +1,11 @@
-"""Loss functions, the optimization loop, convergence, and ensembles."""
+"""The training loss, full-batch Adam with early stopping, seeded ensembles, and evaluation.
+
+``loss`` is the forward half of ``_loss_terms``, which ``train`` steps on; both
+take the mode and the loss weights from a ``TrainConfig``. A run's split comes
+from ``split_dataset`` and its initial model from ``config.seed``. A trained
+run's T(1) is its ``model.t1``, and ``dinsat report`` computes the ensemble's
+per-band statistics from the run records.
+"""
 
 from __future__ import annotations
 
@@ -96,9 +103,9 @@ class TrainRun:
     epochs: int
 
 
-def build_model(config: TrainConfig, n_bands: int, seed: int) -> Profile:
-    """An initial profile of ``config``'s kind that integrates with ``config.solver``."""
-    rng = np.random.default_rng(seed)
+def build_model(config: TrainConfig, n_bands: int) -> Profile:
+    """An initial profile of ``config``'s kind, drawn from ``config.seed``, with ``config.solver``."""
+    rng = np.random.default_rng(config.seed)
     if config.model_kind == "linear":
         model = LinearProfile.initialize(n_bands, rng)
     else:
@@ -188,35 +195,17 @@ def _head(config: TrainConfig, l2, t1, rho):
     return _unsupervised_head(l2, t1, config.rho_weight, config.transmission_weight, config.slope_weight)
 
 
-def supervised_loss(
-    model: Profile,
-    norm: SceneNormalization,
-    l4: np.ndarray,
-    rho: np.ndarray,
-    fd_weight: float = 1.0,
-) -> float:
-    """L = L_MSE + lambda * L_FD over paired (n, bands) pixels."""
-    if len(l4) == 0:
-        raise EmptyInputError("supervised loss needs at least one pixel")
-    t1 = transmittance_values(model)
-    l2 = model.inverse(normalized_radiance(norm, l4))
-    return _supervised_head(l2, t1, np.asarray(rho, float), fd_weight)[0]
+def loss(config: TrainConfig, model: Profile, z: np.ndarray, rho: Optional[np.ndarray] = None) -> float:
+    """The loss of ``config``'s mode and weights over normalized radiance ``z``: ``_loss_terms``'s forward half.
 
-
-def unsupervised_loss(
-    model: Profile,
-    norm: SceneNormalization,
-    l4: np.ndarray,
-    rho_weight: float = 1e-2,
-    transmission_weight: float = 1e-2,
-    slope_weight: float = 1.0,
-) -> float:
-    """L = l1*mean(rho) + l2*mean(T(1)) + l3*mean(|d rho|)."""
-    if len(l4) == 0:
-        raise EmptyInputError("unsupervised loss needs at least one pixel")
+    ``z`` and the truth ``rho`` are (n, bands) arrays; supervised mode needs ``rho``.
+    """
+    if len(z) == 0:
+        raise EmptyInputError("loss needs at least one pixel")
+    if config.mode == "supervised" and rho is None:
+        raise InvalidDatasetError("supervised loss needs truth reflectance")
     t1 = transmittance_values(model)
-    l2 = model.inverse(normalized_radiance(norm, l4))
-    return _unsupervised_head(l2, t1, rho_weight, transmission_weight, slope_weight)[0]
+    return _head(config, model.inverse(z), t1, rho)[0]
 
 
 def _loss_terms(config: TrainConfig, model: Profile, z, rho):
@@ -238,12 +227,13 @@ def train(
     l4: np.ndarray,
     norm: SceneNormalization,
     rho: Optional[np.ndarray] = None,
-    split: Optional[DatasetSplit] = None,
     split_seed: Optional[int] = None,
 ) -> TrainRun:
     """Full-batch Adam until convergence; returns the best-monitored parameters.
 
     ``l4`` holds (n, bands) radiance; supervised training needs the paired ``rho``.
+    The split is ``split_dataset(len(l4), config.fractions, split_seed)``, and
+    ``split_seed`` defaults to ``config.seed``.
     """
     started = time.perf_counter()
     if np.size(l4) == 0:
@@ -251,12 +241,7 @@ def train(
     l4, rho = _pixel_arrays(l4, rho)
     if config.mode == "supervised" and rho is None:
         raise InvalidDatasetError("supervised training needs truth reflectance")
-    if split is None:
-        split = split_dataset(
-            len(l4),
-            config.fractions,
-            config.seed if split_seed is None else split_seed,
-        )
+    split = split_dataset(len(l4), config.fractions, config.seed if split_seed is None else split_seed)
     train_idx = np.asarray(split.train, dtype=int)
     val_idx = np.asarray(split.val, dtype=int)
     if len(train_idx) == 0:
@@ -268,7 +253,7 @@ def train(
     train_data = (z[train_idx], None if rho is None else rho[train_idx])
     val_data = (z[val_idx], None if rho is None else rho[val_idx])
 
-    model = build_model(config, l4.shape[1], config.seed)
+    model = build_model(config, l4.shape[1])
     adam = AdamState(lr=config.lr)
 
     # Early stopping monitors validation loss when a validation split exists,
@@ -293,8 +278,7 @@ def train(
             monitor = train_loss
             record = {"epoch": epoch, "train_loss": train_loss, **components}
         else:
-            t1 = transmittance_values(model)
-            val_loss = _head(config, model.inverse(val_data[0]), t1, val_data[1])[0]
+            val_loss = loss(config, model, *val_data)
             monitor = val_loss
             record = {
                 "epoch": epoch,
@@ -327,16 +311,11 @@ def train(
 
 @dataclass
 class EnsembleResult:
-    """Each member's run, T(1) and ROI-mean reflectance (None where it failed), and their statistics."""
+    """Each member's run and ROI-mean reflectance (None where it failed); a run's T(1) is ``run.model.t1``."""
 
     runs: list[Optional[TrainRun]]
     failures: list[tuple[int, DinsatError]]
-    transmittances: list[Optional[np.ndarray]]
     roi_reflectances: list[Optional[np.ndarray]]
-    transmittance_mean: np.ndarray
-    transmittance_std: np.ndarray
-    roi_reflectance_mean: np.ndarray
-    roi_reflectance_std: np.ndarray
 
     @property
     def completed(self) -> list[TrainRun]:
@@ -351,11 +330,11 @@ def ensemble(
     rho: Optional[np.ndarray] = None,
     reshuffle: bool = True,
 ) -> EnsembleResult:
-    """Independent seeded runs, one after another, plus per-band aggregate statistics over all of ``l4``.
+    """Independent seeded runs, one after another, each with its mean corrected reflectance over all of ``l4``.
 
     Member i trains with seed ``config.seed + i``. A member whose training
     raises a DinsatError is recorded as a failure; an error computing a
-    trained member's T(1) or ROI reflectance propagates.
+    trained member's ROI reflectance propagates.
     """
     if n_runs < 1:
         raise ConfigError("ensemble needs at least one run")
@@ -363,7 +342,6 @@ def ensemble(
 
     runs: list[Optional[TrainRun]] = [None] * n_runs
     failures: list[tuple[int, DinsatError]] = []
-    transmittances: list[Optional[np.ndarray]] = [None] * n_runs
     roi_reflectances: list[Optional[np.ndarray]] = [None] * n_runs
     for i in range(n_runs):
         member = replace(config, seed=config.seed + i)
@@ -374,25 +352,12 @@ def ensemble(
         except DinsatError as e:
             failures.append((i, e))
             continue
-        transmittances[i] = transmittance_values(run.model)
         roi_reflectances[i] = correct_batch(run.model, norm, l4)[0].mean(axis=0)
 
     if len(failures) == n_runs:
         reasons = "; ".join(f"run {i}: {e}" for i, e in failures)
         raise type(failures[0][1])(f"all ensemble members failed: {reasons}")
-
-    t_stack = np.stack([t for t in transmittances if t is not None])
-    roi_stack = np.stack([r for r in roi_reflectances if r is not None])
-    return EnsembleResult(
-        runs=runs,
-        failures=failures,
-        transmittances=transmittances,
-        roi_reflectances=roi_reflectances,
-        transmittance_mean=t_stack.mean(axis=0),
-        transmittance_std=t_stack.std(axis=0),
-        roi_reflectance_mean=roi_stack.mean(axis=0),
-        roi_reflectance_std=roi_stack.std(axis=0),
-    )
+    return EnsembleResult(runs=runs, failures=failures, roi_reflectances=roi_reflectances)
 
 
 def evaluate(

@@ -109,7 +109,9 @@ def _own_params(params, what: str) -> np.ndarray:
     return _frozen(params)
 
 
-@dataclass(frozen=True)
+# eq=False: a profile compares and hashes by identity, since the
+# generated __eq__ would compare its parameter arrays elementwise.
+@dataclass(frozen=True, eq=False)
 class LinearProfile:
     """Per-band exponential decay; alpha = softplus(raw) keeps rates >= 0."""
 
@@ -186,7 +188,7 @@ class LinearProfile:
         return t1, l2, pullback
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonlinearProfile:
     """Encoder/decoder rhs: dL/dx = -sigmoid(decode(encode(L))) * L."""
 

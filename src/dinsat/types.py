@@ -25,6 +25,8 @@ class WavelengthGrid:
         object.__setattr__(self, "wavelengths_nm", wl)
         if wl.ndim != 1 or wl.size < 2:
             raise ShapeError("wavelength grid must be 1-D with at least 2 bands")
+        if not np.all(np.isfinite(wl)):
+            raise ShapeError("wavelengths must be finite")
         if np.any(wl <= 0):
             raise ShapeError("wavelengths must be positive")
         if np.any(np.diff(wl) <= 0):

@@ -30,9 +30,8 @@ from dinsat.training import (
     TrainConfig,
     _loss_terms,
     ensemble,
-    supervised_loss,
+    loss,
     train,
-    unsupervised_loss,
 )
 from dinsat.transmission import (
     LinearProfile,
@@ -132,15 +131,15 @@ def test_criterion_4_loss_gradients_match_finite_differences():
         else:
             model = NonlinearProfile.initialize(n, rng)
         model = replace(model, solver=cfg)
+        z = normalized_radiance(norm, l4)
         for mode in ("supervised", "unsupervised"):
+            config = TrainConfig(mode=mode, fd_weight=1.0, solver=cfg)
+
             def loss_fn(params):
-                if mode == "supervised":
-                    return supervised_loss(model.with_params(params), norm, l4, rho, 1.0)
-                return unsupervised_loss(model.with_params(params), norm, l4)
+                return loss(config, model.with_params(params), z, rho)
 
             p0 = model.params.copy()
-            config = TrainConfig(mode=mode, fd_weight=1.0, solver=cfg)
-            _, _, grad = _loss_terms(config, model, normalized_radiance(norm, l4), rho)
+            _, _, grad = _loss_terms(config, model, z, rho)
             for _ in range(5):
                 v = rng.standard_normal(p0.size)
                 v /= np.linalg.norm(v)
@@ -167,7 +166,8 @@ def test_criterion_5_supervised_synthetic_recovery(scene):
     assert (len(split.train), len(split.val), len(split.test)) == (35, 9, 101)
 
     config = TrainConfig(mode="supervised", model_kind="linear", seed=1, solver=RK4_16)
-    run = train(config, l4, truth.norm, rho, split=split)
+    run = train(config, l4, truth.norm, rho, split_seed=5)
+    assert run.split == split
     model = run.model
 
     # (a) held-out reflectance percent MSE < 1.0
@@ -227,7 +227,7 @@ def test_criterion_6_unsupervised_synthetic_recovery(scene):
     centers = [
         int(np.argmin(np.abs(wl - c))) for c, _w, _d in SCENE_SPEC.absorption_bands
     ]
-    minima = _local_minima_deepest(result.transmittance_mean, 3)
+    minima = _local_minima_deepest(np.mean([run.model.t1 for run in result.completed], axis=0), 3)
     assert len(minima) == 3, f"found minima at bands {minima}"
     unmatched = []
     remaining = list(minima)
@@ -309,7 +309,7 @@ def test_criterion_9_loss_unit_values():
     norm = SceneNormalization.identity(2)
     l4 = np.array([[1.0, 0.0]])
     rho = np.array([[0.0, 1.0]])
-    sup = supervised_loss(identity, norm, l4, rho)
+    sup = loss(TrainConfig(), identity, normalized_radiance(norm, l4), rho)
     assert abs(sup - 5.0) < 1e-12, f"supervised loss {sup!r}"
 
     # Unsupervised: rho_hat = 0.5 flat, T(1) = 0.7, default weights:
@@ -322,5 +322,5 @@ def test_criterion_9_loss_unit_values():
     model = LinearProfile(softplus_inverse(np.full(2, alpha)), RK4_16)
     f = model.t1
     unsup_l4 = (0.5 * f * f)[None, :]
-    unsup = unsupervised_loss(model, norm, unsup_l4)
+    unsup = loss(TrainConfig(mode="unsupervised"), model, normalized_radiance(norm, unsup_l4))
     assert abs(unsup - 0.012) < 1e-12, f"unsupervised loss {unsup!r}"

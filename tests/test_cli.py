@@ -491,6 +491,16 @@ class TestReportCommand:
         stats = (out / "transmittance_stats.csv").read_text().splitlines()
         assert stats[0] == "band,wavelength_nm,mean,std"
         assert len(stats) == 17
+        # Each record's T(1) is its model's, bit for bit, and the stats are their mean and std.
+        t1s = []
+        for i in range(2):
+            t1 = read_model(run_dir / f"model_{i:03d}.json")[0].t1
+            record = json.loads((run_dir / f"run_{i:03d}.json").read_text())
+            np.testing.assert_array_equal(record["transmittance"], t1)
+            t1s.append(t1)
+        columns = np.array([[float(v) for v in line.split(",")[2:]] for line in stats[1:]])
+        np.testing.assert_array_equal(columns[:, 0], np.mean(t1s, axis=0))
+        np.testing.assert_array_equal(columns[:, 1], np.std(t1s, axis=0))
         curves = (out / "loss_curves.csv").read_text().splitlines()
         assert curves[0] == "run,epoch,train_loss,val_loss"
         spectra = (out / "roi_spectra.csv").read_text().splitlines()
@@ -520,6 +530,13 @@ SPEC_NAN_LINES = {
     "baseline_alpha": "baseline_alpha = nan", "absorption_width": "absorption = 940:nan:1.2",
     "absorption_depth": "absorption = 940:40:nan",
 }
+# And per value that an inf must not pass.
+SPEC_INF_LINES = {
+    "noise_std": "noise_std = inf", "illumination": "illumination = inf", "dark_level": "dark_level = inf",
+    "baseline_alpha": "baseline_alpha = inf", "wl_end_nm": "wl_end_nm = inf",
+    "absorption_width": "absorption = 940:inf:1.2", "absorption_depth": "absorption = 940:40:inf",
+}
+SPEC_BAD_LINES = {"nan": SPEC_NAN_LINES, "inf": SPEC_INF_LINES}
 
 
 @pytest.fixture(scope="module")
@@ -530,9 +547,13 @@ def bad_inputs(tmp_path_factory):
     envi.write_envi(cube, d / "scene.hdr", data_type=5)
     header = (d / "scene.hdr").read_text()
     for name, old, new in (("byte_order", "byte order = 0", "byte order = x"),
-                           ("offset", "header offset = 0", "header offset = z")):
+                           ("offset", "header offset = 0", "header offset = z"),
+                           ("wavelength_nan", "wavelength = {450.0,", "wavelength = {nan,")):
         (d / f"{name}.hdr").write_text(header.replace(old, new))
         (d / f"{name}.img").write_bytes((d / "scene.img").read_bytes())
+    # 8 bytes short, so that the data size matches the offset and only its sign is wrong.
+    (d / "negative_offset.hdr").write_text(header.replace("header offset = 0", "header offset = -8"))
+    (d / "negative_offset.img").write_bytes((d / "scene.img").read_bytes()[:-8])
     write_spectrum_csv(d / "spectrum.csv", cube.grid, Spectrum(np.full(8, 0.5), "reflectance"))
     write_spectrum_csv(d / "negative_library.csv", cube.grid, Spectrum(np.r_[-0.5, np.full(7, 0.5)], "reflectance"))
     write_spectrum_csv(d / "library5.csv", WavelengthGrid.linear(5), Spectrum(np.full(5, 0.5), "reflectance"))
@@ -540,6 +561,7 @@ def bad_inputs(tmp_path_factory):
     write_normalization(d / "norm5.json", SceneNormalization(np.zeros(5), 1.0))
     (d / "norm_no_m.json").write_text(json.dumps({"c": [0.0] * 8}))
     (d / "norm_m_0.json").write_text(json.dumps({"c": [0.0] * 8, "m": 0.0}))
+    (d / "norm_m_inf.json").write_text(json.dumps({"c": [0.0] * 8, "m": float("inf")}))
     (d / "norm_neg_c.json").write_text(json.dumps({"c": [-0.1] + [0.0] * 7, "m": 1.0}))
     valid = _linear_model_doc(8)
     models = {
@@ -579,16 +601,16 @@ def bad_inputs(tmp_path_factory):
                        *((f"fraction_{v}", f"pixel_fraction = {v}\n") for v in ("nan", "inf", "-1")),
                        *((f"rel_tol_{v}", f"rel_tol = {v}\n") for v in ("nan", "1")),
                        ("split_nan", "split_fractions = nan/0.1/0.1\n"), ("lr_nan", "lr = nan\n"),
-                       *((f"spec_{name}_nan", f"rows = 4\ncols = 4\nbands = 8\n{line}\n")
-                         for name, line in SPEC_NAN_LINES.items()),
+                       *((f"spec_{name}_{value}", f"rows = 4\ncols = 4\nbands = 8\n{line}\n")
+                         for value, lines in SPEC_BAD_LINES.items() for name, line in lines.items()),
                        ("split_small", "mode = unsupervised\nmax_epochs = 2\nsplit_fractions = 0.5/0.1/0.4\n")):
         (d / f"{name}.txt").write_text(text)
     return d
 
 
 BAD_INPUT_CASES = [
-    *((f"synth-{name.replace('_', '-')}-nan", f"synth --spec {{d}}/spec_{name}_nan.txt --out {{o}}", 2,
-       "config-error") for name in SPEC_NAN_LINES),
+    *((f"synth-{name.replace('_', '-')}-{value}", f"synth --spec {{d}}/spec_{name}_{value}.txt --out {{o}}", 2,
+       "config-error") for value, lines in SPEC_BAD_LINES.items() for name in lines),
     ("train-max-epochs-abc", "train --cube {d}/scene.hdr --mode unsupervised --config {d}/epochs_abc.txt --out {o}",
      2, "config-error"),
     ("train-split-fractions-abc", "train --cube {d}/scene.hdr --mode unsupervised --config {d}/split_abc.txt --out {o}",
@@ -648,6 +670,8 @@ BAD_INPUT_CASES = [
      3, "parse-error"),
     ("norm-m-0", "correct --cube {d}/scene.hdr --model {d}/model8.json --norm {d}/norm_m_0.json --out {o}",
      3, "parse-error"),
+    ("norm-m-inf", "correct --cube {d}/scene.hdr --model {d}/model8.json --norm {d}/norm_m_inf.json --out {o}",
+     3, "parse-error"),
     ("norm-negative-c", "correct --cube {d}/scene.hdr --model {d}/model8.json --norm {d}/norm_neg_c.json --out {o}",
      3, "parse-error"),
     ("report-without-history", "report --runs {d}/runs --out {o}", 3, "parse-error"),
@@ -656,6 +680,10 @@ BAD_INPUT_CASES = [
      3, "invalid-dataset-error"),
     ("header-byte-order-x", "correct --cube {d}/byte_order.hdr --model {d}/model8.json --out {o}", 3, "parse-error"),
     ("header-offset-z", "correct --cube {d}/offset.hdr --model {d}/model8.json --out {o}", 3, "parse-error"),
+    ("header-offset-negative", "correct --cube {d}/negative_offset.hdr --model {d}/model8.json --out {o}",
+     3, "parse-error"),
+    ("header-wavelength-nan", "correct --cube {d}/wavelength_nan.hdr --model {d}/model8.json --out {o}",
+     3, "shape-error"),
 ]
 
 

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 from dinsat import training
 from dinsat.correction import EPS_T, SceneNormalization, correct_batch, normalized_radiance
-from dinsat.errors import ConfigError, InvalidDatasetError, NumericError, ShapeError
+from dinsat.errors import ConfigError, EmptyInputError, InvalidDatasetError, NumericError, ShapeError
 from dinsat.ode import SolverConfig, ode_solve
 from dinsat.synth import SynthSpec, sample_pixels, synth_scene
 from dinsat.training import (
@@ -17,9 +17,8 @@ from dinsat.training import (
     _unsupervised_head,
     ensemble,
     evaluate,
-    supervised_loss,
+    loss,
     train,
-    unsupervised_loss,
 )
 from dinsat.transmission import LinearProfile, NonlinearProfile, softplus_inverse
 from dinsat.types import split_dataset
@@ -36,6 +35,11 @@ def identity_model(n):
 def rows(*pixels):
     """An (n, bands) array with one row per pixel."""
     return np.array(pixels, dtype=float)
+
+
+def forward_loss(model, norm, l4, rho=None, **config):
+    """``loss`` of ``config``'s mode and weights over the normalized ``l4``."""
+    return loss(TrainConfig(solver=CFG, **config), model, normalized_radiance(norm, l4), rho)
 
 
 def loss_components(model, norm, l4, rho=None, **config):
@@ -57,7 +61,7 @@ class TestSupervisedLoss:
         # Identity model + identity norm: rho_hat equals l4 exactly.
         n = 4
         l4 = rho = rows([0.1, 0.4, 0.9, 0.2])
-        loss = supervised_loss(identity_model(n), SceneNormalization.identity(n), l4, rho)
+        loss = forward_loss(identity_model(n), SceneNormalization.identity(n), l4, rho)
         assert loss == 0.0
 
     def test_constant_offset_unit_value(self):
@@ -65,7 +69,7 @@ class TestSupervisedLoss:
         # only sees band-to-band differences, annihilates the constant offset.
         rho = rows([0.1, 0.5, 0.3, 0.8])
         norm = SceneNormalization.identity(4)
-        loss = supervised_loss(identity_model(4), norm, rho + 0.1, rho, fd_weight=1.0)
+        loss = forward_loss(identity_model(4), norm, rho + 0.1, rho, fd_weight=1.0)
         parts = loss_components(identity_model(4), norm, rho + 0.1, rho, fd_weight=1.0)
         assert parts["mse"] == pytest.approx(0.01, abs=1e-12)
         assert parts["fd"] == pytest.approx(0.0, abs=1e-12)
@@ -74,7 +78,7 @@ class TestSupervisedLoss:
     def test_swapped_bands_unit_value(self):
         # One pixel, two bands, rho=[0,1], rho_hat=[1,0]:
         # L_MSE = (1+1)/2 = 1, L_FD = ((-1)-(1))^2 = 4, total 5.
-        loss = supervised_loss(
+        loss = forward_loss(
             identity_model(2), SceneNormalization.identity(2), rows([1.0, 0.0]), rows([0.0, 1.0])
         )
         assert loss == pytest.approx(5.0, abs=1e-12)
@@ -89,6 +93,13 @@ class TestSupervisedLoss:
         parts_b = loss_components(identity_model(6), norm, rho + shifts, rho * 0.9 + shifts, fd_weight=1.0)
         assert parts_b["fd"] == pytest.approx(parts_a["fd"], abs=1e-12)
 
+    def test_no_pixels_or_no_truth_rejected(self):
+        norm = SceneNormalization.identity(2)
+        with pytest.raises(EmptyInputError):
+            forward_loss(identity_model(2), norm, np.empty((0, 2)), np.empty((0, 2)))
+        with pytest.raises(InvalidDatasetError):
+            forward_loss(identity_model(2), norm, rows([0.2, 0.9]))
+
 
 class TestUnsupervisedLoss:
     def test_constant_case_unit_value(self):
@@ -97,7 +108,7 @@ class TestUnsupervisedLoss:
         alpha = discrete_transmittance_alpha(0.7, CFG)
         model = LinearProfile(softplus_inverse(np.full(2, alpha)), CFG)
         f = ode_solve(lambda L: -(model.alpha * L), np.ones(2), CFG)
-        loss = unsupervised_loss(model, SceneNormalization.identity(2), rows(0.5 * f * f))
+        loss = forward_loss(model, SceneNormalization.identity(2), rows(0.5 * f * f), mode="unsupervised")
         assert loss == pytest.approx(0.012, abs=1e-12)
 
     def test_flat_spectrum_has_zero_fd(self):
@@ -108,8 +119,8 @@ class TestUnsupervisedLoss:
         assert parts["fd"] == 0.0
 
     def test_all_zero_weights(self):
-        loss = unsupervised_loss(
-            identity_model(2), SceneNormalization.identity(2), rows([0.2, 0.9]),
+        loss = forward_loss(
+            identity_model(2), SceneNormalization.identity(2), rows([0.2, 0.9]), mode="unsupervised",
             rho_weight=0.0, transmission_weight=0.0, slope_weight=0.0,
         )
         assert loss == 0.0
@@ -130,15 +141,14 @@ class TestLossGradients:
         else:
             model = NonlinearProfile.initialize(n, rng)
         model = replace(model, solver=cfg)
+        config = TrainConfig(mode=mode, fd_weight=1.0, solver=cfg)
+        z = normalized_radiance(norm, l4)
 
         def loss_fn(params):
-            if mode == "supervised":
-                return supervised_loss(model.with_params(params), norm, l4, rho, 1.0)
-            return unsupervised_loss(model.with_params(params), norm, l4)
+            return loss(config, model.with_params(params), z, rho)
 
         p0 = model.params.copy()
-        config = TrainConfig(mode=mode, fd_weight=1.0, solver=cfg)
-        _, _, grad = _loss_terms(config, model, normalized_radiance(norm, l4), rho)
+        _, _, grad = _loss_terms(config, model, z, rho)
         fd = finite_difference(loss_fn, p0.copy())
         denom = np.maximum(np.abs(fd), 1e-7)
         assert np.max(np.abs(grad - fd) / denom) < 1e-3
@@ -169,11 +179,8 @@ class TestLossHeads:
         return model, norm, l4, rho
 
     def head(self, mode, model, norm, l4, rho):
-        w = self.WEIGHTS
-        if mode == "supervised":
-            return supervised_loss(model, norm, l4, rho, w["fd_weight"])
-        return unsupervised_loss(model, norm, l4, w["rho_weight"], w["transmission_weight"],
-                                 w["slope_weight"])
+        config = TrainConfig(mode=mode, solver=model.solver, **self.WEIGHTS)
+        return loss(config, model, normalized_radiance(norm, l4), rho)
 
     def reference(self, mode, l2, t1, rho):
         """The loss of (T^-1(z), T(1)) in numpy, complex-safe for complex step.
@@ -296,7 +303,7 @@ class TestTrain:
     def test_zero_transmittance_band_names_its_epoch(self, monkeypatch):
         # Euler with alpha h = 1 gives T(1) = 0 in band 1 of the starting model.
         monkeypatch.setattr(training, "build_model",
-                            lambda config, n_bands, seed: replace(LinearProfile.from_alpha([0.5, 16.0]),
+                            lambda config, n_bands: replace(LinearProfile.from_alpha([0.5, 16.0]),
                                                                   solver=config.solver))
         config = TrainConfig(mode="unsupervised", max_epochs=3, solver=SolverConfig("euler", 16))
         with pytest.raises(NumericError, match=r"^epoch 0: linear T\(1\) is 0 in band\(s\) 1;"):
@@ -366,23 +373,14 @@ class TestTrain:
 
 
 class TestEnsemble:
-    def test_single_run_aggregates_match(self):
-        cube, truth = tiny_scene()
-        _, l4, rho = sample_pixels(cube, truth, 30, seed=5)
-        config = TrainConfig(max_epochs=20, solver=SolverConfig("rk4", 8), seed=2)
-        result = ensemble(config, l4, truth.norm, n_runs=1, rho=rho)
-        assert len(result.completed) == 1
-        np.testing.assert_array_equal(result.transmittance_std, 0.0)
-        np.testing.assert_array_equal(result.roi_reflectance_std, 0.0)
-
     def test_deterministic_aggregates(self):
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, truth, 30, seed=5)
         config = TrainConfig(max_epochs=10, solver=SolverConfig("rk4", 8), seed=2)
         a = ensemble(config, l4, truth.norm, n_runs=2, rho=rho)
         b = ensemble(config, l4, truth.norm, n_runs=2, rho=rho)
-        np.testing.assert_array_equal(a.transmittance_mean, b.transmittance_mean)
-        np.testing.assert_array_equal(a.roi_reflectance_mean, b.roi_reflectance_mean)
+        np.testing.assert_array_equal([r.model.t1 for r in a.completed], [r.model.t1 for r in b.completed])
+        np.testing.assert_array_equal(a.roi_reflectances, b.roi_reflectances)
 
     @pytest.mark.parametrize("reshuffle", [False, True])
     def test_reshuffle_redraws_each_members_split(self, reshuffle):
@@ -404,14 +402,11 @@ class TestEnsemble:
         _, l4, _ = sample_pixels(cube, truth, 30, seed=5, with_truth=False)
         config = TrainConfig(mode="unsupervised", max_epochs=6, solver=SolverConfig("rk4", 8), seed=2)
         result = ensemble(config, l4, truth.norm, n_runs=2)
-        for run, t1, roi in zip(result.runs, result.transmittances, result.roi_reflectances):
+        for run, roi in zip(result.runs, result.roi_reflectances):
             model = run.model
             assert model.solver == config.solver
-            np.testing.assert_array_equal(t1, model.t1)
             rho_hat, _ = correct_batch(model, truth.norm, l4)
             np.testing.assert_array_equal(roi, rho_hat.mean(axis=0))
-        np.testing.assert_array_equal(result.transmittance_mean, np.mean(result.transmittances, axis=0))
-        np.testing.assert_array_equal(result.roi_reflectance_std, np.std(result.roi_reflectances, axis=0))
 
     def test_zero_runs_rejected(self):
         with pytest.raises(ConfigError):

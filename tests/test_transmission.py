@@ -474,3 +474,9 @@ class TestProfileOwnsItsState:
             np.testing.assert_array_equal(moved.params, model.params + 0.5)
             assert not np.any(moved.t1 == t1)
             np.testing.assert_array_equal(model.t1, t1)
+
+    def test_profiles_compare_and_hash_by_identity(self):
+        for model in self.profiles():
+            assert model == model
+            assert model != model.with_params(model.params)
+            assert {model} == {model} and hash(model) == hash(model)
