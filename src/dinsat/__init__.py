@@ -3,9 +3,7 @@
 from .correction import (
     SceneNormalization,
     correct_batch,
-    estimate_dark_offset,
     estimate_normalization,
-    estimate_scale,
     simulate_values,
 )
 from .ode import SolverConfig, ode_solve, ode_solve_reverse
@@ -42,9 +40,7 @@ __all__ = [
     "WavelengthGrid",
     "correct_batch",
     "ensemble",
-    "estimate_dark_offset",
     "estimate_normalization",
-    "estimate_scale",
     "evaluate",
     "loss",
     "ode_solve",

@@ -14,7 +14,7 @@ from .correction import SceneNormalization
 from .errors import ConfigError, ParseError, ShapeError
 from .ode import SolverConfig
 from .training import TrainRun
-from .transmission import LinearProfile, NonlinearProfile, Profile
+from .transmission import DEFAULT_HIDDEN, DEFAULT_LATENT, LinearProfile, NonlinearProfile, Profile
 from .types import Spectrum, Unit, WavelengthGrid
 
 MODEL_FORMAT = "dinsat-model"
@@ -108,7 +108,7 @@ def read_model(path: str | Path) -> tuple[Profile, SolverConfig, Optional[Wavele
         if doc.get("kind") == "linear":
             model: Profile = LinearProfile(params, solver)
         elif doc.get("kind") == "nonlinear":
-            hidden, latent = _integer(doc.get("hidden", 12)), _integer(doc.get("latent", 3))
+            hidden, latent = _integer(doc.get("hidden", DEFAULT_HIDDEN)), _integer(doc.get("latent", DEFAULT_LATENT))
             model = NonlinearProfile(params, n_bands, hidden, latent, solver)
         else:
             raise ParseError(f"{path}: unknown model kind {doc.get('kind')!r}")
@@ -240,10 +240,8 @@ def write_run_record(
     roi_reflectance: Optional[np.ndarray] = None,
 ) -> None:
     """The run's config, split, history and outcome, its model's T(1) and ``roi_reflectance`` as JSON."""
-    config = asdict(run.config)
-    config["solver"] = asdict(run.config.solver)
     doc = {
-        "config": config,
+        "config": asdict(run.config),
         "split": {"train": list(run.split.train), "val": list(run.split.val), "test": list(run.split.test)},
         "history": run.history,
         "converged": run.converged,

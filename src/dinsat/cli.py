@@ -194,6 +194,8 @@ def synth(spec_path, seed, out_dir):
 @_fail_cleanly
 def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, out_dir):
     """Train transmission models; writes norm.json, model_NNN.json, run_NNN.json."""
+    if n_runs < 1:
+        raise ConfigError(f"--ensemble must be at least 1, got {n_runs}")
     config, pixel_fraction = _train_config_from_file(config_path, mode=mode, seed=seed)
     cubes = _open_cubes(cube_paths)
     cube = cubes[0]

@@ -1,6 +1,8 @@
 """Scene normalization (C, m) and the correction / forward-simulation pipeline.
 
-Reflectance is recovered as rho = T^-1((L4 - C)/m) / T(1_n); radiance is
+``estimate_normalization`` is the one estimator of (C, m): C is the per-band
+minimum of the radiance and m its largest spread above C. Reflectance is
+recovered as rho = T^-1((L4 - C)/m) / T(1_n); radiance is
 simulated as L4 = C + m * T(rho * T(1_n)). rho is not clamped on output;
 out-of-range bands and floored denominators are reported in a quality mask.
 Both take the model alone: it carries its solver, and its T(1) is computed
@@ -55,33 +57,21 @@ class SceneNormalization:
         return cls(np.zeros(n_bands), 1.0)
 
 
-def _per_band(radiance, reduce) -> np.ndarray:
-    """``reduce`` over every leading axis of a (..., n_bands) radiance array."""
+def estimate_normalization(radiance) -> SceneNormalization:
+    """(C, m) from a (..., n_bands) radiance array, e.g. a cube's (rows, cols, bands) data.
+
+    C is the per-band minimum over every leading axis, and m the smallest
+    scale with (L4 - C)/m <= 1 everywhere, or 1 for a degenerate flat scene.
+    m is computed as max(max(L4) - C) over bands, which equals max(L4 - C)
+    exactly (rounding is monotone) without an array-sized temporary.
+    """
     L = np.asarray(radiance, float)
     if L.size == 0:
         raise EmptyInputError("cannot normalize an empty radiance array")
-    return reduce(L, axis=tuple(range(L.ndim - 1)))
-
-
-def estimate_dark_offset(radiance) -> np.ndarray:
-    """Per-band minimum of a (..., n_bands) radiance array over every leading axis."""
-    return _per_band(radiance, np.min)
-
-
-def estimate_scale(radiance, c: np.ndarray) -> float:
-    """Smallest m with (L4 - c)/m <= 1 everywhere; 1 for a degenerate flat scene.
-
-    Computed as max(max(L4) - c) over bands, which equals max(L4 - c) exactly
-    (rounding is monotone) without an array-sized temporary.
-    """
-    spread = float((_per_band(radiance, np.max) - np.asarray(c, float)).max())
-    return spread if spread > 0 else 1.0
-
-
-def estimate_normalization(radiance) -> SceneNormalization:
-    """(C, m) from a (..., n_bands) radiance array, e.g. a cube's (rows, cols, bands) data."""
-    c = estimate_dark_offset(radiance)
-    return SceneNormalization(c, estimate_scale(radiance, c))
+    leading = tuple(range(L.ndim - 1))
+    c = L.min(axis=leading)
+    spread = float((L.max(axis=leading) - c).max())
+    return SceneNormalization(c, spread if spread > 0 else 1.0)
 
 
 def normalized_radiance(norm: SceneNormalization, l4) -> np.ndarray:

@@ -3,9 +3,9 @@
 The layer math lives in three array helpers: ``unpack_params`` splits the flat
 vector into per-layer views once, ``layers_forward`` applies the layers and
 keeps every activation, and ``layers_backward`` backprops a cotangent through
-them by hand. The right-hand side of the nonlinear transmission profile and
-its VJP are built on them; ``mlp_forward`` is the plain composed network it is
-tested against.
+them by hand. The nonlinear transmission profile's right-hand side and its
+VJP run its whole encoder/decoder network, one layout, through one call of
+each; ``mlp_forward`` is the plain composed network it is tested against.
 
 ``layers_forward`` allocates one array per layer and works in it: the bias is
 added to the matmul output in place, and a sigmoid layer is computed as
@@ -56,11 +56,6 @@ class MlpLayout:
     @property
     def n_params(self) -> int:
         return sum(n_in * n_out + n_out for n_in, n_out in self.layer_pairs)
-
-    @classmethod
-    def one_hidden(cls, n_in: int, hidden: int, n_out: int) -> "MlpLayout":
-        """Sigmoid hidden layer, linear output."""
-        return cls((n_in, hidden, n_out), ("sigmoid", "linear"))
 
 
 def glorot_init(layout: MlpLayout, rng: np.random.Generator) -> np.ndarray:

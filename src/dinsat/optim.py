@@ -10,22 +10,23 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
+    """The learning rate and the step count and moment estimates ``adam_step`` keeps."""
+
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    m: Optional[np.ndarray] = field(default=None, repr=False)
-    v: Optional[np.ndarray] = field(default=None, repr=False)
+    t: int = field(default=0, init=False)
+    m: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    v: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not (self.lr > 0 and math.isfinite(self.lr)):
             raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
-        if self.t < 0:
-            raise ConfigError("step count must be nonnegative")
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -43,8 +44,8 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
         raise ShapeError("optimizer state shaped for a different parameter vector")
 
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1**state.t)
-    v_hat = state.v / (1.0 - state.beta2**state.t)
-    return params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grads
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grads * grads
+    m_hat = state.m / (1.0 - BETA1**state.t)
+    v_hat = state.v / (1.0 - BETA2**state.t)
+    return params - state.lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -135,7 +135,6 @@ def sample_pixels(
     truth: SynthTruth | None,
     n_pixels: int,
     seed: int,
-    with_truth: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Distinct pixels drawn uniformly at random, as (coords, l4, rho).
 
@@ -143,5 +142,5 @@ def sample_pixels(
     from one ``cube.pixels`` call, ``rho`` their truth reflectance or None.
     """
     coords = sample_coords(cube.rows, cube.cols, n_pixels, seed)
-    rho = truth.rho[coords[:, 0], coords[:, 1]] if with_truth and truth is not None else None
+    rho = truth.rho[coords[:, 0], coords[:, 1]] if truth is not None else None
     return coords, cube.pixels(coords), rho

@@ -33,7 +33,14 @@ from .errors import (
 )
 from .ode import SolverConfig
 from .optim import AdamState, adam_step
-from .transmission import LinearProfile, NonlinearProfile, Profile, transmittance_values
+from .transmission import (
+    DEFAULT_HIDDEN,
+    DEFAULT_LATENT,
+    LinearProfile,
+    NonlinearProfile,
+    Profile,
+    transmittance_values,
+)
 from .types import DatasetSplit, percent_mse, split_dataset
 
 MODES = ("supervised", "unsupervised")
@@ -59,8 +66,8 @@ class TrainConfig:
     seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
     split_fractions: Optional[tuple[float, float, float]] = None
-    hidden: int = 12
-    latent: int = 3
+    hidden: int = DEFAULT_HIDDEN
+    latent: int = DEFAULT_LATENT
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -84,6 +91,8 @@ class TrainConfig:
             raise ConfigError("max_epochs must be at least 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.hidden < 1 or self.latent < 1:
+            raise ConfigError(f"hidden and latent must be at least 1, got {self.hidden} and {self.latent}")
 
     @property
     def fractions(self) -> tuple[float, float, float]:

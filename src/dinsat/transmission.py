@@ -20,16 +20,18 @@ factor P(z)^n, and differentiates it analytically: the same map and the same
 gradients as stepping the solver n times. T is a multiplication by that
 factor and T^-1 an exact division, so round trips are exact up to float
 rounding. The nonlinear profile integrates with the stepped solvers in
-``ode``, forward and backward in x. Its right-hand side unpacks the encoder
-and decoder weights once per solve, the decoder with a sigmoid output layer,
-so the decay is the decoder's last activation from ``mlp.layers_forward``,
-computed in place like every sigmoid layer there. It comes as plain f(L),
-which multiplies and negates in the decay's buffer, or as f(L) with a
-hand-written VJP (product rule, then the decoder and encoder backprop of
-``mlp``), which keeps only the activations that VJP reads. Its pullback is
-two discrete adjoints, ``ode.solve_vjp`` of T(1) and of T^-1(z): the exact
-gradients of the unrolled steps. Its untraced path keeps a complex dtype in
-the state and the parameters, so it can be checked by complex step.
+``ode``, forward and backward in x. Its network is one ``mlp`` layout, the
+encoder's two layers followed by the decoder's, whose sigmoid output layer
+is the decay. The right-hand side unpacks the weights once per solve, so
+the decay is the last activation from ``mlp.layers_forward``, computed in
+place like every sigmoid layer there. It comes as plain f(L), which
+multiplies and negates in the decay's buffer, or as f(L) with a
+hand-written VJP (product rule, then one ``mlp.layers_backward`` through
+the whole network), which keeps only the activations that VJP reads. Its
+pullback is two discrete adjoints, ``ode.solve_vjp`` of T(1) and of
+T^-1(z): the exact gradients of the unrolled steps. Its untraced path keeps
+a complex dtype in the state and the parameters, so it can be checked by
+complex step.
 """
 
 from __future__ import annotations
@@ -107,6 +109,16 @@ def _own_params(params, what: str) -> np.ndarray:
     if not np.all(np.isfinite(params)):
         raise ShapeError(f"{what} profile parameters must be finite")
     return _frozen(params)
+
+
+def _network_layout(n_bands: int, hidden: int, latent: int) -> MlpLayout:
+    """The nonlinear profile's network, as one layout.
+
+    The encoder n_bands -> hidden -> latent (sigmoid, linear), then the
+    decoder latent -> hidden -> n_bands (sigmoid, sigmoid), whose last
+    activation is the decay.
+    """
+    return MlpLayout((n_bands, hidden, latent, hidden, n_bands), ("sigmoid", "linear", "sigmoid", "sigmoid"))
 
 
 # eq=False: a profile compares and hashes by identity, since the
@@ -201,7 +213,7 @@ class NonlinearProfile:
     kind = "nonlinear"
 
     def __post_init__(self):
-        expected = self.encoder_layout.n_params + self.decoder_layout.n_params
+        expected = self.layout.n_params
         if np.shape(self.params) != (expected,):
             raise ShapeError(
                 f"nonlinear profile needs {expected} parameters, got {np.shape(self.params)}"
@@ -209,12 +221,8 @@ class NonlinearProfile:
         object.__setattr__(self, "params", _own_params(self.params, "nonlinear"))
 
     @property
-    def encoder_layout(self) -> MlpLayout:
-        return MlpLayout.one_hidden(self.n_bands, self.hidden, self.latent)
-
-    @property
-    def decoder_layout(self) -> MlpLayout:
-        return MlpLayout.one_hidden(self.latent, self.hidden, self.n_bands)
+    def layout(self) -> MlpLayout:
+        return _network_layout(self.n_bands, self.hidden, self.latent)
 
     def with_params(self, params: np.ndarray) -> "NonlinearProfile":
         return replace(self, params=params)
@@ -227,45 +235,37 @@ class NonlinearProfile:
         hidden: int = DEFAULT_HIDDEN,
         latent: int = DEFAULT_LATENT,
     ) -> "NonlinearProfile":
-        enc = MlpLayout.one_hidden(n_bands, hidden, latent)
-        dec = MlpLayout.one_hidden(latent, hidden, n_bands)
-        params = np.concatenate([glorot_init(enc, rng), glorot_init(dec, rng)])
-        return cls(params, n_bands, hidden, latent)
+        return cls(glorot_init(_network_layout(n_bands, hidden, latent), rng), n_bands, hidden, latent)
 
     def _rhs(self):
         """(f, f_vjp) for f(L) = -sigmoid(dec(enc(L))) * L, the weights unpacked once.
 
-        The decoder is unpacked with a sigmoid output layer (the same
-        parameters in the same layout), so its last activation is the decay.
-        ``f_vjp(L)`` returns f(L) and its VJP, g -> (g_L, g_params): the
-        product rule, then the decoder and the encoder backprop by hand.
+        The network's last activation is the decay. ``f_vjp(L)`` returns f(L)
+        and its VJP, g -> (g_L, g_params): the product rule, then the
+        network's backprop by hand.
         """
-        n_enc, params = self.encoder_layout.n_params, self.params
-        enc = unpack_params(params[:n_enc], self.encoder_layout)
-        dec = unpack_params(params[n_enc:], MlpLayout(self.decoder_layout.sizes, ("sigmoid", "sigmoid")))
+        layers = unpack_params(self.params, self.layout)
         n_bands = self.n_bands
 
         def activations(Lv):
             if Lv.shape[-1] != n_bands:
                 raise ShapeError(f"input has {Lv.shape[-1]} bands, profile {n_bands}")
-            enc_acts = layers_forward(enc, Lv)
-            return enc_acts, layers_forward(dec, enc_acts[-1])
+            return layers_forward(layers, Lv)
 
         def f(Lv):
-            value = activations(Lv)[1][-1]
+            value = activations(Lv)[-1]
             value *= Lv
             return np.negative(value, out=value)
 
         def f_vjp(Lv):
-            enc_acts, dec_acts = activations(Lv)
-            decay = dec_acts[-1]
+            acts = activations(Lv)
+            decay = acts[-1]
             value = decay * Lv
             np.negative(value, out=value)
 
             def vjp(g):
-                g_z, g_dec = layers_backward(dec, dec_acts, -g * Lv)
-                g_L, g_enc = layers_backward(enc, enc_acts, g_z)
-                return g_L - g * decay, np.concatenate([g_enc, g_dec])
+                g_L, g_params = layers_backward(layers, acts, -g * Lv)
+                return g_L - g * decay, g_params
 
             return value, vjp
 

@@ -163,14 +163,14 @@ class TestBackward:
 
 class TestMlp:
     def test_zero_params_zero_output(self):
-        layout = MlpLayout.one_hidden(4, 12, 3)
+        layout = MlpLayout((4, 12, 3), ("sigmoid", "linear"))
         out = mlp_forward(np.zeros(layout.n_params), layout, np.ones(4))
         np.testing.assert_allclose(out, np.zeros(3))
 
     def test_autoencoder_shapes(self):
         rng = np.random.default_rng(1)
-        enc = MlpLayout.one_hidden(126, 12, 3)
-        dec = MlpLayout.one_hidden(3, 12, 126)
+        enc = MlpLayout((126, 12, 3), ("sigmoid", "linear"))
+        dec = MlpLayout((3, 12, 126), ("sigmoid", "linear"))
         x = rng.uniform(0, 1, 126)
         z = mlp_forward(glorot_init(enc, rng), enc, x)
         y = mlp_forward(glorot_init(dec, rng), dec, z)
@@ -187,7 +187,7 @@ class TestMlp:
 
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(2)
-        layout = MlpLayout.one_hidden(5, 12, 4)
+        layout = MlpLayout((5, 12, 4), ("sigmoid", "linear"))
         params = glorot_init(layout, rng)
         batch = rng.uniform(-1, 1, (3, 5))
         out = mlp_forward(params, layout, batch)
@@ -196,7 +196,7 @@ class TestMlp:
 
     def test_sigmoid_hidden_bounded(self):
         rng = np.random.default_rng(3)
-        layout = MlpLayout.one_hidden(6, 12, 6)
+        layout = MlpLayout((6, 12, 6), ("sigmoid", "linear"))
         params = glorot_init(layout, rng)
         big = rng.uniform(-100, 100, (20, 6))
         out = mlp_forward(params, layout, big)
@@ -205,7 +205,7 @@ class TestMlp:
         assert np.max(np.abs(out)) < np.sum(np.abs(params)) + 1.0
 
     def test_dimension_mismatch(self):
-        layout = MlpLayout.one_hidden(4, 12, 3)
+        layout = MlpLayout((4, 12, 3), ("sigmoid", "linear"))
         with pytest.raises(ShapeError):
             mlp_forward(np.zeros(layout.n_params), layout, np.ones(5))
 

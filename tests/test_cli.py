@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import dinsat
-from dinsat import envi, transmission
+from dinsat import envi, training, transmission
 from dinsat.artifacts import (
     read_model,
     read_normalization,
@@ -21,7 +21,7 @@ from dinsat.artifacts import (
 from dinsat.cli import _synth_spec_from_file, _train_config_from_file, main
 from dinsat.correction import SceneNormalization, correct_batch, estimate_normalization
 from dinsat.envi import read_envi, write_envi_array
-from dinsat.errors import ConfigError
+from dinsat.errors import ConfigError, NumericError
 from dinsat.ode import SolverConfig
 from dinsat.synth import SynthSpec, synth_scene
 from dinsat.transmission import LinearProfile, NonlinearProfile
@@ -506,6 +506,15 @@ class TestReportCommand:
         spectra = (out / "roi_spectra.csv").read_text().splitlines()
         assert spectra[0] == "run,band,wavelength_nm,reflectance"
 
+    def test_record_without_roi_reflectance_gives_header_only_spectra(self, tmp_path, runner):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        record = {"history": [{"epoch": 0, "train_loss": 0.5}], "transmittance": [0.5] * 4, "roi_reflectance": None}
+        (runs / "run_000.json").write_text(json.dumps(record))
+        result = runner.invoke(main, ["report", "--runs", str(runs), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "o" / "roi_spectra.csv").read_text() == "run,band,wavelength_nm,reflectance\n"
+
     def test_empty_dir_is_data_error(self, tmp_path, runner):
         (tmp_path / "empty").mkdir()
         result = runner.invoke(main, [
@@ -546,18 +555,33 @@ def bad_inputs(tmp_path_factory):
     cube, _ = synth_scene(SynthSpec(rows=4, cols=4, n_bands=8), seed=0)
     envi.write_envi(cube, d / "scene.hdr", data_type=5)
     header = (d / "scene.hdr").read_text()
+    wavelength_line = header[header.index("wavelength = {"):]
     for name, old, new in (("byte_order", "byte order = 0", "byte order = x"),
                            ("offset", "header offset = 0", "header offset = z"),
-                           ("wavelength_nan", "wavelength = {450.0,", "wavelength = {nan,")):
+                           ("wavelength_nan", "wavelength = {450.0,", "wavelength = {nan,"),
+                           ("no_samples", "samples = 4\n", ""),
+                           ("wavelength_unclosed", wavelength_line, "wavelength = {1, 2,\n"),
+                           ("no_equals", "file type = ENVI Standard", "file type ENVI Standard"),
+                           ("byte_order_2", "byte order = 0", "byte order = 2"),
+                           ("interleave_bsx", "interleave = bsq", "interleave = bsx"),
+                           ("lines_0", "lines = 4", "lines = 0"),
+                           ("two_gains", "byte order = 0", "byte order = 0\ndata gain values = {1, 2}")):
         (d / f"{name}.hdr").write_text(header.replace(old, new))
         (d / f"{name}.img").write_bytes((d / "scene.img").read_bytes())
+    (d / "no_data.hdr").write_text(header)
     # 8 bytes short, so that the data size matches the offset and only its sign is wrong.
     (d / "negative_offset.hdr").write_text(header.replace("header offset = 0", "header offset = -8"))
     (d / "negative_offset.img").write_bytes((d / "scene.img").read_bytes()[:-8])
     write_spectrum_csv(d / "spectrum.csv", cube.grid, Spectrum(np.full(8, 0.5), "reflectance"))
     write_spectrum_csv(d / "negative_library.csv", cube.grid, Spectrum(np.r_[-0.5, np.full(7, 0.5)], "reflectance"))
     write_spectrum_csv(d / "library5.csv", WavelengthGrid.linear(5), Spectrum(np.full(5, 0.5), "reflectance"))
+    for name, text in (("spectrum_3_columns", "wavelength_nm,value\n1,0.5,0\n2,0.5,0\n"),
+                       ("spectrum_1_band", "wavelength_nm,value\n1,0.5\n"), ("spectrum_empty", "")):
+        (d / f"{name}.csv").write_text(text)
     (d / "roi.csv").write_text("field,0,0\nfield,1,1\n")
+    for name, text in (("roi_2_columns", "field,0\n"), ("roi_row_a", "field,a,0\n"),
+                       ("roi_no_regions", "region_name,row,col\n")):
+        (d / f"{name}.csv").write_text(text)
     write_normalization(d / "norm5.json", SceneNormalization(np.zeros(5), 1.0))
     (d / "norm_no_m.json").write_text(json.dumps({"c": [0.0] * 8}))
     (d / "norm_m_0.json").write_text(json.dumps({"c": [0.0] * 8, "m": 0.0}))
@@ -582,9 +606,11 @@ def bad_inputs(tmp_path_factory):
         "hidden_latent_true": {**valid, "kind": "nonlinear", "hidden": True, "latent": True,
                                "params": [0.0] * 29},
         "n_bands_true": {**valid, "n_bands": True, "params": [-2.0]},
+        "kind_cubic": {**valid, "kind": "cubic"}, "params_5": {**valid, "params": 5}, "json_list": [valid],
     }
     for name, doc in models.items():
         (d / f"{name}.json").write_text(json.dumps(doc))
+    (d / "invalid_json.json").write_text(json.dumps(valid)[:-1])
     (d / "runs").mkdir()
     (d / "runs" / "run_000.json").write_text(json.dumps({"transmittance": None}))
     # Per-band vectors of 8 and 5 values: across two records, and against 8 model wavelengths.
@@ -596,17 +622,30 @@ def bad_inputs(tmp_path_factory):
     (d / "runs_wavelengths" / "model_000.json").write_text(
         json.dumps({**valid, "wavelengths_nm": [float(w) for w in cube.grid.wavelengths_nm]})
     )
+    (d / "runs_no_train_loss").mkdir()
+    (d / "runs_no_train_loss" / "run_000.json").write_text(
+        json.dumps({"history": [{"epoch": 0}], "transmittance": [0.5] * 8, "roi_reflectance": None})
+    )
     for name, text in (("epochs_abc", "max_epochs = abc\n"), ("split_abc", "split_fractions = a/b/c\n"),
                        ("rows_x", "rows = x\n"),
                        *((f"fraction_{v}", f"pixel_fraction = {v}\n") for v in ("nan", "inf", "-1")),
                        *((f"rel_tol_{v}", f"rel_tol = {v}\n") for v in ("nan", "1")),
                        ("split_nan", "split_fractions = nan/0.1/0.1\n"), ("lr_nan", "lr = nan\n"),
+                       ("config_no_equals", "max_epochs 5\n"), ("hidden_0", "model_kind = nonlinear\nhidden = 0\n"),
                        *((f"spec_{name}_{value}", f"rows = 4\ncols = 4\nbands = 8\n{line}\n")
                          for value, lines in SPEC_BAD_LINES.items() for name, line in lines.items()),
                        ("split_small", "mode = unsupervised\nmax_epochs = 2\nsplit_fractions = 0.5/0.1/0.4\n")):
         (d / f"{name}.txt").write_text(text)
     return d
 
+
+# Config errors that `dinsat train` reports before it reads any cube, so it writes no norm.json.
+TRAIN_REJECTED_BEFORE_ANY_CUBE = [
+    ("train-nonlinear-hidden-0", "train --cube {d}/scene.hdr --mode unsupervised --config {d}/hidden_0.txt "
+     "--out {o}", 2, "config-error"),
+    *((f"train-ensemble-{n}", f"train --cube {{d}}/scene.hdr --mode unsupervised --ensemble {n} --out {{o}}",
+       2, "config-error") for n in ("0", "-2")),
+]
 
 BAD_INPUT_CASES = [
     *((f"synth-{name.replace('_', '-')}-{value}", f"synth --spec {{d}}/spec_{name}_{value}.txt --out {{o}}", 2,
@@ -684,6 +723,22 @@ BAD_INPUT_CASES = [
      3, "parse-error"),
     ("header-wavelength-nan", "correct --cube {d}/wavelength_nan.hdr --model {d}/model8.json --out {o}",
      3, "shape-error"),
+    *((f"header-{name.replace('_', '-')}", f"correct --cube {{d}}/{name}.hdr --model {{d}}/model8.json --out {{o}}",
+       3, category) for name, category in (
+        ("no_samples", "parse-error"), ("wavelength_unclosed", "parse-error"), ("no_equals", "parse-error"),
+        ("byte_order_2", "parse-error"), ("interleave_bsx", "unsupported-format-error"),
+        ("lines_0", "parse-error"), ("two_gains", "parse-error"), ("no_data", "corrupt-file-error"))),
+    *((f"simulate-{name.replace('_', '-')}", f"simulate --spectrum {{d}}/{name}.csv --model {{d}}/model8.json "
+       "--out {o}.csv", 3, "parse-error") for name in ("spectrum_3_columns", "spectrum_1_band", "spectrum_empty")),
+    *((f"eval-{name.replace('_', '-')}", f"eval --model {{d}}/model8.json --cube {{d}}/scene.hdr "
+       f"--roi {{d}}/{name}.csv --out {{o}}.csv", 3, "parse-error")
+      for name in ("roi_2_columns", "roi_row_a", "roi_no_regions")),
+    ("train-config-no-equals", "train --cube {d}/scene.hdr --mode unsupervised --config {d}/config_no_equals.txt "
+     "--out {o}", 2, "config-error"),
+    *((f"model-{name.replace('_', '-')}", f"correct --cube {{d}}/scene.hdr --model {{d}}/{name}.json --out {{o}}",
+       3, "parse-error") for name in ("kind_cubic", "json_list", "invalid_json", "params_5")),
+    ("report-history-without-train-loss", "report --runs {d}/runs_no_train_loss --out {o}", 3, "parse-error"),
+    *TRAIN_REJECTED_BEFORE_ANY_CUBE,
 ]
 
 
@@ -713,6 +768,38 @@ def test_ensemble_config_error_names_every_member(bad_inputs, runner, tmp_path):
         "run 0: val fraction is positive but rounds to zero samples; "
         "run 1: val fraction is positive but rounds to zero samples\n"
     )
+
+
+@pytest.mark.parametrize("argv", [c[1] for c in TRAIN_REJECTED_BEFORE_ANY_CUBE],
+                         ids=[c[0] for c in TRAIN_REJECTED_BEFORE_ANY_CUBE])
+def test_train_config_error_writes_no_norm(bad_inputs, runner, tmp_path, argv):
+    out = tmp_path / "out"
+    result = runner.invoke(main, argv.format(d=bad_inputs, o=out).split())
+    assert result.exit_code == 2 and result.stderr.startswith("config-error: "), result.output
+    assert not (out / "norm.json").exists()
+
+
+def test_failed_member_is_reported_and_the_rest_written(bad_inputs, runner, tmp_path, monkeypatch):
+    real_train = training.train
+
+    def train_failing_member_1(config, *args, **kwargs):
+        if config.seed == 1:  # member 1 of the base seed 0
+            raise NumericError("injected failure")
+        return real_train(config, *args, **kwargs)
+
+    monkeypatch.setattr(training, "train", train_failing_member_1)
+    config = tmp_path / "train.txt"
+    config.write_text("max_epochs = 3\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "train", "--cube", str(bad_inputs / "scene.hdr"), "--mode", "unsupervised", "--config", str(config),
+        "--ensemble", "2", "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    assert "run 1 failed: injected failure" in result.stderr
+    assert (out / "model_000.json").exists() and (out / "run_000.json").exists()
+    assert not (out / "model_001.json").exists() and not (out / "run_001.json").exists()
+    assert result.stdout.startswith("trained 1/2 model(s)")
 
 
 README_TRAIN_KEYS = {

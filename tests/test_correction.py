@@ -10,9 +10,7 @@ from dinsat.correction import (
     RHO_RANGE_TOL,
     SceneNormalization,
     correct_batch,
-    estimate_dark_offset,
     estimate_normalization,
-    estimate_scale,
     simulate_values,
 )
 from dinsat.errors import ConfigError, EmptyInputError, NumericError
@@ -30,35 +28,33 @@ def identity_model(n):
 class TestNormalizationEstimates:
     def test_dark_offset_per_band_min(self):
         np.testing.assert_allclose(
-            estimate_dark_offset(np.array([[1.0, 2.0], [3.0, 0.5]])), [1.0, 0.5]
+            estimate_normalization(np.array([[1.0, 2.0], [3.0, 0.5]])).c, [1.0, 0.5]
         )
 
     def test_dark_offset_single_pixel(self):
-        np.testing.assert_allclose(estimate_dark_offset(np.array([[0.4, 0.2]])), [0.4, 0.2])
+        np.testing.assert_allclose(estimate_normalization(np.array([[0.4, 0.2]])).c, [0.4, 0.2])
 
     def test_dark_offset_degenerate_scene(self):
         pixels = np.array([[0.7, 0.3]] * 4)
-        c = estimate_dark_offset(pixels)
-        np.testing.assert_allclose(c, [0.7, 0.3])
         norm = estimate_normalization(pixels)
+        np.testing.assert_allclose(norm.c, [0.7, 0.3])
         np.testing.assert_allclose((pixels[0] - norm.c) / norm.m, 0.0)
 
     def test_dark_offset_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            estimate_dark_offset(np.empty((0, 2)))
+            estimate_normalization(np.empty((0, 2)))
 
     def test_scale_direct(self):
-        assert estimate_scale(np.array([[1.0, 2.0], [3.0, 0.5]]), np.array([1.0, 0.5])) == 2.0
+        assert estimate_normalization(np.array([[1.0, 2.0], [3.0, 0.5]])).m == 2.0
 
     def test_scale_degenerate_is_one(self):
-        assert estimate_scale(np.array([[0.7, 0.3]]), np.array([0.7, 0.3])) == 1.0
+        assert estimate_normalization(np.array([[0.7, 0.3]])).m == 1.0
 
     def test_scale_homogeneity(self):
         pixels = np.array([[1.0, 2.0], [3.0, 0.5]])
         scaled = pixels * 10.0
-        c = estimate_dark_offset(pixels)
-        assert estimate_scale(scaled, c * 10.0) == pytest.approx(
-            10.0 * estimate_scale(pixels, c)
+        assert estimate_normalization(scaled).m == pytest.approx(
+            10.0 * estimate_normalization(pixels).m
         )
 
     def test_normalization_bounds_scene(self):

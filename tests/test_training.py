@@ -363,7 +363,7 @@ class TestTrain:
 
     def test_unsupervised_loss_drops_ten_percent(self):
         cube, truth = tiny_scene()
-        _, l4, _ = sample_pixels(cube, truth, 40, seed=4, with_truth=False)
+        _, l4, _ = sample_pixels(cube, None, 40, seed=4)
         config = TrainConfig(
             mode="unsupervised", max_epochs=50, solver=SolverConfig("rk4", 8), seed=0
         )
@@ -399,7 +399,7 @@ class TestEnsemble:
     def test_members_keep_their_transmittance_and_roi_reflectance(self):
         # What `dinsat train` writes to each run record, as it computed it before.
         cube, truth = tiny_scene()
-        _, l4, _ = sample_pixels(cube, truth, 30, seed=5, with_truth=False)
+        _, l4, _ = sample_pixels(cube, None, 30, seed=5)
         config = TrainConfig(mode="unsupervised", max_epochs=6, solver=SolverConfig("rk4", 8), seed=2)
         result = ensemble(config, l4, truth.norm, n_runs=2)
         for run, roi in zip(result.runs, result.roi_reflectances):
@@ -443,7 +443,7 @@ class TestEvaluate:
 
     def test_missing_inputs_warn(self):
         cube, truth = tiny_scene()
-        _, l4, rho = sample_pixels(cube, truth, 5, seed=0, with_truth=False)
+        _, l4, rho = sample_pixels(cube, None, 5, seed=0)
         metrics = evaluate(replace(truth.profile, solver=SolverConfig("rk4", 8)), truth.norm, l4, rho=rho)
         assert "reflectance_percent_mse" not in metrics
         assert metrics["warnings"]

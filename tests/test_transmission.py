@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from dinsat.errors import NumericError
-from dinsat.mlp import mlp_forward
+from dinsat.mlp import MlpLayout, glorot_init, mlp_forward
 from dinsat.ode import SolverConfig, ode_solve, solve_vjp
 from dinsat.transmission import (
     LinearProfile,
@@ -83,10 +83,34 @@ class TestNonlinearFusedRhs:
         rng = np.random.default_rng(9)
         profile = NonlinearProfile.initialize(5, rng)
         L = rng.uniform(0, 2, shape)
-        n_enc = profile.encoder_layout.n_params
-        z = mlp_forward(profile.params[:n_enc], profile.encoder_layout, L)
-        d = mlp_forward(profile.params[n_enc:], profile.decoder_layout, z)
+        enc = MlpLayout((5, profile.hidden, profile.latent), ("sigmoid", "linear"))
+        dec = MlpLayout((profile.latent, profile.hidden, 5), ("sigmoid", "linear"))
+        z = mlp_forward(profile.params[: enc.n_params], enc, L)
+        d = mlp_forward(profile.params[enc.n_params :], dec, z)
         np.testing.assert_array_equal(profile.rhs_from()(L), -(expit(d) * L))
+
+    def test_initialize_draws_encoder_then_decoder(self):
+        # The same Glorot draws, in the same order, as one initialization of
+        # the encoder layout followed by one of the decoder layout.
+        profile = NonlinearProfile.initialize(7, np.random.default_rng(4), hidden=5, latent=2)
+        rng = np.random.default_rng(4)
+        enc = glorot_init(MlpLayout((7, 5, 2), ("sigmoid", "linear")), rng)
+        dec = glorot_init(MlpLayout((2, 5, 7), ("sigmoid", "linear")), rng)
+        np.testing.assert_array_equal(profile.params, np.concatenate([enc, dec]))
+
+    def test_one_pass_through_the_network(self, monkeypatch):
+        import dinsat.transmission as transmission
+
+        calls = {}
+        for name in ("unpack_params", "layers_forward", "layers_backward"):
+            def counted(*args, _inner=getattr(transmission, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _inner(*args)
+            monkeypatch.setattr(transmission, name, counted)
+        profile = NonlinearProfile.initialize(5, np.random.default_rng(3))
+        _, vjp = profile.rhs_vjp_from()(np.full((2, 5), 0.5))
+        vjp(np.ones((2, 5)))
+        assert calls == {"unpack_params": 1, "layers_forward": 1, "layers_backward": 1}
 
     @pytest.mark.parametrize("shape", [(5,), (3, 5)])
     def test_vjp_matches_finite_differences(self, shape):
