@@ -119,11 +119,13 @@ def _open_cubes(cube_paths) -> list[envi.EnviCube]:
     return cubes
 
 
-def _model_and_norm(model_path, norm_path, n_bands: int, what: str, default_norm):
-    """(model, norm) checked against ``n_bands``; the norm is ``default_norm()`` without a path."""
+def _model_and_norm(model_path, norm_path, n_bands: int, what: str):
+    """(model, norm) checked against ``n_bands``; the norm is None without a path."""
     model, _, _ = artifacts.read_model(model_path)
     _check_bands("model", model.n_bands, what, n_bands)
-    norm = artifacts.read_normalization(norm_path) if norm_path else default_norm()
+    if not norm_path:
+        return model, None
+    norm = artifacts.read_normalization(norm_path)
     _check_bands("norm", norm.c.size, what, n_bands)
     return model, norm
 
@@ -255,8 +257,9 @@ def correct(cube_path, model_path, norm_path, out_dir):
     floored, bit 2 = reflectance outside [0, 1]).
     """
     cube = envi.open_envi(cube_path)
-    model, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube",
-                                  lambda: estimate_normalization(cube.band_extrema()))
+    model, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube")
+    if norm is None:
+        norm = estimate_normalization(cube.band_extrema())
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -292,8 +295,9 @@ def correct(cube_path, model_path, norm_path, out_dir):
 def simulate(spectrum_path, model_path, norm_path, out_path):
     """Predict at-sensor radiance from a library reflectance spectrum (CSV out)."""
     grid, rho = artifacts.read_spectrum_csv(spectrum_path, "reflectance")
-    model, norm = _model_and_norm(model_path, norm_path, rho.n_bands, "spectrum",
-                                  lambda: SceneNormalization.identity(rho.n_bands))
+    model, norm = _model_and_norm(model_path, norm_path, rho.n_bands, "spectrum")
+    if norm is None:
+        norm = SceneNormalization.identity(rho.n_bands)
     l4 = simulate_values(model, norm, rho.values)
     artifacts.write_spectrum_csv(out_path, grid, Spectrum(l4, "radiance"))
     click.echo(f"wrote {out_path}")
@@ -312,18 +316,25 @@ def simulate(spectrum_path, model_path, norm_path, out_path):
 def eval_cmd(model_path, cube_path, roi_path, library_path, norm_path, out_path):
     """Percent-MSE metrics per ROI region; CSV columns: region,metric,value."""
     cube = envi.open_envi(cube_path)
-    model, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube",
-                                  lambda: estimate_normalization(cube.band_extrema()))
+    model, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube")
     roi = artifacts.read_roi(roi_path, cube.rows, cube.cols)
     library = None
     if library_path:
         library = artifacts.read_spectrum_csv(library_path, "reflectance")[1].values
         _check_bands("library spectrum", library.size, "cube", cube.n_bands)
+    references = {name: _reference_rows(cube, roi, name) for name in roi.regions}
+
+    # One pass over the cube gives every region's pixels and, without --norm,
+    # the per-band extrema that give (C, m), as in train.
+    extrema, l4 = cube.extrema_and_pixels(np.concatenate(tuple(roi.regions.values())))
+    if norm is None:
+        norm = estimate_normalization(extrema)
+    library_radiance = simulate_values(model, norm, library) if library is not None else None
+    ends = np.cumsum([len(region) for region in roi.regions.values()])[:-1]
 
     lines = ["region,metric,value"]
-    for name, coords in roi.regions.items():
-        rho = _reference_rows(cube, roi, name)
-        metrics = evaluate(model, norm, cube.pixels(coords), rho=rho, library=library)
+    for (name, rho), pixels in zip(references.items(), np.split(l4, ends)):
+        metrics = evaluate(model, norm, pixels, rho=rho, library_radiance=library_radiance)
         for key in ("reflectance_percent_mse", "radiance_percent_mse"):
             if key in metrics:
                 lines.append(f"{name},{key},{metrics[key]!r}")

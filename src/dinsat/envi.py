@@ -2,10 +2,14 @@
 
 Cube data moves in blocks of whole image rows, in the file's own layout, so
 no command holds a whole cube in memory. `open_envi` returns an `EnviCube`:
-the header, the wavelength grid and a reader that yields row blocks or reads
-single pixels. Every read converts to float64, applies the uint16 gain and
-offset, rejects non-finite values and clamps negative radiance to 0.
-`EnviWriter` writes row blocks into a new pair. `read_envi` and
+the header, the wavelength grid and a reader that yields row blocks, the one
+way the package reads cube data. Each block is read once, as one file run per
+band for BSQ (one run for BIL, BIP and whole-cube BSQ). Every block is
+converted to float64, has the uint16 gain and offset applied, is rejected if
+any value is non-finite, and has negative radiance clamped to 0.
+`EnviCube.extrema_and_pixels` folds the per-band extrema over one pass and
+picks out the pixels it is asked for as their rows go by. `EnviWriter` writes
+row blocks into a new pair with the same runs. `read_envi` and
 `write_envi_array` are the whole-cube forms of the two. Where the values
 already have their destination's type and order, nothing is copied: native
 float64 runs are read straight into a block laid out like the file, and a
@@ -30,7 +34,7 @@ from .errors import (
     ShapeError,
     UnsupportedFormatError,
 )
-from .types import HyperCube, WavelengthGrid, check_coords
+from .types import HyperCube, WavelengthGrid
 
 log = logging.getLogger(__name__)
 
@@ -165,25 +169,17 @@ def _block_rows(cols: int, bands: int) -> int:
     return max(1, BLOCK_BYTES // (cols * bands * 8))
 
 
-def _runs(interleave: str, shape, lo, hi) -> tuple[np.ndarray, int]:
-    """Contiguous runs of the file that hold the box lo <= (row, col, band) < hi.
+def _runs(interleave: str, shape, r0: int, r1: int) -> tuple[np.ndarray, int]:
+    """Contiguous runs of the file that hold image rows r0 .. r1 - 1.
 
     Returns the element offset of each run and their common length. Taken in
-    order, the runs fill a C-ordered array of the box in file order.
+    order, the runs fill a C-ordered array of the rows in file order: one run
+    per band for BSQ with fewer than all rows, one run otherwise.
     """
-    axes = _FILE_AXES[interleave]
-    dims = [shape[a] for a in axes]
-    start = [lo[a] for a in axes]
-    span = [hi[a] - lo[a] for a in axes]
-    strides = [dims[1] * dims[2], dims[2], 1]
-    k, run = 2, span[2]
-    while k > 0 and span[k] == dims[k]:  # a whole axis joins the run of the next one out
-        k -= 1
-        run *= span[k]
-    offsets = np.array(sum(a * b for a, b in zip(start, strides)))
-    for j in range(k):
-        offsets = np.add.outer(offsets, np.arange(span[j]) * strides[j])
-    return offsets.ravel(), run
+    rows, cols, bands = shape
+    if interleave == "bsq" and r1 - r0 < rows:
+        return np.arange(bands) * (rows * cols) + r0 * cols, (r1 - r0) * cols
+    return np.array([r0 * cols * bands]), (r1 - r0) * cols * bands
 
 
 def _read_exact(f, offset: int, buf: memoryview) -> None:
@@ -242,20 +238,19 @@ class EnviCube:
         shape = (rows, self.cols, self.n_bands)
         return np.empty([shape[a] for a in axes]).transpose(np.argsort(axes))
 
-    def blocks(self, out: Optional[np.ndarray] = None):
+    def blocks(self):
         """Yield (first row, block) for each row block, top to bottom.
 
-        Blocks go into ``out[first row:]`` when it is given; otherwise every
-        block reuses one buffer, so a block is valid until the next is read.
+        Every block reuses one buffer, so a block is valid until the next is read.
         """
         step = self.block_rows
-        buf = self._empty(step) if out is None else None
+        buf = self._empty(step)
         clamped = 0
         with open(self.data_path, "rb", buffering=0) as f:
             for r0 in range(0, self.rows, step):
                 r1 = min(r0 + step, self.rows)
-                block = out[r0:r1] if out is not None else buf[: r1 - r0]
-                clamped += self._read_box(f, (r0, 0, 0), (r1, self.cols, self.n_bands), block)
+                block = buf[: r1 - r0]
+                clamped += self._read_rows(f, r0, r1, block)
                 yield r0, block
         self._report_clamped(clamped)
 
@@ -264,8 +259,16 @@ class EnviCube:
         return self.extrema_and_pixels(())[0]
 
     def extrema_and_pixels(self, coords) -> tuple[np.ndarray, np.ndarray]:
-        """One pass over the row blocks: ``band_extrema()`` and ``pixels(coords)``."""
-        rc = check_coords(coords, self.rows, self.cols)
+        """One pass over the row blocks: ``band_extrema()`` and the pixels at ``coords``.
+
+        The pixels are the (n, bands) radiance at the (row, col) pairs
+        ``coords``, in their order; a pair outside the image raises ShapeError.
+        """
+        rc = np.asarray(coords, dtype=int).reshape(-1, 2)
+        outside = (rc < 0).any(axis=1) | (rc[:, 0] >= self.rows) | (rc[:, 1] >= self.cols)
+        if outside.any():
+            r, c = rc[np.argmax(outside)]
+            raise ShapeError(f"pixel ({r}, {c}) is outside the {self.rows} x {self.cols} cube")
         lo = np.full(self.n_bands, np.inf)
         hi = np.full(self.n_bands, -np.inf)
         out = np.empty((len(rc), self.n_bands))
@@ -276,66 +279,41 @@ class EnviCube:
             out[inside] = block[rc[inside, 0] - r0, rc[inside, 1]]
         return np.stack([lo, hi]), out
 
-    def pixels(self, coords) -> np.ndarray:
-        """(n, bands) radiance at the (row, col) pairs ``coords``; reads only those pixels."""
-        rc = check_coords(coords, self.rows, self.cols)
-        out = np.empty((len(rc), self.n_bands))
-        clamped = 0
-        with open(self.data_path, "rb", buffering=0) as f:
-            for i, (r, c) in enumerate(rc.tolist()):
-                box = out[i].reshape(1, 1, -1)
-                clamped += self._read_box(f, (r, c, 0), (r + 1, c + 1, self.n_bands), box)
-        self._report_clamped(clamped)
-        return out
-
-    def _read_box(self, f, lo, hi, out: np.ndarray) -> int:
-        """Read, scale and check the box lo <= (row, col, band) < hi into ``out``.
+    def _read_rows(self, f, r0: int, r1: int, out: np.ndarray) -> int:
+        """Read, scale and check image rows r0 .. r1 - 1 into ``out``.
 
         Returns how many negative values it clamped to 0.
         """
         h = self.header
         itemsize = h.dtype.itemsize
-        offsets, run = _runs(h.interleave, (self.rows, self.cols, self.n_bands), lo, hi)
-        first = int(offsets[0])
-        span = int(offsets[-1]) - first + run
-        # Several runs that lie close together (a BIL pixel) are one read of
-        # the span that covers them; the runs are gathered from it.
-        gather = len(offsets) > 1 and span * itemsize <= BLOCK_BYTES
+        offsets, run = _runs(h.interleave, (self.rows, self.cols, self.n_bands), r0, r1)
         in_file_order = out.transpose(_FILE_AXES[h.interleave])
-        if not gather and h.dtype == out.dtype and in_file_order.flags.c_contiguous:
-            # Native float64 runs, taken in order, fill a C-ordered destination:
-            # they are read straight into it, with no buffer and no copy.
-            self._read_runs(f, offsets, run, memoryview(in_file_order.reshape(-1)).cast("B"))
+        # Native float64 runs, taken in order, fill a C-ordered destination:
+        # they are read straight into it, with no buffer and no copy.
+        direct = h.dtype == out.dtype and in_file_order.flags.c_contiguous
+        if direct:
+            raw = memoryview(in_file_order.reshape(-1)).cast("B")
         else:
-            size = (span if gather else len(offsets) * run) * itemsize
+            size = out.size * itemsize
             if self._raw is None or self._raw.size < size:
                 self._raw = np.empty(size, np.uint8)
-            values = self._raw[:size].view(h.dtype)
-            if gather:
-                _read_exact(f, h.header_offset + first * itemsize, memoryview(self._raw)[:size])
-                values = values[(offsets - first)[:, None] + np.arange(run)]
-            else:
-                self._read_runs(f, offsets, run, memoryview(self._raw))
-            np.copyto(in_file_order, values.reshape(in_file_order.shape))
+            raw = memoryview(self._raw)[:size]
+        run_bytes = run * itemsize
+        for i, offset in enumerate(offsets.tolist()):
+            _read_exact(f, h.header_offset + offset * itemsize, raw[i * run_bytes : (i + 1) * run_bytes])
+        if not direct:
+            np.copyto(in_file_order, np.frombuffer(raw, h.dtype).reshape(in_file_order.shape))
         if self._scale is not None:
             out *= self._scale[0]
             out += self._scale[1]
         low, high = in_file_order.min(), in_file_order.max()  # NaN propagates
         if not (np.isfinite(low) and np.isfinite(high)):
-            raise ShapeError(f"{self.data_path}: non-finite radiance in rows {lo[0]}-{hi[0] - 1}")
+            raise ShapeError(f"{self.data_path}: non-finite radiance in rows {r0}-{r1 - 1}")
         if low >= 0:
             return 0
         negative = out < 0
         out[negative] = 0.0
         return int(np.count_nonzero(negative))
-
-    def _read_runs(self, f, offsets: np.ndarray, run: int, buf: memoryview) -> None:
-        """Read the runs of ``run`` values at ``offsets`` one after another into ``buf``."""
-        itemsize = self.header.dtype.itemsize
-        run_bytes = run * itemsize
-        for i, offset in enumerate(offsets.tolist()):
-            _read_exact(f, self.header.header_offset + offset * itemsize,
-                        buf[i * run_bytes : (i + 1) * run_bytes])
 
     def _report_clamped(self, clamped: int) -> None:
         if clamped and not self._clamp_reported:
@@ -374,8 +352,8 @@ def read_envi(header_path: str | Path, data_path: Optional[str | Path] = None) -
     """Load an ENVI pair into the canonical (rows, cols, bands) layout, block by block."""
     cube = open_envi(header_path, data_path)
     data = cube._empty(cube.rows)
-    for _ in cube.blocks(out=data):
-        pass
+    for r0, block in cube.blocks():
+        data[r0 : r0 + len(block)] = block
     return HyperCube(cube.grid, data)
 
 
@@ -425,8 +403,7 @@ class EnviWriter:
             raise ConfigError(
                 f"cannot write a {block.shape} block at row {first_row} of a {self.shape} cube"
             )
-        last = first_row + len(block)
-        offsets, run = _runs(self.interleave, self.shape, (first_row, 0, 0), (last, cols, bands))
+        offsets, run = _runs(self.interleave, self.shape, first_row, first_row + len(block))
         in_file_order = block.transpose(_FILE_AXES[self.interleave])
         if block.dtype == self.dtype and in_file_order.flags.c_contiguous:
             # Already the file's values in file order: written from the block's own memory.

@@ -139,8 +139,8 @@ def sample_pixels(
     """Distinct pixels drawn uniformly at random, as (coords, l4, rho).
 
     ``coords`` holds (n, 2) (row, col) pairs, ``l4`` their (n, bands) radiance
-    from one ``cube.pixels`` call, ``rho`` their truth reflectance or None.
+    and ``rho`` their truth reflectance or None.
     """
     coords = sample_coords(cube.rows, cube.cols, n_pixels, seed)
     rho = truth.rho[coords[:, 0], coords[:, 1]] if truth is not None else None
-    return coords, cube.pixels(coords), rho
+    return coords, cube.data[coords[:, 0], coords[:, 1]], rho

@@ -21,7 +21,6 @@ from .correction import (
     SceneNormalization,
     correct_batch,
     normalized_radiance,
-    simulate_values,
 )
 from .errors import (
     ConfigError,
@@ -374,12 +373,13 @@ def evaluate(
     norm: SceneNormalization,
     l4: np.ndarray,
     rho: Optional[np.ndarray] = None,
-    library: Optional[np.ndarray] = None,
+    library_radiance: Optional[np.ndarray] = None,
 ) -> dict:
     """Percent-MSE metrics in both directions over an ROI's (n, bands) pixels ``l4``.
 
-    ``rho`` is their truth reflectance and ``library`` an (n_bands,) reference
-    reflectance to simulate; a missing input omits its metric.
+    ``rho`` is their truth reflectance and ``library_radiance`` the (n_bands,)
+    at-sensor radiance that ``simulate_values(model, norm, library)`` gives for
+    a reference reflectance; a missing input omits its metric.
     """
     metrics: dict = {"warnings": []}
     if np.size(l4) == 0:
@@ -395,12 +395,11 @@ def evaluate(
             "samples lack truth reflectance; reflectance metric omitted"
         )
 
-    if library is not None:
-        simulated = simulate_values(model, norm, library)
+    if library_radiance is not None:
         observed = l4.mean(axis=0)
         # Both sides normalized by m before comparing, keeping the metric
         # dimensionless regardless of the scene's radiometric scale.
-        metrics["radiance_percent_mse"] = percent_mse(simulated / norm.m, observed / norm.m)
+        metrics["radiance_percent_mse"] = percent_mse(library_radiance / norm.m, observed / norm.m)
     else:
         metrics["warnings"].append("no library spectrum; radiance metric omitted")
     return metrics

@@ -96,21 +96,6 @@ class HyperCube:
     def n_bands(self) -> int:
         return self.data.shape[2]
 
-    def pixels(self, coords) -> np.ndarray:
-        """(n, bands) radiance at the (row, col) pairs ``coords``."""
-        rc = check_coords(coords, self.rows, self.cols)
-        return self.data[rc[:, 0], rc[:, 1]]
-
-
-def check_coords(coords, rows: int, cols: int) -> np.ndarray:
-    """``coords`` as an (n, 2) int array; ShapeError names the first pixel outside the image."""
-    rc = np.asarray(coords, dtype=int).reshape(-1, 2)
-    outside = (rc < 0).any(axis=1) | (rc[:, 0] >= rows) | (rc[:, 1] >= cols)
-    if outside.any():
-        r, c = rc[np.argmax(outside)]
-        raise ShapeError(f"pixel ({r}, {c}) is outside the {rows} x {cols} cube")
-    return rc
-
 
 def sample_coords(rows: int, cols: int, n_pixels: int, seed: int) -> np.ndarray:
     """(n, 2) distinct (row, col) pairs of a rows x cols image, drawn uniformly by ``seed``."""

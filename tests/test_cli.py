@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import dinsat
-from dinsat import envi, training, transmission
+from dinsat import cli, envi, training, transmission
 from dinsat.artifacts import (
     read_model,
     read_normalization,
@@ -455,6 +455,55 @@ class TestSimulateAndEval:
         # Trained on noise-free truth spectra the per-pixel fit must be good.
         assert float(np.median(values)) < 1.0
 
+    def test_eval_without_norm_matches_train_norm(self, tmp_path, runner):
+        # Without --norm, eval takes (C, m) from its pass's band extrema, the
+        # estimate that train wrote to norm.json from the same cube.
+        scene = make_scene(tmp_path, runner)
+        roi, _ = make_roi(tmp_path)
+        config = tmp_path / "train.txt"
+        config.write_text(CONFIG_TEXT)
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["train", "--cube", str(scene / "scene.hdr"), "--roi", str(roi),
+                                      "--config", str(config), "--out", str(run_dir)])
+        assert result.exit_code == 0, result.output
+        common = ["eval", "--model", str(run_dir / "model_000.json"), "--cube", str(scene / "scene.hdr"),
+                  "--roi", str(roi), "--library", str(tmp_path / "ref_0.csv")]
+        outputs = []
+        for extra in (["--norm", str(run_dir / "norm.json")], []):
+            out = tmp_path / f"metrics{len(outputs)}.csv"
+            result = runner.invoke(main, [*common, *extra, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"radiance_percent_mse" in outputs[0] and b"reflectance_percent_mse" in outputs[0]
+
+    def test_eval_makes_one_pass_and_one_simulation(self, tmp_path, runner, monkeypatch):
+        # Three regions of two pixels each, over four row blocks, with and without --norm.
+        scene = make_scene(tmp_path, runner)
+        model = tmp_path / "model.json"
+        write_model(model, LinearProfile(np.full(16, -2.0), SolverConfig("rk4", 8)), None)
+        write_normalization(tmp_path / "norm.json", SceneNormalization(np.zeros(16), 1.0))
+        library = tmp_path / "library.csv"
+        write_spectrum_csv(library, WavelengthGrid.linear(16), Spectrum(np.full(16, 0.5), "reflectance"))
+        roi = tmp_path / "roi.csv"
+        roi.write_text("a,0,0\na,11,11\nb,2,2\nb,3,3\nc,4,4\nc,9,5\n")
+        monkeypatch.setattr(envi, "BLOCK_BYTES", 3 * 12 * 16 * 8)
+        calls = []
+        blocks = envi.EnviCube.blocks
+        monkeypatch.setattr(envi.EnviCube, "blocks", lambda self: calls.append("pass") or blocks(self))
+        for module in (cli, training):  # every module that eval's simulation could go through
+            if hasattr(module, "simulate_values"):
+                monkeypatch.setattr(module, "simulate_values", lambda *args, _real=module.simulate_values:
+                                    calls.append("simulate") or _real(*args))
+        for extra in ([], ["--norm", str(tmp_path / "norm.json")]):
+            calls.clear()
+            out = tmp_path / "metrics.csv"
+            result = runner.invoke(main, ["eval", "--model", str(model), "--cube", str(scene / "scene.hdr"),
+                                          "--roi", str(roi), "--library", str(library), *extra, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            assert sorted(calls) == ["pass", "simulate"], extra
+            regions = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+            assert regions == ["a", "b", "c"]
 
     def test_eval_reference_band_mismatch_is_data_error(self, tmp_path, runner):
         scene = make_scene(tmp_path, runner)
@@ -572,6 +621,11 @@ def bad_inputs(tmp_path_factory):
     # 8 bytes short, so that the data size matches the offset and only its sign is wrong.
     (d / "negative_offset.hdr").write_text(header.replace("header offset = 0", "header offset = -8"))
     (d / "negative_offset.img").write_bytes((d / "scene.img").read_bytes()[:-8])
+    # A NaN at a pixel outside roi.csv's regions.
+    nan_data = cube.data.copy()
+    nan_data[3, 3, 2] = np.nan
+    write_envi_array(nan_data, d / "nan_outside_roi.hdr", wavelengths_nm=cube.grid.wavelengths_nm, data_type=5)
+    write_normalization(d / "norm8.json", SceneNormalization(np.zeros(8), 1.0))
     write_spectrum_csv(d / "spectrum.csv", cube.grid, Spectrum(np.full(8, 0.5), "reflectance"))
     write_spectrum_csv(d / "negative_library.csv", cube.grid, Spectrum(np.r_[-0.5, np.full(7, 0.5)], "reflectance"))
     write_spectrum_csv(d / "library5.csv", WavelengthGrid.linear(5), Spectrum(np.full(5, 0.5), "reflectance"))
@@ -679,6 +733,12 @@ BAD_INPUT_CASES = [
      "--norm {d}/norm5.json --out {o}.csv", 3, "invalid-dataset-error"),
     ("simulate-norm-bands", "simulate --spectrum {d}/spectrum.csv --model {d}/model8.json "
      "--norm {d}/norm5.json --out {o}.csv", 3, "invalid-dataset-error"),
+    # A NaN outside the ROI: eval reads the whole cube, as train and correct do, and rejects it.
+    ("eval-norm-nan-outside-roi", "eval --model {d}/model8.json --cube {d}/nan_outside_roi.hdr --roi {d}/roi.csv "
+     "--norm {d}/norm8.json --out {o}.csv", 3, "shape-error"),
+    ("eval-nan-outside-roi", "eval --model {d}/model8.json --cube {d}/nan_outside_roi.hdr --roi {d}/roi.csv "
+     "--out {o}.csv", 3, "shape-error"),
+    ("train-nan-outside-roi", "train --cube {d}/nan_outside_roi.hdr --mode unsupervised --out {o}", 3, "shape-error"),
     ("eval-model-bands", "eval --model {d}/model5.json --cube {d}/scene.hdr --roi {d}/roi.csv --out {o}.csv",
      3, "invalid-dataset-error"),
     ("model-without-solver", "correct --cube {d}/scene.hdr --model {d}/no_solver.json --out {o}", 3, "parse-error"),

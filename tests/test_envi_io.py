@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import struct
 
 import numpy as np
@@ -202,7 +203,8 @@ class TestRowBlocks:
         np.testing.assert_array_equal(np.concatenate([b for _, b in blocks]), ref)
         np.testing.assert_array_equal(read_envi(hdr).data, ref)
         coords = [(0, 0), (6, 2), (3, 1), (6, 0)]
-        np.testing.assert_array_equal(cube.pixels(coords), ref[[r for r, _ in coords], [c for _, c in coords]])
+        pixels = cube.extrema_and_pixels(coords)[1]
+        np.testing.assert_array_equal(pixels, ref[[r for r, _ in coords], [c for _, c in coords]])
         np.testing.assert_array_equal(cube.band_extrema(), [ref.min(axis=(0, 1)), ref.max(axis=(0, 1))])
 
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
@@ -219,7 +221,6 @@ class TestRowBlocks:
         cube = open_envi(hdr)
         extrema, pixels = cube.extrema_and_pixels(coords)
         np.testing.assert_array_equal(extrema, open_envi(hdr).band_extrema())
-        np.testing.assert_array_equal(pixels, open_envi(hdr).pixels(coords))
         np.testing.assert_array_equal(extrema, [ref.min(axis=(0, 1)), ref.max(axis=(0, 1))])
         np.testing.assert_array_equal(pixels, ref[[r for r, _ in coords], [c for _, c in coords]])
         with pytest.raises(ShapeError, match="outside"):
@@ -258,32 +259,30 @@ class TestRowBlocks:
 
     def test_pixel_outside_cube_rejected(self, tmp_path):
         hdr, _ = write_fixture_bsq(tmp_path)
-        with pytest.raises(ShapeError, match="outside"):
-            open_envi(hdr).pixels([(2, 0)])
+        # The message names the first pixel outside the image.
+        for coords, named in (([(2, 0)], "(2, 0)"), ([(0, 2)], "(0, 2)"), ([(0, 0), (-1, 1)], "(-1, 1)")):
+            with pytest.raises(ShapeError, match=re.escape(f"pixel {named} is outside the 2 x 2 cube")):
+                open_envi(hdr).extrema_and_pixels(coords)
 
+    @pytest.mark.parametrize("code", ["f4", "f8", "u2"])
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
-    def test_pixel_is_one_read_that_checks_only_its_values(self, tmp_path, monkeypatch, caplog, interleave):
-        hdr, img, dtype = self.write_raw(tmp_path, interleave, "f8", 0)
-        order = FILE_ORDER[interleave]
-        raw = np.fromfile(img, dtype=dtype, offset=self.HEADER_OFFSET)
-        canonical = raw.reshape([(self.ROWS, self.COLS, self.BANDS)[a] for a in order]).transpose(np.argsort(order))
-        # Both lie in the file span that covers pixel (3, 1) in BSQ and BIL,
-        # outside the pixel itself (in BIP the pixel is its own span).
-        canonical[3, 2, 0] = np.nan
-        canonical[3, 0, 1] = -1.0
-        img.write_bytes(b"\x7f" * self.HEADER_OFFSET + raw.tobytes())
-        ref = self.reference(img, interleave, dtype, "f8")
-
+    def test_pass_reads_each_data_byte_once(self, tmp_path, monkeypatch, interleave, code):
+        monkeypatch.setattr(envi, "BLOCK_BYTES", 3 * self.COLS * self.BANDS * 8)
+        hdr, img, dtype = self.write_raw(tmp_path, interleave, code, 0)
         reads = []
         read_exact = envi._read_exact
-        monkeypatch.setattr(envi, "_read_exact", lambda f, offset, buf: (reads.append(offset), read_exact(f, offset, buf)))
+        monkeypatch.setattr(envi, "_read_exact",
+                            lambda f, offset, buf: (reads.append((offset, len(buf))), read_exact(f, offset, buf)))
         cube = open_envi(hdr)
-        caplog.clear()  # open_envi warns that the header has no wavelengths
-        with caplog.at_level(logging.WARNING, logger="dinsat.envi"):
-            out = cube.pixels([(3, 1), (6, 2)])
-        np.testing.assert_array_equal(out, ref[[3, 6], [1, 2]])
-        assert len(reads) == 2  # one read per pixel
-        assert not caplog.records  # nothing clamped
+        assert cube.rows > cube.block_rows  # several blocks
+        cube.band_extrema()
+        # The reads tile the data section: no byte is read twice, none is skipped.
+        ends = [self.HEADER_OFFSET]
+        for offset, size in sorted(reads):
+            assert offset == ends[-1]
+            ends.append(offset + size)
+        data_bytes = self.ROWS * self.COLS * self.BANDS * dtype.itemsize
+        assert ends[-1] == img.stat().st_size == self.HEADER_OFFSET + data_bytes
 
 
 class TestRadianceChecks:
@@ -301,7 +300,7 @@ class TestRadianceChecks:
         with pytest.raises(ShapeError, match="non-finite"):
             read_envi(hdr)
         with pytest.raises(ShapeError, match="non-finite"):
-            open_envi(hdr).pixels([(3, 1)])
+            open_envi(hdr).extrema_and_pixels([(3, 1)])
 
     def test_clamp_warns_once_per_cube_with_count(self, tmp_path, monkeypatch, caplog):
         one_row_per_block(monkeypatch, 2, 3)
@@ -321,7 +320,7 @@ class TestRadianceChecks:
         opened = open_envi(hdr)
         with caplog.at_level(logging.WARNING, logger="dinsat.envi"):
             opened.band_extrema()
-            opened.pixels([(0, 0), (3, 0)])
+            opened.extrema_and_pixels([(0, 0), (3, 0)])
         assert len(caplog.records) == 1 and "clamped 3 negative" in caplog.records[0].getMessage()
 
 

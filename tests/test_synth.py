@@ -117,7 +117,6 @@ class TestSamplePixels:
         cube, _ = synth_scene(SynthSpec(**SMALL), seed=5)
         write_envi(cube, tmp_path / "scene.hdr", interleave=interleave, data_type=5)
         coords, l4, rho = sample_pixels(cube, None, 20, seed=3)
-        envi_coords, envi_l4, _ = sample_pixels(open_envi(tmp_path / "scene.hdr"), None, 20, seed=3)
+        _, envi_l4 = open_envi(tmp_path / "scene.hdr").extrema_and_pixels(coords)
         assert rho is None
-        np.testing.assert_array_equal(envi_coords, coords)
         np.testing.assert_array_equal(envi_l4, l4)

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from dinsat import training
-from dinsat.correction import EPS_T, SceneNormalization, correct_batch, normalized_radiance
+from dinsat.correction import EPS_T, SceneNormalization, correct_batch, normalized_radiance, simulate_values
 from dinsat.errors import ConfigError, EmptyInputError, InvalidDatasetError, NumericError, ShapeError
 from dinsat.ode import SolverConfig, ode_solve
 from dinsat.synth import SynthSpec, sample_pixels, synth_scene
@@ -452,11 +452,10 @@ class TestEvaluate:
         cube, truth = tiny_scene()
         # A homogeneous ROI: every sample is the same pixel, the library
         # spectrum is its true reflectance, so simulation must match closely.
-        l4 = cube.pixels([(4, 4)] * 3)
-        library = truth.rho[4, 4]
-        metrics = evaluate(
-            replace(truth.profile, solver=SolverConfig("rk4", 64)), truth.norm, l4, library=library
-        )
+        l4 = cube.data[[4, 4, 4], [4, 4, 4]]
+        model = replace(truth.profile, solver=SolverConfig("rk4", 64))
+        library_radiance = simulate_values(model, truth.norm, truth.rho[4, 4])
+        metrics = evaluate(model, truth.norm, l4, library_radiance=library_radiance)
         assert metrics["radiance_percent_mse"] < 0.01
 
 

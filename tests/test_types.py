@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from dinsat.errors import ConfigError, ShapeError
 from dinsat.types import (
     DatasetSplit,
-    HyperCube,
     Spectrum,
     WavelengthGrid,
     percent_mse,
@@ -114,18 +113,3 @@ class TestSpectrumInvariants:
     def test_nonfinite_rejected(self):
         with pytest.raises(ShapeError):
             Spectrum(np.array([1.0, np.nan]))
-
-
-class TestHyperCubePixels:
-    def test_rows_in_coordinate_order(self):
-        data = np.random.default_rng(1).uniform(0, 1, (3, 4, 2))
-        cube = HyperCube(WavelengthGrid.linear(2), data)
-        out = cube.pixels([(2, 3), (0, 0), (2, 3)])
-        np.testing.assert_array_equal(out, data[[2, 0, 2], [3, 0, 3]])
-        np.testing.assert_array_equal(out[1], cube.data[0, 0])
-
-    @pytest.mark.parametrize("coords", [[(3, 0)], [(0, 4)], [(0, 0), (-1, 2)]])
-    def test_outside_pixel_rejected(self, coords):
-        cube = HyperCube(WavelengthGrid.linear(2), np.zeros((3, 4, 2)))
-        with pytest.raises(ShapeError, match="outside the 3 x 4 cube"):
-            cube.pixels(coords)
