@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dinsat.envi import open_envi, write_envi
 from dinsat.errors import ConfigError, ShapeError
 from dinsat.types import (
     DatasetSplit,
+    HyperCube,
     Spectrum,
     WavelengthGrid,
     percent_mse,
@@ -113,3 +115,12 @@ class TestSpectrumInvariants:
     def test_nonfinite_rejected(self):
         with pytest.raises(ShapeError):
             Spectrum(np.array([1.0, np.nan]))
+
+
+class TestHyperCubePixels:
+    @pytest.mark.parametrize("coords", [[(3, 0)], [(0, 4)], [(0, 0), (-1, 2)]])
+    def test_outside_pixel_rejected(self, tmp_path, coords):
+        cube = HyperCube(WavelengthGrid.linear(2), np.zeros((3, 4, 2)))
+        write_envi(cube, tmp_path / "c.hdr")
+        with pytest.raises(ShapeError, match="outside the 3 x 4 cube"):
+            open_envi(tmp_path / "c.hdr").extrema_and_pixels(coords)
