@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import os
+import pickle
+import signal
 import sys
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from .correction import SceneNormalization, correct_batch, estimate_normalizatio
 from .errors import ConfigError, DinsatError, InvalidDatasetError
 from .ode import SolverConfig
 from .synth import SynthSpec, synth_scene
-from .training import TrainConfig, ensemble, evaluate
+from .training import TrainConfig, ensemble, evaluate_regions
 from .types import Spectrum, sample_coords
 
 
@@ -243,6 +246,98 @@ def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, out_
 
 # -- correct -----------------------------------------------------------------
 
+def _row_shares(cube: envi.EnviCube, n: int) -> list[range]:
+    """The cube's rows as ``n`` contiguous ranges of whole row blocks, or one per block if fewer.
+
+    The shares' block counts differ by at most one.
+    """
+    step = cube.block_rows
+    n_blocks = -(-cube.rows // step)
+    n = min(n, n_blocks)
+    bounds = [min(k * n_blocks // n * step, cube.rows) for k in range(n + 1)]
+    return [range(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
+
+
+def _fork(work, share) -> tuple[int, int]:
+    """Run ``work(share)`` in a forked worker; returns its pid and the pipe its outcome comes on.
+
+    The outcome is the pickled pair (True, result) or (False, exception).
+    The worker leaves by ``os._exit``, so it never returns into the
+    caller's frames: no context manager of the parent closes or deletes a
+    file in it, and no buffered output is written twice.
+    """
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    status = 1
+    try:
+        os.close(read_end)
+        try:
+            outcome = (True, work(share))
+        except BaseException as e:
+            outcome = (False, e)
+        data = pickle.dumps(outcome)  # an outcome that does not pickle sends nothing
+        with os.fdopen(write_end, "wb") as f:
+            f.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join(pid: int, read_end: int):
+    """Wait for a worker; its outcome, or None if it wrote none."""
+    with os.fdopen(read_end, "rb") as f:
+        data = f.read()
+    os.waitpid(pid, 0)
+    return pickle.loads(data) if data else None
+
+
+def _fan_out(work, shares: list) -> list:
+    """``work(share)`` for each share: the first in this process, each other in a forked worker.
+
+    Returns the results in share order. Every worker is joined before this
+    returns or raises. If several shares fail, the first failing share's
+    exception is raised; if this process's own share fails, the workers are
+    killed first, since none of them can fail earlier in share order.
+    """
+    workers = []
+    try:
+        for share in shares[1:]:
+            workers.append(_fork(work, share))
+        results = [work(shares[0])]
+    except BaseException:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        outcomes = [_join(*worker) for worker in workers]
+    for (pid, _), outcome in zip(workers, outcomes):
+        if outcome is None:
+            raise DinsatError(f"worker {pid} ended without a result")
+        ok, value = outcome
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _correct_rows(cube, model, norm, writers, rows: range) -> int:
+    """Correct the row blocks of ``rows`` into the two writers; returns how many values the read clamped."""
+    rho_out, mask_out = writers
+    for r0, block in cube.blocks(rows.start, rows.stop):
+        # Laid out like the reader's block: a BSQ cube's block is already
+        # in the writers' file order, so they write it without a transpose.
+        rho = np.empty_like(block, dtype=np.float32)
+        mask = np.empty_like(block, dtype=np.uint16)
+        for i, row in enumerate(block):  # one image row per batch bounds the working set
+            correct_batch(model, norm, row, out=(rho[i], mask[i]))
+        rho_out.write_rows(r0, rho)
+        mask_out.write_rows(r0, mask)
+    return cube.clamped
+
+
 @main.command()
 @click.option("--cube", "cube_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
@@ -255,16 +350,27 @@ def correct(cube_path, model_path, norm_path, out_dir):
     Writes corrected.hdr/.img (float32 BSQ reflectance, input wavelengths
     propagated) and quality_mask.hdr/.img (uint16; bit 1 = transmittance
     floored, bit 2 = reflectance outside [0, 1]).
+
+    The cube streams through in row blocks, one image row per
+    ``correct_batch``. Where the model's inverse is costly (a stepped
+    reverse solve), the blocks are split into contiguous shares, one per CPU
+    this process may run on and at most one per block. This process corrects
+    the first share and forked workers the others; each reads its own blocks
+    and writes its own rows into the two preallocated images. A failure
+    anywhere deletes both images and reports the error of the first failing
+    block, as one process would.
     """
     cube = envi.open_envi(cube_path)
     model, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube")
     if norm is None:
         norm = estimate_normalization(cube.band_extrema())
+    model.t1  # solved once, before any worker is forked
+    n_workers = len(os.sched_getaffinity(0)) if model.costly_inverse else 1
+    shares = _row_shares(cube, n_workers)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     shape, wl = (cube.rows, cube.cols, cube.n_bands), cube.grid.wavelengths_nm
-    # The cube streams through in row blocks; a failure deletes both images.
     with envi.EnviWriter(
         out / "corrected.hdr", shape, out / "corrected.img", wavelengths_nm=wl,
         data_type=4, description="dinsat corrected reflectance",
@@ -272,15 +378,8 @@ def correct(cube_path, model_path, norm_path, out_dir):
         out / "quality_mask.hdr", shape, out / "quality_mask.img", wavelengths_nm=wl,
         data_type=12, description="dinsat quality mask",
     ) as mask_out:
-        for r0, block in cube.blocks():
-            # Laid out like the reader's block: a BSQ cube's block is already
-            # in the writers' file order, so they write it without a transpose.
-            rho = np.empty_like(block, dtype=np.float32)
-            mask = np.empty_like(block, dtype=np.uint16)
-            for i, row in enumerate(block):  # one image row per batch bounds the working set
-                correct_batch(model, norm, row, out=(rho[i], mask[i]))
-            rho_out.write_rows(r0, rho)
-            mask_out.write_rows(r0, mask)
+        work = functools.partial(_correct_rows, cube, model, norm, (rho_out, mask_out))
+        cube.report_clamped(sum(_fan_out(work, shares)))
     click.echo(f"wrote {out / 'corrected.hdr'} and {out / 'quality_mask.hdr'}")
 
 
@@ -332,9 +431,9 @@ def eval_cmd(model_path, cube_path, roi_path, library_path, norm_path, out_path)
     library_radiance = simulate_values(model, norm, library) if library is not None else None
     ends = np.cumsum([len(region) for region in roi.regions.values()])[:-1]
 
+    regions = list(zip(np.split(l4, ends), references.values()))
     lines = ["region,metric,value"]
-    for (name, rho), pixels in zip(references.items(), np.split(l4, ends)):
-        metrics = evaluate(model, norm, pixels, rho=rho, library_radiance=library_radiance)
+    for name, metrics in zip(references, evaluate_regions(model, norm, regions, library_radiance)):
         for key in ("reflectance_percent_mse", "radiance_percent_mse"):
             if key in metrics:
                 lines.append(f"{name},{key},{metrics[key]!r}")

@@ -6,10 +6,14 @@ the header, the wavelength grid and a reader that yields row blocks, the one
 way the package reads cube data. Each block is read once, as one file run per
 band for BSQ (one run for BIL, BIP and whole-cube BSQ). Every block is
 converted to float64, has the uint16 gain and offset applied, is rejected if
-any value is non-finite, and has negative radiance clamped to 0.
+any value is non-finite, and has negative radiance clamped to 0. A pass can
+cover a range of row blocks, so forked processes can each read their own.
 `EnviCube.extrema_and_pixels` folds the per-band extrema over one pass and
 picks out the pixels it is asked for as their rows go by. `EnviWriter` writes
-row blocks into a new pair with the same runs. `read_envi` and
+row blocks into a new pair with the same runs. Every run is one positional
+read (``os.preadv``) or write (``os.pwrite``) at its own offset, with no
+``seek``: processes that share a writer's descriptor write their own rows
+without racing on one file offset. `read_envi` and
 `write_envi_array` are the whole-cube forms of the two. Where the values
 already have their destination's type and order, nothing is copied: native
 float64 runs are read straight into a block laid out like the file, and a
@@ -183,18 +187,19 @@ def _runs(interleave: str, shape, r0: int, r1: int) -> tuple[np.ndarray, int]:
 
 
 def _read_exact(f, offset: int, buf: memoryview) -> None:
-    f.seek(offset)
+    """Fill ``buf`` from the file's bytes at ``offset``; the file's own offset is not used."""
     while buf:
-        n = f.readinto(buf)
+        n = os.preadv(f.fileno(), [buf], offset)
         if not n:
             raise CorruptFileError(f"{f.name}: file ended while reading")
-        buf = buf[n:]
+        buf, offset = buf[n:], offset + n
 
 
 def _write_all(f, offset: int, buf: memoryview) -> None:
-    f.seek(offset)
+    """Write ``buf`` at ``offset``; the file's own offset is not used."""
     while buf:
-        buf = buf[f.write(buf):]
+        n = os.pwrite(f.fileno(), buf, offset)
+        buf, offset = buf[n:], offset + n
 
 
 class EnviCube:
@@ -202,8 +207,9 @@ class EnviCube:
 
     Reads return float64 radiance in the canonical (rows, cols, bands) order,
     as views of arrays laid out like the file. A non-finite value raises
-    ShapeError; negative values are clamped to 0, and the first read that
-    clamps any logs one warning with the count it clamped.
+    ShapeError; negative values are clamped to 0. ``clamped`` counts those of
+    the last pass, and the first whole-cube pass that clamps any logs one
+    warning with that count (`report_clamped`).
     """
 
     def __init__(self, header: EnviHeader, data_path: Path, grid: WavelengthGrid):
@@ -214,6 +220,7 @@ class EnviCube:
             offset = header.data_offset if header.data_offset is not None else np.zeros(header.bands)
             self._scale = (gain, offset)
         self._raw = None  # reused read buffer, in the file's bytes
+        self.clamped = 0
         self._clamp_reported = False
 
     @property
@@ -238,21 +245,26 @@ class EnviCube:
         shape = (rows, self.cols, self.n_bands)
         return np.empty([shape[a] for a in axes]).transpose(np.argsort(axes))
 
-    def blocks(self):
-        """Yield (first row, block) for each row block, top to bottom.
+    def blocks(self, start: int = 0, stop: int | None = None):
+        """Yield (first row, block) for each row block of rows start .. stop - 1, top to bottom.
 
-        Every block reuses one buffer, so a block is valid until the next is read.
+        By default the pass covers every row. A ``start`` on a block boundary
+        gives the blocks a whole pass gives there. Every block reuses one
+        buffer, so a block is valid until the next is read. The pass counts
+        the values it clamps in ``clamped``; a whole pass then reports them.
         """
+        stop = self.rows if stop is None else stop
         step = self.block_rows
-        buf = self._empty(step)
-        clamped = 0
+        buf = self._empty(min(step, stop - start))
+        self.clamped = 0
         with open(self.data_path, "rb", buffering=0) as f:
-            for r0 in range(0, self.rows, step):
-                r1 = min(r0 + step, self.rows)
+            for r0 in range(start, stop, step):
+                r1 = min(r0 + step, stop)
                 block = buf[: r1 - r0]
-                clamped += self._read_rows(f, r0, r1, block)
+                self.clamped += self._read_rows(f, r0, r1, block)
                 yield r0, block
-        self._report_clamped(clamped)
+        if (start, stop) == (0, self.rows):
+            self.report_clamped(self.clamped)
 
     def band_extrema(self) -> np.ndarray:
         """(2, bands): each band's minimum and maximum, folded over the row blocks."""
@@ -315,7 +327,8 @@ class EnviCube:
         out[negative] = 0.0
         return int(np.count_nonzero(negative))
 
-    def _report_clamped(self, clamped: int) -> None:
+    def report_clamped(self, clamped: int) -> None:
+        """Log one warning with the count ``clamped``, unless it is 0 or this cube has warned before."""
         if clamped and not self._clamp_reported:
             self._clamp_reported = True
             log.warning("%s: clamped %d negative radiance values to 0", self.data_path, clamped)

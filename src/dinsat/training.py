@@ -381,25 +381,40 @@ def evaluate(
     at-sensor radiance that ``simulate_values(model, norm, library)`` gives for
     a reference reflectance; a missing input omits its metric.
     """
-    metrics: dict = {"warnings": []}
-    if np.size(l4) == 0:
-        metrics["warnings"].append("no samples provided; no metrics computed")
+    return evaluate_regions(model, norm, [(l4, rho)], library_radiance)[0]
+
+
+def evaluate_regions(
+    model: Profile,
+    norm: SceneNormalization,
+    regions: list[tuple[np.ndarray, Optional[np.ndarray]]],
+    library_radiance: Optional[np.ndarray] = None,
+) -> list[dict]:
+    """``evaluate``'s metrics for each (l4, rho) pair of ``regions``, in order.
+
+    Every region's pixels are corrected in one ``correct_batch``.
+    """
+    metrics = [{"warnings": []} for _ in regions]
+    checked = []
+    for region_metrics, (l4, rho) in zip(metrics, regions):
+        if np.size(l4) == 0:
+            region_metrics["warnings"].append("no samples provided; no metrics computed")
+        else:
+            checked.append((region_metrics, *_pixel_arrays(l4, rho)))
+    if not checked:
         return metrics
-
-    l4, rho = _pixel_arrays(l4, rho)
-    rho_hat, _ = correct_batch(model, norm, l4)
-    if rho is not None:
-        metrics["reflectance_percent_mse"] = percent_mse(rho_hat.mean(axis=0), rho.mean(axis=0))
-    else:
-        metrics["warnings"].append(
-            "samples lack truth reflectance; reflectance metric omitted"
-        )
-
-    if library_radiance is not None:
-        observed = l4.mean(axis=0)
-        # Both sides normalized by m before comparing, keeping the metric
-        # dimensionless regardless of the scene's radiometric scale.
-        metrics["radiance_percent_mse"] = percent_mse(library_radiance / norm.m, observed / norm.m)
-    else:
-        metrics["warnings"].append("no library spectrum; radiance metric omitted")
+    rho_hat, _ = correct_batch(model, norm, np.concatenate([l4 for _, l4, _ in checked]))
+    ends = np.cumsum([len(l4) for _, l4, _ in checked])[:-1]
+    for (region_metrics, l4, rho), estimate in zip(checked, np.split(rho_hat, ends)):
+        if rho is not None:
+            region_metrics["reflectance_percent_mse"] = percent_mse(estimate.mean(axis=0), rho.mean(axis=0))
+        else:
+            region_metrics["warnings"].append("samples lack truth reflectance; reflectance metric omitted")
+        if library_radiance is not None:
+            observed = l4.mean(axis=0)
+            # Both sides normalized by m before comparing, keeping the metric
+            # dimensionless regardless of the scene's radiometric scale.
+            region_metrics["radiance_percent_mse"] = percent_mse(library_radiance / norm.m, observed / norm.m)
+        else:
+            region_metrics["warnings"].append("no library spectrum; radiance metric omitted")
     return metrics

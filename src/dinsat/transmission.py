@@ -7,8 +7,10 @@ profile and read-only) and one gradient method,
 ``inverse_vjp(z) -> (t1, l2, pullback)``: T(1) and l2 = T^-1(z), with
 ``pullback(g_t1, g_l2)`` returning the gradient in the parameters.
 ``with_params`` gives the same operator at other parameters, with its own
-T(1). The linear profile realizes per-band exponential decay with
-nonnegative rates; the nonlinear profile runs the spectrum through a
+T(1). Each profile class's ``costly_inverse`` says whether its T^-1 costs
+enough per pixel for `dinsat correct` to share a cube out over processes.
+The linear profile realizes per-band exponential decay with nonnegative
+rates; the nonlinear profile runs the spectrum through a
 bottleneck encoder/decoder and multiplies by a decay factor forced into
 [-1, 0], so dissipation holds by construction.
 
@@ -131,6 +133,9 @@ class LinearProfile:
     solver: SolverConfig = SolverConfig()
 
     kind = "linear"
+    # Whether correcting a cube pays for more processes. No: T^-1 is one
+    # division per value, and a second process made `correct` slower.
+    costly_inverse = False
 
     def __post_init__(self):
         if np.ndim(self.raw) != 1 or np.size(self.raw) < 1:
@@ -211,6 +216,8 @@ class NonlinearProfile:
     solver: SolverConfig = SolverConfig()
 
     kind = "nonlinear"
+    # Yes: each pixel's T^-1 is a stepped reverse solve, and `correct` is compute-bound.
+    costly_inverse = True
 
     def __post_init__(self):
         expected = self.layout.n_params

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -406,6 +407,203 @@ class TestCorrectLayouts:
         assert (out / "quality_mask.img").read_bytes() == (tmp_path / "mask.ref").read_bytes()
 
 
+class TestCorrectWorkers:
+    """`correct` fanned out over forked workers: the same files, errors and warnings as one process.
+
+    Calls made in a worker are invisible to spies in this process, so these
+    tests check files, exit codes and output.
+    """
+
+    ROWS, COLS, BANDS = 8, 3, 4  # 2 rows per block below: four blocks
+
+    @pytest.fixture()
+    def blocks_of_two_rows(self, monkeypatch):
+        monkeypatch.setattr(envi, "BLOCK_BYTES", 2 * self.COLS * self.BANDS * 8)
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def write_inputs(self, tmp_path, data, model, data_type=5):
+        write_envi_array(data, tmp_path / "c.hdr", wavelengths_nm=[500.0, 600.0, 700.0, 800.0],
+                         data_type=data_type)
+        write_model(tmp_path / "m.json", model)
+        write_normalization(tmp_path / "norm.json", SceneNormalization(np.zeros(self.BANDS), 1.0))
+
+    def correct(self, tmp_path, runner, out):
+        return runner.invoke(main, ["correct", "--cube", str(tmp_path / "c.hdr"), "--model",
+                                    str(tmp_path / "m.json"), "--norm", str(tmp_path / "norm.json"),
+                                    "--out", str(tmp_path / out)])
+
+    @staticmethod
+    def nonlinear_model(n_bands, seed=6):
+        return NonlinearProfile.initialize(n_bands, np.random.default_rng(seed))
+
+    @staticmethod
+    def overflowing_model(n_bands):
+        # Params scaled by 1e3 saturate the decay at 1 in some band, and over a
+        # 40-long interval the reverse solve grows a state by about 3.7e16:
+        # past OVERFLOW_GUARD for z = 1, under it for z = 1e-6.
+        model = NonlinearProfile.initialize(n_bands, np.random.default_rng(0))
+        return NonlinearProfile(model.params * 1e3, n_bands, solver=SolverConfig("rk4", 16, x_end=40.0))
+
+    @pytest.mark.usefixtures("blocks_of_two_rows")
+    def test_images_are_identical_for_any_cpu_count(self, tmp_path, runner, monkeypatch):
+        data = np.random.default_rng(4).uniform(0.05, 1.0, (self.ROWS - 1, self.COLS, self.BANDS))
+        self.write_inputs(tmp_path, data, self.nonlinear_model(self.BANDS))  # the last block is one row
+        # This process corrects only the first share: rows 0-6, 0-3 and 0-1.
+        rows_here = []
+        monkeypatch.setattr(cli, "correct_batch", lambda *args, _real=cli.correct_batch, **kwargs:
+                            rows_here.append(len(args[2])) or _real(*args, **kwargs))
+        images = []
+        for n, share_rows in ((1, 7), (2, 4), (3, 2)):
+            self.cpus(monkeypatch, n)
+            rows_here.clear()
+            result = self.correct(tmp_path, runner, f"out{n}")
+            assert result.exit_code == 0, result.output
+            assert len(rows_here) == share_rows
+            images.append([(tmp_path / f"out{n}" / f"{name}.img").read_bytes()
+                           for name in ("corrected", "quality_mask")])
+        assert images[0] == images[1] == images[2]
+        rho, mask = correct_batch(self.nonlinear_model(self.BANDS), SceneNormalization(np.zeros(self.BANDS), 1.0),
+                                  data)
+        assert images[0][0] == np.ascontiguousarray(rho.transpose(2, 0, 1), "<f4").tobytes()
+        assert images[0][1] == np.ascontiguousarray(mask.transpose(2, 0, 1), "<u2").tobytes()
+
+    @pytest.mark.usefixtures("blocks_of_two_rows")
+    @pytest.mark.parametrize("kind, n_cpus, rows", [("linear", 2, 8), ("nonlinear", 1, 8), ("nonlinear", 2, 2)])
+    def test_no_worker_where_it_cannot_pay(self, tmp_path, runner, monkeypatch, kind, n_cpus, rows):
+        # A linear inverse is one division; one CPU or one block has nothing to share.
+        model = LinearProfile(np.full(self.BANDS, -2.0)) if kind == "linear" else self.nonlinear_model(self.BANDS)
+        self.write_inputs(tmp_path, np.full((rows, self.COLS, self.BANDS), 0.5), model)
+        self.cpus(monkeypatch, n_cpus)
+
+        def no_fork():
+            raise AssertionError("forked a worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        result = self.correct(tmp_path, runner, "out")
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.usefixtures("blocks_of_two_rows")
+    @pytest.mark.parametrize("n_cpus, nan_rows", [(2, (6,)), (2, (1, 6)), (3, (3, 5)), (3, (7, 5))])
+    def test_failing_worker_reports_the_first_failing_block(self, tmp_path, runner, monkeypatch, n_cpus,
+                                                            nan_rows):
+        # With 2 CPUs the shares are rows 0-3 and 4-7; with 3, rows 0-1, 2-3 and 4-7.
+        data = np.full((self.ROWS, self.COLS, self.BANDS), 0.5)
+        data[list(nan_rows), 1, 2] = np.nan
+        self.write_inputs(tmp_path, data, self.nonlinear_model(self.BANDS))
+        outputs = []
+        for n in (1, n_cpus):
+            self.cpus(monkeypatch, n)
+            result = self.correct(tmp_path, runner, f"out{n}")
+            assert result.exit_code == 3, result.output
+            assert not list((tmp_path / f"out{n}").iterdir())
+            outputs.append(result.output)
+        first = min(nan_rows) // 2 * 2
+        assert outputs[0] == outputs[1] == (
+            f"shape-error: {tmp_path / 'c.img'}: non-finite radiance in rows {first}-{first + 1}\n"
+        )
+
+    @pytest.mark.usefixtures("blocks_of_two_rows")
+    def test_overflow_in_a_worker_is_a_numeric_error(self, tmp_path, runner, monkeypatch):
+        data = np.full((self.ROWS, self.COLS, self.BANDS), 1e-6)
+        data[5:] = 1.0  # only the worker's share, rows 4-7, overflows
+        model = self.overflowing_model(self.BANDS)
+        with pytest.raises(NumericError, match="diverged"):
+            model.inverse(data[5])
+        model.inverse(data[0])
+        self.write_inputs(tmp_path, data, model)
+        outputs = []
+        for n in (1, 2):
+            self.cpus(monkeypatch, n)
+            result = self.correct(tmp_path, runner, f"out{n}")
+            assert result.exit_code == 4, result.output
+            assert not list((tmp_path / f"out{n}").iterdir())
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1] and outputs[0].startswith("numeric-error: state diverged")
+
+    def test_failed_run_leaves_no_process_behind(self, tmp_path):
+        # Both failures above in a real process, in a session of its own: once
+        # it has exited, no worker of its process group is left.
+        data = np.full((self.ROWS, self.COLS, self.BANDS), 1e-6)
+        data[5:] = 1.0
+        data[6, 1, 2] = np.nan
+        src = str(Path(dinsat.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import os, sys\n"
+            "from dinsat import cli, envi\n"
+            f"envi.BLOCK_BYTES = {2 * self.COLS * self.BANDS * 8}\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "cli.main(sys.argv[1:], prog_name='dinsat')\n"
+        )
+        for case, model, expected in (("nan", self.nonlinear_model(self.BANDS), 3),
+                                      ("overflow", self.overflowing_model(self.BANDS), 4)):
+            inputs = tmp_path / case
+            inputs.mkdir()
+            self.write_inputs(inputs, data if case == "nan" else np.nan_to_num(data, nan=1.0), model)
+            proc = subprocess.Popen(
+                [sys.executable, "-c", code, "correct", "--cube", str(inputs / "c.hdr"), "--model",
+                 str(inputs / "m.json"), "--norm", str(inputs / "norm.json"), "--out", str(inputs / "out")],
+                env=env, stderr=subprocess.PIPE, text=True, start_new_session=True,
+            )
+            _, stderr = proc.communicate(timeout=120)
+            assert proc.returncode == expected, stderr
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+            assert not list((inputs / "out").iterdir())
+
+    @pytest.mark.usefixtures("blocks_of_two_rows")
+    def test_one_clamp_warning_with_every_workers_count(self, tmp_path, runner, monkeypatch, caplog):
+        data = np.full((self.ROWS, self.COLS, self.BANDS), 0.5, np.float32)
+        data[0, 0, 0] = data[3, 2, 1] = data[4, 1, 1] = data[7, 0, 3] = data[7, 2, 3] = -0.25
+        self.write_inputs(tmp_path, data, self.nonlinear_model(self.BANDS), data_type=4)
+        for n in (1, 2):
+            self.cpus(monkeypatch, n)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="dinsat.envi"):
+                result = self.correct(tmp_path, runner, f"out{n}")
+            assert result.exit_code == 0, result.output
+            assert [r.getMessage() for r in caplog.records] == [
+                f"{tmp_path / 'c.img'}: clamped 5 negative radiance values to 0"
+            ]
+        for name in ("corrected", "quality_mask"):
+            assert (tmp_path / "out1" / f"{name}.img").read_bytes() == (tmp_path / "out2" / f"{name}.img").read_bytes()
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_one_process_reads_and_writes_every_run_once_in_order(self, tmp_path, runner, monkeypatch,
+                                                                   interleave):
+        # Each block: its input runs, then the reflectance image's runs, then
+        # the mask's; each BSQ run is one band's rows of the block.
+        rows, cols, bands, step = 5, 3, 4, 2
+        data = np.random.default_rng(8).uniform(0.1, 1.0, (rows, cols, bands))
+        write_envi_array(data, tmp_path / "c.hdr", interleave=interleave, data_type=5)
+        write_model(tmp_path / "m.json", LinearProfile(np.full(bands, -2.0)))
+        write_normalization(tmp_path / "norm.json", SceneNormalization(np.zeros(bands), 1.0))
+        monkeypatch.setattr(envi, "BLOCK_BYTES", step * cols * bands * 8)
+        calls = []
+        for name in ("_read_exact", "_write_all"):
+            def spy(f, offset, buf, _real=getattr(envi, name)):
+                calls.append((Path(f.name).name, offset, len(buf)))
+                return _real(f, offset, buf)
+
+            monkeypatch.setattr(envi, name, spy)
+        result = self.correct(tmp_path, runner, "out")
+        assert result.exit_code == 0, result.output
+
+        expected = []
+        for r0 in range(0, rows, step):
+            n = min(step, rows - r0)
+            if interleave == "bsq":
+                expected += [("c.img", (b * rows + r0) * cols * 8, n * cols * 8) for b in range(bands)]
+            else:
+                expected.append(("c.img", r0 * cols * bands * 8, n * cols * bands * 8))
+            for image, size in (("corrected.img", 4), ("quality_mask.img", 2)):
+                expected += [(image, (b * rows + r0) * cols * size, n * cols * size) for b in range(bands)]
+        assert calls == expected
+
+
 class TestSimulateAndEval:
     def test_simulate_round_trips_identity(self, tmp_path, runner):
         grid_path = tmp_path / "rho.csv"
@@ -504,6 +702,28 @@ class TestSimulateAndEval:
             assert sorted(calls) == ["pass", "simulate"], extra
             regions = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
             assert regions == ["a", "b", "c"]
+
+    def test_eval_corrects_every_region_in_one_batch(self, tmp_path, runner, monkeypatch):
+        # Three regions, one without a reference: one correct_batch over all six pixels.
+        scene = make_scene(tmp_path, runner)
+        model = tmp_path / "model.json"
+        write_model(model, NonlinearProfile.initialize(16, np.random.default_rng(2)), None)
+        write_spectrum_csv(tmp_path / "ref.csv", WavelengthGrid.linear(16), Spectrum(np.full(16, 0.5), "reflectance"))
+        (tmp_path / "three.csv").write_text("a,0,0,ref.csv\na,1,1,ref.csv\nb,2,2,ref.csv\nb,3,3,ref.csv\nc,5,5\nc,6,7\n")
+        batches = []
+        for module in (cli, training):  # every module that eval's correction could go through
+            if hasattr(module, "correct_batch"):
+                monkeypatch.setattr(module, "correct_batch", lambda *args, _real=module.correct_batch, **kwargs:
+                                    batches.append(len(args[2])) or _real(*args, **kwargs))
+        out = tmp_path / "metrics.csv"
+        result = runner.invoke(main, ["eval", "--model", str(model), "--cube", str(scene / "scene.hdr"),
+                                      "--roi", str(tmp_path / "three.csv"), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert batches == [6]
+        lines = out.read_text().splitlines()
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == ["a,reflectance_percent_mse",
+                                                                  "b,reflectance_percent_mse"]
+        assert "c: samples lack truth reflectance" in result.output
 
     def test_eval_reference_band_mismatch_is_data_error(self, tmp_path, runner):
         scene = make_scene(tmp_path, runner)
