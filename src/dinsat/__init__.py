@@ -12,7 +12,7 @@ from .training import (
     TrainConfig,
     TrainRun,
     ensemble,
-    evaluate,
+    evaluate_regions,
     loss,
     train,
 )
@@ -41,7 +41,7 @@ __all__ = [
     "correct_batch",
     "ensemble",
     "estimate_normalization",
-    "evaluate",
+    "evaluate_regions",
     "loss",
     "ode_solve",
     "ode_solve_reverse",

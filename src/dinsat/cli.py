@@ -246,15 +246,10 @@ def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, out_
 
 # -- correct -----------------------------------------------------------------
 
-def _row_shares(cube: envi.EnviCube, n: int) -> list[range]:
-    """The cube's rows as ``n`` contiguous ranges of whole row blocks, or one per block if fewer.
-
-    The shares' block counts differ by at most one.
-    """
-    step = cube.block_rows
-    n_blocks = -(-cube.rows // step)
-    n = min(n, n_blocks)
-    bounds = [min(k * n_blocks // n * step, cube.rows) for k in range(n + 1)]
+def _row_shares(rows: int, n: int) -> list[range]:
+    """``rows`` image rows as ``min(n, rows)`` contiguous ranges whose lengths differ by at most one."""
+    n = min(n, rows)
+    bounds = [k * rows // n for k in range(n + 1)]
     return [range(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
 
 
@@ -324,7 +319,7 @@ def _fan_out(work, shares: list) -> list:
 
 
 def _correct_rows(cube, model, norm, writers, rows: range) -> int:
-    """Correct the row blocks of ``rows`` into the two writers; returns how many values the read clamped."""
+    """Correct the image rows ``rows`` into the two writers; returns how many values the read clamped."""
     rho_out, mask_out = writers
     for r0, block in cube.blocks(rows.start, rows.stop):
         # Laid out like the reader's block: a BSQ cube's block is already
@@ -353,12 +348,13 @@ def correct(cube_path, model_path, norm_path, out_dir):
 
     The cube streams through in row blocks, one image row per
     ``correct_batch``. Where the model's inverse is costly (a stepped
-    reverse solve), the blocks are split into contiguous shares, one per CPU
-    this process may run on and at most one per block. This process corrects
-    the first share and forked workers the others; each reads its own blocks
-    and writes its own rows into the two preallocated images. A failure
-    anywhere deletes both images and reports the error of the first failing
-    block, as one process would.
+    reverse solve), the rows are split into contiguous shares of nearly
+    equal length, one per CPU this process may run on and at most one per
+    row. This process corrects the first share and forked workers the
+    others; each reads its own rows in blocks and writes them into the two
+    preallocated images. A failure anywhere deletes both images and reports
+    the error of the first failing share; a non-finite radiance is named by
+    its pixel, the first in the cube, whatever the CPU count.
     """
     cube = envi.open_envi(cube_path)
     model, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube")
@@ -366,7 +362,7 @@ def correct(cube_path, model_path, norm_path, out_dir):
         norm = estimate_normalization(cube.band_extrema())
     model.t1  # solved once, before any worker is forked
     n_workers = len(os.sched_getaffinity(0)) if model.costly_inverse else 1
-    shares = _row_shares(cube, n_workers)
+    shares = _row_shares(cube.rows, n_workers)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -6,8 +6,9 @@ the header, the wavelength grid and a reader that yields row blocks, the one
 way the package reads cube data. Each block is read once, as one file run per
 band for BSQ (one run for BIL, BIP and whole-cube BSQ). Every block is
 converted to float64, has the uint16 gain and offset applied, is rejected if
-any value is non-finite, and has negative radiance clamped to 0. A pass can
-cover a range of row blocks, so forked processes can each read their own.
+any value is non-finite (the error names the first such value's row, column
+and band), and has negative radiance clamped to 0. A pass can cover any
+range of rows, so forked processes can each read their own.
 `EnviCube.extrema_and_pixels` folds the per-band extrema over one pass and
 picks out the pixels it is asked for as their rows go by. `EnviWriter` writes
 row blocks into a new pair with the same runs. Every run is one positional
@@ -207,9 +208,10 @@ class EnviCube:
 
     Reads return float64 radiance in the canonical (rows, cols, bands) order,
     as views of arrays laid out like the file. A non-finite value raises
-    ShapeError; negative values are clamped to 0. ``clamped`` counts those of
-    the last pass, and the first whole-cube pass that clamps any logs one
-    warning with that count (`report_clamped`).
+    ShapeError naming its row, column and band; negative values are clamped
+    to 0. ``clamped`` counts those of the last pass, and the first
+    whole-cube pass that clamps any logs one warning with that count
+    (`report_clamped`).
     """
 
     def __init__(self, header: EnviHeader, data_path: Path, grid: WavelengthGrid):
@@ -248,10 +250,9 @@ class EnviCube:
     def blocks(self, start: int = 0, stop: int | None = None):
         """Yield (first row, block) for each row block of rows start .. stop - 1, top to bottom.
 
-        By default the pass covers every row. A ``start`` on a block boundary
-        gives the blocks a whole pass gives there. Every block reuses one
-        buffer, so a block is valid until the next is read. The pass counts
-        the values it clamps in ``clamped``; a whole pass then reports them.
+        By default the pass covers every row. Every block reuses one buffer,
+        so a block is valid until the next is read. The pass counts the
+        values it clamps in ``clamped``; a whole pass then reports them.
         """
         stop = self.rows if stop is None else stop
         step = self.block_rows
@@ -320,7 +321,9 @@ class EnviCube:
             out += self._scale[1]
         low, high = in_file_order.min(), in_file_order.max()  # NaN propagates
         if not (np.isfinite(low) and np.isfinite(high)):
-            raise ShapeError(f"{self.data_path}: non-finite radiance in rows {r0}-{r1 - 1}")
+            # The first in (row, column, band) order, so no block or share boundary shows.
+            r, c, b = np.argwhere(~np.isfinite(out))[0]
+            raise ShapeError(f"{self.data_path}: non-finite radiance at row {r0 + r}, column {c}, band {b}")
         if low >= 0:
             return 0
         negative = out < 0

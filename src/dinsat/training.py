@@ -368,30 +368,18 @@ def ensemble(
     return EnsembleResult(runs=runs, failures=failures, roi_reflectances=roi_reflectances)
 
 
-def evaluate(
-    model: Profile,
-    norm: SceneNormalization,
-    l4: np.ndarray,
-    rho: Optional[np.ndarray] = None,
-    library_radiance: Optional[np.ndarray] = None,
-) -> dict:
-    """Percent-MSE metrics in both directions over an ROI's (n, bands) pixels ``l4``.
-
-    ``rho`` is their truth reflectance and ``library_radiance`` the (n_bands,)
-    at-sensor radiance that ``simulate_values(model, norm, library)`` gives for
-    a reference reflectance; a missing input omits its metric.
-    """
-    return evaluate_regions(model, norm, [(l4, rho)], library_radiance)[0]
-
-
 def evaluate_regions(
     model: Profile,
     norm: SceneNormalization,
     regions: list[tuple[np.ndarray, Optional[np.ndarray]]],
     library_radiance: Optional[np.ndarray] = None,
 ) -> list[dict]:
-    """``evaluate``'s metrics for each (l4, rho) pair of ``regions``, in order.
+    """Percent-MSE metrics in both directions for each (l4, rho) pair of ``regions``, in order.
 
+    ``l4`` is a region's (n, bands) pixels and ``rho`` their truth
+    reflectance, or None; ``library_radiance`` is the (n_bands,) at-sensor
+    radiance that ``simulate_values(model, norm, library)`` gives for a
+    reference reflectance. A missing input omits its metric, with a warning.
     Every region's pixels are corrected in one ``correct_batch``.
     """
     metrics = [{"warnings": []} for _ in regions]

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 import dinsat
 from dinsat import cli, envi, training, transmission
@@ -19,7 +20,7 @@ from dinsat.artifacts import (
     write_normalization,
     write_spectrum_csv,
 )
-from dinsat.cli import _synth_spec_from_file, _train_config_from_file, main
+from dinsat.cli import _row_shares, _synth_spec_from_file, _train_config_from_file, main
 from dinsat.correction import SceneNormalization, correct_batch, estimate_normalization
 from dinsat.envi import read_envi, write_envi_array
 from dinsat.errors import ConfigError, NumericError
@@ -303,24 +304,46 @@ class TestCorrectCommand:
         assert sorted(set(written)) == [0, 1, 2, 3]
         assert not (out / "corrected.img").exists() and not (out / "quality_mask.img").exists()
 
-    def test_nonlinear_t1_is_solved_once_per_command(self, tmp_path, runner, monkeypatch):
-        # T(1) is one forward solve per model however many rows the cube has;
-        # each image row is one reverse solve.
-        rows = 6
+    @staticmethod
+    def solves_by_process(tmp_path, runner, monkeypatch, rows, n_cpus):
+        """Nonlinear `correct` of a ``rows``-row cube on ``n_cpus`` CPUs: {pid: {solve name: calls}}.
+
+        Each call is logged to a file, so the calls made in forked workers count too.
+        """
         data = np.random.default_rng(5).uniform(0.1, 1.0, (rows, 4, 3))
         write_envi_array(data, tmp_path / "c.hdr", wavelengths_nm=[500.0, 600.0, 700.0], data_type=5)
         write_model(tmp_path / "m.json", NonlinearProfile.initialize(3, np.random.default_rng(6)))
-        calls = {"ode_solve": 0, "ode_solve_reverse": 0}
-        for name in calls:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        log = tmp_path / "solves.log"
+        for name in ("ode_solve", "ode_solve_reverse"):
             def counted(*args, _name=name, _solve=getattr(transmission, name)):
-                calls[_name] += 1
+                with open(log, "a") as f:
+                    f.write(f"{os.getpid()} {_name}\n")
                 return _solve(*args)
 
             monkeypatch.setattr(transmission, name, counted)
         result = runner.invoke(main, ["correct", "--cube", str(tmp_path / "c.hdr"), "--model",
                                       str(tmp_path / "m.json"), "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
-        assert calls == {"ode_solve": 1, "ode_solve_reverse": rows}
+        calls = {}
+        for line in log.read_text().splitlines():
+            pid, name = line.split()
+            by_name = calls.setdefault(int(pid), {"ode_solve": 0, "ode_solve_reverse": 0})
+            by_name[name] += 1
+        return calls
+
+    def test_nonlinear_t1_is_solved_once_per_command(self, tmp_path, runner, monkeypatch):
+        # T(1) is one forward solve per model however many rows the cube has;
+        # each image row is one reverse solve.
+        calls = self.solves_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=1)
+        assert calls == {os.getpid(): {"ode_solve": 1, "ode_solve_reverse": 6}}
+
+    def test_nonlinear_t1_is_solved_before_the_fork(self, tmp_path, runner, monkeypatch):
+        # On 2 CPUs this process solves T(1) and its own rows 0-2; the worker
+        # inherits T(1) and solves rows 3-5.
+        calls = self.solves_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=2)
+        assert calls.pop(os.getpid()) == {"ode_solve": 1, "ode_solve_reverse": 3}
+        assert list(calls.values()) == [{"ode_solve": 0, "ode_solve_reverse": 3}]
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
     def test_peak_memory_is_a_fraction_of_the_cube(self, tmp_path):
@@ -451,12 +474,12 @@ class TestCorrectWorkers:
     def test_images_are_identical_for_any_cpu_count(self, tmp_path, runner, monkeypatch):
         data = np.random.default_rng(4).uniform(0.05, 1.0, (self.ROWS - 1, self.COLS, self.BANDS))
         self.write_inputs(tmp_path, data, self.nonlinear_model(self.BANDS))  # the last block is one row
-        # This process corrects only the first share: rows 0-6, 0-3 and 0-1.
+        # This process corrects only the first share: rows 0-6, 0-2 and 0-1.
         rows_here = []
         monkeypatch.setattr(cli, "correct_batch", lambda *args, _real=cli.correct_batch, **kwargs:
                             rows_here.append(len(args[2])) or _real(*args, **kwargs))
         images = []
-        for n, share_rows in ((1, 7), (2, 4), (3, 2)):
+        for n, share_rows in ((1, 7), (2, 3), (3, 2)):
             self.cpus(monkeypatch, n)
             rows_here.clear()
             result = self.correct(tmp_path, runner, f"out{n}")
@@ -471,9 +494,9 @@ class TestCorrectWorkers:
         assert images[0][1] == np.ascontiguousarray(mask.transpose(2, 0, 1), "<u2").tobytes()
 
     @pytest.mark.usefixtures("blocks_of_two_rows")
-    @pytest.mark.parametrize("kind, n_cpus, rows", [("linear", 2, 8), ("nonlinear", 1, 8), ("nonlinear", 2, 2)])
+    @pytest.mark.parametrize("kind, n_cpus, rows", [("linear", 2, 8), ("nonlinear", 1, 8), ("nonlinear", 2, 1)])
     def test_no_worker_where_it_cannot_pay(self, tmp_path, runner, monkeypatch, kind, n_cpus, rows):
-        # A linear inverse is one division; one CPU or one block has nothing to share.
+        # A linear inverse is one division; one CPU or one row has nothing to share.
         model = LinearProfile(np.full(self.BANDS, -2.0)) if kind == "linear" else self.nonlinear_model(self.BANDS)
         self.write_inputs(tmp_path, np.full((rows, self.COLS, self.BANDS), 0.5), model)
         self.cpus(monkeypatch, n_cpus)
@@ -487,9 +510,8 @@ class TestCorrectWorkers:
 
     @pytest.mark.usefixtures("blocks_of_two_rows")
     @pytest.mark.parametrize("n_cpus, nan_rows", [(2, (6,)), (2, (1, 6)), (3, (3, 5)), (3, (7, 5))])
-    def test_failing_worker_reports_the_first_failing_block(self, tmp_path, runner, monkeypatch, n_cpus,
-                                                            nan_rows):
-        # With 2 CPUs the shares are rows 0-3 and 4-7; with 3, rows 0-1, 2-3 and 4-7.
+    def test_failing_worker_reports_the_first_bad_pixel(self, tmp_path, runner, monkeypatch, n_cpus, nan_rows):
+        # With 2 CPUs the shares are rows 0-3 and 4-7; with 3, rows 0-1, 2-4 and 5-7.
         data = np.full((self.ROWS, self.COLS, self.BANDS), 0.5)
         data[list(nan_rows), 1, 2] = np.nan
         self.write_inputs(tmp_path, data, self.nonlinear_model(self.BANDS))
@@ -500,10 +522,29 @@ class TestCorrectWorkers:
             assert result.exit_code == 3, result.output
             assert not list((tmp_path / f"out{n}").iterdir())
             outputs.append(result.output)
-        first = min(nan_rows) // 2 * 2
         assert outputs[0] == outputs[1] == (
-            f"shape-error: {tmp_path / 'c.img'}: non-finite radiance in rows {first}-{first + 1}\n"
+            f"shape-error: {tmp_path / 'c.img'}: non-finite radiance at row {min(nan_rows)}, column 1, band 2\n"
         )
+
+    @pytest.mark.usefixtures("blocks_of_two_rows")
+    def test_every_command_names_the_first_bad_pixel(self, tmp_path, runner, monkeypatch):
+        data = np.full((self.ROWS, self.COLS, self.BANDS), 0.5)
+        data[6, 0, 1] = data[3, 2, 3] = np.nan  # in the blocks of rows 6-7 and 2-3
+        self.write_inputs(tmp_path, data, self.nonlinear_model(self.BANDS))
+        (tmp_path / "roi.csv").write_text("region_name,row,col\nr,0,0\n")
+        expected = f"shape-error: {tmp_path / 'c.img'}: non-finite radiance at row 3, column 2, band 3\n"
+        cube, model, roi = (str(tmp_path / name) for name in ("c.hdr", "m.json", "roi.csv"))
+        for argv in (["train", "--cube", cube, "--mode", "unsupervised", "--out", str(tmp_path / "train")],
+                     ["eval", "--model", model, "--cube", cube, "--roi", roi, "--out", str(tmp_path / "eval.csv")]):
+            result = runner.invoke(main, argv)
+            assert (result.exit_code, result.output) == (3, expected)
+        assert not (tmp_path / "train").exists() and not (tmp_path / "eval.csv").exists()
+        # With 2 CPUs the shares are rows 0-3 and 4-7; with 3, rows 0-1, 2-4 and 5-7.
+        for n in (1, 2, 3):
+            self.cpus(monkeypatch, n)
+            result = self.correct(tmp_path, runner, f"out{n}")
+            assert (result.exit_code, result.output) == (3, expected)
+            assert not list((tmp_path / f"out{n}").iterdir())
 
     @pytest.mark.usefixtures("blocks_of_two_rows")
     def test_overflow_in_a_worker_is_a_numeric_error(self, tmp_path, runner, monkeypatch):
@@ -602,6 +643,16 @@ class TestCorrectWorkers:
             for image, size in (("corrected.img", 4), ("quality_mask.img", 2)):
                 expected += [(image, (b * rows + r0) * cols * size, n * cols * size) for b in range(bands)]
         assert calls == expected
+
+
+@given(rows=st.integers(1, 100_000), n=st.integers(1, 256))
+def test_row_shares_are_contiguous_and_even(rows, n):
+    shares = _row_shares(rows, n)
+    assert len(shares) == min(n, rows)
+    assert shares[0].start == 0 and shares[-1].stop == rows
+    assert all(a.stop == b.start for a, b in zip(shares, shares[1:]))
+    lengths = [len(share) for share in shares]
+    assert min(lengths) >= 1 and max(lengths) - min(lengths) <= 1
 
 
 class TestSimulateAndEval:

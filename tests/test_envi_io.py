@@ -257,6 +257,37 @@ class TestRowBlocks:
         for block, copy in zip(blocks, before):
             np.testing.assert_array_equal(block, copy)
 
+    @pytest.mark.parametrize("data_type", [4, 5, 12])
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_partial_pass_yields_exactly_its_rows(self, tmp_path, monkeypatch, interleave, data_type):
+        monkeypatch.setattr(envi, "BLOCK_BYTES", 2 * self.COLS * self.BANDS * 8)
+        rng = np.random.default_rng(14)
+        shape = (self.ROWS, self.COLS, self.BANDS)
+        hdr = tmp_path / "c.hdr"
+        if data_type == 12:
+            stored = rng.integers(0, 65536, shape).astype(float)
+            write_envi_array(stored, hdr, interleave=interleave, data_type=data_type)
+            # A negative offset on band 0 makes about half of its values negative.
+            gain, offset = np.array([0.5, 0.25, 2.0, 1e-3]), np.array([-16000.0, 0.0, 0.5, 3.0])
+            hdr.write_text(hdr.read_text() + "data gain values = {0.5, 0.25, 2.0, 1e-3}\n"
+                           "data offset values = {-16000.0, 0.0, 0.5, 3.0}\n")
+            radiance = stored * gain + offset
+        else:
+            stored = rng.uniform(-1.0, 2.0, shape)
+            write_envi_array(stored, hdr, interleave=interleave, data_type=data_type)
+            radiance = stored.astype(envi.DTYPE_CODES[data_type]).astype(float)
+        expected = read_envi(hdr).data
+        np.testing.assert_array_equal(expected, np.maximum(radiance, 0.0))
+        cube = open_envi(hdr)
+        assert cube.block_rows == 2
+        for start in range(self.ROWS):
+            for stop in range(start + 1, self.ROWS + 1):
+                blocks = [(r0, block.copy()) for r0, block in cube.blocks(start, stop)]
+                assert [r0 + i for r0, block in blocks for i in range(len(block))] == list(range(start, stop))
+                assert max(len(block) for _, block in blocks) <= cube.block_rows
+                np.testing.assert_array_equal(np.concatenate([block for _, block in blocks]), expected[start:stop])
+                assert cube.clamped == np.count_nonzero(radiance[start:stop] < 0)
+
     def test_pixel_outside_cube_rejected(self, tmp_path):
         hdr, _ = write_fixture_bsq(tmp_path)
         # The message names the first pixel outside the image.
@@ -301,6 +332,16 @@ class TestRadianceChecks:
             read_envi(hdr)
         with pytest.raises(ShapeError, match="non-finite"):
             open_envi(hdr).extrema_and_pixels([(3, 1)])
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_error_names_the_first_bad_value_in_row_column_band_order(self, tmp_path, interleave):
+        data = np.ones((4, 2, 3))
+        data[2, 0, 0] = data[1, 1, 0] = np.nan  # before the inf in a BSQ or BIL file
+        data[1, 0, 2] = np.inf
+        write_envi_array(data, tmp_path / "c.hdr", interleave=interleave, data_type=5)
+        message = f"{tmp_path / 'c.img'}: non-finite radiance at row 1, column 0, band 2"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            read_envi(tmp_path / "c.hdr")
 
     def test_clamp_warns_once_per_cube_with_count(self, tmp_path, monkeypatch, caplog):
         one_row_per_block(monkeypatch, 2, 3)

@@ -16,7 +16,7 @@ from dinsat.training import (
     _supervised_head,
     _unsupervised_head,
     ensemble,
-    evaluate,
+    evaluate_regions,
     loss,
     train,
 )
@@ -430,21 +430,21 @@ class TestEvaluate:
     def test_truth_model_near_zero_error(self):
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, truth, 25, seed=6)
-        metrics = evaluate(replace(truth.profile, solver=SolverConfig("rk4", 64)), truth.norm, l4, rho=rho)
+        metrics = evaluate_regions(replace(truth.profile, solver=SolverConfig("rk4", 64)), truth.norm, [(l4, rho)])[0]
         assert metrics["reflectance_percent_mse"] < 0.01
 
     def test_identity_model_strictly_worse(self):
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, truth, 25, seed=6)
         cfg = SolverConfig("rk4", 16)
-        good = evaluate(replace(truth.profile, solver=cfg), truth.norm, l4, rho=rho)
-        bad = evaluate(replace(identity_model(cube.n_bands), solver=cfg), truth.norm, l4, rho=rho)
+        good = evaluate_regions(replace(truth.profile, solver=cfg), truth.norm, [(l4, rho)])[0]
+        bad = evaluate_regions(replace(identity_model(cube.n_bands), solver=cfg), truth.norm, [(l4, rho)])[0]
         assert bad["reflectance_percent_mse"] > good["reflectance_percent_mse"]
 
     def test_missing_inputs_warn(self):
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, None, 5, seed=0)
-        metrics = evaluate(replace(truth.profile, solver=SolverConfig("rk4", 8)), truth.norm, l4, rho=rho)
+        metrics = evaluate_regions(replace(truth.profile, solver=SolverConfig("rk4", 8)), truth.norm, [(l4, rho)])[0]
         assert "reflectance_percent_mse" not in metrics
         assert metrics["warnings"]
 
@@ -455,12 +455,12 @@ class TestEvaluate:
         l4 = cube.data[[4, 4, 4], [4, 4, 4]]
         model = replace(truth.profile, solver=SolverConfig("rk4", 64))
         library_radiance = simulate_values(model, truth.norm, truth.rho[4, 4])
-        metrics = evaluate(model, truth.norm, l4, library_radiance=library_radiance)
+        metrics = evaluate_regions(model, truth.norm, [(l4, None)], library_radiance)[0]
         assert metrics["radiance_percent_mse"] < 0.01
 
 
 class TestPixelArrayChecks:
-    """train and evaluate reject malformed (n, bands) pixel arrays up front."""
+    """train and evaluate_regions reject malformed (n, bands) pixel arrays up front."""
 
     @staticmethod
     def bad_inputs(case):
@@ -490,4 +490,4 @@ class TestPixelArrayChecks:
     def test_evaluate_rejects(self, case):
         l4, rho = self.bad_inputs(case)
         with pytest.raises(ShapeError):
-            evaluate(identity_model(3), SceneNormalization.identity(3), l4, rho=rho)
+            evaluate_regions(identity_model(3), SceneNormalization.identity(3), [(l4, rho)])
