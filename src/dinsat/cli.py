@@ -353,8 +353,10 @@ def correct(cube_path, model_path, norm_path, out_dir):
     row. This process corrects the first share and forked workers the
     others; each reads its own rows in blocks and writes them into the two
     preallocated images. A failure anywhere deletes both images and reports
-    the error of the first failing share; a non-finite radiance is named by
-    its pixel, the first in the cube, whatever the CPU count.
+    the error of the first failing share. Each share stops at its first
+    failing row, whether the row fails to correct or holds a non-finite
+    radiance (named by its pixel), so the report is the cube's first failing
+    row's, whatever the CPU count.
     """
     cube = envi.open_envi(cube_path)
     model, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube")

@@ -5,9 +5,10 @@ no command holds a whole cube in memory. `open_envi` returns an `EnviCube`:
 the header, the wavelength grid and a reader that yields row blocks, the one
 way the package reads cube data. Each block is read once, as one file run per
 band for BSQ (one run for BIL, BIP and whole-cube BSQ). Every block is
-converted to float64, has the uint16 gain and offset applied, is rejected if
-any value is non-finite (the error names the first such value's row, column
-and band), and has negative radiance clamped to 0. A pass can cover any
+converted to float64, has the uint16 gain and offset applied, and has
+negative radiance clamped to 0. A pass stops at the first row that holds a
+non-finite value: it yields the rows above it, then raises an error that
+names the first such value's row, column and band. A pass can cover any
 range of rows, so forked processes can each read their own.
 `EnviCube.extrema_and_pixels` folds the per-band extrema over one pass and
 picks out the pixels it is asked for as their rows go by. `EnviWriter` writes
@@ -253,6 +254,9 @@ class EnviCube:
         By default the pass covers every row. Every block reuses one buffer,
         so a block is valid until the next is read. The pass counts the
         values it clamps in ``clamped``; a whole pass then reports them.
+        At a non-finite value the pass yields the rows above that value's
+        row, then raises ShapeError: it stops at its first bad row, however
+        the rows fall into blocks.
         """
         stop = self.rows if stop is None else stop
         step = self.block_rows
@@ -262,8 +266,15 @@ class EnviCube:
             for r0 in range(start, stop, step):
                 r1 = min(r0 + step, stop)
                 block = buf[: r1 - r0]
-                self.clamped += self._read_rows(f, r0, r1, block)
-                yield r0, block
+                clamped, bad = self._read_rows(f, r0, r1, block)
+                self.clamped += clamped
+                if bad is None:
+                    yield r0, block
+                    continue
+                r, c, b = bad
+                if r > r0:
+                    yield r0, block[: r - r0]
+                raise ShapeError(f"{self.data_path}: non-finite radiance at row {r}, column {c}, band {b}")
         if (start, stop) == (0, self.rows):
             self.report_clamped(self.clamped)
 
@@ -292,10 +303,12 @@ class EnviCube:
             out[inside] = block[rc[inside, 0] - r0, rc[inside, 1]]
         return np.stack([lo, hi]), out
 
-    def _read_rows(self, f, r0: int, r1: int, out: np.ndarray) -> int:
-        """Read, scale and check image rows r0 .. r1 - 1 into ``out``.
+    def _read_rows(self, f, r0: int, r1: int, out: np.ndarray) -> tuple[int, tuple[int, int, int] | None]:
+        """Read, scale and check image rows r0 .. r1 - 1 into ``out``, clamping negative values to 0.
 
-        Returns how many negative values it clamped to 0.
+        Returns how many values it clamped and the (row, column, band) of the
+        first non-finite value, or None. From that value's row on, ``out`` is
+        left unchecked and unclamped.
         """
         h = self.header
         itemsize = h.dtype.itemsize
@@ -320,15 +333,17 @@ class EnviCube:
             out *= self._scale[0]
             out += self._scale[1]
         low, high = in_file_order.min(), in_file_order.max()  # NaN propagates
+        bad = None
         if not (np.isfinite(low) and np.isfinite(high)):
             # The first in (row, column, band) order, so no block or share boundary shows.
-            r, c, b = np.argwhere(~np.isfinite(out))[0]
-            raise ShapeError(f"{self.data_path}: non-finite radiance at row {r0 + r}, column {c}, band {b}")
+            r, c, b = (int(i) for i in np.argwhere(~np.isfinite(out))[0])
+            bad, out = (r0 + r, c, b), out[:r]
+            low = out.min(initial=0.0)
         if low >= 0:
-            return 0
+            return 0, bad
         negative = out < 0
         out[negative] = 0.0
-        return int(np.count_nonzero(negative))
+        return int(np.count_nonzero(negative)), bad
 
     def report_clamped(self, clamped: int) -> None:
         """Log one warning with the count ``clamped``, unless it is 0 or this cube has warned before."""

@@ -3,9 +3,10 @@
 The layer math lives in three array helpers: ``unpack_params`` splits the flat
 vector into per-layer views once, ``layers_forward`` applies the layers and
 keeps every activation, and ``layers_backward`` backprops a cotangent through
-them by hand. The nonlinear transmission profile's right-hand side and its
-VJP run its whole encoder/decoder network, one layout, through one call of
-each; ``mlp_forward`` is the plain composed network it is tested against.
+them by hand. The nonlinear transmission profile unpacks its whole
+encoder/decoder network, one layout, once and holds the layers; its
+right-hand side runs them through one ``layers_forward`` call, and that
+rhs's VJP through one ``layers_backward`` call as well.
 
 ``layers_forward`` allocates one array per layer and works in it: the bias is
 added to the matmul output in place, and a sigmoid layer is computed as
@@ -100,7 +101,8 @@ def unpack_params(params: np.ndarray, layout: MlpLayout) -> list[Layer]:
 
     W is a view into the flat vector, and so is a linear layer's forward pair;
     a sigmoid layer's forward pair (-W, -b) is made here, once for every
-    ``layers_forward`` call over these layers.
+    ``layers_forward`` call over these layers. The nonlinear profile calls
+    this once and keeps the result for every solve it runs.
     """
     params = np.asarray(params)
     params = params.astype(np.result_type(params, float), copy=False)
@@ -152,13 +154,3 @@ def layers_backward(
         g = g @ w.T
     return g, np.concatenate(grads[::-1])
 
-
-def mlp_forward(params: np.ndarray, layout: MlpLayout, x: np.ndarray) -> np.ndarray:
-    """Composed affine + activation layers over a flat parameter vector.
-
-    x may be a single (n_in,) vector or a (batch, n_in) matrix.
-    """
-    x = np.asarray(x, float)
-    if x.shape[-1] != layout.sizes[0]:
-        raise ShapeError(f"input has {x.shape[-1]} features, layout expects {layout.sizes[0]}")
-    return layers_forward(unpack_params(params, layout), x)[-1]

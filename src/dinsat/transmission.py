@@ -24,11 +24,12 @@ factor and T^-1 an exact division, so round trips are exact up to float
 rounding. The nonlinear profile integrates with the stepped solvers in
 ``ode``, forward and backward in x. Its network is one ``mlp`` layout, the
 encoder's two layers followed by the decoder's, whose sigmoid output layer
-is the decay. The right-hand side unpacks the weights once per solve, so
-the decay is the last activation from ``mlp.layers_forward``, computed in
-place like every sigmoid layer there. It comes as plain f(L), which
-multiplies and negates in the decay's buffer, or as f(L) with a
-hand-written VJP (product rule, then one ``mlp.layers_backward`` through
+is the decay. The profile unpacks its weights once, at first use, and
+holds them; the decay is the last activation from ``mlp.layers_forward``,
+computed in place like every sigmoid layer there. The right-hand side is
+two methods that every solve is handed: ``rhs(L)``, plain f(L), which
+multiplies and negates in the decay's buffer, and ``rhs_vjp(L)``, f(L) with
+a hand-written VJP (product rule, then one ``mlp.layers_backward`` through
 the whole network), which keeps only the activations that VJP reads. Its
 pullback is two discrete adjoints, ``ode.solve_vjp`` of T(1) and of
 T^-1(z): the exact gradients of the unrolled steps. Its untraced path keeps
@@ -168,10 +169,9 @@ class LinearProfile:
         alpha = np.maximum(np.asarray(alpha, float), 1e-9)
         return cls(softplus_inverse(alpha))
 
-    def rhs_from(self):
+    def rhs(self, L):
         """f(L) = -alpha L on plain arrays; the operators use the closed form instead."""
-        alpha = self.alpha
-        return lambda L: -(alpha * L)
+        return -(self.alpha * L)
 
     @cached_property
     def t1(self) -> np.ndarray:
@@ -227,7 +227,7 @@ class NonlinearProfile:
             )
         object.__setattr__(self, "params", _own_params(self.params, "nonlinear"))
 
-    @property
+    @cached_property
     def layout(self) -> MlpLayout:
         return _network_layout(self.n_bands, self.hidden, self.latent)
 
@@ -244,47 +244,38 @@ class NonlinearProfile:
     ) -> "NonlinearProfile":
         return cls(glorot_init(_network_layout(n_bands, hidden, latent), rng), n_bands, hidden, latent)
 
-    def _rhs(self):
-        """(f, f_vjp) for f(L) = -sigmoid(dec(enc(L))) * L, the weights unpacked once.
+    @cached_property
+    def _layers(self):
+        """The network's layers, unpacked from ``params`` once per profile."""
+        return unpack_params(self.params, self.layout)
 
-        The network's last activation is the decay. ``f_vjp(L)`` returns f(L)
-        and its VJP, g -> (g_L, g_params): the product rule, then the
-        network's backprop by hand.
+    def _activations(self, L):
+        if L.shape[-1] != self.n_bands:
+            raise ShapeError(f"input has {L.shape[-1]} bands, profile {self.n_bands}")
+        return layers_forward(self._layers, L)
+
+    def rhs(self, L):
+        """f(L) = -sigmoid(dec(enc(L))) * L on plain arrays; the network's last activation is the decay."""
+        value = self._activations(L)[-1]
+        value *= L
+        return np.negative(value, out=value)
+
+    def rhs_vjp(self, L):
+        """(f(L), vjp), vjp(g) -> (g_L, g_params), as ``ode.solve_vjp`` steps it.
+
+        The VJP is the product rule, then the network's backprop by hand. It
+        holds the layers and the activations, not the profile.
         """
-        layers = unpack_params(self.params, self.layout)
-        n_bands = self.n_bands
+        layers, acts = self._layers, self._activations(L)
+        decay = acts[-1]
+        value = decay * L
+        np.negative(value, out=value)
 
-        def activations(Lv):
-            if Lv.shape[-1] != n_bands:
-                raise ShapeError(f"input has {Lv.shape[-1]} bands, profile {n_bands}")
-            return layers_forward(layers, Lv)
+        def vjp(g):
+            g_L, g_params = layers_backward(layers, acts, -g * L)
+            return g_L - g * decay, g_params
 
-        def f(Lv):
-            value = activations(Lv)[-1]
-            value *= Lv
-            return np.negative(value, out=value)
-
-        def f_vjp(Lv):
-            acts = activations(Lv)
-            decay = acts[-1]
-            value = decay * Lv
-            np.negative(value, out=value)
-
-            def vjp(g):
-                g_L, g_params = layers_backward(layers, acts, -g * Lv)
-                return g_L - g * decay, g_params
-
-            return value, vjp
-
-        return f, f_vjp
-
-    def rhs_from(self):
-        """f(L) on plain arrays."""
-        return self._rhs()[0]
-
-    def rhs_vjp_from(self):
-        """L -> (f(L), vjp), vjp(g) -> (g_L, g_params), as ``ode.solve_vjp`` steps it."""
-        return self._rhs()[1]
+        return value, vjp
 
     @cached_property
     def t1(self) -> np.ndarray:
@@ -293,17 +284,16 @@ class NonlinearProfile:
 
     def forward(self, L):
         """Forward integration in x with the stepped solver."""
-        return ode_solve(self.rhs_from(), L, self.solver)
+        return ode_solve(self.rhs, L, self.solver)
 
     def inverse(self, L):
         """Backward integration in x."""
-        return ode_solve_reverse(self.rhs_from(), L, self.solver)
+        return ode_solve_reverse(self.rhs, L, self.solver)
 
     def inverse_vjp(self, z):
         """(T(1), T^-1(z), pullback): the T^-1 solve's adjoint plus the T(1) solve's."""
-        rhs_vjp = self.rhs_vjp_from()
-        t1, t1_vjp = solve_vjp(rhs_vjp, np.ones(self.n_bands), self.solver)
-        l2, l2_vjp = solve_vjp(rhs_vjp, z, self.solver, reverse=True)
+        t1, t1_vjp = solve_vjp(self.rhs_vjp, np.ones(self.n_bands), self.solver)
+        l2, l2_vjp = solve_vjp(self.rhs_vjp, z, self.solver, reverse=True)
 
         def pullback(g_t1, g_l2):
             return l2_vjp(g_l2)[1] + t1_vjp(g_t1)[1]

@@ -1,8 +1,11 @@
-"""The tests' gradient oracles: central differences and complex step."""
+"""The tests' oracles: central differences, complex step and the composed MLP."""
 
 from typing import Callable
 
 import numpy as np
+
+from dinsat.errors import ShapeError
+from dinsat.mlp import MlpLayout, layers_forward, unpack_params
 
 H_CS = 1e-30
 
@@ -36,3 +39,14 @@ def complex_step(f, x):
         xc.flat[k] += 1j * H_CS
         grad.flat[k] = complex(f(xc)).imag / H_CS
     return grad
+
+
+def mlp_forward(params: np.ndarray, layout: MlpLayout, x: np.ndarray) -> np.ndarray:
+    """Composed affine + activation layers over a flat parameter vector.
+
+    x may be a single (n_in,) vector or a (batch, n_in) matrix.
+    """
+    x = np.asarray(x, float)
+    if x.shape[-1] != layout.sizes[0]:
+        raise ShapeError(f"input has {x.shape[-1]} features, layout expects {layout.sizes[0]}")
+    return layers_forward(unpack_params(params, layout), x)[-1]

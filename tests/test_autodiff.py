@@ -17,13 +17,13 @@ from scipy.special import expit
 
 from dinsat.correction import SceneNormalization
 from dinsat.errors import ConfigError, NumericError, ShapeError
-from dinsat.mlp import MlpLayout, glorot_init, logistic, mlp_forward
+from dinsat.mlp import MlpLayout, glorot_init, logistic
 from dinsat.ode import SolverConfig
 from dinsat.optim import AdamState, adam_step
 from dinsat.training import TrainConfig, _loss_terms, train
 from dinsat.transmission import LinearProfile, NonlinearProfile
 
-from oracles import H_CS, complex_step, finite_difference
+from oracles import H_CS, complex_step, finite_difference, mlp_forward
 
 CFG = SolverConfig("rk4", 8)
 

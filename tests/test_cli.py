@@ -305,21 +305,23 @@ class TestCorrectCommand:
         assert not (out / "corrected.img").exists() and not (out / "quality_mask.img").exists()
 
     @staticmethod
-    def solves_by_process(tmp_path, runner, monkeypatch, rows, n_cpus):
-        """Nonlinear `correct` of a ``rows``-row cube on ``n_cpus`` CPUs: {pid: {solve name: calls}}.
+    def calls_by_process(tmp_path, runner, monkeypatch, rows, n_cpus,
+                         names=("ode_solve", "ode_solve_reverse")):
+        """Nonlinear `correct` of a ``rows``-row cube on ``n_cpus`` CPUs: {pid: {name: calls}}.
 
-        Each call is logged to a file, so the calls made in forked workers count too.
+        Counts the calls of the ``transmission`` functions ``names``. Each
+        call is logged to a file, so the calls made in forked workers count too.
         """
         data = np.random.default_rng(5).uniform(0.1, 1.0, (rows, 4, 3))
         write_envi_array(data, tmp_path / "c.hdr", wavelengths_nm=[500.0, 600.0, 700.0], data_type=5)
         write_model(tmp_path / "m.json", NonlinearProfile.initialize(3, np.random.default_rng(6)))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
-        log = tmp_path / "solves.log"
-        for name in ("ode_solve", "ode_solve_reverse"):
-            def counted(*args, _name=name, _solve=getattr(transmission, name)):
+        log = tmp_path / "calls.log"
+        for name in names:
+            def counted(*args, _name=name, _inner=getattr(transmission, name)):
                 with open(log, "a") as f:
                     f.write(f"{os.getpid()} {_name}\n")
-                return _solve(*args)
+                return _inner(*args)
 
             monkeypatch.setattr(transmission, name, counted)
         result = runner.invoke(main, ["correct", "--cube", str(tmp_path / "c.hdr"), "--model",
@@ -328,22 +330,29 @@ class TestCorrectCommand:
         calls = {}
         for line in log.read_text().splitlines():
             pid, name = line.split()
-            by_name = calls.setdefault(int(pid), {"ode_solve": 0, "ode_solve_reverse": 0})
-            by_name[name] += 1
+            calls.setdefault(int(pid), dict.fromkeys(names, 0))[name] += 1
         return calls
 
     def test_nonlinear_t1_is_solved_once_per_command(self, tmp_path, runner, monkeypatch):
         # T(1) is one forward solve per model however many rows the cube has;
         # each image row is one reverse solve.
-        calls = self.solves_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=1)
+        calls = self.calls_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=1)
         assert calls == {os.getpid(): {"ode_solve": 1, "ode_solve_reverse": 6}}
 
     def test_nonlinear_t1_is_solved_before_the_fork(self, tmp_path, runner, monkeypatch):
         # On 2 CPUs this process solves T(1) and its own rows 0-2; the worker
         # inherits T(1) and solves rows 3-5.
-        calls = self.solves_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=2)
+        calls = self.calls_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=2)
         assert calls.pop(os.getpid()) == {"ode_solve": 1, "ode_solve_reverse": 3}
         assert list(calls.values()) == [{"ode_solve": 0, "ode_solve_reverse": 3}]
+
+    def test_network_is_unpacked_once_before_the_fork(self, tmp_path, runner, monkeypatch):
+        # T(1) unpacks the network in this process; the worker inherits the
+        # layers with the profile and unpacks nothing for its rows 3-5.
+        calls = self.calls_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=2,
+                                      names=("ode_solve_reverse", "unpack_params"))
+        assert calls.pop(os.getpid()) == {"ode_solve_reverse": 3, "unpack_params": 1}
+        assert list(calls.values()) == [{"ode_solve_reverse": 3, "unpack_params": 0}]
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
     def test_peak_memory_is_a_fraction_of_the_cube(self, tmp_path):
@@ -563,6 +572,25 @@ class TestCorrectWorkers:
             assert not list((tmp_path / f"out{n}").iterdir())
             outputs.append(result.output)
         assert outputs[0] == outputs[1] and outputs[0].startswith("numeric-error: state diverged")
+
+    @pytest.mark.usefixtures("blocks_of_two_rows")
+    def test_failed_row_ahead_of_a_bad_value_fails_on_any_cpu_count(self, tmp_path, runner, monkeypatch):
+        # Row 4 diverges and row 5, in the same block, holds a NaN. Every pass
+        # stops at its first failing row, so row 4 fails first on any split:
+        # rows 0-7; 0-3 and 4-7; 0-1, 2-4 and 5-7.
+        data = np.full((self.ROWS, self.COLS, self.BANDS), 1e-6)
+        data[4] = 1.0
+        data[5, 0, 0] = np.nan
+        self.write_inputs(tmp_path, data, self.overflowing_model(self.BANDS))
+        outputs = []
+        for n in (1, 2, 3):
+            self.cpus(monkeypatch, n)
+            result = self.correct(tmp_path, runner, f"out{n}")
+            assert result.exit_code == 4, result.output
+            assert not list((tmp_path / f"out{n}").iterdir())
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].startswith("numeric-error: state diverged") and outputs[0].count("\n") == 1
 
     def test_failed_run_leaves_no_process_behind(self, tmp_path):
         # Both failures above in a real process, in a session of its own: once

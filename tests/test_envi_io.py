@@ -343,6 +343,26 @@ class TestRadianceChecks:
         with pytest.raises(ShapeError, match=re.escape(message)):
             read_envi(tmp_path / "c.hdr")
 
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_pass_yields_the_rows_above_the_first_bad_row_then_raises(self, tmp_path, monkeypatch, interleave):
+        monkeypatch.setattr(envi, "BLOCK_BYTES", 3 * 2 * 3 * 8)  # 3 rows per block
+        data = np.random.default_rng(15).uniform(-0.5, 1.0, (7, 2, 3))
+        expected = np.maximum(data, 0.0)
+        for bad_row in range(7):
+            bad = data.copy()
+            bad[bad_row, 1, 0] = np.nan
+            write_envi_array(bad, tmp_path / "c.hdr", interleave=interleave, data_type=5)
+            cube = open_envi(tmp_path / "c.hdr")
+            for start in range(bad_row + 1):
+                rows = []
+                with pytest.raises(ShapeError, match=f"at row {bad_row}, column 1, band 0$"):
+                    for r0, block in cube.blocks(start, 7):
+                        rows += [(r0 + i, row.copy()) for i, row in enumerate(block)]
+                assert [r for r, _ in rows] == list(range(start, bad_row))
+                for r, row in rows:
+                    np.testing.assert_array_equal(row, expected[r])
+                assert cube.clamped == np.count_nonzero(data[start:bad_row] < 0)
+
     def test_clamp_warns_once_per_cube_with_count(self, tmp_path, monkeypatch, caplog):
         one_row_per_block(monkeypatch, 2, 3)
         data = np.ones((4, 2, 3))

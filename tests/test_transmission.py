@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from dinsat.errors import NumericError
-from dinsat.mlp import MlpLayout, glorot_init, mlp_forward
+from dinsat.mlp import MlpLayout, glorot_init
 from dinsat.ode import SolverConfig, ode_solve, solve_vjp
 from dinsat.transmission import (
     LinearProfile,
@@ -19,7 +19,7 @@ from dinsat.transmission import (
     transmittance_values,
 )
 
-from oracles import H_CS, complex_step, finite_difference
+from oracles import H_CS, complex_step, finite_difference, mlp_forward
 
 CFG = SolverConfig("rk4", 16)
 
@@ -38,17 +38,17 @@ def complex_linear_factor(raw, cfg):
 class TestLinearRhs:
     def test_zero_absorption_limit(self):
         profile = LinearProfile(np.full(3, -40.0))
-        out = profile.rhs_from()(np.array([1.0, 2.0, 3.0]))
+        out = profile.rhs(np.array([1.0, 2.0, 3.0]))
         assert np.max(np.abs(out)) < 1e-15
 
     def test_definition(self):
         profile = linear([1.0, 2.0])
-        out = profile.rhs_from()(np.array([1.0, 1.0]))
+        out = profile.rhs(np.array([1.0, 1.0]))
         np.testing.assert_allclose(out, [-1.0, -2.0], rtol=1e-8)
 
     def test_origin_fixed_point(self):
         profile = linear([0.3, 1.0, 2.0, 0.1])
-        out = profile.rhs_from()(np.zeros(4))
+        out = profile.rhs(np.zeros(4))
         np.testing.assert_allclose(out, np.zeros(4))
 
     def test_softplus_inverse_round_trip(self):
@@ -60,19 +60,19 @@ class TestNonlinearRhs:
     def test_zero_input_fixed_point(self):
         rng = np.random.default_rng(0)
         profile = NonlinearProfile.initialize(6, rng)
-        np.testing.assert_allclose(profile.rhs_from()(np.zeros(6)), np.zeros(6))
+        np.testing.assert_allclose(profile.rhs(np.zeros(6)), np.zeros(6))
 
     def test_sign_construction(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             profile = NonlinearProfile.initialize(8, rng)
             L = rng.uniform(0, 2, 8)
-            assert np.all(profile.rhs_from()(L) <= 0)
+            assert np.all(profile.rhs(L) <= 0)
 
     def test_zero_params_half_decay(self):
         profile = NonlinearProfile(np.zeros(NonlinearProfile.initialize(4, np.random.default_rng(0)).params.size), 4)
         L = np.array([0.2, 0.4, 0.8, 1.6])
-        np.testing.assert_allclose(profile.rhs_from()(L), -0.5 * L, rtol=1e-12)
+        np.testing.assert_allclose(profile.rhs(L), -0.5 * L, rtol=1e-12)
 
 
 class TestNonlinearFusedRhs:
@@ -87,7 +87,7 @@ class TestNonlinearFusedRhs:
         dec = MlpLayout((profile.latent, profile.hidden, 5), ("sigmoid", "linear"))
         z = mlp_forward(profile.params[: enc.n_params], enc, L)
         d = mlp_forward(profile.params[enc.n_params :], dec, z)
-        np.testing.assert_array_equal(profile.rhs_from()(L), -(expit(d) * L))
+        np.testing.assert_array_equal(profile.rhs(L), -(expit(d) * L))
 
     def test_initialize_draws_encoder_then_decoder(self):
         # The same Glorot draws, in the same order, as one initialization of
@@ -108,9 +108,24 @@ class TestNonlinearFusedRhs:
                 return _inner(*args)
             monkeypatch.setattr(transmission, name, counted)
         profile = NonlinearProfile.initialize(5, np.random.default_rng(3))
-        _, vjp = profile.rhs_vjp_from()(np.full((2, 5), 0.5))
+        _, vjp = profile.rhs_vjp(np.full((2, 5), 0.5))
         vjp(np.ones((2, 5)))
         assert calls == {"unpack_params": 1, "layers_forward": 1, "layers_backward": 1}
+
+    def test_network_is_unpacked_once_per_profile(self, monkeypatch):
+        import dinsat.transmission as transmission
+
+        calls = []
+        monkeypatch.setattr(transmission, "unpack_params",
+                            lambda *args, _inner=transmission.unpack_params: calls.append(1) or _inner(*args))
+        profile = NonlinearProfile.initialize(5, np.random.default_rng(3))
+        z = np.full((2, 5), 0.5)
+        profile.t1, profile.forward(z), profile.inverse(z)
+        _, _, pullback = profile.inverse_vjp(z)
+        pullback(np.ones(5), np.ones((2, 5)))
+        assert len(calls) == 1
+        profile.with_params(profile.params * 0.5).inverse(z)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("shape", [(5,), (3, 5)])
     def test_vjp_matches_finite_differences(self, shape):
@@ -120,10 +135,10 @@ class TestNonlinearFusedRhs:
         weights = rng.uniform(-1.0, 1.0, shape)
 
         def objective(params, L):
-            return np.sum(weights * profile.with_params(params).rhs_from()(L))
+            return np.sum(weights * profile.with_params(params).rhs(L))
 
-        value, vjp = profile.rhs_vjp_from()(L0.copy())
-        np.testing.assert_array_equal(value, profile.rhs_from()(L0))
+        value, vjp = profile.rhs_vjp(L0.copy())
+        np.testing.assert_array_equal(value, profile.rhs(L0))
         g_L, g_p = vjp(weights)
         fd_p = finite_difference(lambda p: objective(p, L0), profile.params.copy())
         fd_L = finite_difference(lambda L: objective(profile.params, L), L0.copy())
@@ -139,9 +154,8 @@ class TestNonlinearFusedRhs:
         L = rng.uniform(0, 2, (4, 6))
         cfg = SolverConfig(method, 8)
         profile = replace(profile, solver=cfg)
-        rhs_vjp = profile.rhs_vjp_from()
         for op, reverse in ((profile.forward, False), (profile.inverse, True)):
-            traced, _ = solve_vjp(rhs_vjp, L, cfg, reverse)
+            traced, _ = solve_vjp(profile.rhs_vjp, L, cfg, reverse)
             np.testing.assert_array_equal(op(L), traced)
 
     @pytest.mark.parametrize("scale", [1e3, -1e3])
@@ -154,15 +168,15 @@ class TestNonlinearFusedRhs:
         L_before = L.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            plain = saturated.rhs_from()(L)
-            value, _ = saturated.rhs_vjp_from()(L)
+            plain = saturated.rhs(L)
+            value, _ = saturated.rhs_vjp(L)
         np.testing.assert_array_equal(L, L_before)
         assert plain.tobytes() == value.tobytes()
         assert np.any(plain == 0.0) and np.any(plain == -L)
 
     def test_untraced_rhs_is_plain(self):
         profile = NonlinearProfile.initialize(5, np.random.default_rng(11))
-        out = profile.rhs_from()(np.ones((2, 5)))
+        out = profile.rhs(np.ones((2, 5)))
         assert type(out) is np.ndarray
 
 
@@ -185,9 +199,8 @@ class TestNonlinearFusedSolve:
             trial = profile.with_params(params)
             return np.sum(weights * getattr(trial, direction)(rho * trial.t1))
 
-        rhs_vjp = profile.rhs_vjp_from()
-        t1, t1_vjp = solve_vjp(rhs_vjp, np.ones(5), cfg)
-        _, out_vjp = solve_vjp(rhs_vjp, rho0 * t1, cfg, reverse=direction == "inverse")
+        t1, t1_vjp = solve_vjp(profile.rhs_vjp, np.ones(5), cfg)
+        _, out_vjp = solve_vjp(profile.rhs_vjp, rho0 * t1, cfg, reverse=direction == "inverse")
         g_L, g_p = out_vjp(weights)
         g_p = g_p + t1_vjp((g_L * rho0).reshape(-1, 5).sum(axis=0))[1]
         fd_p = finite_difference(lambda p: objective(p, rho0), profile.params.copy())
@@ -216,7 +229,7 @@ class TestNonlinearFusedSolve:
         with pytest.raises(NumericError, match=match) as untraced:
             op(L)
         with pytest.raises(NumericError) as traced:
-            solve_vjp(profile.rhs_vjp_from(), L, CFG, reverse=direction == "inverse")
+            solve_vjp(profile.rhs_vjp, L, CFG, reverse=direction == "inverse")
         assert str(traced.value) == str(untraced.value)
 
 
@@ -227,11 +240,10 @@ class TestNonlinearAdjointMemory:
         # per pixel at 126 bands. A kept decoder pre-activation would add 1 KB.
         profile = NonlinearProfile.initialize(126, np.random.default_rng(15))
         z = np.random.default_rng(16).uniform(0.1, 1.0, (2000, 126))
-        rhs_vjp = profile.rhs_vjp_from()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _, vjp = solve_vjp(rhs_vjp, z, CFG, reverse=True)
+            _, vjp = solve_vjp(profile.rhs_vjp, z, CFG, reverse=True)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -262,9 +274,8 @@ class TestNonlinearComplexStep:
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_solve_vjp_state_cotangent(self, method):
         profile, z, _, w_l, cfg = self.problem(method)
-        rhs_vjp = profile.rhs_vjp_from()
         for op, reverse in ((profile.forward, False), (profile.inverse, True)):
-            _, vjp = solve_vjp(rhs_vjp, z, cfg, reverse)
+            _, vjp = solve_vjp(profile.rhs_vjp, z, cfg, reverse)
             expected = complex_step(lambda L: np.sum(w_l * op(L)), z)
             np.testing.assert_allclose(vjp(w_l)[0], expected, rtol=1e-12, atol=0)
 
