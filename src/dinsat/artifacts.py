@@ -98,11 +98,13 @@ def write_model(
 
 
 def read_model(path: str | Path) -> tuple[Profile, SolverConfig, Optional[WavelengthGrid]]:
-    """(model, the model's solver, wavelength grid or None) from a model artifact."""
+    """(model, the model's solver, wavelength grid or None) from a model artifact of version 1."""
 
     def build(doc: dict):
         if doc.get("format") != MODEL_FORMAT:
             raise ParseError(f"{path} is not a model artifact")
+        if type(doc["version"]) is not int or doc["version"] != MODEL_VERSION:
+            raise ParseError(f"{path}: model version {json.dumps(doc['version'])} is not {MODEL_VERSION}")
         n_bands, params = _integer(doc["n_bands"]), _floats(doc["params"])
         solver = SolverConfig(**doc["solver"])
         if doc.get("kind") == "linear":

@@ -451,7 +451,7 @@ def report(runs_dir, out_dir):
     """Plot-ready CSVs from a train output directory.
 
     transmittance_stats.csv: band,wavelength_nm,mean,std
-    loss_curves.csv:         run,epoch,train_loss,val_loss
+    loss_curves.csv:         run,epoch,train_loss,val_loss (val_loss empty without a validation split)
     roi_spectra.csv:         run,band,wavelength_nm,reflectance
     """
     runs_dir = Path(runs_dir)
@@ -495,8 +495,8 @@ def report(runs_dir, out_dir):
     lines = ["run,epoch,train_loss,val_loss"]
     for i, rec in enumerate(records):
         for entry in rec["history"]:
-            val = entry.get("val_loss", "")
-            lines.append(f"{i},{entry['epoch']},{entry['train_loss']!r},{val!r}")
+            val = entry.get("val_loss")
+            lines.append(f"{i},{entry['epoch']},{entry['train_loss']!r},{'' if val is None else repr(val)}")
     (out / "loss_curves.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["run,band,wavelength_nm,reflectance"]

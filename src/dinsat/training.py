@@ -2,8 +2,9 @@
 
 ``loss`` is the forward half of ``_loss_terms``, which ``train`` steps on; both
 take the mode and the loss weights from a ``TrainConfig``. A run's split comes
-from ``split_dataset`` and its initial model from ``config.seed``. A trained
-run's T(1) is its ``model.t1``, and ``dinsat report`` computes the ensemble's
+from ``split_dataset`` and its initial model from ``config.seed``; ``train``
+keeps the model that its best monitored loss was measured on. A trained run's
+T(1) is its ``model.t1``, and ``dinsat report`` computes the ensemble's
 per-band statistics from the run records.
 """
 
@@ -237,7 +238,14 @@ def train(
     rho: Optional[np.ndarray] = None,
     split_seed: Optional[int] = None,
 ) -> TrainRun:
-    """Full-batch Adam until convergence; returns the best-monitored parameters.
+    """Full-batch Adam with early stopping; returns the model that its best monitored loss was measured on.
+
+    An epoch records ``epoch``, ``train_loss`` (of the model before its Adam
+    step) and the loss components, and ``val_loss`` (of the stepped model)
+    where the split has validation rows. ``val_loss`` is monitored where it
+    exists, ``train_loss`` otherwise. A monitored loss below the best so far by
+    more than ``config.rel_tol`` (relative) keeps its model, and
+    ``config.patience`` epochs without one stop the run as converged.
 
     ``l4`` holds (n, bands) radiance; supervised training needs the paired ``rho``.
     The split is ``split_dataset(len(l4), config.fractions, split_seed)``, and
@@ -264,13 +272,7 @@ def train(
     model = build_model(config, l4.shape[1])
     adam = AdamState(lr=config.lr)
 
-    # Early stopping monitors validation loss when a validation split exists,
-    # the training loss otherwise (the unsupervised mode has no val split).
-    monitor_train = len(val_idx) == 0
-
-    best = np.inf
-    best_model = model
-    stale = 0
+    best, best_model, stale = np.inf, model, 0
     converged = False
     history: list[dict] = []
 
@@ -279,27 +281,18 @@ def train(
             train_loss, components, grad = _loss_terms(config, model, *train_data)
         except NumericError as e:
             raise NumericError(f"epoch {epoch}: {e}") from e
-        # The stepped profile is validated now and trained on next epoch.
+        # train_loss belongs to the model before the step, val_loss to the stepped one.
+        monitored = model
         model = model.with_params(adam_step(adam, model.params, grad))
-
-        if monitor_train:
-            monitor = train_loss
-            record = {"epoch": epoch, "train_loss": train_loss, **components}
-        else:
-            val_loss = loss(config, model, *val_data)
-            monitor = val_loss
-            record = {
-                "epoch": epoch,
-                "train_loss": train_loss,
-                "val_loss": val_loss,
-                **components,
-            }
+        record = {"epoch": epoch, "train_loss": train_loss, **components}
+        if len(val_idx):
+            record["val_loss"] = loss(config, model, *val_data)
+            monitored = model
         history.append(record)
 
+        monitor = record.get("val_loss", train_loss)
         if monitor < best * (1.0 - config.rel_tol):
-            best = monitor
-            best_model = model
-            stale = 0
+            best, best_model, stale = monitor, monitored, 0
         else:
             stale += 1
             if stale >= config.patience:

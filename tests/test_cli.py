@@ -854,6 +854,22 @@ class TestReportCommand:
         spectra = (out / "roi_spectra.csv").read_text().splitlines()
         assert spectra[0] == "run,band,wavelength_nm,reflectance"
 
+    def test_run_without_validation_split_has_an_empty_val_loss_field(self, tmp_path, runner):
+        scene = make_scene(tmp_path, runner)
+        config = tmp_path / "train.txt"
+        config.write_text("max_epochs = 3\n")
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, [
+            "train", "--cube", str(scene / "scene.hdr"), "--mode", "unsupervised",
+            "--config", str(config), "--out", str(run_dir),
+        ])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["report", "--runs", str(run_dir), "--out", str(tmp_path / "report")])
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",") for line in (tmp_path / "report" / "loss_curves.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(len(row) == 4 and row[3] == "" for row in rows)
+
     def test_record_without_roi_reflectance_gives_header_only_spectra(self, tmp_path, runner):
         runs = tmp_path / "runs"
         runs.mkdir()
@@ -959,6 +975,8 @@ def bad_inputs(tmp_path_factory):
         "hidden_latent_true": {**valid, "kind": "nonlinear", "hidden": True, "latent": True,
                                "params": [0.0] * 29},
         "n_bands_true": {**valid, "n_bands": True, "params": [-2.0]},
+        "version_2": {**valid, "version": 2}, "version_true": {**valid, "version": True},
+        "version_missing": {k: v for k, v in valid.items() if k != "version"},
         "kind_cubic": {**valid, "kind": "cubic"}, "params_5": {**valid, "params": 5}, "json_list": [valid],
     }
     for name, doc in models.items():
@@ -1095,7 +1113,8 @@ BAD_INPUT_CASES = [
     ("train-config-no-equals", "train --cube {d}/scene.hdr --mode unsupervised --config {d}/config_no_equals.txt "
      "--out {o}", 2, "config-error"),
     *((f"model-{name.replace('_', '-')}", f"correct --cube {{d}}/scene.hdr --model {{d}}/{name}.json --out {{o}}",
-       3, "parse-error") for name in ("kind_cubic", "json_list", "invalid_json", "params_5")),
+       3, "parse-error") for name in ("kind_cubic", "json_list", "invalid_json", "params_5",
+                                      "version_2", "version_true", "version_missing")),
     ("report-history-without-train-loss", "report --runs {d}/runs_no_train_loss --out {o}", 3, "parse-error"),
     *TRAIN_REJECTED_BEFORE_ANY_CUBE,
 ]

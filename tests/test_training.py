@@ -6,7 +6,14 @@ import pytest
 from scipy.optimize import brentq
 
 from dinsat import training
-from dinsat.correction import EPS_T, SceneNormalization, correct_batch, normalized_radiance, simulate_values
+from dinsat.correction import (
+    EPS_T,
+    SceneNormalization,
+    correct_batch,
+    estimate_normalization,
+    normalized_radiance,
+    simulate_values,
+)
 from dinsat.errors import ConfigError, EmptyInputError, InvalidDatasetError, NumericError, ShapeError
 from dinsat.ode import SolverConfig, ode_solve
 from dinsat.synth import SynthSpec, sample_pixels, synth_scene
@@ -370,6 +377,54 @@ class TestTrain:
         run = train(config, l4, truth.norm)
         losses = [h["train_loss"] for h in run.history]
         assert min(losses) <= 0.9 * losses[0]
+
+
+def early_stopping_scene():
+    """Every pixel of a noisy 16x16x8 scene, its truth reflectance, and the cube's estimated (C, m)."""
+    cube, truth = synth_scene(SynthSpec(rows=16, cols=16, n_bands=8, noise_std=0.02), seed=1)
+    return cube.data.reshape(-1, 8), truth.rho.reshape(-1, 8), estimate_normalization(cube.data)
+
+
+def monitored_loss(config, run, l4, rho, norm):
+    """(loss of ``run.model`` over the monitored split, the monitored history column)."""
+    picked, column = (run.split.val, "val_loss") if len(run.split.val) else (run.split.train, "train_loss")
+    picked = list(picked)
+    kept = loss(config, run.model, normalized_radiance(norm, l4)[picked],
+                None if config.mode == "unsupervised" else rho[picked])
+    return kept, [record[column] for record in run.history]
+
+
+class TestEarlyStopping:
+    """The monitor is the validation loss where the split has validation rows and
+    the training loss otherwise, and the kept model is the one it was measured on."""
+
+    @pytest.mark.parametrize("mode,kind,fractions", [
+        ("unsupervised", "linear", None), ("unsupervised", "nonlinear", None),
+        ("supervised", "linear", None), ("supervised", "nonlinear", None),
+        ("unsupervised", "linear", (0.6, 0.2, 0.2)),
+    ])
+    def test_kept_model_has_the_least_monitored_loss(self, mode, kind, fractions):
+        # rel_tol = 0: every decrease is an improvement, so the kept model is the argmin.
+        l4, rho, norm = early_stopping_scene()
+        config = TrainConfig(mode=mode, model_kind=kind, lr=0.2, patience=5, rel_tol=0.0, max_epochs=40,
+                             split_fractions=fractions)
+        run = train(config, l4, norm, rho if mode == "supervised" else None)
+        kept, monitored = monitored_loss(config, run, l4, rho, norm)
+        assert kept == min(monitored)
+        assert all(("val_loss" in record) == (len(run.split.val) > 0) for record in run.history)
+        if kind == "linear":
+            # Each linear run stops early: the kept model is `patience` epochs old.
+            assert run.converged and run.epochs < config.max_epochs
+            assert kept == monitored[-config.patience - 1]
+
+    def test_unsupervised_run_that_stops_early_keeps_the_unstepped_model(self):
+        # The model one Adam step past the best has a training loss of 0.11914 here.
+        l4, rho, norm = early_stopping_scene()
+        config = TrainConfig(mode="unsupervised", lr=0.2, patience=5)
+        run = train(config, l4, norm)
+        kept, monitored = monitored_loss(config, run, l4, rho, norm)
+        assert (run.converged, run.epochs) == (True, 20)
+        assert kept == min(monitored) == pytest.approx(0.11031, abs=1e-5)
 
 
 class TestEnsemble:
