@@ -7,7 +7,7 @@ from .correction import (
     simulate_values,
 )
 from .ode import SolverConfig, ode_solve, ode_solve_reverse
-from .synth import SynthSpec, sample_pixels, synth_scene
+from .synth import SynthSpec, synth_scene
 from .training import (
     TrainConfig,
     TrainRun,
@@ -46,7 +46,6 @@ __all__ = [
     "ode_solve",
     "ode_solve_reverse",
     "percent_mse",
-    "sample_pixels",
     "simulate_values",
     "split_dataset",
     "synth_scene",

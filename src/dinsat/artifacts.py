@@ -289,21 +289,3 @@ def write_truth_sidecar(
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def read_truth_sidecar(path: str | Path) -> dict:
-    path = Path(path)
-    lines = [ln for ln in _read_text(path, "truth sidecar").splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ParseError(f"{path}: truth sidecar is empty")
-    header = lines[0].split(",")
-    table = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    cols = {name: table[:, i] for i, name in enumerate(header)}
-    rho = {
-        name: cols[name] for name in header if name.startswith("rho_")
-    }
-    return {
-        "grid": WavelengthGrid(cols["wavelength_nm"]),
-        "alpha": cols["alpha_true"],
-        "norm": SceneNormalization(cols["c"], float(cols["m"][0])),
-        "rho": rho,
-    }

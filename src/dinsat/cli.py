@@ -172,7 +172,7 @@ def synth(spec_path, seed, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cube, truth = synth_scene(spec, seed)
-    envi.write_envi(cube, out / "scene.hdr", out / "scene.img", data_type=5)
+    envi.write_envi(cube, out / "scene.hdr", data_type=5)
     rng = np.random.default_rng(seed)
     picks = {(0, 0), (0, min(1, spec.cols - 1))}
     while len(picks) < min(6, spec.rows * spec.cols):
@@ -370,10 +370,10 @@ def correct(cube_path, model_path, norm_path, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     shape, wl = (cube.rows, cube.cols, cube.n_bands), cube.grid.wavelengths_nm
     with envi.EnviWriter(
-        out / "corrected.hdr", shape, out / "corrected.img", wavelengths_nm=wl,
+        out / "corrected.hdr", shape, wavelengths_nm=wl,
         data_type=4, description="dinsat corrected reflectance",
     ) as rho_out, envi.EnviWriter(
-        out / "quality_mask.hdr", shape, out / "quality_mask.img", wavelengths_nm=wl,
+        out / "quality_mask.hdr", shape, wavelengths_nm=wl,
         data_type=12, description="dinsat quality mask",
     ) as mask_out:
         work = functools.partial(_correct_rows, cube, model, norm, (rho_out, mask_out))

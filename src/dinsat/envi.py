@@ -15,12 +15,11 @@ picks out the pixels it is asked for as their rows go by. `EnviWriter` writes
 row blocks into a new pair with the same runs. Every run is one positional
 read (``os.preadv``) or write (``os.pwrite``) at its own offset, with no
 ``seek``: processes that share a writer's descriptor write their own rows
-without racing on one file offset. `read_envi` and
-`write_envi_array` are the whole-cube forms of the two. Where the values
-already have their destination's type and order, nothing is copied: native
-float64 runs are read straight into a block laid out like the file, and a
-block that is already the file's type in file order is written from its own
-memory. Everything else passes through one reused buffer.
+without racing on one file offset. Where the values already have their
+destination's type and order, nothing is copied: native float64 runs are
+read straight into a block laid out like the file, and a block that is
+already the file's type in file order is written from its own memory.
+Everything else passes through one reused buffer.
 """
 
 from __future__ import annotations
@@ -352,10 +351,13 @@ class EnviCube:
             log.warning("%s: clamped %d negative radiance values to 0", self.data_path, clamped)
 
 
-def open_envi(header_path: str | Path, data_path: Optional[str | Path] = None) -> EnviCube:
-    """Open an ENVI pair for row-block reading; checks the header and the data size."""
+def open_envi(header_path: str | Path) -> EnviCube:
+    """Open an ENVI pair for row-block reading; checks the header and the data size.
+
+    The data file is the one `guess_data_path` finds beside the header.
+    """
     header = read_envi_header(header_path)
-    data_path = Path(data_path) if data_path is not None else guess_data_path(header_path)
+    data_path = guess_data_path(header_path)
 
     n_values = header.samples * header.lines * header.bands
     expected = header.header_offset + n_values * header.dtype.itemsize
@@ -379,28 +381,19 @@ def open_envi(header_path: str | Path, data_path: Optional[str | Path] = None) -
     return EnviCube(header, data_path, grid)
 
 
-def read_envi(header_path: str | Path, data_path: Optional[str | Path] = None) -> HyperCube:
-    """Load an ENVI pair into the canonical (rows, cols, bands) layout, block by block."""
-    cube = open_envi(header_path, data_path)
-    data = cube._empty(cube.rows)
-    for r0, block in cube.blocks():
-        data[r0 : r0 + len(block)] = block
-    return HyperCube(cube.grid, data)
-
-
 class EnviWriter:
     """A new ENVI pair, written in (rows, cols, bands) row blocks in file layout.
 
-    The header is written on `close`. As a context manager the writer closes
-    on success and deletes its data file if the body raises, so a failed
-    command leaves no partial image behind.
+    The data file is the header's path with the suffix ``.img``; the header
+    is written on `close`. As a context manager the writer closes on success
+    and deletes its data file if the body raises, so a failed command leaves
+    no partial image behind.
     """
 
     def __init__(
         self,
         header_path: str | Path,
         shape: tuple[int, int, int],
-        data_path: Optional[str | Path] = None,
         wavelengths_nm: Optional[np.ndarray] = None,
         interleave: str = "bsq",
         data_type: int = 4,
@@ -414,7 +407,7 @@ class EnviWriter:
             raise ConfigError("ENVI writer expects a rows x cols x bands array")
         self.shape = tuple(int(n) for n in shape)
         self.header_path = Path(header_path)
-        self.data_path = Path(data_path) if data_path is not None else self.header_path.with_suffix(".img")
+        self.data_path = self.header_path.with_suffix(".img")
         self.wavelengths_nm = wavelengths_nm
         self.interleave, self.data_type, self.description = interleave, data_type, description
         self.dtype = np.dtype("<" + DTYPE_CODES[data_type])
@@ -487,7 +480,6 @@ class EnviWriter:
 def write_envi_array(
     data: np.ndarray,
     header_path: str | Path,
-    data_path: Optional[str | Path] = None,
     wavelengths_nm: Optional[np.ndarray] = None,
     interleave: str = "bsq",
     data_type: int = 4,
@@ -495,8 +487,7 @@ def write_envi_array(
 ) -> Path:
     """Write a (rows, cols, bands) array as an ENVI pair, block by block; returns the data path."""
     data = np.asarray(data)
-    with EnviWriter(header_path, data.shape, data_path, wavelengths_nm, interleave, data_type,
-                    description) as out:
+    with EnviWriter(header_path, data.shape, wavelengths_nm, interleave, data_type, description) as out:
         for r0 in range(0, len(data), out.block_rows):
             out.write_rows(r0, data[r0 : r0 + out.block_rows])
     return out.data_path
@@ -505,14 +496,12 @@ def write_envi_array(
 def write_envi(
     cube: HyperCube,
     header_path: str | Path,
-    data_path: Optional[str | Path] = None,
     interleave: str = "bsq",
     data_type: int = 4,
 ) -> Path:
     return write_envi_array(
         cube.data,
         header_path,
-        data_path,
         wavelengths_nm=cube.grid.wavelengths_nm,
         interleave=interleave,
         data_type=data_type,

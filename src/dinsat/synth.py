@@ -2,7 +2,9 @@
 
 Radiance is assembled with the closed-form exponential transmission
 (L4 = C + m * exp(-2*alpha) * rho), never with the ODE solver, so solver
-bugs cannot cancel out in round-trip tests against this truth.
+bugs cannot cancel out in round-trip tests against this truth. The truth is
+the arrays the radiance was built from (alpha, rho and the normalization),
+with no transmission model: the generator imports no profile.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import numpy as np
 
 from .correction import SceneNormalization
 from .errors import ConfigError
-from .transmission import LinearProfile
-from .types import HyperCube, WavelengthGrid, sample_coords
+from .types import HyperCube, WavelengthGrid
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ class SynthSpec:
 class SynthTruth:
     grid: WavelengthGrid
     alpha: np.ndarray  # (n_bands,)
-    profile: LinearProfile
     rho: np.ndarray  # (rows, cols, n_bands)
     norm: SceneNormalization
 
@@ -120,27 +120,6 @@ def synth_scene(spec: SynthSpec, seed: int) -> tuple[HyperCube, SynthTruth]:
     data = np.maximum(clean, 0.0)
 
     cube = HyperCube(grid, data)
-    truth = SynthTruth(
-        grid=grid,
-        alpha=alpha,
-        profile=LinearProfile.from_alpha(alpha),
-        rho=rho,
-        norm=SceneNormalization(c, spec.illumination),
-    )
+    truth = SynthTruth(grid=grid, alpha=alpha, rho=rho, norm=SceneNormalization(c, spec.illumination))
     return cube, truth
 
-
-def sample_pixels(
-    cube: HyperCube,
-    truth: SynthTruth | None,
-    n_pixels: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Distinct pixels drawn uniformly at random, as (coords, l4, rho).
-
-    ``coords`` holds (n, 2) (row, col) pairs, ``l4`` their (n, bands) radiance
-    and ``rho`` their truth reflectance or None.
-    """
-    coords = sample_coords(cube.rows, cube.cols, n_pixels, seed)
-    rho = truth.rho[coords[:, 0], coords[:, 1]] if truth is not None else None
-    return coords, cube.data[coords[:, 0], coords[:, 1]], rho

@@ -3,7 +3,7 @@
 ``loss`` is the forward half of ``_loss_terms``, which ``train`` steps on; both
 take the mode and the loss weights from a ``TrainConfig``. A run's split comes
 from ``split_dataset`` and its initial model from ``config.seed``; ``train``
-keeps the model that its best monitored loss was measured on. A trained run's
+keeps the model that its least monitored loss was measured on. A trained run's
 T(1) is its ``model.t1``, and ``dinsat report`` computes the ensemble's
 per-band statistics from the run records.
 """
@@ -106,7 +106,7 @@ class TrainRun:
     config: TrainConfig
     split: DatasetSplit
     history: list[dict]
-    model: Profile  # at the best-monitored parameters
+    model: Profile  # at the parameters of the least monitored loss
     converged: bool
     wall_time: float
     epochs: int
@@ -238,14 +238,16 @@ def train(
     rho: Optional[np.ndarray] = None,
     split_seed: Optional[int] = None,
 ) -> TrainRun:
-    """Full-batch Adam with early stopping; returns the model that its best monitored loss was measured on.
+    """Full-batch Adam with early stopping; returns the model that its least monitored loss was measured on.
 
     An epoch records ``epoch``, ``train_loss`` (of the model before its Adam
     step) and the loss components, and ``val_loss`` (of the stepped model)
     where the split has validation rows. ``val_loss`` is monitored where it
-    exists, ``train_loss`` otherwise. A monitored loss below the best so far by
-    more than ``config.rel_tol`` (relative) keeps its model, and
-    ``config.patience`` epochs without one stop the run as converged.
+    exists, ``train_loss`` otherwise. The model of the least monitored loss is
+    kept, however small its lead. Patience counts apart: a monitored loss below
+    the best so far by more than ``config.rel_tol`` (relative) is an
+    improvement, and ``config.patience`` epochs without one stop the run as
+    converged.
 
     ``l4`` holds (n, bands) radiance; supervised training needs the paired ``rho``.
     The split is ``split_dataset(len(l4), config.fractions, split_seed)``, and
@@ -272,7 +274,7 @@ def train(
     model = build_model(config, l4.shape[1])
     adam = AdamState(lr=config.lr)
 
-    best, best_model, stale = np.inf, model, 0
+    best, least, kept, stale = np.inf, np.inf, model, 0
     converged = False
     history: list[dict] = []
 
@@ -291,8 +293,10 @@ def train(
         history.append(record)
 
         monitor = record.get("val_loss", train_loss)
+        if monitor < least:
+            least, kept = monitor, monitored
         if monitor < best * (1.0 - config.rel_tol):
-            best, best_model, stale = monitor, monitored, 0
+            best, stale = monitor, 0
         else:
             stale += 1
             if stale >= config.patience:
@@ -303,7 +307,7 @@ def train(
         config=config,
         split=split,
         history=history,
-        model=best_model,
+        model=kept,
         converged=converged,
         wall_time=time.perf_counter() - started,
         epochs=len(history),

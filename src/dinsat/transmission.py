@@ -32,9 +32,9 @@ multiplies and negates in the decay's buffer, and ``rhs_vjp(L)``, f(L) with
 a hand-written VJP (product rule, then one ``mlp.layers_backward`` through
 the whole network), which keeps only the activations that VJP reads. Its
 pullback is two discrete adjoints, ``ode.solve_vjp`` of T(1) and of
-T^-1(z): the exact gradients of the unrolled steps. Its untraced path keeps
-a complex dtype in the state and the parameters, so it can be checked by
-complex step.
+T^-1(z): the exact gradients of the unrolled steps. ``forward``, ``inverse``
+and ``t1`` keep a complex dtype in the state and the parameters, so they can
+be checked by complex step.
 """
 
 from __future__ import annotations
@@ -163,15 +163,6 @@ class LinearProfile:
         # alpha near 0.5 keeps the initial transmittance around 0.6.
         alpha0 = rng.uniform(0.4, 0.6, n_bands)
         return cls(softplus_inverse(alpha0))
-
-    @classmethod
-    def from_alpha(cls, alpha: np.ndarray) -> "LinearProfile":
-        alpha = np.maximum(np.asarray(alpha, float), 1e-9)
-        return cls(softplus_inverse(alpha))
-
-    def rhs(self, L):
-        """f(L) = -alpha L on plain arrays; the operators use the closed form instead."""
-        return -(self.alpha * L)
 
     @cached_property
     def t1(self) -> np.ndarray:

@@ -1,11 +1,23 @@
-"""The tests' oracles: central differences, complex step and the composed MLP."""
+"""The tests' oracles and reference helpers, none of which the package's commands need.
 
+Central differences, complex step and the composed MLP check gradients and the
+network; ``linear_profile`` and ``linear_rhs`` build the linear profile and its
+stepped right-hand side from rates alpha; ``read_cube`` reads a whole ENVI cube
+through the row-block reader; ``sample_pixels`` draws pixels of an in-memory
+synthetic scene.
+"""
+
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from dinsat.envi import open_envi
 from dinsat.errors import ShapeError
 from dinsat.mlp import MlpLayout, layers_forward, unpack_params
+from dinsat.synth import SynthTruth
+from dinsat.transmission import LinearProfile, softplus_inverse
+from dinsat.types import HyperCube, sample_coords
 
 H_CS = 1e-30
 
@@ -50,3 +62,39 @@ def mlp_forward(params: np.ndarray, layout: MlpLayout, x: np.ndarray) -> np.ndar
     if x.shape[-1] != layout.sizes[0]:
         raise ShapeError(f"input has {x.shape[-1]} features, layout expects {layout.sizes[0]}")
     return layers_forward(unpack_params(params, layout), x)[-1]
+
+
+def linear_profile(alpha) -> LinearProfile:
+    """The linear profile with per-band rates ``alpha``, each floored at 1e-9 so softplus can be inverted."""
+    return LinearProfile(softplus_inverse(np.maximum(np.asarray(alpha, float), 1e-9)))
+
+
+def linear_rhs(alpha) -> Callable[[np.ndarray], np.ndarray]:
+    """f(L) = -alpha L: the linear profile's right-hand side, which the package only uses in closed form."""
+    alpha = np.asarray(alpha, float)
+    return lambda L: -(alpha * L)
+
+
+def read_cube(header_path: str | Path) -> HyperCube:
+    """The whole ENVI cube at ``header_path``, in (rows, cols, bands) order, read block by block."""
+    cube = open_envi(header_path)
+    data = np.empty((cube.rows, cube.cols, cube.n_bands))
+    for r0, block in cube.blocks():
+        data[r0 : r0 + len(block)] = block
+    return HyperCube(cube.grid, data)
+
+
+def sample_pixels(
+    cube: HyperCube,
+    truth: SynthTruth | None,
+    n_pixels: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Distinct pixels drawn uniformly at random, as (coords, l4, rho).
+
+    ``coords`` holds (n, 2) (row, col) pairs, ``l4`` their (n, bands) radiance
+    and ``rho`` their truth reflectance or None.
+    """
+    coords = sample_coords(cube.rows, cube.cols, n_pixels, seed)
+    rho = truth.rho[coords[:, 0], coords[:, 1]] if truth is not None else None
+    return coords, cube.data[coords[:, 0], coords[:, 1]], rho

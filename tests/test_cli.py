@@ -22,12 +22,14 @@ from dinsat.artifacts import (
 )
 from dinsat.cli import _row_shares, _synth_spec_from_file, _train_config_from_file, main
 from dinsat.correction import SceneNormalization, correct_batch, estimate_normalization
-from dinsat.envi import read_envi, write_envi_array
+from dinsat.envi import write_envi_array
 from dinsat.errors import ConfigError, NumericError
 from dinsat.ode import SolverConfig
 from dinsat.synth import SynthSpec, synth_scene
 from dinsat.transmission import LinearProfile, NonlinearProfile
 from dinsat.types import Spectrum, WavelengthGrid
+
+from oracles import linear_profile, read_cube
 
 SPEC_TEXT = """
 rows = 12
@@ -95,13 +97,18 @@ def test_cli_import_leaves_scipy_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_every_exported_name_resolves():
+    # A name deleted from the package must leave __all__ too.
+    assert [name for name in dinsat.__all__ if not hasattr(dinsat, name)] == []
+
+
 class TestSynthCommand:
     def test_outputs_exist(self, tmp_path, runner):
         out = make_scene(tmp_path, runner)
         assert (out / "scene.hdr").exists()
         assert (out / "scene.img").exists()
         assert (out / "truth.csv").exists()
-        cube = read_envi(out / "scene.hdr")
+        cube = read_cube(out / "scene.hdr")
         assert (cube.rows, cube.cols, cube.n_bands) == (12, 12, 16)
 
     def test_deterministic(self, tmp_path, runner):
@@ -162,7 +169,7 @@ class TestTrainCommand:
             "--config", str(config), "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
-        cubes = [read_envi(s / "scene.hdr") for s in scenes]
+        cubes = [read_cube(s / "scene.hdr") for s in scenes]
         stacked = np.concatenate([c.data.reshape(-1, c.n_bands) for c in cubes])
         c_ref = stacked.min(axis=0)
         norm = read_normalization(out / "norm.json")
@@ -203,7 +210,7 @@ class TestTrainCommand:
 class TestCorrectCommand:
     def test_identity_model_reproduces_normalized_radiance(self, tmp_path, runner):
         scene = make_scene(tmp_path, runner)
-        cube = read_envi(scene / "scene.hdr")
+        cube = read_cube(scene / "scene.hdr")
         model_path = tmp_path / "identity.json"
         write_model(model_path, LinearProfile(np.full(16, -40.0), SolverConfig("rk4", 8)))
         out = tmp_path / "corr"
@@ -212,11 +219,11 @@ class TestCorrectCommand:
             "--model", str(model_path), "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
-        corrected = read_envi(out / "corrected.hdr")
+        corrected = read_cube(out / "corrected.hdr")
         norm = estimate_normalization(cube.data)
         expected = (cube.data - norm.c) / norm.m
         np.testing.assert_allclose(corrected.data, expected, atol=1e-6)
-        mask = read_envi(out / "quality_mask.hdr")
+        mask = read_cube(out / "quality_mask.hdr")
         assert mask.data.shape == cube.data.shape
 
     def test_band_mismatch_is_data_error(self, tmp_path, runner):
@@ -247,7 +254,7 @@ class TestCorrectCommand:
         # Euler with alpha h = 1: T(1) is exactly 0 in bands 2 and 5.
         alpha = np.full(16, 0.5)
         alpha[[2, 5]] = 16.0
-        write_model(model_path, replace(LinearProfile.from_alpha(alpha), solver=SolverConfig("euler", 16)))
+        write_model(model_path, replace(linear_profile(alpha), solver=SolverConfig("euler", 16)))
         out = tmp_path / "o"
         # A real process, so that a numpy warning would show on stderr.
         src = str(Path(dinsat.__file__).resolve().parents[1])
@@ -268,7 +275,7 @@ class TestCorrectCommand:
         # 7, and the float64 reflectance there is beyond float32's range.
         alpha = np.full(16, 0.5)
         alpha[[3, 7]] = np.nextafter(16.0, 17.0), np.nextafter(16.0, 0.0)
-        write_model(model_path, replace(LinearProfile.from_alpha(alpha), solver=SolverConfig("euler", 16)))
+        write_model(model_path, replace(linear_profile(alpha), solver=SolverConfig("euler", 16)))
         out = tmp_path / "o"
         # A real process, so that a numpy warning would show on stderr.
         src = str(Path(dinsat.__file__).resolve().parents[1])
@@ -418,12 +425,12 @@ class TestCorrectLayouts:
         )
         np.ascontiguousarray(values.transpose(FILE_ORDER[interleave]), dtype=dtype).tofile(tmp_path / "c.img")
         # Band 2's T(1) is floored; reflectances fall on both sides of 1.
-        model = replace(LinearProfile.from_alpha([0.3, 1.0, 20.0, 2.0]), solver=SolverConfig("rk4", 16))
+        model = replace(linear_profile([0.3, 1.0, 20.0, 2.0]), solver=SolverConfig("rk4", 16))
         write_model(tmp_path / "m.json", model)
         norm = SceneNormalization(np.full(self.BANDS, 0.1), 1.0)
         write_normalization(tmp_path / "norm.json", norm)
 
-        data = read_envi(hdr).data  # the whole cube, before the block size shrinks
+        data = read_cube(hdr).data  # the whole cube, before the block size shrinks
         rho, mask = correct_batch(model, norm, data.reshape(-1, self.BANDS))
         assert (mask & 1).any() and (mask & 2).any() and not (mask & 2).all()
         for name, image, out_dtype in (("rho", rho, "<f4"), ("mask", mask, "<u2")):

@@ -18,6 +18,8 @@ from dinsat.ode import SolverConfig
 from dinsat.synth import SynthSpec, synth_scene
 from dinsat.transmission import LinearProfile, NonlinearProfile
 
+from oracles import linear_profile
+
 CFG = SolverConfig("rk4", 16)
 
 
@@ -86,7 +88,7 @@ class TestCorrectPixel:
 
     def test_linear_ln2_analytic(self):
         n = 5
-        model = LinearProfile.from_alpha(np.full(n, np.log(2.0)))
+        model = linear_profile(np.full(n, np.log(2.0)))
         norm = SceneNormalization.identity(n)
         out, _ = correct_batch(model, norm, np.full(n, 0.1))
         np.testing.assert_allclose(out, 0.4, rtol=1e-6)
@@ -98,7 +100,7 @@ class TestCorrectPixel:
         np.testing.assert_allclose(out, 0.0)
 
     def test_quality_mask_marks_out_of_range(self):
-        model = LinearProfile.from_alpha(np.array([2.0, 0.01]))
+        model = linear_profile(np.array([2.0, 0.01]))
         norm = SceneNormalization.identity(2)
         rho, mask = correct_batch(model, norm, np.array([[1.0, 0.2]]))
         assert rho[0, 0] > 1.0  # strong absorption inflates the estimate
@@ -119,7 +121,7 @@ class TestCorrectBatchOut:
     EULER_1 = SolverConfig("euler", 1)
 
     def linear_case(self):
-        model = LinearProfile(np.concatenate([[-40.0], LinearProfile.from_alpha([1.0 - 1e-7, 1.5]).raw]),
+        model = LinearProfile(np.concatenate([[-40.0], linear_profile([1.0 - 1e-7, 1.5]).raw]),
                               self.EULER_1)
         t1 = model.t1
         assert t1[0] == 1.0 and 0 < t1[1] < EPS_T and t1[2] == -0.5
@@ -168,7 +170,7 @@ class TestCorrectBatchOut:
     def test_reflectance_beyond_float32_is_numeric_error_naming_the_bands(self):
         # Euler with alpha one ulp from 16: T(1) is tiny but not 0, so the
         # reflectance is finite in float64 and beyond float32's range.
-        model = replace(LinearProfile.from_alpha([0.5, np.nextafter(16.0, 17.0), np.nextafter(16.0, 0.0)]),
+        model = replace(linear_profile([0.5, np.nextafter(16.0, 17.0), np.nextafter(16.0, 0.0)]),
                         solver=SolverConfig("euler", 16))
         norm = SceneNormalization.identity(3)
         row = np.full((4, 3), 0.5)
@@ -189,7 +191,7 @@ class TestSimulate:
     def test_dark_target_gives_offset(self):
         c = np.array([0.12, 0.05])
         norm = SceneNormalization(c, 3.0)
-        model = LinearProfile.from_alpha(np.array([0.5, 1.5]))
+        model = linear_profile(np.array([0.5, 1.5]))
         out = simulate_values(model, norm, np.zeros(2))
         np.testing.assert_allclose(out, c)
 
@@ -201,7 +203,7 @@ class TestSimulate:
     def test_round_trip_linear(self):
         rng = np.random.default_rng(1)
         n = 126
-        model = LinearProfile.from_alpha(rng.uniform(0.05, 2.5, n))
+        model = linear_profile(rng.uniform(0.05, 2.5, n))
         norm = SceneNormalization(rng.uniform(0, 0.1, n), 1.7)
         for _ in range(5):
             rho = rng.uniform(0, 1, n)
@@ -212,7 +214,7 @@ class TestSimulate:
     def test_round_trip_other_direction(self):
         rng = np.random.default_rng(2)
         n = 20
-        model = LinearProfile.from_alpha(rng.uniform(0.1, 1.5, n))
+        model = linear_profile(rng.uniform(0.1, 1.5, n))
         norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.0)
         l4 = norm.c + rng.uniform(0, 0.5, n)
         rho, _ = correct_batch(model, norm, l4)
@@ -224,7 +226,7 @@ class TestSceneProperties:
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(3)
         n = 8
-        model = LinearProfile.from_alpha(rng.uniform(0.2, 1.0, n))
+        model = linear_profile(rng.uniform(0.2, 1.0, n))
         pixels = np.stack([rng.uniform(0.1, 2.0, n) for _ in range(12)])
         norm = estimate_normalization(pixels)
         rho_base, _ = correct_batch(model, norm, pixels[0])
@@ -237,7 +239,7 @@ class TestSceneProperties:
 
     def test_monotonicity_in_radiance(self):
         n = 4
-        model = LinearProfile.from_alpha(np.full(n, 0.8))
+        model = linear_profile(np.full(n, 0.8))
         norm = SceneNormalization(np.zeros(n), 2.0)
         base = np.array([0.5, 0.5, 0.5, 0.5])
         lo, _ = correct_batch(model, norm, base)

@@ -11,7 +11,6 @@ from dinsat.artifacts import (
     read_normalization,
     read_roi,
     read_spectrum_csv,
-    read_truth_sidecar,
     write_model,
     write_normalization,
     write_spectrum_csv,
@@ -19,11 +18,13 @@ from dinsat.artifacts import (
 )
 from dinsat.correction import SceneNormalization
 from dinsat import envi
-from dinsat.envi import open_envi, read_envi, read_envi_header, write_envi, write_envi_array
+from dinsat.envi import open_envi, read_envi_header, write_envi, write_envi_array
 from dinsat.errors import CorruptFileError, ParseError, ShapeError, UnsupportedFormatError
 from dinsat.ode import SolverConfig
 from dinsat.transmission import LinearProfile, NonlinearProfile
 from dinsat.types import HyperCube, Spectrum, WavelengthGrid
+
+from oracles import read_cube
 
 # 2 lines x 2 samples x 3 bands; values chosen so every (row, col, band)
 # position is distinguishable: value = band*100 + row*10 + col.
@@ -55,9 +56,22 @@ class TestReadEnvi:
     def test_bsq_fixture_values(self, tmp_path):
         hdr, img = write_fixture_bsq(tmp_path)
         assert img.stat().st_size == 48
-        cube = read_envi(hdr)
+        cube = read_cube(hdr)
         np.testing.assert_array_equal(cube.data, FIXTURE)
         np.testing.assert_array_equal(cube.grid.wavelengths_nm, [450.0, 1475.0, 2500.0])
+
+    @pytest.mark.parametrize("suffix", [".img", ".dat", ".bin", ".raw", ""])
+    def test_data_file_is_found_beside_its_header(self, tmp_path, suffix):
+        hdr, img = write_fixture_bsq(tmp_path)
+        data = img.rename(hdr.with_suffix(suffix))
+        assert open_envi(hdr).data_path == data
+        np.testing.assert_array_equal(read_cube(hdr).data, FIXTURE)
+
+    def test_missing_data_file_rejected(self, tmp_path):
+        hdr, img = write_fixture_bsq(tmp_path)
+        img.unlink()
+        with pytest.raises(CorruptFileError, match="no data file found next to header"):
+            open_envi(hdr)
 
     def test_multiline_brace_list_parsed(self, tmp_path):
         hdr, _ = write_fixture_bsq(tmp_path)
@@ -71,7 +85,7 @@ class TestReadEnvi:
         for interleave in ("bsq", "bil", "bip"):
             hdr = tmp_path / f"{interleave}.hdr"
             write_envi(cube, hdr, interleave=interleave, data_type=5)
-            loaded[interleave] = read_envi(hdr).data
+            loaded[interleave] = read_cube(hdr).data
         np.testing.assert_array_equal(loaded["bsq"], loaded["bil"])
         np.testing.assert_array_equal(loaded["bsq"], loaded["bip"])
         np.testing.assert_array_equal(loaded["bsq"], FIXTURE)
@@ -80,19 +94,19 @@ class TestReadEnvi:
         hdr, img = write_fixture_bsq(tmp_path)
         img.write_bytes(img.read_bytes()[:-4])
         with pytest.raises(CorruptFileError, match="expected 48 bytes"):
-            read_envi(hdr)
+            read_cube(hdr)
 
     def test_unknown_data_type_rejected(self, tmp_path):
         hdr, _ = write_fixture_bsq(tmp_path)
         hdr.write_text(hdr.read_text().replace("data type = 4", "data type = 2"))
         with pytest.raises(UnsupportedFormatError):
-            read_envi(hdr)
+            read_cube(hdr)
 
     def test_missing_magic_rejected(self, tmp_path):
         hdr, _ = write_fixture_bsq(tmp_path)
         hdr.write_text(hdr.read_text().replace("ENVI\n", "", 1))
         with pytest.raises(ParseError, match="magic"):
-            read_envi(hdr)
+            read_cube(hdr)
 
     def test_uint16_gain_offset(self, tmp_path):
         hdr = tmp_path / "u16.hdr"
@@ -105,7 +119,7 @@ class TestReadEnvi:
             "data offset values = {1.0, 2.0}\n"
         )
         img.write_bytes(struct.pack("<2H", 10, 8))
-        cube = read_envi(hdr)
+        cube = read_cube(hdr)
         np.testing.assert_allclose(cube.data[0, 0], [10 * 0.5 + 1.0, 8 * 0.25 + 2.0])
 
     def test_missing_wavelengths_synthesized(self, tmp_path, caplog):
@@ -117,7 +131,7 @@ class TestReadEnvi:
         )
         np.array([0.1, 0.2, 0.3]).tofile(img)
         with caplog.at_level("WARNING"):
-            cube = read_envi(hdr)
+            cube = read_cube(hdr)
         np.testing.assert_allclose(cube.grid.wavelengths_nm, [450.0, 1475.0, 2500.0])
         assert any("wavelength" in m for m in caplog.messages)
 
@@ -130,7 +144,7 @@ class TestWriteEnvi:
         cube = HyperCube(grid, rng.uniform(0, 2, (3, 4, 5)))
         hdr = tmp_path / "rt.hdr"
         write_envi(cube, hdr, interleave=interleave, data_type=5)
-        back = read_envi(hdr)
+        back = read_cube(hdr)
         np.testing.assert_array_equal(back.data, cube.data)
         np.testing.assert_array_equal(back.grid.wavelengths_nm, grid.wavelengths_nm)
 
@@ -139,7 +153,7 @@ class TestWriteEnvi:
         cube = HyperCube(grid, np.full((1, 1, 2), 0.1))
         hdr = tmp_path / "f32.hdr"
         write_envi(cube, hdr, data_type=4)
-        back = read_envi(hdr)
+        back = read_cube(hdr)
         np.testing.assert_array_equal(back.data, np.float32(0.1))
 
 
@@ -201,7 +215,7 @@ class TestRowBlocks:
         blocks = [(r0, block.copy()) for r0, block in cube.blocks()]
         assert [r0 for r0, _ in blocks] == [0, 3, 6]
         np.testing.assert_array_equal(np.concatenate([b for _, b in blocks]), ref)
-        np.testing.assert_array_equal(read_envi(hdr).data, ref)
+        np.testing.assert_array_equal(read_cube(hdr).data, ref)
         coords = [(0, 0), (6, 2), (3, 1), (6, 0)]
         pixels = cube.extrema_and_pixels(coords)[1]
         np.testing.assert_array_equal(pixels, ref[[r for r, _ in coords], [c for _, c in coords]])
@@ -276,7 +290,7 @@ class TestRowBlocks:
             stored = rng.uniform(-1.0, 2.0, shape)
             write_envi_array(stored, hdr, interleave=interleave, data_type=data_type)
             radiance = stored.astype(envi.DTYPE_CODES[data_type]).astype(float)
-        expected = read_envi(hdr).data
+        expected = read_cube(hdr).data
         np.testing.assert_array_equal(expected, np.maximum(radiance, 0.0))
         cube = open_envi(hdr)
         assert cube.block_rows == 2
@@ -329,7 +343,7 @@ class TestRadianceChecks:
         data[3, 1, 2] = bad  # in the last block
         hdr = self.write_cube(tmp_path, data)
         with pytest.raises(ShapeError, match="non-finite"):
-            read_envi(hdr)
+            read_cube(hdr)
         with pytest.raises(ShapeError, match="non-finite"):
             open_envi(hdr).extrema_and_pixels([(3, 1)])
 
@@ -341,7 +355,7 @@ class TestRadianceChecks:
         write_envi_array(data, tmp_path / "c.hdr", interleave=interleave, data_type=5)
         message = f"{tmp_path / 'c.img'}: non-finite radiance at row 1, column 0, band 2"
         with pytest.raises(ShapeError, match=re.escape(message)):
-            read_envi(tmp_path / "c.hdr")
+            read_cube(tmp_path / "c.hdr")
 
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
     def test_pass_yields_the_rows_above_the_first_bad_row_then_raises(self, tmp_path, monkeypatch, interleave):
@@ -369,7 +383,7 @@ class TestRadianceChecks:
         data[0, 0, 0] = data[2, 1, 1] = data[3, 0, 2] = -0.5  # in three blocks
         hdr = self.write_cube(tmp_path, data)
         with caplog.at_level(logging.WARNING, logger="dinsat.envi"):
-            cube = read_envi(hdr)
+            cube = read_cube(hdr)
         assert [r.getMessage() for r in caplog.records] == [
             f"{tmp_path / 'c.img'}: clamped 3 negative radiance values to 0"
         ]
@@ -497,7 +511,13 @@ class TestNormalizationAndTruth:
         rho = {(0, 0): np.zeros(4), (2, 5): np.array([0.2, 0.4, 0.6, 0.8])}
         path = tmp_path / "truth.csv"
         write_truth_sidecar(path, grid, alpha, norm, rho)
-        back = read_truth_sidecar(path)
+        header, *lines = path.read_text().splitlines()
+        cols = dict(zip(header.split(","), np.array([[float(v) for v in ln.split(",")] for ln in lines]).T))
+        back = {
+            "alpha": cols["alpha_true"],
+            "norm": SceneNormalization(cols["c"], float(cols["m"][0])),
+            "rho": {name: values for name, values in cols.items() if name.startswith("rho_")},
+        }
         np.testing.assert_array_equal(back["alpha"], alpha)
         np.testing.assert_array_equal(back["norm"].c, norm.c)
         assert back["norm"].m == norm.m

@@ -7,8 +7,10 @@ from dinsat.correction import correct_batch
 from dinsat.envi import open_envi, write_envi
 from dinsat.errors import ConfigError
 from dinsat.ode import SolverConfig
-from dinsat.synth import SynthSpec, sample_pixels, synth_scene
+from dinsat.synth import SynthSpec, synth_scene
 from dinsat.types import sample_coords
+
+from oracles import linear_profile, sample_pixels
 
 SMALL = dict(rows=8, cols=8, n_bands=30)
 
@@ -59,7 +61,7 @@ class TestSynthScene:
         cube, truth = synth_scene(spec, seed=2)
         cfg = SolverConfig("rk4", 64)
         for r, c in [(0, 1), (3, 3), (7, 5)]:
-            rho, _ = correct_batch(replace(truth.profile, solver=cfg), truth.norm, cube.data[r, c])
+            rho, _ = correct_batch(replace(linear_profile(truth.alpha), solver=cfg), truth.norm, cube.data[r, c])
             assert np.max(np.abs(rho - truth.rho[r, c])) < 1e-6
 
     def test_radiance_dominates_dark_offset_at_zero_noise(self):

@@ -16,7 +16,7 @@ from dinsat.correction import (
 )
 from dinsat.errors import ConfigError, EmptyInputError, InvalidDatasetError, NumericError, ShapeError
 from dinsat.ode import SolverConfig, ode_solve
-from dinsat.synth import SynthSpec, sample_pixels, synth_scene
+from dinsat.synth import SynthSpec, synth_scene
 from dinsat.training import (
     TrainConfig,
     _loss_terms,
@@ -30,7 +30,7 @@ from dinsat.training import (
 from dinsat.transmission import LinearProfile, NonlinearProfile, softplus_inverse
 from dinsat.types import split_dataset
 
-from oracles import complex_step, finite_difference
+from oracles import complex_step, finite_difference, linear_profile, sample_pixels
 
 CFG = SolverConfig("rk4", 16)
 
@@ -310,7 +310,7 @@ class TestTrain:
     def test_zero_transmittance_band_names_its_epoch(self, monkeypatch):
         # Euler with alpha h = 1 gives T(1) = 0 in band 1 of the starting model.
         monkeypatch.setattr(training, "build_model",
-                            lambda config, n_bands: replace(LinearProfile.from_alpha([0.5, 16.0]),
+                            lambda config, n_bands: replace(linear_profile([0.5, 16.0]),
                                                                   solver=config.solver))
         config = TrainConfig(mode="unsupervised", max_epochs=3, solver=SolverConfig("euler", 16))
         with pytest.raises(NumericError, match=r"^epoch 0: linear T\(1\) is 0 in band\(s\) 1;"):
@@ -403,16 +403,18 @@ class TestEarlyStopping:
         ("supervised", "linear", None), ("supervised", "nonlinear", None),
         ("unsupervised", "linear", (0.6, 0.2, 0.2)),
     ])
-    def test_kept_model_has_the_least_monitored_loss(self, mode, kind, fractions):
-        # rel_tol = 0: every decrease is an improvement, so the kept model is the argmin.
+    @pytest.mark.parametrize("rel_tol", [0.0, 1e-4])
+    def test_kept_model_has_the_least_monitored_loss(self, mode, kind, fractions, rel_tol):
+        # The kept model is the argmin for any rel_tol, which only sets what resets
+        # the patience count; at rel_tol = 0 every decrease does.
         l4, rho, norm = early_stopping_scene()
-        config = TrainConfig(mode=mode, model_kind=kind, lr=0.2, patience=5, rel_tol=0.0, max_epochs=40,
+        config = TrainConfig(mode=mode, model_kind=kind, lr=0.2, patience=5, rel_tol=rel_tol, max_epochs=40,
                              split_fractions=fractions)
         run = train(config, l4, norm, rho if mode == "supervised" else None)
         kept, monitored = monitored_loss(config, run, l4, rho, norm)
         assert kept == min(monitored)
         assert all(("val_loss" in record) == (len(run.split.val) > 0) for record in run.history)
-        if kind == "linear":
+        if kind == "linear" and rel_tol == 0:
             # Each linear run stops early: the kept model is `patience` epochs old.
             assert run.converged and run.epochs < config.max_epochs
             assert kept == monitored[-config.patience - 1]
@@ -485,21 +487,23 @@ class TestEvaluate:
     def test_truth_model_near_zero_error(self):
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, truth, 25, seed=6)
-        metrics = evaluate_regions(replace(truth.profile, solver=SolverConfig("rk4", 64)), truth.norm, [(l4, rho)])[0]
+        model = replace(linear_profile(truth.alpha), solver=SolverConfig("rk4", 64))
+        metrics = evaluate_regions(model, truth.norm, [(l4, rho)])[0]
         assert metrics["reflectance_percent_mse"] < 0.01
 
     def test_identity_model_strictly_worse(self):
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, truth, 25, seed=6)
         cfg = SolverConfig("rk4", 16)
-        good = evaluate_regions(replace(truth.profile, solver=cfg), truth.norm, [(l4, rho)])[0]
+        good = evaluate_regions(replace(linear_profile(truth.alpha), solver=cfg), truth.norm, [(l4, rho)])[0]
         bad = evaluate_regions(replace(identity_model(cube.n_bands), solver=cfg), truth.norm, [(l4, rho)])[0]
         assert bad["reflectance_percent_mse"] > good["reflectance_percent_mse"]
 
     def test_missing_inputs_warn(self):
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, None, 5, seed=0)
-        metrics = evaluate_regions(replace(truth.profile, solver=SolverConfig("rk4", 8)), truth.norm, [(l4, rho)])[0]
+        model = replace(linear_profile(truth.alpha), solver=SolverConfig("rk4", 8))
+        metrics = evaluate_regions(model, truth.norm, [(l4, rho)])[0]
         assert "reflectance_percent_mse" not in metrics
         assert metrics["warnings"]
 
@@ -508,7 +512,7 @@ class TestEvaluate:
         # A homogeneous ROI: every sample is the same pixel, the library
         # spectrum is its true reflectance, so simulation must match closely.
         l4 = cube.data[[4, 4, 4], [4, 4, 4]]
-        model = replace(truth.profile, solver=SolverConfig("rk4", 64))
+        model = replace(linear_profile(truth.alpha), solver=SolverConfig("rk4", 64))
         library_radiance = simulate_values(model, truth.norm, truth.rho[4, 4])
         metrics = evaluate_regions(model, truth.norm, [(l4, None)], library_radiance)[0]
         assert metrics["radiance_percent_mse"] < 0.01

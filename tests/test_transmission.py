@@ -19,13 +19,9 @@ from dinsat.transmission import (
     transmittance_values,
 )
 
-from oracles import H_CS, complex_step, finite_difference, mlp_forward
+from oracles import H_CS, complex_step, finite_difference, linear_profile, linear_rhs, mlp_forward
 
 CFG = SolverConfig("rk4", 16)
-
-
-def linear(alpha):
-    return LinearProfile.from_alpha(np.asarray(alpha, float))
 
 
 def complex_linear_factor(raw, cfg):
@@ -38,22 +34,22 @@ def complex_linear_factor(raw, cfg):
 class TestLinearRhs:
     def test_zero_absorption_limit(self):
         profile = LinearProfile(np.full(3, -40.0))
-        out = profile.rhs(np.array([1.0, 2.0, 3.0]))
+        out = linear_rhs(profile.alpha)(np.array([1.0, 2.0, 3.0]))
         assert np.max(np.abs(out)) < 1e-15
 
     def test_definition(self):
-        profile = linear([1.0, 2.0])
-        out = profile.rhs(np.array([1.0, 1.0]))
+        profile = linear_profile([1.0, 2.0])
+        out = linear_rhs(profile.alpha)(np.array([1.0, 1.0]))
         np.testing.assert_allclose(out, [-1.0, -2.0], rtol=1e-8)
 
     def test_origin_fixed_point(self):
-        profile = linear([0.3, 1.0, 2.0, 0.1])
-        out = profile.rhs(np.zeros(4))
+        profile = linear_profile([0.3, 1.0, 2.0, 0.1])
+        out = linear_rhs(profile.alpha)(np.zeros(4))
         np.testing.assert_allclose(out, np.zeros(4))
 
     def test_softplus_inverse_round_trip(self):
         alpha = np.array([1e-3, 0.5, 2.0, 8.0])
-        np.testing.assert_allclose(linear(alpha).alpha, alpha, rtol=1e-9)
+        np.testing.assert_allclose(linear_profile(alpha).alpha, alpha, rtol=1e-9)
 
 
 class TestNonlinearRhs:
@@ -282,13 +278,13 @@ class TestNonlinearComplexStep:
 
 class TestTransmit:
     def test_linear_half(self):
-        model = linear(np.full(5, np.log(2.0)))
+        model = linear_profile(np.full(5, np.log(2.0)))
         out = model.forward(np.ones(5))
         np.testing.assert_allclose(out, 0.5, atol=1e-8)
 
     def test_zero_fixed_point(self):
         rng = np.random.default_rng(2)
-        for model in (linear(rng.uniform(0, 3, 4)), NonlinearProfile.initialize(4, rng)):
+        for model in (linear_profile(rng.uniform(0, 3, 4)), NonlinearProfile.initialize(4, rng)):
             np.testing.assert_allclose(model.forward(np.zeros(4)), np.zeros(4))
 
     def test_zero_absorption_identity(self):
@@ -299,13 +295,13 @@ class TestTransmit:
 
 class TestInvertTransmit:
     def test_linear_doubling(self):
-        model = linear(np.full(4, np.log(2.0)))
+        model = linear_profile(np.full(4, np.log(2.0)))
         out = model.inverse(0.5 * np.ones(4))
         np.testing.assert_allclose(out, 1.0, atol=1e-6)
 
     def test_linear_round_trip_tight(self):
         rng = np.random.default_rng(3)
-        model = linear(rng.uniform(0, 5, 126))
+        model = linear_profile(rng.uniform(0, 5, 126))
         L = rng.uniform(0, 1, 126)
         back = model.inverse(model.forward(L))
         assert np.max(np.abs(back - L)) < 1e-9
@@ -320,7 +316,7 @@ class TestInvertTransmit:
 
     def test_output_dominates_input(self):
         rng = np.random.default_rng(5)
-        model = linear(rng.uniform(0, 2, 8))
+        model = linear_profile(rng.uniform(0, 2, 8))
         L = rng.uniform(0, 1, 8)
         assert np.all(model.inverse(L) >= L)
 
@@ -331,7 +327,7 @@ class TestTransmittanceSpectrum:
         np.testing.assert_allclose(profile.t1, 1.0, atol=1e-12)
 
     def test_unit_rate(self):
-        profile = linear(np.ones(6))
+        profile = linear_profile(np.ones(6))
         out = profile.t1
         np.testing.assert_allclose(out, np.exp(-1.0), atol=1e-7)
 
@@ -349,7 +345,7 @@ class TestProperties:
     def test_dissipativity(self, seed):
         rng = np.random.default_rng(seed)
         L = rng.uniform(0, 2, 12)
-        lin = linear(rng.uniform(0.01, 5, 12))
+        lin = linear_profile(rng.uniform(0.01, 5, 12))
         non = NonlinearProfile.initialize(12, rng)
         for model in (lin, non):
             out = model.forward(L)
@@ -361,12 +357,12 @@ class TestProperties:
         alpha = rng.uniform(0.1, 3, 10)
         bigger = alpha + rng.uniform(0, 2, 10)
         L = rng.uniform(0, 1, 10)
-        fast, slow = linear(bigger), linear(alpha)
+        fast, slow = linear_profile(bigger), linear_profile(alpha)
         assert np.all(fast.forward(L) <= slow.forward(L) + 1e-12)
 
     def test_linear_homogeneity(self):
         rng = np.random.default_rng(7)
-        model = linear(rng.uniform(0, 3, 9))
+        model = linear_profile(rng.uniform(0, 3, 9))
         L = rng.uniform(0, 1, 9)
         for c in (0.0, 0.5, 3.0):
             np.testing.assert_allclose(
@@ -384,7 +380,7 @@ class TestLinearClosedForm:
     )
     def test_matches_stepped_solver(self, method, steps, alpha):
         cfg = SolverConfig(method, steps)
-        model = replace(linear([alpha]), solver=cfg)
+        model = replace(linear_profile([alpha]), solver=cfg)
         rate = model.alpha
         closed = transmittance_values(model)[0]
         stepped = ode_solve(lambda L: -(rate * L), np.ones(1), cfg)[0]
@@ -413,7 +409,7 @@ class TestLinearClosedForm:
     def test_zero_transmittance_band_is_numeric_error(self):
         # Euler with alpha h = 1 gives T(1) = 0 exactly in bands 1 and 3.
         cfg = SolverConfig("euler", 16)
-        model = replace(linear([0.5, 16.0, 0.7, 16.0]), solver=cfg)
+        model = replace(linear_profile([0.5, 16.0, 0.7, 16.0]), solver=cfg)
         t1 = model.t1
         assert t1[1] == 0.0 and t1[3] == 0.0 and t1[0] > 0 and t1[2] > 0
         with warnings.catch_warnings():
@@ -450,7 +446,7 @@ class TestLinearComplexStep:
         # T^-1(z)'s, each alone, in raw, against complex step of the test's own
         # closed form, with the values bit for bit.
         rng = np.random.default_rng(17)
-        profile = linear(rng.uniform(0.1, 5.0, 6))
+        profile = linear_profile(rng.uniform(0.1, 5.0, 6))
         z = rng.uniform(0.1, 1.0, (3, 6))
         t0 = linear_factor(profile.params, CFG)
         t1, l2, pullback = profile.inverse_vjp(z)
@@ -479,7 +475,7 @@ class TestProfileOwnsItsState:
     def profiles(self):
         rng = np.random.default_rng(19)
         return (
-            replace(linear(rng.uniform(0.1, 3.0, 5)), solver=SolverConfig("euler", 8)),
+            replace(linear_profile(rng.uniform(0.1, 3.0, 5)), solver=SolverConfig("euler", 8)),
             replace(NonlinearProfile.initialize(5, rng), solver=SolverConfig("euler", 8)),
         )
 
