@@ -1,5 +1,9 @@
 """ENVI header/data pair reader and writer (BSQ, BIL, BIP).
 
+An `EnviHeader` holds a pair's geometry (shape, rows per block, file runs,
+file-order view) and its text; the reader and the writer take their layout
+from one.
+
 Cube data moves in blocks of whole image rows, in the file's own layout, so
 no command holds a whole cube in memory. `open_envi` returns an `EnviCube`:
 the header, the wavelength grid and a reader that yields row blocks, the one
@@ -25,6 +29,7 @@ Everything else passes through one reused buffer.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,7 +52,6 @@ INTERLEAVES = ("bsq", "bil", "bip")
 
 # ENVI data type code -> numpy dtype character (endianness applied separately).
 DTYPE_CODES = {4: "f4", 5: "f8", 12: "u2"}
-DTYPE_TO_CODE = {np.dtype("float32"): 4, np.dtype("float64"): 5, np.dtype("uint16"): 12}
 
 DEFAULT_WL_START = 450.0
 DEFAULT_WL_END = 2500.0
@@ -60,9 +64,14 @@ BLOCK_BYTES = 4 << 20
 # axis of the file, outermost first.
 _FILE_AXES = {"bsq": (2, 0, 1), "bil": (0, 2, 1), "bip": (0, 1, 2)}
 
+# Header key -> EnviHeader field of each per-band list.
+_LISTS = {"wavelength": "wavelengths_nm", "data gain values": "data_gain", "data offset values": "data_offset"}
+
 
 @dataclass
 class EnviHeader:
+    """An ENVI header: the pair's geometry, its data layout and its per-band lists."""
+
     samples: int
     lines: int
     bands: int
@@ -87,14 +96,50 @@ class EnviHeader:
             raise ParseError(f"byte order must be 0 or 1, got {self.byte_order}")
         if self.header_offset < 0:
             raise ParseError(f"header offset must be nonnegative, got {self.header_offset}")
-        for name, values in (("wavelength", self.wavelengths_nm), ("data gain values", self.data_gain),
-                             ("data offset values", self.data_offset)):
+        for key, name in _LISTS.items():
+            values = getattr(self, name)
             if values is not None and len(values) != self.bands:
-                raise ParseError(f"{name} list has {len(values)} entries for {self.bands} bands")
+                raise ParseError(f"{key} list has {len(values)} entries for {self.bands} bands")
 
     @property
     def dtype(self) -> np.dtype:
         return np.dtype(("<" if self.byte_order == 0 else ">") + DTYPE_CODES[self.data_type])
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(rows, cols, bands)."""
+        return self.lines, self.samples, self.bands
+
+    @property
+    def block_rows(self) -> int:
+        """Image rows per block: as many as fit BLOCK_BYTES in float64, at least one."""
+        return max(1, BLOCK_BYTES // (self.samples * self.bands * 8))
+
+    def runs(self, r0: int, r1: int) -> tuple[range | list[int], int]:
+        """(byte offset of each file run that holds rows r0 .. r1 - 1, header offset included; run bytes).
+
+        In order, the runs fill a C-ordered array of the rows in file order:
+        one run per band for BSQ with fewer than all rows, one run otherwise.
+        """
+        (rows, cols, bands), item = self.shape, self.dtype.itemsize
+        if self.interleave == "bsq" and r1 - r0 < rows:
+            start, band = self.header_offset + r0 * cols * item, rows * cols * item
+            return range(start, start + bands * band, band), (r1 - r0) * cols * item
+        return [self.header_offset + r0 * cols * bands * item], (r1 - r0) * cols * bands * item
+
+    def file_order(self, block: np.ndarray) -> np.ndarray:
+        """A view of a (rows, cols, bands) block with its axes in the file's order."""
+        return block.transpose(_FILE_AXES[self.interleave])
+
+    def text(self, description: str) -> str:
+        """The header file's text, which `read_envi_header` reads back as this header."""
+        parts = ["ENVI", f"description = {{{description}}}", f"samples = {self.samples}",
+                 f"lines = {self.lines}", f"bands = {self.bands}", f"header offset = {self.header_offset}",
+                 "file type = ENVI Standard", f"data type = {self.data_type}",
+                 f"interleave = {self.interleave}", f"byte order = {self.byte_order}"]
+        parts += [f"{key} = {{{', '.join(repr(float(v)) for v in getattr(self, name))}}}"
+                  for key, name in _LISTS.items() if getattr(self, name) is not None]
+        return "\n".join(parts) + "\n"
 
 
 def _parse_header_text(text: str) -> dict:
@@ -155,9 +200,7 @@ def read_envi_header(path: str | Path) -> EnviHeader:
         data_type=need_int("data type"),
         byte_order=need_int("byte order", 0),
         header_offset=need_int("header offset", 0),
-        wavelengths_nm=floats("wavelength"),
-        data_gain=floats("data gain values"),
-        data_offset=floats("data offset values"),
+        **{name: floats(key) for key, name in _LISTS.items()},
     )
 
 
@@ -168,23 +211,6 @@ def guess_data_path(header_path: str | Path) -> Path:
         if candidate != header_path and candidate.exists():
             return candidate
     raise CorruptFileError(f"no data file found next to header {header_path}")
-
-
-def _block_rows(cols: int, bands: int) -> int:
-    return max(1, BLOCK_BYTES // (cols * bands * 8))
-
-
-def _runs(interleave: str, shape, r0: int, r1: int) -> tuple[np.ndarray, int]:
-    """Contiguous runs of the file that hold image rows r0 .. r1 - 1.
-
-    Returns the element offset of each run and their common length. Taken in
-    order, the runs fill a C-ordered array of the rows in file order: one run
-    per band for BSQ with fewer than all rows, one run otherwise.
-    """
-    rows, cols, bands = shape
-    if interleave == "bsq" and r1 - r0 < rows:
-        return np.arange(bands) * (rows * cols) + r0 * cols, (r1 - r0) * cols
-    return np.array([r0 * cols * bands]), (r1 - r0) * cols * bands
 
 
 def _read_exact(f, offset: int, buf: memoryview) -> None:
@@ -239,7 +265,7 @@ class EnviCube:
 
     @property
     def block_rows(self) -> int:
-        return _block_rows(self.cols, self.n_bands)
+        return self.header.block_rows
 
     def _empty(self, rows: int) -> np.ndarray:
         """An uninitialised (rows, cols, bands) float64 array laid out like the file."""
@@ -310,22 +336,20 @@ class EnviCube:
         left unchecked and unclamped.
         """
         h = self.header
-        itemsize = h.dtype.itemsize
-        offsets, run = _runs(h.interleave, (self.rows, self.cols, self.n_bands), r0, r1)
-        in_file_order = out.transpose(_FILE_AXES[h.interleave])
+        offsets, run = h.runs(r0, r1)
+        in_file_order = h.file_order(out)
         # Native float64 runs, taken in order, fill a C-ordered destination:
         # they are read straight into it, with no buffer and no copy.
         direct = h.dtype == out.dtype and in_file_order.flags.c_contiguous
         if direct:
             raw = memoryview(in_file_order.reshape(-1)).cast("B")
         else:
-            size = out.size * itemsize
+            size = out.size * h.dtype.itemsize
             if self._raw is None or self._raw.size < size:
                 self._raw = np.empty(size, np.uint8)
             raw = memoryview(self._raw)[:size]
-        run_bytes = run * itemsize
-        for i, offset in enumerate(offsets.tolist()):
-            _read_exact(f, h.header_offset + offset * itemsize, raw[i * run_bytes : (i + 1) * run_bytes])
+        for i, offset in enumerate(offsets):
+            _read_exact(f, offset, raw[i * run : (i + 1) * run])
         if not direct:
             np.copyto(in_file_order, np.frombuffer(raw, h.dtype).reshape(in_file_order.shape))
         if self._scale is not None:
@@ -359,7 +383,7 @@ def open_envi(header_path: str | Path) -> EnviCube:
     header = read_envi_header(header_path)
     data_path = guess_data_path(header_path)
 
-    n_values = header.samples * header.lines * header.bands
+    n_values = math.prod(header.shape)
     expected = header.header_offset + n_values * header.dtype.itemsize
     actual = os.path.getsize(data_path)
     if actual != expected:
@@ -384,10 +408,10 @@ def open_envi(header_path: str | Path) -> EnviCube:
 class EnviWriter:
     """A new ENVI pair, written in (rows, cols, bands) row blocks in file layout.
 
-    The data file is the header's path with the suffix ``.img``; the header
-    is written on `close`. As a context manager the writer closes on success
-    and deletes its data file if the body raises, so a failed command leaves
-    no partial image behind.
+    Its `EnviHeader` holds the layout. The data file is the header's path
+    with the suffix ``.img``; the header is written on `close`. As a context
+    manager the writer closes on success and deletes both files if the body
+    raises, so a failed command leaves no partial image and no stale header.
     """
 
     def __init__(
@@ -399,72 +423,46 @@ class EnviWriter:
         data_type: int = 4,
         description: str = "dinsat output",
     ):
-        if interleave not in INTERLEAVES:
-            raise ConfigError(f"unknown interleave: {interleave!r}")
-        if data_type not in DTYPE_CODES:
-            raise ConfigError(f"unsupported output data type code {data_type}")
         if len(shape) != 3:
             raise ConfigError("ENVI writer expects a rows x cols x bands array")
-        self.shape = tuple(int(n) for n in shape)
+        rows, cols, bands = (int(n) for n in shape)
+        self.header = EnviHeader(cols, rows, bands, interleave, data_type, wavelengths_nm=wavelengths_nm)
         self.header_path = Path(header_path)
         self.data_path = self.header_path.with_suffix(".img")
-        self.wavelengths_nm = wavelengths_nm
-        self.interleave, self.data_type, self.description = interleave, data_type, description
-        self.dtype = np.dtype("<" + DTYPE_CODES[data_type])
+        if self.data_path == self.header_path:
+            raise ConfigError(f"header path {self.header_path} would also be its data file")
+        self.description = description
         self._buf = None  # reused write buffer, in the file's bytes
         self._file = open(self.data_path, "wb", buffering=0)
-        self._file.truncate(int(np.prod(self.shape)) * self.dtype.itemsize)
-
-    @property
-    def block_rows(self) -> int:
-        return _block_rows(self.shape[1], self.shape[2])
+        self._file.truncate(math.prod(self.header.shape) * self.header.dtype.itemsize)
 
     def write_rows(self, first_row: int, block: np.ndarray) -> None:
         """Write a (n, cols, bands) block as image rows first_row .. first_row + n - 1."""
+        h = self.header
         block = np.asarray(block)
-        rows, cols, bands = self.shape
-        if block.ndim != 3 or block.shape[1:] != (cols, bands) or not 0 <= first_row <= rows - len(block):
-            raise ConfigError(
-                f"cannot write a {block.shape} block at row {first_row} of a {self.shape} cube"
-            )
-        offsets, run = _runs(self.interleave, self.shape, first_row, first_row + len(block))
-        in_file_order = block.transpose(_FILE_AXES[self.interleave])
-        if block.dtype == self.dtype and in_file_order.flags.c_contiguous:
+        if block.ndim != 3 or block.shape[1:] != h.shape[1:] or not 0 <= first_row <= h.lines - len(block):
+            raise ConfigError(f"cannot write a {block.shape} block at row {first_row} of a {h.shape} cube")
+        offsets, run = h.runs(first_row, first_row + len(block))
+        in_file_order = h.file_order(block)
+        if block.dtype == h.dtype and in_file_order.flags.c_contiguous:
             # Already the file's values in file order: written from the block's own memory.
             raw = memoryview(in_file_order.reshape(-1)).cast("B")
         else:
-            size = block.size * self.dtype.itemsize
+            size = block.size * h.dtype.itemsize
             if self._buf is None or self._buf.size < size:
                 self._buf = np.empty(size, np.uint8)
-            values = self._buf[:size].view(self.dtype).reshape(in_file_order.shape)
+            values = self._buf[:size].view(h.dtype).reshape(in_file_order.shape)
             np.copyto(values, in_file_order, casting="unsafe")
             raw = memoryview(self._buf)
-        run_bytes = run * self.dtype.itemsize
-        for i, offset in enumerate(offsets.tolist()):
-            _write_all(self._file, offset * self.dtype.itemsize, raw[i * run_bytes : (i + 1) * run_bytes])
+        for i, offset in enumerate(offsets):
+            _write_all(self._file, offset, raw[i * run : (i + 1) * run])
 
     def close(self) -> None:
         """Close the data file and write the header."""
         if self._file.closed:
             return
         self._file.close()
-        rows, cols, bands = self.shape
-        parts = [
-            "ENVI",
-            f"description = {{{self.description}}}",
-            f"samples = {cols}",
-            f"lines = {rows}",
-            f"bands = {bands}",
-            "header offset = 0",
-            "file type = ENVI Standard",
-            f"data type = {self.data_type}",
-            f"interleave = {self.interleave}",
-            "byte order = 0",
-        ]
-        if self.wavelengths_nm is not None:
-            wl = ", ".join(repr(float(w)) for w in self.wavelengths_nm)
-            parts.append(f"wavelength = {{{wl}}}")
-        self.header_path.write_text("\n".join(parts) + "\n")
+        self.header_path.write_text(self.header.text(self.description))
 
     def __enter__(self) -> "EnviWriter":
         return self
@@ -475,6 +473,7 @@ class EnviWriter:
         else:
             self._file.close()
             self.data_path.unlink(missing_ok=True)
+            self.header_path.unlink(missing_ok=True)
 
 
 def write_envi_array(
@@ -488,8 +487,8 @@ def write_envi_array(
     """Write a (rows, cols, bands) array as an ENVI pair, block by block; returns the data path."""
     data = np.asarray(data)
     with EnviWriter(header_path, data.shape, wavelengths_nm, interleave, data_type, description) as out:
-        for r0 in range(0, len(data), out.block_rows):
-            out.write_rows(r0, data[r0 : r0 + out.block_rows])
+        for r0 in range(0, len(data), out.header.block_rows):
+            out.write_rows(r0, data[r0 : r0 + out.header.block_rows])
     return out.data_path
 
 

@@ -21,37 +21,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 
-METHODS = ("euler", "rk4")
-
 # Reverse integration of a dissipative system grows exponentially; abort when
 # any state component exceeds this magnitude.
 OVERFLOW_GUARD = 1e12
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    method: str = "rk4"
-    steps: int = 16
-    x0: float = 0.0
-    x_end: float = 1.0
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown solver method: {self.method!r}")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
-            raise ConfigError(f"solver steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
-            raise ConfigError("solver needs at least one step")
-        for name in ("x0", "x_end"):
-            x = getattr(self, name)
-            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
-                raise ConfigError(f"solver {name} must be a finite number, got {x!r}")
-        if not self.x0 < self.x_end:
-            raise ConfigError(f"integration interval must increase, got x0 = {self.x0!r}, x_end = {self.x_end!r}")
-        # Plain Python numbers, so a model artifact can write them as JSON.
-        object.__setattr__(self, "steps", int(self.steps))
-        object.__setattr__(self, "x0", float(self.x0))
-        object.__setattr__(self, "x_end", float(self.x_end))
 
 
 def _euler_step(rhs, y, h):
@@ -105,17 +77,56 @@ def _rk4_step_vjp(vjps, h, g):
     return g_y, g_p
 
 
-# (stepper, stage count, step VJP) of each method.
-_STEPPERS = {"euler": (_euler_step, 1, _euler_step_vjp), "rk4": (_rk4_step, 4, _rk4_step_vjp)}
+# Each method's (stepper, stage count, step VJP, P, P'). P(z) is its stability
+# polynomial: one step on dL/dx = lambda L multiplies L by P(lambda h). The
+# linear profile's closed form reads P and P' through SolverConfig.stability.
+_METHODS = {
+    "euler": (_euler_step, 1, _euler_step_vjp, lambda z: 1.0 + z, lambda z: np.ones_like(z)),
+    "rk4": (_rk4_step, 4, _rk4_step_vjp, lambda z: 1.0 + z * (1.0 + z * (1.0 / 2.0 + z * (1.0 / 6.0 + z / 24.0))),
+            lambda z: 1.0 + z * (1.0 + z * (1.0 / 2.0 + z / 6.0))),
+}
+METHODS = tuple(_METHODS)
 
 
-def _step_size(config: SolverConfig, reverse: bool) -> float:
-    return ((config.x0 - config.x_end) if reverse else (config.x_end - config.x0)) / config.steps
+@dataclass(frozen=True)
+class SolverConfig:
+    method: str = "rk4"
+    steps: int = 16
+    x0: float = 0.0
+    x_end: float = 1.0
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown solver method: {self.method!r}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ConfigError(f"solver steps must be an integer, got {self.steps!r}")
+        if self.steps < 1:
+            raise ConfigError("solver needs at least one step")
+        for name in ("x0", "x_end"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+                raise ConfigError(f"solver {name} must be a finite number, got {x!r}")
+        if not self.x0 < self.x_end:
+            raise ConfigError(f"integration interval must increase, got x0 = {self.x0!r}, x_end = {self.x_end!r}")
+        # Plain Python numbers, so a model artifact can write them as JSON.
+        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "x0", float(self.x0))
+        object.__setattr__(self, "x_end", float(self.x_end))
+
+    @property
+    def h(self) -> float:
+        """The step, (x_end - x0) / steps; a reverse solve steps by -h."""
+        return (self.x_end - self.x0) / self.steps
+
+    @property
+    def stability(self):
+        """(P, P'): the method's stability polynomial and its derivative."""
+        return _METHODS[self.method][3:]
 
 
 def _integrate(rhs, y0, config: SolverConfig, reverse: bool):
-    step = _STEPPERS[config.method][0]
-    h = _step_size(config, reverse)
+    step = _METHODS[config.method][0]
+    h = -config.h if reverse else config.h
     y = np.asarray(y0)
     y = y.astype(np.result_type(y, float), copy=False)
     for i in range(config.steps):
@@ -152,8 +163,8 @@ def solve_vjp(rhs_vjp: Callable, y0, solver: SolverConfig, reverse: bool = False
     ``vjp(g)`` returns (g_y0, g_params) for the cotangent g of y: the stored
     stage VJPs swept from the last step to the first.
     """
-    _, n_stages, step_vjp = _STEPPERS[solver.method]
-    h = _step_size(solver, reverse)
+    _, n_stages, step_vjp, *_ = _METHODS[solver.method]
+    h = -solver.h if reverse else solver.h
     stage_vjps = []
 
     def rhs(L):

@@ -41,7 +41,7 @@ from .transmission import (
     Profile,
     transmittance_values,
 )
-from .types import DatasetSplit, percent_mse, split_dataset
+from .types import DatasetSplit, check_split_fractions, percent_mse, split_dataset
 
 MODES = ("supervised", "unsupervised")
 MODEL_KINDS = ("linear", "nonlinear")
@@ -83,8 +83,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be nonnegative and finite, got {value}")
         if not 0 <= self.rel_tol < 1:
             raise ConfigError(f"rel_tol must be in [0, 1), got {self.rel_tol}")
-        if self.split_fractions is not None and not all(map(math.isfinite, self.split_fractions)):
-            raise ConfigError(f"split_fractions must be finite, got {self.split_fractions}")
+        check_split_fractions(self.fractions)
         if self.patience < 1:
             raise ConfigError("patience must be at least 1")
         if self.max_epochs < 1:

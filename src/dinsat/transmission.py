@@ -19,7 +19,8 @@ P(z) per step, z = -alpha h, where P is the method's stability polynomial
 (Euler: 1 + z; RK4: 1 + z + z^2/2 + z^3/6 + z^4/24). The linear profile
 therefore computes the solver's discrete map in closed form, as the per-band
 factor P(z)^n, and differentiates it analytically: the same map and the same
-gradients as stepping the solver n times. T is a multiplication by that
+gradients as stepping the solver n times, with P, P' and the step h read
+from the solver, whose ``ode`` method row holds P. T is a multiplication by that
 factor and T^-1 an exact division, so round trips are exact up to float
 rounding. The nonlinear profile integrates with the stepped solvers in
 ``ode``, forward and backward in x. Its network is one ``mlp`` layout, the
@@ -61,31 +62,14 @@ def softplus_inverse(a: np.ndarray) -> np.ndarray:
     return a + np.log1p(-np.exp(-a))
 
 
-# Stability polynomial P(z) and its derivative P'(z) of each solver method:
-# one step of the method on dL/dx = lambda L multiplies L by P(lambda h).
-_STABILITY = {
-    "euler": (lambda z: 1.0 + z, lambda z: np.ones_like(z)),
-    "rk4": (
-        lambda z: 1.0 + z * (1.0 + z * (1.0 / 2.0 + z * (1.0 / 6.0 + z / 24.0))),
-        lambda z: 1.0 + z * (1.0 + z * (1.0 / 2.0 + z / 6.0)),
-    ),
-}
-
-
-def _linear_terms(solver: SolverConfig):
-    """(n, h, P, P') of ``solver``'s discrete map of dL/dx = -alpha L."""
-    n = solver.steps
-    return (n, (solver.x_end - solver.x0) / n, *_STABILITY[solver.method])
-
-
 def linear_factor(raw, solver: SolverConfig = SolverConfig()) -> np.ndarray:
     """P(-softplus(raw) h)^n: the solver's exact discrete map of dL/dx = -alpha L.
 
     Raises NumericError when the factor is not finite, as the stepped solver does.
     """
-    n, h, poly, _ = _linear_terms(solver)
+    poly, _ = solver.stability
     with np.errstate(over="ignore", invalid="ignore"):
-        out = poly(-np.logaddexp(0.0, np.asarray(raw, float)) * h) ** n
+        out = poly(-np.logaddexp(0.0, np.asarray(raw, float)) * solver.h) ** solver.steps
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite linear transmission factor")
     return out
@@ -93,7 +77,7 @@ def linear_factor(raw, solver: SolverConfig = SolverConfig()) -> np.ndarray:
 
 def _linear_factor_derivative(raw, solver: SolverConfig) -> np.ndarray:
     """d linear_factor / d raw per band: n P(z)^(n-1) P'(z) (-h) logistic(raw)."""
-    n, h, poly, dpoly = _linear_terms(solver)
+    n, h, (poly, dpoly) = solver.steps, solver.h, solver.stability
     z = -np.logaddexp(0.0, raw) * h
     return n * poly(z) ** (n - 1) * dpoly(z) * (-h) * logistic(raw)
 

@@ -124,17 +124,23 @@ class DatasetSplit:
             raise ConfigError("split index lists must be pairwise disjoint")
 
 
+def check_split_fractions(fractions) -> tuple[float, float, float]:
+    """(train, val, test) as floats; ConfigError unless finite, nonnegative and summing to at most 1."""
+    f_train, f_val, f_test = (float(f) for f in fractions)
+    if not np.isfinite([f_train, f_val, f_test]).all():
+        raise ConfigError(f"split_fractions must be finite, got {f_train}/{f_val}/{f_test}")
+    if min(f_train, f_val, f_test) < 0:
+        raise ConfigError(f"split_fractions must be nonnegative, got {f_train}/{f_val}/{f_test}")
+    if f_train + f_val + f_test > 1.0 + 1e-9:
+        raise ConfigError(f"split_fractions must sum to at most 1, got {f_train}/{f_val}/{f_test}")
+    return f_train, f_val, f_test
+
+
 def split_dataset(
     n_samples: int, fractions: tuple[float, float, float], seed: int
 ) -> DatasetSplit:
     """Random disjoint split; rounding remainder is absorbed by the test split."""
-    f_train, f_val, f_test = (float(f) for f in fractions)
-    if not np.isfinite([f_train, f_val, f_test]).all():
-        raise ConfigError(f"split fractions must be finite, got {f_train}/{f_val}/{f_test}")
-    if min(f_train, f_val, f_test) < 0:
-        raise ConfigError("split fractions must be nonnegative")
-    if f_train + f_val + f_test > 1.0 + 1e-9:
-        raise ConfigError("split fractions must sum to at most 1")
+    f_train, f_val, f_test = check_split_fractions(fractions)
     if n_samples < 3:
         raise ConfigError("need at least 3 samples to split")
 

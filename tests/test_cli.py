@@ -311,6 +311,25 @@ class TestCorrectCommand:
         assert sorted(set(written)) == [0, 1, 2, 3]
         assert not (out / "corrected.img").exists() and not (out / "quality_mask.img").exists()
 
+    def test_failed_run_removes_an_earlier_runs_pair(self, tmp_path, runner):
+        data = np.full((5, 4, 3), 0.5)
+        write_envi_array(data, tmp_path / "c.hdr", wavelengths_nm=[500.0, 600.0, 700.0], data_type=5)
+        data[2, 1, 0] = np.nan
+        write_envi_array(data, tmp_path / "nan.hdr", wavelengths_nm=[500.0, 600.0, 700.0], data_type=5)
+        write_model(tmp_path / "m.json", LinearProfile(np.full(3, -2.0)))
+        # With --norm the NaN is met while the images are being written.
+        write_normalization(tmp_path / "norm.json", SceneNormalization(np.zeros(3), 1.0))
+        out = tmp_path / "out"
+        argv = ["correct", "--model", str(tmp_path / "m.json"), "--norm", str(tmp_path / "norm.json"),
+                "--out", str(out), "--cube"]
+        assert runner.invoke(main, [*argv, str(tmp_path / "c.hdr")]).exit_code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "corrected.hdr", "corrected.img", "quality_mask.hdr", "quality_mask.img"]
+        result = runner.invoke(main, [*argv, str(tmp_path / "nan.hdr")])
+        assert result.exit_code == 3 and result.output.startswith("shape-error:"), result.output
+        # No header is left behind without its data, which open_envi would reject.
+        assert not [p.name for p in out.iterdir()]
+
     @staticmethod
     def calls_by_process(tmp_path, runner, monkeypatch, rows, n_cpus,
                          names=("ode_solve", "ode_solve_reverse")):
@@ -1009,6 +1028,8 @@ def bad_inputs(tmp_path_factory):
                        *((f"fraction_{v}", f"pixel_fraction = {v}\n") for v in ("nan", "inf", "-1")),
                        *((f"rel_tol_{v}", f"rel_tol = {v}\n") for v in ("nan", "1")),
                        ("split_nan", "split_fractions = nan/0.1/0.1\n"), ("lr_nan", "lr = nan\n"),
+                       ("split_negative", "split_fractions = 0.5/-0.2/0.5\n"),
+                       ("split_sum", "split_fractions = 0.9/0.5/0.5\n"),
                        ("config_no_equals", "max_epochs 5\n"), ("hidden_0", "model_kind = nonlinear\nhidden = 0\n"),
                        *((f"spec_{name}_{value}", f"rows = 4\ncols = 4\nbands = 8\n{line}\n")
                          for value, lines in SPEC_BAD_LINES.items() for name, line in lines.items()),
@@ -1023,6 +1044,8 @@ TRAIN_REJECTED_BEFORE_ANY_CUBE = [
      "--out {o}", 2, "config-error"),
     *((f"train-ensemble-{n}", f"train --cube {{d}}/scene.hdr --mode unsupervised --ensemble {n} --out {{o}}",
        2, "config-error") for n in ("0", "-2")),
+    *((f"train-split-fractions-{name}", f"train --cube {{d}}/scene.hdr --mode unsupervised "
+       f"--config {{d}}/split_{name}.txt --out {{o}}", 2, "config-error") for name in ("negative", "sum")),
 ]
 
 BAD_INPUT_CASES = [

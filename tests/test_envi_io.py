@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import re
@@ -19,7 +20,7 @@ from dinsat.artifacts import (
 from dinsat.correction import SceneNormalization
 from dinsat import envi
 from dinsat.envi import open_envi, read_envi_header, write_envi, write_envi_array
-from dinsat.errors import CorruptFileError, ParseError, ShapeError, UnsupportedFormatError
+from dinsat.errors import ConfigError, CorruptFileError, ParseError, ShapeError, UnsupportedFormatError
 from dinsat.ode import SolverConfig
 from dinsat.transmission import LinearProfile, NonlinearProfile
 from dinsat.types import HyperCube, Spectrum, WavelengthGrid
@@ -155,6 +156,30 @@ class TestWriteEnvi:
         write_envi(cube, hdr, data_type=4)
         back = read_cube(hdr)
         np.testing.assert_array_equal(back.data, np.float32(0.1))
+
+    @pytest.mark.parametrize("wavelengths", [None, [450.0, 1475.0, 2500.0]])
+    @pytest.mark.parametrize("data_type", [4, 5, 12])
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_written_header_reads_back_as_the_writers(self, tmp_path, interleave, data_type, wavelengths):
+        hdr = tmp_path / "c.hdr"
+        with envi.EnviWriter(hdr, (2, 4, 3), wavelengths, interleave, data_type) as out:
+            out.write_rows(0, np.ones((2, 4, 3)))
+        assert out.header.shape == (2, 4, 3)
+        assert (out.header.interleave, out.header.data_type) == (interleave, data_type)
+        back = read_envi_header(hdr)
+        for field in dataclasses.fields(envi.EnviHeader):
+            np.testing.assert_array_equal(getattr(back, field.name), getattr(out.header, field.name))
+
+    def test_header_path_that_would_be_its_data_file_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="would also be its data file"):
+            write_envi_array(np.ones((2, 2, 3)), tmp_path / "x.img", data_type=5)
+        assert not (tmp_path / "x.img").exists()
+
+    def test_failed_write_removes_both_files(self, tmp_path):
+        write_envi_array(np.ones((2, 2, 3)), tmp_path / "c.hdr", data_type=5)
+        with pytest.raises(RuntimeError), envi.EnviWriter(tmp_path / "c.hdr", (2, 2, 3), data_type=5):
+            raise RuntimeError("failed")
+        assert not list(tmp_path.iterdir())
 
 
 # Canonical (row, col, band) axes in file order, as the ENVI format defines them.

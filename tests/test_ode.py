@@ -4,7 +4,7 @@ import pytest
 from dinsat.artifacts import read_model, write_model
 from dinsat.errors import ConfigError, NumericError
 from dinsat.mlp import logistic
-from dinsat.ode import SolverConfig, ode_solve, ode_solve_reverse, solve_vjp
+from dinsat.ode import METHODS, SolverConfig, ode_solve, ode_solve_reverse, solve_vjp
 from dinsat.transmission import LinearProfile
 
 from oracles import finite_difference
@@ -125,7 +125,7 @@ class TestReverseSolve:
 class TestInputsUntouched:
     """The steppers work in place on their own temporaries, never on inputs."""
 
-    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("solve", [ode_solve, ode_solve_reverse])
     @pytest.mark.parametrize("kind", ["fresh", "cached", "identity"])
     def test_l_init_and_rhs_outputs_unmodified(self, method, solve, kind):
@@ -162,7 +162,7 @@ def linear_decay_rhs_vjp(theta):
 
 
 class TestGradients:
-    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_gradient_wrt_rate_and_state(self, method):
         cfg = SolverConfig(method, 8)
         rng = np.random.default_rng(11)
@@ -182,7 +182,7 @@ class TestGradients:
             assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)) < 1e-3
 
     @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_values_equal_the_plain_solve(self, method, reverse):
         cfg = SolverConfig(method, 8)
         theta, y0 = np.array([0.3, 1.1, 2.0]), np.array([[0.5, 1.0, 0.2], [0.1, 0.9, 0.4]])

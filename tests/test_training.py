@@ -296,7 +296,8 @@ class TestTrain:
         ("lr", np.nan), ("lr", np.inf), ("lr", 0.0),
         ("fd_weight", np.nan), ("rho_weight", np.inf), ("transmission_weight", np.nan), ("slope_weight", -1.0),
         ("rel_tol", np.nan), ("rel_tol", 1.0), ("rel_tol", 2.0), ("rel_tol", -1e-3),
-        ("split_fractions", (np.nan, 0.1, 0.1)),
+        ("split_fractions", (np.nan, 0.1, 0.1)), ("split_fractions", (0.5, -0.2, 0.5)),
+        ("split_fractions", (0.9, 0.5, 0.5)),
     ])
     def test_non_finite_or_out_of_range_value_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must"):

@@ -9,7 +9,7 @@ from scipy.special import expit
 
 from dinsat.errors import NumericError
 from dinsat.mlp import MlpLayout, glorot_init
-from dinsat.ode import SolverConfig, ode_solve, solve_vjp
+from dinsat.ode import METHODS, SolverConfig, ode_solve, solve_vjp
 from dinsat.transmission import (
     LinearProfile,
     NonlinearProfile,
@@ -141,7 +141,7 @@ class TestNonlinearFusedRhs:
         np.testing.assert_allclose(g_p, fd_p, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(g_L, fd_L, rtol=1e-6, atol=1e-9)
 
-    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_untraced_operators_equal_traced_values(self, method):
         # solve_vjp steps the rhs that also returns VJPs; the plain operators
         # step f(L) alone, in place. Both must compute the same bits.
@@ -179,7 +179,7 @@ class TestNonlinearFusedRhs:
 class TestNonlinearFusedSolve:
     """A solve's pullback is the discrete adjoint of its steps."""
 
-    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
     @pytest.mark.parametrize("shape", [(5,), (3, 5)])
     def test_gradients_match_finite_differences(self, method, direction, shape):
@@ -257,7 +257,7 @@ class TestNonlinearComplexStep:
         cfg = SolverConfig(method, 16)
         return replace(profile, solver=cfg), z, w_t, w_l, cfg
 
-    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_pullback_in_the_parameters(self, method):
         profile, z, w_t, w_l, _ = self.problem(method)
         _, _, pullback = profile.inverse_vjp(z)
@@ -267,7 +267,7 @@ class TestNonlinearComplexStep:
         np.testing.assert_allclose(pullback(w_t, np.zeros_like(z)), cs_t1, rtol=1e-12, atol=0)
         np.testing.assert_allclose(pullback(np.zeros(6), w_l), cs_l2, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_solve_vjp_state_cotangent(self, method):
         profile, z, _, w_l, cfg = self.problem(method)
         for op, reverse in ((profile.forward, False), (profile.inverse, True)):
@@ -374,7 +374,7 @@ class TestProperties:
 class TestLinearClosedForm:
     @settings(max_examples=200, deadline=None)
     @given(
-        method=st.sampled_from(["euler", "rk4"]),
+        method=st.sampled_from(METHODS),
         steps=st.integers(min_value=1, max_value=64),
         alpha=st.floats(min_value=0.0, max_value=40.0),
     )
@@ -393,7 +393,7 @@ class TestLinearClosedForm:
         else:
             assert gap <= 1e-12 * abs(stepped)
 
-    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_gradient_matches_finite_differences(self, method):
         rng = np.random.default_rng(8)
         cfg = SolverConfig(method, 16)
@@ -429,7 +429,7 @@ class TestLinearClosedForm:
 class TestLinearComplexStep:
     """The linear pullback's hand-written derivatives against complex step."""
 
-    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_factor_derivative(self, method):
         cfg = SolverConfig(method, 16)
         raw = softplus_inverse(np.linspace(0.1, 30.0, 13))

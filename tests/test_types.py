@@ -61,7 +61,7 @@ class TestSplitDataset:
 
     @pytest.mark.parametrize("fractions", [(np.nan, 0.1, 0.1), (0.5, np.inf, 0.1), (0.5, 0.1, -np.inf)])
     def test_non_finite_fraction_rejected(self, fractions):
-        with pytest.raises(ConfigError, match="split fractions must be finite"):
+        with pytest.raises(ConfigError, match="split_fractions must be finite"):
             split_dataset(10, fractions, seed=0)
 
     @given(
