@@ -176,12 +176,12 @@ def read_roi(
     raw_lines = _read_text(path, "ROI file").splitlines()
     regions: dict[str, list[tuple[int, int]]] = {}
     references: dict[str, Path] = {}
-    for lineno, line in enumerate(raw_lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if lineno == 1 and line.lower().replace(" ", "").startswith("region_name,row,col"):
-            continue
+    # (line number, text) of each line that is neither blank nor a comment;
+    # the first of them may be the header.
+    lines = [(n, line) for n, line in enumerate(map(str.strip, raw_lines), start=1) if line and not line.startswith("#")]
+    if lines and lines[0][1].lower().replace(" ", "").startswith("region_name,row,col"):
+        del lines[0]
+    for lineno, line in lines:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) not in (3, 4):
             raise ParseError(f"{path}:{lineno}: expected 3 or 4 columns")

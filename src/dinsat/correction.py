@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyInputError, NumericError, ShapeError
 from .transmission import Profile, invert_values, transmittance_values
+from .types import as_spectra
 
 # Transmittance floor for the division in the correction formula.
 EPS_T = 1e-6
@@ -78,8 +79,9 @@ def normalized_radiance(norm: SceneNormalization, l4) -> np.ndarray:
     """z = max((L4 - C)/m, 0) of (..., n_bands) radiance: what T^-1 inverts.
 
     One new array, laid out like ``l4``; the division and the floor work in it.
+    Raises ShapeError unless ``l4`` has C's bands on its last axis.
     """
-    z = np.subtract(np.asarray(l4, float), norm.c)
+    z = np.subtract(np.asarray(as_spectra(l4, norm.c.size), float), norm.c)
     z /= norm.m
     return np.maximum(z, 0.0, out=z)
 
@@ -126,9 +128,11 @@ def correct_batch(
 def simulate_values(model: Profile, norm: SceneNormalization, rho: np.ndarray) -> np.ndarray:
     """At-sensor radiance L4 = C + m * T(rho * T(1_n)) of (..., n_bands) reflectance ``rho``.
 
-    Raises ConfigError when a reflectance is below -RHO_RANGE_TOL.
+    Raises ShapeError unless ``rho`` and C have the model's bands, and
+    ConfigError when a reflectance is below -RHO_RANGE_TOL.
     """
-    rho = np.asarray(rho, float)
+    as_spectra(norm.c, model.n_bands)
+    rho = np.asarray(as_spectra(rho, model.n_bands), float)
     if np.any(rho < -RHO_RANGE_TOL):
         raise ConfigError("reflectance must be nonnegative")
     return norm.c + norm.m * model.forward(rho * transmittance_values(model))

@@ -9,11 +9,12 @@ no command holds a whole cube in memory. `open_envi` returns an `EnviCube`:
 the header, the wavelength grid and a reader that yields row blocks, the one
 way the package reads cube data. Each block is read once, as one file run per
 band for BSQ (one run for BIL, BIP and whole-cube BSQ). Every block is
-converted to float64, has the uint16 gain and offset applied, and has
-negative radiance clamped to 0. A pass stops at the first row that holds a
-non-finite value: it yields the rows above it, then raises an error that
-names the first such value's row, column and band. A pass can cover any
-range of rows, so forked processes can each read their own.
+converted to float64, has the header's data gain and offset values applied
+(whatever its data type), and has negative radiance clamped to 0. A pass
+stops at the first row that holds a non-finite value: it yields the rows
+above it, then raises an error that names the first such value's row,
+column and band. A pass can cover any range of rows, so forked processes
+can each read their own.
 `EnviCube.extrema_and_pixels` folds the per-band extrema over one pass and
 picks out the pixels it is asked for as their rows go by. `EnviWriter` writes
 row blocks into a new pair with the same runs. Every run is one positional
@@ -243,7 +244,7 @@ class EnviCube:
     def __init__(self, header: EnviHeader, data_path: Path, grid: WavelengthGrid):
         self.header, self.data_path, self.grid = header, data_path, grid
         self._scale = None
-        if header.data_type == 12 and (header.data_gain is not None or header.data_offset is not None):
+        if header.data_gain is not None or header.data_offset is not None:
             gain = header.data_gain if header.data_gain is not None else np.ones(header.bands)
             offset = header.data_offset if header.data_offset is not None else np.zeros(header.bands)
             self._scale = (gain, offset)

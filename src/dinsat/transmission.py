@@ -1,16 +1,17 @@
 """Transmission-profile models: the operator T, its inverse, and T(1_n).
 
-Each profile is one operator: it holds its parameters (a private, read-only
-copy) and the solver it integrates with, and has ``forward`` (T) and
-``inverse`` (T^-1) on plain arrays, ``t1`` (T(1_n), computed once per
-profile and read-only) and one gradient method,
-``inverse_vjp(z) -> (t1, l2, pullback)``: T(1) and l2 = T^-1(z), with
-``pullback(g_t1, g_l2)`` returning the gradient in the parameters.
-``with_params`` gives the same operator at other parameters, with its own
-T(1). Each profile class's ``costly_inverse`` says whether its T^-1 costs
+Each profile is one operator: it holds its parameters in one field,
+``params`` (a private, read-only copy), and its solver, and has ``forward``
+(T) and ``inverse`` (T^-1) on plain arrays, ``t1`` (T(1_n), computed once
+per profile and read-only) and one gradient method, ``inverse_vjp(z) ->
+(t1, l2, pullback)``: T(1) and l2 = T^-1(z), with ``pullback(g_t1, g_l2)``
+returning the gradient in ``params``. ``forward``, ``inverse`` and
+``inverse_vjp`` check their input's band axis once, at entry, with
+``types.as_spectra``. ``with_params`` gives the same operator at other
+parameters, with its own T(1). ``costly_inverse`` says whether T^-1 costs
 enough per pixel for `dinsat correct` to share a cube out over processes.
-The linear profile realizes per-band exponential decay with nonnegative
-rates; the nonlinear profile runs the spectrum through a
+The linear profile realizes per-band exponential decay with rates alpha =
+softplus(params) >= 0; the nonlinear profile runs the spectrum through a
 bottleneck encoder/decoder and multiplies by a decay factor forced into
 [-1, 0], so dissipation holds by construction.
 
@@ -49,6 +50,7 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 from .mlp import MlpLayout, glorot_init, layers_backward, layers_forward, logistic, unpack_params
 from .ode import SolverConfig, ode_solve, ode_solve_reverse, solve_vjp
+from .types import as_spectra
 
 DEFAULT_HIDDEN = 12
 DEFAULT_LATENT = 3
@@ -62,24 +64,24 @@ def softplus_inverse(a: np.ndarray) -> np.ndarray:
     return a + np.log1p(-np.exp(-a))
 
 
-def linear_factor(raw, solver: SolverConfig = SolverConfig()) -> np.ndarray:
-    """P(-softplus(raw) h)^n: the solver's exact discrete map of dL/dx = -alpha L.
+def linear_factor(params, solver: SolverConfig = SolverConfig()) -> np.ndarray:
+    """P(-softplus(params) h)^n: the solver's exact discrete map of dL/dx = -alpha L.
 
     Raises NumericError when the factor is not finite, as the stepped solver does.
     """
     poly, _ = solver.stability
     with np.errstate(over="ignore", invalid="ignore"):
-        out = poly(-np.logaddexp(0.0, np.asarray(raw, float)) * solver.h) ** solver.steps
+        out = poly(-np.logaddexp(0.0, np.asarray(params, float)) * solver.h) ** solver.steps
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite linear transmission factor")
     return out
 
 
-def _linear_factor_derivative(raw, solver: SolverConfig) -> np.ndarray:
-    """d linear_factor / d raw per band: n P(z)^(n-1) P'(z) (-h) logistic(raw)."""
+def _linear_factor_derivative(params, solver: SolverConfig) -> np.ndarray:
+    """d linear_factor / d params per band: n P(z)^(n-1) P'(z) (-h) logistic(params)."""
     n, h, (poly, dpoly) = solver.steps, solver.h, solver.stability
-    z = -np.logaddexp(0.0, raw) * h
-    return n * poly(z) ** (n - 1) * dpoly(z) * (-h) * logistic(raw)
+    z = -np.logaddexp(0.0, params) * h
+    return n * poly(z) ** (n - 1) * dpoly(z) * (-h) * logistic(params)
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
@@ -87,14 +89,14 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _own_params(params, what: str) -> np.ndarray:
+def _own_params(params) -> np.ndarray:
     """A read-only float copy of ``params`` (complex stays complex, for complex step).
 
     Raises ShapeError when a parameter is not finite.
     """
     params = np.array(params, dtype=complex if np.iscomplexobj(params) else float)
     if not np.all(np.isfinite(params)):
-        raise ShapeError(f"{what} profile parameters must be finite")
+        raise ShapeError("profile parameters must be finite")
     return _frozen(params)
 
 
@@ -112,9 +114,9 @@ def _network_layout(n_bands: int, hidden: int, latent: int) -> MlpLayout:
 # generated __eq__ would compare its parameter arrays elementwise.
 @dataclass(frozen=True, eq=False)
 class LinearProfile:
-    """Per-band exponential decay; alpha = softplus(raw) keeps rates >= 0."""
+    """Per-band exponential decay; alpha = softplus(params) keeps rates >= 0."""
 
-    raw: np.ndarray
+    params: np.ndarray
     solver: SolverConfig = SolverConfig()
 
     kind = "linear"
@@ -123,24 +125,16 @@ class LinearProfile:
     costly_inverse = False
 
     def __post_init__(self):
-        if np.ndim(self.raw) != 1 or np.size(self.raw) < 1:
-            raise ShapeError("linear profile needs a 1-D raw parameter vector")
-        object.__setattr__(self, "raw", _own_params(self.raw, "linear"))
+        if np.ndim(self.params) != 1 or np.size(self.params) < 1:
+            raise ShapeError("linear profile needs a 1-D parameter vector")
+        object.__setattr__(self, "params", _own_params(self.params))
 
     @property
     def n_bands(self) -> int:
-        return int(self.raw.size)
-
-    @property
-    def params(self) -> np.ndarray:
-        return self.raw
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return np.logaddexp(0.0, self.raw)
+        return int(self.params.size)
 
     def with_params(self, params: np.ndarray) -> "LinearProfile":
-        return replace(self, raw=params)
+        return replace(self, params=params)
 
     @classmethod
     def initialize(cls, n_bands: int, rng: np.random.Generator) -> "LinearProfile":
@@ -151,11 +145,11 @@ class LinearProfile:
     @cached_property
     def t1(self) -> np.ndarray:
         """T(1_n): the per-band closed-form factor P(z)^n."""
-        return _frozen(linear_factor(self.raw, self.solver))
+        return _frozen(linear_factor(self.params, self.solver))
 
     def forward(self, L):
         """Multiplication of (..., n_bands) L by T(1)."""
-        return np.asarray(L, float) * self.t1
+        return as_spectra(L, self.n_bands) * self.t1
 
     def inverse(self, L):
         """Exact division of (..., n_bands) L by T(1).
@@ -163,11 +157,11 @@ class LinearProfile:
         A band whose T(1) is exactly 0 (Euler with alpha h = 1) has no
         inverse: NumericError names it before anything is divided.
         """
-        t = self.t1
+        L, t = as_spectra(L, self.n_bands), self.t1
         if not t.all():
             bands = ", ".join(str(b) for b in np.flatnonzero(t == 0))
             raise NumericError(f"linear T(1) is 0 in band(s) {bands}; T^-1 would divide by 0")
-        return np.asarray(L, float) / t
+        return L / t
 
     def inverse_vjp(self, z):
         """(T(1), T^-1(z), pullback): T(1)'s cotangent is g_t1 plus the division's."""
@@ -175,7 +169,7 @@ class LinearProfile:
 
         def pullback(g_t1, g_l2):
             g_t = g_t1 - (g_l2 / t1 * l2).reshape(-1, t1.size).sum(axis=0)
-            return g_t * _linear_factor_derivative(self.raw, self.solver)
+            return g_t * _linear_factor_derivative(self.params, self.solver)
 
         return t1, l2, pullback
 
@@ -200,7 +194,7 @@ class NonlinearProfile:
             raise ShapeError(
                 f"nonlinear profile needs {expected} parameters, got {np.shape(self.params)}"
             )
-        object.__setattr__(self, "params", _own_params(self.params, "nonlinear"))
+        object.__setattr__(self, "params", _own_params(self.params))
 
     @cached_property
     def layout(self) -> MlpLayout:
@@ -224,14 +218,9 @@ class NonlinearProfile:
         """The network's layers, unpacked from ``params`` once per profile."""
         return unpack_params(self.params, self.layout)
 
-    def _activations(self, L):
-        if L.shape[-1] != self.n_bands:
-            raise ShapeError(f"input has {L.shape[-1]} bands, profile {self.n_bands}")
-        return layers_forward(self._layers, L)
-
     def rhs(self, L):
         """f(L) = -sigmoid(dec(enc(L))) * L on plain arrays; the network's last activation is the decay."""
-        value = self._activations(L)[-1]
+        value = layers_forward(self._layers, L)[-1]
         value *= L
         return np.negative(value, out=value)
 
@@ -241,7 +230,7 @@ class NonlinearProfile:
         The VJP is the product rule, then the network's backprop by hand. It
         holds the layers and the activations, not the profile.
         """
-        layers, acts = self._layers, self._activations(L)
+        layers, acts = self._layers, layers_forward(self._layers, L)
         decay = acts[-1]
         value = decay * L
         np.negative(value, out=value)
@@ -259,14 +248,15 @@ class NonlinearProfile:
 
     def forward(self, L):
         """Forward integration in x with the stepped solver."""
-        return ode_solve(self.rhs, L, self.solver)
+        return ode_solve(self.rhs, as_spectra(L, self.n_bands), self.solver)
 
     def inverse(self, L):
         """Backward integration in x."""
-        return ode_solve_reverse(self.rhs, L, self.solver)
+        return ode_solve_reverse(self.rhs, as_spectra(L, self.n_bands), self.solver)
 
     def inverse_vjp(self, z):
         """(T(1), T^-1(z), pullback): the T^-1 solve's adjoint plus the T(1) solve's."""
+        z = as_spectra(z, self.n_bands)
         t1, t1_vjp = solve_vjp(self.rhs_vjp, np.ones(self.n_bands), self.solver)
         l2, l2_vjp = solve_vjp(self.rhs_vjp, z, self.solver, reverse=True)
 

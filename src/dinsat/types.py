@@ -97,6 +97,14 @@ class HyperCube:
         return self.data.shape[2]
 
 
+def as_spectra(values, n_bands: int) -> np.ndarray:
+    """``values`` as an array of (..., n_bands) spectra; ShapeError when its last axis has another length."""
+    values = np.asarray(values)
+    if values.shape[-1:] != (n_bands,):
+        raise ShapeError(f"expected spectra of {n_bands} bands on the last axis, got shape {values.shape}")
+    return values
+
+
 def sample_coords(rows: int, cols: int, n_pixels: int, seed: int) -> np.ndarray:
     """(n, 2) distinct (row, col) pairs of a rows x cols image, drawn uniformly by ``seed``."""
     total = rows * cols

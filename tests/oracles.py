@@ -2,9 +2,10 @@
 
 Central differences, complex step and the composed MLP check gradients and the
 network; ``linear_profile`` and ``linear_rhs`` build the linear profile and its
-stepped right-hand side from rates alpha; ``read_cube`` reads a whole ENVI cube
-through the row-block reader; ``sample_pixels`` draws pixels of an in-memory
-synthetic scene.
+stepped right-hand side from rates alpha, and ``linear_alpha`` reads a linear
+profile's rates back; ``read_cube`` reads a whole ENVI cube through the
+row-block reader; ``sample_pixels`` draws pixels of an in-memory synthetic
+scene.
 """
 
 from pathlib import Path
@@ -67,6 +68,11 @@ def mlp_forward(params: np.ndarray, layout: MlpLayout, x: np.ndarray) -> np.ndar
 def linear_profile(alpha) -> LinearProfile:
     """The linear profile with per-band rates ``alpha``, each floored at 1e-9 so softplus can be inverted."""
     return LinearProfile(softplus_inverse(np.maximum(np.asarray(alpha, float), 1e-9)))
+
+
+def linear_alpha(profile: LinearProfile) -> np.ndarray:
+    """The linear profile's per-band rates alpha = softplus(params)."""
+    return np.logaddexp(0.0, profile.params)
 
 
 def linear_rhs(alpha) -> Callable[[np.ndarray], np.ndarray]:

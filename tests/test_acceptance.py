@@ -45,7 +45,7 @@ from dinsat.types import (
     split_dataset,
 )
 
-from oracles import linear_profile, read_cube, sample_pixels
+from oracles import linear_alpha, linear_profile, read_cube, sample_pixels
 
 RK4_16 = SolverConfig("rk4", 16)
 
@@ -183,7 +183,7 @@ def test_criterion_5_supervised_synthetic_recovery(scene):
 
     # (b) recovered alpha within 10% where the true transmittance exceeds 0.05
     visible = np.exp(-truth.alpha) > 0.05
-    rel = np.abs(model.alpha - truth.alpha) / truth.alpha
+    rel = np.abs(linear_alpha(model) - truth.alpha) / truth.alpha
     assert np.max(rel[visible]) < 0.10, f"max alpha rel error {np.max(rel[visible]):.3f}"
 
     # (c) simulated radiance percent MSE < 1.0 against noise-free truth

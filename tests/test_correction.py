@@ -13,7 +13,7 @@ from dinsat.correction import (
     estimate_normalization,
     simulate_values,
 )
-from dinsat.errors import ConfigError, EmptyInputError, NumericError
+from dinsat.errors import ConfigError, EmptyInputError, NumericError, ShapeError
 from dinsat.ode import SolverConfig
 from dinsat.synth import SynthSpec, synth_scene
 from dinsat.transmission import LinearProfile, NonlinearProfile
@@ -121,7 +121,7 @@ class TestCorrectBatchOut:
     EULER_1 = SolverConfig("euler", 1)
 
     def linear_case(self):
-        model = LinearProfile(np.concatenate([[-40.0], linear_profile([1.0 - 1e-7, 1.5]).raw]),
+        model = LinearProfile(np.concatenate([[-40.0], linear_profile([1.0 - 1e-7, 1.5]).params]),
                               self.EULER_1)
         t1 = model.t1
         assert t1[0] == 1.0 and 0 < t1[1] < EPS_T and t1[2] == -0.5
@@ -220,6 +220,29 @@ class TestSimulate:
         rho, _ = correct_batch(model, norm, l4)
         again = simulate_values(model, norm, rho)
         assert np.max(np.abs(again - l4)) < 1e-6
+
+
+class TestBandMismatch:
+    """An array whose band count is not the model's is rejected, not broadcast."""
+
+    def models(self):
+        return linear_profile(np.full(5, 0.5)), NonlinearProfile.initialize(5, np.random.default_rng(4))
+
+    def test_correct_batch_rejects_a_norm_of_other_bands(self):
+        norm = SceneNormalization(np.array([0.3]), 1.0)
+        with pytest.raises(ShapeError):
+            correct_batch(LinearProfile(np.zeros(5)), norm, np.full((2, 5), 0.5))
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 1)])
+    def test_simulate_rejects_reflectance_of_other_bands(self, shape):
+        for model in self.models():
+            with pytest.raises(ShapeError):
+                simulate_values(model, SceneNormalization.identity(5), np.full(shape, 0.5))
+
+    def test_simulate_rejects_a_norm_of_other_bands(self):
+        for model in self.models():
+            with pytest.raises(ShapeError):
+                simulate_values(model, SceneNormalization.identity(1), np.full(5, 0.5))
 
 
 class TestSceneProperties:

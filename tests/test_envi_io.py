@@ -197,7 +197,10 @@ class TestRowBlocks:
     ROWS, COLS, BANDS = 7, 3, 4  # 3 rows per block below: blocks of 3, 3 and 1 rows
     HEADER_OFFSET = 37
 
-    def write_raw(self, tmp_path, interleave, code, byte_order):
+    GAIN, OFFSET = np.array([0.5, 0.25, 2.0, 1e-3]), np.array([1.0, 0.0, 0.5, 3.0])
+
+    def write_raw(self, tmp_path, interleave, code, byte_order, scaled):
+        """A cube of random values; with ``scaled``, its header carries GAIN and OFFSET."""
         rng = np.random.default_rng(11)
         shape = (self.ROWS, self.COLS, self.BANDS)
         if code == "u2":
@@ -211,30 +214,35 @@ class TestRowBlocks:
             f"header offset = {self.HEADER_OFFSET}\ndata type = {CODES[code]}\n"
             f"interleave = {interleave}\nbyte order = {byte_order}\n"
         )
-        if code == "u2":
-            text += "data gain values = {0.5, 0.25, 2.0, 1e-3}\ndata offset values = {1.0, 0.0, 0.5, 3.0}\n"
+        if scaled:
+            for key, per_band in (("gain", self.GAIN), ("offset", self.OFFSET)):
+                text += f"data {key} values = {{{', '.join(str(v) for v in per_band)}}}\n"
         hdr.write_text(text)
         in_file_order = np.ascontiguousarray(values.transpose(FILE_ORDER[interleave]), dtype=dtype)
         img.write_bytes(b"\x7f" * self.HEADER_OFFSET + in_file_order.tobytes())
         return hdr, img, dtype
 
-    def reference(self, img, interleave, dtype, code):
+    def reference(self, img, interleave, dtype, scaled):
         """The whole cube by np.fromfile, as the reader must return it."""
         order = FILE_ORDER[interleave]
         file_shape = [(self.ROWS, self.COLS, self.BANDS)[a] for a in order]
         raw = np.fromfile(img, dtype=dtype, offset=self.HEADER_OFFSET).reshape(file_shape)
         data = raw.transpose(np.argsort(order)).astype(float)
-        if code == "u2":
-            data = data * np.array([0.5, 0.25, 2.0, 1e-3]) + np.array([1.0, 0.0, 0.5, 3.0])
+        if scaled:
+            data = data * self.GAIN + self.OFFSET
         return data
 
     @pytest.mark.parametrize("byte_order", [0, 1])
-    @pytest.mark.parametrize("code", ["f4", "f8", "u2"])
+    @pytest.mark.parametrize(
+        "code, scaled",
+        [("f4", False), ("f8", False), ("u2", True), ("f4", True), ("f8", True)],
+        ids=["f4", "f8", "u2", "f4-scaled", "f8-scaled"],
+    )
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
-    def test_reader_matches_fromfile(self, tmp_path, monkeypatch, interleave, code, byte_order):
+    def test_reader_matches_fromfile(self, tmp_path, monkeypatch, interleave, code, scaled, byte_order):
         monkeypatch.setattr(envi, "BLOCK_BYTES", 3 * self.COLS * self.BANDS * 8)
-        hdr, img, dtype = self.write_raw(tmp_path, interleave, code, byte_order)
-        ref = self.reference(img, interleave, dtype, code)
+        hdr, img, dtype = self.write_raw(tmp_path, interleave, code, byte_order, scaled)
+        ref = self.reference(img, interleave, dtype, scaled)
         cube = open_envi(hdr)
         assert cube.block_rows == 3
         blocks = [(r0, block.copy()) for r0, block in cube.blocks()]
@@ -249,10 +257,10 @@ class TestRowBlocks:
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
     def test_one_pass_gives_band_extrema_and_pixels(self, tmp_path, monkeypatch, interleave):
         monkeypatch.setattr(envi, "BLOCK_BYTES", 3 * self.COLS * self.BANDS * 8)
-        hdr, img, dtype = self.write_raw(tmp_path, interleave, "u2", 1)
+        hdr, img, dtype = self.write_raw(tmp_path, interleave, "u2", 1, scaled=True)
         # A negative offset on band 0 clamps about half of its values to 0.
         hdr.write_text(hdr.read_text().replace("{1.0, 0.0, 0.5, 3.0}", "{-16000.0, 0.0, 0.5, 3.0}"))
-        ref = self.reference(img, interleave, dtype, "u2") - np.array([16001.0, 0.0, 0.0, 0.0])
+        ref = self.reference(img, interleave, dtype, scaled=True) - np.array([16001.0, 0.0, 0.0, 0.0])
         assert (ref < 0).any()
         ref[ref < 0] = 0.0
         # Rows 0 and 6 are the first and last rows, in the first and last of three blocks.
@@ -338,7 +346,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
     def test_pass_reads_each_data_byte_once(self, tmp_path, monkeypatch, interleave, code):
         monkeypatch.setattr(envi, "BLOCK_BYTES", 3 * self.COLS * self.BANDS * 8)
-        hdr, img, dtype = self.write_raw(tmp_path, interleave, code, 0)
+        hdr, img, dtype = self.write_raw(tmp_path, interleave, code, 0, scaled=code == "u2")
         reads = []
         read_exact = envi._read_exact
         monkeypatch.setattr(envi, "_read_exact",
@@ -518,6 +526,11 @@ class TestRoi:
         path.write_text("grass,0,0,a.csv\ngrass,0,1,b.csv\n")
         with pytest.raises(ParseError, match="conflicting"):
             read_roi(path)
+
+    def test_header_after_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "roi.csv"
+        path.write_text("# note\n\nregion_name,row,col\ngrass,0,1\n")
+        assert read_roi(path, rows=2, cols=2).regions == {"grass": ((0, 1),)}
 
 
 class TestNormalizationAndTruth:

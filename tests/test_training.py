@@ -30,7 +30,7 @@ from dinsat.training import (
 from dinsat.transmission import LinearProfile, NonlinearProfile, softplus_inverse
 from dinsat.types import split_dataset
 
-from oracles import complex_step, finite_difference, linear_profile, sample_pixels
+from oracles import complex_step, finite_difference, linear_alpha, linear_profile, sample_pixels
 
 CFG = SolverConfig("rk4", 16)
 
@@ -114,7 +114,7 @@ class TestUnsupervisedLoss:
         # The rate is solved so the *discrete* transmittance is exactly 0.7.
         alpha = discrete_transmittance_alpha(0.7, CFG)
         model = LinearProfile(softplus_inverse(np.full(2, alpha)), CFG)
-        f = ode_solve(lambda L: -(model.alpha * L), np.ones(2), CFG)
+        f = ode_solve(lambda L: -(linear_alpha(model) * L), np.ones(2), CFG)
         loss = forward_loss(model, SceneNormalization.identity(2), rows(0.5 * f * f), mode="unsupervised")
         assert loss == pytest.approx(0.012, abs=1e-12)
 
@@ -174,7 +174,7 @@ class TestLossHeads:
         l4 = norm.c + rng.uniform(0.1, 1.0, (3, n))
         rho = rng.uniform(0, 1, (3, n))
         if kind == "linear":
-            raw = LinearProfile.initialize(n, rng).raw.copy()
+            raw = LinearProfile.initialize(n, rng).params.copy()
             # alpha = 16 at RK4_16 gives T(1) = 0.375^16 = 1.5e-7, under the
             # floor; a z of about 1e-13 keeps that band's rho_hat near 1.
             raw[self.FLOORED] = softplus_inverse(np.array(16.0))
@@ -252,7 +252,7 @@ class TestLossHeads:
         norm = SceneNormalization(rng.uniform(0, 0.05, n), 1.3)
         l4 = norm.c + rng.uniform(0.1, 1.0, (7, n))
         rho = rng.uniform(0, 1, (7, n))
-        raw = LinearProfile.initialize(n, rng).raw.copy()
+        raw = LinearProfile.initialize(n, rng).params.copy()
         raw[4] = softplus_inverse(np.array(40.0))
         model = LinearProfile(raw)
         z = normalized_radiance(norm, l4)
@@ -345,7 +345,7 @@ class TestTrain:
         _, l4, rho = sample_pixels(cube, truth, 40, seed=3)
         config = TrainConfig(max_epochs=3000, solver=SolverConfig("rk4", 8), seed=1)
         run = train(config, l4, truth.norm, rho)
-        alpha_hat = run.model.alpha
+        alpha_hat = linear_alpha(run.model)
         visible = np.exp(-truth.alpha) > 0.05
         rel = np.abs(alpha_hat - truth.alpha) / truth.alpha
         assert run.converged
@@ -551,3 +551,11 @@ class TestPixelArrayChecks:
         l4, rho = self.bad_inputs(case)
         with pytest.raises(ShapeError):
             evaluate_regions(identity_model(3), SceneNormalization.identity(3), [(l4, rho)])
+
+    def test_norm_of_other_bands_rejected(self):
+        l4, rho = np.full((40, 3), 0.5), np.full((40, 3), 0.4)
+        norm = SceneNormalization.identity(1)
+        with pytest.raises(ShapeError):
+            train(TrainConfig(max_epochs=1), l4, norm, rho)
+        with pytest.raises(ShapeError):
+            evaluate_regions(identity_model(3), norm, [(l4, rho)])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from dinsat.errors import NumericError
+from dinsat.errors import NumericError, ShapeError
 from dinsat.mlp import MlpLayout, glorot_init
 from dinsat.ode import METHODS, SolverConfig, ode_solve, solve_vjp
 from dinsat.transmission import (
@@ -19,7 +19,7 @@ from dinsat.transmission import (
     transmittance_values,
 )
 
-from oracles import H_CS, complex_step, finite_difference, linear_profile, linear_rhs, mlp_forward
+from oracles import H_CS, complex_step, finite_difference, linear_alpha, linear_profile, linear_rhs, mlp_forward
 
 CFG = SolverConfig("rk4", 16)
 
@@ -34,22 +34,22 @@ def complex_linear_factor(raw, cfg):
 class TestLinearRhs:
     def test_zero_absorption_limit(self):
         profile = LinearProfile(np.full(3, -40.0))
-        out = linear_rhs(profile.alpha)(np.array([1.0, 2.0, 3.0]))
+        out = linear_rhs(linear_alpha(profile))(np.array([1.0, 2.0, 3.0]))
         assert np.max(np.abs(out)) < 1e-15
 
     def test_definition(self):
         profile = linear_profile([1.0, 2.0])
-        out = linear_rhs(profile.alpha)(np.array([1.0, 1.0]))
+        out = linear_rhs(linear_alpha(profile))(np.array([1.0, 1.0]))
         np.testing.assert_allclose(out, [-1.0, -2.0], rtol=1e-8)
 
     def test_origin_fixed_point(self):
         profile = linear_profile([0.3, 1.0, 2.0, 0.1])
-        out = linear_rhs(profile.alpha)(np.zeros(4))
+        out = linear_rhs(linear_alpha(profile))(np.zeros(4))
         np.testing.assert_allclose(out, np.zeros(4))
 
     def test_softplus_inverse_round_trip(self):
         alpha = np.array([1e-3, 0.5, 2.0, 8.0])
-        np.testing.assert_allclose(linear_profile(alpha).alpha, alpha, rtol=1e-9)
+        np.testing.assert_allclose(linear_alpha(linear_profile(alpha)), alpha, rtol=1e-9)
 
 
 class TestNonlinearRhs:
@@ -381,7 +381,7 @@ class TestLinearClosedForm:
     def test_matches_stepped_solver(self, method, steps, alpha):
         cfg = SolverConfig(method, steps)
         model = replace(linear_profile([alpha]), solver=cfg)
-        rate = model.alpha
+        rate = linear_alpha(model)
         closed = transmittance_values(model)[0]
         stepped = ode_solve(lambda L: -(rate * L), np.ones(1), cfg)[0]
         gap = abs(closed - stepped)
@@ -511,3 +511,32 @@ class TestProfileOwnsItsState:
             assert model == model
             assert model != model.with_params(model.params)
             assert {model} == {model} and hash(model) == hash(model)
+
+
+class TestBandCheck:
+    """Each operator call checks its input's band axis once, at its entry."""
+
+    def profiles(self):
+        rng = np.random.default_rng(23)
+        return linear_profile(rng.uniform(0.1, 3.0, 5)), NonlinearProfile.initialize(5, rng)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1,), ()], ids=["column", "one-band", "scalar"])
+    @pytest.mark.parametrize("method", ["forward", "inverse", "inverse_vjp"])
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+    def test_other_band_counts_rejected(self, kind, method, shape):
+        model = dict(zip(["linear", "nonlinear"], self.profiles()))[kind]
+        with pytest.raises(ShapeError, match=r"5 bands"):
+            getattr(model, method)(np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("method", ["forward", "inverse", "inverse_vjp"])
+    def test_one_check_per_call(self, monkeypatch, method):
+        import dinsat.transmission as transmission
+
+        calls = []
+        monkeypatch.setattr(transmission, "as_spectra",
+                            lambda *args, _inner=transmission.as_spectra: calls.append(1) or _inner(*args))
+        for model in self.profiles():
+            model.t1
+            calls.clear()
+            getattr(model, method)(np.full((4, 5), 0.5))
+            assert len(calls) == 1
