@@ -236,12 +236,8 @@ def read_normalization(path: str | Path) -> SceneNormalization:
     )
 
 
-def write_run_record(
-    path: str | Path,
-    run: TrainRun,
-    roi_reflectance: Optional[np.ndarray] = None,
-) -> None:
-    """The run's config, split, history and outcome, its model's T(1) and ``roi_reflectance`` as JSON."""
+def write_run_record(path: str | Path, run: TrainRun) -> None:
+    """The run's config, split, history and outcome, its model's T(1) and its ROI reflectance as JSON."""
     doc = {
         "config": asdict(run.config),
         "split": {"train": list(run.split.train), "val": list(run.split.val), "test": list(run.split.test)},
@@ -250,7 +246,7 @@ def write_run_record(
         "epochs": run.epochs,
         "wall_time_s": run.wall_time,
         "transmittance": [float(v) for v in run.model.t1],
-        "roi_reflectance": None if roi_reflectance is None else [float(v) for v in roi_reflectance],
+        "roi_reflectance": [float(v) for v in run.roi_reflectance],
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 

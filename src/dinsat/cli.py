@@ -230,17 +230,17 @@ def train(cube_paths, mode, roi_path, config_path, n_runs, reshuffle, seed, out_
     out.mkdir(parents=True, exist_ok=True)
     artifacts.write_normalization(out / "norm.json", norm)
 
-    result = ensemble(config, l4, norm, n_runs, rho=rho, reshuffle=reshuffle)
-    for i, run in enumerate(result.runs):
-        if run is None:
+    trained = []
+    for i, run in enumerate(ensemble(config, l4, norm, n_runs, rho=rho, reshuffle=reshuffle)):
+        if isinstance(run, DinsatError):
+            click.echo(f"run {i} failed: {run}", err=True)
             continue
         artifacts.write_model(out / f"model_{i:03d}.json", run.model, cube.grid)
-        artifacts.write_run_record(out / f"run_{i:03d}.json", run, roi_reflectance=result.roi_reflectances[i])
-    for i, message in result.failures:
-        click.echo(f"run {i} failed: {message}", err=True)
+        artifacts.write_run_record(out / f"run_{i:03d}.json", run)
+        trained.append(run)
     click.echo(
-        f"trained {len(result.completed)}/{n_runs} model(s) -> {out} "
-        f"({'converged' if all(r.converged for r in result.completed) else 'epoch limit reached'})"
+        f"trained {len(trained)}/{n_runs} model(s) -> {out} "
+        f"({'converged' if all(r.converged for r in trained) else 'epoch limit reached'})"
     )
 
 

@@ -99,8 +99,13 @@ class EnviHeader:
             raise ParseError(f"header offset must be nonnegative, got {self.header_offset}")
         for key, name in _LISTS.items():
             values = getattr(self, name)
-            if values is not None and len(values) != self.bands:
+            if values is None:
+                continue
+            if len(values) != self.bands:
                 raise ParseError(f"{key} list has {len(values)} entries for {self.bands} bands")
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                raise ParseError(f"{key} list has a non-finite entry at band {bad[0]}")
 
     @property
     def dtype(self) -> np.dtype:

@@ -81,13 +81,9 @@ def _logistic_of_negated(u: np.ndarray) -> np.ndarray:
     return np.reciprocal(u, out=u)
 
 
-def logistic(x, out=None) -> np.ndarray:
-    """The logistic 1 / (1 + exp(-x)) of a plain array, in float64 or complex.
-
-    Computed in one temporary (or in ``out``, which may be ``x`` itself).
-    """
-    if out is None:
-        out = np.empty(np.shape(x), np.result_type(x, float))
+def logistic(x) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-x)) of a plain array, in float64 or complex, computed in one temporary."""
+    out = np.empty(np.shape(x), np.result_type(x, float))
     return _logistic_of_negated(np.negative(x, out=out))
 
 

@@ -108,7 +108,11 @@ class TrainRun:
     model: Profile  # at the parameters of the least monitored loss
     converged: bool
     wall_time: float
-    epochs: int
+    roi_reflectance: np.ndarray  # the model's mean corrected reflectance over all of l4
+
+    @property
+    def epochs(self) -> int:
+        return len(self.history)
 
 
 def build_model(config: TrainConfig, n_bands: int) -> Profile:
@@ -250,7 +254,9 @@ def train(
 
     ``l4`` holds (n, bands) radiance; supervised training needs the paired ``rho``.
     The split is ``split_dataset(len(l4), config.fractions, split_seed)``, and
-    ``split_seed`` defaults to ``config.seed``.
+    ``split_seed`` defaults to ``config.seed``. The run's ``roi_reflectance``
+    is the kept model's mean corrected reflectance over all of ``l4``; its
+    correction is not part of ``wall_time``.
     """
     started = time.perf_counter()
     if np.size(l4) == 0:
@@ -302,28 +308,16 @@ def train(
                 converged = True
                 break
 
+    wall_time = time.perf_counter() - started
     return TrainRun(
         config=config,
         split=split,
         history=history,
         model=kept,
         converged=converged,
-        wall_time=time.perf_counter() - started,
-        epochs=len(history),
+        wall_time=wall_time,
+        roi_reflectance=correct_batch(kept, norm, l4)[0].mean(axis=0),
     )
-
-
-@dataclass
-class EnsembleResult:
-    """Each member's run and ROI-mean reflectance (None where it failed); a run's T(1) is ``run.model.t1``."""
-
-    runs: list[Optional[TrainRun]]
-    failures: list[tuple[int, DinsatError]]
-    roi_reflectances: list[Optional[np.ndarray]]
-
-    @property
-    def completed(self) -> list[TrainRun]:
-        return [r for r in self.runs if r is not None]
 
 
 def ensemble(
@@ -333,35 +327,30 @@ def ensemble(
     n_runs: int,
     rho: Optional[np.ndarray] = None,
     reshuffle: bool = True,
-) -> EnsembleResult:
-    """Independent seeded runs, one after another, each with its mean corrected reflectance over all of ``l4``.
+) -> list[TrainRun | DinsatError]:
+    """Independent seeded runs, one after another: each member's run, or the DinsatError it raised, in order.
 
-    Member i trains with seed ``config.seed + i``. A member whose training
-    raises a DinsatError is recorded as a failure; an error computing a
-    trained member's ROI reflectance propagates.
+    Member i trains with seed ``config.seed + i``. When every member fails,
+    the first member's error category is raised with every member's reason.
     """
     if n_runs < 1:
         raise ConfigError("ensemble needs at least one run")
     l4, rho = _pixel_arrays(l4, rho)
 
-    runs: list[Optional[TrainRun]] = [None] * n_runs
-    failures: list[tuple[int, DinsatError]] = []
-    roi_reflectances: list[Optional[np.ndarray]] = [None] * n_runs
+    members: list[TrainRun | DinsatError] = []
     for i in range(n_runs):
         member = replace(config, seed=config.seed + i)
         # With reshuffle off, every member shares the base seed's split.
         split_seed = member.seed if reshuffle else config.seed
         try:
-            runs[i] = run = train(member, l4, norm, rho, split_seed=split_seed)
+            members.append(train(member, l4, norm, rho, split_seed=split_seed))
         except DinsatError as e:
-            failures.append((i, e))
-            continue
-        roi_reflectances[i] = correct_batch(run.model, norm, l4)[0].mean(axis=0)
+            members.append(e)
 
-    if len(failures) == n_runs:
-        reasons = "; ".join(f"run {i}: {e}" for i, e in failures)
-        raise type(failures[0][1])(f"all ensemble members failed: {reasons}")
-    return EnsembleResult(runs=runs, failures=failures, roi_reflectances=roi_reflectances)
+    if all(isinstance(m, DinsatError) for m in members):
+        reasons = "; ".join(f"run {i}: {e}" for i, e in enumerate(members))
+        raise type(members[0])(f"all ensemble members failed: {reasons}")
+    return members
 
 
 def evaluate_regions(

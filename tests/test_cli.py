@@ -955,7 +955,9 @@ def bad_inputs(tmp_path_factory):
                            ("byte_order_2", "byte order = 0", "byte order = 2"),
                            ("interleave_bsx", "interleave = bsq", "interleave = bsx"),
                            ("lines_0", "lines = 4", "lines = 0"),
-                           ("two_gains", "byte order = 0", "byte order = 0\ndata gain values = {1, 2}")):
+                           ("two_gains", "byte order = 0", "byte order = 0\ndata gain values = {1, 2}"),
+                           ("gain_nan", "byte order = 0", "byte order = 0\ndata gain values = {nan" + ", 1" * 7 + "}"),
+                           ("offset_inf", "byte order = 0", "byte order = 0\ndata offset values = {inf" + ", 0" * 7 + "}")):
         (d / f"{name}.hdr").write_text(header.replace(old, new))
         (d / f"{name}.img").write_bytes((d / "scene.img").read_bytes())
     (d / "no_data.hdr").write_text(header)
@@ -1129,12 +1131,13 @@ BAD_INPUT_CASES = [
     ("header-offset-negative", "correct --cube {d}/negative_offset.hdr --model {d}/model8.json --out {o}",
      3, "parse-error"),
     ("header-wavelength-nan", "correct --cube {d}/wavelength_nan.hdr --model {d}/model8.json --out {o}",
-     3, "shape-error"),
+     3, "parse-error"),
     *((f"header-{name.replace('_', '-')}", f"correct --cube {{d}}/{name}.hdr --model {{d}}/model8.json --out {{o}}",
        3, category) for name, category in (
         ("no_samples", "parse-error"), ("wavelength_unclosed", "parse-error"), ("no_equals", "parse-error"),
         ("byte_order_2", "parse-error"), ("interleave_bsx", "unsupported-format-error"),
-        ("lines_0", "parse-error"), ("two_gains", "parse-error"), ("no_data", "corrupt-file-error"))),
+        ("lines_0", "parse-error"), ("two_gains", "parse-error"), ("gain_nan", "parse-error"),
+        ("offset_inf", "parse-error"), ("no_data", "corrupt-file-error"))),
     *((f"simulate-{name.replace('_', '-')}", f"simulate --spectrum {{d}}/{name}.csv --model {{d}}/model8.json "
        "--out {o}.csv", 3, "parse-error") for name in ("spectrum_3_columns", "spectrum_1_band", "spectrum_empty")),
     *((f"eval-{name.replace('_', '-')}", f"eval --model {{d}}/model8.json --cube {{d}}/scene.hdr "

@@ -123,6 +123,22 @@ class TestReadEnvi:
         cube = read_cube(hdr)
         np.testing.assert_allclose(cube.data[0, 0], [10 * 0.5 + 1.0, 8 * 0.25 + 2.0])
 
+    @pytest.mark.parametrize("line,message", [
+        ("data gain values = {nan, 1.0}", "data gain values list has a non-finite entry at band 0"),
+        ("data gain values = {1.0, -inf}", "data gain values list has a non-finite entry at band 1"),
+        ("data offset values = {inf, 0}", "data offset values list has a non-finite entry at band 0"),
+        ("wavelength = {500.0, nan}", "wavelength list has a non-finite entry at band 1"),
+    ])
+    def test_non_finite_list_entry_is_a_parse_error_naming_key_and_band(self, tmp_path, line, message):
+        hdr = tmp_path / "c.hdr"
+        hdr.write_text(
+            "ENVI\nsamples = 1\nlines = 1\nbands = 2\n"
+            f"data type = 12\ninterleave = bip\nbyte order = 0\n{line}\n"
+        )
+        (tmp_path / "c.img").write_bytes(struct.pack("<2H", 10, 8))
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            open_envi(hdr)
+
     def test_missing_wavelengths_synthesized(self, tmp_path, caplog):
         hdr = tmp_path / "nowl.hdr"
         img = tmp_path / "nowl.img"

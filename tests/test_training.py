@@ -19,6 +19,7 @@ from dinsat.ode import SolverConfig, ode_solve
 from dinsat.synth import SynthSpec, synth_scene
 from dinsat.training import (
     TrainConfig,
+    TrainRun,
     _loss_terms,
     _supervised_head,
     _unsupervised_head,
@@ -317,6 +318,15 @@ class TestTrain:
         with pytest.raises(NumericError, match=r"^epoch 0: linear T\(1\) is 0 in band\(s\) 1;"):
             train(config, np.tile([0.2, 0.4], (20, 1)), SceneNormalization.identity(2))
 
+    @pytest.mark.parametrize("mode,kind", [("supervised", "nonlinear"), ("unsupervised", "linear")])
+    def test_run_holds_its_roi_reflectance_and_epoch_count(self, mode, kind):
+        cube, truth = tiny_scene()
+        _, l4, rho = sample_pixels(cube, truth if mode == "supervised" else None, 30, seed=1)
+        config = TrainConfig(mode=mode, model_kind=kind, max_epochs=4, solver=SolverConfig("rk4", 8))
+        run = train(config, l4, truth.norm, rho)
+        np.testing.assert_array_equal(run.roi_reflectance, correct_batch(run.model, truth.norm, l4)[0].mean(axis=0))
+        assert run.epochs == len(run.history) == 4
+
     def test_identical_seeds_identical_histories(self):
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, truth, 30, seed=1)
@@ -430,41 +440,79 @@ class TestEarlyStopping:
         assert kept == min(monitored) == pytest.approx(0.11031, abs=1e-5)
 
 
+def trained_runs(members):
+    return [r for r in members if isinstance(r, TrainRun)]
+
+
 class TestEnsemble:
     def test_deterministic_aggregates(self):
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, truth, 30, seed=5)
         config = TrainConfig(max_epochs=10, solver=SolverConfig("rk4", 8), seed=2)
-        a = ensemble(config, l4, truth.norm, n_runs=2, rho=rho)
-        b = ensemble(config, l4, truth.norm, n_runs=2, rho=rho)
-        np.testing.assert_array_equal([r.model.t1 for r in a.completed], [r.model.t1 for r in b.completed])
-        np.testing.assert_array_equal(a.roi_reflectances, b.roi_reflectances)
+        a = trained_runs(ensemble(config, l4, truth.norm, n_runs=2, rho=rho))
+        b = trained_runs(ensemble(config, l4, truth.norm, n_runs=2, rho=rho))
+        np.testing.assert_array_equal([r.model.t1 for r in a], [r.model.t1 for r in b])
+        np.testing.assert_array_equal([r.roi_reflectance for r in a], [r.roi_reflectance for r in b])
 
     @pytest.mark.parametrize("reshuffle", [False, True])
     def test_reshuffle_redraws_each_members_split(self, reshuffle):
         cube, truth = tiny_scene()
         _, l4, rho = sample_pixels(cube, truth, 30, seed=5)
         config = TrainConfig(max_epochs=2, solver=SolverConfig("rk4", 8), seed=2)
-        result = ensemble(config, l4, truth.norm, n_runs=3, rho=rho, reshuffle=reshuffle)
+        runs = trained_runs(ensemble(config, l4, truth.norm, n_runs=3, rho=rho, reshuffle=reshuffle))
         base = split_dataset(len(l4), config.fractions, config.seed)
-        assert [run.config.seed for run in result.runs] == [2, 3, 4]
-        assert result.runs[0].split == base
+        assert [run.config.seed for run in runs] == [2, 3, 4]
+        assert runs[0].split == base
         if reshuffle:
-            assert result.runs[1].split != result.runs[0].split
+            assert runs[1].split != runs[0].split
         else:
-            assert all(run.split == base for run in result.runs)
+            assert all(run.split == base for run in runs)
 
     def test_members_keep_their_transmittance_and_roi_reflectance(self):
         # What `dinsat train` writes to each run record, as it computed it before.
         cube, truth = tiny_scene()
         _, l4, _ = sample_pixels(cube, None, 30, seed=5)
         config = TrainConfig(mode="unsupervised", max_epochs=6, solver=SolverConfig("rk4", 8), seed=2)
-        result = ensemble(config, l4, truth.norm, n_runs=2)
-        for run, roi in zip(result.runs, result.roi_reflectances):
+        for run in trained_runs(ensemble(config, l4, truth.norm, n_runs=2)):
             model = run.model
             assert model.solver == config.solver
             rho_hat, _ = correct_batch(model, truth.norm, l4)
-            np.testing.assert_array_equal(roi, rho_hat.mean(axis=0))
+            np.testing.assert_array_equal(run.roi_reflectance, rho_hat.mean(axis=0))
+
+    def test_failed_member_is_its_error_in_member_order(self, monkeypatch):
+        real_train = training.train
+        failure = NumericError("injected failure")
+
+        def train_failing_member_1(config, *args, **kwargs):
+            if config.seed == 5 + 1:
+                raise failure
+            return real_train(config, *args, **kwargs)
+
+        monkeypatch.setattr(training, "train", train_failing_member_1)
+        cube, truth = tiny_scene()
+        _, l4, _ = sample_pixels(cube, None, 30, seed=5)
+        config = TrainConfig(mode="unsupervised", max_epochs=2, solver=SolverConfig("rk4", 8), seed=5)
+        members = ensemble(config, l4, truth.norm, n_runs=3)
+        assert [type(m) for m in members] == [TrainRun, NumericError, TrainRun]
+        assert members[1] is failure
+        assert (members[0].config.seed, members[2].config.seed) == (5, 7)
+
+    def test_member_whose_roi_correction_raises_is_its_failure(self, monkeypatch):
+        real_correct_batch = training.correct_batch
+        calls = []
+
+        def correct_batch_failing_call_1(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericError("injected failure")
+            return real_correct_batch(*args, **kwargs)
+
+        monkeypatch.setattr(training, "correct_batch", correct_batch_failing_call_1)
+        cube, truth = tiny_scene()
+        _, l4, _ = sample_pixels(cube, None, 30, seed=5)
+        config = TrainConfig(mode="unsupervised", max_epochs=2, solver=SolverConfig("rk4", 8))
+        members = ensemble(config, l4, truth.norm, n_runs=2)
+        assert isinstance(members[0], TrainRun) and str(members[1]) == "injected failure"
 
     def test_zero_runs_rejected(self):
         with pytest.raises(ConfigError):
@@ -480,6 +528,20 @@ class TestEnsemble:
             "all ensemble members failed: "
             "run 0: val fraction is positive but rounds to zero samples; "
             "run 1: val fraction is positive but rounds to zero samples"
+        )
+
+    def test_every_member_failing_raises_one_error_naming_each(self, monkeypatch):
+        errors = [NumericError("diverged"), ShapeError("bad shape"), NumericError("diverged again")]
+
+        def train_failing(config, *args, **kwargs):
+            raise errors[config.seed]
+
+        monkeypatch.setattr(training, "train", train_failing)
+        l4 = np.random.default_rng(0).uniform(0.1, 0.9, (10, 4))
+        with pytest.raises(NumericError) as info:
+            ensemble(TrainConfig(mode="unsupervised"), l4, SceneNormalization.identity(4), n_runs=3)
+        assert str(info.value) == (
+            "all ensemble members failed: run 0: diverged; run 1: bad shape; run 2: diverged again"
         )
 
 
