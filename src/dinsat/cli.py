@@ -348,21 +348,26 @@ def correct(cube_path, model_path, norm_path, out_dir):
 
     The cube streams through in row blocks, one image row per
     ``correct_batch``. Where the model's inverse is costly (a stepped
-    reverse solve), the rows are split into contiguous shares of nearly
-    equal length, one per CPU this process may run on and at most one per
-    row. This process corrects the first share and forked workers the
-    others; each reads its own rows in blocks and writes them into the two
-    preallocated images. A failure anywhere deletes both images and reports
-    the error of the first failing share. Each share stops at its first
-    failing row, whether the row fails to correct or holds a non-finite
-    radiance (named by its pixel), so the report is the cube's first failing
-    row's, whatever the CPU count.
+    reverse solve), that solve runs in float32, the precision written, and
+    the rows are split into contiguous shares of nearly equal length, one
+    per CPU this process may run on and at most one per row. This process
+    corrects the first share and forked workers the others; each reads its
+    own rows in blocks and writes them into the two preallocated images. A
+    failure anywhere deletes both images and reports the error of the first
+    failing share. Each share stops at its first failing row, whether the
+    row fails to correct or holds a non-finite radiance (named by its
+    pixel), so the report is the cube's first failing row's, whatever the
+    CPU count.
     """
     cube = envi.open_envi(cube_path)
     model, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube")
     if norm is None:
         norm = estimate_normalization(cube.band_extrema())
-    model.t1  # solved once, before any worker is forked
+    # Made once, before any worker is forked: T(1), and the float32 layers a
+    # stepped T^-1 runs in.
+    model.t1
+    if model.costly_inverse:
+        model.float32_layers
     n_workers = len(os.sched_getaffinity(0)) if model.costly_inverse else 1
     shares = _row_shares(cube.rows, n_workers)
 

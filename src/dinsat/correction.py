@@ -11,7 +11,11 @@ once per model, so correcting a cube row by row solves for T(1) once.
 z is made in, the array T^-1 returns (where the division by T(1) happens)
 and two boolean range masks. With ``out=(rho, mask)`` it casts the result
 into caller-owned arrays, so `dinsat correct` writes each image row straight
-into its output blocks.
+into its output blocks. When that reflectance is float32 and the model's
+T^-1 is a stepped solve (``costly_inverse``), z is cast to float32 and the
+solve runs in float32, the precision written; T(1) stays float64, computed
+once per model, and a linear model's exact division stays float64, so its
+output does not change.
 """
 
 from __future__ import annotations
@@ -98,12 +102,17 @@ def correct_batch(
     ``out=(rho, mask)`` writes them into caller-owned arrays of ``l4``'s
     shape instead (rho cast to its dtype, e.g. float32; the mask an unsigned
     integer array) and returns those; a finite reflectance beyond rho's
-    dtype's range raises NumericError naming its bands. Either way the
-    range bit is set from the float64 reflectance, and ``l4`` is left as it is.
+    dtype's range raises NumericError naming its bands. A float32 rho with a
+    stepped T^-1 (``model.costly_inverse``) has that solve run in float32.
+    The range bit is set from the reflectance computed: float32 there,
+    float64 otherwise. ``l4`` is left as it is.
     """
     t1 = transmittance_values(model)
+    z = normalized_radiance(norm, l4)
+    if model.costly_inverse and out is not None and out[0].dtype == np.float32:
+        z = z.astype(np.float32)  # a stepped T^-1 runs in the precision it is written in
     # T^-1 returns a new array, so the rest of the kernel works in it.
-    rho = invert_values(model, normalized_radiance(norm, l4))
+    rho = invert_values(model, z)
     rho /= np.maximum(t1, EPS_T)
     out_of_range = np.less(rho, -RHO_RANGE_TOL)
     out_of_range |= np.greater(rho, 1.0 + RHO_RANGE_TOL)

@@ -176,19 +176,28 @@ def _parse_header_text(text: str) -> dict:
 
 
 def read_envi_header(path: str | Path) -> EnviHeader:
+    """The header at ``path``; a ParseError or UnsupportedFormatError names the file."""
     path = Path(path)
     try:
-        entries = _parse_header_text(path.read_text())
+        text = path.read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise CorruptFileError(f"cannot read header {path}: {e}") from e
+    try:
+        return _header_from_text(text)
+    except (ParseError, UnsupportedFormatError) as e:
+        raise type(e)(f"header {path}: {e}") from e
+
+
+def _header_from_text(text: str) -> EnviHeader:
+    entries = _parse_header_text(text)
 
     def need_int(key: str, default: Optional[int] = None) -> int:
         if key not in entries and default is None:
-            raise ParseError(f"header {path} missing required key {key!r}")
+            raise ParseError(f"missing required key {key!r}")
         try:
             return int(entries.get(key, default))
         except ValueError as e:
-            raise ParseError(f"header {path} key {key!r} is not an integer") from e
+            raise ParseError(f"key {key!r} is not an integer") from e
 
     def floats(key: str) -> Optional[np.ndarray]:
         if key not in entries:
@@ -196,7 +205,7 @@ def read_envi_header(path: str | Path) -> EnviHeader:
         try:
             return np.array([float(v) for v in entries[key].split(",") if v.strip()])
         except ValueError as e:
-            raise ParseError(f"header {path} key {key!r} is not a list of numbers: {e}") from e
+            raise ParseError(f"key {key!r} is not a list of numbers: {e}") from e
 
     return EnviHeader(
         samples=need_int("samples"),

@@ -15,8 +15,11 @@ buffer. ``unpack_params`` negates each sigmoid layer's weights once for this,
 so the forward pass has no negation pass; negation is exact and rounding to
 nearest is symmetric in sign, so the result is bit-identical to
 1 / (1 + exp(-(x @ W + b))). The backward pass reads only post-activation
-values and the unnegated W. The forward helpers keep a complex dtype, so a
-complex-step check can run through them; float64 stays float64.
+values and the unnegated W. The forward helpers keep their operands' dtype:
+complex, so a complex-step check can run through them; float64; and float32,
+for float32 layers (the nonlinear profile's cast copy) on a float32 input,
+where exp overflows to inf, giving exactly 0, above about 88.72 rather than
+709.78.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ def glorot_init(layout: MlpLayout, rng: np.random.Generator) -> np.ndarray:
 def _logistic_of_negated(u: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(u)), the logistic of -u, computed in u's own buffer.
 
-    exp(u) overflows to inf for u above about 709.78, which gives exactly 0
-    with no warning; NaN stays NaN.
+    exp(u) overflows to inf for u above about 709.78 (88.72 in float32),
+    which gives exactly 0 with no warning; NaN stays NaN.
     """
     with np.errstate(over="ignore"):
         np.exp(u, out=u)

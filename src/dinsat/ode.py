@@ -4,10 +4,13 @@
 ``solve_vjp`` steps the same solver over an rhs that also returns the VJP of
 each evaluation, keeps those VJPs, and returns the solution with its pullback,
 which sweeps the steps in reverse: the discrete adjoint of the stepper, so its
-gradients are exactly those of the unrolled steps. The state keeps its dtype
-(float64, or complex128 for a complex-step check). After each step one pass,
-the peak |y|, checks the state: a non-finite peak is an error in either
-direction, and in reverse so is a peak above ``OVERFLOW_GUARD``.
+gradients are exactly those of the unrolled steps. The state keeps a float or
+complex dtype: float64 for training and T(1), float32 for the reverse solve
+of `dinsat correct`, complex128 for a complex-step check; an int64 input
+becomes float64, as ``np.result_type`` with float32 promotes it. After each
+step one pass, the peak |y|, checks the state: a non-finite peak is an error
+in either direction, and in reverse so is a peak above ``OVERFLOW_GUARD``,
+which is far inside float32's range.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def _integrate(rhs, y0, config: SolverConfig, reverse: bool):
     step = _METHODS[config.method][0]
     h = -config.h if reverse else config.h
     y = np.asarray(y0)
-    y = y.astype(np.result_type(y, float), copy=False)
+    y = y.astype(np.result_type(y, np.float32), copy=False)
     for i in range(config.steps):
         y = step(rhs, y, h)
         # One pass checks both: a NaN or inf anywhere makes the peak non-finite.

@@ -9,7 +9,8 @@ returning the gradient in ``params``. ``forward``, ``inverse`` and
 ``inverse_vjp`` check their input's band axis once, at entry, with
 ``types.as_spectra``. ``with_params`` gives the same operator at other
 parameters, with its own T(1). ``costly_inverse`` says whether T^-1 costs
-enough per pixel for `dinsat correct` to share a cube out over processes.
+enough per pixel for `dinsat correct` to share a cube out over processes
+and to solve it in float32.
 The linear profile realizes per-band exponential decay with rates alpha =
 softplus(params) >= 0; the nonlinear profile runs the spectrum through a
 bottleneck encoder/decoder and multiplies by a decay factor forced into
@@ -26,17 +27,19 @@ factor and T^-1 an exact division, so round trips are exact up to float
 rounding. The nonlinear profile integrates with the stepped solvers in
 ``ode``, forward and backward in x. Its network is one ``mlp`` layout, the
 encoder's two layers followed by the decoder's, whose sigmoid output layer
-is the decay. The profile unpacks its weights once, at first use, and
-holds them; the decay is the last activation from ``mlp.layers_forward``,
-computed in place like every sigmoid layer there. The right-hand side is
-two methods that every solve is handed: ``rhs(L)``, plain f(L), which
-multiplies and negates in the decay's buffer, and ``rhs_vjp(L)``, f(L) with
-a hand-written VJP (product rule, then one ``mlp.layers_backward`` through
-the whole network), which keeps only the activations that VJP reads. Its
-pullback is two discrete adjoints, ``ode.solve_vjp`` of T(1) and of
-T^-1(z): the exact gradients of the unrolled steps. ``forward``, ``inverse``
-and ``t1`` keep a complex dtype in the state and the parameters, so they can
-be checked by complex step.
+is the decay. The profile unpacks its weights once, at first use, and holds
+them, and casts them to float32 once more on first use by a float32 state:
+`dinsat correct` solves T^-1 in float32, the precision it writes, while
+``t1``, ``forward``, ``inverse_vjp`` and training stay float64. The decay is
+the last activation from ``mlp.layers_forward``, computed in place like
+every sigmoid layer there. The right-hand side is two methods that every
+solve is handed: ``rhs(L)``, plain f(L), which multiplies and negates in the
+decay's buffer, and ``rhs_vjp(L)``, f(L) with a hand-written VJP (product
+rule, then one ``mlp.layers_backward`` through the whole network), which
+keeps only the activations that VJP reads. Its pullback is two discrete
+adjoints, ``ode.solve_vjp`` of T(1) and of T^-1(z): the exact gradients of
+the unrolled steps. ``forward``, ``inverse`` and ``t1`` keep a complex dtype
+in the state and the parameters, so they can be checked by complex step.
 """
 
 from __future__ import annotations
@@ -185,7 +188,8 @@ class NonlinearProfile:
     solver: SolverConfig = SolverConfig()
 
     kind = "nonlinear"
-    # Yes: each pixel's T^-1 is a stepped reverse solve, and `correct` is compute-bound.
+    # Yes: each pixel's T^-1 is a stepped reverse solve, and `correct` is
+    # compute-bound, in exp and skinny matmuls, both cheaper in float32.
     costly_inverse = True
 
     def __post_init__(self):
@@ -218,9 +222,20 @@ class NonlinearProfile:
         """The network's layers, unpacked from ``params`` once per profile."""
         return unpack_params(self.params, self.layout)
 
+    @cached_property
+    def float32_layers(self):
+        """The network's layers cast to float32, once per profile: what ``rhs`` runs a float32 state through."""
+        return [(w.astype(np.float32), act, w_fwd.astype(np.float32), b_fwd.astype(np.float32))
+                for w, act, w_fwd, b_fwd in self._layers]
+
     def rhs(self, L):
-        """f(L) = -sigmoid(dec(enc(L))) * L on plain arrays; the network's last activation is the decay."""
-        value = layers_forward(self._layers, L)[-1]
+        """f(L) = -sigmoid(dec(enc(L))) * L on plain arrays; the network's last activation is the decay.
+
+        A float32 L runs through ``float32_layers``, so f(L) is float32 too;
+        any other dtype through the float64 (or complex) layers.
+        """
+        layers = self.float32_layers if L.dtype == np.float32 else self._layers
+        value = layers_forward(layers, L)[-1]
         value *= L
         return np.negative(value, out=value)
 

@@ -523,8 +523,11 @@ class TestCorrectWorkers:
             images.append([(tmp_path / f"out{n}" / f"{name}.img").read_bytes()
                            for name in ("corrected", "quality_mask")])
         assert images[0] == images[1] == images[2]
-        rho, mask = correct_batch(self.nonlinear_model(self.BANDS), SceneNormalization(np.zeros(self.BANDS), 1.0),
-                                  data)
+        # The reference is corrected as `correct` corrects: one row per call, into float32.
+        model, norm = self.nonlinear_model(self.BANDS), SceneNormalization(np.zeros(self.BANDS), 1.0)
+        rho, mask = np.empty(data.shape, np.float32), np.empty(data.shape, np.uint16)
+        for r, row in enumerate(data):
+            correct_batch(model, norm, row, out=(rho[r], mask[r]))
         assert images[0][0] == np.ascontiguousarray(rho.transpose(2, 0, 1), "<f4").tobytes()
         assert images[0][1] == np.ascontiguousarray(mask.transpose(2, 0, 1), "<u2").tobytes()
 
@@ -953,6 +956,8 @@ def bad_inputs(tmp_path_factory):
                            ("wavelength_unclosed", wavelength_line, "wavelength = {1, 2,\n"),
                            ("no_equals", "file type = ENVI Standard", "file type ENVI Standard"),
                            ("byte_order_2", "byte order = 0", "byte order = 2"),
+                           ("no_magic", "ENVI\n", ""),
+                           ("data_type_3", "data type = 5", "data type = 3"),
                            ("interleave_bsx", "interleave = bsq", "interleave = bsx"),
                            ("lines_0", "lines = 4", "lines = 0"),
                            ("two_gains", "byte order = 0", "byte order = 0\ndata gain values = {1, 2}"),
@@ -1151,6 +1156,19 @@ BAD_INPUT_CASES = [
     ("report-history-without-train-loss", "report --runs {d}/runs_no_train_loss --out {o}", 3, "parse-error"),
     *TRAIN_REJECTED_BEFORE_ANY_CUBE,
 ]
+
+
+@pytest.mark.parametrize("name,category,message", [
+    ("byte_order_2", "parse-error", "byte order must be 0 or 1, got 2"),
+    ("no_magic", "parse-error", "missing ENVI magic on header line 1"),
+    ("data_type_3", "unsupported-format-error", "unsupported ENVI data type 3; supported: 4, 5, 12"),
+], ids=["byte-order-2", "no-magic", "data-type-3"])
+def test_header_error_names_the_header(bad_inputs, tmp_path, runner, name, category, message):
+    hdr = bad_inputs / f"{name}.hdr"
+    result = runner.invoke(main, ["correct", "--cube", str(hdr), "--model", str(bad_inputs / "model8.json"),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 3
+    assert result.output == f"{category}: header {hdr}: {message}\n"
 
 
 @pytest.mark.parametrize("argv,code,category", [c[1:] for c in BAD_INPUT_CASES],

@@ -136,7 +136,7 @@ class TestReadEnvi:
             f"data type = 12\ninterleave = bip\nbyte order = 0\n{line}\n"
         )
         (tmp_path / "c.img").write_bytes(struct.pack("<2H", 10, 8))
-        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ParseError, match=f"^{re.escape(f'header {hdr}: {message}')}$"):
             open_envi(hdr)
 
     def test_missing_wavelengths_synthesized(self, tmp_path, caplog):

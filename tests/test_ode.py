@@ -122,6 +122,30 @@ class TestReverseSolve:
             assert abs(back[0] - 1.0) < 1e-6
 
 
+class TestStateDtype:
+    """The state keeps a float32, float64 or complex input's dtype; an int64 input becomes float64."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("solve", [ode_solve, ode_solve_reverse])
+    def test_float32_stays_float32(self, method, solve):
+        y0 = np.array([[0.3, 1.7, 0.0], [2.0, 0.5, 1.0]])
+        out = solve(decay(0.5), y0.astype(np.float32), SolverConfig(method, 4))
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, solve(decay(0.5), y0, SolverConfig(method, 4)), rtol=1e-6)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("solve", [ode_solve, ode_solve_reverse])
+    def test_int64_becomes_float64(self, method, solve):
+        y0 = np.array([[3, 1, 0], [2, 5, 1]], np.int64)
+        out = solve(decay(0.5), y0, SolverConfig(method, 4))
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, solve(decay(0.5), y0.astype(np.float64), SolverConfig(method, 4)))
+
+    def test_float32_overflow_guard(self):
+        with pytest.raises(NumericError, match="diverged"):
+            ode_solve_reverse(decay(60.0), np.array([1.0], np.float32), SolverConfig("rk4", 4))
+
+
 class TestInputsUntouched:
     """The steppers work in place on their own temporaries, never on inputs."""
 
@@ -129,13 +153,14 @@ class TestInputsUntouched:
     @pytest.mark.parametrize("solve", [ode_solve, ode_solve_reverse])
     @pytest.mark.parametrize("kind", ["fresh", "cached", "identity"])
     def test_l_init_and_rhs_outputs_unmodified(self, method, solve, kind):
-        y0 = np.array([[0.3, 1.7, 0.0], [2.0, 0.5, 1.0]])
-        cached = np.array([[-0.2, -0.1, 0.0], [-0.4, -0.3, -0.1]])
-        rhs = {"fresh": decay(0.5), "cached": lambda L: cached, "identity": lambda L: L}[kind]
-        y_before, cached_before = y0.copy(), cached.copy()
-        solve(rhs, y0, SolverConfig(method, 4))
-        np.testing.assert_array_equal(y0, y_before)
-        np.testing.assert_array_equal(cached, cached_before)
+        for dtype in (np.float64, np.float32):
+            y0 = np.array([[0.3, 1.7, 0.0], [2.0, 0.5, 1.0]], dtype)
+            cached = np.array([[-0.2, -0.1, 0.0], [-0.4, -0.3, -0.1]], dtype)
+            rhs = {"fresh": decay(0.5), "cached": lambda L: cached, "identity": lambda L: L}[kind]
+            y_before, cached_before = y0.copy(), cached.copy()
+            assert solve(rhs, y0, SolverConfig(method, 4)).dtype == dtype
+            np.testing.assert_array_equal(y0, y_before)
+            np.testing.assert_array_equal(cached, cached_before)
 
 
 class TestConvergenceOrder:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from dinsat.errors import NumericError, ShapeError
-from dinsat.mlp import MlpLayout, glorot_init
+from dinsat.mlp import MlpLayout, glorot_init, unpack_params
 from dinsat.ode import METHODS, SolverConfig, ode_solve, solve_vjp
 from dinsat.transmission import (
     LinearProfile,
@@ -162,13 +162,32 @@ class TestNonlinearFusedRhs:
         saturated = profile.with_params(profile.params * scale)
         L = np.random.default_rng(13).uniform(0.1, 2.0, (64, 126))
         L_before = L.copy()
+        L32 = L.astype(np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             plain = saturated.rhs(L)
             value, _ = saturated.rhs_vjp(L)
+            # float32's exp overflows from about 88.72, far below float64's 709.78.
+            plain32 = saturated.rhs(L32)
         np.testing.assert_array_equal(L, L_before)
         assert plain.tobytes() == value.tobytes()
         assert np.any(plain == 0.0) and np.any(plain == -L)
+        assert plain32.dtype == np.float32
+        assert np.any(plain32 == 0.0) and np.any(plain32 == -L32)
+
+    def test_float32_rhs_runs_the_float32_layers(self):
+        profile = NonlinearProfile.initialize(126, np.random.default_rng(12))
+        L = np.random.default_rng(13).uniform(0.0, 1.0, (64, 126))
+        value = profile.rhs(L.astype(np.float32))
+        assert value.dtype == np.float32
+        np.testing.assert_allclose(value, profile.rhs(L), rtol=1e-5, atol=1e-7)
+        layers = profile.float32_layers
+        assert layers is profile.float32_layers  # cast once per profile
+        for layer, layer64 in zip(layers, unpack_params(profile.params, profile.layout), strict=True):
+            assert layer[1] == layer64[1]
+            for i in (0, 2, 3):
+                assert layer[i].dtype == np.float32
+                np.testing.assert_array_equal(layer[i], layer64[i].astype(np.float32))
 
     def test_untraced_rhs_is_plain(self):
         profile = NonlinearProfile.initialize(5, np.random.default_rng(11))
