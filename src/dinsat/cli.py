@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import multiprocessing
 import os
-import pickle
-import signal
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import click
@@ -253,69 +254,47 @@ def _row_shares(rows: int, n: int) -> list[range]:
     return [range(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
 
 
-def _fork(work, share) -> tuple[int, int]:
-    """Run ``work(share)`` in a forked worker; returns its pid and the pipe its outcome comes on.
-
-    The outcome is the pickled pair (True, result) or (False, exception).
-    The worker leaves by ``os._exit``, so it never returns into the
-    caller's frames: no context manager of the parent closes or deletes a
-    file in it, and no buffered output is written twice.
-    """
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    status = 1
-    try:
-        os.close(read_end)
-        try:
-            outcome = (True, work(share))
-        except BaseException as e:
-            outcome = (False, e)
-        data = pickle.dumps(outcome)  # an outcome that does not pickle sends nothing
-        with os.fdopen(write_end, "wb") as f:
-            f.write(data)
-        status = 0
-    finally:
-        os._exit(status)
+# The share function of a `correct` worker, set only in the worker by the
+# pool's initializer. Under fork the initializer's arguments are inherited, not
+# pickled, and the pool forks every worker before it starts its own thread.
+_share_work = None
 
 
-def _join(pid: int, read_end: int):
-    """Wait for a worker; its outcome, or None if it wrote none."""
-    with os.fdopen(read_end, "rb") as f:
-        data = f.read()
-    os.waitpid(pid, 0)
-    return pickle.loads(data) if data else None
+def _inherit_work(work) -> None:
+    global _share_work
+    _share_work = work
+
+
+def _run_share(share):
+    return _share_work(share)
 
 
 def _fan_out(work, shares: list) -> list:
-    """``work(share)`` for each share: the first in this process, each other in a forked worker.
+    """``work(share)`` for each share: the first in this process, each other in a forked pool worker.
 
-    Returns the results in share order. Every worker is joined before this
-    returns or raises. If several shares fail, the first failing share's
-    exception is raised; if this process's own share fails, the workers are
-    killed first, since none of them can fail earlier in share order.
+    Only each share's range goes to a worker, and only its result or
+    exception comes back; ``work`` itself, with the cube and the writers it
+    holds, is inherited by fork. Returns the results in share order. If
+    several shares fail, the first failing share's exception is raised, and
+    a worker that dies without a result is a DinsatError. Every worker has
+    ended before this returns or raises: if this process's own share fails,
+    the shares not yet started are cancelled and those started are drained,
+    not killed.
     """
-    workers = []
-    try:
-        for share in shares[1:]:
-            workers.append(_fork(work, share))
-        results = [work(shares[0])]
-    except BaseException:
-        for pid, _ in workers:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        outcomes = [_join(*worker) for worker in workers]
-    for (pid, _), outcome in zip(workers, outcomes):
-        if outcome is None:
-            raise DinsatError(f"worker {pid} ended without a result")
-        ok, value = outcome
-        if not ok:
-            raise value
-        results.append(value)
-    return results
+    if len(shares) == 1:
+        return [work(shares[0])]
+    with ProcessPoolExecutor(len(shares) - 1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit_work, initargs=(work,)) as pool:
+        futures = [pool.submit(_run_share, share) for share in shares[1:]]
+        try:
+            results = [work(shares[0])]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        try:
+            return results + [f.result() for f in futures]
+        except BrokenProcessPool as e:
+            raise DinsatError(f"a worker process ended without a result: {e}") from e
 
 
 def _correct_rows(cube, model, norm, writers, rows: range) -> int:
@@ -351,23 +330,19 @@ def correct(cube_path, model_path, norm_path, out_dir):
     reverse solve), that solve runs in float32, the precision written, and
     the rows are split into contiguous shares of nearly equal length, one
     per CPU this process may run on and at most one per row. This process
-    corrects the first share and forked workers the others; each reads its
-    own rows in blocks and writes them into the two preallocated images. A
-    failure anywhere deletes both images and reports the error of the first
-    failing share. Each share stops at its first failing row, whether the
-    row fails to correct or holds a non-finite radiance (named by its
-    pixel), so the report is the cube's first failing row's, whatever the
-    CPU count.
+    corrects the first share and a forked process pool the others; each
+    reads its own rows in blocks and writes them into the two preallocated
+    images. A failure anywhere lets the shares already started finish,
+    deletes both images and reports the error of the first failing share.
+    Each share stops at its first failing row, whether the row fails to
+    correct or holds a non-finite radiance (named by its pixel), so the
+    report is the cube's first failing row's, whatever the CPU count.
     """
     cube = envi.open_envi(cube_path)
     model, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube")
     if norm is None:
         norm = estimate_normalization(cube.band_extrema())
-    # Made once, before any worker is forked: T(1), and the float32 layers a
-    # stepped T^-1 runs in.
-    model.t1
-    if model.costly_inverse:
-        model.float32_layers
+    model.t1  # computed once, before any worker is forked
     n_workers = len(os.sched_getaffinity(0)) if model.costly_inverse else 1
     shares = _row_shares(cube.rows, n_workers)
 

@@ -150,8 +150,8 @@ class EnviHeader:
 
 def _parse_header_text(text: str) -> dict:
     entries: dict[str, str] = {}
-    lines = text.splitlines()
-    if lines and lines[0].strip().upper() != "ENVI":
+    lines = text.splitlines() or [""]
+    if lines[0].strip().upper() != "ENVI":
         raise ParseError("missing ENVI magic on header line 1")
     i = 1
     while i < len(lines):

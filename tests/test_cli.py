@@ -622,11 +622,14 @@ class TestCorrectWorkers:
         assert outputs[0].startswith("numeric-error: state diverged") and outputs[0].count("\n") == 1
 
     def test_failed_run_leaves_no_process_behind(self, tmp_path):
-        # Both failures above in a real process, in a session of its own: once
-        # it has exited, no worker of its process group is left.
+        # The failures above in a real process, in a session of its own: once
+        # it has exited, no worker of its process group is left. In "own_nan"
+        # this process's share, rows 0-3, fails while the worker's is healthy.
         data = np.full((self.ROWS, self.COLS, self.BANDS), 1e-6)
         data[5:] = 1.0
         data[6, 1, 2] = np.nan
+        own_nan = np.full((self.ROWS, self.COLS, self.BANDS), 1e-6)
+        own_nan[1, 1, 2] = np.nan
         src = str(Path(dinsat.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = (
@@ -636,11 +639,14 @@ class TestCorrectWorkers:
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "cli.main(sys.argv[1:], prog_name='dinsat')\n"
         )
-        for case, model, expected in (("nan", self.nonlinear_model(self.BANDS), 3),
-                                      ("overflow", self.overflowing_model(self.BANDS), 4)):
+        for case, cube, model, expected in (
+            ("nan", data, self.nonlinear_model(self.BANDS), 3),
+            ("overflow", np.nan_to_num(data, nan=1.0), self.overflowing_model(self.BANDS), 4),
+            ("own_nan", own_nan, self.nonlinear_model(self.BANDS), 3),
+        ):
             inputs = tmp_path / case
             inputs.mkdir()
-            self.write_inputs(inputs, data if case == "nan" else np.nan_to_num(data, nan=1.0), model)
+            self.write_inputs(inputs, cube, model)
             proc = subprocess.Popen(
                 [sys.executable, "-c", code, "correct", "--cube", str(inputs / "c.hdr"), "--model",
                  str(inputs / "m.json"), "--norm", str(inputs / "norm.json"), "--out", str(inputs / "out")],
@@ -651,6 +657,25 @@ class TestCorrectWorkers:
             with pytest.raises(ProcessLookupError):
                 os.killpg(proc.pid, 0)
             assert not list((inputs / "out").iterdir())
+
+    @pytest.mark.usefixtures("blocks_of_two_rows")
+    def test_worker_that_dies_without_a_result_is_an_error(self, tmp_path, runner, monkeypatch):
+        self.write_inputs(tmp_path, np.full((self.ROWS, self.COLS, self.BANDS), 0.5),
+                          self.nonlinear_model(self.BANDS))
+        self.cpus(monkeypatch, 2)
+        here = os.getpid()
+
+        def die_in_a_worker(*args, _real=cli._correct_rows):
+            if os.getpid() != here:
+                os._exit(1)
+            return _real(*args)
+
+        monkeypatch.setattr(cli, "_correct_rows", die_in_a_worker)
+        result = self.correct(tmp_path, runner, "out")
+        assert result.exit_code == 1, result.output
+        [line] = result.output.splitlines()
+        assert line.startswith("error: ") and "worker" in line
+        assert not list((tmp_path / "out").iterdir())
 
     @pytest.mark.usefixtures("blocks_of_two_rows")
     def test_one_clamp_warning_with_every_workers_count(self, tmp_path, runner, monkeypatch, caplog):

@@ -109,6 +109,12 @@ class TestReadEnvi:
         with pytest.raises(ParseError, match="magic"):
             read_cube(hdr)
 
+    def test_empty_header_is_missing_its_magic(self, tmp_path):
+        hdr, _ = write_fixture_bsq(tmp_path)
+        hdr.write_text("")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'header {hdr}: missing ENVI magic on header line 1')}$"):
+            open_envi(hdr)
+
     def test_uint16_gain_offset(self, tmp_path):
         hdr = tmp_path / "u16.hdr"
         img = tmp_path / "u16.img"
