@@ -254,6 +254,13 @@ def _row_shares(rows: int, n: int) -> list[range]:
     return [range(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot tell them or fork workers (macOS, Windows)."""
+    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
 # The share function of a `correct` worker, set only in the worker by the
 # pool's initializer. Under fork the initializer's arguments are inherited, not
 # pickled, and the pool forks every worker before it starts its own thread.
@@ -297,16 +304,33 @@ def _fan_out(work, shares: list) -> list:
             raise DinsatError(f"a worker process ended without a result: {e}") from e
 
 
+# Pixels per `correct_batch` call: whole image rows, at least one, that make
+# about this many pixels. A stepped solve then pays its per-call and
+# per-stage overhead once for several rows, and its arrays stay small.
+PX_PER_CALL = 512
+
+
 def _correct_rows(cube, model, norm, writers, rows: range) -> int:
-    """Correct the image rows ``rows`` into the two writers; returns how many values the read clamped."""
+    """Correct the image rows ``rows`` into the two writers; returns how many values the read clamped.
+
+    Each ``correct_batch`` call takes a group of rows within a block. If a
+    group fails, its rows are corrected again one at a time, so the error
+    raised is the first failing row's own.
+    """
     rho_out, mask_out = writers
+    per_call = max(1, PX_PER_CALL // cube.cols)
     for r0, block in cube.blocks(rows.start, rows.stop):
         # Laid out like the reader's block: a BSQ cube's block is already
         # in the writers' file order, so they write it without a transpose.
         rho = np.empty_like(block, dtype=np.float32)
         mask = np.empty_like(block, dtype=np.uint16)
-        for i, row in enumerate(block):  # one image row per batch bounds the working set
-            correct_batch(model, norm, row, out=(rho[i], mask[i]))
+        for i in range(0, len(block), per_call):
+            group = slice(i, i + per_call)
+            try:
+                correct_batch(model, norm, block[group], out=(rho[group], mask[group]))
+            except DinsatError:
+                for r in range(*group.indices(len(block))):
+                    correct_batch(model, norm, block[r], out=(rho[r], mask[r]))
         rho_out.write_rows(r0, rho)
         mask_out.write_rows(r0, mask)
     return cube.clamped
@@ -325,26 +349,29 @@ def correct(cube_path, model_path, norm_path, out_dir):
     propagated) and quality_mask.hdr/.img (uint16; bit 1 = transmittance
     floored, bit 2 = reflectance outside [0, 1]).
 
-    The cube streams through in row blocks, one image row per
-    ``correct_batch``. Where the model's inverse is costly (a stepped
-    reverse solve), that solve runs in float32, the precision written, and
-    the rows are split into contiguous shares of nearly equal length, one
-    per CPU this process may run on and at most one per row. This process
-    corrects the first share and a forked process pool the others; each
-    reads its own rows in blocks and writes them into the two preallocated
-    images. A failure anywhere lets the shares already started finish,
-    deletes both images and reports the error of the first failing share.
-    Each share stops at its first failing row, whether the row fails to
-    correct or holds a non-finite radiance (named by its pixel), so the
-    report is the cube's first failing row's, whatever the CPU count.
+    The cube streams through in row blocks, and each ``correct_batch``
+    takes as many whole rows of a block as make about PX_PER_CALL pixels,
+    at least one. Where the model's inverse is costly (a stepped reverse
+    solve), that solve runs in float32, the precision written, and the rows
+    are split into contiguous shares of nearly equal length, one per CPU
+    this process may run on and at most one per row. This process corrects
+    the first share and a forked process pool the others; each reads its
+    own rows in blocks and writes them into the two preallocated images.
+    Where the platform cannot fork or tell the CPUs it may run on, this
+    process corrects every row. A failure anywhere lets the shares already
+    started finish, deletes both images and reports the error of the first
+    failing share. Each share stops at its first failing row, whether the
+    row fails to correct (a failing group of rows is corrected again row by
+    row) or holds a non-finite radiance (named by its pixel), so the report
+    is the cube's first failing row's, whatever the CPU count. The images'
+    bytes depend neither on the rows per call nor on the CPU count.
     """
     cube = envi.open_envi(cube_path)
     model, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube")
     if norm is None:
         norm = estimate_normalization(cube.band_extrema())
     model.t1  # computed once, before any worker is forked
-    n_workers = len(os.sched_getaffinity(0)) if model.costly_inverse else 1
-    shares = _row_shares(cube.rows, n_workers)
+    shares = _row_shares(cube.rows, _cpus() if model.costly_inverse else 1)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -6,16 +6,19 @@ recovered as rho = T^-1((L4 - C)/m) / T(1_n); radiance is
 simulated as L4 = C + m * T(rho * T(1_n)). rho is not clamped on output;
 out-of-range bands and floored denominators are reported in a quality mask.
 Both take the model alone: it carries its solver, and its T(1) is computed
-once per model, so correcting a cube row by row solves for T(1) once.
+once per model, so correcting a cube in groups of rows solves for T(1) once.
 `correct_batch` is the one correction kernel. It allocates the float64 array
 z is made in, the array T^-1 returns (where the division by T(1) happens)
-and two boolean range masks. With ``out=(rho, mask)`` it casts the result
-into caller-owned arrays, so `dinsat correct` writes each image row straight
-into its output blocks. When that reflectance is float32 and the model's
-T^-1 is a stepped solve (``costly_inverse``), z is cast to float32 and the
-solve runs in float32, the precision written; T(1) stays float64, computed
-once per model, and a linear model's exact division stays float64, so its
-output does not change.
+and two boolean range masks; a stepped T^-1 makes its own buffers once per
+call, so a batch of several rows pays for them once. With
+``out=(rho, mask)`` it casts the result into caller-owned arrays, so
+`dinsat correct` writes each group of image rows straight into its output
+blocks. When that reflectance is float32 and the model's T^-1 is a stepped
+solve (``costly_inverse``), z is cast to float32 and the solve runs in
+float32, the precision written; T(1) stays float64, computed once per
+model, and a linear model's exact division stays float64, so its output
+does not change. A pixel's result does not depend on how many image rows
+share its call.
 """
 
 from __future__ import annotations

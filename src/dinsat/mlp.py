@@ -8,18 +8,24 @@ encoder/decoder network, one layout, once and holds the layers; its
 right-hand side runs them through one ``layers_forward`` call, and that
 rhs's VJP through one ``layers_backward`` call as well.
 
-``layers_forward`` allocates one array per layer and works in it: the bias is
-added to the matmul output in place, and a sigmoid layer is computed as
-1 / (1 + exp(x @ (-W) + (-b))) with exp, +1 and the reciprocal in that same
-buffer. ``unpack_params`` negates each sigmoid layer's weights once for this,
-so the forward pass has no negation pass; negation is exact and rounding to
-nearest is symmetric in sign, so the result is bit-identical to
-1 / (1 + exp(-(x @ W + b))). The backward pass reads only post-activation
-values and the unnegated W. The forward helpers keep their operands' dtype:
-complex, so a complex-step check can run through them; float64; and float32,
-for float32 layers (the nonlinear profile's cast copy) on a float32 input,
-where exp overflows to inf, giving exactly 0, above about 88.72 rather than
-709.78.
+``layers_forward`` writes each layer's matmul into one array, a new one or
+a buffer it is given, and works in it: the bias is added in place, and a
+sigmoid layer is computed as 1 / (1 + exp(x @ (-W) + (-b))) with exp, +1
+and the reciprocal in that same array. ``unpack_params`` negates each
+sigmoid layer's weights once for this, so the forward pass has no negation
+pass; negation is exact and rounding to nearest is symmetric in sign, so
+the result is bit-identical to 1 / (1 + exp(-(x @ W + b))). ``batch_layers``
+makes what a plain solve hands ``layers_forward``, once per solve: each
+bias copied out to the batch's full height, so that it is added without
+broadcasting, and one buffer per hidden layer. exp may overflow, which
+gives exactly 0; the helpers enter no ``np.errstate`` themselves, so each
+caller enters ``np.errstate(over="ignore")`` once around a whole solve or
+network pass, not once per layer. The backward pass reads only
+post-activation values and the unnegated W. The forward helpers keep their
+operands' dtype: complex, so a complex-step check can run through them;
+float64; and float32, for float32 layers (the nonlinear profile's cast
+copy) on a float32 input, where exp overflows to inf above about 88.72
+rather than 709.78.
 """
 
 from __future__ import annotations
@@ -76,10 +82,10 @@ def _logistic_of_negated(u: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(u)), the logistic of -u, computed in u's own buffer.
 
     exp(u) overflows to inf for u above about 709.78 (88.72 in float32),
-    which gives exactly 0 with no warning; NaN stays NaN.
+    which gives exactly 0; NaN stays NaN. Run it under
+    ``np.errstate(over="ignore")`` for that overflow to pass without a warning.
     """
-    with np.errstate(over="ignore"):
-        np.exp(u, out=u)
+    np.exp(u, out=u)
     u += 1.0
     return np.reciprocal(u, out=u)
 
@@ -87,7 +93,8 @@ def _logistic_of_negated(u: np.ndarray) -> np.ndarray:
 def logistic(x) -> np.ndarray:
     """The logistic 1 / (1 + exp(-x)) of a plain array, in float64 or complex, computed in one temporary."""
     out = np.empty(np.shape(x), np.result_type(x, float))
-    return _logistic_of_negated(np.negative(x, out=out))
+    with np.errstate(over="ignore"):
+        return _logistic_of_negated(np.negative(x, out=out))
 
 
 # (W, activation, forward W, forward b): the forward pair is (-W, -b) for a
@@ -123,11 +130,30 @@ def unpack_params(params: np.ndarray, layout: MlpLayout) -> list[Layer]:
     return layers
 
 
-def layers_forward(layers: list[Layer], x: np.ndarray) -> list[np.ndarray]:
-    """Every activation [x, a_1, ..., a_out]; the last is the network output."""
+def batch_layers(layers: list[Layer], batch_shape: tuple, dtype) -> tuple[list[Layer], list[np.ndarray]]:
+    """``layers`` for inputs with leading axes ``batch_shape``, and a buffer for each hidden layer.
+
+    Each forward bias is copied out to the full batch height, so that
+    ``layers_forward`` adds it without broadcasting; the buffers have
+    ``dtype``. Made once per solve, they serve every ``layers_forward`` call
+    over a batch of that shape.
+    """
+    full = [(w, act, w_fwd, np.broadcast_to(b_fwd, (*batch_shape, b_fwd.size)).copy())
+            for w, act, w_fwd, b_fwd in layers]
+    hidden = [np.empty((*batch_shape, w.shape[1]), dtype) for w, *_ in layers[:-1]]
+    return full, hidden
+
+
+def layers_forward(layers: list[Layer], x: np.ndarray, out=None) -> list[np.ndarray]:
+    """Every activation [x, a_1, ..., a_out]; the last is the network output.
+
+    Layer i's matmul writes into ``out[i]`` when ``out`` is given, else into
+    a new array. A sigmoid layer's exp may overflow; run this under
+    ``np.errstate(over="ignore")``.
+    """
     acts = [x]
-    for _, act, w_fwd, b_fwd in layers:
-        x = x @ w_fwd
+    for i, (_, act, w_fwd, b_fwd) in enumerate(layers):
+        x = np.matmul(x, w_fwd, out=None if out is None else out[i])
         x += b_fwd
         if act == "sigmoid":
             _logistic_of_negated(x)

@@ -4,12 +4,19 @@
 ``solve_vjp`` steps the same solver over an rhs that also returns the VJP of
 each evaluation, keeps those VJPs, and returns the solution with its pullback,
 which sweeps the steps in reverse: the discrete adjoint of the stepper, so its
-gradients are exactly those of the unrolled steps. The state keeps a float or
-complex dtype: float64 for training and T(1), float32 for the reverse solve
-of `dinsat correct`, complex128 for a complex-step check; an int64 input
-becomes float64, as ``np.result_type`` with float32 promotes it. After each
-step one pass, the peak |y|, checks the state: a non-finite peak is an error
-in either direction, and in reverse so is a peak above ``OVERFLOW_GUARD``,
+gradients are exactly those of the unrolled steps. One step function per
+method serves all three. A plain solve given a ``rate`` owns its buffers:
+the stage outputs, the stage input and two states to alternate are made
+once per solve, the rate writes -f(L) into the stage output it is handed,
+and the sign goes into the step, which steps by -h: negation is exact, so
+the bits are those of stepping f by h. Otherwise every stage input, stage
+output and state is a new array, as ``solve_vjp``'s stage VJPs keep them.
+The state keeps a float or complex dtype: float64 for training and T(1),
+float32 for the reverse solve of `dinsat correct`, complex128 for a
+complex-step check; an int64 input becomes float64, as ``np.result_type``
+with float32 promotes it. After each step the peak |y| checks the state,
+as max(max y, -min y) for a real one: a non-finite peak is an error in
+either direction, and in reverse so is a peak above ``OVERFLOW_GUARD``,
 which is far inside float32's range.
 """
 
@@ -29,27 +36,31 @@ from .errors import ConfigError, NumericError
 OVERFLOW_GUARD = 1e12
 
 
-def _euler_step(rhs, y, h):
-    return y + h * rhs(y)
+def _euler_step(rhs, y, h, stages, s, out):
+    k = rhs(y, stages[0])
+    out = np.multiply(k, h, out=out)
+    out += y
+    return out
 
 
-def _rk4_step(rhs, y, h):
-    # Each stage input and the weighted sum start as a fresh product, so the
-    # augmented assignments below work in place without touching y or an rhs
-    # output. The sums keep the order of y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4).
-    k1 = rhs(y)
-    s = k1 * (h / 2.0)
+def _stage_input(y, k, c, s):
+    s = np.multiply(k, c, out=s)
     s += y
-    k2 = rhs(s)
-    s = k2 * (h / 2.0)
-    s += y
-    k3 = rhs(s)
-    s = k3 * h
-    s += y
-    k4 = rhs(s)
-    acc = k2 * 2.0
+    return s
+
+
+def _rk4_step(rhs, y, h, stages, s, out):
+    # The sums keep the order of y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4). Each
+    # stage input is written into s, and 2 k3 too once k4 is computed; the
+    # step writes into s and out only, never into y or an rhs output.
+    b1, b2, b3, b4 = stages
+    k1 = rhs(y, b1)
+    k2 = rhs(_stage_input(y, k1, h / 2.0, s), b2)
+    k3 = rhs(_stage_input(y, k2, h / 2.0, s), b3)
+    k4 = rhs(_stage_input(y, k3, h, s), b4)
+    acc = np.multiply(k2, 2.0, out=out)
     acc += k1
-    acc += k3 * 2.0
+    acc += np.multiply(k3, 2.0, out=s)
     acc += k4
     acc *= h / 6.0
     acc += y
@@ -127,15 +138,42 @@ class SolverConfig:
         return _METHODS[self.method][3:]
 
 
-def _integrate(rhs, y0, config: SolverConfig, reverse: bool):
-    step = _METHODS[config.method][0]
+def _peak(y):
+    """max |y|, 0 for an empty y; NaN if y holds a NaN.
+
+    A real state takes it as max(max y, -min y), two passes that allocate
+    nothing; both are NaN when y holds a NaN, so the result is too.
+    """
+    if np.iscomplexobj(y):
+        return np.abs(y).max(initial=0.0)
+    return max(y.max(initial=0.0), -y.min(initial=0.0))
+
+
+def _integrate(rhs, y0, config: SolverConfig, reverse: bool, rate: bool = False):
+    step, n_stages = _METHODS[config.method][:2]
     h = -config.h if reverse else config.h
     y = np.asarray(y0)
     y = y.astype(np.result_type(y, np.float32), copy=False)
+    if rate:
+        # dL/dx = -rhs(L): a step by -h over rhs's values is the step by h over
+        # f's, bit for bit, since negation is exact. The stage outputs, the
+        # stage input and two states to alternate are made once per solve.
+        h = -h
+        *stages, s, a, b = (np.empty(y.shape, y.dtype) for _ in range(n_stages + 3))
+        states = (a, b)
+    else:
+        # A new array for every stage input, stage output and state: the rhs
+        # may keep or return any of them (solve_vjp's stage VJPs keep their inputs).
+        f = rhs
+
+        def rhs(L, _):
+            return f(L)
+
+        stages, s, states = [None] * n_stages, None, (None, None)
     for i in range(config.steps):
-        y = step(rhs, y, h)
-        # One pass checks both: a NaN or inf anywhere makes the peak non-finite.
-        peak = np.abs(y).max(initial=0.0)
+        y = step(rhs, y, h, stages, s, states[i % 2])
+        # One check covers both: a NaN or inf anywhere makes the peak non-finite.
+        peak = _peak(y)
         if not math.isfinite(peak):
             raise NumericError(f"non-finite state at integration step {i}")
         if reverse and peak > OVERFLOW_GUARD:
@@ -143,20 +181,23 @@ def _integrate(rhs, y0, config: SolverConfig, reverse: bool):
     return y
 
 
-def ode_solve(rhs: Callable, l_init, config: SolverConfig = SolverConfig()):
+def ode_solve(rhs: Callable, l_init, config: SolverConfig = SolverConfig(), *, rate: bool = False):
     """Integrate dL/dx = rhs(L) from x0 to x_end with uniform steps.
 
-    l_init may be a (n_bands,) vector or a (batch, n_bands) matrix.
+    l_init may be a (n_bands,) vector or a (batch, n_bands) matrix. With
+    ``rate``, the dynamics are dL/dx = -rhs(L, out) instead: rhs writes its
+    value into ``out``, a buffer of the state's shape and dtype that the
+    solve owns, and returns it. Both give the same bits for the same f.
     """
-    return _integrate(rhs, l_init, config, reverse=False)
+    return _integrate(rhs, l_init, config, reverse=False, rate=rate)
 
 
-def ode_solve_reverse(rhs: Callable, l_final, config: SolverConfig = SolverConfig()):
-    """Integrate the same dynamics backward, from x_end to x0.
+def ode_solve_reverse(rhs: Callable, l_final, config: SolverConfig = SolverConfig(), *, rate: bool = False):
+    """Integrate the same dynamics backward, from x_end to x0; ``rate`` as in ``ode_solve``.
 
     Raises NumericError when the state grows past OVERFLOW_GUARD.
     """
-    return _integrate(rhs, l_final, config, reverse=True)
+    return _integrate(rhs, l_final, config, reverse=True, rate=rate)
 
 
 def solve_vjp(rhs_vjp: Callable, y0, solver: SolverConfig, reverse: bool = False):

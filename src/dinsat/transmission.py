@@ -32,11 +32,14 @@ them, and casts them to float32 once more on first use by a float32 state:
 `dinsat correct` solves T^-1 in float32, the precision it writes, while
 ``t1``, ``forward``, ``inverse_vjp`` and training stay float64. The decay is
 the last activation from ``mlp.layers_forward``, computed in place like
-every sigmoid layer there. The right-hand side is two methods that every
-solve is handed: ``rhs(L)``, plain f(L), which multiplies and negates in the
-decay's buffer, and ``rhs_vjp(L)``, f(L) with a hand-written VJP (product
-rule, then one ``mlp.layers_backward`` through the whole network), which
-keeps only the activations that VJP reads. Its pullback is two discrete
+every sigmoid layer there. A plain solve (``forward``, ``inverse``, ``t1``)
+is handed the rate decay(L) * L = -f(L), which writes into the stage output
+the solve owns; its hidden layers work in buffers made once per solve, and
+the solve enters ``np.errstate(over="ignore")`` once. ``rhs(L)`` is plain
+f(L) in a new array, and ``rhs_vjp(L)``, what ``solve_vjp`` is handed, is
+f(L) with a hand-written VJP (product rule, then one
+``mlp.layers_backward`` through the whole network), which keeps only the
+activations that VJP reads. Its pullback is two discrete
 adjoints, ``ode.solve_vjp`` of T(1) and of T^-1(z): the exact gradients of
 the unrolled steps. ``forward``, ``inverse`` and ``t1`` keep a complex dtype
 in the state and the parameters, so they can be checked by complex step.
@@ -51,7 +54,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .mlp import MlpLayout, glorot_init, layers_backward, layers_forward, logistic, unpack_params
+from .mlp import MlpLayout, batch_layers, glorot_init, layers_backward, layers_forward, logistic, unpack_params
 from .ode import SolverConfig, ode_solve, ode_solve_reverse, solve_vjp
 from .types import as_spectra
 
@@ -228,15 +231,39 @@ class NonlinearProfile:
         return [(w.astype(np.float32), act, w_fwd.astype(np.float32), b_fwd.astype(np.float32))
                 for w, act, w_fwd, b_fwd in self._layers]
 
+    def _rate(self, L):
+        """(L, rate) for a plain solve from L: rate(s, out) = sigmoid(dec(enc(s))) * s = -f(s), in ``out``.
+
+        L comes back in the solve's dtype: float32 for a float32 L, which
+        then runs through ``float32_layers``, otherwise that of L and the
+        parameters, float64 at least. The hidden layers write into buffers
+        made here, once per solve, with their biases at full height, and the
+        decay is computed in ``out`` itself.
+        """
+        dtype = np.result_type(L, np.float32)
+        if dtype == np.float32:
+            layers = self.float32_layers
+        else:
+            layers, dtype = self._layers, np.result_type(dtype, self.params)
+        L = L.astype(dtype, copy=False)
+        layers, hidden = batch_layers(layers, L.shape[:-1], dtype)
+
+        def rate(s, out):
+            decay = layers_forward(layers, s, hidden + [out])[-1]
+            decay *= s
+            return decay
+
+        return L, rate
+
     def rhs(self, L):
         """f(L) = -sigmoid(dec(enc(L))) * L on plain arrays; the network's last activation is the decay.
 
         A float32 L runs through ``float32_layers``, so f(L) is float32 too;
         any other dtype through the float64 (or complex) layers.
         """
-        layers = self.float32_layers if L.dtype == np.float32 else self._layers
-        value = layers_forward(layers, L)[-1]
-        value *= L
+        L, rate = self._rate(np.asarray(L))
+        with np.errstate(over="ignore"):
+            value = rate(L, np.empty(L.shape, L.dtype))
         return np.negative(value, out=value)
 
     def rhs_vjp(self, L):
@@ -245,7 +272,9 @@ class NonlinearProfile:
         The VJP is the product rule, then the network's backprop by hand. It
         holds the layers and the activations, not the profile.
         """
-        layers, acts = self._layers, layers_forward(self._layers, L)
+        layers = self._layers
+        with np.errstate(over="ignore"):
+            acts = layers_forward(layers, L)
         decay = acts[-1]
         value = decay * L
         np.negative(value, out=value)
@@ -263,11 +292,15 @@ class NonlinearProfile:
 
     def forward(self, L):
         """Forward integration in x with the stepped solver."""
-        return ode_solve(self.rhs, as_spectra(L, self.n_bands), self.solver)
+        L, rate = self._rate(as_spectra(L, self.n_bands))
+        with np.errstate(over="ignore"):
+            return ode_solve(rate, L, self.solver, rate=True)
 
     def inverse(self, L):
         """Backward integration in x."""
-        return ode_solve_reverse(self.rhs, as_spectra(L, self.n_bands), self.solver)
+        L, rate = self._rate(as_spectra(L, self.n_bands))
+        with np.errstate(over="ignore"):
+            return ode_solve_reverse(rate, L, self.solver, rate=True)
 
     def inverse_vjp(self, z):
         """(T(1), T^-1(z), pullback): the T^-1 solve's adjoint plus the T(1) solve's."""

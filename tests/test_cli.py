@@ -1,5 +1,6 @@
 import json
 import logging
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -344,10 +345,10 @@ class TestCorrectCommand:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
         log = tmp_path / "calls.log"
         for name in names:
-            def counted(*args, _name=name, _inner=getattr(transmission, name)):
+            def counted(*args, _name=name, _inner=getattr(transmission, name), **kwargs):
                 with open(log, "a") as f:
                     f.write(f"{os.getpid()} {_name}\n")
-                return _inner(*args)
+                return _inner(*args, **kwargs)
 
             monkeypatch.setattr(transmission, name, counted)
         result = runner.invoke(main, ["correct", "--cube", str(tmp_path / "c.hdr"), "--model",
@@ -361,24 +362,25 @@ class TestCorrectCommand:
 
     def test_nonlinear_t1_is_solved_once_per_command(self, tmp_path, runner, monkeypatch):
         # T(1) is one forward solve per model however many rows the cube has;
-        # each image row is one reverse solve.
+        # each group of rows is one reverse solve, and the 6-row, 4-column cube
+        # is one group.
         calls = self.calls_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=1)
-        assert calls == {os.getpid(): {"ode_solve": 1, "ode_solve_reverse": 6}}
+        assert calls == {os.getpid(): {"ode_solve": 1, "ode_solve_reverse": 1}}
 
     def test_nonlinear_t1_is_solved_before_the_fork(self, tmp_path, runner, monkeypatch):
-        # On 2 CPUs this process solves T(1) and its own rows 0-2; the worker
-        # inherits T(1) and solves rows 3-5.
+        # On 2 CPUs this process solves T(1) and its own rows 0-2, one group;
+        # the worker inherits T(1) and solves rows 3-5, another group.
         calls = self.calls_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=2)
-        assert calls.pop(os.getpid()) == {"ode_solve": 1, "ode_solve_reverse": 3}
-        assert list(calls.values()) == [{"ode_solve": 0, "ode_solve_reverse": 3}]
+        assert calls.pop(os.getpid()) == {"ode_solve": 1, "ode_solve_reverse": 1}
+        assert list(calls.values()) == [{"ode_solve": 0, "ode_solve_reverse": 1}]
 
     def test_network_is_unpacked_once_before_the_fork(self, tmp_path, runner, monkeypatch):
         # T(1) unpacks the network in this process; the worker inherits the
         # layers with the profile and unpacks nothing for its rows 3-5.
         calls = self.calls_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=2,
                                       names=("ode_solve_reverse", "unpack_params"))
-        assert calls.pop(os.getpid()) == {"ode_solve_reverse": 3, "unpack_params": 1}
-        assert list(calls.values()) == [{"ode_solve_reverse": 3, "unpack_params": 0}]
+        assert calls.pop(os.getpid()) == {"ode_solve_reverse": 1, "unpack_params": 1}
+        assert list(calls.values()) == [{"ode_solve_reverse": 1, "unpack_params": 0}]
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
     def test_peak_memory_is_a_fraction_of_the_cube(self, tmp_path):
@@ -509,17 +511,19 @@ class TestCorrectWorkers:
     def test_images_are_identical_for_any_cpu_count(self, tmp_path, runner, monkeypatch):
         data = np.random.default_rng(4).uniform(0.05, 1.0, (self.ROWS - 1, self.COLS, self.BANDS))
         self.write_inputs(tmp_path, data, self.nonlinear_model(self.BANDS))  # the last block is one row
-        # This process corrects only the first share: rows 0-6, 0-2 and 0-1.
+        # This process corrects only the first share: rows 0-6, 0-2 and 0-1,
+        # one call per block of it, since a block's two rows make fewer than
+        # PX_PER_CALL pixels.
         rows_here = []
         monkeypatch.setattr(cli, "correct_batch", lambda *args, _real=cli.correct_batch, **kwargs:
                             rows_here.append(len(args[2])) or _real(*args, **kwargs))
         images = []
-        for n, share_rows in ((1, 7), (2, 3), (3, 2)):
+        for n, rows_per_call in ((1, [2, 2, 2, 1]), (2, [2, 1]), (3, [2])):
             self.cpus(monkeypatch, n)
             rows_here.clear()
             result = self.correct(tmp_path, runner, f"out{n}")
             assert result.exit_code == 0, result.output
-            assert len(rows_here) == share_rows
+            assert rows_here == rows_per_call
             images.append([(tmp_path / f"out{n}" / f"{name}.img").read_bytes()
                            for name in ("corrected", "quality_mask")])
         assert images[0] == images[1] == images[2]
@@ -545,6 +549,82 @@ class TestCorrectWorkers:
         monkeypatch.setattr(os, "fork", no_fork)
         result = self.correct(tmp_path, runner, "out")
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.usefixtures("blocks_of_two_rows")
+    @pytest.mark.parametrize("lacks", ["sched_getaffinity", "fork"])
+    def test_one_process_where_the_platform_cannot_share(self, tmp_path, runner, monkeypatch, lacks):
+        # macOS has no os.sched_getaffinity, and Windows no fork start method:
+        # there this process corrects every row, into the same images.
+        data = np.random.default_rng(4).uniform(0.05, 1.0, (self.ROWS, self.COLS, self.BANDS))
+        self.write_inputs(tmp_path, data, self.nonlinear_model(self.BANDS))
+        self.cpus(monkeypatch, 1)
+        assert self.correct(tmp_path, runner, "out1").exit_code == 0
+        self.cpus(monkeypatch, 2)
+        if lacks == "sched_getaffinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+
+        def no_fork():
+            raise AssertionError("forked a worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        result = self.correct(tmp_path, runner, "out")
+        assert result.exit_code == 0, result.output
+        for name in ("corrected", "quality_mask"):
+            assert (tmp_path / "out" / f"{name}.img").read_bytes() == (tmp_path / "out1" / f"{name}.img").read_bytes()
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    def test_images_do_not_depend_on_rows_per_call_or_cpus(self, tmp_path, runner, monkeypatch, interleave,
+                                                            scale):
+        rows = 9  # blocks of 4, 4 and 1 rows
+        monkeypatch.setattr(envi, "BLOCK_BYTES", 4 * self.COLS * self.BANDS * 8)
+        data = np.random.default_rng(7).uniform(0.05, 1.0, (rows, self.COLS, self.BANDS))
+        base = self.nonlinear_model(self.BANDS)
+        model, norm = base.with_params(base.params * scale), SceneNormalization(np.zeros(self.BANDS), 1.0)
+        write_envi_array(data, tmp_path / "c.hdr", wavelengths_nm=[500.0, 600.0, 700.0, 800.0],
+                         interleave=interleave, data_type=5)
+        write_model(tmp_path / "m.json", model)
+        write_normalization(tmp_path / "norm.json", norm)
+        # The reference is one row per call, into float32.
+        rho, mask = np.empty(data.shape, np.float32), np.empty(data.shape, np.uint16)
+        for r, row in enumerate(data):
+            correct_batch(model, norm, row, out=(rho[r], mask[r]))
+        expected = [np.ascontiguousarray(rho.transpose(2, 0, 1), "<f4").tobytes(),
+                    np.ascontiguousarray(mask.transpose(2, 0, 1), "<u2").tobytes()]
+        for rows_per_call in (1, 2, 4):  # 4: a whole block
+            monkeypatch.setattr(cli, "PX_PER_CALL", rows_per_call * self.COLS)
+            for n in (1, 2, 3):
+                self.cpus(monkeypatch, n)
+                out = tmp_path / f"out{rows_per_call}_{n}"
+                result = self.correct(tmp_path, runner, out.name)
+                assert result.exit_code == 0, result.output
+                assert [(out / f"{name}.img").read_bytes() for name in ("corrected", "quality_mask")] == expected
+
+    @pytest.mark.usefixtures("blocks_of_two_rows")
+    @pytest.mark.parametrize("rows_per_call", [1, 2])  # 2: a whole block
+    def test_failing_group_reports_its_first_failing_row(self, tmp_path, runner, monkeypatch, rows_per_call):
+        # Rows 4 and 5 share a block, and both diverge: row 5 at an earlier
+        # integration step than row 4. Solved together they fail at row 5's
+        # step; the report must be row 4's own, as with one row per call.
+        data = np.full((self.ROWS, self.COLS, self.BANDS), 1e-6)
+        data[4], data[5] = 1e-2, 1.0
+        model = self.overflowing_model(self.BANDS)
+        errors = []
+        for rows in (data[4], data[5], data[4:6]):
+            with pytest.raises(NumericError, match="diverged") as e:
+                model.inverse(rows.astype(np.float32))
+            errors.append(str(e.value))
+        assert errors[2] == errors[1] != errors[0]
+        self.write_inputs(tmp_path, data, model)
+        monkeypatch.setattr(cli, "PX_PER_CALL", rows_per_call * self.COLS)
+        # With 2 CPUs the shares are rows 0-3 and 4-7; with 3, rows 0-1, 2-4 and 5-7.
+        for n in (1, 2, 3):
+            self.cpus(monkeypatch, n)
+            result = self.correct(tmp_path, runner, f"out{n}")
+            assert (result.exit_code, result.output) == (4, f"numeric-error: {errors[0]}\n")
+            assert not list((tmp_path / f"out{n}").iterdir())
 
     @pytest.mark.usefixtures("blocks_of_two_rows")
     @pytest.mark.parametrize("n_cpus, nan_rows", [(2, (6,)), (2, (1, 6)), (3, (3, 5)), (3, (7, 5))])

@@ -163,6 +163,22 @@ class TestInputsUntouched:
             np.testing.assert_array_equal(cached, cached_before)
 
 
+class TestRate:
+    """A solve given a rate -f, written into the solve's own buffers, steps f to the same bits."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("solve", [ode_solve, ode_solve_reverse])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_same_bits_as_stepping_f(self, method, solve, dtype):
+        y0 = np.array([[0.3, 1.7, 0.0], [2.0, 0.5, 1.0]], dtype)
+        y_before = y0.copy()
+        cfg = SolverConfig(method, 4)
+        out = solve(lambda L, out: np.multiply(L, 0.5, out=out), y0, cfg, rate=True)
+        np.testing.assert_array_equal(y0, y_before)
+        assert out.dtype == dtype
+        assert out.tobytes() == solve(lambda L: -(L * 0.5), y0, cfg).tobytes()
+
+
 class TestConvergenceOrder:
     def _error(self, method, steps):
         out = ode_solve(decay(), np.array([1.0]), SolverConfig(method, steps))
