@@ -5,19 +5,26 @@
 each evaluation, keeps those VJPs, and returns the solution with its pullback,
 which sweeps the steps in reverse: the discrete adjoint of the stepper, so its
 gradients are exactly those of the unrolled steps. One step function per
-method serves all three. A plain solve given a ``rate`` owns its buffers:
-the stage outputs, the stage input and two states to alternate are made
-once per solve, the rate writes -f(L) into the stage output it is handed,
-and the sign goes into the step, which steps by -h: negation is exact, so
-the bits are those of stepping f by h. Otherwise every stage input, stage
+method serves all three. The dynamics are autonomous, so a direction is only
+the step's sign: ``ode_solve`` and ``solve_vjp`` take ``reverse`` as a bool
+or as a bool per row of an (n, bands) state, and a mixed solve steps its
+rows by an (n, 1) column of h and -h through the same step and step VJP,
+where a one-direction solve steps by the Python float. So a nonlinear
+training epoch solves T(1) and T^-1(z) as one batch, twice: once with its
+pullback for the training loss, once plain for the validation loss.
+A plain solve given a ``rate`` owns its buffers: the stage outputs, the
+stage input and two states to alternate are made once per solve, the rate
+writes -f(L) into the stage output it is handed, and the sign goes into the
+step, which steps by -h: negation is exact, so the bits are those of
+stepping f by h. Otherwise every stage input, stage
 output and state is a new array, as ``solve_vjp``'s stage VJPs keep them.
 The state keeps a float or complex dtype: float64 for training and T(1),
 float32 for the reverse solve of `dinsat correct`, complex128 for a
 complex-step check; an int64 input becomes float64, as ``np.result_type``
 with float32 promotes it. After each step the peak |y| checks the state,
-as max(max y, -min y) for a real one: a non-finite peak is an error in
-either direction, and in reverse so is a peak above ``OVERFLOW_GUARD``,
-which is far inside float32's range.
+as max(max y, -min y) for a real one: a non-finite peak in any row is an
+error, and so is a peak above ``OVERFLOW_GUARD`` in a reverse row; the
+guard is far inside float32's range.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 
 # Reverse integration of a dissipative system grows exponentially; abort when
 # any state component exceeds this magnitude.
@@ -149,11 +156,29 @@ def _peak(y):
     return max(y.max(initial=0.0), -y.min(initial=0.0))
 
 
-def _integrate(rhs, y0, config: SolverConfig, reverse: bool, rate: bool = False):
+def _signed_step(h: float, reverse, shape):
+    """(step, guarded rows) of a state of ``shape`` whose rows ``reverse`` integrates backward.
+
+    ``reverse`` is a bool for every row, or a bool per row of an (n, bands)
+    state. One direction steps by the Python float h or -h and guards every
+    row (``...``) or none (None); mixed directions step by an (n, 1) column
+    of h and -h and guard the reverse rows, by their mask.
+    """
+    rows = np.asarray(reverse, bool)
+    if rows.ndim and (len(shape) != 2 or rows.shape != shape[:1]):
+        raise ShapeError(f"per-row directions of shape {rows.shape} for a state of shape {shape}")
+    if rows.all():
+        return -h, ...
+    if not rows.any():
+        return h, None
+    return np.where(rows, -h, h)[:, None], rows
+
+
+def _integrate(rhs, y0, config: SolverConfig, reverse, rate: bool = False):
     step, n_stages = _METHODS[config.method][:2]
-    h = -config.h if reverse else config.h
     y = np.asarray(y0)
     y = y.astype(np.result_type(y, np.float32), copy=False)
+    h, guarded = _signed_step(config.h, reverse, y.shape)
     if rate:
         # dL/dx = -rhs(L): a step by -h over rhs's values is the step by h over
         # f's, bit for bit, since negation is exact. The stage outputs, the
@@ -176,20 +201,25 @@ def _integrate(rhs, y0, config: SolverConfig, reverse: bool, rate: bool = False)
         peak = _peak(y)
         if not math.isfinite(peak):
             raise NumericError(f"non-finite state at integration step {i}")
-        if reverse and peak > OVERFLOW_GUARD:
+        # The peak bounds the guarded rows' peak, which is taken only above the guard.
+        if guarded is not None and peak > OVERFLOW_GUARD and _peak(y[guarded]) > OVERFLOW_GUARD:
             raise NumericError(f"state diverged (>{OVERFLOW_GUARD:g}) at integration step {i}")
     return y
 
 
-def ode_solve(rhs: Callable, l_init, config: SolverConfig = SolverConfig(), *, rate: bool = False):
+def ode_solve(rhs: Callable, l_init, config: SolverConfig = SolverConfig(), *, rate: bool = False, reverse=False):
     """Integrate dL/dx = rhs(L) from x0 to x_end with uniform steps.
 
     l_init may be a (n_bands,) vector or a (batch, n_bands) matrix. With
     ``rate``, the dynamics are dL/dx = -rhs(L, out) instead: rhs writes its
     value into ``out``, a buffer of the state's shape and dtype that the
     solve owns, and returns it. Both give the same bits for the same f.
+    ``reverse`` (True, or a bool per row of a matrix) integrates those rows
+    backward from x_end to x0, as ``ode_solve_reverse`` does, in the same
+    solve: the dynamics are autonomous, so a row's direction is only its
+    step's sign, and OVERFLOW_GUARD covers the reverse rows only.
     """
-    return _integrate(rhs, l_init, config, reverse=False, rate=rate)
+    return _integrate(rhs, l_init, config, reverse, rate)
 
 
 def ode_solve_reverse(rhs: Callable, l_final, config: SolverConfig = SolverConfig(), *, rate: bool = False):
@@ -200,15 +230,14 @@ def ode_solve_reverse(rhs: Callable, l_final, config: SolverConfig = SolverConfi
     return _integrate(rhs, l_final, config, reverse=True, rate=rate)
 
 
-def solve_vjp(rhs_vjp: Callable, y0, solver: SolverConfig, reverse: bool = False):
-    """(y, vjp): ``ode_solve`` (or, with ``reverse``, ``ode_solve_reverse``) and its pullback.
+def solve_vjp(rhs_vjp: Callable, y0, solver: SolverConfig, reverse=False):
+    """(y, vjp): ``ode_solve`` with the same ``reverse`` (a bool, or a bool per row), and its pullback.
 
     ``rhs_vjp(L)`` returns f(L) and that evaluation's VJP, g -> (g_L, g_params).
     ``vjp(g)`` returns (g_y0, g_params) for the cotangent g of y: the stored
-    stage VJPs swept from the last step to the first.
+    stage VJPs swept from the last step to the first, each by its rows' step.
     """
     _, n_stages, step_vjp, *_ = _METHODS[solver.method]
-    h = -solver.h if reverse else solver.h
     stage_vjps = []
 
     def rhs(L):
@@ -217,6 +246,7 @@ def solve_vjp(rhs_vjp: Callable, y0, solver: SolverConfig, reverse: bool = False
         return value
 
     y = _integrate(rhs, y0, solver, reverse)
+    h, _ = _signed_step(solver.h, reverse, y.shape)
 
     def vjp(g):
         g_p = 0.0

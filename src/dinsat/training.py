@@ -1,8 +1,13 @@
 """The training loss, full-batch Adam with early stopping, seeded ensembles, and evaluation.
 
 ``loss`` is the forward half of ``_loss_terms``, which ``train`` steps on; both
-take the mode and the loss weights from a ``TrainConfig``. A run's split comes
-from ``split_dataset`` and its initial model from ``config.seed``; ``train``
+take the mode and the loss weights from a ``TrainConfig``, and T(1) and
+T^-1(z) from one profile call (``t1_and_inverse`` and ``inverse_vjp``), so
+neither branches on the model's kind. A nonlinear epoch thus runs two
+solves: one ``ode.solve_vjp`` of [1; z] for the training loss with its
+pullback, and one plain solve of [1; z] for the validation loss. An error in
+either, or in the Adam step, names its epoch. A run's split comes from
+``split_dataset`` and its initial model from ``config.seed``; ``train``
 keeps the model that its least monitored loss was measured on. A trained run's
 T(1) is its ``model.t1``, and ``dinsat report`` computes the ensemble's
 per-band statistics from the run records.
@@ -39,8 +44,10 @@ from .transmission import (
     LinearProfile,
     NonlinearProfile,
     Profile,
-    transmittance_values,
 )
+# Not called here since the loss takes T(1) from model.t1_and_inverse; the name
+# stays because bench/traced_cli.py wraps it in this module.
+from .transmission import transmittance_values  # noqa: F401
 from .types import DatasetSplit, check_split_fractions, percent_mse, split_dataset
 
 MODES = ("supervised", "unsupervised")
@@ -216,8 +223,8 @@ def loss(config: TrainConfig, model: Profile, z: np.ndarray, rho: Optional[np.nd
         raise EmptyInputError("loss needs at least one pixel")
     if config.mode == "supervised" and rho is None:
         raise InvalidDatasetError("supervised loss needs truth reflectance")
-    t1 = transmittance_values(model)
-    return _head(config, model.inverse(z), t1, rho)[0]
+    t1, l2 = model.t1_and_inverse(z)
+    return _head(config, l2, t1, rho)[0]
 
 
 def _loss_terms(config: TrainConfig, model: Profile, z, rho):
@@ -284,17 +291,17 @@ def train(
     history: list[dict] = []
 
     for epoch in range(config.max_epochs):
-        try:
-            train_loss, components, grad = _loss_terms(config, model, *train_data)
-        except NumericError as e:
-            raise NumericError(f"epoch {epoch}: {e}") from e
         # train_loss belongs to the model before the step, val_loss to the stepped one.
         monitored = model
-        model = model.with_params(adam_step(adam, model.params, grad))
-        record = {"epoch": epoch, "train_loss": train_loss, **components}
-        if len(val_idx):
-            record["val_loss"] = loss(config, model, *val_data)
-            monitored = model
+        try:
+            train_loss, components, grad = _loss_terms(config, model, *train_data)
+            model = model.with_params(adam_step(adam, model.params, grad))
+            record = {"epoch": epoch, "train_loss": train_loss, **components}
+            if len(val_idx):
+                record["val_loss"] = loss(config, model, *val_data)
+                monitored = model
+        except NumericError as e:
+            raise NumericError(f"epoch {epoch}: {e}") from e
         history.append(record)
 
         monitor = record.get("val_loss", train_loss)

@@ -3,14 +3,16 @@
 Each profile is one operator: it holds its parameters in one field,
 ``params`` (a private, read-only copy), and its solver, and has ``forward``
 (T) and ``inverse`` (T^-1) on plain arrays, ``t1`` (T(1_n), computed once
-per profile and read-only) and one gradient method, ``inverse_vjp(z) ->
-(t1, l2, pullback)``: T(1) and l2 = T^-1(z), with ``pullback(g_t1, g_l2)``
-returning the gradient in ``params``. ``forward``, ``inverse`` and
-``inverse_vjp`` check their input's band axis once, at entry, with
-``types.as_spectra``. ``with_params`` gives the same operator at other
-parameters, with its own T(1). ``costly_inverse`` says whether T^-1 costs
-enough per pixel for `dinsat correct` to share a cube out over processes
-and to solve it in float32.
+per profile and read-only), ``t1_and_inverse(z) -> (t1, l2)``, T(1) and
+l2 = T^-1(z) together, which the training loss reads, and one gradient
+method, ``inverse_vjp(z) -> (t1, l2, pullback)``: the same values bit for
+bit, with ``pullback(g_t1, g_l2)`` returning the gradient in ``params``.
+``forward``, ``inverse``, ``t1_and_inverse`` and ``inverse_vjp`` check
+their input's band axis once, at entry, with ``types.as_spectra``.
+``with_params`` gives the same operator at other parameters, with its own
+T(1). ``costly_inverse`` says whether T^-1 costs enough per pixel for
+`dinsat correct` to share a cube out over processes and to solve it in
+float32.
 The linear profile realizes per-band exponential decay with rates alpha =
 softplus(params) >= 0; the nonlinear profile runs the spectrum through a
 bottleneck encoder/decoder and multiplies by a decay factor forced into
@@ -30,19 +32,28 @@ encoder's two layers followed by the decoder's, whose sigmoid output layer
 is the decay. The profile unpacks its weights once, at first use, and holds
 them, and casts them to float32 once more on first use by a float32 state:
 `dinsat correct` solves T^-1 in float32, the precision it writes, while
-``t1``, ``forward``, ``inverse_vjp`` and training stay float64. The decay is
-the last activation from ``mlp.layers_forward``, computed in place like
-every sigmoid layer there. A plain solve (``forward``, ``inverse``, ``t1``)
-is handed the rate decay(L) * L = -f(L), which writes into the stage output
-the solve owns; its hidden layers work in buffers made once per solve, and
-the solve enters ``np.errstate(over="ignore")`` once. ``rhs(L)`` is plain
+``t1``, ``forward``, ``t1_and_inverse``, ``inverse_vjp`` and training stay
+float64. The decay is the last activation from ``mlp.layers_forward``,
+computed in place like every sigmoid layer there. A plain solve
+(``forward``, ``inverse``, ``t1``, ``t1_and_inverse``) is handed the rate
+decay(L) * L = -f(L), which writes into the stage output the solve owns;
+its hidden layers work in buffers made once per solve, and the solve
+enters ``np.errstate(over="ignore")`` once. ``rhs(L)`` is plain
 f(L) in a new array, and ``rhs_vjp(L)``, what ``solve_vjp`` is handed, is
 f(L) with a hand-written VJP (product rule, then one
 ``mlp.layers_backward`` through the whole network), which keeps only the
-activations that VJP reads. Its pullback is two discrete
-adjoints, ``ode.solve_vjp`` of T(1) and of T^-1(z): the exact gradients of
-the unrolled steps. ``forward``, ``inverse`` and ``t1`` keep a complex dtype
-in the state and the parameters, so they can be checked by complex step.
+activations that VJP reads. T(1) and T^-1(z) are one solve of the batch
+[1; z], the all-ones spectrum stepped forward in x as row 0 and z's rows
+stepped backward: a plain one for ``t1_and_inverse`` and one
+``ode.solve_vjp`` for ``inverse_vjp``, whose pullback is that solve's
+discrete adjoint, the exact gradient of the unrolled steps. So a training
+epoch runs two solves, one with its pullback and one plain solve for the
+validation loss. A matmul row's bits can depend on the batch height (a
+1-row solve runs a matrix-vector product), so the stacked T(1) can differ
+from the 1-D ``t1`` in the last bits; ``t1`` stays the 1-D solve, which
+`dinsat correct` divides by. ``forward``, ``inverse``, ``t1`` and
+``t1_and_inverse`` keep a complex dtype in the state and the parameters, so
+they can be checked by complex step.
 """
 
 from __future__ import annotations
@@ -169,9 +180,13 @@ class LinearProfile:
             raise NumericError(f"linear T(1) is 0 in band(s) {bands}; T^-1 would divide by 0")
         return L / t
 
+    def t1_and_inverse(self, z):
+        """(T(1), T^-1(z)): the closed-form factor and the division by it."""
+        return self.t1, self.inverse(z)
+
     def inverse_vjp(self, z):
         """(T(1), T^-1(z), pullback): T(1)'s cotangent is g_t1 plus the division's."""
-        t1, l2 = self.t1, self.inverse(z)
+        t1, l2 = self.t1_and_inverse(z)
 
         def pullback(g_t1, g_l2):
             g_t = g_t1 - (g_l2 / t1 * l2).reshape(-1, t1.size).sum(axis=0)
@@ -302,16 +317,34 @@ class NonlinearProfile:
         with np.errstate(over="ignore"):
             return ode_solve_reverse(rate, L, self.solver, rate=True)
 
-    def inverse_vjp(self, z):
-        """(T(1), T^-1(z), pullback): the T^-1 solve's adjoint plus the T(1) solve's."""
+    def _stacked(self, z):
+        """(z, [1; z], reverse): z checked, the all-ones spectrum on top of z's rows, and only z's rows reverse."""
         z = as_spectra(z, self.n_bands)
-        t1, t1_vjp = solve_vjp(self.rhs_vjp, np.ones(self.n_bands), self.solver)
-        l2, l2_vjp = solve_vjp(self.rhs_vjp, z, self.solver, reverse=True)
+        batch = np.concatenate([np.ones((1, self.n_bands)), z.reshape(-1, self.n_bands)])
+        return z, batch, np.arange(len(batch)) > 0
+
+    def t1_and_inverse(self, z):
+        """(T(1), T^-1(z)) from one solve of [1; z]: row 0 steps forward in x, z's rows backward.
+
+        The batch is float64 at least, as training is. T(1) comes from the
+        stacked batch, so it can differ from the 1-D ``t1`` in the last bits.
+        """
+        z, batch, reverse = self._stacked(z)
+        batch, rate = self._rate(batch)
+        with np.errstate(over="ignore"):
+            y = ode_solve(rate, batch, self.solver, rate=True, reverse=reverse)
+        return y[0], y[1:].reshape(z.shape)
+
+    def inverse_vjp(self, z):
+        """(T(1), T^-1(z), pullback): ``t1_and_inverse``'s values and the one [1; z] solve's adjoint."""
+        z, batch, reverse = self._stacked(z)
+        y, vjp = solve_vjp(self.rhs_vjp, batch, self.solver, reverse)
+        n = self.n_bands
 
         def pullback(g_t1, g_l2):
-            return l2_vjp(g_l2)[1] + t1_vjp(g_t1)[1]
+            return vjp(np.concatenate([np.reshape(g_t1, (1, n)), np.reshape(g_l2, (-1, n))]))[1]
 
-        return t1, l2, pullback
+        return y[0], y[1:].reshape(z.shape), pullback
 
 
 Profile = Union[LinearProfile, NonlinearProfile]

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from dinsat.artifacts import read_model, write_model
-from dinsat.errors import ConfigError, NumericError
+from dinsat.errors import ConfigError, NumericError, ShapeError
 from dinsat.mlp import logistic
 from dinsat.ode import METHODS, SolverConfig, ode_solve, ode_solve_reverse, solve_vjp
 from dinsat.transmission import LinearProfile
 
-from oracles import finite_difference
+from oracles import complex_step, finite_difference
 
 
 def decay(rate=1.0):
@@ -177,6 +177,74 @@ class TestRate:
         np.testing.assert_array_equal(y0, y_before)
         assert out.dtype == dtype
         assert out.tobytes() == solve(lambda L: -(L * 0.5), y0, cfg).tobytes()
+
+
+class TestMixedDirections:
+    """A per-row ``reverse`` steps each row by its own sign in one solve: forward rows by h, reverse rows by -h."""
+
+    Y0 = np.array([[0.3, 1.7, 0.0], [2.0, 0.5, 1.0], [0.9, 0.1, 0.4]])
+    REVERSE = np.array([False, True, True])
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("rate", [False, True])
+    def test_each_row_equals_its_one_direction_solve(self, method, rate):
+        # An elementwise rhs makes no row depend on the batch, so the bits are equal.
+        cfg = SolverConfig(method, 4)
+        rhs = (lambda L, out: np.multiply(L, 0.5, out=out)) if rate else decay(0.5)
+        out = ode_solve(rhs, self.Y0, cfg, rate=rate, reverse=self.REVERSE)
+        np.testing.assert_array_equal(out[:1], ode_solve(rhs, self.Y0[:1], cfg, rate=rate))
+        np.testing.assert_array_equal(out[1:], ode_solve_reverse(rhs, self.Y0[1:], cfg, rate=rate))
+
+    @pytest.mark.parametrize("reverse", [True, False, [True, True, True], [False, False, False]])
+    def test_one_direction_vector_is_the_bool(self, reverse):
+        cfg = SolverConfig("rk4", 4)
+        out = ode_solve(decay(0.5), self.Y0, cfg, reverse=np.array(reverse))
+        np.testing.assert_array_equal(out, ode_solve(decay(0.5), self.Y0, cfg, reverse=bool(np.all(reverse))))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_solve_vjp_values_and_gradient(self, method):
+        cfg = SolverConfig(method, 8)
+        theta = np.array([0.3, 1.1, 2.0])
+        out, vjp = solve_vjp(linear_decay_rhs_vjp(theta), self.Y0, cfg, self.REVERSE)
+        np.testing.assert_array_equal(out, ode_solve(lambda L: -(theta * L), self.Y0, cfg, reverse=self.REVERSE))
+        weights = np.random.default_rng(12).uniform(-1.0, 1.0, self.Y0.shape)
+        g_y0, g_theta = vjp(weights)
+
+        def objective(v):
+            y0 = v[3:].reshape(self.Y0.shape)
+            return np.sum(weights * ode_solve(lambda L: -(v[:3] * L), y0, cfg, reverse=self.REVERSE))
+
+        expected = complex_step(objective, np.concatenate([theta, self.Y0.ravel()]))
+        np.testing.assert_allclose(np.concatenate([g_theta.sum(axis=0), g_y0.ravel()]), expected,
+                                   rtol=1e-12, atol=0)
+
+    def test_guard_covers_only_reverse_rows(self):
+        # Forward, a row of 1e12 growing as e^x passes the guard and is returned;
+        # a reverse row that diverges fails the mixed solve at the step it does alone.
+        cfg = SolverConfig("rk4", 16)
+        y0 = np.array([[1e12, 1e12], [1.0, 2.0]])
+        out = ode_solve(lambda L: L, y0, cfg, reverse=np.array([False, True]))
+        assert out[0, 0] == pytest.approx(np.e * 1e12, rel=1e-6)
+        with pytest.raises(NumericError) as alone:
+            ode_solve_reverse(decay(60.0), np.array([[1.0, 1.0]]), SolverConfig("rk4", 4))
+        with pytest.raises(NumericError) as mixed:
+            ode_solve(decay(60.0), np.array([[0.0, 0.0], [1.0, 1.0]]), SolverConfig("rk4", 4),
+                      reverse=np.array([False, True]))
+        assert "diverged" in str(alone.value) and str(mixed.value) == str(alone.value)
+
+    def test_nonfinite_forward_row_is_an_error(self):
+        y0 = np.array([[0.5, np.nan], [0.5, 0.5]])
+        with pytest.raises(NumericError, match="non-finite state at integration step 0"):
+            ode_solve(decay(), y0, SolverConfig("rk4", 4), reverse=np.array([False, True]))
+
+    @pytest.mark.parametrize("y0,reverse", [
+        (np.ones((3, 2)), [False, True]),
+        (np.ones(2), [False, True]),
+        (np.ones((3, 2)), [[False, True, True]]),
+    ])
+    def test_directions_must_be_one_per_row(self, y0, reverse):
+        with pytest.raises(ShapeError, match="per-row directions"):
+            ode_solve(decay(), y0, SolverConfig("rk4", 4), reverse=np.array(reverse))
 
 
 class TestConvergenceOrder:

@@ -227,8 +227,7 @@ class TestLossHeads:
     def test_loss_is_bit_identical_and_gradient_matches(self, mode, kind):
         model, norm, l4, rho = self.problem(kind)
         args = (mode, model, norm, l4, rho)
-        t1 = model.t1
-        l2 = model.inverse(normalized_radiance(norm, l4))
+        t1, l2 = model.t1_and_inverse(normalized_radiance(norm, l4))
         ref_loss = self.reference(mode, l2, t1, rho)
         loss, grad = self.value_and_grad(*args)
         assert loss == ref_loss
@@ -242,6 +241,20 @@ class TestLossHeads:
         if kind == "linear":
             # The floor passes no gradient to its band's T(1), but T^-1 does.
             assert grad[self.FLOORED] != 0.0
+
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    def test_nonlinear_loss_matches_complex_step(self, mode):
+        # The whole nonlinear loss of one [1; z] solve w.r.t. every parameter,
+        # against complex step through that same mixed-direction solve.
+        model, norm, l4, rho = self.problem("nonlinear")
+        z = normalized_radiance(norm, l4)
+
+        def reference(params):
+            t1, l2 = model.with_params(params).t1_and_inverse(z)
+            return self.reference(mode, l2, t1, rho)
+
+        _, grad = self.value_and_grad(mode, model, norm, l4, rho)
+        np.testing.assert_allclose(grad, complex_step(reference, model.params), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     def test_linear_loss_matches_complex_step(self, mode):
@@ -317,6 +330,36 @@ class TestTrain:
         config = TrainConfig(mode="unsupervised", max_epochs=3, solver=SolverConfig("euler", 16))
         with pytest.raises(NumericError, match=r"^epoch 0: linear T\(1\) is 0 in band\(s\) 1;"):
             train(config, np.tile([0.2, 0.4], (20, 1)), SceneNormalization.identity(2))
+
+    @pytest.mark.parametrize("mode,epoch", [("supervised", 0), ("unsupervised", 1)])
+    def test_diverged_solve_names_its_epoch(self, monkeypatch, mode, epoch):
+        # Adam steps to params * 1e3, whose reverse solve over x_end = 40
+        # diverges: supervised in epoch 0's validation loss of the stepped
+        # model, unsupervised (no validation rows) in epoch 1's training loss.
+        monkeypatch.setattr(training, "adam_step", lambda state, params, grad: params * 1e3)
+        l4, rho, norm = early_stopping_scene()
+        config = TrainConfig(mode=mode, model_kind="nonlinear", solver=SolverConfig(x_end=40.0))
+        with pytest.raises(NumericError, match=rf"^epoch {epoch}: state diverged \(>1e\+12\) at integration step 11$"):
+            train(config, l4, norm, rho if mode == "supervised" else None)
+
+    def test_epoch_runs_one_stacked_solve_and_its_adjoint_and_one_validation_solve(self, monkeypatch):
+        # T(1) and T^-1(z) are one [1; z] solve: solve_vjp for the training
+        # loss, ode_solve for the validation loss. The kept model's T(1) and
+        # the correction of all of l4 after the loop add one of each plain solve.
+        import dinsat.transmission as transmission
+
+        calls = {}
+        for name in ("ode_solve", "ode_solve_reverse", "solve_vjp"):
+            def counted(*args, _inner=getattr(transmission, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(transmission, name, counted)
+        cube, truth = tiny_scene()
+        _, l4, rho = sample_pixels(cube, truth, 30, seed=1)
+        config = TrainConfig(model_kind="nonlinear", max_epochs=3, patience=3, solver=SolverConfig("rk4", 4))
+        run = train(config, l4, truth.norm, rho)
+        assert run.epochs == 3 and all("val_loss" in record for record in run.history)
+        assert calls == {"solve_vjp": 3, "ode_solve": 3 + 1, "ode_solve_reverse": 1}
 
     @pytest.mark.parametrize("mode,kind", [("supervised", "nonlinear"), ("unsupervised", "linear")])
     def test_run_holds_its_roi_reflectance_and_epoch_count(self, mode, kind):

@@ -233,13 +233,7 @@ class TestNonlinearFusedSolve:
         ("inverse", np.array([[0.5, np.inf, 0.5, 0.5]]), "non-finite state at integration step 0"),
     ])
     def test_traced_errors_equal_untraced(self, direction, L, match):
-        # Zero weights after the encoder's first matrix: the latent code is 0,
-        # so the decay is exactly 1/2 for any L. That matrix is nonzero, so an
-        # infinite band meets no 0 * inf (an invalid value) in the matmul.
-        profile = NonlinearProfile.initialize(4, np.random.default_rng(0))
-        params = np.zeros_like(profile.params)
-        params[: 4 * profile.hidden] = 1.0
-        profile = profile.with_params(params)
+        profile = half_decay_profile(4)
         op = getattr(profile, direction)
         with pytest.raises(NumericError, match=match) as untraced:
             op(L)
@@ -248,17 +242,85 @@ class TestNonlinearFusedSolve:
         assert str(traced.value) == str(untraced.value)
 
 
+def half_decay_profile(n_bands):
+    """A nonlinear profile whose decay is exactly 1/2 for any L.
+
+    Zero weights after the encoder's first matrix make the latent code 0;
+    that matrix is nonzero, so an infinite band meets no 0 * inf (an invalid
+    value) in the matmul. Backward in x the state grows by e^(x/2).
+    """
+    profile = NonlinearProfile.initialize(n_bands, np.random.default_rng(0))
+    params = np.zeros_like(profile.params)
+    params[: n_bands * profile.hidden] = 1.0
+    return profile.with_params(params)
+
+
+class TestNonlinearStackedSolve:
+    """T(1) and T^-1(z) as one [1; z] solve: row 0 steps forward in x, z's rows backward."""
+
+    @pytest.mark.parametrize("n_bands", [5, 8, 30, 126])
+    def test_inverse_vjp_values_are_t1_and_inverse(self, n_bands):
+        rng = np.random.default_rng(40)
+        profile = replace(NonlinearProfile.initialize(n_bands, rng), solver=SolverConfig("rk4", 4))
+        for rows in range(1, 65):
+            z = rng.uniform(0.1, 1.0, (rows, n_bands))
+            t1, l2 = profile.t1_and_inverse(z)
+            vjp_t1, vjp_l2, _ = profile.inverse_vjp(z)
+            np.testing.assert_array_equal(vjp_t1, t1)
+            np.testing.assert_array_equal(vjp_l2, l2)
+
+    @pytest.mark.parametrize("n_bands", [8, 30, 126])
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (64,)], ids=["1-D", "1", "7", "64"])
+    def test_within_eight_ulps_of_the_unstacked_operators(self, n_bands, shape):
+        # A matmul's rows need not keep their bits across batch heights: a
+        # 1-row solve runs a matrix-vector product. Measured with OpenBLAS
+        # 0.3.31 and one thread over 20 seeds of weights x 3 at these shapes,
+        # the stacked values lay within 5 ulps of the 1-D t1 and of inverse(z)
+        # (4.6e-16 and 7.5e-16 relative); the bound leaves room for other BLAS builds.
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            profile = NonlinearProfile.initialize(n_bands, rng)
+            profile = profile.with_params(3.0 * profile.params)
+            z = rng.uniform(0.1, 1.0, shape + (n_bands,))
+            t1, l2 = profile.t1_and_inverse(z)
+            assert t1.shape == (n_bands,) and l2.shape == z.shape
+            for stacked, alone in ((t1, profile.t1), (l2, profile.inverse(z))):
+                assert np.all(np.abs(stacked - alone) <= 8 * np.spacing(np.abs(alone)))
+
+    def test_diverging_row_names_the_step_it_does_alone(self):
+        profile = half_decay_profile(4)
+        z = np.array([[0.5, 0.5, 0.5, 0.5], [9e11, 9e11, 9e11, 9e11], [0.2, 0.3, 0.4, 0.5]])
+        with pytest.raises(NumericError, match=r"state diverged \(>1e\+12\) at integration step [1-9]") as alone:
+            profile.inverse(z[1])
+        for op in (profile.t1_and_inverse, profile.inverse_vjp):
+            with pytest.raises(NumericError) as stacked:
+                op(z)
+            assert str(stacked.value) == str(alone.value)
+
+    def test_linear_profile_gives_t1_and_the_division(self):
+        profile = linear_profile(np.random.default_rng(41).uniform(0.1, 3.0, 5))
+        z = np.random.default_rng(42).uniform(0.1, 1.0, (3, 5))
+        t1, l2 = profile.t1_and_inverse(z)
+        assert t1 is profile.t1
+        np.testing.assert_array_equal(l2, z / profile.t1)
+
+
 class TestNonlinearAdjointMemory:
-    def test_held_bytes_per_pixel_per_stage(self):
+    @pytest.mark.parametrize("solve", ["reverse", "stacked"])
+    def test_held_bytes_per_pixel_per_stage(self, solve):
         # solve_vjp keeps, per stage, what that stage's VJP reads: its input,
         # the hidden and latent activations and the decay, 279 floats (2.23 KB)
         # per pixel at 126 bands. A kept decoder pre-activation would add 1 KB.
+        # inverse_vjp's one [1; z] solve holds the same per pixel.
         profile = NonlinearProfile.initialize(126, np.random.default_rng(15))
         z = np.random.default_rng(16).uniform(0.1, 1.0, (2000, 126))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _, vjp = solve_vjp(profile.rhs_vjp, z, CFG, reverse=True)
+            if solve == "reverse":
+                _, vjp = solve_vjp(profile.rhs_vjp, z, CFG, reverse=True)
+            else:
+                _, _, pullback = profile.inverse_vjp(z)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -540,14 +602,14 @@ class TestBandCheck:
         return linear_profile(rng.uniform(0.1, 3.0, 5)), NonlinearProfile.initialize(5, rng)
 
     @pytest.mark.parametrize("shape", [(3, 1), (1,), ()], ids=["column", "one-band", "scalar"])
-    @pytest.mark.parametrize("method", ["forward", "inverse", "inverse_vjp"])
+    @pytest.mark.parametrize("method", ["forward", "inverse", "t1_and_inverse", "inverse_vjp"])
     @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
     def test_other_band_counts_rejected(self, kind, method, shape):
         model = dict(zip(["linear", "nonlinear"], self.profiles()))[kind]
         with pytest.raises(ShapeError, match=r"5 bands"):
             getattr(model, method)(np.full(shape, 0.5))
 
-    @pytest.mark.parametrize("method", ["forward", "inverse", "inverse_vjp"])
+    @pytest.mark.parametrize("method", ["forward", "inverse", "t1_and_inverse", "inverse_vjp"])
     def test_one_check_per_call(self, monkeypatch, method):
         import dinsat.transmission as transmission
 
