@@ -6,7 +6,7 @@ from .correction import (
     estimate_normalization,
     simulate_values,
 )
-from .ode import SolverConfig, ode_solve, ode_solve_reverse
+from .ode import SolverConfig, ode_solve
 from .synth import SynthSpec, synth_scene
 from .training import (
     TrainConfig,
@@ -44,7 +44,6 @@ __all__ = [
     "evaluate_regions",
     "loss",
     "ode_solve",
-    "ode_solve_reverse",
     "percent_mse",
     "simulate_values",
     "split_dataset",

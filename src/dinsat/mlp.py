@@ -5,8 +5,8 @@ vector into per-layer views once, ``layers_forward`` applies the layers and
 keeps every activation, and ``layers_backward`` backprops a cotangent through
 them by hand. The nonlinear transmission profile unpacks its whole
 encoder/decoder network, one layout, once and holds the layers; its
-right-hand side runs them through one ``layers_forward`` call, and that
-rhs's VJP through one ``layers_backward`` call as well.
+rate runs them through one ``layers_forward`` call, and the rate's VJP
+through one ``layers_backward`` call as well.
 
 ``layers_forward`` writes each layer's matmul into one array, a new one or
 a buffer it is given, and works in it: the bias is added in place, and a

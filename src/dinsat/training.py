@@ -45,9 +45,6 @@ from .transmission import (
     NonlinearProfile,
     Profile,
 )
-# Not called here since the loss takes T(1) from model.t1_and_inverse; the name
-# stays because bench/traced_cli.py wraps it in this module.
-from .transmission import transmittance_values  # noqa: F401
 from .types import DatasetSplit, check_split_fractions, percent_mse, split_dataset
 
 MODES = ("supervised", "unsupervised")

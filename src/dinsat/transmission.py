@@ -15,34 +15,34 @@ T(1). ``costly_inverse`` says whether T^-1 costs enough per pixel for
 float32.
 The linear profile realizes per-band exponential decay with rates alpha =
 softplus(params) >= 0; the nonlinear profile runs the spectrum through a
-bottleneck encoder/decoder and multiplies by a decay factor forced into
-[-1, 0], so dissipation holds by construction.
+bottleneck encoder/decoder whose sigmoid output is a decay in (0, 1). Both
+step dL/dx = -r(L) with the rate r(L) = alpha L or decay(L) L, so
+dissipation holds by construction.
 
-For dL/dx = -alpha L a fixed-step explicit solver multiplies each band by
+For the linear rate a fixed-step explicit solver multiplies each band by
 P(z) per step, z = -alpha h, where P is the method's stability polynomial
 (Euler: 1 + z; RK4: 1 + z + z^2/2 + z^3/6 + z^4/24). The linear profile
-therefore computes the solver's discrete map in closed form, as the per-band
-factor P(z)^n, and differentiates it analytically: the same map and the same
-gradients as stepping the solver n times, with P, P' and the step h read
-from the solver, whose ``ode`` method row holds P. T is a multiplication by that
-factor and T^-1 an exact division, so round trips are exact up to float
-rounding. The nonlinear profile integrates with the stepped solvers in
-``ode``, forward and backward in x. Its network is one ``mlp`` layout, the
-encoder's two layers followed by the decoder's, whose sigmoid output layer
-is the decay. The profile unpacks its weights once, at first use, and holds
-them, and casts them to float32 once more on first use by a float32 state:
-`dinsat correct` solves T^-1 in float32, the precision it writes, while
-``t1``, ``forward``, ``t1_and_inverse``, ``inverse_vjp`` and training stay
-float64. The decay is the last activation from ``mlp.layers_forward``,
-computed in place like every sigmoid layer there. A plain solve
-(``forward``, ``inverse``, ``t1``, ``t1_and_inverse``) is handed the rate
-decay(L) * L = -f(L), which writes into the stage output the solve owns;
-its hidden layers work in buffers made once per solve, and the solve
-enters ``np.errstate(over="ignore")`` once. ``rhs(L)`` is plain
-f(L) in a new array, and ``rhs_vjp(L)``, what ``solve_vjp`` is handed, is
-f(L) with a hand-written VJP (product rule, then one
-``mlp.layers_backward`` through the whole network), which keeps only the
-activations that VJP reads. T(1) and T^-1(z) are one solve of the batch
+therefore computes the solver's discrete map in closed form, as the
+per-band factor P(z)^n, and differentiates it analytically: the same map
+and the same gradients as stepping the solver n times, with P, P' and the
+step h read from the solver, whose ``ode`` method row holds P. T is a
+multiplication by that factor and T^-1 an exact division, so round trips
+are exact up to float rounding. The nonlinear profile integrates with the
+stepped solvers in ``ode``, forward and backward in x. Its network is one
+``mlp`` layout, the encoder's two layers followed by the decoder's, whose
+sigmoid output layer is the decay. The profile unpacks its weights once, at
+first use, and holds them, and casts them to float32 once more on first use
+by a float32 state: `dinsat correct` solves T^-1 in float32, the precision
+it writes, while ``t1``, ``forward``, ``t1_and_inverse``, ``inverse_vjp``
+and training stay float64. The decay is the last activation from
+``mlp.layers_forward``, computed in place like every sigmoid layer there.
+``forward``, ``inverse`` and ``t1_and_inverse`` run one plain solve each,
+whose rate writes into the stage output the solve owns; its hidden layers
+work in buffers made once per solve, and the solve enters
+``np.errstate(over="ignore")`` once. ``rate_vjp(L)``, what ``solve_vjp`` is
+handed, is r(L) in a new array with a hand-written VJP (product rule, then
+one ``mlp.layers_backward`` through the whole network), which keeps only
+the activations that VJP reads. T(1) and T^-1(z) are one solve of the batch
 [1; z], the all-ones spectrum stepped forward in x as row 0 and z's rows
 stepped backward: a plain one for ``t1_and_inverse`` and one
 ``ode.solve_vjp`` for ``inverse_vjp``, whose pullback is that solve's
@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 from .mlp import MlpLayout, batch_layers, glorot_init, layers_backward, layers_forward, logistic, unpack_params
-from .ode import SolverConfig, ode_solve, ode_solve_reverse, solve_vjp
+from .ode import SolverConfig, ode_solve, solve_vjp
 from .types import as_spectra
 
 DEFAULT_HIDDEN = 12
@@ -197,7 +197,7 @@ class LinearProfile:
 
 @dataclass(frozen=True, eq=False)
 class NonlinearProfile:
-    """Encoder/decoder rhs: dL/dx = -sigmoid(decode(encode(L))) * L."""
+    """Encoder/decoder rate: dL/dx = -sigmoid(decode(encode(L))) * L."""
 
     params: np.ndarray
     n_bands: int
@@ -242,12 +242,12 @@ class NonlinearProfile:
 
     @cached_property
     def float32_layers(self):
-        """The network's layers cast to float32, once per profile: what ``rhs`` runs a float32 state through."""
+        """The network's layers cast to float32, once per profile: what a float32 solve runs through."""
         return [(w.astype(np.float32), act, w_fwd.astype(np.float32), b_fwd.astype(np.float32))
                 for w, act, w_fwd, b_fwd in self._layers]
 
     def _rate(self, L):
-        """(L, rate) for a plain solve from L: rate(s, out) = sigmoid(dec(enc(s))) * s = -f(s), in ``out``.
+        """(L, rate) for a plain solve from L: rate(s, out) = sigmoid(dec(enc(s))) * s, in ``out``.
 
         L comes back in the solve's dtype: float32 for a float32 L, which
         then runs through ``float32_layers``, otherwise that of L and the
@@ -270,19 +270,14 @@ class NonlinearProfile:
 
         return L, rate
 
-    def rhs(self, L):
-        """f(L) = -sigmoid(dec(enc(L))) * L on plain arrays; the network's last activation is the decay.
-
-        A float32 L runs through ``float32_layers``, so f(L) is float32 too;
-        any other dtype through the float64 (or complex) layers.
-        """
-        L, rate = self._rate(np.asarray(L))
+    def _solve(self, L, reverse):
+        """The plain solve of L, whose rows ``reverse`` (a bool, or a bool per row) step backward in x."""
+        L, rate = self._rate(L)
         with np.errstate(over="ignore"):
-            value = rate(L, np.empty(L.shape, L.dtype))
-        return np.negative(value, out=value)
+            return ode_solve(rate, L, self.solver, reverse=reverse)
 
-    def rhs_vjp(self, L):
-        """(f(L), vjp), vjp(g) -> (g_L, g_params), as ``ode.solve_vjp`` steps it.
+    def rate_vjp(self, L):
+        """(r(L), vjp), vjp(g) -> (g_L, g_params), as ``ode.solve_vjp`` steps it: r(L) = sigmoid(dec(enc(L))) * L.
 
         The VJP is the product rule, then the network's backprop by hand. It
         holds the layers and the activations, not the profile.
@@ -291,14 +286,12 @@ class NonlinearProfile:
         with np.errstate(over="ignore"):
             acts = layers_forward(layers, L)
         decay = acts[-1]
-        value = decay * L
-        np.negative(value, out=value)
 
         def vjp(g):
-            g_L, g_params = layers_backward(layers, acts, -g * L)
-            return g_L - g * decay, g_params
+            g_L, g_params = layers_backward(layers, acts, g * L)
+            return g_L + g * decay, g_params
 
-        return value, vjp
+        return decay * L, vjp
 
     @cached_property
     def t1(self) -> np.ndarray:
@@ -307,15 +300,11 @@ class NonlinearProfile:
 
     def forward(self, L):
         """Forward integration in x with the stepped solver."""
-        L, rate = self._rate(as_spectra(L, self.n_bands))
-        with np.errstate(over="ignore"):
-            return ode_solve(rate, L, self.solver, rate=True)
+        return self._solve(as_spectra(L, self.n_bands), False)
 
     def inverse(self, L):
         """Backward integration in x."""
-        L, rate = self._rate(as_spectra(L, self.n_bands))
-        with np.errstate(over="ignore"):
-            return ode_solve_reverse(rate, L, self.solver, rate=True)
+        return self._solve(as_spectra(L, self.n_bands), True)
 
     def _stacked(self, z):
         """(z, [1; z], reverse): z checked, the all-ones spectrum on top of z's rows, and only z's rows reverse."""
@@ -330,15 +319,13 @@ class NonlinearProfile:
         stacked batch, so it can differ from the 1-D ``t1`` in the last bits.
         """
         z, batch, reverse = self._stacked(z)
-        batch, rate = self._rate(batch)
-        with np.errstate(over="ignore"):
-            y = ode_solve(rate, batch, self.solver, rate=True, reverse=reverse)
+        y = self._solve(batch, reverse)
         return y[0], y[1:].reshape(z.shape)
 
     def inverse_vjp(self, z):
         """(T(1), T^-1(z), pullback): ``t1_and_inverse``'s values and the one [1; z] solve's adjoint."""
         z, batch, reverse = self._stacked(z)
-        y, vjp = solve_vjp(self.rhs_vjp, batch, self.solver, reverse)
+        y, vjp = solve_vjp(self.rate_vjp, batch, self.solver, reverse)
         n = self.n_bands
 
         def pullback(g_t1, g_l2):

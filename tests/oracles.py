@@ -1,9 +1,10 @@
 """The tests' oracles and reference helpers, none of which the package's commands need.
 
 Central differences, complex step and the composed MLP check gradients and the
-network; ``linear_profile`` and ``linear_rhs`` build the linear profile and its
-stepped right-hand side from rates alpha, and ``linear_alpha`` reads a linear
-profile's rates back; ``read_cube`` reads a whole ENVI cube through the
+network; ``linear_profile`` and ``linear_rate`` build the linear profile and
+its stepped rate from rates alpha, and ``linear_alpha`` reads a linear
+profile's rates back; ``solve_direction`` names a solve's direction;
+``read_cube`` reads a whole ENVI cube through the
 row-block reader; ``sample_pixels`` draws pixels of an in-memory synthetic
 scene.
 """
@@ -75,10 +76,19 @@ def linear_alpha(profile: LinearProfile) -> np.ndarray:
     return np.logaddexp(0.0, profile.params)
 
 
-def linear_rhs(alpha) -> Callable[[np.ndarray], np.ndarray]:
-    """f(L) = -alpha L: the linear profile's right-hand side, which the package only uses in closed form."""
+def linear_rate(alpha) -> Callable[..., np.ndarray]:
+    """r(L, out=None) = alpha L, in ``out`` if given: the linear profile's rate.
+
+    The package only uses it in closed form; the tests step it as the reference.
+    """
     alpha = np.asarray(alpha, float)
-    return lambda L: -(alpha * L)
+    return lambda L, out=None: np.multiply(alpha, L, out=out)
+
+
+def solve_direction(reverse=False) -> str:
+    """An ``ode_solve`` call's direction from its ``reverse``: forward, reverse or mixed."""
+    rows = np.asarray(reverse, bool)
+    return "reverse" if rows.all() else "mixed" if rows.any() else "forward"
 
 
 def read_cube(header_path: str | Path) -> HyperCube:

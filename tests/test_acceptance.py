@@ -46,7 +46,7 @@ from dinsat.types import (
     split_dataset,
 )
 
-from oracles import linear_alpha, linear_profile, read_cube, sample_pixels
+from oracles import linear_alpha, linear_profile, linear_rate, read_cube, sample_pixels
 
 RK4_16 = SolverConfig("rk4", 16)
 
@@ -56,7 +56,7 @@ RK4_16 = SolverConfig("rk4", 16)
 @pytest.mark.parametrize("alpha", [0.1, 1.0, 5.0])
 def test_criterion_1_rk4_matches_exponential(alpha):
     started = time.perf_counter()
-    out = ode_solve(lambda L: -(alpha * L), np.array([1.0]), RK4_16)
+    out = ode_solve(linear_rate(alpha), np.array([1.0]), RK4_16)
     rel = abs(out[0] - np.exp(-alpha)) / np.exp(-alpha)
     assert time.perf_counter() - started < 1.0
     assert rel < 1e-6, f"alpha={alpha}: rel error {rel:.3e} >= 1e-6"
@@ -64,7 +64,7 @@ def test_criterion_1_rk4_matches_exponential(alpha):
 
 def test_criterion_1_convergence_orders():
     def error(method, steps):
-        out = ode_solve(lambda L: -L, np.array([1.0]), SolverConfig(method, steps))
+        out = ode_solve(linear_rate(1.0), np.array([1.0]), SolverConfig(method, steps))
         return abs(out[0] - np.exp(-1.0))
 
     euler_ratio = error("euler", 32) / error("euler", 64)
@@ -319,7 +319,7 @@ def test_criterion_9_loss_unit_values():
     # 0.01*0.5 + 0.01*0.7 + 0 = 0.012. The rate is solved so the *discrete*
     # transmittance equals 0.7 exactly.
     def gap(a):
-        return ode_solve(lambda L: -(a * L), np.array([1.0]), RK4_16)[0] - 0.7
+        return ode_solve(linear_rate(a), np.array([1.0]), RK4_16)[0] - 0.7
 
     alpha = brentq(gap, 1e-6, 10.0, xtol=1e-15, rtol=8.9e-16)
     model = LinearProfile(softplus_inverse(np.full(2, alpha)), RK4_16)

@@ -30,7 +30,7 @@ from dinsat.synth import SynthSpec, synth_scene
 from dinsat.transmission import LinearProfile, NonlinearProfile
 from dinsat.types import Spectrum, WavelengthGrid
 
-from oracles import linear_profile, read_cube
+from oracles import linear_profile, read_cube, solve_direction
 
 SPEC_TEXT = """
 rows = 12
@@ -332,11 +332,11 @@ class TestCorrectCommand:
         assert not [p.name for p in out.iterdir()]
 
     @staticmethod
-    def calls_by_process(tmp_path, runner, monkeypatch, rows, n_cpus,
-                         names=("ode_solve", "ode_solve_reverse")):
-        """Nonlinear `correct` of a ``rows``-row cube on ``n_cpus`` CPUs: {pid: {name: calls}}.
+    def calls_by_process(tmp_path, runner, monkeypatch, rows, n_cpus, names=()):
+        """Nonlinear `correct` of a ``rows``-row cube on ``n_cpus`` CPUs: {pid: {key: calls}}.
 
-        Counts the calls of the ``transmission`` functions ``names``. Each
+        Counts ``ode_solve``'s calls by direction, forward, reverse or mixed,
+        and the calls of the other ``transmission`` functions ``names``. Each
         call is logged to a file, so the calls made in forked workers count too.
         """
         data = np.random.default_rng(5).uniform(0.1, 1.0, (rows, 4, 3))
@@ -344,20 +344,22 @@ class TestCorrectCommand:
         write_model(tmp_path / "m.json", NonlinearProfile.initialize(3, np.random.default_rng(6)))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
         log = tmp_path / "calls.log"
-        for name in names:
+        for name in ("ode_solve", *names):
             def counted(*args, _name=name, _inner=getattr(transmission, name), **kwargs):
+                key = solve_direction(kwargs.get("reverse", False)) if _name == "ode_solve" else _name
                 with open(log, "a") as f:
-                    f.write(f"{os.getpid()} {_name}\n")
+                    f.write(f"{os.getpid()} {key}\n")
                 return _inner(*args, **kwargs)
 
             monkeypatch.setattr(transmission, name, counted)
         result = runner.invoke(main, ["correct", "--cube", str(tmp_path / "c.hdr"), "--model",
                                       str(tmp_path / "m.json"), "--out", str(tmp_path / "out")])
         assert result.exit_code == 0, result.output
+        keys = ("forward", "reverse", "mixed", *names)
         calls = {}
         for line in log.read_text().splitlines():
-            pid, name = line.split()
-            calls.setdefault(int(pid), dict.fromkeys(names, 0))[name] += 1
+            pid, key = line.split()
+            calls.setdefault(int(pid), dict.fromkeys(keys, 0))[key] += 1
         return calls
 
     def test_nonlinear_t1_is_solved_once_per_command(self, tmp_path, runner, monkeypatch):
@@ -365,22 +367,22 @@ class TestCorrectCommand:
         # each group of rows is one reverse solve, and the 6-row, 4-column cube
         # is one group.
         calls = self.calls_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=1)
-        assert calls == {os.getpid(): {"ode_solve": 1, "ode_solve_reverse": 1}}
+        assert calls == {os.getpid(): {"forward": 1, "reverse": 1, "mixed": 0}}
 
     def test_nonlinear_t1_is_solved_before_the_fork(self, tmp_path, runner, monkeypatch):
         # On 2 CPUs this process solves T(1) and its own rows 0-2, one group;
         # the worker inherits T(1) and solves rows 3-5, another group.
         calls = self.calls_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=2)
-        assert calls.pop(os.getpid()) == {"ode_solve": 1, "ode_solve_reverse": 1}
-        assert list(calls.values()) == [{"ode_solve": 0, "ode_solve_reverse": 1}]
+        assert calls.pop(os.getpid()) == {"forward": 1, "reverse": 1, "mixed": 0}
+        assert list(calls.values()) == [{"forward": 0, "reverse": 1, "mixed": 0}]
 
     def test_network_is_unpacked_once_before_the_fork(self, tmp_path, runner, monkeypatch):
         # T(1) unpacks the network in this process; the worker inherits the
         # layers with the profile and unpacks nothing for its rows 3-5.
         calls = self.calls_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=2,
-                                      names=("ode_solve_reverse", "unpack_params"))
-        assert calls.pop(os.getpid()) == {"ode_solve_reverse": 1, "unpack_params": 1}
-        assert list(calls.values()) == [{"ode_solve_reverse": 1, "unpack_params": 0}]
+                                      names=("unpack_params",))
+        assert calls.pop(os.getpid()) == {"forward": 1, "reverse": 1, "mixed": 0, "unpack_params": 1}
+        assert list(calls.values()) == [{"forward": 0, "reverse": 1, "mixed": 0, "unpack_params": 0}]
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
     def test_peak_memory_is_a_fraction_of_the_cube(self, tmp_path):

@@ -4,14 +4,15 @@ import pytest
 from dinsat.artifacts import read_model, write_model
 from dinsat.errors import ConfigError, NumericError, ShapeError
 from dinsat.mlp import logistic
-from dinsat.ode import METHODS, SolverConfig, ode_solve, ode_solve_reverse, solve_vjp
+from dinsat.ode import METHODS, SolverConfig, ode_solve, solve_vjp
 from dinsat.transmission import LinearProfile
 
 from oracles import complex_step, finite_difference
 
 
 def decay(rate=1.0):
-    return lambda L: -rate * L
+    """The rate of dL/dx = -rate L, written into the buffer the solve hands it."""
+    return lambda L, out=None: np.multiply(L, rate, out=out)
 
 
 class TestSolverConfig:
@@ -52,7 +53,7 @@ class TestForwardSolve:
     @pytest.mark.parametrize("method,steps", [("euler", 1), ("euler", 7), ("rk4", 16)])
     def test_zero_dynamics_identity(self, method, steps):
         y0 = np.array([0.3, 1.7, 0.0])
-        out = ode_solve(lambda L: 0.0 * L, y0, SolverConfig(method, steps))
+        out = ode_solve(decay(0.0), y0, SolverConfig(method, steps))
         np.testing.assert_allclose(out, y0)
 
     def test_euler_closed_form(self):
@@ -70,21 +71,21 @@ class TestForwardSolve:
         np.testing.assert_allclose(out, y0 * np.exp(-1.0), rtol=2e-7)
 
     def test_nonfinite_state_names_step(self):
-        # The rhs overflows on purpose; the solver must name the step.
+        # The rate overflows on purpose; the solver must name the step.
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="step 0"):
-            ode_solve(lambda L: L * 1e200, np.array([1e200]), SolverConfig("euler", 4))
+            ode_solve(decay(-1e200), np.array([1e200]), SolverConfig("euler", 4))
 
     def test_no_overflow_guard_forward(self):
         # The guard is for backward integration only; a growing forward state
         # past it is still finite and is returned.
-        out = ode_solve(lambda L: L, np.array([1e12]), SolverConfig("rk4", 16))
+        out = ode_solve(decay(-1.0), np.array([1e12]), SolverConfig("rk4", 16))
         assert out[0] == pytest.approx(np.e * 1e12, rel=1e-6)
 
 
 class TestReverseSolve:
     def test_zero_dynamics_identity(self):
         y = np.array([0.25, 0.5])
-        out = ode_solve_reverse(lambda L: 0.0 * L, y, SolverConfig("rk4", 8))
+        out = ode_solve(decay(0.0), y, SolverConfig("rk4", 8), reverse=True)
         np.testing.assert_allclose(out, y)
 
     def test_ln2_round_trip(self):
@@ -92,25 +93,25 @@ class TestReverseSolve:
         rate = np.log(2.0)
         fwd = ode_solve(decay(rate), np.array([1.0]), cfg)
         assert fwd[0] == pytest.approx(0.5, abs=1e-7)
-        back = ode_solve_reverse(decay(rate), np.array([0.5]), cfg)
+        back = ode_solve(decay(rate), np.array([0.5]), cfg, reverse=True)
         assert back[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_nonlinear_round_trip(self):
         rng = np.random.default_rng(5)
         cfg = SolverConfig("rk4", 16)
 
-        def rhs(L):
-            return -(logistic(L) * L)
+        def rate(L, out=None):
+            return np.multiply(logistic(L), L, out=out)
 
         for _ in range(10):
             y0 = rng.uniform(0, 1, 16)
-            fwd = ode_solve(rhs, y0, cfg)
-            back = ode_solve_reverse(rhs, fwd, cfg)
+            fwd = ode_solve(rate, y0, cfg)
+            back = ode_solve(rate, fwd, cfg, reverse=True)
             assert np.max(np.abs(back - y0)) < 1e-4
 
     def test_overflow_guard(self):
         with pytest.raises(NumericError, match="diverged"):
-            ode_solve_reverse(decay(60.0), np.array([1.0]), SolverConfig("rk4", 4))
+            ode_solve(decay(60.0), np.array([1.0]), SolverConfig("rk4", 4), reverse=True)
 
     def test_linear_round_trip_moderate_rates(self):
         # Explicit backward integration inverts the forward map only up to
@@ -118,7 +119,7 @@ class TestReverseSolve:
         cfg = SolverConfig("rk4", 16)
         for rate in (0.1, 0.5, 1.0):
             fwd = ode_solve(decay(rate), np.array([1.0]), cfg)
-            back = ode_solve_reverse(decay(rate), fwd, cfg)
+            back = ode_solve(decay(rate), fwd, cfg, reverse=True)
             assert abs(back[0] - 1.0) < 1e-6
 
 
@@ -126,57 +127,61 @@ class TestStateDtype:
     """The state keeps a float32, float64 or complex input's dtype; an int64 input becomes float64."""
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("solve", [ode_solve, ode_solve_reverse])
-    def test_float32_stays_float32(self, method, solve):
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_float32_stays_float32(self, method, reverse):
         y0 = np.array([[0.3, 1.7, 0.0], [2.0, 0.5, 1.0]])
-        out = solve(decay(0.5), y0.astype(np.float32), SolverConfig(method, 4))
+        out = ode_solve(decay(0.5), y0.astype(np.float32), SolverConfig(method, 4), reverse=reverse)
         assert out.dtype == np.float32
-        np.testing.assert_allclose(out, solve(decay(0.5), y0, SolverConfig(method, 4)), rtol=1e-6)
+        np.testing.assert_allclose(out, ode_solve(decay(0.5), y0, SolverConfig(method, 4), reverse=reverse), rtol=1e-6)
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("solve", [ode_solve, ode_solve_reverse])
-    def test_int64_becomes_float64(self, method, solve):
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_int64_becomes_float64(self, method, reverse):
         y0 = np.array([[3, 1, 0], [2, 5, 1]], np.int64)
-        out = solve(decay(0.5), y0, SolverConfig(method, 4))
+        out = ode_solve(decay(0.5), y0, SolverConfig(method, 4), reverse=reverse)
         assert out.dtype == np.float64
-        np.testing.assert_array_equal(out, solve(decay(0.5), y0.astype(np.float64), SolverConfig(method, 4)))
+        np.testing.assert_array_equal(
+            out, ode_solve(decay(0.5), y0.astype(np.float64), SolverConfig(method, 4), reverse=reverse))
 
     def test_float32_overflow_guard(self):
         with pytest.raises(NumericError, match="diverged"):
-            ode_solve_reverse(decay(60.0), np.array([1.0], np.float32), SolverConfig("rk4", 4))
+            ode_solve(decay(60.0), np.array([1.0], np.float32), SolverConfig("rk4", 4), reverse=True)
 
 
 class TestInputsUntouched:
     """The steppers work in place on their own temporaries, never on inputs."""
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("solve", [ode_solve, ode_solve_reverse])
+    @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("kind", ["fresh", "cached", "identity"])
-    def test_l_init_and_rhs_outputs_unmodified(self, method, solve, kind):
+    def test_l_init_and_rate_outputs_unmodified(self, method, reverse, kind):
         for dtype in (np.float64, np.float32):
             y0 = np.array([[0.3, 1.7, 0.0], [2.0, 0.5, 1.0]], dtype)
-            cached = np.array([[-0.2, -0.1, 0.0], [-0.4, -0.3, -0.1]], dtype)
-            rhs = {"fresh": decay(0.5), "cached": lambda L: cached, "identity": lambda L: L}[kind]
+            cached = np.array([[0.2, 0.1, 0.0], [0.4, 0.3, 0.1]], dtype)
+            rate = {"fresh": lambda L, out: L * 0.5, "cached": lambda L, out: cached,
+                    "identity": lambda L, out: L}[kind]
             y_before, cached_before = y0.copy(), cached.copy()
-            assert solve(rhs, y0, SolverConfig(method, 4)).dtype == dtype
+            assert ode_solve(rate, y0, SolverConfig(method, 4), reverse=reverse).dtype == dtype
             np.testing.assert_array_equal(y0, y_before)
             np.testing.assert_array_equal(cached, cached_before)
 
 
 class TestRate:
-    """A solve given a rate -f, written into the solve's own buffers, steps f to the same bits."""
+    """A rate written into the solve's own buffers steps to the bits of one in new arrays, and of solve_vjp."""
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("solve", [ode_solve, ode_solve_reverse])
+    @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_same_bits_as_stepping_f(self, method, solve, dtype):
+    def test_same_bits_as_new_arrays(self, method, reverse, dtype):
         y0 = np.array([[0.3, 1.7, 0.0], [2.0, 0.5, 1.0]], dtype)
         y_before = y0.copy()
         cfg = SolverConfig(method, 4)
-        out = solve(lambda L, out: np.multiply(L, 0.5, out=out), y0, cfg, rate=True)
+        out = ode_solve(decay(0.5), y0, cfg, reverse=reverse)
         np.testing.assert_array_equal(y0, y_before)
         assert out.dtype == dtype
-        assert out.tobytes() == solve(lambda L: -(L * 0.5), y0, cfg).tobytes()
+        assert out.tobytes() == ode_solve(lambda L, out: L * 0.5, y0, cfg, reverse=reverse).tobytes()
+        traced, _ = solve_vjp(lambda L: (L * 0.5, None), y0, cfg, reverse)
+        assert out.tobytes() == traced.tobytes()
 
 
 class TestMixedDirections:
@@ -186,14 +191,14 @@ class TestMixedDirections:
     REVERSE = np.array([False, True, True])
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("rate", [False, True])
-    def test_each_row_equals_its_one_direction_solve(self, method, rate):
-        # An elementwise rhs makes no row depend on the batch, so the bits are equal.
+    @pytest.mark.parametrize("in_buffer", [False, True])
+    def test_each_row_equals_its_one_direction_solve(self, method, in_buffer):
+        # An elementwise rate makes no row depend on the batch, so the bits are equal.
         cfg = SolverConfig(method, 4)
-        rhs = (lambda L, out: np.multiply(L, 0.5, out=out)) if rate else decay(0.5)
-        out = ode_solve(rhs, self.Y0, cfg, rate=rate, reverse=self.REVERSE)
-        np.testing.assert_array_equal(out[:1], ode_solve(rhs, self.Y0[:1], cfg, rate=rate))
-        np.testing.assert_array_equal(out[1:], ode_solve_reverse(rhs, self.Y0[1:], cfg, rate=rate))
+        rate = decay(0.5) if in_buffer else (lambda L, out: L * 0.5)
+        out = ode_solve(rate, self.Y0, cfg, reverse=self.REVERSE)
+        np.testing.assert_array_equal(out[:1], ode_solve(rate, self.Y0[:1], cfg))
+        np.testing.assert_array_equal(out[1:], ode_solve(rate, self.Y0[1:], cfg, reverse=True))
 
     @pytest.mark.parametrize("reverse", [True, False, [True, True, True], [False, False, False]])
     def test_one_direction_vector_is_the_bool(self, reverse):
@@ -205,14 +210,14 @@ class TestMixedDirections:
     def test_solve_vjp_values_and_gradient(self, method):
         cfg = SolverConfig(method, 8)
         theta = np.array([0.3, 1.1, 2.0])
-        out, vjp = solve_vjp(linear_decay_rhs_vjp(theta), self.Y0, cfg, self.REVERSE)
-        np.testing.assert_array_equal(out, ode_solve(lambda L: -(theta * L), self.Y0, cfg, reverse=self.REVERSE))
+        out, vjp = solve_vjp(linear_decay_rate_vjp(theta), self.Y0, cfg, self.REVERSE)
+        np.testing.assert_array_equal(out, ode_solve(decay(theta), self.Y0, cfg, reverse=self.REVERSE))
         weights = np.random.default_rng(12).uniform(-1.0, 1.0, self.Y0.shape)
         g_y0, g_theta = vjp(weights)
 
         def objective(v):
             y0 = v[3:].reshape(self.Y0.shape)
-            return np.sum(weights * ode_solve(lambda L: -(v[:3] * L), y0, cfg, reverse=self.REVERSE))
+            return np.sum(weights * ode_solve(decay(v[:3]), y0, cfg, reverse=self.REVERSE))
 
         expected = complex_step(objective, np.concatenate([theta, self.Y0.ravel()]))
         np.testing.assert_allclose(np.concatenate([g_theta.sum(axis=0), g_y0.ravel()]), expected,
@@ -223,10 +228,10 @@ class TestMixedDirections:
         # a reverse row that diverges fails the mixed solve at the step it does alone.
         cfg = SolverConfig("rk4", 16)
         y0 = np.array([[1e12, 1e12], [1.0, 2.0]])
-        out = ode_solve(lambda L: L, y0, cfg, reverse=np.array([False, True]))
+        out = ode_solve(decay(-1.0), y0, cfg, reverse=np.array([False, True]))
         assert out[0, 0] == pytest.approx(np.e * 1e12, rel=1e-6)
         with pytest.raises(NumericError) as alone:
-            ode_solve_reverse(decay(60.0), np.array([[1.0, 1.0]]), SolverConfig("rk4", 4))
+            ode_solve(decay(60.0), np.array([[1.0, 1.0]]), SolverConfig("rk4", 4), reverse=True)
         with pytest.raises(NumericError) as mixed:
             ode_solve(decay(60.0), np.array([[0.0, 0.0], [1.0, 1.0]]), SolverConfig("rk4", 4),
                       reverse=np.array([False, True]))
@@ -261,13 +266,13 @@ class TestConvergenceOrder:
         assert ratio == pytest.approx(16.0, rel=0.3)
 
 
-def linear_decay_rhs_vjp(theta):
-    """L -> (-(theta * L), vjp), with the VJP written out by hand."""
+def linear_decay_rate_vjp(theta):
+    """L -> (theta * L, vjp), with the VJP written out by hand."""
 
-    def rhs_vjp(L):
-        return -(theta * L), lambda g: (-(theta * g), -(g * L))
+    def rate_vjp(L):
+        return theta * L, lambda g: (theta * g, g * L)
 
-    return rhs_vjp
+    return rate_vjp
 
 
 class TestGradients:
@@ -278,13 +283,13 @@ class TestGradients:
         for _ in range(5):
             theta0 = rng.uniform(0.1, 2.0, 4)
             y0 = rng.uniform(0.2, 1.0, 4)
-            out, vjp = solve_vjp(linear_decay_rhs_vjp(theta0), y0, cfg)
+            out, vjp = solve_vjp(linear_decay_rate_vjp(theta0), y0, cfg)
             # mean(out^2), pulled back through the solve
             g_y0, g_theta = vjp(2.0 * out / out.size)
             grad = np.concatenate([g_theta, g_y0])
 
             def objective(v):
-                out = ode_solve(lambda L: -(v[:4] * L), v[4:], cfg)
+                out = ode_solve(decay(v[:4]), v[4:], cfg)
                 return np.mean(out * out)
 
             fd = finite_difference(objective, np.concatenate([theta0, y0]))
@@ -295,6 +300,5 @@ class TestGradients:
     def test_values_equal_the_plain_solve(self, method, reverse):
         cfg = SolverConfig(method, 8)
         theta, y0 = np.array([0.3, 1.1, 2.0]), np.array([[0.5, 1.0, 0.2], [0.1, 0.9, 0.4]])
-        out, _ = solve_vjp(linear_decay_rhs_vjp(theta), y0, cfg, reverse)
-        solve = ode_solve_reverse if reverse else ode_solve
-        np.testing.assert_array_equal(out, solve(lambda L: -(theta * L), y0, cfg))
+        out, _ = solve_vjp(linear_decay_rate_vjp(theta), y0, cfg, reverse)
+        np.testing.assert_array_equal(out, ode_solve(decay(theta), y0, cfg, reverse=reverse))

@@ -31,7 +31,15 @@ from dinsat.training import (
 from dinsat.transmission import LinearProfile, NonlinearProfile, softplus_inverse
 from dinsat.types import split_dataset
 
-from oracles import complex_step, finite_difference, linear_alpha, linear_profile, sample_pixels
+from oracles import (
+    complex_step,
+    finite_difference,
+    linear_alpha,
+    linear_profile,
+    linear_rate,
+    sample_pixels,
+    solve_direction,
+)
 
 CFG = SolverConfig("rk4", 16)
 
@@ -59,7 +67,7 @@ def loss_components(model, norm, l4, rho=None, **config):
 def discrete_transmittance_alpha(target, cfg):
     """Absorption rate whose *discrete* RK4 transmittance equals `target` exactly."""
     def gap(a):
-        return ode_solve(lambda L: -(a * L), np.array([1.0]), cfg)[0] - target
+        return ode_solve(linear_rate(a), np.array([1.0]), cfg)[0] - target
 
     return brentq(gap, 1e-6, 10.0, xtol=1e-15, rtol=8.9e-16)
 
@@ -115,7 +123,7 @@ class TestUnsupervisedLoss:
         # The rate is solved so the *discrete* transmittance is exactly 0.7.
         alpha = discrete_transmittance_alpha(0.7, CFG)
         model = LinearProfile(softplus_inverse(np.full(2, alpha)), CFG)
-        f = ode_solve(lambda L: -(linear_alpha(model) * L), np.ones(2), CFG)
+        f = ode_solve(linear_rate(linear_alpha(model)), np.ones(2), CFG)
         loss = forward_loss(model, SceneNormalization.identity(2), rows(0.5 * f * f), mode="unsupervised")
         assert loss == pytest.approx(0.012, abs=1e-12)
 
@@ -344,14 +352,16 @@ class TestTrain:
 
     def test_epoch_runs_one_stacked_solve_and_its_adjoint_and_one_validation_solve(self, monkeypatch):
         # T(1) and T^-1(z) are one [1; z] solve: solve_vjp for the training
-        # loss, ode_solve for the validation loss. The kept model's T(1) and
-        # the correction of all of l4 after the loop add one of each plain solve.
+        # loss, a mixed ode_solve for the validation loss. The kept model's
+        # T(1) and the correction of all of l4 after the loop add a forward
+        # and a reverse plain solve.
         import dinsat.transmission as transmission
 
         calls = {}
-        for name in ("ode_solve", "ode_solve_reverse", "solve_vjp"):
+        for name in ("ode_solve", "solve_vjp"):
             def counted(*args, _inner=getattr(transmission, name), _name=name, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
+                key = solve_direction(kwargs.get("reverse", False)) if _name == "ode_solve" else _name
+                calls[key] = calls.get(key, 0) + 1
                 return _inner(*args, **kwargs)
             monkeypatch.setattr(transmission, name, counted)
         cube, truth = tiny_scene()
@@ -359,7 +369,7 @@ class TestTrain:
         config = TrainConfig(model_kind="nonlinear", max_epochs=3, patience=3, solver=SolverConfig("rk4", 4))
         run = train(config, l4, truth.norm, rho)
         assert run.epochs == 3 and all("val_loss" in record for record in run.history)
-        assert calls == {"solve_vjp": 3, "ode_solve": 3 + 1, "ode_solve_reverse": 1}
+        assert calls == {"solve_vjp": 3, "mixed": 3, "forward": 1, "reverse": 1}
 
     @pytest.mark.parametrize("mode,kind", [("supervised", "nonlinear"), ("unsupervised", "linear")])
     def test_run_holds_its_roi_reflectance_and_epoch_count(self, mode, kind):

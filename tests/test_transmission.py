@@ -19,7 +19,7 @@ from dinsat.transmission import (
     transmittance_values,
 )
 
-from oracles import H_CS, complex_step, finite_difference, linear_alpha, linear_profile, linear_rhs, mlp_forward
+from oracles import H_CS, complex_step, finite_difference, linear_alpha, linear_profile, linear_rate, mlp_forward
 
 CFG = SolverConfig("rk4", 16)
 
@@ -31,20 +31,27 @@ def complex_linear_factor(raw, cfg):
     return poly[cfg.method](-np.log1p(np.exp(raw)) * h) ** cfg.steps
 
 
+def plain_rate(profile, L):
+    """r(L) through the plain solve's kernel, the one each stage of ``forward`` and ``inverse`` runs."""
+    L, rate = profile._rate(np.asarray(L))
+    with np.errstate(over="ignore"):
+        return rate(L, np.empty(L.shape, L.dtype))
+
+
 class TestLinearRhs:
     def test_zero_absorption_limit(self):
         profile = LinearProfile(np.full(3, -40.0))
-        out = linear_rhs(linear_alpha(profile))(np.array([1.0, 2.0, 3.0]))
+        out = linear_rate(linear_alpha(profile))(np.array([1.0, 2.0, 3.0]))
         assert np.max(np.abs(out)) < 1e-15
 
     def test_definition(self):
         profile = linear_profile([1.0, 2.0])
-        out = linear_rhs(linear_alpha(profile))(np.array([1.0, 1.0]))
-        np.testing.assert_allclose(out, [-1.0, -2.0], rtol=1e-8)
+        out = linear_rate(linear_alpha(profile))(np.array([1.0, 1.0]))
+        np.testing.assert_allclose(out, [1.0, 2.0], rtol=1e-8)
 
     def test_origin_fixed_point(self):
         profile = linear_profile([0.3, 1.0, 2.0, 0.1])
-        out = linear_rhs(linear_alpha(profile))(np.zeros(4))
+        out = linear_rate(linear_alpha(profile))(np.zeros(4))
         np.testing.assert_allclose(out, np.zeros(4))
 
     def test_softplus_inverse_round_trip(self):
@@ -56,23 +63,23 @@ class TestNonlinearRhs:
     def test_zero_input_fixed_point(self):
         rng = np.random.default_rng(0)
         profile = NonlinearProfile.initialize(6, rng)
-        np.testing.assert_allclose(profile.rhs(np.zeros(6)), np.zeros(6))
+        np.testing.assert_allclose(profile.rate_vjp(np.zeros(6))[0], np.zeros(6))
 
     def test_sign_construction(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             profile = NonlinearProfile.initialize(8, rng)
             L = rng.uniform(0, 2, 8)
-            assert np.all(profile.rhs(L) <= 0)
+            assert np.all(profile.rate_vjp(L)[0] >= 0)
 
     def test_zero_params_half_decay(self):
         profile = NonlinearProfile(np.zeros(NonlinearProfile.initialize(4, np.random.default_rng(0)).params.size), 4)
         L = np.array([0.2, 0.4, 0.8, 1.6])
-        np.testing.assert_allclose(profile.rhs(L), -0.5 * L, rtol=1e-12)
+        np.testing.assert_allclose(profile.rate_vjp(L)[0], 0.5 * L, rtol=1e-12)
 
 
 class TestNonlinearFusedRhs:
-    """The right-hand side and its VJP against mlp_forward and finite differences."""
+    """The rate and its VJP against mlp_forward and finite differences."""
 
     @pytest.mark.parametrize("shape", [(5,), (3, 5)])
     def test_forward_bit_identical_to_mlp_composition(self, shape):
@@ -83,7 +90,8 @@ class TestNonlinearFusedRhs:
         dec = MlpLayout((profile.latent, profile.hidden, 5), ("sigmoid", "linear"))
         z = mlp_forward(profile.params[: enc.n_params], enc, L)
         d = mlp_forward(profile.params[enc.n_params :], dec, z)
-        np.testing.assert_array_equal(profile.rhs(L), -(expit(d) * L))
+        np.testing.assert_array_equal(profile.rate_vjp(L)[0], expit(d) * L)
+        np.testing.assert_array_equal(plain_rate(profile, L), expit(d) * L)
 
     def test_initialize_draws_encoder_then_decoder(self):
         # The same Glorot draws, in the same order, as one initialization of
@@ -104,7 +112,7 @@ class TestNonlinearFusedRhs:
                 return _inner(*args)
             monkeypatch.setattr(transmission, name, counted)
         profile = NonlinearProfile.initialize(5, np.random.default_rng(3))
-        _, vjp = profile.rhs_vjp(np.full((2, 5), 0.5))
+        _, vjp = profile.rate_vjp(np.full((2, 5), 0.5))
         vjp(np.ones((2, 5)))
         assert calls == {"unpack_params": 1, "layers_forward": 1, "layers_backward": 1}
 
@@ -131,10 +139,10 @@ class TestNonlinearFusedRhs:
         weights = rng.uniform(-1.0, 1.0, shape)
 
         def objective(params, L):
-            return np.sum(weights * profile.with_params(params).rhs(L))
+            return np.sum(weights * profile.with_params(params).rate_vjp(L)[0])
 
-        value, vjp = profile.rhs_vjp(L0.copy())
-        np.testing.assert_array_equal(value, profile.rhs(L0))
+        value, vjp = profile.rate_vjp(L0.copy())
+        np.testing.assert_array_equal(value, plain_rate(profile, L0))
         g_L, g_p = vjp(weights)
         fd_p = finite_difference(lambda p: objective(p, L0), profile.params.copy())
         fd_L = finite_difference(lambda L: objective(profile.params, L), L0.copy())
@@ -143,21 +151,25 @@ class TestNonlinearFusedRhs:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_untraced_operators_equal_traced_values(self, method):
-        # solve_vjp steps the rhs that also returns VJPs; the plain operators
-        # step f(L) alone, in place. Both must compute the same bits.
+        # solve_vjp steps the rate that also returns VJPs, in new arrays; the
+        # plain operators step the rate alone, in the solve's buffers. Both
+        # must compute the same bits, in one direction and in the mixed [1; z].
         rng = np.random.default_rng(13)
         profile = NonlinearProfile.initialize(6, rng)
         L = rng.uniform(0, 2, (4, 6))
         cfg = SolverConfig(method, 8)
         profile = replace(profile, solver=cfg)
-        for op, reverse in ((profile.forward, False), (profile.inverse, True)):
-            traced, _ = solve_vjp(profile.rhs_vjp, L, cfg, reverse)
-            np.testing.assert_array_equal(op(L), traced)
+        batch = np.concatenate([np.ones((1, 6)), L])
+        mixed = np.arange(len(batch)) > 0
+        for op, y0, reverse in ((profile.forward, L, False), (profile.inverse, L, True),
+                                (lambda b: np.vstack(profile.t1_and_inverse(b[1:])), batch, mixed)):
+            traced, _ = solve_vjp(profile.rate_vjp, y0, cfg, reverse)
+            np.testing.assert_array_equal(op(y0), traced)
 
     @pytest.mark.parametrize("scale", [1e3, -1e3])
     def test_saturated_decay_is_exact_and_silent(self, scale):
         # Scaled weights push every sigmoid far past exp's overflow point. The
-        # decay is then exactly 0 or exactly 1, f(L) = -0 or -L, with no warning.
+        # decay is then exactly 0 or exactly 1, r(L) = 0 or L, with no warning.
         profile = NonlinearProfile.initialize(126, np.random.default_rng(12))
         saturated = profile.with_params(profile.params * scale)
         L = np.random.default_rng(13).uniform(0.1, 2.0, (64, 126))
@@ -165,22 +177,22 @@ class TestNonlinearFusedRhs:
         L32 = L.astype(np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            plain = saturated.rhs(L)
-            value, _ = saturated.rhs_vjp(L)
+            plain = plain_rate(saturated, L)
+            value, _ = saturated.rate_vjp(L)
             # float32's exp overflows from about 88.72, far below float64's 709.78.
-            plain32 = saturated.rhs(L32)
+            plain32 = plain_rate(saturated, L32)
         np.testing.assert_array_equal(L, L_before)
         assert plain.tobytes() == value.tobytes()
-        assert np.any(plain == 0.0) and np.any(plain == -L)
+        assert np.any(plain == 0.0) and np.any(plain == L)
         assert plain32.dtype == np.float32
-        assert np.any(plain32 == 0.0) and np.any(plain32 == -L32)
+        assert np.any(plain32 == 0.0) and np.any(plain32 == L32)
 
     def test_float32_rhs_runs_the_float32_layers(self):
         profile = NonlinearProfile.initialize(126, np.random.default_rng(12))
         L = np.random.default_rng(13).uniform(0.0, 1.0, (64, 126))
-        value = profile.rhs(L.astype(np.float32))
+        value = plain_rate(profile, L.astype(np.float32))
         assert value.dtype == np.float32
-        np.testing.assert_allclose(value, profile.rhs(L), rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(value, plain_rate(profile, L), rtol=1e-5, atol=1e-7)
         layers = profile.float32_layers
         assert layers is profile.float32_layers  # cast once per profile
         for layer, layer64 in zip(layers, unpack_params(profile.params, profile.layout), strict=True):
@@ -191,7 +203,7 @@ class TestNonlinearFusedRhs:
 
     def test_untraced_rhs_is_plain(self):
         profile = NonlinearProfile.initialize(5, np.random.default_rng(11))
-        out = profile.rhs(np.ones((2, 5)))
+        out, _ = profile.rate_vjp(np.ones((2, 5)))
         assert type(out) is np.ndarray
 
 
@@ -214,8 +226,8 @@ class TestNonlinearFusedSolve:
             trial = profile.with_params(params)
             return np.sum(weights * getattr(trial, direction)(rho * trial.t1))
 
-        t1, t1_vjp = solve_vjp(profile.rhs_vjp, np.ones(5), cfg)
-        _, out_vjp = solve_vjp(profile.rhs_vjp, rho0 * t1, cfg, reverse=direction == "inverse")
+        t1, t1_vjp = solve_vjp(profile.rate_vjp, np.ones(5), cfg)
+        _, out_vjp = solve_vjp(profile.rate_vjp, rho0 * t1, cfg, reverse=direction == "inverse")
         g_L, g_p = out_vjp(weights)
         g_p = g_p + t1_vjp((g_L * rho0).reshape(-1, 5).sum(axis=0))[1]
         fd_p = finite_difference(lambda p: objective(p, rho0), profile.params.copy())
@@ -238,7 +250,7 @@ class TestNonlinearFusedSolve:
         with pytest.raises(NumericError, match=match) as untraced:
             op(L)
         with pytest.raises(NumericError) as traced:
-            solve_vjp(profile.rhs_vjp, L, CFG, reverse=direction == "inverse")
+            solve_vjp(profile.rate_vjp, L, CFG, reverse=direction == "inverse")
         assert str(traced.value) == str(untraced.value)
 
 
@@ -318,7 +330,7 @@ class TestNonlinearAdjointMemory:
         try:
             before = tracemalloc.get_traced_memory()[0]
             if solve == "reverse":
-                _, vjp = solve_vjp(profile.rhs_vjp, z, CFG, reverse=True)
+                _, vjp = solve_vjp(profile.rate_vjp, z, CFG, reverse=True)
             else:
                 _, _, pullback = profile.inverse_vjp(z)
             held = tracemalloc.get_traced_memory()[0] - before
@@ -352,7 +364,7 @@ class TestNonlinearComplexStep:
     def test_solve_vjp_state_cotangent(self, method):
         profile, z, _, w_l, cfg = self.problem(method)
         for op, reverse in ((profile.forward, False), (profile.inverse, True)):
-            _, vjp = solve_vjp(profile.rhs_vjp, z, cfg, reverse)
+            _, vjp = solve_vjp(profile.rate_vjp, z, cfg, reverse)
             expected = complex_step(lambda L: np.sum(w_l * op(L)), z)
             np.testing.assert_allclose(vjp(w_l)[0], expected, rtol=1e-12, atol=0)
 
@@ -464,7 +476,7 @@ class TestLinearClosedForm:
         model = replace(linear_profile([alpha]), solver=cfg)
         rate = linear_alpha(model)
         closed = transmittance_values(model)[0]
-        stepped = ode_solve(lambda L: -(rate * L), np.ones(1), cfg)[0]
+        stepped = ode_solve(linear_rate(rate), np.ones(1), cfg)[0]
         gap = abs(closed - stepped)
         if method == "euler" and abs(1.0 - rate[0] / steps) < 1e-2:
             # Euler's factor 1 - alpha h cancels as alpha h nears 1, where both
