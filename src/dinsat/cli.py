@@ -21,7 +21,7 @@ import numpy as np
 
 from . import artifacts, envi
 from .correction import SceneNormalization, correct_batch, estimate_normalization, simulate_values
-from .errors import ConfigError, DinsatError, InvalidDatasetError
+from .errors import ConfigError, DataError, DinsatError, InvalidDatasetError
 from .ode import SolverConfig
 from .synth import SynthSpec, synth_scene
 from .training import TrainConfig, ensemble, evaluate_regions
@@ -33,9 +33,11 @@ def _fail_cleanly(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except DinsatError as e:
-            click.echo(f"{e.category}: {e}", err=True)
-            sys.exit(e.exit_code)
+        except (DinsatError, OSError) as e:
+            # An OSError, such as an output path that cannot be written, is a data error.
+            error = e if isinstance(e, DinsatError) else DataError(e)
+            click.echo(f"{error.category}: {error}", err=True)
+            sys.exit(error.exit_code)
 
     return wrapper
 
@@ -277,29 +279,21 @@ def _run_share(share):
 
 
 def _fan_out(work, shares: list) -> list:
-    """``work(share)`` for each share: the first in this process, each other in a forked pool worker.
+    """``work(share)`` for each share: one share in this process, two or more each in a forked pool worker.
 
     Only each share's range goes to a worker, and only its result or
     exception comes back; ``work`` itself, with the cube and the writers it
     holds, is inherited by fork. Returns the results in share order. If
     several shares fail, the first failing share's exception is raised, and
-    a worker that dies without a result is a DinsatError. Every worker has
-    ended before this returns or raises: if this process's own share fails,
-    the shares not yet started are cancelled and those started are drained,
-    not killed.
+    a worker that dies without a result is a DinsatError. Leaving the pool
+    waits for every worker, so all have ended before this returns or raises.
     """
     if len(shares) == 1:
-        return [work(shares[0])]
-    with ProcessPoolExecutor(len(shares) - 1, mp_context=multiprocessing.get_context("fork"),
+        return list(map(work, shares))
+    with ProcessPoolExecutor(len(shares), mp_context=multiprocessing.get_context("fork"),
                              initializer=_inherit_work, initargs=(work,)) as pool:
-        futures = [pool.submit(_run_share, share) for share in shares[1:]]
         try:
-            results = [work(shares[0])]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-        try:
-            return results + [f.result() for f in futures]
+            return list(pool.map(_run_share, shares))
         except BrokenProcessPool as e:
             raise DinsatError(f"a worker process ended without a result: {e}") from e
 
@@ -354,17 +348,18 @@ def correct(cube_path, model_path, norm_path, out_dir):
     at least one. Where the model's inverse is costly (a stepped reverse
     solve), that solve runs in float32, the precision written, and the rows
     are split into contiguous shares of nearly equal length, one per CPU
-    this process may run on and at most one per row. This process corrects
-    the first share and a forked process pool the others; each reads its
-    own rows in blocks and writes them into the two preallocated images.
-    Where the platform cannot fork or tell the CPUs it may run on, this
-    process corrects every row. A failure anywhere lets the shares already
-    started finish, deletes both images and reports the error of the first
-    failing share. Each share stops at its first failing row, whether the
-    row fails to correct (a failing group of rows is corrected again row by
-    row) or holds a non-finite radiance (named by its pixel), so the report
-    is the cube's first failing row's, whatever the CPU count. The images'
-    bytes depend neither on the rows per call nor on the CPU count.
+    this process may run on and at most one per row. Two or more shares run
+    in a forked process pool, one worker per share, while this process
+    waits; each worker reads its own rows in blocks and writes them into the
+    two preallocated images. One share, or a platform that cannot fork or
+    tell the CPUs it may run on, leaves every row to this process. Once
+    every worker has ended, a failure in any share deletes both images and
+    reports the error of the first failing share. Each share stops at its
+    first failing row, whether the row fails to correct (a failing group of
+    rows is corrected again row by row) or holds a non-finite radiance
+    (named by its pixel), so the report is the cube's first failing row's,
+    whatever the CPU count. The images' bytes depend neither on the rows per
+    call nor on the CPU count.
     """
     cube = envi.open_envi(cube_path)
     model, norm = _model_and_norm(model_path, norm_path, cube.n_bands, "cube")

@@ -4,7 +4,10 @@ Every solve steps one convention, dL/dx = -r(L) for a dissipation rate r,
 by stepping r with -h: negation is exact, so the bits are those of stepping
 -r by h. ``ode_solve`` hands ``rate(L, out)`` a buffer the solve owns: the
 stage outputs, the stage input and two states to alternate are made once per
-solve. ``solve_vjp`` steps ``rate_vjp(L) -> (r(L), vjp)`` in new arrays,
+solve. Stepping in new arrays instead gave the same bits, but made a fresh
+process's first `dinsat correct` pass about 10% slower, probably from the
+first touch of each new ~250 KB stage array (512 float32 pixels of 126
+bands). ``solve_vjp`` steps ``rate_vjp(L) -> (r(L), vjp)`` in new arrays,
 since its stage VJPs keep them, and returns the solution with its pullback,
 which sweeps the steps in reverse: the discrete adjoint of the stepper, so
 its gradients are exactly those of the unrolled steps. One step function per

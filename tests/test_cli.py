@@ -58,6 +58,20 @@ def runner():
     return CliRunner()
 
 
+def one_share_per_worker(monkeypatch, n_shares, _real=cli._correct_rows):
+    """Hold each of `correct`'s ``n_shares`` shares until all have started, so that no process runs two.
+
+    A pool with fewer workers than shares times out here.
+    """
+    barrier = multiprocessing.get_context("fork").Barrier(n_shares, timeout=60)
+
+    def work(*args):
+        barrier.wait()
+        return _real(*args)
+
+    monkeypatch.setattr(cli, "_correct_rows", work)
+
+
 def make_scene(tmp_path, runner, seed=3):
     tmp_path.mkdir(parents=True, exist_ok=True)
     spec_file = tmp_path / "spec.txt"
@@ -337,12 +351,14 @@ class TestCorrectCommand:
 
         Counts ``ode_solve``'s calls by direction, forward, reverse or mixed,
         and the calls of the other ``transmission`` functions ``names``. Each
-        call is logged to a file, so the calls made in forked workers count too.
+        call is logged to a file, so the calls made in forked workers count too,
+        and each share runs in a process of its own.
         """
         data = np.random.default_rng(5).uniform(0.1, 1.0, (rows, 4, 3))
         write_envi_array(data, tmp_path / "c.hdr", wavelengths_nm=[500.0, 600.0, 700.0], data_type=5)
         write_model(tmp_path / "m.json", NonlinearProfile.initialize(3, np.random.default_rng(6)))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        one_share_per_worker(monkeypatch, len(_row_shares(rows, n_cpus)))
         log = tmp_path / "calls.log"
         for name in ("ode_solve", *names):
             def counted(*args, _name=name, _inner=getattr(transmission, name), **kwargs):
@@ -370,19 +386,19 @@ class TestCorrectCommand:
         assert calls == {os.getpid(): {"forward": 1, "reverse": 1, "mixed": 0}}
 
     def test_nonlinear_t1_is_solved_before_the_fork(self, tmp_path, runner, monkeypatch):
-        # On 2 CPUs this process solves T(1) and its own rows 0-2, one group;
-        # the worker inherits T(1) and solves rows 3-5, another group.
+        # On 2 CPUs this process solves T(1) and no rows; the two pool workers
+        # inherit T(1) and solve rows 0-2 and 3-5, one group each.
         calls = self.calls_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=2)
-        assert calls.pop(os.getpid()) == {"forward": 1, "reverse": 1, "mixed": 0}
-        assert list(calls.values()) == [{"forward": 0, "reverse": 1, "mixed": 0}]
+        assert calls.pop(os.getpid()) == {"forward": 1, "reverse": 0, "mixed": 0}
+        assert list(calls.values()) == [{"forward": 0, "reverse": 1, "mixed": 0}] * 2
 
     def test_network_is_unpacked_once_before_the_fork(self, tmp_path, runner, monkeypatch):
-        # T(1) unpacks the network in this process; the worker inherits the
-        # layers with the profile and unpacks nothing for its rows 3-5.
+        # T(1) unpacks the network in this process; each worker inherits the
+        # layers with the profile and unpacks nothing for its rows, 0-2 or 3-5.
         calls = self.calls_by_process(tmp_path, runner, monkeypatch, rows=6, n_cpus=2,
                                       names=("unpack_params",))
-        assert calls.pop(os.getpid()) == {"forward": 1, "reverse": 1, "mixed": 0, "unpack_params": 1}
-        assert list(calls.values()) == [{"forward": 0, "reverse": 1, "mixed": 0, "unpack_params": 0}]
+        assert calls.pop(os.getpid()) == {"forward": 1, "reverse": 0, "mixed": 0, "unpack_params": 1}
+        assert list(calls.values()) == [{"forward": 0, "reverse": 1, "mixed": 0, "unpack_params": 0}] * 2
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
     def test_peak_memory_is_a_fraction_of_the_cube(self, tmp_path):
@@ -473,7 +489,7 @@ class TestCorrectWorkers:
     """`correct` fanned out over forked workers: the same files, errors and warnings as one process.
 
     Calls made in a worker are invisible to spies in this process, so these
-    tests check files, exit codes and output.
+    tests check files, exit codes and output, or log calls to a file.
     """
 
     ROWS, COLS, BANDS = 8, 3, 4  # 2 rows per block below: four blocks
@@ -513,19 +529,34 @@ class TestCorrectWorkers:
     def test_images_are_identical_for_any_cpu_count(self, tmp_path, runner, monkeypatch):
         data = np.random.default_rng(4).uniform(0.05, 1.0, (self.ROWS - 1, self.COLS, self.BANDS))
         self.write_inputs(tmp_path, data, self.nonlinear_model(self.BANDS))  # the last block is one row
-        # This process corrects only the first share: rows 0-6, 0-2 and 0-1,
-        # one call per block of it, since a block's two rows make fewer than
-        # PX_PER_CALL pixels.
-        rows_here = []
-        monkeypatch.setattr(cli, "correct_batch", lambda *args, _real=cli.correct_batch, **kwargs:
-                            rows_here.append(len(args[2])) or _real(*args, **kwargs))
+        # Rows per `correct_batch` call, by process, logged to a file so that
+        # the calls in forked workers count too: one call per block of a
+        # share, since a block's two rows make fewer than PX_PER_CALL pixels.
+        # On one CPU this process corrects rows 0-6. On more, it makes no call,
+        # and each pool worker corrects its own share: rows 0-2 and 3-6 on 2
+        # CPUs; 0-1, 2-3 and 4-6 on 3.
+        log = tmp_path / "calls.log"
+
+        def counted(*args, _real=cli.correct_batch, **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {len(args[2])}\n")
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "correct_batch", counted)
         images = []
-        for n, rows_per_call in ((1, [2, 2, 2, 1]), (2, [2, 1]), (3, [2])):
+        for n, rows_here, rows_in_workers in ((1, [2, 2, 2, 1], []), (2, [], [[2, 1], [2, 2]]),
+                                              (3, [], [[2], [2], [2, 1]])):
             self.cpus(monkeypatch, n)
-            rows_here.clear()
+            one_share_per_worker(monkeypatch, n)
+            log.unlink(missing_ok=True)
             result = self.correct(tmp_path, runner, f"out{n}")
             assert result.exit_code == 0, result.output
-            assert rows_here == rows_per_call
+            calls = {}
+            for line in log.read_text().splitlines():
+                pid, rows = map(int, line.split())
+                calls.setdefault(pid, []).append(rows)
+            assert calls.pop(os.getpid(), []) == rows_here
+            assert sorted(calls.values()) == rows_in_workers
             images.append([(tmp_path / f"out{n}" / f"{name}.img").read_bytes()
                            for name in ("corrected", "quality_mask")])
         assert images[0] == images[1] == images[2]
@@ -669,7 +700,7 @@ class TestCorrectWorkers:
     @pytest.mark.usefixtures("blocks_of_two_rows")
     def test_overflow_in_a_worker_is_a_numeric_error(self, tmp_path, runner, monkeypatch):
         data = np.full((self.ROWS, self.COLS, self.BANDS), 1e-6)
-        data[5:] = 1.0  # only the worker's share, rows 4-7, overflows
+        data[5:] = 1.0  # only the second share, rows 4-7, overflows
         model = self.overflowing_model(self.BANDS)
         with pytest.raises(NumericError, match="diverged"):
             model.inverse(data[5])
@@ -706,7 +737,7 @@ class TestCorrectWorkers:
     def test_failed_run_leaves_no_process_behind(self, tmp_path):
         # The failures above in a real process, in a session of its own: once
         # it has exited, no worker of its process group is left. In "own_nan"
-        # this process's share, rows 0-3, fails while the worker's is healthy.
+        # the first share, rows 0-3, fails while the second is healthy.
         data = np.full((self.ROWS, self.COLS, self.BANDS), 1e-6)
         data[5:] = 1.0
         data[6, 1, 2] = np.nan
@@ -1088,6 +1119,7 @@ def bad_inputs(tmp_path_factory):
                        ("spectrum_1_band", "wavelength_nm,value\n1,0.5\n"), ("spectrum_empty", "")):
         (d / f"{name}.csv").write_text(text)
     (d / "roi.csv").write_text("field,0,0\nfield,1,1\n")
+    (d / "roi_ref.csv").write_text(f"region_name,row,col,reference_csv_path\nfield,0,0,{d / 'spectrum.csv'}\n")
     for name, text in (("roi_2_columns", "field,0\n"), ("roi_row_a", "field,a,0\n"),
                        ("roi_no_regions", "region_name,row,col\n")):
         (d / f"{name}.csv").write_text(text)
@@ -1132,6 +1164,10 @@ def bad_inputs(tmp_path_factory):
             (d / name / f"run_{i:03d}.json").write_text(json.dumps(record))
     (d / "runs_wavelengths" / "model_000.json").write_text(
         json.dumps({**valid, "wavelengths_nm": [float(w) for w in cube.grid.wavelengths_nm]})
+    )
+    (d / "runs_ok").mkdir()
+    (d / "runs_ok" / "run_000.json").write_text(
+        json.dumps({"history": [], "transmittance": [0.5] * 8, "roi_reflectance": None})
     )
     (d / "runs_no_train_loss").mkdir()
     (d / "runs_no_train_loss" / "run_000.json").write_text(
@@ -1261,6 +1297,14 @@ BAD_INPUT_CASES = [
        3, "parse-error") for name in ("kind_cubic", "json_list", "invalid_json", "params_5",
                                       "version_2", "version_true", "version_missing")),
     ("report-history-without-train-loss", "report --runs {d}/runs_no_train_loss --out {o}", 3, "parse-error"),
+    # Outputs that cannot be written: in a directory that does not exist, or under a regular file.
+    ("eval-out-in-missing-dir", "eval --model {d}/model8.json --cube {d}/scene.hdr --roi {d}/roi_ref.csv "
+     "--library {d}/spectrum.csv --out {o}/e.csv", 3, "data-error"),
+    ("simulate-out-in-missing-dir", "simulate --spectrum {d}/spectrum.csv --model {d}/model8.json "
+     "--out {o}/s.csv", 3, "data-error"),
+    ("correct-out-under-a-file", "correct --cube {d}/scene.hdr --model {d}/model8.json "
+     "--out {d}/spectrum.csv/sub", 3, "data-error"),
+    ("report-out-under-a-file", "report --runs {d}/runs_ok --out {d}/spectrum.csv/sub", 3, "data-error"),
     *TRAIN_REJECTED_BEFORE_ANY_CUBE,
 ]
 
