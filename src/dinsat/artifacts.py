@@ -1,4 +1,4 @@
-"""File formats: model artifacts, CSV spectra, ROI files, run records, configs."""
+"""File formats: model artifacts, CSV files, ROI files, run records, configs."""
 
 from __future__ import annotations
 
@@ -122,15 +122,28 @@ def read_model(path: str | Path) -> tuple[Profile, SolverConfig, Optional[Wavele
     return _read_json(path, "model artifact", build)
 
 
-# -- CSV spectra -------------------------------------------------------------
+# -- CSV files ---------------------------------------------------------------
+
+_FLOATS = (float, np.floating)
+
+
+def _cell(value) -> str:
+    """A CSV cell: a Python or numpy float is its shortest round-trip repr, None is empty, anything else ``str``."""
+    if isinstance(value, _FLOATS):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """A CSV of the column names ``header`` and one line per row of cells; every line ends in a newline."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
 
 def write_spectrum_csv(path: str | Path, grid: WavelengthGrid, spectrum: Spectrum) -> None:
     if spectrum.n_bands != grid.n_bands:
         raise ParseError("spectrum length does not match wavelength grid")
-    lines = ["wavelength_nm,value"]
-    for wl, v in zip(grid.wavelengths_nm, spectrum.values):
-        lines.append(f"{float(wl)!r},{float(v)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ["wavelength_nm", "value"], zip(grid.wavelengths_nm, spectrum.values))
 
 
 def read_spectrum_csv(path: str | Path, unit: Unit = "unitless") -> tuple[WavelengthGrid, Spectrum]:
@@ -252,11 +265,18 @@ def write_run_record(path: str | Path, run: TrainRun) -> None:
 
 
 def read_run_record(path: str | Path) -> dict:
-    """The record as a dict; ``transmittance`` and ``roi_reflectance`` are float vectors or None."""
+    """The record as a dict; ``transmittance`` and ``roi_reflectance`` are float vectors or None.
+
+    Each history entry must be an object with an integer ``epoch``, a number
+    ``train_loss`` and, unless it is absent or null, a number ``val_loss``.
+    """
 
     def build(doc: dict) -> dict:
-        if not all(isinstance(e, dict) and {"epoch", "train_loss"} <= e.keys() for e in doc["history"]):
-            raise TypeError("history entries must be objects with epoch and train_loss")
+        for entry in doc["history"]:  # an entry that is not an object raises TypeError here
+            _integer(entry["epoch"])
+            _number(entry["train_loss"])
+            if entry.get("val_loss") is not None:
+                _number(entry["val_loss"])
         for key in ("transmittance", "roi_reflectance"):
             doc[key] = None if doc.get(key) is None else _floats(doc[key])
         return doc
@@ -275,13 +295,8 @@ def write_truth_sidecar(
 ) -> None:
     """CSV with per-band truth: alpha, dark offset, m, and sampled reflectance."""
     pixel_keys = sorted(sampled_rho)
-    header = ["wavelength_nm", "alpha_true", "c", "m"] + [
-        f"rho_{r}_{c}" for r, c in pixel_keys
-    ]
-    lines = [",".join(header)]
-    for i, wl in enumerate(grid.wavelengths_nm):
-        row = [repr(float(wl)), repr(float(alpha[i])), repr(float(norm.c[i])), repr(float(norm.m))]
-        row += [repr(float(sampled_rho[k][i])) for k in pixel_keys]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ["wavelength_nm", "alpha_true", "c", "m"] + [f"rho_{r}_{c}" for r, c in pixel_keys]
+    rows = [(wl, alpha[i], norm.c[i], norm.m, *(sampled_rho[k][i] for k in pixel_keys))
+            for i, wl in enumerate(grid.wavelengths_nm)]
+    write_csv(path, header, rows)
 

@@ -432,14 +432,13 @@ def eval_cmd(model_path, cube_path, roi_path, library_path, norm_path, out_path)
     ends = np.cumsum([len(region) for region in roi.regions.values()])[:-1]
 
     regions = list(zip(np.split(l4, ends), references.values()))
-    lines = ["region,metric,value"]
+    rows = []
     for name, metrics in zip(references, evaluate_regions(model, norm, regions, library_radiance)):
-        for key in ("reflectance_percent_mse", "radiance_percent_mse"):
-            if key in metrics:
-                lines.append(f"{name},{key},{metrics[key]!r}")
+        rows += [(name, key, metrics[key]) for key in ("reflectance_percent_mse", "radiance_percent_mse")
+                 if key in metrics]
         for warning in metrics["warnings"]:
             click.echo(f"{name}: {warning}", err=True)
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    artifacts.write_csv(out_path, ["region", "metric", "value"], rows)
     click.echo(f"wrote {out_path}")
 
 
@@ -462,12 +461,9 @@ def report(runs_dir, out_dir):
         raise InvalidDatasetError(f"no run_*.json records in {runs_dir}")
     records = [artifacts.read_run_record(p) for p in record_paths]
 
-    wavelengths = None
     model_paths = sorted(runs_dir.glob("model_*.json"))
-    if model_paths:
-        _, _, grid = artifacts.read_model(model_paths[0])
-        if grid is not None:
-            wavelengths = grid.wavelengths_nm
+    grid = artifacts.read_model(model_paths[0])[2] if model_paths else None
+    wavelengths = None if grid is None else grid.wavelengths_nm
 
     # Every per-band vector, and the model's wavelengths, must have one length.
     lengths = {}
@@ -484,32 +480,19 @@ def report(runs_dir, out_dir):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # The wavelength of each band: the model's, or nan without them.
+    wl = wavelengths if wavelengths is not None else np.full(next(iter(lengths), 0), np.nan)
 
     t_stack = np.array([rec["transmittance"] for rec in records if rec["transmittance"] is not None])
     if t_stack.size:
-        mean, std = t_stack.mean(axis=0), t_stack.std(axis=0)
-        lines = ["band,wavelength_nm,mean,std"]
-        for b in range(t_stack.shape[1]):
-            wl = float(wavelengths[b]) if wavelengths is not None else float("nan")
-            lines.append(f"{b},{wl!r},{float(mean[b])!r},{float(std[b])!r}")
-        (out / "transmittance_stats.csv").write_text("\n".join(lines) + "\n")
-
-    lines = ["run,epoch,train_loss,val_loss"]
-    for i, rec in enumerate(records):
-        for entry in rec["history"]:
-            val = entry.get("val_loss")
-            lines.append(f"{i},{entry['epoch']},{entry['train_loss']!r},{'' if val is None else repr(val)}")
-    (out / "loss_curves.csv").write_text("\n".join(lines) + "\n")
-
-    lines = ["run,band,wavelength_nm,reflectance"]
-    for i, rec in enumerate(records):
-        roi_rho = rec["roi_reflectance"]
-        if roi_rho is None:
-            continue
-        for b, value in enumerate(roi_rho):
-            wl = float(wavelengths[b]) if wavelengths is not None else float("nan")
-            lines.append(f"{i},{b},{wl!r},{float(value)!r}")
-    (out / "roi_spectra.csv").write_text("\n".join(lines) + "\n")
+        artifacts.write_csv(out / "transmittance_stats.csv", ["band", "wavelength_nm", "mean", "std"],
+                            zip(range(len(wl)), wl, t_stack.mean(axis=0), t_stack.std(axis=0)))
+    artifacts.write_csv(out / "loss_curves.csv", ["run", "epoch", "train_loss", "val_loss"],
+                        [(i, entry["epoch"], entry["train_loss"], entry.get("val_loss"))
+                         for i, rec in enumerate(records) for entry in rec["history"]])
+    artifacts.write_csv(out / "roi_spectra.csv", ["run", "band", "wavelength_nm", "reflectance"],
+                        [(i, b, w, value) for i, rec in enumerate(records) if rec["roi_reflectance"] is not None
+                         for b, (w, value) in enumerate(zip(wl, rec["roi_reflectance"]))])
     click.echo(f"wrote report CSVs -> {out}")
 
 

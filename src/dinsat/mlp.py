@@ -15,17 +15,18 @@ and the reciprocal in that same array. ``unpack_params`` negates each
 sigmoid layer's weights once for this, so the forward pass has no negation
 pass; negation is exact and rounding to nearest is symmetric in sign, so
 the result is bit-identical to 1 / (1 + exp(-(x @ W + b))). ``batch_layers``
-makes what a plain solve hands ``layers_forward``, once per solve: each
-bias copied out to the batch's full height, so that it is added without
-broadcasting, and one buffer per hidden layer. exp may overflow, which
-gives exactly 0; the helpers enter no ``np.errstate`` themselves, so each
-caller enters ``np.errstate(over="ignore")`` once around a whole solve or
-network pass, not once per layer. The backward pass reads only
+makes what a plain solve hands ``layers_forward``, once per solve: the
+forward pairs cast to the solve's dtype, each bias copied out to the
+batch's full height, so that it is added without broadcasting, and one
+buffer per hidden layer. exp may overflow, which gives exactly 0; the
+helpers enter no ``np.errstate`` themselves, so each caller enters
+``np.errstate(over="ignore")`` once around a whole solve or network pass,
+not once per layer. The backward pass reads only
 post-activation values and the unnegated W. The forward helpers keep their
 operands' dtype: complex, so a complex-step check can run through them;
-float64; and float32, for float32 layers (the nonlinear profile's cast
-copy) on a float32 input, where exp overflows to inf above about 88.72
-rather than 709.78.
+float64; and float32, for layers that ``batch_layers`` casts to float32
+for a float32 input, where exp overflows to inf above about 88.72 rather
+than 709.78.
 """
 
 from __future__ import annotations
@@ -131,14 +132,17 @@ def unpack_params(params: np.ndarray, layout: MlpLayout) -> list[Layer]:
 
 
 def batch_layers(layers: list[Layer], batch_shape: tuple, dtype) -> tuple[list[Layer], list[np.ndarray]]:
-    """``layers`` for inputs with leading axes ``batch_shape``, and a buffer for each hidden layer.
+    """``layers`` in ``dtype`` for inputs with leading axes ``batch_shape``, and a buffer for each hidden layer.
 
-    Each forward bias is copied out to the full batch height, so that
-    ``layers_forward`` adds it without broadcasting; the buffers have
-    ``dtype``. Made once per solve, they serve every ``layers_forward`` call
-    over a batch of that shape.
+    Each forward weight is cast to ``dtype`` (not copied when it already
+    has it), and each forward bias is cast, then copied out to the full
+    batch height, so that ``layers_forward`` adds it without broadcasting;
+    the copy is C-contiguous, as a cast of the broadcast view would not be.
+    The buffers have ``dtype``. Made once per solve, they serve every
+    ``layers_forward`` call over a batch of that shape.
     """
-    full = [(w, act, w_fwd, np.broadcast_to(b_fwd, (*batch_shape, b_fwd.size)).copy())
+    full = [(w, act, w_fwd.astype(dtype, copy=False),
+             np.broadcast_to(b_fwd.astype(dtype, copy=False), (*batch_shape, b_fwd.size)).copy())
             for w, act, w_fwd, b_fwd in layers]
     hidden = [np.empty((*batch_shape, w.shape[1]), dtype) for w, *_ in layers[:-1]]
     return full, hidden

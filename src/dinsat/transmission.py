@@ -31,20 +31,21 @@ are exact up to float rounding. The nonlinear profile integrates with the
 stepped solvers in ``ode``, forward and backward in x. Its network is one
 ``mlp`` layout, the encoder's two layers followed by the decoder's, whose
 sigmoid output layer is the decay. The profile unpacks its weights once, at
-first use, and holds them, and casts them to float32 once more on first use
-by a float32 state: `dinsat correct` solves T^-1 in float32, the precision
-it writes, while ``t1``, ``forward``, ``t1_and_inverse``, ``inverse_vjp``
-and training stay float64. The decay is the last activation from
-``mlp.layers_forward``, computed in place like every sigmoid layer there.
-``forward``, ``inverse`` and ``t1_and_inverse`` run one plain solve each,
-whose rate writes into the stage output the solve owns; its hidden layers
-work in buffers made once per solve, and the solve enters
-``np.errstate(over="ignore")`` once. ``rate_vjp(L)``, what ``solve_vjp`` is
-handed, is r(L) in a new array with a hand-written VJP (product rule, then
-one ``mlp.layers_backward`` through the whole network), which keeps only
-the activations that VJP reads. T(1) and T^-1(z) are one solve of the batch
-[1; z], the all-ones spectrum stepped forward in x as row 0 and z's rows
-stepped backward: a plain one for ``t1_and_inverse`` and one
+first use, and holds them; each plain solve casts them to its own dtype, so
+a float32 state runs float32 layers: `dinsat correct` solves T^-1 in
+float32, the precision it writes, while ``t1``, ``forward``,
+``t1_and_inverse``, ``inverse_vjp`` and training stay float64. The decay
+is the last activation from ``mlp.layers_forward``, computed in place like
+every sigmoid layer there. ``forward``, ``inverse`` and ``t1_and_inverse``
+run one plain solve each, whose rate writes into the stage output the
+solve owns; its layers, cast to the solve's dtype, and their hidden
+buffers are made once per solve, and the solve enters
+``np.errstate(over="ignore")`` once. ``rate_vjp(L)``, what ``solve_vjp``
+is handed, is r(L) in a new array with a hand-written VJP (product rule,
+then one ``mlp.layers_backward`` through the whole network), which keeps
+only the activations that VJP reads. T(1) and T^-1(z) are one solve of the
+batch [1; z], the all-ones spectrum stepped forward in x as row 0 and z's
+rows stepped backward: a plain one for ``t1_and_inverse`` and one
 ``ode.solve_vjp`` for ``inverse_vjp``, whose pullback is that solve's
 discrete adjoint, the exact gradient of the unrolled steps. So a training
 epoch runs two solves, one with its pullback and one plain solve for the
@@ -240,28 +241,18 @@ class NonlinearProfile:
         """The network's layers, unpacked from ``params`` once per profile."""
         return unpack_params(self.params, self.layout)
 
-    @cached_property
-    def float32_layers(self):
-        """The network's layers cast to float32, once per profile: what a float32 solve runs through."""
-        return [(w.astype(np.float32), act, w_fwd.astype(np.float32), b_fwd.astype(np.float32))
-                for w, act, w_fwd, b_fwd in self._layers]
-
     def _rate(self, L):
         """(L, rate) for a plain solve from L: rate(s, out) = sigmoid(dec(enc(s))) * s, in ``out``.
 
-        L comes back in the solve's dtype: float32 for a float32 L, which
-        then runs through ``float32_layers``, otherwise that of L and the
-        parameters, float64 at least. The hidden layers write into buffers
-        made here, once per solve, with their biases at full height, and the
-        decay is computed in ``out`` itself.
+        L comes back in the solve's dtype: float32 for a float32 L, otherwise
+        that of L and the parameters, float64 at least. The layers are cast
+        to that dtype, and their hidden layers write into buffers, both made
+        here, once per solve, with the biases at full height; the decay is
+        computed in ``out`` itself.
         """
-        dtype = np.result_type(L, np.float32)
-        if dtype == np.float32:
-            layers = self.float32_layers
-        else:
-            layers, dtype = self._layers, np.result_type(dtype, self.params)
+        dtype = np.float32 if L.dtype == np.float32 else np.result_type(L, self.params, np.float32)
         L = L.astype(dtype, copy=False)
-        layers, hidden = batch_layers(layers, L.shape[:-1], dtype)
+        layers, hidden = batch_layers(self._layers, L.shape[:-1], dtype)
 
         def rate(s, out):
             decay = layers_forward(layers, s, hidden + [out])[-1]

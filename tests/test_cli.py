@@ -446,11 +446,12 @@ class TestCorrectLayouts:
 
     ROWS, COLS, BANDS = 7, 3, 4  # 3 rows per block below: blocks of 3, 3 and 1 rows
 
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear"])
     @pytest.mark.parametrize("byte_order", [0, 1])
     @pytest.mark.parametrize("data_type", [4, 5, 12])
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
     def test_images_match_whole_cube_reference(self, tmp_path, runner, monkeypatch, interleave, data_type,
-                                               byte_order):
+                                               byte_order, kind):
         rng = np.random.default_rng(data_type + byte_order)
         shape = (self.ROWS, self.COLS, self.BANDS)
         dtype = np.dtype(("<" if byte_order == 0 else ">") + envi.DTYPE_CODES[data_type])
@@ -463,15 +464,25 @@ class TestCorrectLayouts:
             + ("data gain values = {1e-3, 5e-4, 1e-3, 2e-3}\n" if data_type == 12 else "")
         )
         np.ascontiguousarray(values.transpose(FILE_ORDER[interleave]), dtype=dtype).tofile(tmp_path / "c.img")
-        # Band 2's T(1) is floored; reflectances fall on both sides of 1.
-        model = replace(linear_profile([0.3, 1.0, 20.0, 2.0]), solver=SolverConfig("rk4", 16))
+        if kind == "linear":
+            # Band 2's T(1) is floored; reflectances fall on both sides of 1.
+            model = replace(linear_profile([0.3, 1.0, 20.0, 2.0]), solver=SolverConfig("rk4", 16))
+        else:
+            model = NonlinearProfile.initialize(self.BANDS, np.random.default_rng(6))
         write_model(tmp_path / "m.json", model)
         norm = SceneNormalization(np.full(self.BANDS, 0.1), 1.0)
         write_normalization(tmp_path / "norm.json", norm)
 
         data = read_cube(hdr).data  # the whole cube, before the block size shrinks
-        rho, mask = correct_batch(model, norm, data.reshape(-1, self.BANDS))
-        assert (mask & 1).any() and (mask & 2).any() and not (mask & 2).all()
+        if kind == "linear":
+            rho, mask = correct_batch(model, norm, data.reshape(-1, self.BANDS))
+            assert (mask & 1).any() and (mask & 2).any() and not (mask & 2).all()
+        else:
+            # The float32 solve's reference is one call per row, into float32.
+            rho, mask = np.empty(data.shape, np.float32), np.empty(data.shape, np.uint16)
+            for r, row in enumerate(data):
+                correct_batch(model, norm, row, out=(rho[r], mask[r]))
+            assert (mask & 2).any() and not (mask & 2).all()
         for name, image, out_dtype in (("rho", rho, "<f4"), ("mask", mask, "<u2")):
             bsq = image.reshape(shape).transpose(FILE_ORDER["bsq"])
             np.ascontiguousarray(bsq, dtype=out_dtype).tofile(tmp_path / f"{name}.ref")
@@ -1169,10 +1180,15 @@ def bad_inputs(tmp_path_factory):
     (d / "runs_ok" / "run_000.json").write_text(
         json.dumps({"history": [], "transmittance": [0.5] * 8, "roi_reflectance": None})
     )
-    (d / "runs_no_train_loss").mkdir()
-    (d / "runs_no_train_loss" / "run_000.json").write_text(
-        json.dumps({"history": [{"epoch": 0}], "transmittance": [0.5] * 8, "roi_reflectance": None})
-    )
+    # History entries that report would otherwise write as malformed loss_curves.csv rows.
+    for name, entry in (("no_train_loss", {"epoch": 0}), ("epoch_1_5", {"epoch": 1.5, "train_loss": 1.0}),
+                        ("epoch_true", {"epoch": True, "train_loss": 1.0}),
+                        ("train_loss_abc", {"epoch": 0, "train_loss": "abc"}),
+                        ("val_loss_list", {"epoch": 1, "train_loss": 0.96, "val_loss": [1, 2]})):
+        (d / f"runs_{name}").mkdir()
+        (d / f"runs_{name}" / "run_000.json").write_text(
+            json.dumps({"history": [entry], "transmittance": [0.5] * 8, "roi_reflectance": None})
+        )
     for name, text in (("epochs_abc", "max_epochs = abc\n"), ("split_abc", "split_fractions = a/b/c\n"),
                        ("rows_x", "rows = x\n"),
                        *((f"fraction_{v}", f"pixel_fraction = {v}\n") for v in ("nan", "inf", "-1")),
@@ -1297,6 +1313,8 @@ BAD_INPUT_CASES = [
        3, "parse-error") for name in ("kind_cubic", "json_list", "invalid_json", "params_5",
                                       "version_2", "version_true", "version_missing")),
     ("report-history-without-train-loss", "report --runs {d}/runs_no_train_loss --out {o}", 3, "parse-error"),
+    *((f"report-history-{name.replace('_', '-')}", f"report --runs {{d}}/runs_{name} --out {{o}}", 3, "parse-error")
+      for name in ("epoch_1_5", "epoch_true", "train_loss_abc", "val_loss_list")),
     # Outputs that cannot be written: in a directory that does not exist, or under a regular file.
     ("eval-out-in-missing-dir", "eval --model {d}/model8.json --cube {d}/scene.hdr --roi {d}/roi_ref.csv "
      "--library {d}/spectrum.csv --out {o}/e.csv", 3, "data-error"),
