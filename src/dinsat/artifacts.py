@@ -134,16 +134,24 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def write_csv(path: str | Path, header, rows) -> None:
-    """A CSV of the column names ``header`` and one line per row of cells; every line ends in a newline."""
-    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+def write_csv(path: str | Path, header, columns) -> None:
+    """A CSV of the column names ``header`` and one line per row; every line ends in a newline.
+
+    ``columns`` holds one sequence of cells per name, all of one length (no
+    sequences for a table without rows; ``zip(*rows)`` turns rows into
+    columns). A float ndarray column is formatted whole, each value as
+    ``_cell`` would; every other cell goes through ``_cell``.
+    """
+    cells = [map(repr, col.tolist()) if isinstance(col, np.ndarray) and col.dtype.kind == "f" else map(_cell, col)
+             for col in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells, strict=True)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_spectrum_csv(path: str | Path, grid: WavelengthGrid, spectrum: Spectrum) -> None:
     if spectrum.n_bands != grid.n_bands:
         raise ParseError("spectrum length does not match wavelength grid")
-    write_csv(path, ["wavelength_nm", "value"], zip(grid.wavelengths_nm, spectrum.values))
+    write_csv(path, ["wavelength_nm", "value"], [grid.wavelengths_nm, spectrum.values])
 
 
 def read_spectrum_csv(path: str | Path, unit: Unit = "unitless") -> tuple[WavelengthGrid, Spectrum]:
@@ -296,7 +304,6 @@ def write_truth_sidecar(
     """CSV with per-band truth: alpha, dark offset, m, and sampled reflectance."""
     pixel_keys = sorted(sampled_rho)
     header = ["wavelength_nm", "alpha_true", "c", "m"] + [f"rho_{r}_{c}" for r, c in pixel_keys]
-    rows = [(wl, alpha[i], norm.c[i], norm.m, *(sampled_rho[k][i] for k in pixel_keys))
-            for i, wl in enumerate(grid.wavelengths_nm)]
-    write_csv(path, header, rows)
+    columns = [grid.wavelengths_nm, alpha, norm.c, [norm.m] * grid.n_bands, *(sampled_rho[k] for k in pixel_keys)]
+    write_csv(path, header, columns)
 

@@ -169,7 +169,9 @@ def synth(spec_path, seed, out_dir):
     Spec keys: rows, cols, bands, wl_start_nm, wl_end_nm, baseline_alpha,
     absorption (center:width:depth;...), materials, dark_level, illumination,
     noise_std. Outputs: scene.hdr/.img (ENVI, float64 BSQ) and truth.csv with
-    columns wavelength_nm, alpha_true, c, m, rho_<row>_<col>...
+    columns wavelength_nm, alpha_true, c, m, rho_<row>_<col>... The cube is
+    built band-sequentially in memory, at a peak of about two cubes, and
+    scene.img is written from that memory with no copy.
     """
     spec = _synth_spec_from_file(spec_path) if spec_path else SynthSpec()
     out = Path(out_dir)
@@ -438,7 +440,7 @@ def eval_cmd(model_path, cube_path, roi_path, library_path, norm_path, out_path)
                  if key in metrics]
         for warning in metrics["warnings"]:
             click.echo(f"{name}: {warning}", err=True)
-    artifacts.write_csv(out_path, ["region", "metric", "value"], rows)
+    artifacts.write_csv(out_path, ["region", "metric", "value"], zip(*rows))
     click.echo(f"wrote {out_path}")
 
 
@@ -486,13 +488,13 @@ def report(runs_dir, out_dir):
     t_stack = np.array([rec["transmittance"] for rec in records if rec["transmittance"] is not None])
     if t_stack.size:
         artifacts.write_csv(out / "transmittance_stats.csv", ["band", "wavelength_nm", "mean", "std"],
-                            zip(range(len(wl)), wl, t_stack.mean(axis=0), t_stack.std(axis=0)))
+                            [range(len(wl)), wl, t_stack.mean(axis=0), t_stack.std(axis=0)])
     artifacts.write_csv(out / "loss_curves.csv", ["run", "epoch", "train_loss", "val_loss"],
-                        [(i, entry["epoch"], entry["train_loss"], entry.get("val_loss"))
-                         for i, rec in enumerate(records) for entry in rec["history"]])
+                        zip(*[(i, entry["epoch"], entry["train_loss"], entry.get("val_loss"))
+                              for i, rec in enumerate(records) for entry in rec["history"]]))
     artifacts.write_csv(out / "roi_spectra.csv", ["run", "band", "wavelength_nm", "reflectance"],
-                        [(i, b, w, value) for i, rec in enumerate(records) if rec["roi_reflectance"] is not None
-                         for b, (w, value) in enumerate(zip(wl, rec["roi_reflectance"]))])
+                        zip(*[(i, b, w, value) for i, rec in enumerate(records) if rec["roi_reflectance"] is not None
+                              for b, (w, value) in enumerate(zip(wl, rec["roi_reflectance"]))]))
     click.echo(f"wrote report CSVs -> {out}")
 
 

@@ -22,9 +22,10 @@ read (``os.preadv``) or write (``os.pwrite``) at its own offset, with no
 ``seek``: processes that share a writer's descriptor write their own rows
 without racing on one file offset. Where the values already have their
 destination's type and order, nothing is copied: native float64 runs are
-read straight into a block laid out like the file, and a block that is
-already the file's type in file order is written from its own memory.
-Everything else passes through one reused buffer.
+read straight into a block laid out like the file, and a block whose runs
+each already hold the file's type in file order (a block laid out like the
+file, or a row block of a band-sequential cube written as BSQ) is written
+from its own memory. Everything else passes through one reused buffer.
 """
 
 from __future__ import annotations
@@ -459,9 +460,13 @@ class EnviWriter:
             raise ConfigError(f"cannot write a {block.shape} block at row {first_row} of a {h.shape} cube")
         offsets, run = h.runs(first_row, first_row + len(block))
         in_file_order = h.file_order(block)
-        if block.dtype == h.dtype and in_file_order.flags.c_contiguous:
-            # Already the file's values in file order: written from the block's own memory.
-            raw = memoryview(in_file_order.reshape(-1)).cast("B")
+        # The values of each run in file order: one band of the block for BSQ
+        # with fewer than all rows, the whole block otherwise.
+        runs = in_file_order if len(offsets) > 1 else in_file_order[None]
+        if block.dtype == h.dtype and runs[0].flags.c_contiguous:
+            # Each run already holds the file's values in order, as in a row
+            # block of a band-sequential cube: written from the block's own memory.
+            raws = [memoryview(values.reshape(-1)).cast("B") for values in runs]
         else:
             size = block.size * h.dtype.itemsize
             if self._buf is None or self._buf.size < size:
@@ -469,8 +474,9 @@ class EnviWriter:
             values = self._buf[:size].view(h.dtype).reshape(in_file_order.shape)
             np.copyto(values, in_file_order, casting="unsafe")
             raw = memoryview(self._buf)
-        for i, offset in enumerate(offsets):
-            _write_all(self._file, offset, raw[i * run : (i + 1) * run])
+            raws = [raw[i * run : (i + 1) * run] for i in range(len(offsets))]
+        for offset, raw in zip(offsets, raws):
+            _write_all(self._file, offset, raw)
 
     def close(self) -> None:
         """Close the data file and write the header."""
@@ -499,7 +505,12 @@ def write_envi_array(
     data_type: int = 4,
     description: str = "dinsat output",
 ) -> Path:
-    """Write a (rows, cols, bands) array as an ENVI pair, block by block; returns the data path."""
+    """Write a (rows, cols, bands) array as an ENVI pair, block by block; returns the data path.
+
+    The blocks are written as `EnviWriter.write_rows` writes them: a
+    band-sequential float64 cube, such as `synth_scene`'s, goes to a BSQ
+    float64 file from its own memory, with no copy.
+    """
     data = np.asarray(data)
     with EnviWriter(header_path, data.shape, wavelengths_nm, interleave, data_type, description) as out:
         for r0 in range(0, len(data), out.header.block_rows):

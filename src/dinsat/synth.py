@@ -18,6 +18,10 @@ from .correction import SceneNormalization
 from .errors import ConfigError
 from .types import HyperCube, WavelengthGrid
 
+# Bytes of float64 noise drawn at a time: the generator's peak is the two
+# cubes plus one such block.
+NOISE_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -72,7 +76,7 @@ class SynthSpec:
 class SynthTruth:
     grid: WavelengthGrid
     alpha: np.ndarray  # (n_bands,)
-    rho: np.ndarray  # (rows, cols, n_bands)
+    rho: np.ndarray  # (rows, cols, n_bands), a view of a (n_bands, rows, cols) array
     norm: SceneNormalization
 
 
@@ -92,7 +96,15 @@ def _endmembers(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def synth_scene(spec: SynthSpec, seed: int) -> tuple[HyperCube, SynthTruth]:
-    """Generate a radiance cube plus the exact truth used to build it."""
+    """Generate a radiance cube plus the exact truth used to build it.
+
+    The reflectance and the radiance are (rows, cols, bands) views of
+    band-sequential (bands, rows, cols) arrays, as a BSQ file lays them out,
+    and are built in place: the peak is about the two cubes plus one noise
+    block of NOISE_BLOCK_BYTES. Each value is the one the C-ordered formula
+    ``max((c + m * exp(-2*alpha) * rho) * (1 + noise_std * N), 0)`` gives, bit
+    for bit, with the noise N drawn in (rows, cols, bands) order.
+    """
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -105,7 +117,16 @@ def synth_scene(spec: SynthSpec, seed: int) -> tuple[HyperCube, SynthTruth]:
 
     members = _endmembers(spec, rng)
     weights = rng.dirichlet(np.ones(spec.n_materials), size=(spec.rows, spec.cols))
-    rho = weights @ members
+    rho_bsq = np.empty((spec.n_bands, spec.rows, spec.cols))
+    # The C-ordered product weights @ members takes each row of pixels through
+    # gemm, or through gemv when a row is one pixel; the two round differently.
+    # The transposed products below take the same routines, so the same bits.
+    if spec.cols > 1:
+        np.matmul(members.T, weights.reshape(-1, spec.n_materials).T, out=rho_bsq.reshape(spec.n_bands, -1))
+    else:
+        np.matmul(members.T, weights.transpose(0, 2, 1), out=rho_bsq.transpose(1, 0, 2))
+    del weights
+    rho = rho_bsq.transpose(1, 2, 0)
     # Calibration panels: one dark and one full-reflectance pixel anchor the
     # scene normalization estimates.
     if spec.cols >= 2:
@@ -113,13 +134,20 @@ def synth_scene(spec: SynthSpec, seed: int) -> tuple[HyperCube, SynthTruth]:
         rho[0, 1] = 1.0
 
     c = spec.dark_level * (0.8 + 0.4 * rng.random(spec.n_bands))
-    transmission2 = np.exp(-2.0 * alpha)
-    clean = c + spec.illumination * transmission2 * rho
+    data_bsq = np.multiply(rho_bsq, (spec.illumination * np.exp(-2.0 * alpha))[:, None, None])
+    data_bsq += c[:, None, None]
+    data = data_bsq.transpose(1, 2, 0)
     if spec.noise_std > 0:
-        clean = clean * (1.0 + spec.noise_std * rng.standard_normal(clean.shape))
-    data = np.maximum(clean, 0.0)
+        step = max(1, NOISE_BLOCK_BYTES // (spec.cols * spec.n_bands * 8))
+        buf = np.empty((min(step, spec.rows), spec.cols, spec.n_bands))
+        for r0 in range(0, spec.rows, step):
+            block = data[r0 : r0 + step]
+            noise = rng.standard_normal(out=buf[: len(block)])
+            noise *= spec.noise_std
+            noise += 1.0
+            block *= noise
+    np.maximum(data_bsq, 0.0, out=data_bsq)
 
     cube = HyperCube(grid, data)
     truth = SynthTruth(grid=grid, alpha=alpha, rho=rho, norm=SceneNormalization(c, spec.illumination))
     return cube, truth
-

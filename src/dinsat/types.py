@@ -68,7 +68,7 @@ class HyperCube:
     """rows x cols x bands radiance volume on a wavelength grid."""
 
     grid: WavelengthGrid
-    data: np.ndarray  # canonical (rows, cols, bands)
+    data: np.ndarray  # canonical (rows, cols, bands), in any memory layout
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -79,9 +79,11 @@ class HyperCube:
             raise ShapeError(
                 f"cube has {data.shape[2]} bands but grid has {self.grid.n_bands}"
             )
-        if not np.all(np.isfinite(data)):
+        # Two reductions and no boolean temporaries; NaN propagates through both.
+        low, high = data.min(initial=0.0), data.max(initial=0.0)
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ShapeError("cube data must be finite")
-        if np.any(data < 0):
+        if low < 0:
             raise ShapeError("cube radiance must be nonnegative")
 
     @property

@@ -6,7 +6,8 @@ its stepped rate from rates alpha, and ``linear_alpha`` reads a linear
 profile's rates back; ``solve_direction`` names a solve's direction;
 ``read_cube`` reads a whole ENVI cube through the
 row-block reader; ``sample_pixels`` draws pixels of an in-memory synthetic
-scene.
+scene; ``synth_reference`` computes a synthetic scene in C order with
+whole-array temporaries.
 """
 
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 from dinsat.envi import open_envi
 from dinsat.errors import ShapeError
 from dinsat.mlp import MlpLayout, layers_forward, unpack_params
-from dinsat.synth import SynthTruth
+from dinsat.synth import SynthSpec, SynthTruth, _endmembers
 from dinsat.transmission import LinearProfile, softplus_inverse
 from dinsat.types import HyperCube, sample_coords
 
@@ -114,3 +115,28 @@ def sample_pixels(
     coords = sample_coords(cube.rows, cube.cols, n_pixels, seed)
     rho = truth.rho[coords[:, 0], coords[:, 1]] if truth is not None else None
     return coords, cube.data[coords[:, 0], coords[:, 1]], rho
+
+
+def synth_reference(spec: SynthSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(radiance, reflectance) of ``synth_scene``'s formula, each a C-ordered (rows, cols, bands) array.
+
+    The same draws in the same order, with the arithmetic written whole-array:
+    rho = weights @ members, then c + (m * exp(-2*alpha)) * rho, then
+    clean * (1 + noise_std * N) with the noise drawn at once, then the floor at 0.
+    """
+    rng = np.random.default_rng(seed)
+    wl = np.linspace(spec.wl_start_nm, spec.wl_end_nm, spec.n_bands)
+    alpha = np.full(spec.n_bands, spec.baseline_alpha, dtype=float)
+    for center, width, depth in spec.absorption_bands:
+        alpha += depth * np.exp(-0.5 * ((wl - center) / width) ** 2)
+    members = _endmembers(spec, rng)
+    weights = rng.dirichlet(np.ones(spec.n_materials), size=(spec.rows, spec.cols))
+    rho = weights @ members
+    if spec.cols >= 2:
+        rho[0, 0] = 0.0
+        rho[0, 1] = 1.0
+    c = spec.dark_level * (0.8 + 0.4 * rng.random(spec.n_bands))
+    clean = c + spec.illumination * np.exp(-2.0 * alpha) * rho
+    if spec.noise_std > 0:
+        clean = clean * (1.0 + spec.noise_std * rng.standard_normal(clean.shape))
+    return np.maximum(clean, 0.0), rho

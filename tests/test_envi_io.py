@@ -12,6 +12,7 @@ from dinsat.artifacts import (
     read_normalization,
     read_roi,
     read_spectrum_csv,
+    write_csv,
     write_model,
     write_normalization,
     write_spectrum_csv,
@@ -306,6 +307,28 @@ class TestRowBlocks:
         expected = np.ascontiguousarray(data.transpose(FILE_ORDER[interleave]), dtype=dtype).tobytes()
         assert path.read_bytes() == expected
 
+    @pytest.mark.parametrize("data_type", [4, 5, 12])
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    def test_band_sequential_array_bytes_match_c_order(self, tmp_path, monkeypatch, interleave, data_type):
+        # Each BSQ run of a band-sequential float64 array's row block is one
+        # band's rows in its own memory: written with no copy. Every other
+        # pairing is converted through the write buffer.
+        monkeypatch.setattr(envi, "BLOCK_BYTES", 3 * self.COLS * self.BANDS * 8)
+        writers = []
+
+        class Recording(envi.EnviWriter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                writers.append(self)
+
+        monkeypatch.setattr(envi, "EnviWriter", Recording)
+        data = np.random.default_rng(15).uniform(0.0, 3000.0, (self.ROWS, self.COLS, self.BANDS))
+        band_sequential = np.ascontiguousarray(data.transpose(2, 0, 1)).transpose(1, 2, 0)
+        c_order = write_envi_array(data, tmp_path / "c.hdr", interleave=interleave, data_type=data_type)
+        path = write_envi_array(band_sequential, tmp_path / "bsq.hdr", interleave=interleave, data_type=data_type)
+        assert path.read_bytes() == c_order.read_bytes()
+        assert (writers[-1]._buf is None) == (interleave == "bsq" and data_type == 5)
+
     @pytest.mark.parametrize("data_type", [4, 12])
     def test_block_in_file_layout_writes_from_its_own_memory(self, tmp_path, data_type):
         dtype = np.dtype(envi.DTYPE_CODES[data_type])
@@ -463,6 +486,23 @@ class TestSpectrumCsv:
         grid2, back = read_spectrum_csv(path, "reflectance")
         np.testing.assert_array_equal(back.values, spectrum.values)
         np.testing.assert_array_equal(grid2.wavelengths_nm, grid.wavelengths_nm)
+
+    def test_float_columns_format_like_cells(self, tmp_path):
+        # A float ndarray column is formatted whole, every other column cell
+        # by cell; each value reads as its shortest round-trip repr either way.
+        f64 = np.array([0.1, 1e-300, -2.5, np.nan, 3.0])
+        f32 = f64.astype(np.float32)
+        columns = [f64, f32, np.arange(5), ["a", None, 2, 7.5, np.float32(0.1)], list(f64)]
+        write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e"], columns)
+        expected = ["a,b,c,d,e"] + [
+            f"{float(x)!r},{float(y)!r},{i},{cell},{float(x)!r}"
+            for i, (x, y, cell) in enumerate(zip(f64, f32, ["a", "", "2", "7.5", repr(float(np.float32(0.1)))]))
+        ]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+        write_csv(tmp_path / "empty.csv", ["a", "b"], zip(*[]))
+        assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "ragged.csv", ["a", "b"], [f64, f64[:2]])
 
     def test_full_grid_accepted(self, tmp_path):
         grid = WavelengthGrid.linear(126)

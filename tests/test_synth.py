@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,10 @@ from dinsat.correction import correct_batch
 from dinsat.envi import open_envi, write_envi
 from dinsat.errors import ConfigError
 from dinsat.ode import SolverConfig
-from dinsat.synth import SynthSpec, synth_scene
+from dinsat.synth import NOISE_BLOCK_BYTES, SynthSpec, synth_scene
 from dinsat.types import sample_coords
 
-from oracles import linear_profile, sample_pixels
+from oracles import linear_profile, sample_pixels, synth_reference
 
 SMALL = dict(rows=8, cols=8, n_bands=30)
 
@@ -85,6 +86,48 @@ class TestSynthScene:
             local_min = window[np.argmin(trans[window])]
             nearest = int(np.argmin(np.abs(wl - center)))
             assert abs(local_min - nearest) <= 1
+
+
+class TestSynthLayout:
+    """The band-sequential, in-place generator against the C-ordered formula."""
+
+    NOISY = dict(rows=37, cols=96, n_bands=126, noise_std=0.05)
+
+    @pytest.mark.parametrize("fields", [
+        {},
+        NOISY,
+        dict(rows=9, cols=1, n_bands=12, noise_std=0.02),
+        dict(SMALL, n_materials=2),
+        dict(SMALL, n_materials=7, noise_std=0.01),
+    ], ids=["default", "noisy", "one-column", "2-materials", "7-materials"])
+    def test_bits_match_the_c_order_formula(self, fields):
+        spec = SynthSpec(**fields)
+        cube, truth = synth_scene(spec, seed=3)
+        data, rho = synth_reference(spec, seed=3)
+        np.testing.assert_array_equal(cube.data, data, strict=True)
+        np.testing.assert_array_equal(truth.rho, rho, strict=True)
+
+    def test_noisy_spec_spans_several_noise_blocks(self):
+        # Not a multiple of the rows per block: the last block is short.
+        step = NOISE_BLOCK_BYTES // (self.NOISY["cols"] * self.NOISY["n_bands"] * 8)
+        assert 1 < step < self.NOISY["rows"] and self.NOISY["rows"] % step
+
+    def test_band_sequential_views(self):
+        cube, truth = synth_scene(SynthSpec(**SMALL, noise_std=0.03), seed=1)
+        assert cube.data.transpose(2, 0, 1).flags.c_contiguous
+        assert truth.rho.transpose(2, 0, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.05])
+    def test_peak_memory_is_about_two_cubes(self, noise_std):
+        spec = SynthSpec(rows=64, cols=96, n_bands=126, noise_std=noise_std)
+        cube_bytes = spec.rows * spec.cols * spec.n_bands * 8
+        tracemalloc.start()
+        try:
+            synth_scene(spec, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * cube_bytes, peak / cube_bytes
 
 
 class TestSamplePixels:

@@ -117,6 +117,42 @@ class TestSpectrumInvariants:
             Spectrum(np.array([1.0, np.nan]))
 
 
+class TestHyperCubeInvariants:
+    @staticmethod
+    def layouts(data):
+        """``data`` in C order and as a view of a band-sequential copy."""
+        return [data, np.ascontiguousarray(data.transpose(2, 0, 1)).transpose(1, 2, 0)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        data = np.ones((3, 4, 2))
+        data[2, 1, 1] = bad
+        for layout in self.layouts(data):
+            with pytest.raises(ShapeError, match="^cube data must be finite$"):
+                HyperCube(WavelengthGrid.linear(2), layout)
+
+    def test_negative_rejected(self):
+        data = np.ones((3, 4, 2))
+        data[1, 3, 0] = -1e-300
+        for layout in self.layouts(data):
+            with pytest.raises(ShapeError, match="^cube radiance must be nonnegative$"):
+                HyperCube(WavelengthGrid.linear(2), layout)
+
+    def test_nonfinite_reported_before_negative(self):
+        data = np.ones((3, 4, 2))
+        data[0, 0, 0], data[2, 3, 1] = -1.0, np.nan
+        for layout in self.layouts(data):
+            with pytest.raises(ShapeError, match="must be finite"):
+                HyperCube(WavelengthGrid.linear(2), layout)
+
+    def test_band_sequential_view_kept(self):
+        data = self.layouts(np.ones((3, 4, 2)))[1]
+        assert HyperCube(WavelengthGrid.linear(2), data).data is data
+
+    def test_zero_rows_accepted(self):
+        assert HyperCube(WavelengthGrid.linear(2), np.empty((0, 4, 2))).rows == 0
+
+
 class TestHyperCubePixels:
     @pytest.mark.parametrize("coords", [[(3, 0)], [(0, 4)], [(0, 0), (-1, 2)]])
     def test_outside_pixel_rejected(self, tmp_path, coords):
