@@ -233,6 +233,7 @@ def read_kv_config(path: str | Path) -> dict[str, str]:
     path = Path(path)
     raw_lines = _read_text(path, "config", ConfigError).splitlines()
     out: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     for lineno, line in enumerate(raw_lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -240,7 +241,11 @@ def read_kv_config(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in key_lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {key_lines[key]}")
+        key_lines[key] = lineno
+        out[key] = value.strip()
     return out
 
 

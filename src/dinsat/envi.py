@@ -408,16 +408,19 @@ def open_envi(header_path: str | Path) -> EnviCube:
             f"(offset {header.header_offset} + {n_values} x {header.dtype.itemsize}), found {actual}"
         )
 
-    if header.wavelengths_nm is not None:
-        grid = WavelengthGrid(header.wavelengths_nm)
-    else:
-        log.warning(
-            "%s: no wavelength list; synthesizing a linear %g-%g nm ramp",
-            header_path,
-            DEFAULT_WL_START,
-            DEFAULT_WL_END,
-        )
-        grid = WavelengthGrid.linear(header.bands, DEFAULT_WL_START, DEFAULT_WL_END)
+    try:
+        if header.wavelengths_nm is not None:
+            grid = WavelengthGrid(header.wavelengths_nm)
+        else:
+            log.warning(
+                "%s: no wavelength list; synthesizing a linear %g-%g nm ramp",
+                header_path,
+                DEFAULT_WL_START,
+                DEFAULT_WL_END,
+            )
+            grid = WavelengthGrid.linear(header.bands, DEFAULT_WL_START, DEFAULT_WL_END)
+    except ShapeError as e:
+        raise ParseError(f"header {header_path}: {e}") from e
     return EnviCube(header, data_path, grid)
 
 

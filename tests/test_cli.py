@@ -1,7 +1,9 @@
+import ast
 import json
 import logging
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -112,6 +114,36 @@ def test_cli_import_leaves_scipy_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_scipy_free_test_modules_import_no_scipy():
+    # CI runs the test modules its workflow names against the installed
+    # package in a venv without scipy; neither they nor the test modules they
+    # import (oracles) may import it.
+    tests = Path(__file__).resolve().parent
+    workflow = (tests.parent / ".github" / "workflows" / "tests.yml").read_text()
+    todo = re.findall(r"tests/(test_\w+)\.py", workflow)
+    assert "test_cli" in todo
+    seen, scipy_imports = set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(ast.parse((tests / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for top in (module.split(".")[0] for module in modules):
+                if top == "scipy":
+                    scipy_imports.append(f"{name}.py:{node.lineno}")
+                elif (tests / f"{top}.py").exists():
+                    todo.append(top)
+    assert "oracles" in seen
+    assert scipy_imports == []
+
+
 def test_every_exported_name_resolves():
     # A name deleted from the package must leave __all__ too.
     assert [name for name in dinsat.__all__ if not hasattr(dinsat, name)] == []
@@ -158,21 +190,30 @@ class TestTrainCommand:
         assert (solver.method, solver.steps) == ("rk4", 8)
         assert (out / "run_000.json").exists()
 
-    def test_fixed_seed_byte_identical_models(self, tmp_path, runner):
+    @pytest.mark.parametrize("model_kind", ["linear", "nonlinear"])
+    def test_fixed_seed_byte_identical_models(self, tmp_path, runner, model_kind):
         scene = make_scene(tmp_path, runner)
         roi, _ = make_roi(tmp_path)
         config = tmp_path / "train.txt"
-        config.write_text(CONFIG_TEXT)
+        # A quarter of the 12 ROI pixels validate.
+        config.write_text(CONFIG_TEXT.replace("model_kind = linear", f"model_kind = {model_kind}")
+                          + "split_fractions = 0.5/0.25/0.25\n")
         outputs = []
-        for name in ("r1", "r2"):
+        # The second run passes --threads, which train accepts and ignores.
+        for name, threads in (("r1", []), ("r2", ["--threads", "2"])):
             out = tmp_path / name
             result = runner.invoke(main, [
                 "train", "--cube", str(scene / "scene.hdr"), "--roi", str(roi),
-                "--config", str(config), "--ensemble", "1", "--out", str(out),
+                "--config", str(config), "--ensemble", "2", *threads, "--out", str(out),
             ])
             assert result.exit_code == 0, result.output
-            outputs.append((out / "model_000.json").read_bytes())
+            outputs.append([(out / f"model_{i:03d}.json").read_bytes() for i in range(2)])
         assert outputs[0] == outputs[1]
+        # Every epoch records a finite validation loss, which does not stay the same.
+        for i in range(2):
+            history = json.loads((tmp_path / "r1" / f"run_{i:03d}.json").read_text())["history"]
+            val_loss = [record["val_loss"] for record in history]
+            assert val_loss and all(np.isfinite(val_loss)) and len(set(val_loss)) > 1, history
 
     def test_two_cube_normalization_matches_stacked_pixels(self, tmp_path, runner):
         scenes = [make_scene(tmp_path / name, runner, seed) for name, seed in (("a", 3), ("b", 4))]
@@ -488,12 +529,15 @@ class TestCorrectLayouts:
             np.ascontiguousarray(bsq, dtype=out_dtype).tofile(tmp_path / f"{name}.ref")
 
         monkeypatch.setattr(envi, "BLOCK_BYTES", 3 * self.COLS * self.BANDS * 8)
-        out = tmp_path / "out"
-        result = runner.invoke(main, ["correct", "--cube", str(hdr), "--model", str(tmp_path / "m.json"),
-                                      "--norm", str(tmp_path / "norm.json"), "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        assert (out / "corrected.img").read_bytes() == (tmp_path / "rho.ref").read_bytes()
-        assert (out / "quality_mask.img").read_bytes() == (tmp_path / "mask.ref").read_bytes()
+        # On 2 CPUs a nonlinear model's rows go to two forked workers: rows 0-2 and 3-6.
+        for n_cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n_cpus: set(range(n)))
+            out = tmp_path / f"out{n_cpus}"
+            result = runner.invoke(main, ["correct", "--cube", str(hdr), "--model", str(tmp_path / "m.json"),
+                                          "--norm", str(tmp_path / "norm.json"), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            assert (out / "corrected.img").read_bytes() == (tmp_path / "rho.ref").read_bytes()
+            assert (out / "quality_mask.img").read_bytes() == (tmp_path / "mask.ref").read_bytes()
 
 
 class TestCorrectWorkers:
@@ -619,7 +663,9 @@ class TestCorrectWorkers:
             assert (tmp_path / "out" / f"{name}.img").read_bytes() == (tmp_path / "out1" / f"{name}.img").read_bytes()
 
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
-    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    # At 1e3 sigmoids saturate past float32 exp's overflow point, which must
+    # give a decay of exactly 0 or 1 with no warning, in forked workers too.
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 1e3])
     def test_images_do_not_depend_on_rows_per_call_or_cpus(self, tmp_path, runner, monkeypatch, interleave,
                                                             scale):
         rows = 9  # blocks of 4, 4 and 1 rows
@@ -746,9 +792,10 @@ class TestCorrectWorkers:
         assert outputs[0].startswith("numeric-error: state diverged") and outputs[0].count("\n") == 1
 
     def test_failed_run_leaves_no_process_behind(self, tmp_path):
-        # The failures above in a real process, in a session of its own: once
-        # it has exited, no worker of its process group is left. In "own_nan"
-        # the first share, rows 0-3, fails while the second is healthy.
+        # The failures above, and a healthy run, in a real process, in a
+        # session of its own: once it has exited, no worker of its process
+        # group is left. In "own_nan" the first share, rows 0-3, fails while
+        # the second is healthy.
         data = np.full((self.ROWS, self.COLS, self.BANDS), 1e-6)
         data[5:] = 1.0
         data[6, 1, 2] = np.nan
@@ -767,6 +814,7 @@ class TestCorrectWorkers:
             ("nan", data, self.nonlinear_model(self.BANDS), 3),
             ("overflow", np.nan_to_num(data, nan=1.0), self.overflowing_model(self.BANDS), 4),
             ("own_nan", own_nan, self.nonlinear_model(self.BANDS), 3),
+            ("healthy", np.nan_to_num(data, nan=1.0), self.nonlinear_model(self.BANDS), 0),
         ):
             inputs = tmp_path / case
             inputs.mkdir()
@@ -780,7 +828,8 @@ class TestCorrectWorkers:
             assert proc.returncode == expected, stderr
             with pytest.raises(ProcessLookupError):
                 os.killpg(proc.pid, 0)
-            assert not list((inputs / "out").iterdir())
+            images = ["corrected.hdr", "corrected.img", "quality_mask.hdr", "quality_mask.img"]
+            assert sorted(p.name for p in (inputs / "out").iterdir()) == ([] if expected else images)
 
     @pytest.mark.usefixtures("blocks_of_two_rows")
     def test_worker_that_dies_without_a_result_is_an_error(self, tmp_path, runner, monkeypatch):
@@ -1114,6 +1163,12 @@ def bad_inputs(tmp_path_factory):
                            ("offset_inf", "byte order = 0", "byte order = 0\ndata offset values = {inf" + ", 0" * 7 + "}")):
         (d / f"{name}.hdr").write_text(header.replace(old, new))
         (d / f"{name}.img").write_bytes((d / "scene.img").read_bytes())
+    # Wavelength grids that WavelengthGrid rejects: the first two swapped or equal, and one band.
+    for name, first_two in (("wavelength_decreasing", "{742.8571428571429, 450.0,"),
+                            ("wavelength_repeated", "{450.0, 450.0,")):
+        (d / f"{name}.hdr").write_text(header.replace("{450.0, 742.8571428571429,", first_two))
+        (d / f"{name}.img").write_bytes((d / "scene.img").read_bytes())
+    write_envi_array(cube.data[:, :, :1], d / "one_band.hdr", wavelengths_nm=[450.0], data_type=5)
     (d / "no_data.hdr").write_text(header)
     # 8 bytes short, so that the data size matches the offset and only its sign is wrong.
     (d / "negative_offset.hdr").write_text(header.replace("header offset = 0", "header offset = -8"))
@@ -1197,6 +1252,8 @@ def bad_inputs(tmp_path_factory):
                        ("split_negative", "split_fractions = 0.5/-0.2/0.5\n"),
                        ("split_sum", "split_fractions = 0.9/0.5/0.5\n"),
                        ("config_no_equals", "max_epochs 5\n"), ("hidden_0", "model_kind = nonlinear\nhidden = 0\n"),
+                       ("epochs_repeated", "max_epochs = 5\nmax_epochs = 7\n"),
+                       ("spec_bands_repeated", "rows = 4\ncols = 4\nbands = 8\nbands = 6\n"),
                        *((f"spec_{name}_{value}", f"rows = 4\ncols = 4\nbands = 8\n{line}\n")
                          for value, lines in SPEC_BAD_LINES.items() for name, line in lines.items()),
                        ("split_small", "mode = unsupervised\nmax_epochs = 2\nsplit_fractions = 0.5/0.1/0.4\n")):
@@ -1301,7 +1358,10 @@ BAD_INPUT_CASES = [
         ("no_samples", "parse-error"), ("wavelength_unclosed", "parse-error"), ("no_equals", "parse-error"),
         ("byte_order_2", "parse-error"), ("interleave_bsx", "unsupported-format-error"),
         ("lines_0", "parse-error"), ("two_gains", "parse-error"), ("gain_nan", "parse-error"),
-        ("offset_inf", "parse-error"), ("no_data", "corrupt-file-error"))),
+        ("offset_inf", "parse-error"), ("no_data", "corrupt-file-error"), ("wavelength_decreasing", "parse-error"),
+        ("wavelength_repeated", "parse-error"), ("one_band", "parse-error"))),
+    ("eval-header-wavelength-decreasing", "eval --model {d}/model8.json --cube {d}/wavelength_decreasing.hdr "
+     "--roi {d}/roi.csv --out {o}.csv", 3, "parse-error"),
     *((f"simulate-{name.replace('_', '-')}", f"simulate --spectrum {{d}}/{name}.csv --model {{d}}/model8.json "
        "--out {o}.csv", 3, "parse-error") for name in ("spectrum_3_columns", "spectrum_1_band", "spectrum_empty")),
     *((f"eval-{name.replace('_', '-')}", f"eval --model {{d}}/model8.json --cube {{d}}/scene.hdr "
@@ -1309,6 +1369,9 @@ BAD_INPUT_CASES = [
       for name in ("roi_2_columns", "roi_row_a", "roi_no_regions")),
     ("train-config-no-equals", "train --cube {d}/scene.hdr --mode unsupervised --config {d}/config_no_equals.txt "
      "--out {o}", 2, "config-error"),
+    ("train-config-repeated-key", "train --cube {d}/scene.hdr --mode unsupervised --config {d}/epochs_repeated.txt "
+     "--out {o}", 2, "config-error"),
+    ("synth-spec-repeated-key", "synth --spec {d}/spec_bands_repeated.txt --out {o}", 2, "config-error"),
     *((f"model-{name.replace('_', '-')}", f"correct --cube {{d}}/scene.hdr --model {{d}}/{name}.json --out {{o}}",
        3, "parse-error") for name in ("kind_cubic", "json_list", "invalid_json", "params_5",
                                       "version_2", "version_true", "version_missing")),
@@ -1331,7 +1394,8 @@ BAD_INPUT_CASES = [
     ("byte_order_2", "parse-error", "byte order must be 0 or 1, got 2"),
     ("no_magic", "parse-error", "missing ENVI magic on header line 1"),
     ("data_type_3", "unsupported-format-error", "unsupported ENVI data type 3; supported: 4, 5, 12"),
-], ids=["byte-order-2", "no-magic", "data-type-3"])
+    ("wavelength_decreasing", "parse-error", "wavelengths must be strictly increasing"),
+], ids=["byte-order-2", "no-magic", "data-type-3", "wavelength-decreasing"])
 def test_header_error_names_the_header(bad_inputs, tmp_path, runner, name, category, message):
     hdr = bad_inputs / f"{name}.hdr"
     result = runner.invoke(main, ["correct", "--cube", str(hdr), "--model", str(bad_inputs / "model8.json"),
@@ -1439,6 +1503,23 @@ def test_every_readme_config_key_is_accepted(tmp_path):
         absorption_bands=((940.0, 40.0, 1.2), (1380.0, 60.0, 2.0)), n_materials=4,
         dark_level=0.01, illumination=1.5, noise_std=0.02,
     )
+
+
+@pytest.mark.parametrize("command,key", [("synth", "bands"), ("train", "max_epochs")])
+def test_repeated_key_is_a_config_error_naming_both_lines(tmp_path, command, key):
+    path = tmp_path / "config.txt"
+    path.write_text(f"{key} = 5\n# a comment\n\n{key} = 7\n")
+    read = _synth_spec_from_file if command == "synth" else _train_config_from_file
+    with pytest.raises(ConfigError) as e:
+        read(str(path))
+    assert str(e.value) == f"{path}:4: key '{key}' repeats line 1"
+
+
+def test_command_line_overrides_the_config_file(tmp_path):
+    path = tmp_path / "train.txt"
+    path.write_text("mode = supervised\nseed = 1\n")
+    config, _ = _train_config_from_file(str(path), mode="unsupervised", seed=3)
+    assert (config.mode, config.seed) == ("unsupervised", 3)
 
 
 @pytest.mark.parametrize("command,line", [
